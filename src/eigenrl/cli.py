@@ -42,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="output path (default: config stem + format)")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--seed", type=int, help="override the config seed")
-    run.add_argument("--threads", type=int, default=1, help="worker pool size")
     run.add_argument("--trace", help="also record repetition 0 as a replayable trace")
     run.set_defaults(func=cmd_run)
 
@@ -73,10 +72,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = harness.load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     log.info("running %d repetitions at dim %d", config.repetitions, config.dim)
-    result = harness.run_experiment(config, threads=args.threads)
+    result = harness.run_experiment(config)
     out = args.out
     if out is None:
         stem = os.path.splitext(os.path.basename(args.config))[0]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,13 +61,14 @@ class SingleQubitSpec:
 
 @dataclass(frozen=True)
 class Environment:
-    """Hidden Hermitian operator plus its cached propagator."""
+    """Hidden Hermitian operator plus its cached propagator and spectrum."""
 
     dim: int
     operator: np.ndarray
     tau: float
     unitary: np.ndarray
     origin: str
+    eigensystem: linalg.Eigensystem = field(repr=False, compare=False)
 
     def interact(self, psi: np.ndarray) -> np.ndarray:
         """Send a state through the black box: one application of exp(-i tau O)."""
@@ -76,8 +77,12 @@ class Environment:
         return self.unitary @ psi
 
     def eigensystem_oracle(self) -> linalg.Eigensystem:
-        """Exact spectrum of the hidden operator (verification side only)."""
-        return linalg.eig_hermitian(self.operator)
+        """Exact spectrum of the hidden operator (verification side only).
+
+        The decomposition that built the propagator, shared by every call;
+        its arrays are read-only.
+        """
+        return self.eigensystem
 
 
 def env_from_matrix(
@@ -88,9 +93,16 @@ def env_from_matrix(
     if not MIN_DIM <= dim <= MAX_DIM:
         raise BadDim(f"dim must lie in [{MIN_DIM}, {MAX_DIM}], got {dim}")
     linalg.require_hermitian(operator)
-    unitary = linalg.unitary_from_hermitian(operator, tau)
+    system = linalg.eig_hermitian(operator)
+    system.eigenvalues.setflags(write=False)
+    system.eigenvectors.setflags(write=False)
     return Environment(
-        dim=dim, operator=operator.copy(), tau=tau, unitary=unitary, origin=origin
+        dim=dim,
+        operator=operator.copy(),
+        tau=tau,
+        unitary=linalg.unitary_from_eigensystem(system, tau),
+        origin=origin,
+        eigensystem=system,
     )
 
 

@@ -43,3 +43,7 @@ class AngleDomain(EigenrlError):
 
 class ConfigError(EigenrlError):
     """Configuration file or value is malformed."""
+
+
+class NotNormalized(EigenrlError):
+    """Born weights of a measured state do not sum to 1."""

@@ -5,14 +5,15 @@ against a configured environment and aggregates two curves over the
 iteration count k: the mean fidelity F_j(k) between basis column j and
 the environment's eigenvectors, and the mean search range W(k).
 
-Aggregation is a streaming reduction applied in repetition-index order,
-so serial and pooled executions produce bit-identical results.
+All repetitions run together in one lockstep ensemble, and every curve
+point is a sum over repetitions taken in index order, so each repetition
+matches a lone agent bit for bit and the results do not depend on how
+the work is scheduled.
 """
 from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 from dataclasses import dataclass, field
@@ -340,26 +341,7 @@ def build_environment(config: ExperimentConfig, rep_index: int = 0) -> Environme
 
 
 # ---------------------------------------------------------------------------
-# per-repetition execution
-
-
-@dataclass
-class _RepOutcome:
-    """Recorded rows of one repetition plus its final snapshot."""
-
-    w_rows: np.ndarray      # (L,) post-iteration search range on the grid
-    stage_rows: np.ndarray  # (L,) stage the recorded iteration ran in
-    amp_rows: np.ndarray    # (L, d, d) |<l_E|D|j>| on the grid
-    max_rows: np.ndarray    # (L, d)  per-column best match on the grid
-    final_amp: np.ndarray   # (d, d)
-    final_w: float
-    residual: float
-    total_iterations: int
-
-
-def _amplitudes(eigenvectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """|<l_E|D|j>| matrix; rows follow ascending-eigenvalue order."""
-    return np.abs(eigenvectors.conj().T @ basis)
+# lockstep execution and the streaming reduction
 
 
 def diag_residual(basis: np.ndarray, operator: np.ndarray) -> float:
@@ -385,126 +367,119 @@ def verify_diagonalization(agent: AgentState, env: Environment) -> float:
     return diag_residual(agent.basis, env.operator)
 
 
-def _run_single(config: ExperimentConfig, rep_index: int) -> _RepOutcome:
-    env = build_environment(config, rep_index)
-    eigenvectors = env.eigensystem_oracle().eigenvectors
-    agent = AgentState(
-        dim=config.dim,
-        params=config.params,
-        seed=derive_seed(config.seed, rep_index),
-    )
-    stride = config.record_every
-
-    amp0 = _amplitudes(eigenvectors, agent.basis)
-    w_rows = [config.w1]
-    stage_rows = [0]
-    amp_rows = [amp0]
-    max_rows = [amp0.max(axis=0)]
-    # stage advancement resets agent.w, so carry the last pre-reset value
-    last_w = [config.w1]
-
-    def observer(agent_now: AgentState, rec: protocol.IterationRecord) -> None:
-        last_w[0] = rec.w_after
-        if rec.k % stride == 0:
-            amp = _amplitudes(eigenvectors, agent_now.basis)
-            w_rows.append(rec.w_after)
-            stage_rows.append(rec.stage)
-            amp_rows.append(amp)
-            max_rows.append(amp.max(axis=0))
-
-    run_stages(agent, env.interact, config.stopping, observer)
-
-    final_amp = _amplitudes(eigenvectors, agent.basis)
-    return _RepOutcome(
-        w_rows=np.asarray(w_rows),
-        stage_rows=np.asarray(stage_rows, dtype=np.int64),
-        amp_rows=np.asarray(amp_rows),
-        max_rows=np.asarray(max_rows),
-        final_amp=final_amp,
-        final_w=last_w[0],
-        residual=verify_diagonalization(agent, env),
-        total_iterations=agent.k - 1,
-    )
+def _pick(stacked: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The items of ``members`` from a stack over the environments: the
+    whole stack when one environment is shared, else one item each."""
+    return stacked if len(stacked) == 1 else stacked[members]
 
 
-# ---------------------------------------------------------------------------
-# aggregation
+def _black_box(envs: list[Environment]):
+    """Batched ``interact(members, probes)`` over one shared or N environments.
+
+    Row ``j`` is evolved by the stacked form of ``Environment.interact``,
+    which gives the same bits as the single-vector product.
+    """
+    unitaries = np.stack([env.unitary for env in envs])
+
+    def interact(members: np.ndarray, probes: np.ndarray) -> np.ndarray:
+        return (_pick(unitaries, members) @ probes[:, :, None])[:, :, 0]
+
+    return interact
 
 
-class _Accumulator:
-    """Streaming sums over repetitions with carry-forward for short runs.
+class _Fold:
+    """Sums over repetitions at each recorded k, taken in repetition order.
 
-    A repetition that stopped before the longest one keeps contributing its
-    final values to later grid points, so threshold-mode curves stay flat
-    after convergence instead of dropping out of the average.
+    ``rows`` holds one row per repetition: its search range, then either
+    its |<l_E|D|j>| matrix ("paper" mode) or that matrix's column maxima
+    ("per-rep" mode).  A running repetition refreshes its row at each
+    recorded k.  One that has stopped keeps contributing its final range
+    and amplitudes ("paper") or its last recorded maxima ("per-rep"), so
+    threshold-mode curves stay flat after convergence instead of dropping
+    out of the average.
     """
 
-    def __init__(self, config: ExperimentConfig) -> None:
-        d, n = config.dim, config.repetitions
+    def __init__(self, config: ExperimentConfig, envs: list[Environment],
+                 ensemble: protocol.EnsembleState) -> None:
+        n, d = config.repetitions, config.dim
         self.config = config
-        self.w_sum: list[float] = []
+        self.paper = config.fidelity_mode == "paper"
+        # conj here and transpose as a view later, so each item is laid out
+        # as eigenvectors.conj().T is
+        self._vconj = np.stack(
+            [env.eigensystem_oracle().eigenvectors.conj() for env in envs]
+        )
+        self.rows = np.empty((n, 1 + (d * d if self.paper else d)))
+        self.rows[:, 0] = config.w1
+        self.rows[:, 1:] = self._features(ensemble.active, ensemble.bases)
+        self.last_w = np.full(n, config.w1)
+        self.running = ensemble.active
+        self.w_sums: list[float] = []
+        self.fidelity_sums: list[np.ndarray] = []
         self.stage_min: list[int] = []
-        self.amp_sum: list[np.ndarray] = []
-        self.max_sum: list[np.ndarray] = []
-        self.done_w = 0.0
-        self.done_amp = np.zeros((d, d))
-        self.done_max = np.zeros(d)
-        self.reps_done = 0
-        self.per_rep_final = np.empty((n, d, d))
-        self.residual_sum = 0.0
-        self.longest_run = 0
+        self._reduce(0)
 
-    def add(self, index: int, out: _RepOutcome) -> None:
+    def _amplitudes(self, members: np.ndarray, bases: np.ndarray) -> np.ndarray:
+        return np.abs(_pick(self._vconj, members).transpose(0, 2, 1) @ bases)
+
+    def _features(self, members: np.ndarray, bases: np.ndarray) -> np.ndarray:
+        amp = self._amplitudes(members, bases)
+        return amp.reshape(len(amp), -1) if self.paper else amp.max(axis=1)
+
+    def _reduce(self, stage_min: int) -> None:
+        sums = np.add.reduce(self.rows, axis=0)  # a sequential fold down axis 0
         d = self.config.dim
-        rows = len(out.w_rows)
-        while len(self.w_sum) < rows:  # grid grows: seed with finished reps
-            self.w_sum.append(self.done_w)
-            self.amp_sum.append(self.done_amp.copy())
-            self.max_sum.append(self.done_max.copy())
-            self.stage_min.append(d - 1 if self.reps_done else d)
-        for j in range(rows):
-            self.w_sum[j] += out.w_rows[j]
-            self.amp_sum[j] += out.amp_rows[j]
-            self.max_sum[j] += out.max_rows[j]
-            self.stage_min[j] = min(self.stage_min[j], int(out.stage_rows[j]))
-        for j in range(rows, len(self.w_sum)):  # carry this rep forward
-            self.w_sum[j] += out.final_w
-            self.amp_sum[j] += out.final_amp
-            self.max_sum[j] += out.max_rows[-1]
-            self.stage_min[j] = min(self.stage_min[j], d - 1)
-        self.done_w += out.final_w
-        self.done_amp += out.final_amp
-        self.done_max += out.max_rows[-1]
-        self.reps_done += 1
-        self.per_rep_final[index] = out.final_amp
-        self.residual_sum += out.residual
-        self.longest_run = max(self.longest_run, out.total_iterations)
+        self.w_sums.append(sums[0])
+        if self.paper:
+            self.fidelity_sums.append(sums[1:].reshape(d, d).max(axis=0))
+        else:
+            self.fidelity_sums.append(sums[1:])
+        self.stage_min.append(stage_min)
 
-    def finalize(self) -> "ExperimentResult":
+    def observe(
+        self, state: protocol.EnsembleState, rec: protocol.EnsembleRecord
+    ) -> None:
+        self.last_w[rec.members] = rec.w_after
+        if rec.k % self.config.record_every:
+            return
+        if len(rec.members) < len(self.running):
+            stopped = np.setdiff1d(self.running, rec.members, assume_unique=True)
+            self.rows[stopped, 0] = self.last_w[stopped]
+            if self.paper:
+                self.rows[stopped, 1:] = self._features(stopped, state.bases[stopped])
+            self.running = rec.members
+        members = rec.members
+        self.rows[members, 0] = rec.w_after
+        self.rows[members, 1:] = self._features(members, state.bases[members])
+        # a stopped repetition's stage, d - 1, lies above every running one
+        self._reduce(int(rec.stage.min()))
+
+    def finalize(self, state: protocol.EnsembleState,
+                 envs: list[Environment]) -> "ExperimentResult":
         config = self.config
         n = config.repetitions
-        ks = np.arange(len(self.w_sum)) * config.record_every
-        search = np.asarray(self.w_sum) / n
-        if config.fidelity_mode == "paper":
-            fidelity = np.stack(self.amp_sum).max(axis=1).T / n  # (d, K)
-        else:
-            fidelity = np.stack(self.max_sum).T / n
+        ks = np.arange(len(self.w_sums)) * config.record_every
+        search = np.asarray(self.w_sums) / n
+        fidelity = np.stack(self.fidelity_sums).T / n  # (d, K)
         if fidelity.max(initial=0.0) > 1.0 + 1e-9:
             raise AssertionError("fidelity left [0, 1]: unitarity was lost")
         fidelity = np.minimum(fidelity, 1.0)
+        residual_sum = 0.0
+        for i in range(n):  # envs holds one shared environment or one per repetition
+            residual_sum += diag_residual(state.bases[i], envs[i % len(envs)].operator)
         metadata = {
             "format": RESULTS_FORMAT,
             "config": config_to_dict(config),
             "code_version": code_version(),
-            "longest_run": self.longest_run,
+            "longest_run": int(state.calls.max()),
         }
         return ExperimentResult(
             ks=ks,
             stages=np.asarray(self.stage_min, dtype=np.int64),
             fidelity_curves=fidelity,
             search_curve=search,
-            per_repetition_final=self.per_rep_final,
-            diag_residual=self.residual_sum / n,
+            per_repetition_final=self._amplitudes(np.arange(n), state.bases),
+            diag_residual=residual_sum / n,
             metadata=metadata,
         )
 
@@ -518,7 +493,7 @@ class ExperimentResult:
     fidelity_curves: np.ndarray      # (d, K), row j = F_j(k)
     search_curve: np.ndarray         # (K,) mean w after iteration k
     per_repetition_final: np.ndarray  # (N, d, d), [i, l, j] = |<l_E|D_i|j>|
-    diag_residual: float
+    diag_residual: float             # mean over repetitions
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -529,35 +504,24 @@ class ExperimentResult:
         return self.fidelity_curves[:, -1].copy()
 
 
-_POOL_CONFIG: ExperimentConfig | None = None
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run every repetition in lockstep and reduce them in index order.
 
-
-def _pool_init(config: ExperimentConfig) -> None:
-    global _POOL_CONFIG
-    _POOL_CONFIG = config
-
-
-def _pool_run(rep_index: int) -> _RepOutcome:
-    return _run_single(_POOL_CONFIG, rep_index)
-
-
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Run every repetition and reduce them in index order."""
-    acc = _Accumulator(config)
-    workers = min(max(1, threads), config.repetitions)
-    if workers == 1:
-        for i in range(config.repetitions):
-            acc.add(i, _run_single(config, i))
+    Repetition ``i`` is the agent ``AgentState(dim, params,
+    derive_seed(seed, i))`` run against ``build_environment(config, i)``;
+    the lockstep engine reproduces it bit for bit.
+    """
+    n = config.repetitions
+    if config.resample_env_per_repetition:
+        envs = [build_environment(config, i) for i in range(n)]
     else:
-        chunk = max(1, config.repetitions // (8 * workers))
-        with multiprocessing.get_context().Pool(
-            processes=workers, initializer=_pool_init, initargs=(config,)
-        ) as pool:
-            for i, out in enumerate(
-                pool.imap(_pool_run, range(config.repetitions), chunksize=chunk)
-            ):
-                acc.add(i, out)
-    return acc.finalize()
+        envs = [build_environment(config)]
+    ensemble = protocol.EnsembleState(
+        config.dim, config.params, [derive_seed(config.seed, i) for i in range(n)]
+    )
+    fold = _Fold(config, envs, ensemble)
+    run_stages(ensemble, _black_box(envs), config.stopping, fold.observe)
+    return fold.finalize(ensemble, envs)
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,11 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
 
 def unitary_from_hermitian(h: np.ndarray, tau: float) -> np.ndarray:
     """Return ``exp(-i tau H)`` through the spectral decomposition of H."""
-    es = eig_hermitian(h)
+    return unitary_from_eigensystem(eig_hermitian(h), tau)
+
+
+def unitary_from_eigensystem(es: Eigensystem, tau: float) -> np.ndarray:
+    """Return ``exp(-i tau H)`` for the H that ``es`` decomposes."""
     phases = np.exp(-1j * tau * es.eigenvalues)
     return (es.eigenvectors * phases) @ es.eigenvectors.conj().T
 
@@ -209,6 +213,43 @@ def rotation_block(angles: RotationAngles) -> np.ndarray:
             [sy * cx * ez - 1j * cy * sx * ezc, -1j * sy * sx * ez + cy * cx * ezc],
         ]
     )
+
+
+#: rotation_blocks: signs that turn the four pairs of products into sums or
+#: differences, and the order and signs that spread the four results over
+#: the real and imaginary parts of [[b00, b01], [b10, b11]], row-major
+_TERM_SIGN = np.array([[-1.0, 1.0], [1.0, -1.0]])[:, :, None]
+_PART_ORDER = np.array([0, 3, 2, 1, 2, 1, 0, 3])
+_PART_SIGN = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+
+
+def rotation_blocks(phi: np.ndarray) -> np.ndarray:
+    """Stack of :func:`rotation_block` results, shape (n, 2, 2), bit for bit.
+
+    ``phi`` has shape (3, n): rows ``phi_x``, ``phi_y``, ``phi_z``.
+    Written out in real arithmetic, the complex products of
+    :func:`rotation_block` reduce to eight real products, combined in the
+    same order; the terms they drop are exact zeros, which leave a nonzero
+    sum unchanged.  A block with a zero among those products (an angle of
+    exactly 0, or an underflow) could differ in the sign of a zero, so it
+    is computed by :func:`rotation_block` itself.
+    """
+    half = 0.5 * phi
+    trig = np.array((np.cos(half), np.sin(half)))  # of the half angles x, y, z
+    # t[i, j, k] = (cy, sy)[i] * (cx, sx)[j] * (cz, sz)[k], multiplied left to right
+    t = (trig[:, 1, None] * trig[None, :, 0])[:, :, None] * trig[None, None, :, 2]
+    # [[re0, im1], [re1, im0]] with re0 = cy cx cz - sy sx sz,
+    # im1 = cy sx cz + sy cx sz, re1 = sy cx cz + cy sx sz,
+    # im0 = sy sx cz - cy cx sz; the block is
+    # [[re0 + i im0, -re1 - i im1], [re1 - i im1, re0 - i im0]]
+    combined = (t[:, :, 0] + t[::-1, ::-1, 1] * _TERM_SIGN).reshape(4, -1)
+    parts = np.multiply(combined[_PART_ORDER].T, _PART_SIGN, order="C")
+    blocks = parts.view(np.complex128).reshape(-1, 2, 2)
+    if not t.all():
+        for i in np.nonzero(~t.all(axis=(0, 1, 2)))[0]:
+            x, y, z = (float(v) for v in phi[:, i])
+            blocks[i] = rotation_block(RotationAngles(phi_x=x, phi_y=y, phi_z=z))
+    return blocks
 
 
 def two_level_rotation(a: int, b: int, dim: int, angles: RotationAngles) -> np.ndarray:

@@ -20,6 +20,11 @@ A stage ends when its stopping rule fires; the search range then resets
 and the next column is learned.  The last column needs no stage of its
 own, being pinned by unitarity.
 
+:class:`AgentState` is the reference implementation, one agent at a time,
+and the path that records traces.  :class:`EnsembleState` advances many
+independently seeded agents in lockstep with stacked array operations and
+reproduces every member of it bit for bit; :func:`run_stages` drives both.
+
 Punish angles are drawn in the fixed order x, z, y from the per-agent
 generator, using the pre-update ``w``, so runs are reproducible and a
 recorded trace can be replayed bit for bit.
@@ -39,6 +44,7 @@ from .errors import (
     BadDim,
     ConfigError,
     DimMismatch,
+    NotNormalized,
     OutOfRange,
     StageOverflow,
 )
@@ -52,6 +58,18 @@ REORTHONORMALIZE_EVERY = 10_000
 #: eventually overflow the sampler on runaway uncapped runs.  ``w`` itself
 #: is never clamped by this, so the bookkeeping identity stays exact.
 MAX_DRAW_BOUND = 1e6 * math.pi
+
+#: largest tolerated deviation of the Born weights' sum from 1
+BORN_TOL = 1e-9
+
+#: doubles pre-drawn per ensemble member
+DRAW_BUFFER = 32
+
+#: doubles one iteration can use: the measurement draw and three punish angles
+_DRAWS_PER_ITERATION = 4
+
+#: positions of phi_x, phi_y, phi_z among the three punish draws (x, z, y)
+_DRAWN_XYZ = np.array([[0], [2], [1]])
 
 TRACE_FORMAT = "eigenrl-trace-1"
 
@@ -190,7 +208,8 @@ class AgentState:
         amps = evolved @ self.basis.conj()
         q = amps.real**2 + amps.imag**2
         total = float(q.sum())
-        assert abs(total - 1.0) < 1e-9, "measurement weights drifted off 1"
+        if not abs(total - 1.0) < BORN_TOL:
+            raise NotNormalized(f"Born weights sum to {total!r}, not 1")
         u = self.rng.random() * total
         acc = 0.0
         for j in range(self.dim - 1):
@@ -246,6 +265,16 @@ class AgentState:
             return done >= rule.budgets[self.stage]
         return self.w < rule.w_min or done >= rule.max_iterations
 
+    @property
+    def finished(self) -> bool:
+        """True once every stage has been learned."""
+        return self.stage >= self.dim - 1
+
+    def advance_converged(self, rule: StoppingRule) -> None:
+        """Advance the stage if the rule says it is done."""
+        if self.stage_converged(rule):
+            self.advance_stage()
+
     def advance_stage(self) -> None:
         """Fix the current column and start learning the next one."""
         if self.stage >= self.dim - 1:
@@ -261,6 +290,181 @@ class AgentState:
         return self.basis.copy()
 
 
+@dataclass(frozen=True, eq=False)
+class EnsembleRecord:
+    """What one lockstep iteration did, for the members that ran it."""
+
+    k: int
+    members: np.ndarray  # (n,) indices of the members that ran iteration k
+    stage: np.ndarray    # (n,) stage each of them ran it in
+    outcome: np.ndarray  # (n,)
+    w_after: np.ndarray  # (n,)
+
+
+class EnsembleState:
+    """Independently seeded agents advanced together, one iteration at a time.
+
+    Member ``i`` reproduces ``AgentState(dim, params, seeds[i])`` bit for
+    bit.  Each step evolves the probes of all running members in one
+    batched black-box call and applies the arithmetic of
+    :class:`AgentState` in stacked form.  Each member reads its doubles in
+    order from a small buffer pre-drawn from its own generator, which gives
+    the same values as the scalar draws.
+
+    A member runs until its own stopping rule has closed its last stage,
+    so threshold runs end at different iterations; ``active`` lists the
+    members still running.  They all share the iteration counter
+    ``iteration``, so drift control runs at the same ``k`` as for a lone
+    agent.  ``k`` keeps the meaning of ``AgentState.k`` summed over
+    members: one more than the black-box calls made.
+    """
+
+    def __init__(self, dim: int, params: RewardParams, seeds: list[int]) -> None:
+        if dim < 2:
+            raise BadDim(f"need dim >= 2, got {dim}")
+        n = len(seeds)
+        self.dim = dim
+        self.params = params
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.bases = np.tile(np.eye(dim, dtype=np.complex128), (n, 1, 1))
+        self.w = np.full(n, params.w1)
+        self.stage = np.zeros(n, dtype=np.intp)
+        self.n_r = np.zeros(n, dtype=np.int64)
+        self.n_p = np.zeros(n, dtype=np.int64)
+        self.n_neutral = np.zeros(n, dtype=np.int64)
+        self.iteration = 1
+        self.calls = np.zeros(n, dtype=np.int64)  # set as each member finishes
+        self.active = np.arange(n)
+        # selects the active members; a slice (a view, no copy) while all run
+        self._running: slice | np.ndarray = slice(None)
+        self._draws = np.empty((n, DRAW_BUFFER))
+        self._cursor = np.full(n, DRAW_BUFFER)
+        self._row_index = np.arange(dim)[None, :, None]
+
+    @property
+    def k(self) -> int:
+        return 1 + int(self.calls.sum()) + (self.iteration - 1) * len(self.active)
+
+    @property
+    def finished(self) -> bool:
+        return len(self.active) == 0
+
+    def _refill(self) -> None:
+        """Give every running member the doubles of at least one more iteration."""
+        low = self._cursor[self._running] > DRAW_BUFFER - _DRAWS_PER_ITERATION
+        for i in self.active[low]:
+            row, start = self._draws[i], self._cursor[i]
+            kept = DRAW_BUFFER - start
+            row[:kept] = row[start:]
+            self.rngs[i].random(out=row[kept:])
+            self._cursor[i] = 0
+
+    def prepare_probes(self) -> np.ndarray:
+        """Column ``stage`` of each running member's basis, shape (n, dim)."""
+        return self.bases[self.active, :, self.stage[self.active]]
+
+    def measure(self, evolved: np.ndarray) -> np.ndarray:
+        """One outcome per running member, sampled as ``AgentState.measure`` does."""
+        members = self.active
+        if evolved.shape != (len(members), self.dim):
+            raise DimMismatch(
+                f"states shape {evolved.shape}, expected ({len(members)}, {self.dim})"
+            )
+        amps = (evolved[:, None, :] @ self.bases[self._running].conj())[:, 0]
+        q = amps.real**2 + amps.imag**2
+        total = q.sum(axis=1)
+        drift = np.abs(total - 1.0)
+        if not drift.max() < BORN_TOL:
+            j = int(np.argmax(~(drift < BORN_TOL)))
+            raise NotNormalized(
+                f"Born weights of member {members[j]} sum to {total[j]!r}, not 1"
+            )
+        u = self._draws[members, self._cursor[members]] * total
+        self._cursor[self._running] += 1
+        # the outcome is the first index whose running sum exceeds u
+        return (np.cumsum(q[:, :-1], axis=1) <= u[:, None]).sum(axis=1)
+
+    def decide_and_update(self, outcomes: np.ndarray) -> EnsembleRecord:
+        """Apply each running member's feedback and advance the shared counter."""
+        members, running = self.active, self._running
+        if outcomes.shape != members.shape or not (
+            0 <= outcomes.min() and outcomes.max() < self.dim
+        ):
+            raise OutOfRange(f"outcomes outside [0, {self.dim})")
+        t = self.stage[members]
+        w = self.w[running]
+        reward = outcomes == t
+        punish = outcomes > t
+        w_after = np.where(reward, w * self.params.r, w)
+        hit = np.nonzero(punish)[0]
+        if hit.size:
+            who = members[hit]
+            bound = np.minimum(w[hit] * math.pi, MAX_DRAW_BOUND)
+            low = -bound
+            cursor = self._cursor[who]
+            # drawn in the order x, z, y; gathered as the rows x, y, z
+            draws = self._draws[who, cursor + _DRAWN_XYZ]
+            self._cursor[who] = cursor + 3
+            blocks = linalg.rotation_blocks(low + (bound - low) * draws)
+            cols = np.array((t[hit], outcomes[hit])).T[:, None, :]
+            at = (who[:, None, None], self._row_index, cols)  # (n, dim, 2) pairs
+            self.bases[at] = self.bases[at] @ blocks
+            w_after[hit] = np.minimum(w[hit] * self.params.p, self.params.w_cap)
+        self.w[running] = w_after
+        self.n_r[running] += reward
+        self.n_p[running] += punish
+        self.n_neutral[running] += outcomes < t
+        k = self.iteration
+        self.iteration = k + 1
+        if k % REORTHONORMALIZE_EVERY == 0:
+            for i in members:
+                linalg.gram_schmidt(self.bases[i])
+        return EnsembleRecord(
+            k=k, members=members, stage=t, outcome=outcomes, w_after=w_after
+        )
+
+    def step(
+        self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    ) -> EnsembleRecord:
+        """Run one iteration of every running member against the black box.
+
+        ``interact(members, probes)`` evolves row ``j`` of ``probes`` as the
+        black box of member ``members[j]`` would.
+        """
+        self._refill()
+        evolved = interact(self.active, self.prepare_probes())
+        return self.decide_and_update(self.measure(evolved))
+
+    def stage_converged(self, rule: StoppingRule) -> np.ndarray:
+        """Mask over ``active``: whose current stage has met the rule."""
+        running = self._running
+        done = self.n_r[running] + self.n_p[running] + self.n_neutral[running]
+        if rule.kind == "fixed-budget":
+            return done >= np.asarray(rule.budgets)[self.stage[running]]
+        return (self.w[running] < rule.w_min) | (done >= rule.max_iterations)
+
+    def advance_stage(self, members: np.ndarray) -> None:
+        """Fix the current column of each listed member and start its next one."""
+        if (self.stage[members] >= self.dim - 1).any():
+            raise StageOverflow(f"no stage after {self.dim - 2} at dim {self.dim}")
+        self.stage[members] += 1
+        self.w[members] = self.params.w1
+        self.n_r[members] = 0
+        self.n_p[members] = 0
+        self.n_neutral[members] = 0
+        last = members[self.stage[members] == self.dim - 1]
+        if last.size:
+            self.calls[last] = self.iteration - 1
+            self.active = self.active[self.stage[self.active] < self.dim - 1]
+            self._running = self.active
+
+    def advance_converged(self, rule: StoppingRule) -> None:
+        """Advance every member whose stage the rule says is done."""
+        converged = self.stage_converged(rule)
+        if converged.any():
+            self.advance_stage(self.active[converged])
+
+
 def validate_rule(dim: int, params: RewardParams, rule: StoppingRule) -> None:
     if rule.kind == "fixed-budget":
         if len(rule.budgets) < dim - 1:
@@ -274,21 +478,26 @@ def validate_rule(dim: int, params: RewardParams, rule: StoppingRule) -> None:
 
 
 def run_stages(
-    agent: AgentState,
-    interact: Callable[[np.ndarray], np.ndarray],
+    state: AgentState | EnsembleState,
+    interact: Callable,
     rule: StoppingRule,
-    observer: Callable[[AgentState, IterationRecord], None] | None = None,
-) -> AgentState:
-    """Drive the agent through all ``dim - 1`` stages; returns it finished."""
-    validate_rule(agent.dim, agent.params, rule)
-    final = agent.dim - 1
-    while agent.stage < final:
-        rec = agent.step(interact)
+    observer: Callable | None = None,
+) -> AgentState | EnsembleState:
+    """Drive an agent or an ensemble through all ``dim - 1`` stages.
+
+    ``state`` is an :class:`AgentState`, with ``interact(psi)``, or an
+    :class:`EnsembleState`, with the batched ``interact(members, probes)``.
+    ``observer(state, record)`` sees every iteration before the stopping
+    rule is applied.  Returns ``state``, finished; its ``k - 1`` is the
+    number of black-box calls made.
+    """
+    validate_rule(state.dim, state.params, rule)
+    while not state.finished:
+        rec = state.step(interact)
         if observer is not None:
-            observer(agent, rec)
-        if agent.stage_converged(rule):
-            agent.advance_stage()
-    return agent
+            observer(state, rec)
+        state.advance_converged(rule)
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -85,17 +85,6 @@ class TestRun:
         assert fidelity.shape == (2, 4)
         assert np.all((fidelity >= 0.0) & (fidelity <= 1.0))
 
-    def test_thread_pool_matches_serial(self, tmp_path):
-        cfg = write_config(tmp_path, repetitions=6)
-        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-        main(["run", "--config", str(cfg), "--out", str(serial)])
-        main(["run", "--config", str(cfg), "--out", str(pooled), "--threads", "2"])
-        assert serial.read_bytes() == pooled.read_bytes()
-
-    def test_bad_thread_count_is_a_usage_error(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert main(["run", "--config", str(cfg), "--threads", "0"]) == 2
-
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -19,6 +19,25 @@ def test_env_from_matrix_caches_propagator():
     assert env.tau == 0.8
 
 
+def test_oracle_returns_the_decomposition_behind_the_propagator(monkeypatch):
+    calls = []
+    real = linalg.eig_hermitian
+    monkeypatch.setattr(linalg, "eig_hermitian", lambda h: calls.append(1) or real(h))
+    h = np.array([[1.0, 0.2 - 0.1j], [0.2 + 0.1j, -1.0]])
+    env = envm.env_from_matrix(h, tau=0.8)
+    assert len(calls) == 1
+    system = env.eigensystem_oracle()
+    assert system is env.eigensystem_oracle() and len(calls) == 1
+    fresh = real(env.operator)
+    assert system.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+    assert system.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+    assert not system.eigenvectors.flags.writeable
+    calls.clear()
+    envm.env_random(3, 1.0, seed=4).eigensystem_oracle()
+    assert len(calls) == 2  # one draw's spread, one for the rescaled operator
+    assert env.unitary.tobytes() == linalg.unitary_from_hermitian(h, 0.8).tobytes()
+
+
 def test_env_from_matrix_rejections():
     with pytest.raises(NotHermitian):
         envm.env_from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), tau=1.0)

@@ -382,16 +382,168 @@ class TestRunExperiment:
         # carried search ranges all sit below the stopping threshold
         assert res.search_curve[-1] < 5e-2
 
-    def test_pool_matches_serial_bit_for_bit(self):
-        cfg = small_config(repetitions=12)
-        serial = harness.run_experiment(cfg, threads=1)
-        pooled = harness.run_experiment(cfg, threads=3)
-        np.testing.assert_array_equal(serial.fidelity_curves, pooled.fidelity_curves)
-        np.testing.assert_array_equal(serial.search_curve, pooled.search_curve)
-        np.testing.assert_array_equal(
-            serial.per_repetition_final, pooled.per_repetition_final
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(fidelity_mode="paper", repetitions=12),
+            dict(  # one member stops on its cap, after a punish, before the end
+                dim=3,
+                record_every=7,
+                stopping=StoppingRule(kind="threshold", w_min=0.2, max_iterations=30),
+            ),
+            dict(
+                dim=3,
+                resample_env_per_repetition=True,
+                stopping=StoppingRule(kind="threshold", w_min=5e-2, max_iterations=600),
+            ),
+            dict(
+                dim=4,
+                resample_env_per_repetition=True,
+                record_every=7,
+                stopping=StoppingRule(kind="fixed-budget", budgets=(30, 20, 10)),
+            ),
+            dict(  # one member stops on its cap, after a punish, before the end
+                dim=3,
+                fidelity_mode="paper",
+                record_every=7,
+                w_cap=math.inf,
+                stopping=StoppingRule(kind="threshold", w_min=0.3, max_iterations=25),
+            ),
+            dict(
+                repetitions=3,
+                record_every=500,
+                stopping=StoppingRule(kind="fixed-budget", budgets=(10_050,)),
+            ),
+        ],
+        ids=[
+            "fixed-shared-paper-1",
+            "threshold-shared-perrep-7",
+            "threshold-resampled-perrep-1",
+            "fixed-resampled-perrep-7",
+            "threshold-shared-paper-7",
+            "fixed-crosses-gram-schmidt",
+        ],
+    )
+    def test_ensemble_matches_agent_runs(self, overrides):
+        """The lockstep engine reproduces lone agents bit for bit."""
+        cfg = small_config(**{"repetitions": 10, **overrides})
+        want, agents = reference_experiment(cfg)
+        got = harness.run_experiment(cfg)
+        np.testing.assert_array_equal(got.ks, want.ks)
+        np.testing.assert_array_equal(got.stages, want.stages)
+        assert got.search_curve.tobytes() == want.search_curve.tobytes()
+        assert got.fidelity_curves.tobytes() == want.fidelity_curves.tobytes()
+        assert (
+            got.per_repetition_final.tobytes() == want.per_repetition_final.tobytes()
         )
-        assert serial.diag_residual == pooled.diag_residual
+        assert got.diag_residual == want.diag_residual
+        assert got.metadata == want.metadata
+
+        envs = [harness.build_environment(cfg, i) for i in range(cfg.repetitions)]
+        unitaries = np.stack([env.unitary for env in envs])
+        ensemble = protocol.EnsembleState(
+            cfg.dim,
+            cfg.params,
+            [harness.derive_seed(cfg.seed, i) for i in range(cfg.repetitions)],
+        )
+        returned = protocol.run_stages(
+            ensemble,
+            lambda members, probes: (unitaries[members] @ probes[:, :, None])[:, :, 0],
+            cfg.stopping,
+        )
+        assert returned is ensemble
+        assert ensemble.k - 1 == sum(agent.k - 1 for agent in agents)
+        for i, agent in enumerate(agents):
+            assert protocol.basis_hash(ensemble.bases[i]) == protocol.basis_hash(
+                agent.basis
+            )
+            assert ensemble.calls[i] == agent.k - 1
+            assert ensemble.stage[i] == agent.stage
+            assert ensemble.w[i] == agent.w
+
+    def test_fold_is_sequential_in_repetition_order(self):
+        """np.add.reduce down axis 0 of a 2-d array, at least two columns
+        wide, adds the rows one after another, as the streaming fold needs."""
+        rng = np.random.default_rng(4)
+        for width in (2, 3, 5, 17, 257):
+            for count in (1, 2, 9, 100, 1000):
+                rows = rng.random((count, width)) ** 3
+                folded = np.zeros(width)
+                for row in rows:
+                    folded = folded + row
+                assert np.add.reduce(rows, axis=0).tobytes() == folded.tobytes()
+
+
+def reference_experiment(config):
+    """The loop that ran one repetition at a time, kept as the reference.
+
+    Returns the result it aggregates and every repetition's finished agent.
+    """
+    n, d = config.repetitions, config.dim
+    stride = config.record_every
+    w_sum, amp_sum, max_sum, stage_min = [], [], [], []
+    done_w, done_amp, done_max = 0.0, np.zeros((d, d)), np.zeros(d)
+    finals = np.empty((n, d, d))
+    residual_sum = 0.0
+    agents = []
+    for i in range(n):
+        env = harness.build_environment(config, i)
+        vecs = env.eigensystem_oracle().eigenvectors
+        seed = harness.derive_seed(config.seed, i)
+        agent = protocol.AgentState(d, config.params, seed)
+        rows = [(config.w1, 0, np.abs(vecs.conj().T @ agent.basis))]
+        last_w = [config.w1]
+
+        def observer(agent_now, rec):
+            last_w[0] = rec.w_after
+            if rec.k % stride == 0:
+                amp = np.abs(vecs.conj().T @ agent_now.basis)
+                rows.append((rec.w_after, rec.stage, amp))
+
+        protocol.run_stages(agent, env.interact, config.stopping, observer)
+        final_amp = np.abs(vecs.conj().T @ agent.basis)
+        last_max = rows[-1][2].max(axis=0)
+        while len(w_sum) < len(rows):  # grid grows: seed with finished reps
+            w_sum.append(done_w)
+            amp_sum.append(done_amp.copy())
+            max_sum.append(done_max.copy())
+            stage_min.append(d - 1 if i else d)
+        for j in range(len(w_sum)):
+            if j < len(rows):
+                w, stage, amp = rows[j]
+                mx = amp.max(axis=0)
+            else:  # carry this rep forward
+                w, stage, amp, mx = last_w[0], d - 1, final_amp, last_max
+            w_sum[j] += w
+            amp_sum[j] += amp
+            max_sum[j] += mx
+            stage_min[j] = min(stage_min[j], stage)
+        done_w += last_w[0]
+        done_amp += final_amp
+        done_max += last_max
+        finals[i] = final_amp
+        residual_sum += harness.diag_residual(agent.basis, env.operator)
+        agents.append(agent)
+    if config.fidelity_mode == "paper":
+        fidelity = np.stack(amp_sum).max(axis=1).T / n
+    else:
+        fidelity = np.stack(max_sum).T / n
+    metadata = {
+        "format": harness.RESULTS_FORMAT,
+        "config": harness.config_to_dict(config),
+        "code_version": harness.code_version(),
+        "longest_run": max(agent.k - 1 for agent in agents),
+    }
+    result = harness.ExperimentResult(
+        ks=np.arange(len(w_sum)) * stride,
+        stages=np.asarray(stage_min, dtype=np.int64),
+        fidelity_curves=np.minimum(fidelity, 1.0),
+        search_curve=np.asarray(w_sum) / n,
+        per_repetition_final=finals,
+        diag_residual=residual_sum / n,
+        metadata=metadata,
+    )
+    return result, agents
 
 
 class TestResultFiles:

@@ -193,6 +193,21 @@ class TestTwoLevelRotation:
                 linalg.two_level_rotation(a, b, dim, angles)
 
 
+def test_stacked_rotation_blocks_match_the_scalar_block_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for scale in (0.0, 1e-320, 1e-150, 1e-20, 1e-3, 1.0, math.pi, 1e3, 1e6 * math.pi):
+        phi = rng.uniform(-scale, scale, (3, 400))
+        phi[0, :20] = 0.0  # exact zeros go through the scalar fallback
+        phi[2, 20:40] = -0.0
+        blocks = linalg.rotation_blocks(phi)
+        assert blocks.shape == (400, 2, 2) and blocks.flags.c_contiguous
+        for i in range(phi.shape[1]):
+            angles = linalg.RotationAngles(
+                phi_x=float(phi[0, i]), phi_y=float(phi[1, i]), phi_z=float(phi[2, i])
+            )
+            assert blocks[i].tobytes() == linalg.rotation_block(angles).tobytes()
+
+
 def test_apply_unitary_shape_check():
     u = np.eye(3, dtype=np.complex128)
     with pytest.raises(DimMismatch):

@@ -2,6 +2,9 @@
 import inspect
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from eigenrl.errors import (
 )
 from eigenrl.protocol import (
     AgentState,
+    EnsembleState,
     RewardParams,
     StoppingRule,
     run_stages,
@@ -120,6 +124,34 @@ def test_measure_uses_adapted_basis():
     evolved = rot[:, 1]
     hits = sum(agent.measure(evolved) for _ in range(2000))
     assert hits == 2000  # evolved state sits exactly on column 1
+
+
+def test_born_weight_check_raises_under_optimize():
+    """The normalization check is an explicit raise, not an assert."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys, numpy as np\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from eigenrl.protocol import AgentState, EnsembleState, RewardParams\n"
+        "from eigenrl.errors import NotNormalized\n"
+        "params = RewardParams(r=0.9, nu=2.0)\n"
+        "caught = 0\n"
+        "try:\n"
+        "    AgentState(2, params, 1).measure(np.array([1.0, 1.0], dtype=complex))\n"
+        "except NotNormalized:\n"
+        "    caught += 1\n"
+        "ensemble = EnsembleState(2, params, [1, 2])\n"
+        "try:\n"
+        "    ensemble.measure(np.array([[1.0, 0.0], [0.6, 0.6]], dtype=complex))\n"
+        "except NotNormalized:\n"
+        "    caught += 1\n"
+        "print(sys.flags.optimize, caught)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "2"]
 
 
 class TestFeedback:
@@ -307,6 +339,77 @@ def test_agent_sees_only_the_interaction_callable():
     agent = AgentState(dim=2, params=default_params(), seed=1)
     rec = agent.step(lambda psi: unitary @ psi)
     assert rec.k == 1 and rec.stage == 0
+
+
+class TestEnsemble:
+    RULE = StoppingRule(kind="threshold", w_min=5e-2, max_iterations=400)
+
+    def run_both(self, dim, seeds, rule):
+        """Per-member iteration records of a lockstep run and of lone agents."""
+        env = env_random(dim, 1.0, seed=31)
+        ensemble = EnsembleState(dim, default_params(w_cap=1.0), seeds)
+        steps = {i: [] for i in range(len(seeds))}
+
+        def observer(state, rec):
+            for j, i in enumerate(rec.members):
+                row = (int(rec.stage[j]), int(rec.outcome[j]), float(rec.w_after[j]))
+                steps[i].append((rec.k, *row))
+
+        def batched(members, probes):
+            return (env.unitary[None] @ probes[:, :, None])[:, :, 0]
+        returned = run_stages(ensemble, batched, rule, observer)
+        agents = []
+        for i, seed in enumerate(seeds):
+            agent = AgentState(dim, default_params(w_cap=1.0), seed)
+            recs = []
+            run_stages(agent, env.interact, rule, lambda a, rec: recs.append(rec))
+            assert steps[i] == [(r.k, r.stage, r.outcome, r.w_after) for r in recs]
+            agents.append(agent)
+        return returned, ensemble, agents
+
+    def test_members_step_like_lone_agents(self):
+        returned, ensemble, agents = self.run_both(3, [5, 6, 7, 8, 9], self.RULE)
+        assert returned is ensemble and ensemble.finished
+        for i, agent in enumerate(agents):
+            assert ensemble.bases[i].tobytes() == agent.basis.tobytes()
+            assert ensemble.calls[i] == agent.k - 1
+        # run ragged: members stop at different iterations
+        assert len({agent.k for agent in agents}) > 1
+
+    def test_k_counts_black_box_calls_summed_over_members(self):
+        _, ensemble, agents = self.run_both(2, [1, 2, 3], self.RULE)
+        assert ensemble.k - 1 == sum(agent.k - 1 for agent in agents)
+        fresh = EnsembleState(2, default_params(), [1, 2, 3])
+        assert fresh.k == 1 and not fresh.finished
+
+    def test_draw_on_a_cumulative_weight_samples_like_the_scalar_loop(self):
+        """u equal to a running sum moves past it, as ``u < acc`` does."""
+
+        class Half:
+            def random(self):
+                return 0.5
+
+        evolved = np.full(4, 0.5, dtype=complex)  # weights 1/4 each, exactly
+        agent = AgentState(4, default_params(), seed=1)
+        agent.rng = Half()
+        ensemble = EnsembleState(4, default_params(), [1])
+        ensemble._refill()
+        ensemble._draws[0, ensemble._cursor[0]] = 0.5
+        assert agent.measure(evolved) == 2
+        assert list(ensemble.measure(evolved[None])) == [2]
+
+    def test_validation(self):
+        with pytest.raises(BadDim):
+            EnsembleState(1, default_params(), [1])
+        ensemble = EnsembleState(2, default_params(), [1, 2])
+        with pytest.raises(DimMismatch):
+            ensemble.measure(np.zeros((2, 3), dtype=complex))
+        with pytest.raises(OutOfRange):
+            ensemble.decide_and_update(np.array([0, 2]))
+        ensemble.advance_stage(np.array([0]))
+        with pytest.raises(StageOverflow):
+            ensemble.advance_stage(np.array([0]))
+        assert list(ensemble.active) == [1] and ensemble.calls[0] == 0
 
 
 class TestTraces:
