@@ -6,122 +6,8 @@ reward/punish feedback until the basis approximately diagonalizes the
 hidden operator.  The :mod:`eigenrl.harness` layer repeats the protocol
 many times and aggregates convergence statistics.
 """
-from .errors import (
-    AngleDomain,
-    BadDim,
-    BadIndices,
-    ConfigError,
-    DimMismatch,
-    EigenrlError,
-    ModeMismatch,
-    NoConvergence,
-    NotHermitian,
-    OutOfRange,
-    StageOverflow,
-)
-from .linalg import (
-    Eigensystem,
-    RotationAngles,
-    eig_hermitian,
-    rotation_block,
-    two_level_rotation,
-    unitary_from_hermitian,
-)
-from .environment import (
-    Environment,
-    SingleQubitSpec,
-    bell_states,
-    env_bell,
-    env_from_file,
-    env_from_matrix,
-    env_random,
-    env_single_qubit,
-    env_spin_x,
-    load_operator,
-    save_operator,
-)
-from .protocol import (
-    AgentState,
-    IterationRecord,
-    RewardParams,
-    StoppingRule,
-    basis_hash,
-    read_trace,
-    replay_basis,
-    replay_trace,
-    run_stages,
-    write_trace,
-)
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    build_environment,
-    config_from_dict,
-    config_to_dict,
-    derive_seed,
-    load_config,
-    mean_fidelity,
-    mean_search_range,
-    read_results,
-    record_trace,
-    run_experiment,
-    verify_diagonalization,
-    write_results,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgentState",
-    "AngleDomain",
-    "BadDim",
-    "BadIndices",
-    "ConfigError",
-    "DimMismatch",
-    "Eigensystem",
-    "EigenrlError",
-    "Environment",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "IterationRecord",
-    "ModeMismatch",
-    "NoConvergence",
-    "NotHermitian",
-    "OutOfRange",
-    "RewardParams",
-    "RotationAngles",
-    "SingleQubitSpec",
-    "StageOverflow",
-    "StoppingRule",
-    "basis_hash",
-    "bell_states",
-    "build_environment",
-    "config_from_dict",
-    "config_to_dict",
-    "derive_seed",
-    "eig_hermitian",
-    "env_bell",
-    "env_from_file",
-    "env_from_matrix",
-    "env_random",
-    "env_single_qubit",
-    "env_spin_x",
-    "load_config",
-    "load_operator",
-    "mean_fidelity",
-    "mean_search_range",
-    "read_results",
-    "read_trace",
-    "record_trace",
-    "replay_basis",
-    "replay_trace",
-    "rotation_block",
-    "run_experiment",
-    "run_stages",
-    "save_operator",
-    "two_level_rotation",
-    "unitary_from_hermitian",
-    "verify_diagonalization",
-    "write_results",
-    "write_trace",
-]
+from .harness import ExperimentConfig, load_config, run_experiment
+
+__all__ = ["ExperimentConfig", "__version__", "load_config", "run_experiment"]

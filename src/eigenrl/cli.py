@@ -1,7 +1,8 @@
 """Command-line entry point: run, verify, replay, gen-operator.
 
 Exit codes: 0 success, 1 tolerance/divergence failure, 2 bad input
-(arguments, config files, truncated traces), 3 runtime failure.
+(arguments, config files, truncated traces, non-unitary bases), 3 runtime
+failure.
 The ``QRL_LOG`` environment variable sets the logging level.
 """
 from __future__ import annotations
@@ -91,6 +92,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     operator, _ = load_operator(args.operator)
     basis = harness.load_basis(args.d_matrix)
+    if basis.shape != operator.shape:
+        raise ConfigError(f"basis is {len(basis)}-dimensional, operator {len(operator)}")
     residual = harness.diag_residual(basis, operator)
     eig = linalg.eig_hermitian(operator)
     amps = np.abs(eig.eigenvectors.conj().T @ basis)
@@ -106,10 +109,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     header, records, recorded = protocol.read_trace(args.trace)
-    dim = header.get("dim")
-    if not isinstance(dim, int) or dim < 2:
-        raise ConfigError(f"trace header lacks a usable dim: {dim!r}")
-    basis = protocol.replay_basis(dim, records)
+    basis = protocol.replay_basis(header["dim"], records)
     if args.d_matrix:
         harness.save_basis(args.d_matrix, basis)
         log.info("replayed basis written to %s", args.d_matrix)

@@ -23,10 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadDim, ConfigError, DimMismatch
-
-#: dimensions outside this range are rejected by the constructors
-MIN_DIM = 2
-MAX_DIM = 64
+from .linalg import MAX_DIM, MIN_DIM
 
 
 @dataclass(frozen=True)
@@ -67,7 +64,6 @@ class Environment:
     operator: np.ndarray
     tau: float
     unitary: np.ndarray
-    origin: str
     eigensystem: linalg.Eigensystem = field(repr=False, compare=False)
 
     def interact(self, psi: np.ndarray) -> np.ndarray:
@@ -85,9 +81,7 @@ class Environment:
         return self.eigensystem
 
 
-def env_from_matrix(
-    operator: np.ndarray, tau: float, origin: str = "explicit"
-) -> Environment:
+def env_from_matrix(operator: np.ndarray, tau: float) -> Environment:
     operator = np.asarray(operator, dtype=np.complex128)
     dim = linalg.require_square(operator)
     if not MIN_DIM <= dim <= MAX_DIM:
@@ -101,7 +95,6 @@ def env_from_matrix(
         operator=operator.copy(),
         tau=tau,
         unitary=linalg.unitary_from_eigensystem(system, tau),
-        origin=origin,
         eigensystem=system,
     )
 
@@ -119,7 +112,7 @@ def env_random(dim: int, tau: float, seed: int) -> Environment:
         spread = float(values[-1] - values[0])
         if spread > 1e-9:  # degenerate draws are measure zero; redraw defensively
             break
-    return env_from_matrix(h * (2.0 / spread), tau, origin="random")
+    return env_from_matrix(h * (2.0 / spread), tau)
 
 
 def env_single_qubit(spec: SingleQubitSpec, tau: float) -> Environment:
@@ -128,13 +121,13 @@ def env_single_qubit(spec: SingleQubitSpec, tau: float) -> Environment:
     operator = spec.lambda0 * np.outer(v0, v0.conj()) + spec.lambda1 * np.outer(
         v1, v1.conj()
     )
-    return env_from_matrix(operator, tau, origin="single-qubit-spec")
+    return env_from_matrix(operator, tau)
 
 
 def env_spin_x(tau: float) -> Environment:
     """The x spin-half operator {{0, 1/2}, {1/2, 0}}."""
     operator = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128)
-    return env_from_matrix(operator, tau, origin="spin-x")
+    return env_from_matrix(operator, tau)
 
 
 def bell_states() -> np.ndarray:
@@ -160,7 +153,18 @@ def env_bell(tau: float) -> Environment:
     operator = sum(
         w * np.outer(b[:, i], b[:, i].conj()) for i, w in enumerate(weights)
     )
-    return env_from_matrix(operator, tau, origin="bell")
+    return env_from_matrix(operator, tau)
+
+
+def finite_number(value, what: str) -> float:
+    """``value`` as a float if it is a finite number and not a bool."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
 def operator_to_json(operator: np.ndarray, tau: float) -> str:
@@ -180,7 +184,7 @@ def operator_from_json(text: str) -> tuple[np.ndarray, float]:
     """Parse the interchange schema; raises ConfigError on any defect."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("operator file must hold a JSON object")
@@ -188,18 +192,21 @@ def operator_from_json(text: str) -> tuple[np.ndarray, float]:
     if set(payload) != required:
         raise ConfigError(f"operator keys must be exactly {sorted(required)}")
     dim = payload["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ConfigError(f"bad dim: {dim!r}")
+    if not isinstance(dim, int) or not MIN_DIM <= dim <= MAX_DIM:
+        raise ConfigError(f"dim must be an integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}")
+    tau = finite_number(payload["tau"], "tau")
     try:
         re = np.asarray(payload["entries_re"], dtype=np.float64)
         im = np.asarray(payload["entries_im"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"entries are not numeric arrays: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ConfigError(
             f"entries must be {dim}x{dim}, got {re.shape} and {im.shape}"
         )
-    return re + 1j * im, float(payload["tau"])
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ConfigError("operator entries must be finite")
+    return re + 1j * im, tau
 
 
 def save_operator(path: str, operator: np.ndarray, tau: float) -> None:
@@ -212,10 +219,5 @@ def load_operator(path: str) -> tuple[np.ndarray, float]:
     try:
         with open(path, encoding="utf-8") as fh:
             return operator_from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read operator {path}: {exc}") from exc
-
-
-def env_from_file(path: str) -> Environment:
-    operator, tau = load_operator(path)
-    return env_from_matrix(operator, tau, origin="explicit")

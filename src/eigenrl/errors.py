@@ -13,10 +13,6 @@ class NoConvergence(EigenrlError):
     """Iterative diagonalizer exhausted its sweep budget."""
 
 
-class BadIndices(EigenrlError):
-    """Subspace indices are equal, unordered, or out of range."""
-
-
 class DimMismatch(EigenrlError):
     """Operands have incompatible dimensions."""
 
@@ -33,16 +29,16 @@ class StageOverflow(EigenrlError):
     """Attempt to advance past the final learning stage."""
 
 
-class ModeMismatch(EigenrlError):
-    """Fidelity aggregation mode is incompatible with the supplied data."""
-
-
 class AngleDomain(EigenrlError):
     """Closed-form angle update produced an out-of-domain intermediate."""
 
 
 class ConfigError(EigenrlError):
     """Configuration file or value is malformed."""
+
+
+class ModeMismatch(ConfigError):
+    """Fidelity aggregation mode is incompatible with the configured environments."""
 
 
 class NotNormalized(EigenrlError):

@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import subprocess
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from . import linalg, protocol
+from . import __version__, linalg, protocol
 from .environment import (
     Environment,
     SingleQubitSpec,
@@ -30,12 +27,17 @@ from .environment import (
     env_random,
     env_single_qubit,
     env_spin_x,
+    finite_number,
     load_operator,
 )
 from .errors import ConfigError, DimMismatch, ModeMismatch, OutOfRange
+from .linalg import MAX_DIM, MIN_DIM
 from .protocol import AgentState, RewardParams, StoppingRule, run_stages
 
 RESULTS_FORMAT = "eigenrl-results-1"
+
+#: largest Frobenius norm of D^H D - I that ``load_basis`` accepts
+BASIS_UNITARITY_TOL = 1e-6
 
 ENV_KINDS = ("random", "single-qubit-spec", "spin-x", "bell", "file")
 
@@ -54,28 +56,9 @@ def derive_seed(root: int, index: int, salt: int = _REP_SALT) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-@lru_cache(maxsize=1)
 def code_version() -> str:
-    """git describe of the working tree, falling back to the package version."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    try:
-        probe = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=here,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        if probe.returncode == 0 and probe.stdout.strip():
-            return probe.stdout.strip()
-    except OSError:
-        pass
-    try:
-        from importlib.metadata import version
-
-        return "eigenrl-" + version("eigenrl")
-    except Exception:  # pragma: no cover - metadata missing in odd installs
-        return "eigenrl-unknown"
+    """The package version; the results bytes never depend on the checkout."""
+    return f"eigenrl-{__version__}"
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +91,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"env_kind must be one of {ENV_KINDS}, got {self.env_kind!r}"
             )
-        if self.dim < 2:
-            raise ConfigError(f"dim must be at least 2, got {self.dim}")
+        if not MIN_DIM <= self.dim <= MAX_DIM:
+            raise ConfigError(f"dim must lie in [{MIN_DIM}, {MAX_DIM}], got {self.dim}")
+        if self.seed < 0 or self.env_seed < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seed} and {self.env_seed}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.record_every < 1:
@@ -167,10 +152,7 @@ def _as_int(raw: dict, key: str) -> int:
 
 
 def _as_float(raw: dict, key: str) -> float:
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    return finite_number(raw[key], key)
 
 
 def _as_bool(raw: dict, key: str) -> bool:
@@ -310,7 +292,7 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)
 
@@ -332,9 +314,9 @@ def build_environment(config: ExperimentConfig, rep_index: int = 0) -> Environme
         env = env_bell(config.tau)
     else:  # file
         operator, _ = load_operator(config.operator_file)
-        env = env_from_matrix(operator, config.tau, origin="file")
+        env = env_from_matrix(operator, config.tau)
     if env.dim != config.dim:
-        raise DimMismatch(
+        raise ConfigError(
             f"config dim {config.dim} but the {kind} environment has dim {env.dim}"
         )
     return env
@@ -358,13 +340,6 @@ def diag_residual(basis: np.ndarray, operator: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(off) / denom)
-
-
-def verify_diagonalization(agent: AgentState, env: Environment) -> float:
-    """Off-diagonal residual of the agent's basis against the live operator."""
-    if agent.dim != env.dim:
-        raise DimMismatch(f"agent dim {agent.dim} vs environment dim {env.dim}")
-    return diag_residual(agent.basis, env.operator)
 
 
 def _pick(stacked: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -525,67 +500,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# fidelity / search-range reductions on raw matrices
-
-
-def mean_fidelity(d_matrices, eigensystems, j: int, mode: str = "paper") -> float:
-    """Mean overlap of basis column ``j`` with its best-matching eigenvector.
-
-    ``eigensystems`` is either one shared eigensystem or one per repetition;
-    in "paper" mode the best-matching index is chosen once for the whole
-    ensemble, which only makes sense when the eigensystem is shared.
-    """
-    mats = np.asarray(d_matrices, dtype=complex)
-    if mats.ndim == 2:
-        mats = mats[None]
-    if mats.ndim != 3 or mats.shape[-1] != mats.shape[-2]:
-        raise DimMismatch(f"need square matrices, got shape {mats.shape}")
-    count, dim = mats.shape[0], mats.shape[-1]
-    if not 0 <= j < dim:
-        raise OutOfRange(f"column {j} outside [0, {dim})")
-    if mode not in FIDELITY_MODES:
-        raise ConfigError(f"mode must be one of {FIDELITY_MODES}, got {mode!r}")
-
-    if isinstance(eigensystems, linalg.Eigensystem):
-        systems = [eigensystems] * count
-    else:
-        systems = list(eigensystems)
-        if len(systems) != count:
-            raise DimMismatch(
-                f"{count} matrices but {len(systems)} eigensystems"
-            )
-    for system in systems:
-        if system.dim != dim:
-            raise DimMismatch(f"eigensystem dim {system.dim}, matrices dim {dim}")
-
-    if mode == "paper":
-        first = systems[0].eigenvectors
-        for system in systems[1:]:
-            if system.eigenvectors is not first and not np.array_equal(
-                system.eigenvectors, first
-            ):
-                raise ModeMismatch(
-                    "mode 'paper' requires one shared environment; "
-                    "use 'per-rep' with resampled environments"
-                )
-        amps = np.abs(mats[:, :, j] @ first.conj())  # [i, l] = |<l_E|D_i|j>|
-        return float(amps.mean(axis=0).max())
-    best = [
-        float(np.abs(system.eigenvectors.conj().T @ mat[:, j]).max())
-        for system, mat in zip(systems, mats)
-    ]
-    return float(np.mean(best))
-
-
-def mean_search_range(w_values) -> float:
-    """Arithmetic mean of per-repetition search ranges at one k."""
-    values = np.asarray(w_values, dtype=float)
-    if values.size == 0:
-        raise ConfigError("mean_search_range needs at least one value")
-    return float(values.mean())
-
-
-# ---------------------------------------------------------------------------
 # result files
 
 
@@ -632,25 +546,29 @@ def write_results(result: ExperimentResult, path: str, fmt: str = "csv") -> None
 
 def read_results(path: str) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Parse a CSV result file back into (metadata, ks, stages, W, F)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read results {path}: {exc}") from exc
     if len(lines) < 3 or not lines[0].startswith("# "):
         raise ConfigError(f"{path} is not a results CSV")
-    try:
-        metadata = json.loads(lines[0][2:])
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad metadata line in {path}: {exc}") from exc
     header = lines[1].split(",")
     if header[:3] != ["k", "stage", "W"]:
         raise ConfigError(f"unexpected header in {path}: {lines[1]!r}")
-    d = len(header) - 3
     rows = [line.split(",") for line in lines[2:] if line]
-    ks = np.array([int(row[0]) for row in rows])
-    stages = np.array([int(row[1]) for row in rows])
-    search = np.array([float(row[2]) for row in rows])
-    fidelity = np.array(
-        [[float(row[3 + j]) for row in rows] for j in range(d)]
-    )
+    if any(len(row) != len(header) for row in rows):
+        raise ConfigError(f"{path} has rows that do not match its header")
+    try:
+        metadata = json.loads(lines[0][2:])
+        ks = np.array([int(row[0]) for row in rows])
+        stages = np.array([int(row[1]) for row in rows])
+        search = np.array([float(row[2]) for row in rows])
+        fidelity = np.array(
+            [[float(row[3 + j]) for row in rows] for j in range(len(header) - 3)]
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad value in {path}: {exc}") from exc
     return metadata, ks, stages, search, fidelity
 
 
@@ -678,19 +596,29 @@ def load_basis(path: str) -> np.ndarray:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read basis {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
         raise ConfigError(f"basis {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"dim", "entries_re", "entries_im"}:
         raise ConfigError(f"basis {path} needs the keys dim/entries_re/entries_im")
     try:
-        matrix = np.asarray(doc["entries_re"], dtype=float) + 1j * np.asarray(
-            doc["entries_im"], dtype=float
-        )
-    except (TypeError, ValueError) as exc:
+        re = np.asarray(doc["entries_re"], dtype=float)
+        im = np.asarray(doc["entries_im"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"basis {path} entries are not numeric: {exc}") from exc
-    if matrix.ndim != 2 or matrix.shape != (doc["dim"], doc["dim"]):
+    dim = doc["dim"]
+    if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ConfigError(
-            f"basis {path} shape {matrix.shape} does not match dim {doc['dim']}"
+            f"basis {path} entries are {re.shape} and {im.shape}, not {dim}x{dim}"
+        )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ConfigError(f"basis {path} entries must be finite")
+    matrix = re + 1j * im
+    with np.errstate(all="ignore"):  # huge entries overflow to inf or NaN, which fail it
+        defect = float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(len(matrix))))
+    if not defect <= BASIS_UNITARITY_TOL:
+        raise ConfigError(
+            f"basis {path} is not unitary: |D^H D - I| = {defect:.3e} "
+            f"exceeds {BASIS_UNITARITY_TOL:.0e}"
         )
     return matrix
 

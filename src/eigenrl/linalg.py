@@ -3,7 +3,6 @@
 Conventions used throughout the package:
 
 * states are complex128 numpy vectors, operators complex128 square matrices;
-* basis index j read as a bit string is big-endian (qubit 0 leftmost);
 * eigensystems are returned with eigenvalues ascending and eigenvectors as
   matrix columns, each column phase-fixed so that its first component above
   the phase tolerance is real and positive.  Ties between equal eigenvalues
@@ -23,8 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadIndices, DimMismatch, NoConvergence, NotHermitian, OutOfRange
+from .errors import DimMismatch, NoConvergence, NotHermitian
 
+#: the Hilbert-space dimensions the package accepts from its inputs
+MIN_DIM = 2
+MAX_DIM = 64
 #: tolerance for accepting a matrix as Hermitian
 HERMITICITY_TOL = 1e-10
 #: hard cap on cyclic Jacobi sweeps before giving up
@@ -43,10 +45,6 @@ class Eigensystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
 
     def reconstruct(self) -> np.ndarray:
         """Return ``sum_l lambda_l |l><l|``."""
@@ -83,13 +81,6 @@ def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
     defect = hermiticity_defect(mat)
     if defect > tol:
         raise NotHermitian(f"max |H - H^dag| = {defect:.3e} exceeds {tol:.1e}")
-
-
-def state_overlap(a: np.ndarray, b: np.ndarray) -> float:
-    """Global-phase-insensitive overlap ``|<a|b>|`` of two state vectors."""
-    if a.shape != b.shape:
-        raise DimMismatch(f"state shapes differ: {a.shape} vs {b.shape}")
-    return float(abs(np.vdot(a, b)))
 
 
 def normalize_phase(vec: np.ndarray) -> np.ndarray:
@@ -252,27 +243,6 @@ def rotation_blocks(phi: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def two_level_rotation(a: int, b: int, dim: int, angles: RotationAngles) -> np.ndarray:
-    """Embed a two-level rotation on basis states ``a < b`` into ``dim``."""
-    if not (0 <= a < b < dim):
-        raise BadIndices(f"need 0 <= a < b < dim, got a={a}, b={b}, dim={dim}")
-    block = rotation_block(angles)
-    u = np.eye(dim, dtype=np.complex128)
-    u[a, a] = block[0, 0]
-    u[a, b] = block[0, 1]
-    u[b, a] = block[1, 0]
-    u[b, b] = block[1, 1]
-    return u
-
-
-def apply_unitary(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply a unitary to a state vector; shapes must agree."""
-    n = require_square(u)
-    if psi.shape != (n,):
-        raise DimMismatch(f"state shape {psi.shape} does not match dim {n}")
-    return u @ psi
-
-
 def gram_schmidt(mat: np.ndarray) -> None:
     """Re-orthonormalize the columns of ``mat`` in place (modified variant).
 
@@ -286,11 +256,3 @@ def gram_schmidt(mat: np.ndarray) -> None:
             col -= np.vdot(mat[:, i], col) * mat[:, i]
         col /= math.sqrt(np.vdot(col, col).real)
 
-
-def binary_index_label(j: int, n_qubits: int) -> str:
-    """Big-endian bit-string label of basis index ``j`` on ``n_qubits``."""
-    if n_qubits < 1:
-        raise OutOfRange(f"need at least one qubit, got {n_qubits}")
-    if not 0 <= j < 2**n_qubits:
-        raise OutOfRange(f"index {j} outside [0, {2**n_qubits})")
-    return format(j, f"0{n_qubits}b")

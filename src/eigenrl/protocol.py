@@ -187,10 +187,6 @@ class AgentState:
         self.n_neutral = 0
 
     @property
-    def rng_state(self) -> dict:
-        return self.rng.bit_generator.state
-
-    @property
     def stage_iterations(self) -> int:
         """Iterations spent in the current stage."""
         return self.n_r + self.n_p + self.n_neutral
@@ -284,10 +280,6 @@ class AgentState:
         self.n_r = 0
         self.n_p = 0
         self.n_neutral = 0
-
-    def extract_eigenvectors(self) -> np.ndarray:
-        """Copy of the basis; column j estimates the j-th eigenvector."""
-        return self.basis.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,39 +523,50 @@ def write_trace(
 
 
 def read_trace(path: str) -> tuple[dict, list[IterationRecord], str]:
-    """Parse a trace file; raises ConfigError if unreadable or truncated."""
+    """Parse a trace file; raises ConfigError if it is unreadable, truncated,
+    or holds a record that cannot be replayed at the header's ``dim``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line for line in (raw.strip() for raw in fh) if line]
+            rows = [json.loads(line) for line in (raw.strip() for raw in fh) if line]
     except OSError as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc
-    if len(lines) < 2:
-        raise ConfigError("trace too short: need a header and a final hash")
-    try:
-        rows = [json.loads(line) for line in lines]
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
         raise ConfigError(f"trace line is not valid JSON: {exc}") from exc
+    if len(rows) < 2:
+        raise ConfigError("trace too short: need a header and a final hash")
+    if not all(isinstance(row, dict) for row in rows):
+        raise ConfigError("every trace line must be a JSON object")
     header, body, footer = rows[0], rows[1:-1], rows[-1]
     if header.get("format") != TRACE_FORMAT:
         raise ConfigError(f"unknown trace format: {header.get('format')!r}")
+    dim = header.get("dim")
+    if not isinstance(dim, int) or not linalg.MIN_DIM <= dim <= linalg.MAX_DIM:
+        raise ConfigError(f"trace header lacks a usable dim: {dim!r}")
     if "final_sha256" not in footer:
         raise ConfigError("trace truncated: final hash line missing")
     records = []
     for row in body:
         try:
             angles = row["angles"]
-            records.append(
-                IterationRecord(
-                    k=int(row["k"]),
-                    stage=int(row["stage"]),
-                    outcome=int(row["m"]),
-                    classification=str(row["class"]),
-                    angles=None if angles is None else RotationAngles(**angles),
-                    w_after=float(row["w_after"]),
-                )
+            if angles is not None:
+                angles = RotationAngles(**{key: float(v) for key, v in angles.items()})
+            rec = IterationRecord(
+                k=int(row["k"]),
+                stage=int(row["stage"]),
+                outcome=int(row["m"]),
+                classification=str(row["class"]),
+                angles=angles,
+                w_after=float(row["w_after"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad trace record {row!r}: {exc}") from exc
+        if rec.classification == PUNISH and not (
+            0 <= rec.stage < rec.outcome < dim
+            and angles is not None
+            and all(math.isfinite(v) for v in vars(angles).values())
+        ):
+            raise ConfigError(f"punish record {row!r} cannot be replayed at dim {dim}")
+        records.append(rec)
     return dict(header), records, str(footer["final_sha256"])
 
 
@@ -583,7 +586,4 @@ def replay_basis(dim: int, records: Iterable[IterationRecord]) -> np.ndarray:
 def replay_trace(path: str) -> bool:
     """True iff the trace's recorded final hash matches the replayed basis."""
     header, records, recorded = read_trace(path)
-    dim = header.get("dim")
-    if not isinstance(dim, int) or dim < 2:
-        raise ConfigError(f"trace header lacks a usable dim: {dim!r}")
-    return basis_hash(replay_basis(dim, records)) == recorded
+    return basis_hash(replay_basis(header["dim"], records)) == recorded

@@ -1,5 +1,6 @@
 """End-to-end tests for the ``eigenrl`` command line."""
 import json
+import math
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from eigenrl import harness
 from eigenrl.cli import main
-from eigenrl.environment import load_operator
+from eigenrl.environment import load_operator, save_operator
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -216,6 +217,59 @@ class TestGenOperator:
         assert operator.shape == (4, 4)
         assert tau == 1.0
         np.testing.assert_allclose(operator, operator.conj().T, atol=1e-15)
+
+
+def run_args(tmp_path, **overrides):
+    config = write_config(tmp_path, **overrides)
+    return ["run", "--config", str(config), "--out", str(tmp_path / "o.csv")]
+
+
+def verify_args(tmp_path, basis):
+    operator = tmp_path / "sx.json"
+    save_operator(str(operator), np.array([[0.0, 0.5], [0.5, 0.0]]), 1.0)
+    dmat = tmp_path / "basis.json"
+    harness.save_basis(str(dmat), basis)
+    return ["verify", "--operator", str(operator), "--d-matrix", str(dmat)]
+
+
+def text_tau_args(tmp_path):
+    operator = tmp_path / "op.json"
+    operator.write_text(json.dumps({"dim": 2, "tau": "abc", "entries_re": [[1, 0], [0, -1]],
+                                    "entries_im": [[0, 0], [0, 0]]}))
+    return run_args(tmp_path, env_kind="file", operator_file=str(operator), env_seed=None)
+
+
+def undecodable_operator_args(tmp_path):
+    argv = verify_args(tmp_path, np.eye(2))
+    (tmp_path / "sx.json").write_bytes(b"\x80\x81")
+    return argv
+
+
+MALFORMED = {
+    "nan-nu": lambda tmp_path: run_args(tmp_path, nu=math.nan),
+    "infinite-w1": lambda tmp_path: run_args(tmp_path, w1=math.inf),
+    "text-operator-tau": text_tau_args,
+    "dim-out-of-range": lambda tmp_path: run_args(
+        tmp_path, dim=100, stopping={"kind": "threshold", "w_min": 0.01, "max_iterations": 10},
+    ),
+    "dim-wrong-for-kind": lambda tmp_path: run_args(
+        tmp_path, dim=4, env_kind="spin-x",
+        stopping={"kind": "fixed-budget", "budgets": [10, 10, 10]},
+    ),
+    "verify-dim-mismatch": lambda tmp_path: verify_args(tmp_path, np.eye(4)),
+    "verify-non-unitary": lambda tmp_path: verify_args(tmp_path, np.zeros((2, 2))),
+    "verify-undecodable-operator": undecodable_operator_args,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_one_stderr_line(tmp_path, capsys, case):
+    argv = MALFORMED[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
 
 
 def test_version_via_console_script():

@@ -175,7 +175,7 @@ class TestOperatorFiles:
         loaded, tau = envm.load_operator(str(path))
         np.testing.assert_allclose(loaded, env.operator, atol=1e-15)
         assert tau == 0.7
-        env2 = envm.env_from_file(str(path))
+        env2 = envm.env_from_matrix(*envm.load_operator(str(path)))
         np.testing.assert_allclose(env2.unitary, env.unitary, atol=1e-12)
 
     def test_rejects_malformed(self, tmp_path):
@@ -221,4 +221,4 @@ class TestOperatorFiles:
             )
         )
         with pytest.raises(NotHermitian):
-            envm.env_from_file(str(path))
+            envm.env_from_matrix(*envm.load_operator(str(path)))

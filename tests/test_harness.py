@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from eigenrl import harness, linalg, protocol
-from eigenrl.environment import env_random, save_operator
+from eigenrl.environment import env_from_matrix, env_random, env_spin_x, save_operator
 from eigenrl.errors import ConfigError, DimMismatch, ModeMismatch, OutOfRange
-from eigenrl.harness import ExperimentConfig, config_from_dict, mean_fidelity
+from eigenrl.harness import ExperimentConfig, config_from_dict
 from eigenrl.protocol import StoppingRule
 
 
@@ -186,7 +186,7 @@ class TestBuildEnvironment:
         cfg = small_config(env_kind="spin-x", env_seed=0)
         env = harness.build_environment(cfg)
         np.testing.assert_allclose(env.operator, [[0.0, 0.5], [0.5, 0.0]])
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ConfigError):
             harness.build_environment(small_config(dim=4, env_kind="spin-x",
                                                    stopping=StoppingRule(
                                                        kind="fixed-budget",
@@ -217,70 +217,111 @@ class TestBuildEnvironment:
         )
 
 
+def two_level_rotation(a, b, dim, angles):
+    """The two-level rotation on basis states a < b, as a dim x dim unitary."""
+    u = np.eye(dim, dtype=complex)
+    u[np.ix_((a, b), (a, b))] = linalg.rotation_block(angles)
+    return u
+
+
+def fold_at_start(bases, envs, mode, w1=1.0):
+    """The fold of hand-set member bases at k = 0, and the fold itself."""
+    n, d = bases.shape[:2]
+    config = small_config(
+        dim=d,
+        repetitions=n,
+        w1=w1,
+        fidelity_mode=mode,
+        resample_env_per_repetition=len(envs) > 1,
+        stopping=StoppingRule(kind="fixed-budget", budgets=(1,) * (d - 1)),
+    )
+    ensemble = protocol.EnsembleState(d, config.params, list(range(n)))
+    ensemble.bases[:] = bases
+    return harness._Fold(config, envs, ensemble), ensemble
+
+
+def start_fidelity(bases, envs, mode):
+    fold, ensemble = fold_at_start(np.asarray(bases, dtype=complex), envs, mode)
+    return fold.finalize(ensemble, envs).fidelity_curves[:, 0]
+
+
 class TestMeanFidelity:
+    """The one fidelity reduction, the streaming fold, on hand-set bases."""
+
     def setup_method(self):
-        self.diag_env = env_random(2, 1.0, seed=1)  # only for typing symmetry
-        self.eye_sys = linalg.eig_hermitian(np.diag([-1.0, 1.0]).astype(complex))
+        self.diag_env = env_from_matrix(np.diag([-1.0, 1.0]), 1.0)  # eigenbasis = I
 
     def test_identity_on_diagonal_environment(self):
-        mats = np.stack([np.eye(2, dtype=complex)] * 4)
-        assert mean_fidelity(mats, self.eye_sys, 0, "paper") == pytest.approx(1.0)
-        assert mean_fidelity(mats, self.eye_sys, 1, "per-rep") == pytest.approx(1.0)
+        mats = np.stack([np.eye(2)] * 4)
+        for mode in ("paper", "per-rep"):
+            np.testing.assert_allclose(start_fidelity(mats, [self.diag_env], mode), 1.0)
 
     def test_single_rotation_takes_best_match(self):
         theta = 0.8
-        rot = linalg.two_level_rotation(
-            0, 1, 2, linalg.RotationAngles(phi_x=theta, phi_y=0.0, phi_z=0.0)
+        rot = linalg.rotation_block(
+            linalg.RotationAngles(phi_x=theta, phi_y=0.0, phi_z=0.0)
         )
         expected = max(abs(math.cos(theta / 2)), abs(math.sin(theta / 2)))
         for mode in ("paper", "per-rep"):
-            assert mean_fidelity(rot, self.eye_sys, 0, mode) == pytest.approx(expected)
+            value = start_fidelity([rot], [self.diag_env], mode)[0]
+            assert value == pytest.approx(expected)
 
     def test_mode_placement_differs_on_split_ensembles(self):
         # half the runs landed on each eigenvector: per-rep credits both,
         # the shared-index mean cannot
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        mats = [np.eye(2, dtype=complex), swap]
-        assert mean_fidelity(mats, self.eye_sys, 0, "per-rep") == pytest.approx(1.0)
-        assert mean_fidelity(mats, self.eye_sys, 0, "paper") == pytest.approx(0.5)
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        mats = [np.eye(2), swap]
+        assert start_fidelity(mats, [self.diag_env], "per-rep")[0] == pytest.approx(1.0)
+        assert start_fidelity(mats, [self.diag_env], "paper")[0] == pytest.approx(0.5)
 
     def test_paper_mode_requires_shared_eigensystem(self):
-        other = linalg.eig_hermitian(np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex))
-        mats = [np.eye(2, dtype=complex)] * 2
         with pytest.raises(ModeMismatch):
-            mean_fidelity(mats, [self.eye_sys, other], 0, "paper")
-        value = mean_fidelity(mats, [self.eye_sys, other], 0, "per-rep")
+            small_config(fidelity_mode="paper", resample_env_per_repetition=True)
+        envs = [self.diag_env, env_spin_x(1.0)]
+        value = start_fidelity([np.eye(2)] * 2, envs, "per-rep")[0]
         assert value == pytest.approx((1.0 + 1.0 / math.sqrt(2.0)) / 2.0)
 
     def test_validation(self):
-        mats = [np.eye(2, dtype=complex)]
-        with pytest.raises(OutOfRange):
-            mean_fidelity(mats, self.eye_sys, 2, "paper")
         with pytest.raises(ConfigError):
-            mean_fidelity(mats, self.eye_sys, 0, "both")
-        with pytest.raises(DimMismatch):
-            mean_fidelity(mats, [self.eye_sys] * 3, 0, "paper")
-        with pytest.raises(DimMismatch):
-            mean_fidelity(np.zeros((2, 3)), self.eye_sys, 0)
+            config_from_dict(raw_dict(fidelity_mode="both"))
+        with pytest.raises(ConfigError):  # a ModeMismatch is bad input too
+            config_from_dict(raw_dict(resample_env_per_repetition=True))
 
     def test_random_products_stay_in_bounds(self):
         rng = np.random.default_rng(6)
-        sys4 = env_random(4, 1.0, seed=2).eigensystem_oracle()
-        for _ in range(50):
-            mat = np.eye(4, dtype=complex)
+        mats = np.tile(np.eye(4, dtype=complex), (50, 1, 1))
+        for mat in mats:
             for _ in range(6):
                 a, b = sorted(rng.choice(4, size=2, replace=False))
                 angles = linalg.RotationAngles(*rng.uniform(-math.pi, math.pi, 3))
-                mat = mat @ linalg.two_level_rotation(int(a), int(b), 4, angles)
-            value = mean_fidelity(mat, sys4, int(rng.integers(4)), "per-rep")
-            assert 0.0 < value <= 1.0
+                mat[:] = mat @ two_level_rotation(int(a), int(b), 4, angles)
+        envs = [env_random(4, 1.0, seed=2)]
+        for mode in ("per-rep", "paper"):
+            fold, ensemble = fold_at_start(mats, envs, mode)
+            result = fold.finalize(ensemble, envs)
+            amps = result.per_repetition_final  # [i, l, j] = |<l_E|D_i|j>|
+            best = amps.max(axis=1)
+            assert np.all((best > 0.0) & (best <= 1.0))
+            if mode == "per-rep":
+                expected = best.mean(axis=0)
+            else:
+                expected = amps.mean(axis=0).max(axis=0)
+            np.testing.assert_allclose(result.fidelity_curves[:, 0], expected)
 
 
 def test_mean_search_range():
-    assert harness.mean_search_range([1.0, 1.0, 1.0]) == 1.0
-    assert harness.mean_search_range([0.9, 1.1]) == pytest.approx(1.0)
+    """W(k) is the arithmetic mean of the members' search ranges."""
+    fold, ensemble = fold_at_start(np.stack([np.eye(2)] * 2), [env_spin_x(1.0)],
+                                   "per-rep", w1=0.7)
+    members = np.arange(2)
+    rec = protocol.EnsembleRecord(k=1, members=members, stage=np.zeros(2, int),
+                                  outcome=np.zeros(2, int), w_after=np.array([0.9, 1.1]))
+    fold.observe(ensemble, rec)
+    search = fold.finalize(ensemble, [env_spin_x(1.0)]).search_curve
+    assert search[0] == 0.7
+    assert search[1] == pytest.approx(1.0)
     with pytest.raises(ConfigError):
-        harness.mean_search_range([])
+        small_config(repetitions=0)
 
 
 class TestDiagResidual:
@@ -300,15 +341,14 @@ class TestDiagResidual:
     def test_dim_mismatch_and_agent_wrapper(self):
         with pytest.raises(DimMismatch):
             harness.diag_residual(np.eye(3), np.diag([-1.0, 1.0]))
-        env = env_random(2, 1.0, seed=3)
-        agent = protocol.AgentState(dim=2, params=small_config().params, seed=1)
-        assert harness.verify_diagonalization(agent, env) == pytest.approx(
-            harness.diag_residual(np.eye(2), env.operator)
+        # a one-repetition result reports the residual of its lone agent
+        cfg = small_config(repetitions=1)
+        env = harness.build_environment(cfg)
+        agent = protocol.AgentState(2, cfg.params, harness.derive_seed(cfg.seed, 0))
+        protocol.run_stages(agent, env.interact, cfg.stopping)
+        assert harness.run_experiment(cfg).diag_residual == harness.diag_residual(
+            agent.basis, env.operator
         )
-        with pytest.raises(DimMismatch):
-            harness.verify_diagonalization(
-                protocol.AgentState(dim=3, params=small_config().params, seed=1), env
-            )
 
 
 class TestRunExperiment:
@@ -673,14 +713,9 @@ def test_residual_tracks_fidelity_loss():
     residuals, fidelities = [], []
     for theta in (0.0, 0.25, 0.5, 0.75, 1.0, 1.25):
         angles = linalg.RotationAngles(phi_x=theta, phi_y=0.0, phi_z=0.0)
-        basis = exact @ linalg.two_level_rotation(0, 1, 3, angles)
+        basis = exact @ two_level_rotation(0, 1, 3, angles)
         residuals.append(harness.diag_residual(basis, env.operator))
-        fidelities.append(
-            min(
-                harness.mean_fidelity(basis, system, j, "per-rep")
-                for j in range(3)
-            )
-        )
+        fidelities.append(np.abs(system.eigenvectors.conj().T @ basis).max(axis=0).min())
     assert np.all(np.diff(residuals) > 0)
     assert np.all(np.diff(fidelities) < 0)
 

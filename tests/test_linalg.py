@@ -6,11 +6,18 @@ import pytest
 
 import oracles
 from eigenrl import linalg
-from eigenrl.errors import BadIndices, DimMismatch, NotHermitian, OutOfRange
+from eigenrl.errors import DimMismatch, NotHermitian
 from eigenrl.linalg import RotationAngles
 
 
 SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128)
+
+
+def two_level_rotation(a, b, dim, angles):
+    """The rotation block embedded on basis states a < b of a dim-level space."""
+    u = np.eye(dim, dtype=np.complex128)
+    u[np.ix_((a, b), (a, b))] = linalg.rotation_block(angles)
+    return u
 
 
 def test_require_square_rejects_rectangles():
@@ -23,13 +30,6 @@ def test_require_hermitian():
     linalg.require_hermitian(SX)
     with pytest.raises(NotHermitian):
         linalg.require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_state_overlap_ignores_global_phase():
-    a = np.array([1.0, 0.0], dtype=np.complex128)
-    assert linalg.state_overlap(a, np.exp(1j * 0.83) * a) == pytest.approx(1.0)
-    with pytest.raises(DimMismatch):
-        linalg.state_overlap(a, np.zeros(3))
 
 
 def test_normalize_phase_leading_component_real_positive():
@@ -165,7 +165,7 @@ class TestTwoLevelRotation:
             b = int(rng.integers(a + 1, dim))
             phi = rng.uniform(-math.pi, math.pi, 3)
             angles = RotationAngles(phi_x=phi[0], phi_y=phi[1], phi_z=phi[2])
-            u = linalg.two_level_rotation(a, b, dim, angles)
+            u = two_level_rotation(a, b, dim, angles)
             ref = oracles.rotation_via_series(a, b, dim, *phi)
             np.testing.assert_allclose(u, ref, atol=1e-12)
             # identity outside the subspace
@@ -186,11 +186,6 @@ class TestTwoLevelRotation:
         block = linalg.rotation_block(RotationAngles(0.0, 0.0, 0.0))
         np.testing.assert_array_equal(block, np.eye(2))
 
-    def test_bad_indices(self):
-        angles = RotationAngles(0.1, 0.2, 0.3)
-        for a, b, dim in ((1, 1, 3), (2, 1, 3), (0, 3, 3), (-1, 1, 3)):
-            with pytest.raises(BadIndices):
-                linalg.two_level_rotation(a, b, dim, angles)
 
 
 def test_stacked_rotation_blocks_match_the_scalar_block_bit_for_bit():
@@ -208,12 +203,6 @@ def test_stacked_rotation_blocks_match_the_scalar_block_bit_for_bit():
             assert blocks[i].tobytes() == linalg.rotation_block(angles).tobytes()
 
 
-def test_apply_unitary_shape_check():
-    u = np.eye(3, dtype=np.complex128)
-    with pytest.raises(DimMismatch):
-        linalg.apply_unitary(u, np.zeros(2, dtype=np.complex128))
-
-
 def test_gram_schmidt_restores_unitarity():
     rng = np.random.default_rng(43)
     h = oracles.random_hermitian(rng, 6)
@@ -226,12 +215,3 @@ def test_gram_schmidt_restores_unitarity():
     # the repaired matrix stays close to the original
     assert np.max(np.abs(drifted - u)) < 1e-8
 
-
-def test_binary_index_label():
-    assert linalg.binary_index_label(2, 2) == "10"
-    assert linalg.binary_index_label(0, 3) == "000"
-    assert linalg.binary_index_label(5, 3) == "101"
-    with pytest.raises(OutOfRange):
-        linalg.binary_index_label(4, 2)
-    with pytest.raises(OutOfRange):
-        linalg.binary_index_label(0, 0)

@@ -1,0 +1,244 @@
+"""Property tests: every parser of user input raises ConfigError and nothing else.
+
+Each test perturbs a valid document at any depth (a value swapped for an
+edge value or arbitrary JSON, a key dropped or added), or feeds raw text and
+bytes, and checks that the parser either rejects the input with
+``ConfigError`` or returns something the rest of the program can use.  The
+``@example`` inputs are defects that once got past these parsers.  The
+generated examples are derandomized so the suite stays reproducible.
+"""
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from eigenrl import harness, protocol
+from eigenrl.environment import operator_from_json
+from eigenrl.errors import ConfigError
+from eigenrl.linalg import MAX_DIM, MIN_DIM
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+edge_values = st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 100, 10**400, "abc"])
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | edge_values
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def rarely(strategy, otherwise):
+    """Draws from ``strategy`` one time in ten, else gives ``otherwise``."""
+    return st.integers(0, 9).flatmap(lambda pick: strategy if pick == 0 else st.just(otherwise))
+
+
+def perturbed(doc):
+    """``doc``, with any value at any depth possibly replaced by an edge value
+    or arbitrary JSON, and any object possibly missing a key or holding an
+    extra one.  Most values stay valid, so deep checks are reached too."""
+    if isinstance(doc, dict):
+        keys = sorted(doc)
+        inner = st.builds(
+            lambda kept, drop, extra: {
+                **{k: v for k, v in kept.items() if k != drop}, **extra
+            },
+            st.fixed_dictionaries({key: perturbed(doc[key]) for key in keys}),
+            rarely(st.sampled_from(keys), None),
+            rarely(st.dictionaries(st.text(max_size=6), json_values, min_size=1, max_size=1), {}),
+        )
+    elif isinstance(doc, list):
+        inner = st.tuples(*(perturbed(item) for item in doc)).map(list)
+    else:
+        inner = st.just(doc)
+    return st.integers(0, 9).flatmap(
+        lambda pick: json_values if pick == 0 else edge_values if pick == 1 else inner
+    )
+
+
+def as_text(doc):
+    return json.dumps(doc)  # NaN and Infinity become the bare tokens json accepts
+
+
+raw_inputs = st.text(max_size=40) | st.binary(max_size=40)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("parsers") / "input"
+
+
+def write(path, payload):
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(payload, encoding="utf-8")
+    return str(path)
+
+
+VALID_CONFIG = {
+    "dim": 2,
+    "env_kind": "single-qubit-spec",
+    "single_qubit": {"alpha": 1.0, "beta": 0.5, "lambda0": -1.0, "lambda1": 1.0},
+    "tau": 1.0,
+    "r": 0.9,
+    "nu": 2.0,
+    "w1": 1.0,
+    "w_cap": 1.0,
+    "repetitions": 10,
+    "seed": 3,
+    "env_seed": 0,
+    "resample_env_per_repetition": False,
+    "fidelity_mode": "per-rep",
+    "record_every": 5,
+    "stopping": {"kind": "threshold", "w_min": 0.01, "max_iterations": 500},
+}
+
+
+@PROPERTY
+@given(perturbed(VALID_CONFIG) | perturbed({**VALID_CONFIG, "env_kind": "random",
+                                             "single_qubit": None,
+                                             "stopping": {"kind": "fixed-budget",
+                                                          "budgets": [40]}}))
+@example({**VALID_CONFIG, "nu": math.nan})
+@example({**VALID_CONFIG, "w1": math.inf})
+@example({**VALID_CONFIG, "dim": 100})
+@example({**VALID_CONFIG, "seed": -1})
+def test_config_from_dict_raises_only_config_error(raw):
+    try:
+        config = harness.config_from_dict(raw)
+    except ConfigError:
+        return
+    assert all(math.isfinite(v) for v in (config.r, config.nu, config.w1, config.tau))
+    assert MIN_DIM <= config.dim <= MAX_DIM and min(config.seed, config.env_seed) >= 0
+    echoed = json.loads(json.dumps(harness.config_to_dict(config)))
+    assert harness.config_from_dict(echoed) == config
+
+
+@PROPERTY
+@given(raw_inputs | perturbed(VALID_CONFIG).map(as_text))
+def test_load_config_raises_only_config_error(scratch, payload):
+    try:
+        harness.load_config(write(scratch, payload))
+    except ConfigError:
+        pass
+
+
+VALID_OPERATOR = {
+    "dim": 2,
+    "tau": 0.5,
+    "entries_re": [[1.0, 0.5], [0.5, -1.0]],
+    "entries_im": [[0.0, 0.25], [-0.25, 0.0]],
+}
+
+
+@PROPERTY
+@given(st.text(max_size=40) | perturbed(VALID_OPERATOR).map(as_text))
+@example(as_text({**VALID_OPERATOR, "tau": "abc"}))
+@example(as_text({**VALID_OPERATOR, "tau": math.nan}))
+def test_operator_from_json_raises_only_config_error(text):
+    try:
+        operator, tau = operator_from_json(text)
+    except ConfigError:
+        return
+    assert math.isfinite(tau)
+    assert operator.shape == (2, 2) and np.isfinite(operator).all()
+
+
+VALID_BASIS = {
+    "dim": 2,
+    "entries_re": [[0.6, 0.8], [0.8, -0.6]],
+    "entries_im": [[0.0, 0.0], [0.0, 0.0]],
+}
+
+
+@PROPERTY
+@given(raw_inputs | perturbed(VALID_BASIS).map(as_text))
+def test_load_basis_raises_only_config_error(scratch, payload):
+    try:
+        basis = harness.load_basis(write(scratch, payload))
+    except ConfigError:
+        return
+    defect = np.linalg.norm(basis.conj().T @ basis - np.eye(len(basis)))
+    assert defect <= harness.BASIS_UNITARITY_TOL
+
+
+VALID_TRACE = [
+    {"format": protocol.TRACE_FORMAT, "dim": 3, "rep_index": 0},
+    {"k": 1, "stage": 0, "m": 2, "class": "punish",
+     "angles": {"phi_x": 0.1, "phi_y": -0.2, "phi_z": 0.3}, "w_after": 2.2},
+    {"k": 2, "stage": 0, "m": 0, "class": "reward", "angles": None, "w_after": 1.98},
+    {"final_sha256": "00"},
+]
+
+
+def trace_text(rows):
+    return "\n".join(json.dumps(row) for row in rows)
+
+
+def with_punish(**changes):
+    header, punish, _, footer = VALID_TRACE
+    return trace_text([header, {**punish, **changes}, footer])
+
+
+trace_texts = st.builds(
+    lambda rows, drop: trace_text(row for i, row in enumerate(rows) if i not in drop),
+    st.tuples(*map(perturbed, VALID_TRACE)),
+    st.sets(st.integers(0, len(VALID_TRACE) - 1), max_size=1),
+)
+
+
+@PROPERTY
+@given(raw_inputs | trace_texts)
+@example(trace_text([{**VALID_TRACE[0], "dim": 100}, *VALID_TRACE[1:]]))
+@example(with_punish(m=3))
+@example(with_punish(stage=2, m=1))
+@example(with_punish(angles=None))
+@example(with_punish(angles={"phi_x": math.inf, "phi_y": 0.0, "phi_z": 0.0}))
+def test_read_trace_raises_only_config_error(scratch, payload):
+    """A trace that parses can be replayed."""
+    try:
+        header, records, _ = protocol.read_trace(write(scratch, payload))
+    except ConfigError:
+        return
+    assert MIN_DIM <= header["dim"] <= MAX_DIM
+    for rec in records:
+        if rec.classification == protocol.PUNISH:
+            assert 0 <= rec.stage < rec.outcome < header["dim"]
+    basis = protocol.replay_basis(header["dim"], records)
+    assert basis.shape == (header["dim"], header["dim"])
+
+
+csv_cells = st.sampled_from(["0", "1", "0.5", "nan", "-3", "1e400", "", "x", "1,2"])
+csv_rows = st.lists(csv_cells, min_size=1, max_size=5).map(",".join)
+
+
+@PROPERTY
+@given(
+    raw_inputs
+    | st.builds(
+        lambda meta, header, rows: "\n".join(["# " + meta, header, *rows]) + "\n",
+        perturbed({"format": harness.RESULTS_FORMAT}).map(as_text) | st.text(max_size=8),
+        st.sampled_from(["k,stage,W,F_0", "k,stage,W,F_0,F_1", "k,stage,W", "k,W"]),
+        st.lists(csv_rows, max_size=4),
+    )
+)
+def test_read_results_raises_only_config_error(scratch, payload):
+    try:
+        _, ks, stages, search, fidelity = harness.read_results(write(scratch, payload))
+    except ConfigError:
+        return
+    assert len(ks) == len(stages) == len(search)
+    if len(fidelity):
+        assert fidelity.shape[1] == len(ks)

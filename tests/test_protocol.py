@@ -117,8 +117,8 @@ def test_measure_matches_born_weights():
 def test_measure_uses_adapted_basis():
     # after rotating the basis, outcome weights follow the new columns
     agent = AgentState(dim=2, params=default_params(), seed=77)
-    rot = linalg.two_level_rotation(
-        0, 1, 2, linalg.RotationAngles(phi_x=0.9, phi_y=-0.4, phi_z=1.7)
+    rot = linalg.rotation_block(
+        linalg.RotationAngles(phi_x=0.9, phi_y=-0.4, phi_z=1.7)
     )
     agent.basis[:] = rot
     evolved = rot[:, 1]
@@ -187,7 +187,7 @@ class TestFeedback:
         assert rec.angles == linalg.RotationAngles(
             phi_x=draw[0], phi_y=draw[2], phi_z=draw[1]
         )
-        expected = linalg.two_level_rotation(0, 1, 2, rec.angles)
+        expected = linalg.rotation_block(rec.angles)
         np.testing.assert_allclose(agent.basis, expected, atol=1e-15)
         assert agent.w == pytest.approx(2.0 / 0.9)
         assert agent.n_p == 1
@@ -199,7 +199,8 @@ class TestFeedback:
         assert rec.classification == protocol.PUNISH
         np.testing.assert_array_equal(agent.basis[:, 1], before[:, 1])
         np.testing.assert_array_equal(agent.basis[:, 3], before[:, 3])
-        full = linalg.two_level_rotation(0, 2, 4, rec.angles)
+        full = np.eye(4, dtype=complex)
+        full[np.ix_((0, 2), (0, 2))] = linalg.rotation_block(rec.angles)
         np.testing.assert_allclose(agent.basis, before @ full, atol=1e-15)
 
     def test_outcome_out_of_range(self):
