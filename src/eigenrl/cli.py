@@ -16,8 +16,16 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, harness, linalg, protocol
-from .environment import env_bell, env_random, env_spin_x, load_operator, save_operator
+from .environment import (
+    env_bell,
+    env_random,
+    env_spin_x,
+    finite_number,
+    load_operator,
+    save_operator,
+)
 from .errors import ConfigError, EigenrlError
+from .linalg import MAX_DIM, MIN_DIM
 
 log = logging.getLogger("eigenrl")
 
@@ -125,9 +133,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_operator(args: argparse.Namespace) -> int:
+    finite_number(args.tau, "--tau")
     if args.kind == "random":
         if args.dim is None:
             raise ConfigError("gen-operator --kind random needs --dim")
+        if not MIN_DIM <= args.dim <= MAX_DIM:
+            raise ConfigError(f"--dim must lie in [{MIN_DIM}, {MAX_DIM}], got {args.dim}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         env = env_random(args.dim, args.tau, args.seed)
     elif args.kind == "spin-x":
         if args.dim not in (None, 2):

@@ -81,38 +81,67 @@ class Environment:
         return self.eigensystem
 
 
+def _environments(operators: np.ndarray, tau: float) -> list[Environment]:
+    """One environment per operator of a (B, d, d) stack, all diagonalized
+    in one stacked call."""
+    system = linalg.eig_hermitian(operators)
+    system.eigenvalues.setflags(write=False)
+    system.eigenvectors.setflags(write=False)
+    envs = []
+    for operator, values, vectors in zip(operators, system.eigenvalues, system.eigenvectors):
+        member = linalg.Eigensystem(eigenvalues=values, eigenvectors=vectors)
+        envs.append(Environment(
+            dim=len(operator),
+            operator=operator.copy(),
+            tau=tau,
+            unitary=linalg.unitary_from_eigensystem(member, tau),
+            eigensystem=member,
+        ))
+    return envs
+
+
 def env_from_matrix(operator: np.ndarray, tau: float) -> Environment:
     operator = np.asarray(operator, dtype=np.complex128)
     dim = linalg.require_square(operator)
     if not MIN_DIM <= dim <= MAX_DIM:
         raise BadDim(f"dim must lie in [{MIN_DIM}, {MAX_DIM}], got {dim}")
     linalg.require_hermitian(operator)
-    system = linalg.eig_hermitian(operator)
-    system.eigenvalues.setflags(write=False)
-    system.eigenvectors.setflags(write=False)
-    return Environment(
-        dim=dim,
-        operator=operator.copy(),
-        tau=tau,
-        unitary=linalg.unitary_from_eigensystem(system, tau),
-        eigensystem=system,
-    )
+    return _environments(operator[None], tau)[0]
+
+
+def _draw_gue(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    g /= math.sqrt(2.0)
+    return 0.5 * (g + g.conj().T)
+
+
+def envs_random(dim: int, tau: float, seeds: list[int]) -> list[Environment]:
+    """One GUE-distributed hidden operator per seed, rescaled to spectral
+    range 2.
+
+    Every draw is diagonalized in one stacked call, twice: for its spread,
+    then rescaled.  Each environment has the bits ``env_random`` gives for
+    its seed.
+    """
+    if not MIN_DIM <= dim <= MAX_DIM:
+        raise BadDim(f"dim must lie in [{MIN_DIM}, {MAX_DIM}], got {dim}")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = np.stack([_draw_gue(rng, dim) for rng in rngs])
+    spread = np.empty(len(rngs))
+    pending = np.arange(len(rngs))
+    while len(pending):
+        values = linalg.eig_hermitian(draws[pending]).eigenvalues
+        spread[pending] = values[:, -1] - values[:, 0]
+        # degenerate draws are measure zero; redraw defensively
+        pending = pending[spread[pending] <= 1e-9]
+        for i in pending:
+            draws[i] = _draw_gue(rngs[i], dim)
+    return _environments(draws * (2.0 / spread)[:, None, None], tau)
 
 
 def env_random(dim: int, tau: float, seed: int) -> Environment:
     """GUE-distributed hidden operator, rescaled to spectral range 2."""
-    if not MIN_DIM <= dim <= MAX_DIM:
-        raise BadDim(f"dim must lie in [{MIN_DIM}, {MAX_DIM}], got {dim}")
-    rng = np.random.default_rng(seed)
-    while True:
-        g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        g /= math.sqrt(2.0)
-        h = 0.5 * (g + g.conj().T)
-        values = linalg.eig_hermitian(h).eigenvalues
-        spread = float(values[-1] - values[0])
-        if spread > 1e-9:  # degenerate draws are measure zero; redraw defensively
-            break
-    return env_from_matrix(h * (2.0 / spread), tau)
+    return envs_random(dim, tau, [seed])[0]
 
 
 def env_single_qubit(spec: SingleQubitSpec, tau: float) -> Environment:
@@ -206,7 +235,14 @@ def operator_from_json(text: str) -> tuple[np.ndarray, float]:
         )
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ConfigError("operator entries must be finite")
-    return re + 1j * im, tau
+    operator = re + 1j * im
+    defect = linalg.hermiticity_defect(operator)
+    if defect > linalg.HERMITICITY_TOL:
+        raise ConfigError(
+            f"operator is not Hermitian: max |H - H^dag| = {defect:.3e} "
+            f"exceeds {linalg.HERMITICITY_TOL:.1e}"
+        )
+    return operator, tau
 
 
 def save_operator(path: str, operator: np.ndarray, tau: float) -> None:

@@ -27,6 +27,7 @@ from .environment import (
     env_random,
     env_single_qubit,
     env_spin_x,
+    envs_random,
     finite_number,
     load_operator,
 )
@@ -297,12 +298,16 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _resampled_env_seed(config: ExperimentConfig, rep_index: int) -> int:
+    return derive_seed(config.seed, rep_index, _ENV_SALT)
+
+
 def build_environment(config: ExperimentConfig, rep_index: int = 0) -> Environment:
     """The environment repetition ``rep_index`` runs against."""
     kind = config.env_kind
     if kind == "random":
         if config.resample_env_per_repetition:
-            env_seed = derive_seed(config.seed, rep_index, _ENV_SALT)
+            env_seed = _resampled_env_seed(config, rep_index)
         else:
             env_seed = config.env_seed
         env = env_random(config.dim, config.tau, env_seed)
@@ -484,11 +489,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Repetition ``i`` is the agent ``AgentState(dim, params,
     derive_seed(seed, i))`` run against ``build_environment(config, i)``;
-    the lockstep engine reproduces it bit for bit.
+    the lockstep engine reproduces it bit for bit.  Resampled environments
+    are built together, with the same bits.
     """
     n = config.repetitions
     if config.resample_env_per_repetition:
-        envs = [build_environment(config, i) for i in range(n)]
+        seeds = [_resampled_env_seed(config, i) for i in range(n)]
+        envs = envs_random(config.dim, config.tau, seeds)
     else:
         envs = [build_environment(config)]
     ensemble = protocol.EnsembleState(

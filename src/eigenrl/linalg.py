@@ -14,6 +14,17 @@ Conventions used throughout the package:
 Diagonalization uses cyclic Jacobi rotations.  The method is simple and
 accurate at the dimensions this package targets (<= 64); it converges
 quadratically and in practice needs well under the 100-sweep budget.
+``eig_hermitian`` takes one matrix or a stack of them, and a lone matrix is
+a stack of one.  The stack is swept pair by pair in the same cyclic order
+for every member, and each pair rotates only the members whose entry lies
+above their own threshold, so every member gets the bits that rotating it
+alone, one scalar step at a time, gives.  Resampled random environments are
+diagonalized this way, all in one call.  Keeping those bits fixes two
+choices: magnitudes are ``np.hypot(re, im)``, because ``np.abs`` of a
+complex array can round differently from the scalar ``abs``, and the
+rotation angle is ``math.atan2`` for each rotating member, because
+``np.arctan2`` can differ from it in the last bit (both seen with NumPy 2.4
+on AVX-512).
 """
 from __future__ import annotations
 
@@ -41,13 +52,14 @@ class Eigensystem:
 
     ``eigenvalues`` is a real vector in ascending order and column ``l`` of
     ``eigenvectors`` is the unit eigenvector belonging to ``eigenvalues[l]``.
+    The decomposition of a stack carries a leading member axis on both.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        """Return ``sum_l lambda_l |l><l|``."""
+        """Return ``sum_l lambda_l |l><l|`` (of one matrix)."""
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
@@ -83,93 +95,127 @@ def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
         raise NotHermitian(f"max |H - H^dag| = {defect:.3e} exceeds {tol:.1e}")
 
 
-def normalize_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first significant component is real > 0."""
-    for c in vec:
-        if abs(c) > PHASE_TOL:
-            return vec * (c.conjugate() / abs(c))
-    return vec
+def normalize_phase(vecs: np.ndarray) -> np.ndarray:
+    """Rotate the global phase of each vector along the last axis so that its
+    first component above PHASE_TOL is real and positive."""
+    mag = np.hypot(vecs.real, vecs.imag)
+    significant = mag > PHASE_TOL
+    first = significant.argmax(axis=-1)[..., None]
+    lead = np.take_along_axis(vecs, first, axis=-1)
+    factor = lead.conj() / np.take_along_axis(mag, first, axis=-1)
+    return np.where(significant.any(axis=-1)[..., None], vecs * factor, vecs)
 
 
-def _vector_sort_key(vec: np.ndarray) -> tuple:
-    return tuple((float(c.real), float(c.imag)) for c in vec)
+def _jacobi_rotate(av: np.ndarray, m: np.ndarray, p: int, q: int, mag: np.ndarray) -> None:
+    """One Jacobi step zeroing a[i, p, q] for each member i in ``m``, in place.
 
+    ``av`` stacks each member's A over its V, shape (B, 2n, n); the step is
+    A <- J^dag A J and V <- V J, and ``mag`` is |a[m, p, q]|.  Every
+    operation is elementwise, one member per row, so each member gets the
+    bits of a one-matrix rotation.
+    """
+    phase = av[m, p, q] / mag
+    diff = av[m, p, p].real - av[m, q, q].real
+    theta = 0.5 * np.array(
+        [math.atan2(y, x) for y, x in zip((2.0 * mag).tolist(), diff.tolist())]
+    )
+    c = np.cos(theta)[:, None]
+    s = np.sin(theta)
+    sp = (s * phase)[:, None]
+    spc = (s * phase.conj())[:, None]
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi step zeroing a[p, q]: A <- J^dag A J, V <- V J (in place)."""
-    apq = a[p, q]
-    mag = abs(apq)
-    phase = apq / mag
-    theta = 0.5 * math.atan2(2.0 * mag, a[p, p].real - a[q, q].real)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    sp = s * phase
-    spc = s * phase.conjugate()
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + spc * col_q
-    a[:, q] = -sp * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + sp * row_q
-    a[q, :] = -spc * row_p + c * row_q
-
-    col_p = v[:, p].copy()
-    col_q = v[:, q].copy()
-    v[:, p] = c * col_p + spc * col_q
-    v[:, q] = -sp * col_p + c * col_q
+    col_p = av[m, :, p]
+    col_q = av[m, :, q]
+    av[m, :, p] = c * col_p + spc * col_q
+    av[m, :, q] = -sp * col_p + c * col_q
+    row_p = av[m, p, :]
+    row_q = av[m, q, :]
+    av[m, p, :] = c * row_p + sp * row_q
+    av[m, q, :] = -spc * row_p + c * row_q
 
 
 def eig_hermitian(h: np.ndarray) -> Eigensystem:
-    """Diagonalize a Hermitian matrix with cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix, or a stack of them, by cyclic Jacobi.
 
     Parameters
     ----------
-    h : complex Hermitian matrix.
+    h : complex Hermitian matrix, shape (n, n), or a stack of B of them,
+        shape (B, n, n).
 
     Returns
     -------
     Eigensystem with ascending eigenvalues and phase-fixed column
-    eigenvectors (see module docstring for the tie-break rule).
+    eigenvectors (see module docstring for the tie-break rule); for a stack
+    its arrays have shapes (B, n) and (B, n, n).  Each member of a stack
+    gets the bits it would get alone.
 
     Raises
     ------
-    NotHermitian if ``h`` is not Hermitian within HERMITICITY_TOL,
-    NoConvergence if the sweep budget is exhausted.
+    NotHermitian if a member is not Hermitian within HERMITICITY_TOL,
+    NoConvergence if a member exhausts the sweep budget; for a stack the
+    message names the member.
     """
     h = np.asarray(h, dtype=np.complex128)
-    n = require_square(h)
-    require_hermitian(h)
+    stacked = h.ndim == 3
+    if not stacked:
+        require_square(h)
+        h = h[None]
+    elif h.shape[1] != h.shape[2]:
+        raise DimMismatch(f"expected a stack of square matrices, got shape {h.shape}")
 
-    a = h.copy()
-    v = np.eye(n, dtype=np.complex128)
-    # absolute threshold below which an off-diagonal entry counts as zero
-    stop = 1e-13 * max(1.0, float(np.max(np.abs(a)))) if n else 0.0
+    def member(i: int) -> str:  # errors from a stack name the member
+        return f"member {i}: " if stacked else ""
+
+    for i, mat in enumerate(h):
+        try:
+            require_hermitian(mat)
+        except NotHermitian as exc:
+            raise NotHermitian(f"{member(i)}{exc}") from None
+
+    b, n = h.shape[:2]
+    av = np.zeros((b, 2 * n, n), dtype=np.complex128)
+    av[:, :n] = h
+    av[:, n + np.arange(n), np.arange(n)] = 1.0
+    a = av[:, :n]
+    # absolute threshold, per member, below which an off-diagonal entry
+    # counts as zero
+    stop = np.array([1e-13 * max(1.0, float(np.max(np.abs(mat), initial=0.0)))
+                     for mat in h])
 
     for _ in range(JACOBI_SWEEP_BUDGET):
-        rotated = False
+        rotated = np.zeros(b, dtype=bool)
         for p in range(n - 1):
             for q in range(p + 1, n):
-                if abs(a[p, q]) > stop:
-                    _jacobi_rotate(a, v, p, q)
-                    rotated = True
-        if not rotated:
+                apq = a[:, p, q]
+                mag = np.hypot(apq.real, apq.imag)
+                live = mag > stop
+                if live.any():
+                    m = live.nonzero()[0]
+                    _jacobi_rotate(av, m, p, q, mag[m])
+                    rotated |= live
+        if not rotated.any():
             break
     else:
-        off = float(np.max(np.abs(a - np.diag(a.diagonal()))))
-        if off > stop:
-            raise NoConvergence(
-                f"off-diagonal {off:.3e} after {JACOBI_SWEEP_BUDGET} sweeps"
-            )
+        for i in np.flatnonzero(rotated):
+            off = float(np.max(np.abs(a[i] - np.diag(a[i].diagonal()))))
+            if off > stop[i]:
+                raise NoConvergence(
+                    f"{member(i)}off-diagonal {off:.3e} after {JACOBI_SWEEP_BUDGET} sweeps"
+                )
 
-    values = a.diagonal().real.copy()
-    columns = [normalize_phase(v[:, l].copy()) for l in range(n)]
-    order = sorted(
-        range(n), key=lambda l: (float(values[l]), _vector_sort_key(columns[l]))
-    )
-    eigenvalues = np.array([values[l] for l in order])
-    eigenvectors = np.column_stack([columns[l] for l in order]) if n else v
+    values = np.diagonal(a, axis1=1, axis2=2).real
+    rows = normalize_phase(av[:, n:].transpose(0, 2, 1).copy())  # row l is eigenvector l
+    # sort by eigenvalue, then by the components (re, im) in turn; lexsort
+    # is stable and takes its primary key last
+    keys = [values]
+    for k in range(n):
+        keys += [rows[:, :, k].real, rows[:, :, k].imag]
+    order = np.lexsort(keys[::-1], axis=-1)
+    eigenvalues = np.take_along_axis(values, order, axis=-1)
+    picked = np.take_along_axis(rows, order[:, :, None], axis=1)
+    eigenvectors = picked.transpose(0, 2, 1).copy()
+    if not stacked:
+        return Eigensystem(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])
     return Eigensystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 

@@ -7,6 +7,8 @@ expansions.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -79,3 +81,75 @@ def bloch_vector(theta: float, phi: float) -> np.ndarray:
     return np.array(
         [np.cos(0.5 * theta), np.exp(1j * phi) * np.sin(0.5 * theta)]
     )
+
+
+def _phase_fixed(vec: np.ndarray) -> np.ndarray:
+    for c in vec:
+        if abs(c) > 1e-12:
+            return vec * (c.conjugate() / abs(c))
+    return vec
+
+
+def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
+    """One Jacobi step zeroing a[p, q]: A <- J^dag A J, V <- V J (in place)."""
+    apq = a[p, q]
+    mag = abs(apq)
+    phase = apq / mag
+    theta = 0.5 * math.atan2(2.0 * mag, a[p, p].real - a[q, q].real)
+    c = math.cos(theta)
+    s = math.sin(theta)
+    sp = s * phase
+    spc = s * phase.conjugate()
+
+    col_p = a[:, p].copy()
+    col_q = a[:, q].copy()
+    a[:, p] = c * col_p + spc * col_q
+    a[:, q] = -sp * col_p + c * col_q
+    row_p = a[p, :].copy()
+    row_q = a[q, :].copy()
+    a[p, :] = c * row_p + sp * row_q
+    a[q, :] = -spc * row_p + c * row_q
+
+    col_p = v[:, p].copy()
+    col_q = v[:, q].copy()
+    v[:, p] = c * col_p + spc * col_q
+    v[:, q] = -sp * col_p + c * col_q
+
+
+def eig_hermitian_scalar(h: np.ndarray, budget: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """The one-matrix cyclic Jacobi diagonalizer, one rotation at a time.
+
+    Returns ``(eigenvalues, eigenvectors)`` with the package's conventions:
+    ascending eigenvalues, column eigenvectors whose first component above
+    1e-12 is real and positive, ties broken by comparing the phase-fixed
+    components.  Raises ``RuntimeError`` if ``budget`` sweeps do not
+    converge.  This is the reference the stacked diagonalizer must match
+    bit for bit.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    n = h.shape[0]
+    a = h.copy()
+    v = np.eye(n, dtype=np.complex128)
+    stop = 1e-13 * max(1.0, float(np.max(np.abs(a)))) if n else 0.0
+
+    for _ in range(budget):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(a[p, q]) > stop:
+                    _jacobi_rotate(a, v, p, q)
+                    rotated = True
+        if not rotated:
+            break
+    else:
+        off = float(np.max(np.abs(a - np.diag(a.diagonal()))))
+        if off > stop:
+            raise RuntimeError(f"off-diagonal {off:.3e} after {budget} sweeps")
+
+    values = a.diagonal().real.copy()
+    columns = [_phase_fixed(v[:, l].copy()) for l in range(n)]
+    key = [tuple((float(c.real), float(c.imag)) for c in col) for col in columns]
+    order = sorted(range(n), key=lambda l: (float(values[l]), key[l]))
+    eigenvalues = np.array([values[l] for l in order])
+    eigenvectors = np.column_stack([columns[l] for l in order]) if n else v
+    return eigenvalues, eigenvectors

@@ -239,6 +239,23 @@ def text_tau_args(tmp_path):
     return run_args(tmp_path, env_kind="file", operator_file=str(operator), env_seed=None)
 
 
+def non_hermitian_operator(tmp_path):
+    operator = tmp_path / "op.json"
+    operator.write_text(json.dumps({"dim": 2, "tau": 1.0, "entries_re": [[0, 1], [0, 0]],
+                                    "entries_im": [[0, 0], [0, 0]]}))
+    return str(operator)
+
+
+def non_hermitian_verify_args(tmp_path):
+    argv = verify_args(tmp_path, np.eye(2))
+    argv[argv.index("--operator") + 1] = non_hermitian_operator(tmp_path)
+    return argv
+
+
+def gen_operator_args(tmp_path, *args):
+    return ["gen-operator", "--kind", "random", *args, "--out", str(tmp_path / "o.json")]
+
+
 def undecodable_operator_args(tmp_path):
     argv = verify_args(tmp_path, np.eye(2))
     (tmp_path / "sx.json").write_bytes(b"\x80\x81")
@@ -259,6 +276,17 @@ MALFORMED = {
     "verify-dim-mismatch": lambda tmp_path: verify_args(tmp_path, np.eye(4)),
     "verify-non-unitary": lambda tmp_path: verify_args(tmp_path, np.zeros((2, 2))),
     "verify-undecodable-operator": undecodable_operator_args,
+    "verify-non-hermitian-operator": non_hermitian_verify_args,
+    "run-non-hermitian-operator": lambda tmp_path: run_args(
+        tmp_path, env_kind="file", operator_file=non_hermitian_operator(tmp_path),
+        env_seed=None,
+    ),
+    "gen-operator-negative-seed": lambda tmp_path: gen_operator_args(
+        tmp_path, "--dim", "2", "--seed", "-1"),
+    "gen-operator-dim-out-of-range": lambda tmp_path: gen_operator_args(
+        tmp_path, "--dim", "100"),
+    "gen-operator-nan-tau": lambda tmp_path: gen_operator_args(
+        tmp_path, "--dim", "2", "--tau", "nan"),
 }
 
 

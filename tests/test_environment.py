@@ -20,22 +20,44 @@ def test_env_from_matrix_caches_propagator():
 
 
 def test_oracle_returns_the_decomposition_behind_the_propagator(monkeypatch):
-    calls = []
+    decompositions = []  # matrices diagonalized, one entry per call
     real = linalg.eig_hermitian
-    monkeypatch.setattr(linalg, "eig_hermitian", lambda h: calls.append(1) or real(h))
+
+    def counting(h):
+        decompositions.append(len(h) if np.ndim(h) == 3 else 1)
+        return real(h)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", counting)
     h = np.array([[1.0, 0.2 - 0.1j], [0.2 + 0.1j, -1.0]])
     env = envm.env_from_matrix(h, tau=0.8)
-    assert len(calls) == 1
+    assert decompositions == [1]
     system = env.eigensystem_oracle()
-    assert system is env.eigensystem_oracle() and len(calls) == 1
+    assert system is env.eigensystem_oracle() and decompositions == [1]
     fresh = real(env.operator)
     assert system.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
     assert system.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
     assert not system.eigenvectors.flags.writeable
-    calls.clear()
+    decompositions.clear()
     envm.env_random(3, 1.0, seed=4).eigensystem_oracle()
-    assert len(calls) == 2  # one draw's spread, one for the rescaled operator
+    assert decompositions == [1, 1]  # one draw's spread, one for the rescaled operator
+    decompositions.clear()
+    envm.envs_random(3, 1.0, [4, 5, 6])
+    assert decompositions == [3, 3]  # the same two per environment, in two stacked calls
     assert env.unitary.tobytes() == linalg.unitary_from_hermitian(h, 0.8).tobytes()
+
+
+def test_environments_built_together_equal_lone_ones():
+    seeds = [4, 5, 6, 7]
+    for env, seed in zip(envm.envs_random(5, 0.7, seeds), seeds):
+        lone = envm.env_random(5, 0.7, seed)
+        assert env.operator.tobytes() == lone.operator.tobytes()
+        assert env.unitary.tobytes() == lone.unitary.tobytes()
+        ours, theirs = env.eigensystem_oracle(), lone.eigensystem_oracle()
+        assert ours.eigenvalues.tobytes() == theirs.eigenvalues.tobytes()
+        assert ours.eigenvectors.tobytes() == theirs.eigenvectors.tobytes()
+        assert not ours.eigenvectors.flags.writeable
+    with pytest.raises(BadDim):
+        envm.envs_random(1, 1.0, seeds)
 
 
 def test_env_from_matrix_rejections():
@@ -220,5 +242,5 @@ class TestOperatorFiles:
                 }
             )
         )
-        with pytest.raises(NotHermitian):
-            envm.env_from_matrix(*envm.load_operator(str(path)))
+        with pytest.raises(ConfigError, match="not Hermitian"):
+            envm.load_operator(str(path))

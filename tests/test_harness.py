@@ -206,6 +206,33 @@ class TestBuildEnvironment:
         assert not np.allclose(a0.operator, a1.operator)
         np.testing.assert_array_equal(a0.operator, again.operator)
 
+    def test_run_builds_resampled_environments_together_with_the_lone_bits(
+        self, monkeypatch
+    ):
+        cfg = small_config(dim=5, repetitions=6, resample_env_per_repetition=True,
+                           stopping=StoppingRule(kind="fixed-budget", budgets=(20,) * 4))
+        shapes, built = [], []
+        real_eig, real_black_box = linalg.eig_hermitian, harness._black_box
+        monkeypatch.setattr(
+            linalg, "eig_hermitian", lambda h: shapes.append(np.shape(h)) or real_eig(h)
+        )
+        monkeypatch.setattr(
+            harness, "_black_box", lambda envs: built.append(envs) or real_black_box(envs)
+        )
+        harness.run_experiment(cfg)
+        # one stacked call for the spreads, one for the rescaled operators
+        assert shapes == [(6, 5, 5), (6, 5, 5)]
+        monkeypatch.setattr(linalg, "eig_hermitian", real_eig)
+        (envs,) = built
+        assert len(envs) == cfg.repetitions
+        for i, env in enumerate(envs):
+            lone = harness.build_environment(cfg, i)
+            assert env.operator.tobytes() == lone.operator.tobytes()
+            assert env.unitary.tobytes() == lone.unitary.tobytes()
+            ours, theirs = env.eigensystem_oracle(), lone.eigensystem_oracle()
+            assert ours.eigenvalues.tobytes() == theirs.eigenvalues.tobytes()
+            assert ours.eigenvectors.tobytes() == theirs.eigenvectors.tobytes()
+
     def test_file_kind_uses_config_tau(self, tmp_path):
         path = tmp_path / "op.json"
         save_operator(str(path), np.diag([-1.0, 1.0]).astype(complex), tau=9.9)

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from eigenrl import linalg
-from eigenrl.errors import DimMismatch, NotHermitian
+from eigenrl.errors import DimMismatch, NoConvergence, NotHermitian
 from eigenrl.linalg import RotationAngles
 
 
@@ -98,6 +98,82 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             linalg.eig_hermitian(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def sweeps_needed(h):
+    """Fewest sweeps the one-matrix reference needs to converge on ``h``."""
+    for budget in range(1, linalg.JACOBI_SWEEP_BUDGET + 1):
+        try:
+            oracles.eig_hermitian_scalar(h, budget=budget)
+            return budget
+        except RuntimeError:
+            pass
+    raise AssertionError("the reference does not converge")
+
+
+def mixed_stack(rng):
+    """GUE draws at d = 16 plus members that rotate never, rarely or at
+    another scale, and ones with degenerate eigenvalues."""
+    d = 16
+    gue = [oracles.random_hermitian(rng, d) for _ in range(40)]
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    degenerate = (q * np.repeat([-1.0, 0.5, 2.0, 3.0], 4)) @ q.conj().T
+    degenerate = 0.5 * (degenerate + degenerate.conj().T)
+    diagonal = np.diag(np.linspace(2.0, -1.0, d)).astype(np.complex128)
+    nearly_diagonal = diagonal + 1e-3 * oracles.random_hermitian(rng, d)
+    blocks = np.kron(np.eye(2), oracles.random_hermitian(rng, d // 2))
+    return np.stack(gue + [
+        diagonal, np.eye(d, dtype=np.complex128), degenerate, nearly_diagonal,
+        blocks, 1e3 * oracles.random_hermitian(rng, d),
+    ])
+
+
+def assert_members_match_reference(stack):
+    es = linalg.eig_hermitian(stack)
+    assert es.eigenvalues.shape == stack.shape[:2] and es.eigenvectors.shape == stack.shape
+    for i, h in enumerate(stack):
+        values, vectors = oracles.eig_hermitian_scalar(h)
+        assert es.eigenvalues[i].tobytes() == values.tobytes(), i
+        assert es.eigenvectors[i].tobytes() == vectors.tobytes(), i
+    return es
+
+
+def test_stacked_jacobi_matches_the_one_matrix_solver_bit_for_bit():
+    rng = np.random.default_rng(61)
+    stack = mixed_stack(rng)
+    es = assert_members_match_reference(stack)
+    # members stop after different numbers of sweeps; the diagonal one is
+    # never rotated, and the degenerate ones exercise the tie-break sort
+    assert len({sweeps_needed(stack[i]) for i in (0, 40, 43)}) == 3
+    assert set(np.abs(es.eigenvectors[40]).ravel()) == {0.0, 1.0}
+    assert np.all(es.eigenvalues[41] == 1.0)
+    assert np.sum(np.diff(es.eigenvalues[42]) == 0.0) > 0
+    assert np.all(es.eigenvalues[44][::2] == es.eigenvalues[44][1::2])
+    # a lone matrix is a stack of one
+    for i in (0, 42, 43):
+        lone = linalg.eig_hermitian(stack[i])
+        assert lone.eigenvalues.tobytes() == es.eigenvalues[i].tobytes()
+        assert lone.eigenvectors.tobytes() == es.eigenvectors[i].tobytes()
+        assert lone.eigenvectors.flags.c_contiguous
+    two = [oracles.random_hermitian(rng, 2) for _ in range(6)]
+    two += [SX, np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, -0.5j], [0.5j, 0.0]])]
+    assert_members_match_reference(np.array(two, dtype=np.complex128))
+
+
+def test_stacked_jacobi_names_the_member_that_does_not_converge(monkeypatch):
+    rng = np.random.default_rng(67)
+    diagonal = np.diag([3.0, 1.0, -2.0, 0.5]).astype(np.complex128)
+    hard = oracles.random_hermitian(rng, 4)
+    monkeypatch.setattr(linalg, "JACOBI_SWEEP_BUDGET", 2)
+    with pytest.raises(RuntimeError) as ref:
+        oracles.eig_hermitian_scalar(hard, budget=2)
+    with pytest.raises(NoConvergence) as exc:
+        linalg.eig_hermitian(np.stack([diagonal, diagonal, hard, hard]))
+    assert str(exc.value) == f"member 2: {ref.value}"
+    with pytest.raises(NoConvergence) as exc:
+        linalg.eig_hermitian(hard)
+    assert str(exc.value) == str(ref.value)
+    linalg.eig_hermitian(np.stack([diagonal, diagonal]))
 
 
 class TestPropagator:

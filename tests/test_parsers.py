@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigenrl import harness, protocol
+from eigenrl import harness, linalg, protocol
 from eigenrl.environment import operator_from_json
 from eigenrl.errors import ConfigError
 from eigenrl.linalg import MAX_DIM, MIN_DIM
@@ -147,6 +147,8 @@ VALID_OPERATOR = {
 @given(st.text(max_size=40) | perturbed(VALID_OPERATOR).map(as_text))
 @example(as_text({**VALID_OPERATOR, "tau": "abc"}))
 @example(as_text({**VALID_OPERATOR, "tau": math.nan}))
+@example(as_text({**VALID_OPERATOR, "entries_re": [[0, 1], [0, 0]]}))
+@example(as_text({**VALID_OPERATOR, "entries_im": [[0, 0.25], [0.25, 0]]}))
 def test_operator_from_json_raises_only_config_error(text):
     try:
         operator, tau = operator_from_json(text)
@@ -154,6 +156,7 @@ def test_operator_from_json_raises_only_config_error(text):
         return
     assert math.isfinite(tau)
     assert operator.shape == (2, 2) and np.isfinite(operator).all()
+    assert linalg.hermiticity_defect(operator) <= linalg.HERMITICITY_TOL
 
 
 VALID_BASIS = {
