@@ -98,6 +98,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if finite_number(args.tol, "--tol") < 0.0:
+        raise ConfigError(f"--tol must be >= 0, got {args.tol}")
     operator, _ = load_operator(args.operator)
     basis = harness.load_basis(args.d_matrix)
     if basis.shape != operator.shape:

@@ -487,10 +487,10 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every repetition in lockstep and reduce them in index order.
 
-    Repetition ``i`` is the agent ``AgentState(dim, params,
-    derive_seed(seed, i))`` run against ``build_environment(config, i)``;
-    the lockstep engine reproduces it bit for bit.  Resampled environments
-    are built together, with the same bits.
+    Repetition ``i`` is member ``i`` of one ensemble, run against
+    ``build_environment(config, i)``; it has the bits of the one-member
+    view ``AgentState(dim, params, derive_seed(seed, i))`` running alone.
+    Resampled environments are built together, with the same bits.
     """
     n = config.repetitions
     if config.resample_env_per_repetition:
@@ -633,8 +633,10 @@ def load_basis(path: str) -> np.ndarray:
 def record_trace(config: ExperimentConfig, path: str, rep_index: int = 0) -> str:
     """Re-run one repetition and write its full decision trace.
 
-    Returns the SHA-256 of the final basis, the same hash the trace footer
-    stores and ``replay_trace`` recomputes.
+    The repetition runs through the one engine as a one-member
+    ``AgentState``, so it makes the decisions it made in
+    ``run_experiment``.  Returns the SHA-256 of the final basis, the same
+    hash the trace footer stores and ``replay_trace`` recomputes.
     """
     if not 0 <= rep_index < config.repetitions:
         raise OutOfRange(

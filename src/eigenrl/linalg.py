@@ -58,11 +58,6 @@ class Eigensystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Return ``sum_l lambda_l |l><l|`` (of one matrix)."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 @dataclass(frozen=True)
 class RotationAngles:
@@ -217,11 +212,6 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
     if not stacked:
         return Eigensystem(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])
     return Eigensystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def unitary_from_hermitian(h: np.ndarray, tau: float) -> np.ndarray:
-    """Return ``exp(-i tau H)`` through the spectral decomposition of H."""
-    return unitary_from_eigensystem(eig_hermitian(h), tau)
 
 
 def unitary_from_eigensystem(es: Eigensystem, tau: float) -> np.ndarray:

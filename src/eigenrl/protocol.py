@@ -1,8 +1,8 @@
 """Measurement-feedback learning loop.
 
-An :class:`AgentState` holds an orthonormal basis (one column per basis
-state) and adapts it from single-shot measurement outcomes alone.  Each
-iteration at stage ``t``:
+An agent holds an orthonormal basis (one column per basis state) and
+adapts it from single-shot measurement outcomes alone.  Each iteration at
+stage ``t``:
 
 1. prepare the probe, column ``t`` of the basis;
 2. send it through the black box (an opaque ``interact`` callable — the
@@ -20,10 +20,12 @@ A stage ends when its stopping rule fires; the search range then resets
 and the next column is learned.  The last column needs no stage of its
 own, being pinned by unitarity.
 
-:class:`AgentState` is the reference implementation, one agent at a time,
-and the path that records traces.  :class:`EnsembleState` advances many
-independently seeded agents in lockstep with stacked array operations and
-reproduces every member of it bit for bit; :func:`run_stages` drives both.
+There is one engine: :class:`EnsembleState` advances many independently
+seeded agents in lockstep with stacked array operations, and every check,
+draw and update lives there.  :class:`AgentState` is its one-member view,
+which keeps the one-agent interface (a scalar black box, one outcome per
+call, :class:`IterationRecord` results) and records traces.
+:func:`run_stages` drives both.
 
 Punish angles are drawn in the fixed order x, z, y from the per-agent
 generator, using the pre-update ``w``, so runs are reproducible and a
@@ -70,6 +72,9 @@ _DRAWS_PER_ITERATION = 4
 
 #: positions of phi_x, phi_y, phi_z among the three punish draws (x, z, y)
 _DRAWN_XYZ = np.array([[0], [2], [1]])
+
+#: the punish angles of an iteration that punished no member
+_NO_ANGLES = np.empty((3, 0))
 
 TRACE_FORMAT = "eigenrl-trace-1"
 
@@ -160,128 +165,6 @@ def _apply_block(basis: np.ndarray, t: int, m: int, block: np.ndarray) -> None:
     basis[:, (t, m)] = basis[:, (t, m)] @ block
 
 
-class AgentState:
-    """Mutable learning state: the adapting basis plus feedback bookkeeping.
-
-    ``n_r``, ``n_p`` and ``n_neutral`` count the current stage only; they
-    reset together with ``w`` when the stage advances, which keeps the
-    ledger identity ``w = w1 * r**n_r * p**n_p`` valid per stage whenever
-    the search range is uncapped (``w_cap`` infinite, the default).
-    """
-
-    __slots__ = ("dim", "params", "rng", "basis", "w", "stage", "k",
-                 "n_r", "n_p", "n_neutral")
-
-    def __init__(self, dim: int, params: RewardParams, seed: int) -> None:
-        if dim < 2:
-            raise BadDim(f"need dim >= 2, got {dim}")
-        self.dim = dim
-        self.params = params
-        self.rng = np.random.default_rng(seed)
-        self.basis = np.eye(dim, dtype=np.complex128)
-        self.w = params.w1
-        self.stage = 0
-        self.k = 1
-        self.n_r = 0
-        self.n_p = 0
-        self.n_neutral = 0
-
-    @property
-    def stage_iterations(self) -> int:
-        """Iterations spent in the current stage."""
-        return self.n_r + self.n_p + self.n_neutral
-
-    def prepare_probe(self) -> np.ndarray:
-        """Column ``stage`` of the basis (a read-only view)."""
-        return self.basis[:, self.stage]
-
-    def measure(self, evolved: np.ndarray) -> int:
-        """Sample one outcome from the Born weights of ``evolved`` in the basis."""
-        if evolved.shape != (self.dim,):
-            raise DimMismatch(
-                f"state shape {evolved.shape}, expected ({self.dim},)"
-            )
-        amps = evolved @ self.basis.conj()
-        q = amps.real**2 + amps.imag**2
-        total = float(q.sum())
-        if not abs(total - 1.0) < BORN_TOL:
-            raise NotNormalized(f"Born weights sum to {total!r}, not 1")
-        u = self.rng.random() * total
-        acc = 0.0
-        for j in range(self.dim - 1):
-            acc += float(q[j])
-            if u < acc:
-                return j
-        return self.dim - 1
-
-    def decide_and_update(self, m: int) -> IterationRecord:
-        """Apply the feedback for outcome ``m`` and advance the counter."""
-        if not 0 <= m < self.dim:
-            raise OutOfRange(f"outcome {m} outside [0, {self.dim})")
-        t = self.stage
-        k = self.k
-        angles = None
-        if m == t:
-            self.w *= self.params.r
-            self.n_r += 1
-            classification = REWARD
-        elif m > t:
-            bound = min(self.w * math.pi, MAX_DRAW_BOUND)
-            draw = self.rng.uniform(-bound, bound, 3)  # order: x, z, y
-            angles = RotationAngles(
-                phi_x=float(draw[0]), phi_y=float(draw[2]), phi_z=float(draw[1])
-            )
-            _apply_block(self.basis, t, m, linalg.rotation_block(angles))
-            self.w = min(self.w * self.params.p, self.params.w_cap)
-            self.n_p += 1
-            classification = PUNISH
-        else:
-            self.n_neutral += 1
-            classification = NEUTRAL
-        self.k = k + 1
-        if k % REORTHONORMALIZE_EVERY == 0:
-            linalg.gram_schmidt(self.basis)
-        return IterationRecord(
-            k=k,
-            stage=t,
-            outcome=m,
-            classification=classification,
-            angles=angles,
-            w_after=self.w,
-        )
-
-    def step(self, interact: Callable[[np.ndarray], np.ndarray]) -> IterationRecord:
-        """Run one full iteration against the black box."""
-        evolved = interact(self.prepare_probe())
-        return self.decide_and_update(self.measure(evolved))
-
-    def stage_converged(self, rule: StoppingRule) -> bool:
-        done = self.stage_iterations
-        if rule.kind == "fixed-budget":
-            return done >= rule.budgets[self.stage]
-        return self.w < rule.w_min or done >= rule.max_iterations
-
-    @property
-    def finished(self) -> bool:
-        """True once every stage has been learned."""
-        return self.stage >= self.dim - 1
-
-    def advance_converged(self, rule: StoppingRule) -> None:
-        """Advance the stage if the rule says it is done."""
-        if self.stage_converged(rule):
-            self.advance_stage()
-
-    def advance_stage(self) -> None:
-        """Fix the current column and start learning the next one."""
-        if self.stage >= self.dim - 1:
-            raise StageOverflow(f"no stage after {self.stage} at dim {self.dim}")
-        self.stage += 1
-        self.w = self.params.w1
-        self.n_r = 0
-        self.n_p = 0
-        self.n_neutral = 0
-
-
 @dataclass(frozen=True, eq=False)
 class EnsembleRecord:
     """What one lockstep iteration did, for the members that ran it."""
@@ -291,17 +174,21 @@ class EnsembleRecord:
     stage: np.ndarray    # (n,) stage each of them ran it in
     outcome: np.ndarray  # (n,)
     w_after: np.ndarray  # (n,)
+    #: (3, h) rows phi_x, phi_y, phi_z of the h punished members, in the
+    #: order of ``members[outcome > stage]``
+    angles: np.ndarray
 
 
 class EnsembleState:
     """Independently seeded agents advanced together, one iteration at a time.
 
-    Member ``i`` reproduces ``AgentState(dim, params, seeds[i])`` bit for
-    bit.  Each step evolves the probes of all running members in one
-    batched black-box call and applies the arithmetic of
-    :class:`AgentState` in stacked form.  Each member reads its doubles in
+    Member ``i`` is the agent ``AgentState(dim, params, seeds[i])``: how
+    many members run beside it changes none of its bits.  Each step evolves
+    the probes of all running members in one batched black-box call and
+    applies the feedback in stacked form, and each stacked form gives the
+    bits of the one-agent arithmetic.  Each member reads its doubles in
     order from a small buffer pre-drawn from its own generator, which gives
-    the same values as the scalar draws.
+    the same values as drawing them one at a time.
 
     A member runs until its own stopping rule has closed its last stage,
     so threshold runs end at different iterations; ``active`` lists the
@@ -356,7 +243,7 @@ class EnsembleState:
         return self.bases[self.active, :, self.stage[self.active]]
 
     def measure(self, evolved: np.ndarray) -> np.ndarray:
-        """One outcome per running member, sampled as ``AgentState.measure`` does."""
+        """One outcome per running member, sampled from its Born weights."""
         members = self.active
         if evolved.shape != (len(members), self.dim):
             raise DimMismatch(
@@ -388,6 +275,7 @@ class EnsembleState:
         reward = outcomes == t
         punish = outcomes > t
         w_after = np.where(reward, w * self.params.r, w)
+        angles = _NO_ANGLES
         hit = np.nonzero(punish)[0]
         if hit.size:
             who = members[hit]
@@ -397,7 +285,8 @@ class EnsembleState:
             # drawn in the order x, z, y; gathered as the rows x, y, z
             draws = self._draws[who, cursor + _DRAWN_XYZ]
             self._cursor[who] = cursor + 3
-            blocks = linalg.rotation_blocks(low + (bound - low) * draws)
+            angles = low + (bound - low) * draws
+            blocks = linalg.rotation_blocks(angles)
             cols = np.array((t[hit], outcomes[hit])).T[:, None, :]
             at = (who[:, None, None], self._row_index, cols)  # (n, dim, 2) pairs
             self.bases[at] = self.bases[at] @ blocks
@@ -412,7 +301,8 @@ class EnsembleState:
             for i in members:
                 linalg.gram_schmidt(self.bases[i])
         return EnsembleRecord(
-            k=k, members=members, stage=t, outcome=outcomes, w_after=w_after
+            k=k, members=members, stage=t, outcome=outcomes, w_after=w_after,
+            angles=angles,
         )
 
     def step(
@@ -457,6 +347,101 @@ class EnsembleState:
             self.advance_stage(self.active[converged])
 
 
+def _lone(field: str, kind: type) -> property:
+    """The one member's entry of an ensemble array, as a plain number."""
+    return property(lambda agent: kind(getattr(agent._one, field)[0]))
+
+
+class AgentState:
+    """One agent: the one-member view of an :class:`EnsembleState`.
+
+    It holds no arithmetic of its own; the checks, draws and updates are
+    the ensemble's.  ``n_r``, ``n_p`` and ``n_neutral`` count the current
+    stage only; they reset together with ``w`` when the stage advances,
+    which keeps the ledger identity ``w = w1 * r**n_r * p**n_p`` valid per
+    stage whenever the search range is uncapped (``w_cap`` infinite, the
+    default).
+    """
+
+    __slots__ = ("dim", "params", "_one")
+
+    def __init__(self, dim: int, params: RewardParams, seed: int) -> None:
+        self._one = EnsembleState(dim, params, [seed])
+        self.dim = dim
+        self.params = params
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The adapting basis, a writable view."""
+        return self._one.bases[0]
+
+    w = _lone("w", float)
+    stage = _lone("stage", int)
+    n_r = _lone("n_r", int)
+    n_p = _lone("n_p", int)
+    n_neutral = _lone("n_neutral", int)
+
+    @w.setter
+    def w(self, value: float) -> None:
+        self._one.w[0] = value
+
+    @property
+    def k(self) -> int:
+        """The number of the next iteration: one more than the calls made."""
+        return self._one.iteration
+
+    @property
+    def finished(self) -> bool:
+        """True once every stage has been learned."""
+        return self._one.finished
+
+    def measure(self, evolved: np.ndarray) -> int:
+        """Sample one outcome from the Born weights of ``evolved`` in the basis."""
+        self._one._refill()
+        return int(self._one.measure(evolved[None])[0])
+
+    def decide_and_update(self, m: int) -> IterationRecord:
+        """Apply the feedback for outcome ``m`` and advance the counter.
+
+        An uncapped runaway ``w`` overflows to ``inf``, the value of the
+        bare update, without a warning.
+        """
+        self._one._refill()
+        with np.errstate(over="ignore"):
+            rec = self._one.decide_and_update(np.array([m]))
+        t, m = int(rec.stage[0]), int(rec.outcome[0])
+        angles = None
+        if m == t:
+            classification = REWARD
+        elif m > t:
+            x, y, z = rec.angles[:, 0].tolist()
+            angles = RotationAngles(phi_x=x, phi_y=y, phi_z=z)
+            classification = PUNISH
+        else:
+            classification = NEUTRAL
+        return IterationRecord(
+            k=rec.k,
+            stage=t,
+            outcome=m,
+            classification=classification,
+            angles=angles,
+            w_after=float(rec.w_after[0]),
+        )
+
+    def step(self, interact: Callable[[np.ndarray], np.ndarray]) -> IterationRecord:
+        """Run one full iteration against the black box."""
+        evolved = interact(self._one.prepare_probes()[0])
+        return self.decide_and_update(self.measure(evolved))
+
+    def advance_stage(self) -> None:
+        """Fix the current column and start learning the next one."""
+        self._one.advance_stage(np.zeros(1, dtype=np.intp))
+
+    def advance_converged(self, rule: StoppingRule) -> None:
+        """Advance the stage if the rule says it is done."""
+        self._one.advance_converged(rule)
+
+
 def validate_rule(dim: int, params: RewardParams, rule: StoppingRule) -> None:
     if rule.kind == "fixed-budget":
         if len(rule.budgets) < dim - 1:
@@ -481,14 +466,16 @@ def run_stages(
     :class:`EnsembleState`, with the batched ``interact(members, probes)``.
     ``observer(state, record)`` sees every iteration before the stopping
     rule is applied.  Returns ``state``, finished; its ``k - 1`` is the
-    number of black-box calls made.
+    number of black-box calls made.  An uncapped runaway ``w`` overflows
+    to ``inf``, the value of the bare update, without a warning.
     """
     validate_rule(state.dim, state.params, rule)
-    while not state.finished:
-        rec = state.step(interact)
-        if observer is not None:
-            observer(state, rec)
-        state.advance_converged(rule)
+    with np.errstate(over="ignore"):
+        while not state.finished:
+            rec = state.step(interact)
+            if observer is not None:
+                observer(state, rec)
+            state.advance_converged(rule)
     return state
 
 

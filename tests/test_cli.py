@@ -93,6 +93,24 @@ class TestRun:
         cfg = write_config(tmp_path, bogus=3)
         assert main(["run", "--config", str(cfg)]) == 2
 
+    def test_runaway_uncapped_search_range_runs_silently(self, tmp_path):
+        """An uncapped w that overflows to inf is the bare update: no warnings."""
+        cfg = write_config(
+            tmp_path, dim=4, env_seed=3, w_cap=None, repetitions=1, seed=7,
+            fidelity_mode="paper", record_every=1,
+            stopping={"kind": "fixed-budget", "budgets": [5000, 1, 1]},
+        )
+        out, trace = tmp_path / "o.csv", tmp_path / "rep0.trace"
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigenrl.cli", "run", "--config", str(cfg),
+             "--out", str(out), "--trace", str(trace)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        _, _, _, search, _ = harness.read_results(out)
+        assert np.isinf(search).any()  # the run did overflow
+
     def test_log_env_var_smoke(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRL_LOG", "DEBUG")
         cfg = write_config(tmp_path, repetitions=2)
@@ -287,6 +305,9 @@ MALFORMED = {
         tmp_path, "--dim", "100"),
     "gen-operator-nan-tau": lambda tmp_path: gen_operator_args(
         tmp_path, "--dim", "2", "--tau", "nan"),
+    "verify-nan-tol": lambda tmp_path: [*verify_args(tmp_path, np.eye(2)), "--tol", "nan"],
+    "verify-negative-tol": lambda tmp_path: [*verify_args(tmp_path, np.eye(2)), "--tol", "-1"],
+    "verify-infinite-tol": lambda tmp_path: [*verify_args(tmp_path, np.eye(2)), "--tol", "inf"],
 }
 
 

@@ -1,6 +1,7 @@
 """Experiment driver: config schema, aggregation, result files."""
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from eigenrl.environment import env_from_matrix, env_random, env_spin_x, save_op
 from eigenrl.errors import ConfigError, DimMismatch, ModeMismatch, OutOfRange
 from eigenrl.harness import ExperimentConfig, config_from_dict
 from eigenrl.protocol import StoppingRule
+from reference import AgentState, reference_experiment
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(**overrides):
@@ -342,7 +346,8 @@ def test_mean_search_range():
                                    "per-rep", w1=0.7)
     members = np.arange(2)
     rec = protocol.EnsembleRecord(k=1, members=members, stage=np.zeros(2, int),
-                                  outcome=np.zeros(2, int), w_after=np.array([0.9, 1.1]))
+                                  outcome=np.zeros(2, int), w_after=np.array([0.9, 1.1]),
+                                  angles=np.empty((3, 0)))
     fold.observe(ensemble, rec)
     search = fold.finalize(ensemble, [env_spin_x(1.0)]).search_curve
     assert search[0] == 0.7
@@ -371,7 +376,7 @@ class TestDiagResidual:
         # a one-repetition result reports the residual of its lone agent
         cfg = small_config(repetitions=1)
         env = harness.build_environment(cfg)
-        agent = protocol.AgentState(2, cfg.params, harness.derive_seed(cfg.seed, 0))
+        agent = AgentState(2, cfg.params, harness.derive_seed(cfg.seed, 0))
         protocol.run_stages(agent, env.interact, cfg.stopping)
         assert harness.run_experiment(cfg).diag_residual == harness.diag_residual(
             agent.basis, env.operator
@@ -541,78 +546,6 @@ class TestRunExperiment:
                 assert np.add.reduce(rows, axis=0).tobytes() == folded.tobytes()
 
 
-def reference_experiment(config):
-    """The loop that ran one repetition at a time, kept as the reference.
-
-    Returns the result it aggregates and every repetition's finished agent.
-    """
-    n, d = config.repetitions, config.dim
-    stride = config.record_every
-    w_sum, amp_sum, max_sum, stage_min = [], [], [], []
-    done_w, done_amp, done_max = 0.0, np.zeros((d, d)), np.zeros(d)
-    finals = np.empty((n, d, d))
-    residual_sum = 0.0
-    agents = []
-    for i in range(n):
-        env = harness.build_environment(config, i)
-        vecs = env.eigensystem_oracle().eigenvectors
-        seed = harness.derive_seed(config.seed, i)
-        agent = protocol.AgentState(d, config.params, seed)
-        rows = [(config.w1, 0, np.abs(vecs.conj().T @ agent.basis))]
-        last_w = [config.w1]
-
-        def observer(agent_now, rec):
-            last_w[0] = rec.w_after
-            if rec.k % stride == 0:
-                amp = np.abs(vecs.conj().T @ agent_now.basis)
-                rows.append((rec.w_after, rec.stage, amp))
-
-        protocol.run_stages(agent, env.interact, config.stopping, observer)
-        final_amp = np.abs(vecs.conj().T @ agent.basis)
-        last_max = rows[-1][2].max(axis=0)
-        while len(w_sum) < len(rows):  # grid grows: seed with finished reps
-            w_sum.append(done_w)
-            amp_sum.append(done_amp.copy())
-            max_sum.append(done_max.copy())
-            stage_min.append(d - 1 if i else d)
-        for j in range(len(w_sum)):
-            if j < len(rows):
-                w, stage, amp = rows[j]
-                mx = amp.max(axis=0)
-            else:  # carry this rep forward
-                w, stage, amp, mx = last_w[0], d - 1, final_amp, last_max
-            w_sum[j] += w
-            amp_sum[j] += amp
-            max_sum[j] += mx
-            stage_min[j] = min(stage_min[j], stage)
-        done_w += last_w[0]
-        done_amp += final_amp
-        done_max += last_max
-        finals[i] = final_amp
-        residual_sum += harness.diag_residual(agent.basis, env.operator)
-        agents.append(agent)
-    if config.fidelity_mode == "paper":
-        fidelity = np.stack(amp_sum).max(axis=1).T / n
-    else:
-        fidelity = np.stack(max_sum).T / n
-    metadata = {
-        "format": harness.RESULTS_FORMAT,
-        "config": harness.config_to_dict(config),
-        "code_version": harness.code_version(),
-        "longest_run": max(agent.k - 1 for agent in agents),
-    }
-    result = harness.ExperimentResult(
-        ks=np.arange(len(w_sum)) * stride,
-        stages=np.asarray(stage_min, dtype=np.int64),
-        fidelity_curves=np.minimum(fidelity, 1.0),
-        search_curve=np.asarray(w_sum) / n,
-        per_repetition_final=finals,
-        diag_residual=residual_sum / n,
-        metadata=metadata,
-    )
-    return result, agents
-
-
 class TestResultFiles:
     def test_csv_roundtrip_and_shape(self, tmp_path):
         res = harness.run_experiment(small_config(repetitions=6))
@@ -708,6 +641,28 @@ def test_record_trace_replays_clean(tmp_path):
     assert records[-1].k == 80
     with pytest.raises(OutOfRange):
         harness.record_trace(cfg, str(path), rep_index=4)
+
+
+@pytest.mark.parametrize("name", ["fig3_r09_nu2", "fig7_bell"])
+def test_record_trace_writes_the_bytes_of_the_reference_agent(tmp_path, name):
+    """The engine's one-member view writes the scalar reference's trace:
+    the same angles, ``w_after`` and ``k`` on every line and the same final
+    basis hash."""
+    config = harness.load_config(str(CONFIG_DIR / f"{name}.json"))
+    engine = tmp_path / "engine.trace"
+    harness.record_trace(config, str(engine))
+
+    seed = harness.derive_seed(config.seed, 0)
+    agent = AgentState(config.dim, config.params, seed)
+    records = []
+    protocol.run_stages(agent, harness.build_environment(config).interact,
+                        config.stopping, lambda a, rec: records.append(rec))
+    header = {"dim": config.dim, "rep_index": 0, "root_seed": config.seed,
+              "agent_seed": seed}
+    scalar = tmp_path / "reference.trace"
+    protocol.write_trace(str(scalar), header, records, agent.basis)
+    assert any(rec.classification == protocol.PUNISH for rec in records)
+    assert engine.read_bytes() == scalar.read_bytes()
 
 
 def test_threshold_convergence_couples_probe_to_outcome():

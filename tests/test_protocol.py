@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from eigenrl import linalg, protocol
 from eigenrl.environment import env_from_matrix, env_random
 from eigenrl.errors import (
@@ -334,9 +335,8 @@ def test_agent_sees_only_the_interaction_callable():
     for leak in ("environment", "eigensystem", "eig_hermitian", "fidelity"):
         assert leak not in source, f"protocol module references {leak!r}"
     # a bare callable is a fully sufficient black box
-    unitary = linalg.unitary_from_hermitian(
-        np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex), 1.0
-    )
+    sx = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    unitary = linalg.unitary_from_eigensystem(linalg.eig_hermitian(sx), 1.0)
     agent = AgentState(dim=2, params=default_params(), seed=1)
     rec = agent.step(lambda psi: unitary @ psi)
     assert rec.k == 1 and rec.stage == 0
@@ -361,7 +361,7 @@ class TestEnsemble:
         returned = run_stages(ensemble, batched, rule, observer)
         agents = []
         for i, seed in enumerate(seeds):
-            agent = AgentState(dim, default_params(w_cap=1.0), seed)
+            agent = reference.AgentState(dim, default_params(w_cap=1.0), seed)
             recs = []
             run_stages(agent, env.interact, rule, lambda a, rec: recs.append(rec))
             assert steps[i] == [(r.k, r.stage, r.outcome, r.w_after) for r in recs]
@@ -391,7 +391,7 @@ class TestEnsemble:
                 return 0.5
 
         evolved = np.full(4, 0.5, dtype=complex)  # weights 1/4 each, exactly
-        agent = AgentState(4, default_params(), seed=1)
+        agent = reference.AgentState(4, default_params(), seed=1)
         agent.rng = Half()
         ensemble = EnsembleState(4, default_params(), [1])
         ensemble._refill()
@@ -443,7 +443,7 @@ class TestTraces:
 
     def test_tampered_angle_breaks_replay(self, recorded_run):
         path, _, _ = recorded_run
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         for i, line in enumerate(lines):
             row = json.loads(line)
             if row.get("class") == protocol.PUNISH:
@@ -456,7 +456,7 @@ class TestTraces:
 
     def test_truncated_trace_is_rejected(self, recorded_run):
         path, _, _ = recorded_run
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ConfigError):
