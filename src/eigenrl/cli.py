@@ -82,7 +82,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     log.info("running %d repetitions at dim %d", config.repetitions, config.dim)
-    result = harness.run_experiment(config)
+    result = harness.run_experiment(config, trace=bool(args.trace))
     out = args.out
     if out is None:
         stem = os.path.splitext(os.path.basename(args.config))[0]
@@ -90,7 +90,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     harness.write_results(result, out, fmt=args.format)
     log.info("results written to %s", out)
     if args.trace:
-        final_hash = harness.record_trace(config, args.trace)
+        final_hash = result.trace.write(args.trace)
         log.info("trace written to %s (final basis %s)", args.trace, final_hash[:12])
     finals = ", ".join(f"{v:.6f}" for v in result.final_fidelities())
     print(f"final F = [{finals}], final W = {result.search_curve[-1]:.6f}")

@@ -8,13 +8,14 @@ the environment's eigenvectors, and the mean search range W(k).
 All repetitions run together in one lockstep ensemble, and every curve
 point is a sum over repetitions taken in index order, so each repetition
 matches a lone agent bit for bit and the results do not depend on how
-the work is scheduled.
+the work is scheduled.  A trace of repetition 0 is captured from the same
+run, so it audits the decisions behind the results.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,9 +32,9 @@ from .environment import (
     finite_number,
     load_operator,
 )
-from .errors import ConfigError, DimMismatch, ModeMismatch, OutOfRange
+from .errors import ConfigError, DimMismatch, ModeMismatch
 from .linalg import MAX_DIM, MIN_DIM
-from .protocol import AgentState, RewardParams, StoppingRule, run_stages
+from .protocol import RewardParams, StoppingRule, run_stages
 
 RESULTS_FORMAT = "eigenrl-results-1"
 
@@ -465,6 +466,26 @@ class _Fold:
 
 
 @dataclass
+class Trace:
+    """Repetition 0's decisions, captured from the lockstep run as it goes."""
+
+    header: dict
+    records: list[protocol.IterationRecord] = field(default_factory=list)
+    final_basis: np.ndarray | None = None
+
+    def observe(
+        self, state: protocol.EnsembleState, rec: protocol.EnsembleRecord
+    ) -> None:
+        if rec.members[0] == 0:  # members are listed in index order
+            self.records.append(protocol.first_record(rec))
+
+    def write(self, path: str) -> str:
+        """Write the trace file; returns the final basis hash its footer holds."""
+        protocol.write_trace(path, self.header, self.records, self.final_basis)
+        return protocol.basis_hash(self.final_basis)
+
+
+@dataclass
 class ExperimentResult:
     """Aggregated curves plus the per-repetition final amplitudes."""
 
@@ -475,6 +496,7 @@ class ExperimentResult:
     per_repetition_final: np.ndarray  # (N, d, d), [i, l, j] = |<l_E|D_i|j>|
     diag_residual: float             # mean over repetitions
     metadata: dict = field(default_factory=dict)
+    trace: Trace | None = None       # repetition 0's decisions, when asked for
 
     @property
     def dim(self) -> int:
@@ -484,13 +506,14 @@ class ExperimentResult:
         return self.fidelity_curves[:, -1].copy()
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentResult:
     """Run every repetition in lockstep and reduce them in index order.
 
     Repetition ``i`` is member ``i`` of one ensemble, run against
-    ``build_environment(config, i)``; it has the bits of the one-member
-    view ``AgentState(dim, params, derive_seed(seed, i))`` running alone.
-    Resampled environments are built together, with the same bits.
+    ``build_environment(config, i)``; how many members run beside it
+    changes none of its bits.  Resampled environments are built together,
+    with the same bits.  With ``trace``, the result also holds repetition
+    0's decisions from this same run, ready to be written as a trace.
     """
     n = config.repetitions
     if config.resample_env_per_repetition:
@@ -502,8 +525,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         config.dim, config.params, [derive_seed(config.seed, i) for i in range(n)]
     )
     fold = _Fold(config, envs, ensemble)
-    run_stages(ensemble, _black_box(envs), config.stopping, fold.observe)
-    return fold.finalize(ensemble, envs)
+    observer = fold.observe
+    if trace:
+        captured = Trace({"dim": config.dim, "rep_index": 0, "root_seed": config.seed,
+                          "agent_seed": derive_seed(config.seed, 0)})
+
+        def observer(state, rec):
+            fold.observe(state, rec)
+            captured.observe(state, rec)
+
+    run_stages(ensemble, _black_box(envs), config.stopping, observer)
+    result = fold.finalize(ensemble, envs)
+    if trace:
+        captured.final_basis = ensemble.bases[0].copy()
+        result.trace = captured
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -549,34 +585,6 @@ def write_results(result: ExperimentResult, path: str, fmt: str = "csv") -> None
             fh.write("\n")
     else:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-
-
-def read_results(path: str) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Parse a CSV result file back into (metadata, ks, stages, W, F)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read results {path}: {exc}") from exc
-    if len(lines) < 3 or not lines[0].startswith("# "):
-        raise ConfigError(f"{path} is not a results CSV")
-    header = lines[1].split(",")
-    if header[:3] != ["k", "stage", "W"]:
-        raise ConfigError(f"unexpected header in {path}: {lines[1]!r}")
-    rows = [line.split(",") for line in lines[2:] if line]
-    if any(len(row) != len(header) for row in rows):
-        raise ConfigError(f"{path} has rows that do not match its header")
-    try:
-        metadata = json.loads(lines[0][2:])
-        ks = np.array([int(row[0]) for row in rows])
-        stages = np.array([int(row[1]) for row in rows])
-        search = np.array([float(row[2]) for row in rows])
-        fidelity = np.array(
-            [[float(row[3 + j]) for row in rows] for j in range(len(header) - 3)]
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad value in {path}: {exc}") from exc
-    return metadata, ks, stages, search, fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -630,33 +638,12 @@ def load_basis(path: str) -> np.ndarray:
     return matrix
 
 
-def record_trace(config: ExperimentConfig, path: str, rep_index: int = 0) -> str:
-    """Re-run one repetition and write its full decision trace.
+def record_trace(config: ExperimentConfig, path: str) -> str:
+    """Run repetition 0 alone and write its full decision trace.
 
-    The repetition runs through the one engine as a one-member
-    ``AgentState``, so it makes the decisions it made in
-    ``run_experiment``.  Returns the SHA-256 of the final basis, the same
-    hash the trace footer stores and ``replay_trace`` recomputes.
+    Repetition 0 makes the same decisions alone as in the whole ensemble,
+    so this writes the trace ``eigenrl run --trace`` writes.  Returns the
+    SHA-256 of the final basis, the same hash the trace footer stores and
+    ``replay_trace`` recomputes.
     """
-    if not 0 <= rep_index < config.repetitions:
-        raise OutOfRange(
-            f"rep_index {rep_index} outside [0, {config.repetitions})"
-        )
-    env = build_environment(config, rep_index)
-    agent = AgentState(
-        dim=config.dim,
-        params=config.params,
-        seed=derive_seed(config.seed, rep_index),
-    )
-    records: list[protocol.IterationRecord] = []
-    run_stages(
-        agent, env.interact, config.stopping, lambda a, rec: records.append(rec)
-    )
-    header = {
-        "dim": config.dim,
-        "rep_index": rep_index,
-        "root_seed": config.seed,
-        "agent_seed": derive_seed(config.seed, rep_index),
-    }
-    protocol.write_trace(path, header, records, agent.basis)
-    return protocol.basis_hash(agent.basis)
+    return run_experiment(replace(config, repetitions=1), trace=True).trace.write(path)

@@ -22,10 +22,11 @@ own, being pinned by unitarity.
 
 There is one engine: :class:`EnsembleState` advances many independently
 seeded agents in lockstep with stacked array operations, and every check,
-draw and update lives there.  :class:`AgentState` is its one-member view,
-which keeps the one-agent interface (a scalar black box, one outcome per
-call, :class:`IterationRecord` results) and records traces.
-:func:`run_stages` drives both.
+draw and update lives there; :func:`run_stages` drives it.  A trace is
+built from its records: :func:`first_record` turns the first listed
+member's row of an :class:`EnsembleRecord` into an :class:`IterationRecord`.
+:class:`AgentState` is the one-member view with the one-agent interface (a
+scalar black box, one outcome per call, :class:`IterationRecord` results).
 
 Punish angles are drawn in the fixed order x, z, y from the per-agent
 generator, using the pre-update ``w``, so runs are reproducible and a
@@ -179,6 +180,20 @@ class EnsembleRecord:
     angles: np.ndarray
 
 
+def first_record(rec: EnsembleRecord) -> IterationRecord:
+    """What the first listed member did in ``rec``, in plain Python numbers;
+    if it was punished, its angles are column 0 of ``rec.angles``."""
+    t, m = int(rec.stage[0]), int(rec.outcome[0])
+    return IterationRecord(
+        k=rec.k,
+        stage=t,
+        outcome=m,
+        classification=REWARD if m == t else PUNISH if m > t else NEUTRAL,
+        angles=RotationAngles(*rec.angles[:, 0].tolist()) if m > t else None,
+        w_after=float(rec.w_after[0]),
+    )
+
+
 class EnsembleState:
     """Independently seeded agents advanced together, one iteration at a time.
 
@@ -228,6 +243,12 @@ class EnsembleState:
     def finished(self) -> bool:
         return len(self.active) == 0
 
+    def _members(self) -> np.ndarray:
+        """The running members; an error once every member has finished."""
+        if not len(self.active):
+            raise StageOverflow("no member is active: every stage is done")
+        return self.active
+
     def _refill(self) -> None:
         """Give every running member the doubles of at least one more iteration."""
         low = self._cursor[self._running] > DRAW_BUFFER - _DRAWS_PER_ITERATION
@@ -240,11 +261,12 @@ class EnsembleState:
 
     def prepare_probes(self) -> np.ndarray:
         """Column ``stage`` of each running member's basis, shape (n, dim)."""
-        return self.bases[self.active, :, self.stage[self.active]]
+        members = self._members()
+        return self.bases[members, :, self.stage[members]]
 
     def measure(self, evolved: np.ndarray) -> np.ndarray:
         """One outcome per running member, sampled from its Born weights."""
-        members = self.active
+        members = self._members()
         if evolved.shape != (len(members), self.dim):
             raise DimMismatch(
                 f"states shape {evolved.shape}, expected ({len(members)}, {self.dim})"
@@ -265,7 +287,7 @@ class EnsembleState:
 
     def decide_and_update(self, outcomes: np.ndarray) -> EnsembleRecord:
         """Apply each running member's feedback and advance the shared counter."""
-        members, running = self.active, self._running
+        members, running = self._members(), self._running
         if outcomes.shape != members.shape or not (
             0 <= outcomes.min() and outcomes.max() < self.dim
         ):
@@ -408,25 +430,7 @@ class AgentState:
         """
         self._one._refill()
         with np.errstate(over="ignore"):
-            rec = self._one.decide_and_update(np.array([m]))
-        t, m = int(rec.stage[0]), int(rec.outcome[0])
-        angles = None
-        if m == t:
-            classification = REWARD
-        elif m > t:
-            x, y, z = rec.angles[:, 0].tolist()
-            angles = RotationAngles(phi_x=x, phi_y=y, phi_z=z)
-            classification = PUNISH
-        else:
-            classification = NEUTRAL
-        return IterationRecord(
-            k=rec.k,
-            stage=t,
-            outcome=m,
-            classification=classification,
-            angles=angles,
-            w_after=float(rec.w_after[0]),
-        )
+            return first_record(self._one.decide_and_update(np.array([m])))
 
     def step(self, interact: Callable[[np.ndarray], np.ndarray]) -> IterationRecord:
         """Run one full iteration against the black box."""

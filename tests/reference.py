@@ -157,7 +157,8 @@ class AgentState:
 def reference_experiment(config):
     """The loop that ran one repetition at a time, kept as the reference.
 
-    Returns the result it aggregates and every repetition's finished agent.
+    Returns the result it aggregates, with repetition 0's trace, and every
+    repetition's finished agent.
     """
     n, d = config.repetitions, config.dim
     stride = config.record_every
@@ -166,6 +167,7 @@ def reference_experiment(config):
     finals = np.empty((n, d, d))
     residual_sum = 0.0
     agents = []
+    first_records = []
     for i in range(n):
         env = harness.build_environment(config, i)
         vecs = env.eigensystem_oracle().eigenvectors
@@ -175,6 +177,8 @@ def reference_experiment(config):
         last_w = [config.w1]
 
         def observer(agent_now, rec):
+            if i == 0:
+                first_records.append(rec)
             last_w[0] = rec.w_after
             if rec.k % stride == 0:
                 amp = np.abs(vecs.conj().T @ agent_now.basis)
@@ -222,5 +226,15 @@ def reference_experiment(config):
         per_repetition_final=finals,
         diag_residual=residual_sum / n,
         metadata=metadata,
+        trace=harness.Trace(
+            header={
+                "dim": d,
+                "rep_index": 0,
+                "root_seed": config.seed,
+                "agent_seed": harness.derive_seed(config.seed, 0),
+            },
+            records=first_records,
+            final_basis=agents[0].basis,
+        ),
     )
     return result, agents

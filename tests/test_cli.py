@@ -3,13 +3,17 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eigenrl import harness
+from eigenrl import harness, protocol
 from eigenrl.cli import main
 from eigenrl.environment import load_operator, save_operator
+from results import read_results
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -45,7 +49,7 @@ class TestRun:
         assert printed.startswith("final F = [")
         assert ", final W = " in printed
         # the summary echoes the stored curves
-        _, _, _, search, fidelity = harness.read_results(out)
+        _, _, _, search, fidelity = read_results(out)
         want = ", ".join(f"{v:.6f}" for v in fidelity[:, -1])
         assert printed == f"final F = [{want}], final W = {search[-1]:.6f}"
 
@@ -108,8 +112,42 @@ class TestRun:
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
-        _, _, _, search, _ = harness.read_results(out)
+        _, _, _, search, _ = read_results(out)
         assert np.isinf(search).any()  # the run did overflow
+
+    @pytest.mark.parametrize("bundled", [True, False], ids=["fig3_r09_nu2", "resampled"])
+    def test_trace_comes_from_the_one_run(self, tmp_path, monkeypatch, capsys, bundled):
+        """``run --trace`` runs the ensemble once and writes the trace that
+        ``record_trace`` writes for repetition 0 alone; both replay."""
+        if bundled:
+            cfg = CONFIG_DIR / "fig3_r09_nu2.json"
+        else:  # repetition 0 stops before the longest repetition
+            cfg = write_config(
+                tmp_path, dim=3, seed=5, resample_env_per_repetition=True,
+                stopping={"kind": "threshold", "w_min": 0.05, "max_iterations": 300},
+            )
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(args)
+            return protocol.run_stages(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_stages", counting)
+        out, trace = tmp_path / "o.csv", tmp_path / "run.trace"
+        argv = ["run", "--config", str(cfg), "--out", str(out), "--trace", str(trace)]
+        assert main(argv) == 0
+        assert len(runs) == 1
+        alone = tmp_path / "alone.trace"
+        harness.record_trace(harness.load_config(str(cfg)), str(alone))
+        assert trace.read_bytes() == alone.read_bytes()
+        _, records, _ = protocol.read_trace(str(trace))
+        if not bundled:
+            metadata = read_results(out)[0]
+            assert 0 < len(records) < metadata["longest_run"]
+        capsys.readouterr()
+        for path in (trace, alone):
+            assert main(["replay", "--trace", str(path)]) == 0
+            assert capsys.readouterr().out.startswith(f"replay OK: {len(records)} ")
 
     def test_log_env_var_smoke(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRL_LOG", "DEBUG")

