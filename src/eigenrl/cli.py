@@ -1,8 +1,8 @@
 """Command-line entry point: run, verify, replay, gen-operator.
 
 Exit codes: 0 success, 1 tolerance/divergence failure, 2 bad input
-(arguments, config files, truncated traces, non-unitary bases), 3 runtime
-failure.
+(arguments, config, operator and basis files, truncated or malformed
+traces, non-unitary bases), 3 runtime failure.
 The ``QRL_LOG`` environment variable sets the logging level.
 """
 from __future__ import annotations

@@ -196,64 +196,63 @@ def finite_number(value, what: str) -> float:
     raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
-def operator_to_json(operator: np.ndarray, tau: float) -> str:
-    """Serialize an operator to the interchange schema (row-major entries)."""
+def read_json(path: str, what: str):
+    """The JSON document in the ``what`` file at ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, an int too long
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def parse_matrix(doc, what: str, keys=("dim", "entries_re", "entries_im")) -> np.ndarray:
+    """The complex matrix of a ``{dim, entries_re, entries_im, ...}`` document.
+
+    ``doc`` must hold exactly ``keys``; ``dim`` is an integer in
+    [MIN_DIM, MAX_DIM], and each entries list holds ``dim`` rows of ``dim``
+    finite JSON numbers (real and imaginary parts, row-major).
+    """
+    if not isinstance(doc, dict) or set(doc) != set(keys):
+        raise ConfigError(f"{what} needs exactly the keys {sorted(keys)}")
+    dim = doc["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or not MIN_DIM <= dim <= MAX_DIM:
+        raise ConfigError(f"{what} dim must be an integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}")
+    parts = []
+    for key in ("entries_re", "entries_im"):
+        rows = doc[key]
+        if not (isinstance(rows, list) and len(rows) == dim
+                and all(isinstance(row, list) and len(row) == dim for row in rows)):
+            raise ConfigError(f"{what} {key} must be {dim} lists of {dim} numbers")
+        parts.append([[finite_number(v, f"{what} {key} entry") for v in row] for row in rows])
+    return np.array(parts[0]) + 1j * np.array(parts[1])
+
+
+def save_operator(path: str, operator: np.ndarray, tau: float) -> None:
+    """Write an operator file: ``dim``, ``tau`` and row-major entries."""
     operator = np.asarray(operator, dtype=np.complex128)
-    dim = linalg.require_square(operator)
     payload = {
-        "dim": dim,
+        "dim": linalg.require_square(operator),
         "tau": tau,
         "entries_re": operator.real.tolist(),
         "entries_im": operator.imag.tolist(),
     }
-    return json.dumps(payload, indent=2)
-
-
-def operator_from_json(text: str) -> tuple[np.ndarray, float]:
-    """Parse the interchange schema; raises ConfigError on any defect."""
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:  # bad JSON, or an integer too long to convert
-        raise ConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError("operator file must hold a JSON object")
-    required = {"dim", "tau", "entries_re", "entries_im"}
-    if set(payload) != required:
-        raise ConfigError(f"operator keys must be exactly {sorted(required)}")
-    dim = payload["dim"]
-    if not isinstance(dim, int) or not MIN_DIM <= dim <= MAX_DIM:
-        raise ConfigError(f"dim must be an integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}")
-    tau = finite_number(payload["tau"], "tau")
-    try:
-        re = np.asarray(payload["entries_re"], dtype=np.float64)
-        im = np.asarray(payload["entries_im"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"entries are not numeric arrays: {exc}") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ConfigError(
-            f"entries must be {dim}x{dim}, got {re.shape} and {im.shape}"
-        )
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ConfigError("operator entries must be finite")
-    operator = re + 1j * im
-    defect = linalg.hermiticity_defect(operator)
-    if defect > linalg.HERMITICITY_TOL:
-        raise ConfigError(
-            f"operator is not Hermitian: max |H - H^dag| = {defect:.3e} "
-            f"exceeds {linalg.HERMITICITY_TOL:.1e}"
-        )
-    return operator, tau
-
-
-def save_operator(path: str, operator: np.ndarray, tau: float) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(operator_to_json(operator, tau))
+        fh.write(json.dumps(payload, indent=2))
         fh.write("\n")
 
 
 def load_operator(path: str) -> tuple[np.ndarray, float]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return operator_from_json(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read operator {path}: {exc}") from exc
+    """The Hermitian operator and ``tau`` of an operator file; raises
+    ConfigError on any defect."""
+    doc = read_json(path, "operator")
+    operator = parse_matrix(doc, f"operator {path}", ("dim", "tau", "entries_re", "entries_im"))
+    tau = finite_number(doc["tau"], "tau")
+    defect = linalg.hermiticity_defect(operator)
+    if defect > linalg.HERMITICITY_TOL:
+        raise ConfigError(
+            f"operator {path} is not Hermitian: max |H - H^dag| = {defect:.3e} "
+            f"exceeds {linalg.HERMITICITY_TOL:.1e}"
+        )
+    return operator, tau

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .environment import (
     envs_random,
     finite_number,
     load_operator,
+    parse_matrix,
+    read_json,
 )
 from .errors import ConfigError, DimMismatch, ModeMismatch
 from .linalg import MAX_DIM, MIN_DIM
@@ -132,59 +134,42 @@ class ExperimentConfig:
         return RewardParams(r=self.r, nu=self.nu, w1=self.w1, w_cap=self.w_cap)
 
 
-_REQUIRED_KEYS = ("dim", "env_kind", "r", "nu", "repetitions", "seed", "stopping")
-_OPTIONAL_KEYS = (
-    "tau",
-    "w1",
-    "w_cap",
-    "env_seed",
-    "resample_env_per_repetition",
-    "fidelity_mode",
-    "record_every",
-    "single_qubit",
-    "operator_file",
-)
-
-
-def _as_int(raw: dict, key: str) -> int:
-    value = raw[key]
+def _integer(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
 
 
-def _as_float(raw: dict, key: str) -> float:
-    return finite_number(raw[key], key)
-
-
-def _as_bool(raw: dict, key: str) -> bool:
-    value = raw[key]
+def _boolean(value, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
 
 
-def _parse_stopping(raw) -> StoppingRule:
+def _path(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path string, got {value!r}")
+    return value
+
+
+def _parse_stopping(raw, key: str) -> StoppingRule:
     if not isinstance(raw, dict):
-        raise ConfigError(f"stopping must be an object, got {raw!r}")
+        raise ConfigError(f"{key} must be an object, got {raw!r}")
     kind = raw.get("kind")
     if kind == "fixed-budget":
         allowed = {"kind", "budgets"}
         budgets = raw.get("budgets")
         if not isinstance(budgets, list) or not budgets:
             raise ConfigError("fixed-budget stopping needs a non-empty budgets list")
-        for b in budgets:
-            if isinstance(b, bool) or not isinstance(b, int):
-                raise ConfigError(f"budgets must be integers, got {b!r}")
-        rule = StoppingRule(kind="fixed-budget", budgets=tuple(budgets))
+        rule = StoppingRule(kind=kind, budgets=tuple(_integer(b, "budgets") for b in budgets))
     elif kind == "threshold":
         allowed = {"kind", "w_min", "max_iterations"}
         kw = {}
         if "w_min" in raw:
-            kw["w_min"] = _as_float(raw, "w_min")
+            kw["w_min"] = finite_number(raw["w_min"], "w_min")
         if "max_iterations" in raw:
-            kw["max_iterations"] = _as_int(raw, "max_iterations")
-        rule = StoppingRule(kind="threshold", **kw)
+            kw["max_iterations"] = _integer(raw["max_iterations"], "max_iterations")
+        rule = StoppingRule(kind=kind, **kw)
     else:
         raise ConfigError(f"stopping.kind must be fixed-budget or threshold, got {kind!r}")
     unknown = sorted(set(raw) - allowed)
@@ -193,125 +178,85 @@ def _parse_stopping(raw) -> StoppingRule:
     return rule
 
 
-def _parse_single_qubit(raw) -> SingleQubitSpec:
+def _parse_single_qubit(raw, key: str) -> SingleQubitSpec:
     if not isinstance(raw, dict):
-        raise ConfigError(f"single_qubit must be an object, got {raw!r}")
-    wanted = {"alpha", "beta", "lambda0", "lambda1"}
+        raise ConfigError(f"{key} must be an object, got {raw!r}")
+    wanted = {f.name for f in fields(SingleQubitSpec)}
     if set(raw) != wanted:
         raise ConfigError(
-            f"single_qubit needs exactly the keys {sorted(wanted)}, "
-            f"got {sorted(raw)}"
+            f"{key} needs exactly the keys {sorted(wanted)}, got {sorted(raw)}"
         )
-    return SingleQubitSpec(**{key: _as_float(raw, key) for key in wanted})
+    return SingleQubitSpec(**{name: finite_number(raw[name], name) for name in wanted})
+
+
+def _nullable(parse):
+    """``parse``, except that JSON null gives None."""
+    return lambda value, key: None if value is None else parse(value, key)
+
+
+#: one parser per ExperimentConfig field, called as ``parse(value, key)``;
+#: null is a value only where a parser says what it means
+_PARSERS = {
+    "dim": _integer,
+    "env_kind": lambda value, key: value,  # checked by ExperimentConfig
+    "r": finite_number,
+    "nu": finite_number,
+    "repetitions": _integer,
+    "seed": _integer,
+    "stopping": _parse_stopping,
+    "tau": finite_number,
+    "w1": finite_number,
+    "w_cap": lambda value, key: math.inf if value is None else finite_number(value, key),
+    "env_seed": _integer,
+    "resample_env_per_repetition": _boolean,
+    "fidelity_mode": lambda value, key: value,  # checked by ExperimentConfig
+    "record_every": _integer,
+    "single_qubit": _nullable(_parse_single_qubit),
+    "operator_file": _nullable(_path),
+}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a validated config from parsed JSON; unknown keys are rejected."""
+    """Build a validated config from parsed JSON; unknown keys are rejected.
+
+    The keys are the fields of ExperimentConfig, and those without a
+    default are required.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS))
+    schema = fields(ExperimentConfig)
+    unknown = sorted(set(raw) - {f.name for f in schema})
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
-    missing = sorted(set(_REQUIRED_KEYS) - set(raw))
+    missing = sorted(f.name for f in schema if f.default is MISSING and f.name not in raw)
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
-
-    kwargs = {
-        "dim": _as_int(raw, "dim"),
-        "env_kind": raw["env_kind"],
-        "r": _as_float(raw, "r"),
-        "nu": _as_float(raw, "nu"),
-        "repetitions": _as_int(raw, "repetitions"),
-        "seed": _as_int(raw, "seed"),
-        "stopping": _parse_stopping(raw["stopping"]),
-    }
-    if "tau" in raw:
-        kwargs["tau"] = _as_float(raw, "tau")
-    if "w1" in raw:
-        kwargs["w1"] = _as_float(raw, "w1")
-    if "w_cap" in raw:
-        kwargs["w_cap"] = math.inf if raw["w_cap"] is None else _as_float(raw, "w_cap")
-    if "env_seed" in raw:
-        kwargs["env_seed"] = _as_int(raw, "env_seed")
-    if "resample_env_per_repetition" in raw:
-        kwargs["resample_env_per_repetition"] = _as_bool(
-            raw, "resample_env_per_repetition"
-        )
-    if "fidelity_mode" in raw:
-        kwargs["fidelity_mode"] = raw["fidelity_mode"]
-    if "record_every" in raw:
-        kwargs["record_every"] = _as_int(raw, "record_every")
-    if "single_qubit" in raw and raw["single_qubit"] is not None:
-        kwargs["single_qubit"] = _parse_single_qubit(raw["single_qubit"])
-    if "operator_file" in raw and raw["operator_file"] is not None:
-        path = raw["operator_file"]
-        if not isinstance(path, str):
-            raise ConfigError(f"operator_file must be a path string, got {path!r}")
-        kwargs["operator_file"] = path
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{key: _PARSERS[key](value, key) for key, value in raw.items()})
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Full echo of a config, invertible through config_from_dict."""
-    stopping: dict = {"kind": config.stopping.kind}
+    out = asdict(config)
+    out["w_cap"] = None if math.isinf(config.w_cap) else config.w_cap
     if config.stopping.kind == "fixed-budget":
-        stopping["budgets"] = list(config.stopping.budgets)
+        out["stopping"] = {"kind": config.stopping.kind, "budgets": list(config.stopping.budgets)}
     else:
-        stopping["w_min"] = config.stopping.w_min
-        stopping["max_iterations"] = config.stopping.max_iterations
-    out = {
-        "dim": config.dim,
-        "env_kind": config.env_kind,
-        "tau": config.tau,
-        "r": config.r,
-        "nu": config.nu,
-        "w1": config.w1,
-        "w_cap": None if math.isinf(config.w_cap) else config.w_cap,
-        "repetitions": config.repetitions,
-        "seed": config.seed,
-        "env_seed": config.env_seed,
-        "stopping": stopping,
-        "resample_env_per_repetition": config.resample_env_per_repetition,
-        "fidelity_mode": config.fidelity_mode,
-        "record_every": config.record_every,
-    }
-    if config.single_qubit is not None:
-        spec = config.single_qubit
-        out["single_qubit"] = {
-            "alpha": spec.alpha,
-            "beta": spec.beta,
-            "lambda0": spec.lambda0,
-            "lambda1": spec.lambda1,
-        }
-    if config.operator_file is not None:
-        out["operator_file"] = config.operator_file
+        del out["stopping"]["budgets"]
+    for key in ("single_qubit", "operator_file"):
+        if out[key] is None:
+            del out[key]
     return out
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(read_json(path, "config"))
 
 
-def _resampled_env_seed(config: ExperimentConfig, rep_index: int) -> int:
-    return derive_seed(config.seed, rep_index, _ENV_SALT)
-
-
-def build_environment(config: ExperimentConfig, rep_index: int = 0) -> Environment:
-    """The environment repetition ``rep_index`` runs against."""
+def build_environment(config: ExperimentConfig) -> Environment:
+    """The environment of a run whose repetitions share one."""
     kind = config.env_kind
     if kind == "random":
-        if config.resample_env_per_repetition:
-            env_seed = _resampled_env_seed(config, rep_index)
-        else:
-            env_seed = config.env_seed
-        env = env_random(config.dim, config.tau, env_seed)
+        env = env_random(config.dim, config.tau, config.env_seed)
     elif kind == "single-qubit-spec":
         env = env_single_qubit(config.single_qubit, config.tau)
     elif kind == "spin-x":
@@ -509,15 +454,16 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentResult:
     """Run every repetition in lockstep and reduce them in index order.
 
-    Repetition ``i`` is member ``i`` of one ensemble, run against
-    ``build_environment(config, i)``; how many members run beside it
-    changes none of its bits.  Resampled environments are built together,
-    with the same bits.  With ``trace``, the result also holds repetition
+    Repetition ``i`` is member ``i`` of one ensemble, run against the
+    shared ``build_environment(config)`` or, when resampled, a random
+    operator of its own; how many members run beside it changes none of
+    its bits.  Resampled environments are built together, with the bits
+    each would have alone.  With ``trace``, the result also holds repetition
     0's decisions from this same run, ready to be written as a trace.
     """
     n = config.repetitions
     if config.resample_env_per_repetition:
-        seeds = [_resampled_env_seed(config, i) for i in range(n)]
+        seeds = [derive_seed(config.seed, i, _ENV_SALT) for i in range(n)]
         envs = envs_random(config.dim, config.tau, seeds)
     else:
         envs = [build_environment(config)]
@@ -606,28 +552,8 @@ def save_basis(path: str, basis: np.ndarray) -> None:
 
 
 def load_basis(path: str) -> np.ndarray:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read basis {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
-        raise ConfigError(f"basis {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"dim", "entries_re", "entries_im"}:
-        raise ConfigError(f"basis {path} needs the keys dim/entries_re/entries_im")
-    try:
-        re = np.asarray(doc["entries_re"], dtype=float)
-        im = np.asarray(doc["entries_im"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"basis {path} entries are not numeric: {exc}") from exc
-    dim = doc["dim"]
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ConfigError(
-            f"basis {path} entries are {re.shape} and {im.shape}, not {dim}x{dim}"
-        )
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ConfigError(f"basis {path} entries must be finite")
-    matrix = re + 1j * im
+    """The unitary matrix of a basis file; raises ConfigError on any defect."""
+    matrix = parse_matrix(read_json(path, "basis"), f"basis {path}")
     with np.errstate(all="ignore"):  # huge entries overflow to inf or NaN, which fail it
         defect = float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(len(matrix))))
     if not defect <= BASIS_UNITARITY_TOL:

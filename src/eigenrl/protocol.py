@@ -78,6 +78,9 @@ _DRAWN_XYZ = np.array([[0], [2], [1]])
 _NO_ANGLES = np.empty((3, 0))
 
 TRACE_FORMAT = "eigenrl-trace-1"
+_RECORD_KEYS = frozenset({"k", "stage", "m", "class", "angles", "w_after"})
+_ANGLE_KEYS = frozenset({"phi_x", "phi_y", "phi_z"})
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 REWARD = "reward"
 PUNISH = "punish"
@@ -180,6 +183,11 @@ class EnsembleRecord:
     angles: np.ndarray
 
 
+def _classify(t: int, m: int) -> str:
+    """What outcome ``m`` is at stage ``t``."""
+    return REWARD if m == t else PUNISH if m > t else NEUTRAL
+
+
 def first_record(rec: EnsembleRecord) -> IterationRecord:
     """What the first listed member did in ``rec``, in plain Python numbers;
     if it was punished, its angles are column 0 of ``rec.angles``."""
@@ -188,7 +196,7 @@ def first_record(rec: EnsembleRecord) -> IterationRecord:
         k=rec.k,
         stage=t,
         outcome=m,
-        classification=REWARD if m == t else PUNISH if m > t else NEUTRAL,
+        classification=_classify(t, m),
         angles=RotationAngles(*rec.angles[:, 0].tolist()) if m > t else None,
         w_after=float(rec.w_after[0]),
     )
@@ -513,15 +521,48 @@ def write_trace(
         fh.write(json.dumps({"final_sha256": basis_hash(final_basis)}) + "\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _record(row: dict, dim: int) -> IterationRecord:
+    """A trace line as a record; ConfigError unless a run at ``dim`` could
+    have written it.  ``w_after`` may be infinite: uncapped runs overflow."""
+    if set(row) != _RECORD_KEYS:
+        raise ConfigError(f"trace record {row!r} needs the keys {sorted(_RECORD_KEYS)}")
+    k, t, m, angles = row["k"], row["stage"], row["m"], row["angles"]
+    if not (_is_int(k) and _is_int(t) and _is_int(m) and 0 <= t < dim - 1 and 0 <= m < dim):
+        raise ConfigError(
+            f"trace record {row!r} needs integers k, stage in [0, {dim - 1}) and m in [0, {dim})"
+        )
+    kind = _classify(t, m)
+    if row["class"] != kind:
+        raise ConfigError(f"trace record {row!r}: its stage and m make it a {kind} row")
+    if kind == PUNISH:
+        if not (isinstance(angles, dict) and set(angles) == _ANGLE_KEYS
+                and all(_is_number(v) and math.isfinite(v) for v in angles.values())):
+            raise ConfigError(f"punish record {row!r} needs finite {sorted(_ANGLE_KEYS)}")
+        angles = RotationAngles(**{key: float(v) for key, v in angles.items()})
+    elif angles is not None:
+        raise ConfigError(f"{kind} record {row!r} may hold no angles")
+    if not _is_number(row["w_after"]):
+        raise ConfigError(f"trace record {row!r} needs a number w_after")
+    return IterationRecord(k, t, m, kind, angles, float(row["w_after"]))
+
+
 def read_trace(path: str) -> tuple[dict, list[IterationRecord], str]:
     """Parse a trace file; raises ConfigError if it is unreadable, truncated,
-    or holds a record that cannot be replayed at the header's ``dim``."""
+    or holds a record that a run at the header's ``dim`` cannot write."""
     try:
         with open(path, encoding="utf-8") as fh:
             rows = [json.loads(line) for line in (raw.strip() for raw in fh) if line]
     except OSError as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, an int too long
         raise ConfigError(f"trace line is not valid JSON: {exc}") from exc
     if len(rows) < 2:
         raise ConfigError("trace too short: need a header and a final hash")
@@ -531,34 +572,18 @@ def read_trace(path: str) -> tuple[dict, list[IterationRecord], str]:
     if header.get("format") != TRACE_FORMAT:
         raise ConfigError(f"unknown trace format: {header.get('format')!r}")
     dim = header.get("dim")
-    if not isinstance(dim, int) or not linalg.MIN_DIM <= dim <= linalg.MAX_DIM:
+    if not _is_int(dim) or not linalg.MIN_DIM <= dim <= linalg.MAX_DIM:
         raise ConfigError(f"trace header lacks a usable dim: {dim!r}")
     if "final_sha256" not in footer:
         raise ConfigError("trace truncated: final hash line missing")
-    records = []
-    for row in body:
-        try:
-            angles = row["angles"]
-            if angles is not None:
-                angles = RotationAngles(**{key: float(v) for key, v in angles.items()})
-            rec = IterationRecord(
-                k=int(row["k"]),
-                stage=int(row["stage"]),
-                outcome=int(row["m"]),
-                classification=str(row["class"]),
-                angles=angles,
-                w_after=float(row["w_after"]),
-            )
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad trace record {row!r}: {exc}") from exc
-        if rec.classification == PUNISH and not (
-            0 <= rec.stage < rec.outcome < dim
-            and angles is not None
-            and all(math.isfinite(v) for v in vars(angles).values())
-        ):
-            raise ConfigError(f"punish record {row!r} cannot be replayed at dim {dim}")
-        records.append(rec)
-    return dict(header), records, str(footer["final_sha256"])
+    recorded = footer["final_sha256"]
+    if not (isinstance(recorded, str) and len(recorded) == 64 and set(recorded) <= _HEX_DIGITS):
+        raise ConfigError(f"trace final_sha256 must be 64 lowercase hex digits, got {recorded!r}")
+    try:
+        records = [_record(row, dim) for row in body]
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"bad trace record: {exc}") from exc
+    return dict(header), records, recorded
 
 
 def replay_basis(dim: int, records: Iterable[IterationRecord]) -> np.ndarray:

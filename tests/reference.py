@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from eigenrl import harness, linalg, protocol
+from eigenrl.environment import env_random
 from eigenrl.errors import BadDim, DimMismatch, NotNormalized, OutOfRange, StageOverflow
 from eigenrl.linalg import RotationAngles
 from eigenrl.protocol import (
@@ -154,6 +155,15 @@ class AgentState:
         self.n_neutral = 0
 
 
+def lone_environment(config, i):
+    """Repetition ``i``'s environment, built alone: a random operator of its
+    own when resampled, else the shared one."""
+    if config.resample_env_per_repetition:
+        seed = harness.derive_seed(config.seed, i, harness._ENV_SALT)
+        return env_random(config.dim, config.tau, seed)
+    return harness.build_environment(config)
+
+
 def reference_experiment(config):
     """The loop that ran one repetition at a time, kept as the reference.
 
@@ -169,7 +179,7 @@ def reference_experiment(config):
     agents = []
     first_records = []
     for i in range(n):
-        env = harness.build_environment(config, i)
+        env = lone_environment(config, i)
         vecs = env.eigensystem_oracle().eigenvectors
         seed = harness.derive_seed(config.seed, i)
         agent = AgentState(d, config.params, seed)

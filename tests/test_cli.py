@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenrl import harness, protocol
+from eigenrl import harness, linalg, protocol
 from eigenrl.cli import main
 from eigenrl.environment import load_operator, save_operator
 from results import read_results
@@ -318,6 +318,49 @@ def undecodable_operator_args(tmp_path):
     return argv
 
 
+def text_entry_operator_args(tmp_path):
+    argv = verify_args(tmp_path, np.eye(2))
+    (tmp_path / "sx.json").write_text(json.dumps({
+        "dim": 2, "tau": 1.0, "entries_re": [["0", "0.5"], ["0.5", "0"]],
+        "entries_im": [[0, 0], [0, 0]],
+    }))
+    return argv
+
+
+def basis_doc_args(tmp_path, **changes):
+    """verify argv for an identity basis file with ``changes`` to its keys."""
+    argv = verify_args(tmp_path, np.eye(2))
+    doc = {"dim": 2, "entries_re": [[1.0, 0.0], [0.0, 1.0]],
+           "entries_im": [[0.0, 0.0], [0.0, 0.0]], **changes}
+    (tmp_path / "basis.json").write_text(json.dumps(doc))
+    return argv
+
+
+def replay_args(tmp_path, line=None, **changes):
+    """replay argv for a one-record trace at dim 2 that replays OK, with
+    ``changes`` to its line ``line`` (1 the record, 2 the footer)."""
+    angles = linalg.RotationAngles(phi_x=0.1, phi_y=-0.2, phi_z=0.3)
+    record = protocol.IterationRecord(1, 0, 1, protocol.PUNISH, angles, 1.0)
+    path = tmp_path / "one.trace"
+    protocol.write_trace(str(path), {"dim": 2}, [record], protocol.replay_basis(2, [record]))
+    lines = path.read_text().splitlines()
+    if line is not None:
+        lines[line] = json.dumps({**json.loads(lines[line]), **changes})
+    path.write_text("\n".join(lines) + "\n")
+    return ["replay", "--trace", str(path)]
+
+
+def test_the_malformed_trace_starts_out_valid(tmp_path, capsys):
+    assert main(replay_args(tmp_path)) == 0
+    assert capsys.readouterr().out.startswith("replay OK: 1 iterations")
+
+
+def deeply_nested_config_args(tmp_path):
+    argv = run_args(tmp_path)
+    Path(argv[2]).write_text("[" * 100_000)
+    return argv
+
+
 MALFORMED = {
     "nan-nu": lambda tmp_path: run_args(tmp_path, nu=math.nan),
     "infinite-w1": lambda tmp_path: run_args(tmp_path, w1=math.inf),
@@ -346,6 +389,18 @@ MALFORMED = {
     "verify-nan-tol": lambda tmp_path: [*verify_args(tmp_path, np.eye(2)), "--tol", "nan"],
     "verify-negative-tol": lambda tmp_path: [*verify_args(tmp_path, np.eye(2)), "--tol", "-1"],
     "verify-infinite-tol": lambda tmp_path: [*verify_args(tmp_path, np.eye(2)), "--tol", "inf"],
+    "verify-text-operator-entry": text_entry_operator_args,
+    "verify-bool-basis-entry": lambda tmp_path: basis_doc_args(
+        tmp_path, entries_re=[[True, False], [False, True]]),
+    "verify-ragged-basis": lambda tmp_path: basis_doc_args(
+        tmp_path, entries_re=[[1.0, 0.0], [0.0]]),
+    "verify-float-basis-dim": lambda tmp_path: basis_doc_args(tmp_path, dim=2.0),
+    "replay-number-footer": lambda tmp_path: replay_args(tmp_path, 2, final_sha256=123),
+    "replay-null-footer": lambda tmp_path: replay_args(tmp_path, 2, final_sha256=None),
+    "replay-fractional-k": lambda tmp_path: replay_args(tmp_path, 1, k=1.7),
+    "replay-bool-k": lambda tmp_path: replay_args(tmp_path, 1, k=True),
+    "replay-bogus-class": lambda tmp_path: replay_args(tmp_path, 1, **{"class": "bogus"}),
+    "deeply-nested-config": deeply_nested_config_args,
 }
 
 

@@ -227,9 +227,11 @@ class TestOperatorFiles:
                 }
             ),
         ]
+        path = tmp_path / "op.json"
         for text in cases:
+            path.write_text(text)
             with pytest.raises(ConfigError):
-                envm.operator_from_json(text)
+                envm.load_operator(str(path))
 
     def test_loaded_operator_must_be_hermitian(self, tmp_path):
         path = tmp_path / "bad.json"

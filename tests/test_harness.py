@@ -14,7 +14,7 @@ from eigenrl.environment import env_from_matrix, env_random, env_spin_x, save_op
 from eigenrl.errors import ConfigError, DimMismatch, ModeMismatch
 from eigenrl.harness import ExperimentConfig, config_from_dict
 from eigenrl.protocol import StoppingRule
-from reference import AgentState, reference_experiment
+from reference import AgentState, lone_environment, reference_experiment
 from results import read_results
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -176,6 +176,17 @@ class TestConfigSchema:
             echoed = json.loads(json.dumps(harness.config_to_dict(cfg)))
             assert config_from_dict(echoed) == cfg
 
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_bundled_configs_echo_their_file(self, path):
+        """The results metadata echoes a bundled config as written, each
+        value with its JSON type, plus the one default it leaves out."""
+        raw = json.loads(path.read_text())
+        echoed = harness.config_to_dict(harness.load_config(str(path)))
+        assert isinstance(echoed["stopping"]["budgets"], list)
+        assert json.dumps(echoed, sort_keys=True) == json.dumps(
+            {"env_seed": 0, **raw}, sort_keys=True
+        )
+
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError):
             harness.load_config(str(tmp_path / "nope.json"))
@@ -200,17 +211,22 @@ class TestBuildEnvironment:
                                                        kind="fixed-budget",
                                                        budgets=(10, 10, 10))))
 
-    def test_shared_environment_ignores_rep_index(self):
+    def test_shared_environment_ignores_rep_index(self, monkeypatch):
+        """Every repetition of an unresampled run meets build_environment(config)."""
         cfg = small_config()
-        a = harness.build_environment(cfg, 0)
-        b = harness.build_environment(cfg, 5)
-        np.testing.assert_array_equal(a.operator, b.operator)
+        built = []
+        real_black_box = harness._black_box
+        monkeypatch.setattr(
+            harness, "_black_box", lambda envs: built.append(envs) or real_black_box(envs)
+        )
+        harness.run_experiment(cfg)
+        (envs,) = built
+        assert len(envs) == 1
+        assert envs[0].unitary.tobytes() == harness.build_environment(cfg).unitary.tobytes()
 
     def test_resampled_environments_differ_but_reproduce(self):
         cfg = small_config(resample_env_per_repetition=True)
-        a0 = harness.build_environment(cfg, 0)
-        a1 = harness.build_environment(cfg, 1)
-        again = harness.build_environment(cfg, 0)
+        a0, a1, again = (lone_environment(cfg, i) for i in (0, 1, 0))
         assert not np.allclose(a0.operator, a1.operator)
         np.testing.assert_array_equal(a0.operator, again.operator)
 
@@ -234,7 +250,7 @@ class TestBuildEnvironment:
         (envs,) = built
         assert len(envs) == cfg.repetitions
         for i, env in enumerate(envs):
-            lone = harness.build_environment(cfg, i)
+            lone = lone_environment(cfg, i)
             assert env.operator.tobytes() == lone.operator.tobytes()
             assert env.unitary.tobytes() == lone.unitary.tobytes()
             ours, theirs = env.eigensystem_oracle(), lone.eigensystem_oracle()
@@ -515,7 +531,7 @@ class TestRunExperiment:
         assert got.diag_residual == want.diag_residual
         assert got.metadata == want.metadata
 
-        envs = [harness.build_environment(cfg, i) for i in range(cfg.repetitions)]
+        envs = [lone_environment(cfg, i) for i in range(cfg.repetitions)]
         unitaries = np.stack([env.unitary for env in envs])
         ensemble = protocol.EnsembleState(
             cfg.dim,

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenrl import harness, linalg, protocol
-from eigenrl.environment import operator_from_json
+from eigenrl.environment import load_operator
 from eigenrl.errors import ConfigError
 from eigenrl.linalg import MAX_DIM, MIN_DIM
 from results import read_results
@@ -116,6 +116,11 @@ VALID_CONFIG = {
 @example({**VALID_CONFIG, "w1": math.inf})
 @example({**VALID_CONFIG, "dim": 100})
 @example({**VALID_CONFIG, "seed": -1})
+@example({**VALID_CONFIG, "dim": None})  # a required key
+@example({**VALID_CONFIG, "tau": None})  # a key with a default
+@example({**VALID_CONFIG, "w_cap": None})  # null means uncapped
+@example({**VALID_CONFIG, "env_kind": "random", "single_qubit": None})
+@example({**VALID_CONFIG, "env_kind": "random", "single_qubit": None, "operator_file": None})
 def test_config_from_dict_raises_only_config_error(raw):
     try:
         config = harness.config_from_dict(raw)
@@ -125,6 +130,9 @@ def test_config_from_dict_raises_only_config_error(raw):
     assert MIN_DIM <= config.dim <= MAX_DIM and min(config.seed, config.env_seed) >= 0
     echoed = json.loads(json.dumps(harness.config_to_dict(config)))
     assert harness.config_from_dict(echoed) == config
+    for key, value in raw.items():
+        if value is None:  # read only where null means something, never as the default
+            assert getattr(config, key) == (math.inf if key == "w_cap" else None)
 
 
 @PROPERTY
@@ -145,14 +153,15 @@ VALID_OPERATOR = {
 
 
 @PROPERTY
-@given(st.text(max_size=40) | perturbed(VALID_OPERATOR).map(as_text))
+@given(raw_inputs | perturbed(VALID_OPERATOR).map(as_text))
 @example(as_text({**VALID_OPERATOR, "tau": "abc"}))
 @example(as_text({**VALID_OPERATOR, "tau": math.nan}))
 @example(as_text({**VALID_OPERATOR, "entries_re": [[0, 1], [0, 0]]}))
 @example(as_text({**VALID_OPERATOR, "entries_im": [[0, 0.25], [0.25, 0]]}))
-def test_operator_from_json_raises_only_config_error(text):
+@example("[" * 100_000)
+def test_load_operator_raises_only_config_error(scratch, payload):
     try:
-        operator, tau = operator_from_json(text)
+        operator, tau = load_operator(write(scratch, payload))
     except ConfigError:
         return
     assert math.isfinite(tau)
@@ -178,12 +187,36 @@ def test_load_basis_raises_only_config_error(scratch, payload):
     assert defect <= harness.BASIS_UNITARITY_TOL
 
 
+NOT_A_MATRIX = {
+    "text entry": {"entries_re": [["0.6", 0.8], [0.8, -0.6]]},
+    "bool entry": {"entries_im": [[False, 0.0], [0.0, 0.0]]},
+    "null entry": {"entries_im": [[None, 0.0], [0.0, 0.0]]},
+    "ragged rows": {"entries_re": [[0.6, 0.8], [0.8]]},
+    "row not a list": {"entries_re": [[0.6, 0.8], 0.8]},
+    "float dim": {"dim": 2.0},
+    "bool dim": {"dim": True},
+    "dim out of range": {"dim": 65},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_MATRIX))
+def test_matrix_entries_must_be_json_numbers(scratch, case):
+    """Operator and basis files share one rule: ``dim`` rows of ``dim`` numbers."""
+    with pytest.raises(ConfigError):
+        harness.load_basis(write(scratch, as_text({**VALID_BASIS, **NOT_A_MATRIX[case]})))
+    operator = {**VALID_OPERATOR, **NOT_A_MATRIX[case]}
+    if "entries_re" in NOT_A_MATRIX[case]:  # keep it Hermitian where it is a matrix
+        operator["entries_im"] = [[0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ConfigError):
+        load_operator(write(scratch, as_text(operator)))
+
+
 VALID_TRACE = [
     {"format": protocol.TRACE_FORMAT, "dim": 3, "rep_index": 0},
     {"k": 1, "stage": 0, "m": 2, "class": "punish",
      "angles": {"phi_x": 0.1, "phi_y": -0.2, "phi_z": 0.3}, "w_after": 2.2},
     {"k": 2, "stage": 0, "m": 0, "class": "reward", "angles": None, "w_after": 1.98},
-    {"final_sha256": "00"},
+    {"final_sha256": "0" * 64},
 ]
 
 
@@ -210,6 +243,8 @@ trace_texts = st.builds(
 @example(with_punish(stage=2, m=1))
 @example(with_punish(angles=None))
 @example(with_punish(angles={"phi_x": math.inf, "phi_y": 0.0, "phi_z": 0.0}))
+@example(with_punish(w_after=10**400))
+@example("[" * 100_000)
 def test_read_trace_raises_only_config_error(scratch, payload):
     """A trace that parses can be replayed."""
     try:
@@ -222,6 +257,34 @@ def test_read_trace_raises_only_config_error(scratch, payload):
             assert 0 <= rec.stage < rec.outcome < header["dim"]
     basis = protocol.replay_basis(header["dim"], records)
     assert basis.shape == (header["dim"], header["dim"])
+
+
+NOT_A_TRACE = {
+    "number footer": [*VALID_TRACE[:-1], {"final_sha256": 123}],
+    "null footer": [*VALID_TRACE[:-1], {"final_sha256": None}],
+    "short footer": [*VALID_TRACE[:-1], {"final_sha256": "00"}],
+    "upper-case footer": [*VALID_TRACE[:-1], {"final_sha256": "A" * 64}],
+    "fractional k": with_punish(k=1.7),
+    "bool k": with_punish(k=True),
+    "text m": with_punish(m="2"),
+    "stage past the last": with_punish(stage=2, m=2, angles=None, **{"class": "reward"}),
+    "negative outcome": with_punish(m=-1, angles=None, **{"class": "neutral"}),
+    "bogus class": with_punish(**{"class": "bogus"}),
+    "reward class on a punish": with_punish(**{"class": "reward"}),
+    "angles on a reward": with_punish(m=0, **{"class": "reward"}),
+    "text angle": with_punish(angles={"phi_x": "0.1", "phi_y": 0.0, "phi_z": 0.0}),
+    "text w_after": with_punish(w_after="2.2"),
+    "extra key": with_punish(note=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_TRACE))
+def test_read_trace_holds_records_to_the_run_rules(scratch, case):
+    """Each record is one a run could write, and the footer is a SHA-256."""
+    payload = NOT_A_TRACE[case]
+    with pytest.raises(ConfigError):
+        protocol.read_trace(write(scratch, payload if isinstance(payload, str)
+                                  else trace_text(payload)))
 
 
 csv_cells = st.sampled_from(["0", "1", "0.5", "nan", "-3", "1e400", "", "x", "1,2"])
