@@ -293,6 +293,28 @@ def diag_residual(basis: np.ndarray, operator: np.ndarray) -> float:
     return float(np.linalg.norm(off) / denom)
 
 
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each C-contiguous complex matrix of a stack, with
+    its bits: it sums the strided real and imaginary views with BLAS ddot,
+    as one (1, m) @ (m, 1) product each.  Contiguous copies of the parts
+    would be summed by another ddot kernel, with other last bits."""
+    flat = stack.reshape(len(stack), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _diag_residuals(bases: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """``diag_residual`` of each basis of an (N, d, d) stack against one shared
+    operator, a (1, d, d) stack, or one operator each, bit for bit."""
+    transformed = bases.conj().transpose(0, 2, 1) @ operators @ bases
+    diagonal = np.arange(bases.shape[-1])
+    transformed[:, diagonal, diagonal] = 0.0
+    denom = _frobenius(operators)
+    residuals = np.zeros(len(bases))
+    np.divide(_frobenius(transformed), denom, out=residuals, where=denom != 0.0)
+    return residuals
+
+
 def _pick(stacked: np.ndarray, members: np.ndarray) -> np.ndarray:
     """The items of ``members`` from a stack over the environments: the
     whole stack when one environment is shared, else one item each."""
@@ -318,11 +340,14 @@ class _Fold:
 
     ``rows`` holds one row per repetition: its search range, then either
     its |<l_E|D|j>| matrix ("paper" mode) or that matrix's column maxima
-    ("per-rep" mode).  A running repetition refreshes its row at each
-    recorded k.  One that has stopped keeps contributing its final range
-    and amplitudes ("paper") or its last recorded maxima ("per-rep"), so
-    threshold-mode curves stay flat after convergence instead of dropping
-    out of the average.
+    ("per-rep" mode).  A running repetition refreshes its search range at
+    each recorded k, and its amplitudes only when its basis changed since
+    they were computed: ``seen[i]`` is the k of row ``i``'s amplitudes, and
+    the ensemble's ``changed[i]`` the k of basis ``i``'s last change.  One
+    that has stopped keeps contributing its final range and amplitudes
+    ("paper") or its last recorded maxima ("per-rep"), so threshold-mode
+    curves stay flat after convergence instead of dropping out of the
+    average.
     """
 
     def __init__(self, config: ExperimentConfig, envs: list[Environment],
@@ -338,6 +363,7 @@ class _Fold:
         self.rows = np.empty((n, 1 + (d * d if self.paper else d)))
         self.rows[:, 0] = config.w1
         self.rows[:, 1:] = self._features(ensemble.active, ensemble.bases)
+        self.seen = np.zeros(n, dtype=np.int64)
         self.last_w = np.full(n, config.w1)
         self.running = ensemble.active
         self.w_sums: list[float] = []
@@ -362,6 +388,13 @@ class _Fold:
             self.fidelity_sums.append(sums[1:])
         self.stage_min.append(stage_min)
 
+    def _refresh(self, state: protocol.EnsembleState, members: np.ndarray, k: int) -> None:
+        """Recompute the amplitudes of the listed rows whose basis moved."""
+        stale = members[state.changed[members] > self.seen[members]]
+        if stale.size:
+            self.rows[stale, 1:] = self._features(stale, state.bases[stale])
+            self.seen[stale] = k
+
     def observe(
         self, state: protocol.EnsembleState, rec: protocol.EnsembleRecord
     ) -> None:
@@ -372,11 +405,10 @@ class _Fold:
             stopped = np.setdiff1d(self.running, rec.members, assume_unique=True)
             self.rows[stopped, 0] = self.last_w[stopped]
             if self.paper:
-                self.rows[stopped, 1:] = self._features(stopped, state.bases[stopped])
+                self._refresh(state, stopped, rec.k)
             self.running = rec.members
-        members = rec.members
-        self.rows[members, 0] = rec.w_after
-        self.rows[members, 1:] = self._features(members, state.bases[members])
+        self.rows[rec.members, 0] = rec.w_after
+        self._refresh(state, rec.members, rec.k)
         # a stopped repetition's stage, d - 1, lies above every running one
         self._reduce(int(rec.stage.min()))
 
@@ -390,9 +422,10 @@ class _Fold:
         if fidelity.max(initial=0.0) > 1.0 + 1e-9:
             raise AssertionError("fidelity left [0, 1]: unitarity was lost")
         fidelity = np.minimum(fidelity, 1.0)
+        operators = np.stack([env.operator for env in envs])
         residual_sum = 0.0
-        for i in range(n):  # envs holds one shared environment or one per repetition
-            residual_sum += diag_residual(state.bases[i], envs[i % len(envs)].operator)
+        for residual in _diag_residuals(state.bases, operators).tolist():
+            residual_sum += residual  # one by one in repetition order; np.sum pairs them
         metadata = {
             "format": RESULTS_FORMAT,
             "config": config_to_dict(config),

@@ -65,8 +65,13 @@ MAX_DRAW_BOUND = 1e6 * math.pi
 #: largest tolerated deviation of the Born weights' sum from 1
 BORN_TOL = 1e-9
 
-#: doubles pre-drawn per ensemble member
-DRAW_BUFFER = 32
+#: bytes of pre-drawn doubles per ensemble; each member's share is clamped
+#: to [DRAW_BUFFER_MIN, DRAW_BUFFER_MAX] doubles.  Wider rows refill less
+#: often; the cap keeps a small ensemble, such as the one-member view, from
+#: drawing up to a MiB ahead.
+DRAW_BUFFER_BYTES = 1 << 20
+DRAW_BUFFER_MIN = 32
+DRAW_BUFFER_MAX = 256
 
 #: doubles one iteration can use: the measurement draw and three punish angles
 _DRAWS_PER_ITERATION = 4
@@ -210,8 +215,9 @@ class EnsembleState:
     the probes of all running members in one batched black-box call and
     applies the feedback in stacked form, and each stacked form gives the
     bits of the one-agent arithmetic.  Each member reads its doubles in
-    order from a small buffer pre-drawn from its own generator, which gives
-    the same values as drawing them one at a time.
+    order from a row of ``_draws`` pre-drawn from its own generator, which
+    gives the same values as drawing them one at a time; the rows share
+    ``DRAW_BUFFER_BYTES``, within the per-member bounds.
 
     A member runs until its own stopping rule has closed its last stage,
     so threshold runs end at different iterations; ``active`` lists the
@@ -219,6 +225,10 @@ class EnsembleState:
     ``iteration``, so drift control runs at the same ``k`` as for a lone
     agent.  ``k`` keeps the meaning of ``AgentState.k`` summed over
     members: one more than the black-box calls made.
+
+    ``changed[i]`` is the iteration that last changed member ``i``'s basis
+    (a punishment or the drift control), 0 if none has, so an observer can
+    tell which members' bases moved since it last looked.
     """
 
     def __init__(self, dim: int, params: RewardParams, seeds: list[int]) -> None:
@@ -236,11 +246,13 @@ class EnsembleState:
         self.n_neutral = np.zeros(n, dtype=np.int64)
         self.iteration = 1
         self.calls = np.zeros(n, dtype=np.int64)  # set as each member finishes
+        self.changed = np.zeros(n, dtype=np.int64)
         self.active = np.arange(n)
         # selects the active members; a slice (a view, no copy) while all run
         self._running: slice | np.ndarray = slice(None)
-        self._draws = np.empty((n, DRAW_BUFFER))
-        self._cursor = np.full(n, DRAW_BUFFER)
+        width = min(max(DRAW_BUFFER_BYTES // (8 * n), DRAW_BUFFER_MIN), DRAW_BUFFER_MAX)
+        self._draws = np.empty((n, width))
+        self._cursor = np.full(n, width)
         self._row_index = np.arange(dim)[None, :, None]
 
     @property
@@ -259,10 +271,11 @@ class EnsembleState:
 
     def _refill(self) -> None:
         """Give every running member the doubles of at least one more iteration."""
-        low = self._cursor[self._running] > DRAW_BUFFER - _DRAWS_PER_ITERATION
+        width = self._draws.shape[1]
+        low = self._cursor[self._running] > width - _DRAWS_PER_ITERATION
         for i in self.active[low]:
             row, start = self._draws[i], self._cursor[i]
-            kept = DRAW_BUFFER - start
+            kept = width - start
             row[:kept] = row[start:]
             self.rngs[i].random(out=row[kept:])
             self._cursor[i] = 0
@@ -300,6 +313,7 @@ class EnsembleState:
             0 <= outcomes.min() and outcomes.max() < self.dim
         ):
             raise OutOfRange(f"outcomes outside [0, {self.dim})")
+        k = self.iteration
         t = self.stage[members]
         w = self.w[running]
         reward = outcomes == t
@@ -320,16 +334,17 @@ class EnsembleState:
             cols = np.array((t[hit], outcomes[hit])).T[:, None, :]
             at = (who[:, None, None], self._row_index, cols)  # (n, dim, 2) pairs
             self.bases[at] = self.bases[at] @ blocks
+            self.changed[who] = k
             w_after[hit] = np.minimum(w[hit] * self.params.p, self.params.w_cap)
         self.w[running] = w_after
         self.n_r[running] += reward
         self.n_p[running] += punish
         self.n_neutral[running] += outcomes < t
-        k = self.iteration
         self.iteration = k + 1
         if k % REORTHONORMALIZE_EVERY == 0:
             for i in members:
                 linalg.gram_schmidt(self.bases[i])
+            self.changed[members] = k
         return EnsembleRecord(
             k=k, members=members, stage=t, outcome=outcomes, w_after=w_after,
             angles=angles,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from eigenrl import harness, linalg, protocol
 from eigenrl.environment import env_from_matrix, env_random, env_spin_x, save_operator
 from eigenrl.errors import ConfigError, DimMismatch, ModeMismatch
@@ -35,6 +36,17 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def assert_same_result(got, want):
+    """Two results agree bit for bit."""
+    np.testing.assert_array_equal(got.ks, want.ks)
+    np.testing.assert_array_equal(got.stages, want.stages)
+    assert got.search_curve.tobytes() == want.search_curve.tobytes()
+    assert got.fidelity_curves.tobytes() == want.fidelity_curves.tobytes()
+    assert got.per_repetition_final.tobytes() == want.per_repetition_final.tobytes()
+    assert got.diag_residual == want.diag_residual
+    assert got.metadata == want.metadata
 
 
 def raw_dict(**overrides):
@@ -402,6 +414,26 @@ class TestDiagResidual:
             agent.basis, env.operator
         )
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 16, 64])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-member"])
+    def test_stacked_residuals_have_the_lone_bits(self, dim, shared):
+        rng = np.random.default_rng(dim)
+        n = 7
+
+        def normal():
+            return rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+
+        bases = np.linalg.qr(normal())[0]
+        a = normal()[:1] if shared else normal()
+        operators = a + a.conj().transpose(0, 2, 1)
+        got = harness._diag_residuals(bases, operators)
+        for i in range(n):
+            want = harness.diag_residual(bases[i], operators[0 if shared else i])
+            assert got[i].tobytes() == np.float64(want).tobytes()
+        zero = np.zeros((1, dim, dim), dtype=complex)
+        assert harness._diag_residuals(bases, zero).tolist() == [0.0] * n
+        assert harness.diag_residual(bases[0], zero[0]) == 0.0
+
 
 class TestRunExperiment:
     def test_diagonal_environment_runs_the_exact_shortcut(self, tmp_path):
@@ -520,16 +552,7 @@ class TestRunExperiment:
         """The lockstep engine reproduces lone agents bit for bit."""
         cfg = small_config(**{"repetitions": 10, **overrides})
         want, agents = reference_experiment(cfg)
-        got = harness.run_experiment(cfg)
-        np.testing.assert_array_equal(got.ks, want.ks)
-        np.testing.assert_array_equal(got.stages, want.stages)
-        assert got.search_curve.tobytes() == want.search_curve.tobytes()
-        assert got.fidelity_curves.tobytes() == want.fidelity_curves.tobytes()
-        assert (
-            got.per_repetition_final.tobytes() == want.per_repetition_final.tobytes()
-        )
-        assert got.diag_residual == want.diag_residual
-        assert got.metadata == want.metadata
+        assert_same_result(harness.run_experiment(cfg), want)
 
         envs = [lone_environment(cfg, i) for i in range(cfg.repetitions)]
         unitaries = np.stack([env.unitary for env in envs])
@@ -552,6 +575,33 @@ class TestRunExperiment:
             assert ensemble.calls[i] == agent.k - 1
             assert ensemble.stage[i] == agent.stage
             assert ensemble.w[i] == agent.w
+
+    @pytest.mark.parametrize("fidelity_mode", ["paper", "per-rep"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(stopping=StoppingRule(kind="fixed-budget", budgets=(20, 20))),
+            dict(stopping=StoppingRule(kind="fixed-budget", budgets=(7, 31))),
+            dict(w1=0.3, stopping=StoppingRule(kind="fixed-budget", budgets=(25, 15))),
+            dict(stopping=StoppingRule(kind="threshold", w_min=0.2, max_iterations=40)),
+            dict(
+                w_cap=math.inf,
+                stopping=StoppingRule(kind="threshold", w_min=0.3, max_iterations=25),
+            ),
+            dict(r=0.5, stopping=StoppingRule(kind="threshold", w_min=0.05, max_iterations=60)),
+        ],
+        ids=["fixed", "fixed-uneven", "fixed-narrow", "threshold", "threshold-uncapped",
+             "threshold-fast"],
+    )
+    def test_drift_control_refreshes_the_fold(self, monkeypatch, overrides, fidelity_mode):
+        """With the drift control every 5 iterations, at each recorded k the
+        fold recomputes every row whose basis it moved, punished or not."""
+        monkeypatch.setattr(protocol, "REORTHONORMALIZE_EVERY", 5)
+        monkeypatch.setattr(reference, "REORTHONORMALIZE_EVERY", 5)
+        cfg = small_config(dim=3, repetitions=8, record_every=5,
+                           fidelity_mode=fidelity_mode, **overrides)
+        want, _ = reference_experiment(cfg)
+        assert_same_result(harness.run_experiment(cfg), want)
 
     def test_fold_is_sequential_in_repetition_order(self):
         """np.add.reduce down axis 0 of a 2-d array, at least two columns
@@ -612,13 +662,7 @@ def test_run_matches_the_reference_on_small_configs(cfg):
     with mock.patch.object(harness, "run_stages", keep):
         got = harness.run_experiment(cfg, trace=True)
     want, agents = reference_experiment(cfg)
-    np.testing.assert_array_equal(got.ks, want.ks)
-    np.testing.assert_array_equal(got.stages, want.stages)
-    assert got.search_curve.tobytes() == want.search_curve.tobytes()
-    assert got.fidelity_curves.tobytes() == want.fidelity_curves.tobytes()
-    assert got.per_repetition_final.tobytes() == want.per_repetition_final.tobytes()
-    assert got.diag_residual == want.diag_residual
-    assert got.metadata == want.metadata
+    assert_same_result(got, want)
 
     (ensemble,) = runs
     for i, agent in enumerate(agents):

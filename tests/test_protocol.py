@@ -399,6 +399,22 @@ class TestEnsemble:
         assert agent.measure(evolved) == 2
         assert list(ensemble.measure(evolved[None])) == [2]
 
+    @pytest.mark.parametrize("width", [32, 33, 256])
+    def test_draw_width_changes_no_bits(self, monkeypatch, width):
+        monkeypatch.setattr(protocol, "DRAW_BUFFER_MIN", width)
+        monkeypatch.setattr(protocol, "DRAW_BUFFER_MAX", width)
+        _, ensemble, agents = self.run_both(3, [5, 6, 7, 8, 9], self.RULE)
+        assert ensemble._draws.shape[1] == width
+        for i, agent in enumerate(agents):
+            assert ensemble.bases[i].tobytes() == agent.basis.tobytes()
+            assert ensemble.w[i] == agent.w
+
+    @pytest.mark.parametrize("n", [1, 512, 1000, 4096, 5000])
+    def test_draw_buffers_keep_to_the_byte_budget(self, n):
+        draws = EnsembleState(2, default_params(), list(range(n)))._draws
+        assert draws.nbytes <= max(protocol.DRAW_BUFFER_BYTES, 32 * 8 * n)
+        assert draws.shape[1] == {1: 256, 512: 256, 1000: 131}.get(n, 32)
+
     def test_validation(self):
         with pytest.raises(BadDim):
             EnsembleState(1, default_params(), [1])
