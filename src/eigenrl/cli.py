@@ -1,8 +1,9 @@
 """Command-line entry point: run, verify, replay, gen-operator.
 
 Exit codes: 0 success, 1 tolerance/divergence failure, 2 bad input
-(arguments, config, operator and basis files, truncated or malformed
-traces, non-unitary bases), 3 runtime failure.
+(arguments, output paths that name an input or each other, config, operator
+and basis files, truncated or malformed traces, non-unitary bases),
+3 runtime failure.
 The ``QRL_LOG`` environment variable sets the logging level.
 """
 from __future__ import annotations
@@ -77,16 +78,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _distinct(*named: tuple[str, str | None]) -> None:
+    """ConfigError if two of the ``(flag, path)`` pairs name the same file."""
+    seen: dict[str, str] = {}
+    for flag, path in (pair for pair in named if pair[1] is not None):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{flag} {path} names the same file as {seen[real]}")
+        seen[real] = flag
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    config = harness.load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    log.info("running %d repetitions at dim %d", config.repetitions, config.dim)
-    result = harness.run_experiment(config, trace=bool(args.trace))
     out = args.out
     if out is None:
         stem = os.path.splitext(os.path.basename(args.config))[0]
         out = f"{stem}.{args.format}"
+    config = harness.load_config(args.config)
+    _distinct(("--config", args.config), ("operator_file", config.operator_file),
+              ("--out", out), ("--trace", args.trace))
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    log.info("running %d repetitions at dim %d", config.repetitions, config.dim)
+    result = harness.run_experiment(config, trace=bool(args.trace))
     harness.write_results(result, out, fmt=args.format)
     log.info("results written to %s", out)
     if args.trace:
@@ -104,7 +117,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     basis = harness.load_basis(args.d_matrix)
     if basis.shape != operator.shape:
         raise ConfigError(f"basis is {len(basis)}-dimensional, operator {len(operator)}")
-    residual = harness.diag_residual(basis, operator)
+    residual = float(harness.diag_residual(basis[None], operator[None])[0])
     eig = linalg.eig_hermitian(operator)
     amps = np.abs(eig.eigenvectors.conj().T @ basis)
     fidelities = amps.max(axis=0)
@@ -118,6 +131,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    _distinct(("--trace", args.trace), ("--d-matrix", args.d_matrix))
     header, records, recorded = protocol.read_trace(args.trace)
     basis = protocol.replay_basis(header["dim"], records)
     if args.d_matrix:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .environment import (
     parse_matrix,
     read_json,
 )
-from .errors import ConfigError, DimMismatch, ModeMismatch
+from .errors import ConfigError, DimMismatch, EigenrlError, ModeMismatch
 from .linalg import MAX_DIM, MIN_DIM
 from .protocol import RewardParams, StoppingRule, run_stages
 
@@ -277,22 +277,6 @@ def build_environment(config: ExperimentConfig) -> Environment:
 # lockstep execution and the streaming reduction
 
 
-def diag_residual(basis: np.ndarray, operator: np.ndarray) -> float:
-    """Relative Frobenius weight of what D fails to diagonalize away."""
-    basis = np.asarray(basis, dtype=complex)
-    operator = np.asarray(operator, dtype=complex)
-    if basis.shape != operator.shape or basis.ndim != 2:
-        raise DimMismatch(
-            f"basis shape {basis.shape} does not match operator {operator.shape}"
-        )
-    transformed = basis.conj().T @ operator @ basis
-    off = transformed - np.diag(np.diag(transformed))
-    denom = float(np.linalg.norm(operator))
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(off) / denom)
-
-
 def _frobenius(stack: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each C-contiguous complex matrix of a stack, with
     its bits: it sums the strided real and imaginary views with BLAS ddot,
@@ -303,11 +287,15 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
 
 
-def _diag_residuals(bases: np.ndarray, operators: np.ndarray) -> np.ndarray:
-    """``diag_residual`` of each basis of an (N, d, d) stack against one shared
-    operator, a (1, d, d) stack, or one operator each, bit for bit."""
+def diag_residual(bases: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """Relative Frobenius weight ``|offdiag(D^H O D)| / |O|`` of what each D
+    fails to diagonalize away, for each basis of a complex (N, d, d) stack
+    against one shared operator, a (1, d, d) stack, or one operator each."""
+    d = bases.shape[-1]
+    if not bases.shape[1:] == operators.shape[1:] == (d, d) or len(operators) not in (1, len(bases)):
+        raise DimMismatch(f"bases {bases.shape} do not match operators {operators.shape}")
     transformed = bases.conj().transpose(0, 2, 1) @ operators @ bases
-    diagonal = np.arange(bases.shape[-1])
+    diagonal = np.arange(d)
     transformed[:, diagonal, diagonal] = 0.0
     denom = _frobenius(operators)
     residuals = np.zeros(len(bases))
@@ -420,11 +408,11 @@ class _Fold:
         search = np.asarray(self.w_sums) / n
         fidelity = np.stack(self.fidelity_sums).T / n  # (d, K)
         if fidelity.max(initial=0.0) > 1.0 + 1e-9:
-            raise AssertionError("fidelity left [0, 1]: unitarity was lost")
+            raise EigenrlError("fidelity left [0, 1]: unitarity was lost")
         fidelity = np.minimum(fidelity, 1.0)
         operators = np.stack([env.operator for env in envs])
         residual_sum = 0.0
-        for residual in _diag_residuals(state.bases, operators).tolist():
+        for residual in diag_residual(state.bases, operators).tolist():
             residual_sum += residual  # one by one in repetition order; np.sum pairs them
         metadata = {
             "format": RESULTS_FORMAT,
@@ -567,7 +555,7 @@ def write_results(result: ExperimentResult, path: str, fmt: str = "csv") -> None
 
 
 # ---------------------------------------------------------------------------
-# basis files and traces
+# basis files
 
 
 def save_basis(path: str, basis: np.ndarray) -> None:
@@ -595,14 +583,3 @@ def load_basis(path: str) -> np.ndarray:
             f"exceeds {BASIS_UNITARITY_TOL:.0e}"
         )
     return matrix
-
-
-def record_trace(config: ExperimentConfig, path: str) -> str:
-    """Run repetition 0 alone and write its full decision trace.
-
-    Repetition 0 makes the same decisions alone as in the whole ensemble,
-    so this writes the trace ``eigenrl run --trace`` writes.  Returns the
-    SHA-256 of the final basis, the same hash the trace footer stores and
-    ``replay_trace`` recomputes.
-    """
-    return run_experiment(replace(config, repetitions=1), trace=True).trace.write(path)

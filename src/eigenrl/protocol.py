@@ -22,11 +22,10 @@ own, being pinned by unitarity.
 
 There is one engine: :class:`EnsembleState` advances many independently
 seeded agents in lockstep with stacked array operations, and every check,
-draw and update lives there; :func:`run_stages` drives it.  A trace is
-built from its records: :func:`first_record` turns the first listed
-member's row of an :class:`EnsembleRecord` into an :class:`IterationRecord`.
-:class:`AgentState` is the one-member view with the one-agent interface (a
-scalar black box, one outcome per call, :class:`IterationRecord` results).
+draw and update lives there; :func:`run_stages` drives it, and a lone agent
+is a one-member ensemble.  :func:`first_record` turns the first listed
+member's row of an :class:`EnsembleRecord` into a trace line's
+:class:`IterationRecord`, and :func:`replay_basis` replays a trace.
 
 Punish angles are drawn in the fixed order x, z, y from the per-agent
 generator, using the pre-update ``w``, so runs are reproducible and a
@@ -67,7 +66,7 @@ BORN_TOL = 1e-9
 
 #: bytes of pre-drawn doubles per ensemble; each member's share is clamped
 #: to [DRAW_BUFFER_MIN, DRAW_BUFFER_MAX] doubles.  Wider rows refill less
-#: often; the cap keeps a small ensemble, such as the one-member view, from
+#: often; the cap keeps a small ensemble, such as a lone agent, from
 #: drawing up to a MiB ahead.
 DRAW_BUFFER_BYTES = 1 << 20
 DRAW_BUFFER_MIN = 32
@@ -210,21 +209,23 @@ def first_record(rec: EnsembleRecord) -> IterationRecord:
 class EnsembleState:
     """Independently seeded agents advanced together, one iteration at a time.
 
-    Member ``i`` is the agent ``AgentState(dim, params, seeds[i])``: how
-    many members run beside it changes none of its bits.  Each step evolves
-    the probes of all running members in one batched black-box call and
-    applies the feedback in stacked form, and each stacked form gives the
-    bits of the one-agent arithmetic.  Each member reads its doubles in
-    order from a row of ``_draws`` pre-drawn from its own generator, which
-    gives the same values as drawing them one at a time; the rows share
-    ``DRAW_BUFFER_BYTES``, within the per-member bounds.
+    Member ``i`` is the lone agent seeded ``seeds[i]``: how many members run
+    beside it changes none of its bits.  Each step evolves the probes of all
+    running members in one batched black-box call and applies the feedback
+    in stacked form, and each stacked form gives the bits of the one-agent
+    arithmetic.  Each member reads its doubles in order from a row of
+    ``_draws`` pre-drawn from its own generator, which gives the same values
+    as drawing them one at a time; the rows share ``DRAW_BUFFER_BYTES``,
+    within the per-member bounds.
 
     A member runs until its own stopping rule has closed its last stage,
     so threshold runs end at different iterations; ``active`` lists the
     members still running.  They all share the iteration counter
     ``iteration``, so drift control runs at the same ``k`` as for a lone
-    agent.  ``k`` keeps the meaning of ``AgentState.k`` summed over
-    members: one more than the black-box calls made.
+    agent.  ``k`` is one more than the black-box calls made, summed over
+    members.  ``n_r``, ``n_p`` and ``n_neutral`` count the current stage
+    only, so ``w = w1 * r**n_r * p**n_p`` holds per stage while ``w_cap``
+    is infinite, the default.
 
     ``changed[i]`` is the iteration that last changed member ``i``'s basis
     (a punishment or the drift control), 0 if none has, so an observer can
@@ -392,83 +393,6 @@ class EnsembleState:
             self.advance_stage(self.active[converged])
 
 
-def _lone(field: str, kind: type) -> property:
-    """The one member's entry of an ensemble array, as a plain number."""
-    return property(lambda agent: kind(getattr(agent._one, field)[0]))
-
-
-class AgentState:
-    """One agent: the one-member view of an :class:`EnsembleState`.
-
-    It holds no arithmetic of its own; the checks, draws and updates are
-    the ensemble's.  ``n_r``, ``n_p`` and ``n_neutral`` count the current
-    stage only; they reset together with ``w`` when the stage advances,
-    which keeps the ledger identity ``w = w1 * r**n_r * p**n_p`` valid per
-    stage whenever the search range is uncapped (``w_cap`` infinite, the
-    default).
-    """
-
-    __slots__ = ("dim", "params", "_one")
-
-    def __init__(self, dim: int, params: RewardParams, seed: int) -> None:
-        self._one = EnsembleState(dim, params, [seed])
-        self.dim = dim
-        self.params = params
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The adapting basis, a writable view."""
-        return self._one.bases[0]
-
-    w = _lone("w", float)
-    stage = _lone("stage", int)
-    n_r = _lone("n_r", int)
-    n_p = _lone("n_p", int)
-    n_neutral = _lone("n_neutral", int)
-
-    @w.setter
-    def w(self, value: float) -> None:
-        self._one.w[0] = value
-
-    @property
-    def k(self) -> int:
-        """The number of the next iteration: one more than the calls made."""
-        return self._one.iteration
-
-    @property
-    def finished(self) -> bool:
-        """True once every stage has been learned."""
-        return self._one.finished
-
-    def measure(self, evolved: np.ndarray) -> int:
-        """Sample one outcome from the Born weights of ``evolved`` in the basis."""
-        self._one._refill()
-        return int(self._one.measure(evolved[None])[0])
-
-    def decide_and_update(self, m: int) -> IterationRecord:
-        """Apply the feedback for outcome ``m`` and advance the counter.
-
-        An uncapped runaway ``w`` overflows to ``inf``, the value of the
-        bare update, without a warning.
-        """
-        self._one._refill()
-        with np.errstate(over="ignore"):
-            return first_record(self._one.decide_and_update(np.array([m])))
-
-    def step(self, interact: Callable[[np.ndarray], np.ndarray]) -> IterationRecord:
-        """Run one full iteration against the black box."""
-        evolved = interact(self._one.prepare_probes()[0])
-        return self.decide_and_update(self.measure(evolved))
-
-    def advance_stage(self) -> None:
-        """Fix the current column and start learning the next one."""
-        self._one.advance_stage(np.zeros(1, dtype=np.intp))
-
-    def advance_converged(self, rule: StoppingRule) -> None:
-        """Advance the stage if the rule says it is done."""
-        self._one.advance_converged(rule)
-
-
 def validate_rule(dim: int, params: RewardParams, rule: StoppingRule) -> None:
     if rule.kind == "fixed-budget":
         if len(rule.budgets) < dim - 1:
@@ -482,19 +406,18 @@ def validate_rule(dim: int, params: RewardParams, rule: StoppingRule) -> None:
 
 
 def run_stages(
-    state: AgentState | EnsembleState,
-    interact: Callable,
+    state: EnsembleState,
+    interact: Callable[[np.ndarray, np.ndarray], np.ndarray],
     rule: StoppingRule,
-    observer: Callable | None = None,
-) -> AgentState | EnsembleState:
-    """Drive an agent or an ensemble through all ``dim - 1`` stages.
+    observer: Callable[[EnsembleState, EnsembleRecord], None] | None = None,
+) -> EnsembleState:
+    """Drive every member of an ensemble through all ``dim - 1`` stages.
 
-    ``state`` is an :class:`AgentState`, with ``interact(psi)``, or an
-    :class:`EnsembleState`, with the batched ``interact(members, probes)``.
-    ``observer(state, record)`` sees every iteration before the stopping
-    rule is applied.  Returns ``state``, finished; its ``k - 1`` is the
-    number of black-box calls made.  An uncapped runaway ``w`` overflows
-    to ``inf``, the value of the bare update, without a warning.
+    ``interact`` is the batched black box of :meth:`EnsembleState.step`.
+    ``observer(state, record)`` sees every :class:`EnsembleRecord` before
+    the stopping rule is applied.  Returns ``state``, finished; its
+    ``k - 1`` is the number of black-box calls made.  An uncapped runaway
+    ``w`` overflows to ``inf``, the value of the bare update, silently.
     """
     validate_rule(state.dim, state.params, rule)
     with np.errstate(over="ignore"):
@@ -612,9 +535,3 @@ def replay_basis(dim: int, records: Iterable[IterationRecord]) -> np.ndarray:
         if rec.k % REORTHONORMALIZE_EVERY == 0:
             linalg.gram_schmidt(basis)
     return basis
-
-
-def replay_trace(path: str) -> bool:
-    """True iff the trace's recorded final hash matches the replayed basis."""
-    header, records, recorded = read_trace(path)
-    return basis_hash(replay_basis(header["dim"], records)) == recorded

@@ -3,10 +3,15 @@
 ``AgentState`` is the scalar agent loop, one agent and one iteration at a
 time, with its own generator, Born sampling, feedback update and stage
 bookkeeping; ``reference_experiment`` runs and reduces one repetition at a
-time with it.  Unlike :mod:`oracles`, these are written with the package's
-own primitives (``linalg.rotation_block``, ``linalg.gram_schmidt``, the
-environments' ``interact``), because matching the engine bit for bit needs
-the same floating-point operations in the same order.
+time with it, and ``diag_residual`` is the one-matrix form of the stacked
+``harness.diag_residual``.  Unlike :mod:`oracles`, these are written with
+the package's own primitives (``linalg.rotation_block``,
+``linalg.gram_schmidt``, the environments' ``interact``), because matching
+the engine bit for bit needs the same floating-point operations in the
+same order.
+
+``feed`` drives the engine itself: it applies a given outcome to a
+one-member ``protocol.EnsembleState``, the lone agent of the tests.
 """
 from __future__ import annotations
 
@@ -155,6 +160,25 @@ class AgentState:
         self.n_neutral = 0
 
 
+def feed(agent: protocol.EnsembleState, m: int) -> IterationRecord:
+    """Apply outcome ``m`` to a one-member ensemble as if it had been
+    measured; an uncapped runaway ``w`` overflows to ``inf`` silently, as
+    in ``run_stages``."""
+    agent._refill()
+    with np.errstate(over="ignore"):
+        return protocol.first_record(agent.decide_and_update(np.array([m])))
+
+
+def diag_residual(basis: np.ndarray, operator: np.ndarray) -> float:
+    """Relative Frobenius weight of what D fails to diagonalize away."""
+    transformed = basis.conj().T @ operator @ basis
+    off = transformed - np.diag(np.diag(transformed))
+    denom = float(np.linalg.norm(operator))
+    if denom == 0.0:
+        return 0.0
+    return float(np.linalg.norm(off) / denom)
+
+
 def lone_environment(config, i):
     """Repetition ``i``'s environment, built alone: a random operator of its
     own when resampled, else the shared one."""
@@ -216,7 +240,7 @@ def reference_experiment(config):
         done_amp += final_amp
         done_max += last_max
         finals[i] = final_amp
-        residual_sum += harness.diag_residual(agent.basis, env.operator)
+        residual_sum += diag_residual(agent.basis, env.operator)
         agents.append(agent)
     if config.fidelity_mode == "paper":
         fidelity = np.stack(amp_sum).max(axis=1).T / n

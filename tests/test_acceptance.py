@@ -19,7 +19,9 @@ from eigenrl.environment import (
     env_random,
     env_single_qubit,
 )
-from eigenrl.protocol import AgentState, RewardParams, StoppingRule
+from eigenrl.cli import main
+from eigenrl.protocol import EnsembleState, RewardParams
+from reference import feed
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -150,22 +152,25 @@ def test_7_exact_property_suite():
         closed = params.w1 * params.r**n_r * params.p**n_p
         worst_ledger = max(worst_ledger, np.abs(walked / closed - 1.0).max())
         for column in range(0, 20_000, 100):  # real-update anchor
-            agent = AgentState(dim=3, params=params, seed=int(column))
-            agent.advance_stage()
+            agent = EnsembleState(3, params, [column])
+            agent.advance_stage(np.array([0]))
             for m in outcomes[: lengths[column], column]:
-                agent.decide_and_update(int(m))
-            assert agent.w == walked[column]
-            assert (agent.n_r, agent.n_p) == (n_r[column], n_p[column])
+                feed(agent, int(m))
+            assert agent.w[0] == walked[column]
+            assert (agent.n_r[0], agent.n_p[0]) == (n_r[column], n_p[column])
     print(f"\n[7a] ledger identity worst rel err = {worst_ledger:.2e} (<= 1e-9)")
     assert worst_ledger <= 1e-9
 
     # (b) accumulated basis stays unitary through 1e5 updates
     env = env_random(4, 1.0, seed=3)
-    agent = AgentState(dim=4, params=RewardParams(r=0.9, nu=2.0), seed=3)
-    for _ in range(100_000):
-        agent.step(env.interact)
-    assert agent.n_p > 0
-    defect = np.abs(agent.basis.conj().T @ agent.basis - np.eye(4)).max()
+    black_box = harness._black_box([env])
+    agent = EnsembleState(4, RewardParams(r=0.9, nu=2.0), [3])
+    with np.errstate(over="ignore"):  # an uncapped w may run away, as in run_stages
+        for _ in range(100_000):
+            agent.step(black_box)
+    assert agent.n_p[0] > 0
+    basis = agent.bases[0]
+    defect = np.abs(basis.conj().T @ basis - np.eye(4)).max()
     print(f"[7b] unitarity defect after 1e5 iterations = {defect:.2e} (<= 1e-9)")
     assert defect <= 1e-9
 
@@ -211,17 +216,18 @@ def test_7_exact_property_suite():
     # (e) diagonal environment: every outcome rewards, so w walks down
     # r^k with the basis frozen at the identity and F_j pinned to 1
     env = env_from_matrix(np.diag([-1.0, 0.4, 1.1]), tau=1.0)
+    black_box = harness._black_box([env])
     params = RewardParams(r=0.9, nu=2.0)
-    agent = AgentState(dim=3, params=params, seed=8)
+    agent = EnsembleState(3, params, [8])
     expected = params.w1
     for k in range(1, 201):
-        assert agent.w == expected  # value used at iteration k is r^{k-1}
-        rec = agent.step(env.interact)
+        assert agent.w[0] == expected  # value used at iteration k is r^{k-1}
+        rec = protocol.first_record(agent.step(black_box))
         assert rec.classification == protocol.REWARD
         expected *= params.r
-        assert agent.w == expected
-    np.testing.assert_array_equal(agent.basis, np.eye(3, dtype=complex))
-    amps = np.abs(env.eigensystem_oracle().eigenvectors.conj().T @ agent.basis)
+        assert agent.w[0] == expected
+    np.testing.assert_array_equal(agent.bases[0], np.eye(3, dtype=complex))
+    amps = np.abs(env.eigensystem_oracle().eigenvectors.conj().T @ agent.bases[0])
     np.testing.assert_array_equal(amps.max(axis=0), np.ones(3))
     print("[7e] diagonal-environment shortcut: w = r^(k-1) exact, F_j = 1 exact")
 
@@ -232,15 +238,15 @@ def test_7_exact_property_suite():
 
 def test_8_determinism_and_replay(tmp_path):
     config = load_bundled("fig3_r09_nu2")
-    first, _ = timed_run(config)
+    first = harness.run_experiment(config, trace=True)
     second, _ = timed_run(config)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     harness.write_results(first, str(a), fmt="csv")
     harness.write_results(second, str(b), fmt="csv")
     identical = a.read_bytes() == b.read_bytes()
     trace = tmp_path / "rep0.trace"
-    harness.record_trace(config, str(trace))
-    replay_ok = protocol.replay_trace(str(trace))
+    first.trace.write(str(trace))
+    replay_ok = main(["replay", "--trace", str(trace)]) == 0
     print(f"\n[8] byte-identical CSV: {identical}, trace replay hash match: {replay_ok}")
     assert identical
     assert replay_ok

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +119,7 @@ class TestRun:
     @pytest.mark.parametrize("bundled", [True, False], ids=["fig3_r09_nu2", "resampled"])
     def test_trace_comes_from_the_one_run(self, tmp_path, monkeypatch, capsys, bundled):
         """``run --trace`` runs the ensemble once and writes the trace that
-        ``record_trace`` writes for repetition 0 alone; both replay."""
+        a run of repetition 0 alone writes; both replay."""
         if bundled:
             cfg = CONFIG_DIR / "fig3_r09_nu2.json"
         else:  # repetition 0 stops before the longest repetition
@@ -138,7 +139,8 @@ class TestRun:
         assert main(argv) == 0
         assert len(runs) == 1
         alone = tmp_path / "alone.trace"
-        harness.record_trace(harness.load_config(str(cfg)), str(alone))
+        config = replace(harness.load_config(str(cfg)), repetitions=1)
+        harness.run_experiment(config, trace=True).trace.write(str(alone))
         assert trace.read_bytes() == alone.read_bytes()
         _, records, _ = protocol.read_trace(str(trace))
         if not bundled:
@@ -355,6 +357,35 @@ def test_the_malformed_trace_starts_out_valid(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("replay OK: 1 iterations")
 
 
+def run_path_args(tmp_path, out, trace=None):
+    """run argv whose --out (and --trace, if given) are ``out`` and ``trace``,
+    with "config" standing for the --config path."""
+    argv = run_args(tmp_path)
+    config = argv[2]
+    argv[4] = config if out == "config" else str(tmp_path / out)
+    if trace is not None:
+        argv += ["--trace", config if trace == "config" else str(tmp_path / trace)]
+    return argv
+
+
+def linked_trace_args(tmp_path):
+    (tmp_path / "link").symlink_to(tmp_path / "o.csv")
+    return run_path_args(tmp_path, "o.csv", "link")
+
+
+def operator_file_out_args(tmp_path):
+    operator = tmp_path / "op.json"
+    save_operator(str(operator), np.diag([-1.0, 1.0]), 1.0)
+    argv = run_args(tmp_path, env_kind="file", operator_file=str(operator), env_seed=None)
+    argv[4] = str(operator)
+    return argv
+
+
+def replay_onto_trace_args(tmp_path):
+    argv = replay_args(tmp_path)
+    return [*argv, "--d-matrix", str(tmp_path / "." / "one.trace")]
+
+
 def deeply_nested_config_args(tmp_path):
     argv = run_args(tmp_path)
     Path(argv[2]).write_text("[" * 100_000)
@@ -401,17 +432,50 @@ MALFORMED = {
     "replay-bool-k": lambda tmp_path: replay_args(tmp_path, 1, k=True),
     "replay-bogus-class": lambda tmp_path: replay_args(tmp_path, 1, **{"class": "bogus"}),
     "deeply-nested-config": deeply_nested_config_args,
+    "run-out-is-config": lambda tmp_path: run_path_args(tmp_path, "config"),
+    "run-trace-is-config": lambda tmp_path: run_path_args(tmp_path, "o.csv", "config"),
+    "run-trace-is-out": lambda tmp_path: run_path_args(tmp_path, "o.csv", "o.csv"),
+    "run-trace-links-to-out": linked_trace_args,
+    "run-out-is-operator-file": operator_file_out_args,
+    "replay-d-matrix-is-trace": replay_onto_trace_args,
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2_with_one_stderr_line(tmp_path, capsys, case):
     argv = MALFORMED[case](tmp_path)
+    before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
     capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
     assert captured.out == ""
+    # nothing was written: every input is as it was and no output appeared
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_lost_unitarity_exits_3_with_one_stderr_line(tmp_path, flags):
+    """The fidelity guard is an explicit raise that the command line reports
+    as a runtime failure, not an assert that ``python -O`` strips."""
+    # tau = pi turns the probe |0> into |1>: the one iteration punishes
+    cfg = write_config(tmp_path, env_kind="spin-x", tau=math.pi, repetitions=1,
+                       stopping={"kind": "fixed-budget", "budgets": [1]}, record_every=1)
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from eigenrl import linalg\n"
+        "from eigenrl.cli import main\n"
+        "unitary = linalg.rotation_blocks\n"
+        "linalg.rotation_blocks = lambda phi: 2.0 * unitary(phi)  # not unitary\n"
+        f"sys.exit(main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o.csv')!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "error: fidelity left [0, 1]: unitarity was lost\n"
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_version_via_console_script():

@@ -1,6 +1,7 @@
 """Experiment driver: config schema, aggregation, result files."""
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +20,8 @@ from reference import AgentState, lone_environment, reference_experiment
 from results import read_results
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+DIAG = np.diag([-1.0, 1.0])
 
 
 def small_config(**overrides):
@@ -392,25 +395,32 @@ class TestDiagResidual:
     def test_exact_eigenbasis_nulls_the_residual(self):
         env = env_random(3, 1.0, seed=44)
         exact = env.eigensystem_oracle().eigenvectors
-        assert harness.diag_residual(exact, env.operator) < 1e-9
+        assert harness.diag_residual(exact[None], env.operator[None])[0] < 1e-9
 
     def test_identity_on_diagonal_operator_is_zero(self):
-        assert harness.diag_residual(np.eye(2), np.diag([-1.0, 1.0])) == 0.0
+        assert harness.diag_residual(np.eye(2)[None], DIAG[None]).tolist() == [0.0]
 
     def test_hadamard_fully_scrambles_a_diagonal_operator(self):
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        value = harness.diag_residual(hadamard, np.diag([-1.0, 1.0]))
+        value = harness.diag_residual(hadamard[None], DIAG[None])[0]
         assert value == pytest.approx(1.0)
 
     def test_dim_mismatch_and_agent_wrapper(self):
-        with pytest.raises(DimMismatch):
-            harness.diag_residual(np.eye(3), np.diag([-1.0, 1.0]))
+        mismatched = [
+            (np.eye(3)[None], DIAG[None]),  # another dim
+            (np.eye(2), DIAG),  # not stacks
+            (np.ones((1, 2, 3)), np.ones((1, 2, 3))),  # not square
+            (np.stack([np.eye(2)] * 3), np.stack([DIAG] * 2)),  # 3 bases, 2 operators
+        ]
+        for bases, operators in mismatched:
+            with pytest.raises(DimMismatch):
+                harness.diag_residual(bases, operators)
         # a one-repetition result reports the residual of its lone agent
         cfg = small_config(repetitions=1)
         env = harness.build_environment(cfg)
         agent = AgentState(2, cfg.params, harness.derive_seed(cfg.seed, 0))
         protocol.run_stages(agent, env.interact, cfg.stopping)
-        assert harness.run_experiment(cfg).diag_residual == harness.diag_residual(
+        assert harness.run_experiment(cfg).diag_residual == reference.diag_residual(
             agent.basis, env.operator
         )
 
@@ -426,13 +436,13 @@ class TestDiagResidual:
         bases = np.linalg.qr(normal())[0]
         a = normal()[:1] if shared else normal()
         operators = a + a.conj().transpose(0, 2, 1)
-        got = harness._diag_residuals(bases, operators)
+        got = harness.diag_residual(bases, operators)
         for i in range(n):
-            want = harness.diag_residual(bases[i], operators[0 if shared else i])
+            want = reference.diag_residual(bases[i], operators[0 if shared else i])
             assert got[i].tobytes() == np.float64(want).tobytes()
         zero = np.zeros((1, dim, dim), dtype=complex)
-        assert harness._diag_residuals(bases, zero).tolist() == [0.0] * n
-        assert harness.diag_residual(bases[0], zero[0]) == 0.0
+        assert harness.diag_residual(bases, zero).tolist() == [0.0] * n
+        assert reference.diag_residual(bases[0], zero[0]) == 0.0
 
 
 class TestRunExperiment:
@@ -761,9 +771,9 @@ class TestBasisFiles:
 def test_record_trace_replays_clean(tmp_path):
     cfg = small_config(repetitions=4)
     path = tmp_path / "rep0.trace"
-    final_hash = harness.record_trace(cfg, str(path))
-    assert protocol.replay_trace(str(path)) is True
+    final_hash = harness.run_experiment(cfg, trace=True).trace.write(str(path))
     header, records, recorded = protocol.read_trace(str(path))
+    assert protocol.basis_hash(protocol.replay_basis(header["dim"], records)) == recorded
     assert recorded == final_hash
     assert header["root_seed"] == cfg.seed
     assert records[-1].k == 80
@@ -771,12 +781,12 @@ def test_record_trace_replays_clean(tmp_path):
 
 @pytest.mark.parametrize("name", ["fig3_r09_nu2", "fig7_bell"])
 def test_record_trace_writes_the_bytes_of_the_reference_agent(tmp_path, name):
-    """The engine's one-member view writes the scalar reference's trace:
-    the same angles, ``w_after`` and ``k`` on every line and the same final
-    basis hash."""
+    """A one-member engine run writes the scalar reference's trace: the same
+    angles, ``w_after`` and ``k`` on every line and the same final basis
+    hash."""
     config = harness.load_config(str(CONFIG_DIR / f"{name}.json"))
     engine = tmp_path / "engine.trace"
-    harness.record_trace(config, str(engine))
+    harness.run_experiment(replace(config, repetitions=1), trace=True).trace.write(str(engine))
 
     seed = harness.derive_seed(config.seed, 0)
     agent = AgentState(config.dim, config.params, seed)
@@ -802,12 +812,12 @@ def test_threshold_convergence_couples_probe_to_outcome():
     rule = StoppingRule(kind="threshold", w_min=1e-3, max_iterations=200_000)
     for seed in (13, 16, 22, 23, 24):
         env = env_random(2, 1.0, seed=seed)
-        agent = protocol.AgentState(dim=2, params=params, seed=seed)
-        protocol.run_stages(agent, env.interact, rule)
+        agent = protocol.EnsembleState(2, params, [seed])
+        protocol.run_stages(agent, harness._black_box([env]), rule)
         assert agent.k - 1 < rule.max_iterations  # stopped via w, not budget
-        probe = agent.basis[:, 0]
-        evolved = env.interact(probe)
-        weights = np.abs(agent.basis.conj().T @ evolved) ** 2
+        basis = agent.bases[0]
+        evolved = env.interact(basis[:, 0])
+        weights = np.abs(basis.conj().T @ evolved) ** 2
         rng = np.random.default_rng(1000 + seed)
         hits = int(np.sum(rng.random(1000) < weights[0]))
         assert hits >= 990
@@ -818,12 +828,13 @@ def test_residual_tracks_fidelity_loss():
     env = env_random(3, 1.0, seed=21)
     system = env.eigensystem_oracle()
     exact = system.eigenvectors
-    residuals, fidelities = [], []
+    bases, fidelities = [], []
     for theta in (0.0, 0.25, 0.5, 0.75, 1.0, 1.25):
         angles = linalg.RotationAngles(phi_x=theta, phi_y=0.0, phi_z=0.0)
         basis = exact @ two_level_rotation(0, 1, 3, angles)
-        residuals.append(harness.diag_residual(basis, env.operator))
+        bases.append(basis)
         fidelities.append(np.abs(system.eigenvectors.conj().T @ basis).max(axis=0).min())
+    residuals = harness.diag_residual(np.stack(bases), env.operator[None])
     assert np.all(np.diff(residuals) > 0)
     assert np.all(np.diff(fidelities) < 0)
 

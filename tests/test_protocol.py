@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import reference
-from eigenrl import linalg, protocol
+from eigenrl import harness, linalg, protocol
+from eigenrl.cli import main
 from eigenrl.environment import env_from_matrix, env_random
 from eigenrl.errors import (
     BadDim,
@@ -20,12 +21,12 @@ from eigenrl.errors import (
     StageOverflow,
 )
 from eigenrl.protocol import (
-    AgentState,
     EnsembleState,
     RewardParams,
     StoppingRule,
     run_stages,
 )
+from reference import feed
 
 DIAG2 = env_from_matrix(np.diag([-1.0, 1.0]).astype(complex), tau=1.0)
 
@@ -92,38 +93,48 @@ class TestStoppingRule:
 
 
 def test_agent_initial_state():
-    agent = AgentState(dim=3, params=default_params(), seed=1)
-    np.testing.assert_array_equal(agent.basis, np.eye(3))
-    assert agent.w == 1.0
-    assert agent.stage == 0
+    agent = EnsembleState(3, default_params(), [1])
+    np.testing.assert_array_equal(agent.bases[0], np.eye(3))
+    assert agent.w[0] == 1.0
+    assert agent.stage[0] == 0
     assert agent.k == 1
-    assert (agent.n_r, agent.n_p, agent.n_neutral) == (0, 0, 0)
+    assert (agent.n_r[0], agent.n_p[0], agent.n_neutral[0]) == (0, 0, 0)
     with pytest.raises(BadDim):
-        AgentState(dim=1, params=default_params(), seed=1)
+        EnsembleState(1, default_params(), [1])
 
 
 def test_measure_validates_shape():
-    agent = AgentState(dim=2, params=default_params(), seed=3)
+    agent = EnsembleState(2, default_params(), [3])
     with pytest.raises(DimMismatch):
-        agent.measure(np.zeros(3, dtype=complex))
+        agent.measure(np.zeros((1, 3), dtype=complex))
+
+
+def measure_lone(agent, evolved, times):
+    """The outcomes of measuring ``evolved`` ``times`` times with a one-member
+    ensemble."""
+    outcomes = []
+    for _ in range(times):
+        agent._refill()
+        outcomes.append(int(agent.measure(evolved[None])[0]))
+    return outcomes
 
 
 def test_measure_matches_born_weights():
-    agent = AgentState(dim=2, params=default_params(), seed=2024)
+    agent = EnsembleState(2, default_params(), [2024])
     evolved = np.array([math.sqrt(0.3), math.sqrt(0.7) * np.exp(0.4j)])
-    hits = sum(agent.measure(evolved) for _ in range(20000))
+    hits = sum(measure_lone(agent, evolved, 20000))
     assert hits / 20000 == pytest.approx(0.7, abs=0.015)
 
 
 def test_measure_uses_adapted_basis():
     # after rotating the basis, outcome weights follow the new columns
-    agent = AgentState(dim=2, params=default_params(), seed=77)
+    agent = EnsembleState(2, default_params(), [77])
     rot = linalg.rotation_block(
         linalg.RotationAngles(phi_x=0.9, phi_y=-0.4, phi_z=1.7)
     )
-    agent.basis[:] = rot
+    agent.bases[0] = rot
     evolved = rot[:, 1]
-    hits = sum(agent.measure(evolved) for _ in range(2000))
+    hits = sum(measure_lone(agent, evolved, 2000))
     assert hits == 2000  # evolved state sits exactly on column 1
 
 
@@ -133,12 +144,12 @@ def test_born_weight_check_raises_under_optimize():
     script = (
         "import sys, numpy as np\n"
         f"sys.path.insert(0, {str(src)!r})\n"
-        "from eigenrl.protocol import AgentState, EnsembleState, RewardParams\n"
+        "from eigenrl.protocol import EnsembleState, RewardParams\n"
         "from eigenrl.errors import NotNormalized\n"
         "params = RewardParams(r=0.9, nu=2.0)\n"
         "caught = 0\n"
         "try:\n"
-        "    AgentState(2, params, 1).measure(np.array([1.0, 1.0], dtype=complex))\n"
+        "    EnsembleState(2, params, [1]).measure(np.array([[1.0, 1.0]], dtype=complex))\n"
         "except NotNormalized:\n"
         "    caught += 1\n"
         "ensemble = EnsembleState(2, params, [1, 2])\n"
@@ -157,30 +168,30 @@ def test_born_weight_check_raises_under_optimize():
 
 class TestFeedback:
     def test_reward_shrinks_range_only(self):
-        agent = AgentState(dim=2, params=default_params(), seed=5)
-        rec = agent.decide_and_update(0)
+        agent = EnsembleState(2, default_params(), [5])
+        rec = feed(agent, 0)
         assert rec.classification == protocol.REWARD
         assert rec.angles is None
-        assert agent.w == pytest.approx(0.9)
-        assert (agent.n_r, agent.n_p) == (1, 0)
-        np.testing.assert_array_equal(agent.basis, np.eye(2))
+        assert agent.w[0] == pytest.approx(0.9)
+        assert (agent.n_r[0], agent.n_p[0]) == (1, 0)
+        np.testing.assert_array_equal(agent.bases[0], np.eye(2))
 
     def test_neutral_changes_nothing_but_the_counter(self):
-        agent = AgentState(dim=3, params=default_params(), seed=5)
-        agent.advance_stage()
-        rec = agent.decide_and_update(0)
+        agent = EnsembleState(3, default_params(), [5])
+        agent.advance_stage(np.array([0]))
+        rec = feed(agent, 0)
         assert rec.classification == protocol.NEUTRAL
-        assert agent.w == 1.0
-        assert agent.n_neutral == 1
-        np.testing.assert_array_equal(agent.basis, np.eye(3))
+        assert agent.w[0] == 1.0
+        assert agent.n_neutral[0] == 1
+        np.testing.assert_array_equal(agent.bases[0], np.eye(3))
 
     def test_punish_draw_order_and_block(self):
         """Punish consumes x, z, y bounds in that order after one measure draw."""
         seed = 421
-        agent = AgentState(dim=2, params=default_params(), seed=seed)
-        m = agent.measure(np.array([0.0, 1.0], dtype=complex))
+        agent = EnsembleState(2, default_params(), [seed])
+        [m] = measure_lone(agent, np.array([0.0, 1.0], dtype=complex), 1)
         assert m == 1
-        rec = agent.decide_and_update(m)
+        rec = feed(agent, m)
 
         mirror = np.random.default_rng(seed)
         mirror.random()  # the measurement draw
@@ -189,111 +200,115 @@ class TestFeedback:
             phi_x=draw[0], phi_y=draw[2], phi_z=draw[1]
         )
         expected = linalg.rotation_block(rec.angles)
-        np.testing.assert_allclose(agent.basis, expected, atol=1e-15)
-        assert agent.w == pytest.approx(2.0 / 0.9)
-        assert agent.n_p == 1
+        np.testing.assert_allclose(agent.bases[0], expected, atol=1e-15)
+        assert agent.w[0] == pytest.approx(2.0 / 0.9)
+        assert agent.n_p[0] == 1
 
     def test_punish_touches_only_the_two_columns(self):
-        agent = AgentState(dim=4, params=default_params(), seed=9)
-        before = agent.basis.copy()
-        rec = agent.decide_and_update(2)
+        agent = EnsembleState(4, default_params(), [9])
+        before = agent.bases[0].copy()
+        rec = feed(agent, 2)
         assert rec.classification == protocol.PUNISH
-        np.testing.assert_array_equal(agent.basis[:, 1], before[:, 1])
-        np.testing.assert_array_equal(agent.basis[:, 3], before[:, 3])
+        np.testing.assert_array_equal(agent.bases[0][:, 1], before[:, 1])
+        np.testing.assert_array_equal(agent.bases[0][:, 3], before[:, 3])
         full = np.eye(4, dtype=complex)
         full[np.ix_((0, 2), (0, 2))] = linalg.rotation_block(rec.angles)
-        np.testing.assert_allclose(agent.basis, before @ full, atol=1e-15)
+        np.testing.assert_allclose(agent.bases[0], before @ full, atol=1e-15)
 
     def test_outcome_out_of_range(self):
-        agent = AgentState(dim=2, params=default_params(), seed=5)
+        agent = EnsembleState(2, default_params(), [5])
         with pytest.raises(OutOfRange):
-            agent.decide_and_update(2)
+            feed(agent, 2)
         with pytest.raises(OutOfRange):
-            agent.decide_and_update(-1)
+            feed(agent, -1)
 
 
 def test_runaway_search_range_never_overflows_the_sampler():
     """Uncapped w past ~1e6 turns must clamp the draw interval, not crash."""
-    agent = AgentState(dim=2, params=default_params(), seed=2)
-    agent.w = 1e300  # deep in the runaway regime
-    rec = agent.decide_and_update(1)
+    agent = EnsembleState(2, default_params(), [2])
+    agent.w[0] = 1e300  # deep in the runaway regime
+    rec = feed(agent, 1)
     assert rec.classification == protocol.PUNISH
     for phi in (rec.angles.phi_x, rec.angles.phi_y, rec.angles.phi_z):
         assert abs(phi) <= protocol.MAX_DRAW_BOUND
-    assert agent.w == 1e300 * default_params().p  # bookkeeping unclamped
-    assert np.isfinite(agent.basis).all()
+    assert agent.w[0] == 1e300 * default_params().p  # bookkeeping unclamped
+    assert np.isfinite(agent.bases[0]).all()
 
 
 def test_search_range_saturates_at_cap():
     params = default_params(w_cap=1.0)
-    agent = AgentState(dim=2, params=params, seed=13)
-    prev = agent.w
+    agent = EnsembleState(2, params, [13])
+    prev = agent.w[0]
     for step in range(40):
-        rec = agent.decide_and_update(1 if step % 3 else 0)
+        rec = feed(agent, 1 if step % 3 else 0)
         if rec.classification == protocol.PUNISH:
             expected = min(prev * params.p, 1.0)
         else:
             expected = prev * params.r
-        assert agent.w == expected  # single multiply either way: exact
-        assert agent.w <= 1.0
-        prev = agent.w
+        assert agent.w[0] == expected  # single multiply either way: exact
+        assert agent.w[0] <= 1.0
+        prev = agent.w[0]
 
 
 def test_uncapped_ledger_identity_over_random_run():
     env = env_random(2, 1.0, seed=301)
     params = default_params()
-    agent = AgentState(dim=2, params=params, seed=301)
+    agent = EnsembleState(2, params, [301])
 
-    def check(agent_now, rec):
-        expected = params.w1 * params.r**agent_now.n_r * params.p**agent_now.n_p
-        np.testing.assert_allclose(agent_now.w, expected, rtol=1e-10)
+    def check(state, rec):
+        expected = params.w1 * params.r ** int(state.n_r[0]) * params.p ** int(state.n_p[0])
+        np.testing.assert_allclose(state.w[0], expected, rtol=1e-10)
 
-    run_stages(
-        agent, env.interact, StoppingRule(kind="fixed-budget", budgets=(600,)), check
-    )
+    rule = StoppingRule(kind="fixed-budget", budgets=(600,))
+    run_stages(agent, harness._black_box([env]), rule, check)
 
 
 def test_advance_stage_resets_bookkeeping():
-    agent = AgentState(dim=3, params=default_params(), seed=8)
-    agent.decide_and_update(0)
-    agent.decide_and_update(2)
+    agent = EnsembleState(3, default_params(), [8])
+    feed(agent, 0)
+    feed(agent, 2)
     k_before = agent.k
-    agent.advance_stage()
-    assert agent.stage == 1
-    assert agent.w == 1.0
-    assert (agent.n_r, agent.n_p, agent.n_neutral) == (0, 0, 0)
+    agent.advance_stage(np.array([0]))
+    assert agent.stage[0] == 1
+    assert agent.w[0] == 1.0
+    assert (agent.n_r[0], agent.n_p[0], agent.n_neutral[0]) == (0, 0, 0)
     assert agent.k == k_before  # the global clock keeps running
-    agent.advance_stage()
+    agent.advance_stage(np.array([0]))
     with pytest.raises(StageOverflow):
-        agent.advance_stage()
+        agent.advance_stage(np.array([0]))
+
+
+def recorder(seen):
+    """An observer that appends the lone member's record of each iteration."""
+    return lambda state, rec: seen.append(protocol.first_record(rec))
 
 
 def test_run_stages_budget_schedule():
     env = env_random(3, 1.0, seed=17)
-    agent = AgentState(dim=3, params=default_params(), seed=17)
+    agent = EnsembleState(3, default_params(), [17])
     seen = []
     run_stages(
         agent,
-        env.interact,
+        harness._black_box([env]),
         StoppingRule(kind="fixed-budget", budgets=(5, 7)),
-        lambda a, rec: seen.append(rec),
+        recorder(seen),
     )
     assert [rec.stage for rec in seen] == [0] * 5 + [1] * 7
     assert [rec.k for rec in seen] == list(range(1, 13))
-    assert agent.stage == 2
+    assert agent.stage[0] == 2
     assert agent.k == 13
 
 
 def test_threshold_run_on_diagonal_environment():
     """Probe starts on an eigenvector: pure reward, w = r^k, basis frozen."""
     params = default_params()
-    agent = AgentState(dim=2, params=params, seed=99)
+    agent = EnsembleState(2, params, [99])
     seen = []
-    run_stages(agent, DIAG2.interact, StoppingRule(w_min=1e-3), lambda a, r: seen.append(r))
+    run_stages(agent, harness._black_box([DIAG2]), StoppingRule(w_min=1e-3), recorder(seen))
     expected_len = math.ceil(math.log(1e-3) / math.log(params.r))
     assert len(seen) == expected_len
     assert all(rec.classification == protocol.REWARD for rec in seen)
-    np.testing.assert_array_equal(agent.basis, np.eye(2))
+    np.testing.assert_array_equal(agent.bases[0], np.eye(2))
     ws = np.array([rec.w_after for rec in seen])
     np.testing.assert_allclose(ws, params.r ** np.arange(1, expected_len + 1),
                                rtol=1e-13)
@@ -301,16 +316,16 @@ def test_threshold_run_on_diagonal_environment():
 
 def test_basis_stays_unitary_over_long_runs():
     env = env_random(3, 1.0, seed=5)
-    agent = AgentState(dim=3, params=default_params(), seed=5)
-    punishes = []
+    agent = EnsembleState(3, default_params(), [5])
+    seen = []
     run_stages(
         agent,
-        env.interact,
+        harness._black_box([env]),
         StoppingRule(kind="fixed-budget", budgets=(700, 700)),
-        lambda a, rec: punishes.append(rec.classification == protocol.PUNISH),
+        recorder(seen),
     )
-    assert any(punishes)  # the run actually rotated the basis
-    gram = agent.basis.conj().T @ agent.basis
+    assert any(rec.classification == protocol.PUNISH for rec in seen)  # it rotated
+    gram = agent.bases[0].conj().T @ agent.bases[0]
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
 
 
@@ -320,11 +335,11 @@ def test_identically_seeded_runs_are_bit_identical():
     traces = []
     hashes = []
     for _ in range(2):
-        agent = AgentState(dim=2, params=default_params(), seed=88)
+        agent = EnsembleState(2, default_params(), [88])
         recs = []
-        run_stages(agent, env.interact, rule, lambda a, rec: recs.append(rec))
+        run_stages(agent, harness._black_box([env]), rule, recorder(recs))
         traces.append(recs)
-        hashes.append(protocol.basis_hash(agent.basis))
+        hashes.append(protocol.basis_hash(agent.bases[0]))
     assert traces[0] == traces[1]
     assert hashes[0] == hashes[1]
 
@@ -337,9 +352,9 @@ def test_agent_sees_only_the_interaction_callable():
     # a bare callable is a fully sufficient black box
     sx = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
     unitary = linalg.unitary_from_eigensystem(linalg.eig_hermitian(sx), 1.0)
-    agent = AgentState(dim=2, params=default_params(), seed=1)
-    rec = agent.step(lambda psi: unitary @ psi)
-    assert rec.k == 1 and rec.stage == 0
+    agent = EnsembleState(2, default_params(), [1])
+    rec = agent.step(lambda members, probes: probes @ unitary.T)
+    assert rec.k == 1 and rec.stage.tolist() == [0]
 
 
 class TestEnsemble:
@@ -356,9 +371,7 @@ class TestEnsemble:
                 row = (int(rec.stage[j]), int(rec.outcome[j]), float(rec.w_after[j]))
                 steps[i].append((rec.k, *row))
 
-        def batched(members, probes):
-            return (env.unitary[None] @ probes[:, :, None])[:, :, 0]
-        returned = run_stages(ensemble, batched, rule, observer)
+        returned = run_stages(ensemble, harness._black_box([env]), rule, observer)
         agents = []
         for i, seed in enumerate(seeds):
             agent = reference.AgentState(dim, default_params(w_cap=1.0), seed)
@@ -431,16 +444,12 @@ class TestEnsemble:
     def test_a_finished_ensemble_says_no_member_is_active(self):
         ensemble = EnsembleState(2, default_params(), [1, 2])
         ensemble.advance_stage(np.array([0, 1]))
-        agent = AgentState(dim=2, params=default_params(), seed=1)
-        agent.advance_stage()
-        assert ensemble.finished and agent.finished
+        assert ensemble.finished
         calls = [
             lambda: ensemble.measure(np.zeros((0, 2), dtype=complex)),
             lambda: ensemble.decide_and_update(np.zeros(0, dtype=np.intp)),
             lambda: ensemble.step(lambda members, probes: probes),
-            lambda: agent.measure(np.array([1.0, 0.0], dtype=complex)),
-            lambda: agent.decide_and_update(0),
-            lambda: agent.step(lambda psi: psi),
+            lambda: feed(ensemble, 0),
         ]
         for call in calls:
             with pytest.raises(StageOverflow, match="no member is active"):
@@ -451,31 +460,30 @@ class TestTraces:
     @pytest.fixture()
     def recorded_run(self, tmp_path):
         env = env_random(2, 1.0, seed=555)
-        agent = AgentState(dim=2, params=default_params(), seed=555)
+        agent = EnsembleState(2, default_params(), [555])
         records = []
         run_stages(
             agent,
-            env.interact,
+            harness._black_box([env]),
             StoppingRule(kind="fixed-budget", budgets=(50,)),
-            lambda a, rec: records.append(rec),
+            recorder(records),
         )
         assert any(r.classification == protocol.PUNISH for r in records)
         path = str(tmp_path / "run.trace")
-        protocol.write_trace(path, {"dim": 2, "seed": 555}, records, agent.basis)
-        return path, records, agent
+        protocol.write_trace(path, {"dim": 2, "seed": 555}, records, agent.bases[0])
+        return path, records, agent.bases[0]
 
     def test_roundtrip_and_replay(self, recorded_run):
-        path, records, agent = recorded_run
+        path, records, basis = recorded_run
         header, parsed, final = protocol.read_trace(path)
         assert header["format"] == protocol.TRACE_FORMAT
         assert header["dim"] == 2
         assert parsed == records
-        assert final == protocol.basis_hash(agent.basis)
+        assert final == protocol.basis_hash(basis)
         replayed = protocol.replay_basis(2, parsed)
-        np.testing.assert_array_equal(replayed, agent.basis)
-        assert protocol.replay_trace(path) is True
+        assert replayed.tobytes() == basis.tobytes()
 
-    def test_tampered_angle_breaks_replay(self, recorded_run):
+    def test_tampered_angle_breaks_replay(self, recorded_run, capsys):
         path, _, _ = recorded_run
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         for i, line in enumerate(lines):
@@ -486,7 +494,8 @@ class TestTraces:
                 break
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        assert protocol.replay_trace(path) is False
+        assert main(["replay", "--trace", path]) == 1
+        assert capsys.readouterr().err.startswith("replay DIVERGED: ")
 
     def test_truncated_trace_is_rejected(self, recorded_run):
         path, _, _ = recorded_run
@@ -518,4 +527,4 @@ class TestTraces:
             + "\n"
         )
         with pytest.raises(ConfigError):
-            protocol.replay_trace(str(nodim))
+            protocol.read_trace(str(nodim))
