@@ -1,9 +1,9 @@
 """Command-line entry point: run, verify, replay, gen-operator.
 
 Exit codes: 0 success, 1 tolerance/divergence failure, 2 bad input
-(arguments, output paths that name an input or each other, config, operator
-and basis files, truncated or malformed traces, non-unitary bases),
-3 runtime failure.
+(arguments, output paths that name an input or each other, a directory or a
+missing directory, config, operator and basis files, truncated or malformed
+traces, non-unitary bases), 3 runtime failure.
 The ``QRL_LOG`` environment variable sets the logging level.
 """
 from __future__ import annotations
@@ -78,10 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _distinct(*named: tuple[str, str | None]) -> None:
-    """ConfigError if two of the ``(flag, path)`` pairs name the same file."""
+def _distinct(inputs: list[tuple[str, str | None]],
+              outputs: list[tuple[str, str | None]]) -> None:
+    """ConfigError, raised before any work, if an output is a directory or
+    lies in one that does not exist, or if two of the ``(flag, path)``
+    pairs, inputs or outputs, name the same file."""
+    for flag, path in outputs:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag} {path} is a directory")
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise ConfigError(f"{flag} {path}: no directory {folder}")
     seen: dict[str, str] = {}
-    for flag, path in (pair for pair in named if pair[1] is not None):
+    for flag, path in (pair for pair in inputs + outputs if pair[1] is not None):
         real = os.path.realpath(path)
         if real in seen:
             raise ConfigError(f"{flag} {path} names the same file as {seen[real]}")
@@ -94,8 +105,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         stem = os.path.splitext(os.path.basename(args.config))[0]
         out = f"{stem}.{args.format}"
     config = harness.load_config(args.config)
-    _distinct(("--config", args.config), ("operator_file", config.operator_file),
-              ("--out", out), ("--trace", args.trace))
+    _distinct([("--config", args.config), ("operator_file", config.operator_file)],
+              [("--out", out), ("--trace", args.trace)])
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     log.info("running %d repetitions at dim %d", config.repetitions, config.dim)
@@ -131,7 +142,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    _distinct(("--trace", args.trace), ("--d-matrix", args.d_matrix))
+    _distinct([("--trace", args.trace)], [("--d-matrix", args.d_matrix)])
     header, records, recorded = protocol.read_trace(args.trace)
     basis = protocol.replay_basis(header["dim"], records)
     if args.d_matrix:
@@ -149,6 +160,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_operator(args: argparse.Namespace) -> int:
+    _distinct([], [("--out", args.out)])
     finite_number(args.tau, "--tau")
     if args.kind == "random":
         if args.dim is None:

@@ -14,6 +14,7 @@ run, so it audits the decisions behind the results.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -52,6 +53,8 @@ FIDELITY_MODES = ("paper", "per-rep")
 
 _REP_SALT = 17
 _ENV_SALT = 23
+
+log = logging.getLogger(__name__)
 
 
 def derive_seed(root: int, index: int, salt: int = _REP_SALT) -> int:
@@ -481,6 +484,8 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
     its bits.  Resampled environments are built together, with the bits
     each would have alone.  With ``trace``, the result also holds repetition
     0's decisions from this same run, ready to be written as a trace.
+    Under a threshold rule it logs, at INFO, how many repetitions closed
+    each stage by meeting ``w_min`` and how many by hitting the cap.
     """
     n = config.repetitions
     if config.resample_env_per_repetition:
@@ -502,6 +507,11 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
             captured.observe(state, rec)
 
     run_stages(ensemble, _black_box(envs), config.stopping, observer)
+    if config.stopping.kind == "threshold":
+        for t, (met, capped) in enumerate(zip(ensemble.reached_w_min.tolist(),
+                                              ensemble.hit_max_iterations.tolist())):
+            log.info("stage %d: %d repetitions reached w_min, %d hit max_iterations",
+                     t, met, capped)
     result = fold.finalize(ensemble, envs)
     if trace:
         captured.final_basis = ensemble.bases[0].copy()

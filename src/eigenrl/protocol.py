@@ -27,6 +27,15 @@ is a one-member ensemble.  :func:`first_record` turns the first listed
 member's row of an :class:`EnsembleRecord` into a trace line's
 :class:`IterationRecord`, and :func:`replay_basis` replays a trace.
 
+In the protocol each iteration sends a fresh probe through the black box,
+but a member's probe, and so the distribution of its outcome, changes only
+when it is punished, when the drift control re-orthonormalizes its basis or
+when it starts a stage.  The engine therefore keeps each member's Born
+weights from the last such change and evolves only the changed probes; the
+iteration counts ``k`` and ``calls`` still count every iteration, one use
+of the black box each.  A fixed-budget stage can end only where its budget
+runs out, and :func:`run_stages` applies such a rule there alone.
+
 Punish angles are drawn in the fixed order x, z, y from the per-agent
 generator, using the pre-update ``w``, so runs are reproducible and a
 recorded trace can be replayed bit for bit.
@@ -71,6 +80,13 @@ BORN_TOL = 1e-9
 DRAW_BUFFER_BYTES = 1 << 20
 DRAW_BUFFER_MIN = 32
 DRAW_BUFFER_MAX = 256
+
+#: an iteration that punishes at most this many members updates them one at
+#: a time, with the scalar primitives ``replay_basis`` uses; more punished
+#: members go through the stacked update, whose fixed cost is then shared.
+#: Timed at n = 16, 40 and 1000 members (d = 4): one at a time was faster
+#: for one punished member, about even for two, and slower from three.
+PUNISH_EACH_MAX = 1
 
 #: doubles one iteration can use: the measurement draw and three punish angles
 _DRAWS_PER_ITERATION = 4
@@ -210,26 +226,39 @@ class EnsembleState:
     """Independently seeded agents advanced together, one iteration at a time.
 
     Member ``i`` is the lone agent seeded ``seeds[i]``: how many members run
-    beside it changes none of its bits.  Each step evolves the probes of all
-    running members in one batched black-box call and applies the feedback
-    in stacked form, and each stacked form gives the bits of the one-agent
-    arithmetic.  Each member reads its doubles in order from a row of
-    ``_draws`` pre-drawn from its own generator, which gives the same values
-    as drawing them one at a time; the rows share ``DRAW_BUFFER_BYTES``,
-    within the per-member bounds.
+    beside it changes none of its bits.  Each step evolves the stale probes
+    (below) in one batched black-box call and applies the feedback in
+    stacked form, or member by member when few are punished, and each form
+    gives the bits of the one-agent arithmetic.  Each member reads its
+    doubles in order from a row of ``_draws`` pre-drawn from its own
+    generator, which gives the same values as drawing them one at a time;
+    the rows share ``DRAW_BUFFER_BYTES``, within the per-member bounds.
 
     A member runs until its own stopping rule has closed its last stage,
     so threshold runs end at different iterations; ``active`` lists the
     members still running.  They all share the iteration counter
     ``iteration``, so drift control runs at the same ``k`` as for a lone
-    agent.  ``k`` is one more than the black-box calls made, summed over
-    members.  ``n_r``, ``n_p`` and ``n_neutral`` count the current stage
-    only, so ``w = w1 * r**n_r * p**n_p`` holds per stage while ``w_cap``
-    is infinite, the default.
+    agent.  ``k`` is one more than the iterations run, summed over members,
+    and ``calls[i]`` is member ``i``'s iterations once it finishes.
+    ``n_r``, ``n_p`` and ``n_neutral`` count the current stage only, so
+    ``w = w1 * r**n_r * p**n_p`` holds per stage while ``w_cap`` is
+    infinite, the default.
 
     ``changed[i]`` is the iteration that last changed member ``i``'s basis
     (a punishment or the drift control), 0 if none has, so an observer can
     tell which members' bases moved since it last looked.
+
+    Each member's cumulative Born weights are cached from the last time its
+    probe changed.  A member is stale, and its probe goes through the black
+    box again at its next step, once it is punished, re-orthonormalized by
+    the drift control or starts a stage (every member starts stale); the
+    others draw their outcome from the cached weights, which are the bits
+    that evolving the same probe again would give.  ``k`` and ``calls``
+    count every iteration all the same.
+
+    ``reached_w_min[t]`` and ``hit_max_iterations[t]`` count the members
+    whose threshold stage ``t`` closed by meeting ``w_min`` and by reaching
+    the ``max_iterations`` cap.
     """
 
     def __init__(self, dim: int, params: RewardParams, seeds: list[int]) -> None:
@@ -255,6 +284,12 @@ class EnsembleState:
         self._draws = np.empty((n, width))
         self._cursor = np.full(n, width)
         self._row_index = np.arange(dim)[None, :, None]
+        # cumulative Born weights of every outcome but the last, and their sum
+        self._cumulative = np.empty((n, dim - 1))
+        self._total = np.empty(n)
+        self._stale = np.ones(n, dtype=bool)
+        self.reached_w_min = np.zeros(dim - 1, dtype=np.int64)
+        self.hit_max_iterations = np.zeros(dim - 1, dtype=np.int64)
 
     @property
     def k(self) -> int:
@@ -281,31 +316,36 @@ class EnsembleState:
             self.rngs[i].random(out=row[kept:])
             self._cursor[i] = 0
 
-    def prepare_probes(self) -> np.ndarray:
-        """Column ``stage`` of each running member's basis, shape (n, dim)."""
-        members = self._members()
-        return self.bases[members, :, self.stage[members]]
-
-    def measure(self, evolved: np.ndarray) -> np.ndarray:
-        """One outcome per running member, sampled from its Born weights."""
-        members = self._members()
-        if evolved.shape != (len(members), self.dim):
-            raise DimMismatch(
-                f"states shape {evolved.shape}, expected ({len(members)}, {self.dim})"
-            )
-        amps = (evolved[:, None, :] @ self.bases[self._running].conj())[:, 0]
-        q = amps.real**2 + amps.imag**2
-        total = q.sum(axis=1)
-        drift = np.abs(total - 1.0)
-        if not drift.max() < BORN_TOL:
-            j = int(np.argmax(~(drift < BORN_TOL)))
-            raise NotNormalized(
-                f"Born weights of member {members[j]} sum to {total[j]!r}, not 1"
-            )
-        u = self._draws[members, self._cursor[members]] * total
-        self._cursor[self._running] += 1
+    def measure(
+        self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """One outcome per running member, sampled from the Born weights of
+        its evolved probe; only the stale members' probes go through
+        ``interact`` (see :meth:`step`), the others reuse their weights."""
+        members, running = self._members(), self._running
+        stale = members[self._stale[running]]
+        if stale.size:
+            evolved = interact(stale, self.bases[stale, :, self.stage[stale]])
+            if evolved.shape != (len(stale), self.dim):
+                raise DimMismatch(
+                    f"states shape {evolved.shape}, expected ({len(stale)}, {self.dim})"
+                )
+            amps = (evolved[:, None, :] @ self.bases[stale].conj())[:, 0]
+            q = amps.real**2 + amps.imag**2
+            total = q.sum(axis=1)
+            drift = np.abs(total - 1.0)
+            if not drift.max() < BORN_TOL:
+                j = int(np.argmax(~(drift < BORN_TOL)))
+                raise NotNormalized(
+                    f"Born weights of member {stale[j]} sum to {total[j]!r}, not 1"
+                )
+            self._cumulative[stale] = np.cumsum(q[:, :-1], axis=1)
+            self._total[stale] = total
+            self._stale[stale] = False
+        u = self._draws[members, self._cursor[members]] * self._total[running]
+        self._cursor[running] += 1
         # the outcome is the first index whose running sum exceeds u
-        return (np.cumsum(q[:, :-1], axis=1) <= u[:, None]).sum(axis=1)
+        return (self._cumulative[running] <= u[:, None]).sum(axis=1)
 
     def decide_and_update(self, outcomes: np.ndarray) -> EnsembleRecord:
         """Apply each running member's feedback and advance the shared counter."""
@@ -324,18 +364,12 @@ class EnsembleState:
         hit = np.nonzero(punish)[0]
         if hit.size:
             who = members[hit]
-            bound = np.minimum(w[hit] * math.pi, MAX_DRAW_BOUND)
-            low = -bound
-            cursor = self._cursor[who]
-            # drawn in the order x, z, y; gathered as the rows x, y, z
-            draws = self._draws[who, cursor + _DRAWN_XYZ]
-            self._cursor[who] = cursor + 3
-            angles = low + (bound - low) * draws
-            blocks = linalg.rotation_blocks(angles)
-            cols = np.array((t[hit], outcomes[hit])).T[:, None, :]
-            at = (who[:, None, None], self._row_index, cols)  # (n, dim, 2) pairs
-            self.bases[at] = self.bases[at] @ blocks
+            if hit.size <= PUNISH_EACH_MAX:
+                angles = self._punish_each(who, t[hit], outcomes[hit], w[hit])
+            else:
+                angles = self._punish_stacked(who, t[hit], outcomes[hit], w[hit])
             self.changed[who] = k
+            self._stale[who] = True
             w_after[hit] = np.minimum(w[hit] * self.params.p, self.params.w_cap)
         self.w[running] = w_after
         self.n_r[running] += reward
@@ -346,10 +380,44 @@ class EnsembleState:
             for i in members:
                 linalg.gram_schmidt(self.bases[i])
             self.changed[members] = k
+            self._stale[members] = True
         return EnsembleRecord(
             k=k, members=members, stage=t, outcome=outcomes, w_after=w_after,
             angles=angles,
         )
+
+    def _punish_stacked(self, who: np.ndarray, t: np.ndarray, m: np.ndarray,
+                        w: np.ndarray) -> np.ndarray:
+        """Rotate columns ``t`` and ``m`` of each listed member's basis in one
+        stacked update; returns the angles, rows phi_x, phi_y, phi_z."""
+        bound = np.minimum(w * math.pi, MAX_DRAW_BOUND)
+        low = -bound
+        cursor = self._cursor[who]
+        # drawn in the order x, z, y; gathered as the rows x, y, z
+        draws = self._draws[who, cursor + _DRAWN_XYZ]
+        self._cursor[who] = cursor + 3
+        angles = low + (bound - low) * draws
+        blocks = linalg.rotation_blocks(angles)
+        cols = np.array((t, m)).T[:, None, :]
+        at = (who[:, None, None], self._row_index, cols)  # (n, dim, 2) pairs
+        self.bases[at] = self.bases[at] @ blocks
+        return angles
+
+    def _punish_each(self, who: np.ndarray, t: np.ndarray, m: np.ndarray,
+                     w: np.ndarray) -> np.ndarray:
+        """:meth:`_punish_stacked` one member at a time, with the bits of the
+        stacked form: scalar angles and the 2x2 block of ``replay_basis``."""
+        angles = np.empty((3, len(who)))
+        rows = zip(who.tolist(), t.tolist(), m.tolist(), w.tolist())
+        for j, (i, ti, mi, wi) in enumerate(rows):
+            bound = min(wi * math.pi, MAX_DRAW_BOUND)
+            low = -bound
+            c = int(self._cursor[i])
+            x, z, y = (low + (bound - low) * v for v in self._draws[i, c:c + 3].tolist())
+            self._cursor[i] = c + 3
+            angles[:, j] = x, y, z
+            _apply_block(self.bases[i], ti, mi, linalg.rotation_block(RotationAngles(x, y, z)))
+        return angles
 
     def step(
         self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -357,11 +425,11 @@ class EnsembleState:
         """Run one iteration of every running member against the black box.
 
         ``interact(members, probes)`` evolves row ``j`` of ``probes`` as the
-        black box of member ``members[j]`` would.
+        black box of member ``members[j]`` would; it sees the probes of the
+        stale members only, and is not called when none is stale.
         """
         self._refill()
-        evolved = interact(self.active, self.prepare_probes())
-        return self.decide_and_update(self.measure(evolved))
+        return self.decide_and_update(self.measure(interact))
 
     def stage_converged(self, rule: StoppingRule) -> np.ndarray:
         """Mask over ``active``: whose current stage has met the rule."""
@@ -371,11 +439,22 @@ class EnsembleState:
             return done >= np.asarray(rule.budgets)[self.stage[running]]
         return (self.w[running] < rule.w_min) | (done >= rule.max_iterations)
 
+    def iterations_to_stage_end(self, rule: StoppingRule) -> int:
+        """Iterations until the rule can next close a running member's stage:
+        the fewest left in a fixed budget, else 1, as a threshold can close
+        a stage at any iteration."""
+        if rule.kind != "fixed-budget" or self.finished:
+            return 1
+        running = self._running
+        done = self.n_r[running] + self.n_p[running] + self.n_neutral[running]
+        return int((np.asarray(rule.budgets)[self.stage[running]] - done).min())
+
     def advance_stage(self, members: np.ndarray) -> None:
         """Fix the current column of each listed member and start its next one."""
         if (self.stage[members] >= self.dim - 1).any():
             raise StageOverflow(f"no stage after {self.dim - 2} at dim {self.dim}")
         self.stage[members] += 1
+        self._stale[members] = True
         self.w[members] = self.params.w1
         self.n_r[members] = 0
         self.n_p[members] = 0
@@ -387,10 +466,17 @@ class EnsembleState:
             self._running = self.active
 
     def advance_converged(self, rule: StoppingRule) -> None:
-        """Advance every member whose stage the rule says is done."""
+        """Advance every member whose stage the rule says is done, counting
+        how each closed threshold stage ended."""
         converged = self.stage_converged(rule)
         if converged.any():
-            self.advance_stage(self.active[converged])
+            members = self.active[converged]
+            if rule.kind == "threshold":
+                met = self.w[members] < rule.w_min
+                stages = self.stage[members]
+                self.reached_w_min += np.bincount(stages[met], minlength=self.dim - 1)
+                self.hit_max_iterations += np.bincount(stages[~met], minlength=self.dim - 1)
+            self.advance_stage(members)
 
 
 def validate_rule(dim: int, params: RewardParams, rule: StoppingRule) -> None:
@@ -415,17 +501,24 @@ def run_stages(
 
     ``interact`` is the batched black box of :meth:`EnsembleState.step`.
     ``observer(state, record)`` sees every :class:`EnsembleRecord` before
-    the stopping rule is applied.  Returns ``state``, finished; its
-    ``k - 1`` is the number of black-box calls made.  An uncapped runaway
-    ``w`` overflows to ``inf``, the value of the bare update, silently.
+    the stopping rule is applied.  The rule is applied at the iterations
+    ``state.iterations_to_stage_end`` names: every one under a threshold,
+    only where a budget runs out under fixed budgets.  Returns ``state``,
+    finished; its ``k - 1`` is the number of iterations run, summed over
+    members.  An uncapped runaway ``w`` overflows to ``inf``, the value of
+    the bare update, silently.
     """
     validate_rule(state.dim, state.params, rule)
+    wait = state.iterations_to_stage_end(rule)
     with np.errstate(over="ignore"):
         while not state.finished:
             rec = state.step(interact)
             if observer is not None:
                 observer(state, rec)
-            state.advance_converged(rule)
+            wait -= 1
+            if wait == 0:
+                state.advance_converged(rule)
+                wait = state.iterations_to_stage_end(rule)
     return state
 
 

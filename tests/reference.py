@@ -139,6 +139,12 @@ class AgentState:
             return done >= rule.budgets[self.stage]
         return self.w < rule.w_min or done >= rule.max_iterations
 
+    def iterations_to_stage_end(self, rule: StoppingRule) -> int:
+        """Iterations until the rule can next close the stage."""
+        if rule.kind != "fixed-budget" or self.finished:
+            return 1
+        return rule.budgets[self.stage] - self.stage_iterations
+
     @property
     def finished(self) -> bool:
         """True once every stage has been learned."""

@@ -1,6 +1,8 @@
 """End-to-end tests for the ``eigenrl`` command line."""
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -155,6 +157,35 @@ class TestRun:
         monkeypatch.setenv("QRL_LOG", "DEBUG")
         cfg = write_config(tmp_path, repetitions=2)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+
+
+    def test_info_log_counts_threshold_stages_that_hit_the_cap(self, tmp_path):
+        """At QRL_LOG=INFO a threshold run ends by logging, per stage, how many
+        repetitions met w_min and how many the cap stopped; its results file
+        is the one a quiet run writes."""
+        rule = {"kind": "threshold", "w_min": 0.5, "max_iterations": 8}
+        cfg = write_config(tmp_path, dim=3, repetitions=20, stopping=rule, record_every=1)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = {}
+        for level in ("WARNING", "INFO"):
+            out = tmp_path / f"{level}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "eigenrl.cli", "run", "--config", str(cfg),
+                 "--out", str(out)],
+                env={**os.environ, "QRL_LOG": level, "PYTHONPATH": src},
+                capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[level] = out.read_bytes(), proc.stderr
+        assert runs["INFO"][0] == runs["WARNING"][0]
+        assert runs["WARNING"][1] == ""
+        stops = re.findall(
+            r"stage (\d+): (\d+) repetitions reached w_min, (\d+) hit max_iterations",
+            runs["INFO"][1],
+        )
+        assert [t for t, _, _ in stops] == ["0", "1"]
+        assert all(int(met) + int(capped) == 20 for _, met, capped in stops)
+        assert all(int(capped) > 0 for _, _, capped in stops)
 
 
 class TestPipeline:
@@ -438,6 +469,16 @@ MALFORMED = {
     "run-trace-links-to-out": linked_trace_args,
     "run-out-is-operator-file": operator_file_out_args,
     "replay-d-matrix-is-trace": replay_onto_trace_args,
+    "run-out-dir-missing": lambda tmp_path: run_path_args(tmp_path, "nodir/o.csv"),
+    "run-trace-dir-missing": lambda tmp_path: run_path_args(tmp_path, "o.csv", "nodir/t.trace"),
+    "run-out-is-a-directory": lambda tmp_path: run_path_args(tmp_path, "."),
+    "run-trace-is-a-directory": lambda tmp_path: run_path_args(tmp_path, "o.csv", "."),
+    "replay-d-matrix-dir-missing": lambda tmp_path: [
+        *replay_args(tmp_path), "--d-matrix", str(tmp_path / "nodir" / "d.json")],
+    "gen-operator-out-dir-missing": lambda tmp_path: [
+        "gen-operator", "--kind", "bell", "--out", str(tmp_path / "nodir" / "op.json")],
+    "gen-operator-out-is-a-directory": lambda tmp_path: [
+        "gen-operator", "--kind", "bell", "--out", str(tmp_path)],
 }
 
 
@@ -467,8 +508,10 @@ def test_lost_unitarity_exits_3_with_one_stderr_line(tmp_path, flags):
         f"sys.path.insert(0, {str(src)!r})\n"
         "from eigenrl import linalg\n"
         "from eigenrl.cli import main\n"
-        "unitary = linalg.rotation_blocks\n"
-        "linalg.rotation_blocks = lambda phi: 2.0 * unitary(phi)  # not unitary\n"
+        "block, blocks = linalg.rotation_block, linalg.rotation_blocks\n"
+        "# neither form is unitary: one punished member takes the one-block form\n"
+        "linalg.rotation_block = lambda angles: 2.0 * block(angles)\n"
+        "linalg.rotation_blocks = lambda phi: 2.0 * blocks(phi)\n"
         f"sys.exit(main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o.csv')!r}]))\n"
     )
     proc = subprocess.run([sys.executable, *flags, "-c", script],

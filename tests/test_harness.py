@@ -1,5 +1,6 @@
 """Experiment driver: config schema, aggregation, result files."""
 import json
+import logging
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -821,6 +822,29 @@ def test_threshold_convergence_couples_probe_to_outcome():
         rng = np.random.default_rng(1000 + seed)
         hits = int(np.sum(rng.random(1000) < weights[0]))
         assert hits >= 990
+
+
+def test_threshold_stops_that_hit_the_cap_are_counted(caplog):
+    """Per stage, the run counts and logs the repetitions whose threshold
+    stage closed at ``w_min`` and those the ``max_iterations`` cap closed,
+    as the lone reference agents end their stages."""
+    rule = StoppingRule(kind="threshold", w_min=0.5, max_iterations=8)
+    cfg = small_config(dim=3, repetitions=20, stopping=rule)
+    want = np.zeros((2, 2), dtype=int)  # [stage, (reached w_min, hit the cap)]
+    for i in range(cfg.repetitions):
+        agent = AgentState(cfg.dim, cfg.params, harness.derive_seed(cfg.seed, i))
+        last_w = {}
+        protocol.run_stages(agent, lone_environment(cfg, i).interact, rule,
+                            lambda a, rec: last_w.__setitem__(rec.stage, rec.w_after))
+        for t, w in last_w.items():
+            want[t, 0 if w < rule.w_min else 1] += 1
+    assert want.min() > 0  # the cap binds, and w_min is met too, in each stage
+    with caplog.at_level(logging.INFO, logger="eigenrl.harness"):
+        harness.run_experiment(cfg)
+    assert [r.getMessage() for r in caplog.records if r.name == "eigenrl.harness"] == [
+        f"stage {t}: {met} repetitions reached w_min, {capped} hit max_iterations"
+        for t, (met, capped) in enumerate(want.tolist())
+    ]
 
 
 def test_residual_tracks_fidelity_loss():

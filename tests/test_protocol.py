@@ -103,19 +103,24 @@ def test_agent_initial_state():
         EnsembleState(1, default_params(), [1])
 
 
+def returning(evolved):
+    """A black box that returns the states ``evolved``, whatever it is sent."""
+    return lambda members, probes: evolved
+
+
 def test_measure_validates_shape():
     agent = EnsembleState(2, default_params(), [3])
     with pytest.raises(DimMismatch):
-        agent.measure(np.zeros((1, 3), dtype=complex))
+        agent.measure(returning(np.zeros((1, 3), dtype=complex)))
 
 
 def measure_lone(agent, evolved, times):
     """The outcomes of measuring ``evolved`` ``times`` times with a one-member
-    ensemble."""
+    ensemble; its weights are computed once and then reused."""
     outcomes = []
     for _ in range(times):
         agent._refill()
-        outcomes.append(int(agent.measure(evolved[None])[0]))
+        outcomes.append(int(agent.measure(returning(evolved[None]))[0]))
     return outcomes
 
 
@@ -147,14 +152,15 @@ def test_born_weight_check_raises_under_optimize():
         "from eigenrl.protocol import EnsembleState, RewardParams\n"
         "from eigenrl.errors import NotNormalized\n"
         "params = RewardParams(r=0.9, nu=2.0)\n"
+        "box = lambda states: lambda members, probes: np.array(states, dtype=complex)\n"
         "caught = 0\n"
         "try:\n"
-        "    EnsembleState(2, params, [1]).measure(np.array([[1.0, 1.0]], dtype=complex))\n"
+        "    EnsembleState(2, params, [1]).measure(box([[1.0, 1.0]]))\n"
         "except NotNormalized:\n"
         "    caught += 1\n"
         "ensemble = EnsembleState(2, params, [1, 2])\n"
         "try:\n"
-        "    ensemble.measure(np.array([[1.0, 0.0], [0.6, 0.6]], dtype=complex))\n"
+        "    ensemble.measure(box([[1.0, 0.0], [0.6, 0.6]]))\n"
         "except NotNormalized:\n"
         "    caught += 1\n"
         "print(sys.flags.optimize, caught)\n"
@@ -410,7 +416,7 @@ class TestEnsemble:
         ensemble._refill()
         ensemble._draws[0, ensemble._cursor[0]] = 0.5
         assert agent.measure(evolved) == 2
-        assert list(ensemble.measure(evolved[None])) == [2]
+        assert list(ensemble.measure(returning(evolved[None]))) == [2]
 
     @pytest.mark.parametrize("width", [32, 33, 256])
     def test_draw_width_changes_no_bits(self, monkeypatch, width):
@@ -421,6 +427,74 @@ class TestEnsemble:
         for i, agent in enumerate(agents):
             assert ensemble.bases[i].tobytes() == agent.basis.tobytes()
             assert ensemble.w[i] == agent.w
+
+    @pytest.mark.parametrize(
+        "rule", [RULE, StoppingRule(kind="fixed-budget", budgets=(60, 45))],
+        ids=["threshold", "fixed-budget"],
+    )
+    @pytest.mark.parametrize(
+        "cut_over, forms",
+        [(0, {"_punish_stacked"}), (1, {"_punish_each", "_punish_stacked"}),
+         (10**6, {"_punish_each"})],
+        ids=["stacked", "default", "each"],
+    )
+    def test_punish_form_changes_no_bits(self, monkeypatch, cut_over, forms, rule):
+        """Punished members updated one at a time, in one stacked update, or
+        split by the cut-over, all get the lone agents' bits."""
+        monkeypatch.setattr(protocol, "PUNISH_EACH_MAX", cut_over)
+        calls = []
+        for name in ("_punish_each", "_punish_stacked"):
+            def counted(self, who, *rest, form=getattr(EnsembleState, name), name=name):
+                calls.append((name, len(who)))
+                return form(self, who, *rest)
+
+            monkeypatch.setattr(EnsembleState, name, counted)
+        _, ensemble, agents = self.run_both(3, [5, 6, 7, 8, 9], rule)
+        for i, agent in enumerate(agents):
+            assert ensemble.bases[i].tobytes() == agent.basis.tobytes()
+            assert ensemble.w[i] == agent.w
+        assert {name for name, _ in calls} == forms
+        each = [size for name, size in calls if name == "_punish_each"]
+        stacked = [size for name, size in calls if name == "_punish_stacked"]
+        assert all(size <= cut_over for size in each)
+        assert all(size > cut_over for size in stacked)
+        assert max(each + stacked) >= 2  # some iteration punished several members
+
+    @pytest.mark.parametrize(
+        "rule", [RULE, StoppingRule(kind="fixed-budget", budgets=(30, 25))],
+        ids=["threshold", "fixed-budget"],
+    )
+    def test_the_black_box_sees_only_changed_probes(self, monkeypatch, rule):
+        """A member's probe goes through the black box only at an iteration
+        that opens its stage or follows its punishment or a drift control;
+        otherwise its cached Born weights serve."""
+        monkeypatch.setattr(protocol, "REORTHONORMALIZE_EVERY", 7)
+        ensemble = EnsembleState(3, default_params(w_cap=1.0), [5, 6, 7, 8, 9])
+        box = harness._black_box([env_random(3, 1.0, seed=31)])
+        sent, sizes = [], []
+
+        def spy(members, probes):
+            sizes.append(len(members))
+            sent.extend((ensemble.iteration, i) for i in members.tolist())
+            return box(members, probes)
+
+        due, previous, reasons = [], {}, set()
+
+        def observer(state, rec):
+            for j, i in enumerate(rec.members.tolist()):
+                t, m = int(rec.stage[j]), int(rec.outcome[j])
+                stage, punished = previous.get(i, (None, False))
+                why = {"opens": stage != t, "punished": punished,
+                       "drift": rec.k > 1 and (rec.k - 1) % 7 == 0}
+                if any(why.values()):
+                    due.append((rec.k, i))
+                    reasons.update(key for key, hit in why.items() if hit)
+                previous[i] = (t, m > t)
+
+        run_stages(ensemble, spy, rule, observer)
+        assert sent == due
+        assert min(sizes) > 0 and reasons == {"opens", "punished", "drift"}
+        assert len(due) < (ensemble.k - 1) / 2  # most iterations reuse weights
 
     @pytest.mark.parametrize("n", [1, 512, 1000, 4096, 5000])
     def test_draw_buffers_keep_to_the_byte_budget(self, n):
@@ -433,7 +507,7 @@ class TestEnsemble:
             EnsembleState(1, default_params(), [1])
         ensemble = EnsembleState(2, default_params(), [1, 2])
         with pytest.raises(DimMismatch):
-            ensemble.measure(np.zeros((2, 3), dtype=complex))
+            ensemble.measure(returning(np.zeros((2, 3), dtype=complex)))
         with pytest.raises(OutOfRange):
             ensemble.decide_and_update(np.array([0, 2]))
         ensemble.advance_stage(np.array([0]))
@@ -446,7 +520,7 @@ class TestEnsemble:
         ensemble.advance_stage(np.array([0, 1]))
         assert ensemble.finished
         calls = [
-            lambda: ensemble.measure(np.zeros((0, 2), dtype=complex)),
+            lambda: ensemble.measure(returning(np.zeros((0, 2), dtype=complex))),
             lambda: ensemble.decide_and_update(np.zeros(0, dtype=np.intp)),
             lambda: ensemble.step(lambda members, probes: probes),
             lambda: feed(ensemble, 0),
