@@ -1,11 +1,12 @@
 """The black-box side of the eigensolver.
 
-An :class:`Environment` wraps a hidden Hermitian operator together with the
-unitary propagator ``exp(-i tau O)`` it applies to incoming states.  The
-learning layer is only ever handed :meth:`Environment.interact`; the exact
-spectrum stays behind :meth:`Environment.eigensystem_oracle`, which exists
-for scoring and verification and is never imported by the protocol module
-(a structural test keeps it that way).
+An :class:`Environment` wraps a hidden Hermitian operator together with its
+unitary propagator ``exp(-i tau O)``.  The learning layer is only ever
+handed the batched black box that ``harness._black_box`` builds from the
+environments' ``unitary``; the exact spectrum stays behind
+:meth:`Environment.eigensystem_oracle`, which exists for scoring and
+verification and is never imported by the protocol module (a structural
+test keeps it that way).
 
 Random operators are drawn from the Gaussian unitary ensemble,
 ``(G + G^dag)/2`` with standard complex Gaussian ``G``, then rescaled so the
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import BadDim, ConfigError, DimMismatch
+from .errors import BadDim, ConfigError
 from .linalg import MAX_DIM, MIN_DIM
 
 
@@ -65,12 +66,6 @@ class Environment:
     tau: float
     unitary: np.ndarray
     eigensystem: linalg.Eigensystem = field(repr=False, compare=False)
-
-    def interact(self, psi: np.ndarray) -> np.ndarray:
-        """Send a state through the black box: one application of exp(-i tau O)."""
-        if psi.shape != (self.dim,):
-            raise DimMismatch(f"state shape {psi.shape}, expected ({self.dim},)")
-        return self.unitary @ psi
 
     def eigensystem_oracle(self) -> linalg.Eigensystem:
         """Exact spectrum of the hidden operator (verification side only).

@@ -29,10 +29,6 @@ class StageOverflow(EigenrlError):
     """Attempt to advance past the final learning stage."""
 
 
-class AngleDomain(EigenrlError):
-    """Closed-form angle update produced an out-of-domain intermediate."""
-
-
 class ConfigError(EigenrlError):
     """Configuration file or value is malformed."""
 

@@ -315,8 +315,9 @@ def _pick(stacked: np.ndarray, members: np.ndarray) -> np.ndarray:
 def _black_box(envs: list[Environment]):
     """Batched ``interact(members, probes)`` over one shared or N environments.
 
-    Row ``j`` is evolved by the stacked form of ``Environment.interact``,
-    which gives the same bits as the single-vector product.
+    Row ``j`` of ``probes`` is sent through member ``members[j]``'s
+    environment: one application of its ``unitary``, ``exp(-i tau O)``.
+    This is the only black box the learner is handed.
     """
     unitaries = np.stack([env.unitary for env in envs])
 

@@ -587,7 +587,9 @@ def _record(row: dict, dim: int) -> IterationRecord:
 
 def read_trace(path: str) -> tuple[dict, list[IterationRecord], str]:
     """Parse a trace file; raises ConfigError if it is unreadable, truncated,
-    or holds a record that a run at the header's ``dim`` cannot write."""
+    or holds a record that a run at the header's ``dim`` cannot write, or
+    records out of a run's order: ``k`` counts 1, 2, 3, ... and ``stage``
+    starts at 0 and rises by at most 1 per record."""
     try:
         with open(path, encoding="utf-8") as fh:
             rows = [json.loads(line) for line in (raw.strip() for raw in fh) if line]
@@ -614,6 +616,12 @@ def read_trace(path: str) -> tuple[dict, list[IterationRecord], str]:
         records = [_record(row, dim) for row in body]
     except OverflowError as exc:  # an integer beyond the float range
         raise ConfigError(f"bad trace record: {exc}") from exc
+    stages = (0,)
+    for k, rec in enumerate(records, start=1):
+        if rec.k != k or rec.stage not in stages:
+            raise ConfigError(f"trace record {k} has k {rec.k} and stage {rec.stage}; "
+                              f"a run writes k {k} and a stage in {list(stages)}")
+        stages = (rec.stage, rec.stage + 1)
     return dict(header), records, recorded
 
 

@@ -2,14 +2,27 @@
 
 Nothing in here may call into :mod:`eigenrl.linalg`'s diagonalizer or the
 closed-form rotation block: these are the second route of every dual-route
-test, so they are built only from elementary numpy operations and series
-expansions.
+test, so they are built only from elementary numpy operations, series
+expansions and, for one qubit, closed-form trigonometry.
+
+The single-qubit route restates in trigonometric form what the matrix
+route computes numerically.  A pair ``(theta, phi)`` stands for the state
+``cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>`` with ``theta`` in [0, pi]
+and ``phi`` in [0, 2pi).
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from eigenrl.environment import SingleQubitSpec
+from eigenrl.errors import ConfigError, EigenrlError
+
+TWO_PI = 2.0 * math.pi
+#: slack beyond which a squared amplitude > 1 is treated as a hard error
+CLAMP_TOL = 1e-12
 
 
 def expm_series(a: np.ndarray, order: int = 24) -> np.ndarray:
@@ -74,13 +87,6 @@ def haar_state(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * 0.5 * (g + g.conj().T)
-
-
-def bloch_vector(theta: float, phi: float) -> np.ndarray:
-    """State ``cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>``."""
-    return np.array(
-        [np.cos(0.5 * theta), np.exp(1j * phi) * np.sin(0.5 * theta)]
-    )
 
 
 def _phase_fixed(vec: np.ndarray) -> np.ndarray:
@@ -153,3 +159,139 @@ def eig_hermitian_scalar(h: np.ndarray, budget: int = 100) -> tuple[np.ndarray, 
     eigenvalues = np.array([values[l] for l in order])
     eigenvectors = np.column_stack([columns[l] for l in order]) if n else v
     return eigenvalues, eigenvectors
+
+
+# ---------------------------------------------------------------------------
+# closed-form single-qubit route
+
+
+@dataclass(frozen=True)
+class BlochAngles:
+    """Polar/azimuthal angles of a single-qubit state."""
+
+    theta: float
+    phi: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.theta <= math.pi:
+            raise ConfigError(f"theta must lie in [0, pi], got {self.theta}")
+        if not 0.0 <= self.phi < TWO_PI:
+            raise ConfigError(f"phi must lie in [0, 2pi), got {self.phi}")
+
+
+@dataclass(frozen=True)
+class OverlapAngles:
+    """Relative angles between a probe state and an evolved state.
+
+    ``cos^2(delta_theta / 2)`` is the probability of finding the evolved
+    state back in the probe; ``psi0``/``psi1`` are the phases of the two
+    overlap amplitudes and ``delta_phi = psi1 - psi0``.
+    """
+
+    delta_theta: float
+    delta_phi: float
+    psi0: float
+    psi1: float
+
+
+def wrap_phase(phi: float) -> float:
+    """Reduce an angle to [0, 2pi)."""
+    out = math.fmod(phi, TWO_PI)
+    return out + TWO_PI if out < 0.0 else out
+
+
+def state_from_angles(angles: BlochAngles) -> np.ndarray:
+    half = 0.5 * angles.theta
+    return np.array(
+        [
+            math.cos(half),
+            complex(math.cos(angles.phi), math.sin(angles.phi)) * math.sin(half),
+        ]
+    )
+
+
+def angles_from_state(psi: np.ndarray) -> BlochAngles:
+    """Read (theta, phi) off a normalized single-qubit state."""
+    if psi.shape != (2,):
+        raise ConfigError(f"expected a single-qubit state, got shape {psi.shape}")
+    c0, c1 = complex(psi[0]), complex(psi[1])
+    theta = 2.0 * math.atan2(abs(c1), abs(c0))
+    if abs(c0) < 1e-15 or abs(c1) < 1e-15:
+        phi = 0.0  # azimuth is pure gauge at the poles
+    else:
+        phi = wrap_phase(math.atan2(c1.imag, c1.real) - math.atan2(c0.imag, c0.real))
+    return BlochAngles(theta=min(theta, math.pi), phi=phi)
+
+
+class AngleDomain(EigenrlError):
+    """Closed-form angle update produced an out-of-domain intermediate."""
+
+
+def _half_angle_from_weight(s: float) -> float:
+    """Angle whose half-cosine squared is ``s``, clamping round-off."""
+    if s > 1.0 + CLAMP_TOL:
+        raise AngleDomain(f"squared amplitude {s} exceeds 1 beyond tolerance")
+    s = min(max(s, 0.0), 1.0)
+    return 2.0 * math.acos(math.sqrt(s))
+
+
+def evolved_bloch_angles(
+    spec: SingleQubitSpec, tau: float, angles: BlochAngles
+) -> BlochAngles:
+    """Angles of ``exp(-i tau O)`` applied to the state ``angles``.
+
+    ``O`` is the operator described by ``spec``; only the half-difference
+    ``lambda = (lambda1 - lambda0)/2`` enters, the mean eigenvalue being a
+    global phase.
+    """
+    half = 0.5 * angles.theta
+    ct, st = math.cos(half), math.sin(half)
+    lam_tau = 0.5 * (spec.lambda1 - spec.lambda0) * tau
+    cl, sl = math.cos(lam_tau), math.sin(lam_tau)
+    ca, sa = math.cos(spec.alpha), math.sin(spec.alpha)
+    d = angles.phi - spec.beta
+    cd, sd = math.cos(d), math.sin(d)
+
+    a0 = ct * cl - sd * st * sa * sl
+    b0 = ct * ca * sl + cd * st * sa * sl
+    a1 = st * cl + sd * ct * sa * sl
+    b1 = -st * ca * sl + cd * ct * sa * sl
+
+    theta_bar = _half_angle_from_weight(a0 * a0 + b0 * b0)
+    phi_bar = wrap_phase(angles.phi + math.atan2(b1, a1) - math.atan2(b0, a0))
+    return BlochAngles(theta=theta_bar, phi=phi_bar)
+
+
+def overlap_angles(probe: BlochAngles, evolved: BlochAngles) -> OverlapAngles:
+    """Relative angles of ``evolved`` in the orthonormal pair built on ``probe``.
+
+    The pair is ``|p0> = cos(t/2)|0> + e^{i p} sin(t/2)|1>`` and
+    ``|p1> = sin(t/2)|0> - e^{i p} cos(t/2)|1>``.  The phases psi0/psi1 are
+    the complex arguments of ``<p0|evolved>`` and ``<p1|evolved>``.
+    """
+    ht, hb = 0.5 * probe.theta, 0.5 * evolved.theta
+    dphi = evolved.phi - probe.phi
+    cd, sd = math.cos(dphi), math.sin(dphi)
+
+    weight = math.cos(hb - ht) ** 2 + 0.5 * math.sin(evolved.theta) * math.sin(
+        probe.theta
+    ) * (cd - 1.0)
+    delta_theta = _half_angle_from_weight(weight)
+
+    psi0 = math.atan2(
+        sd * math.sin(hb) * math.sin(ht),
+        math.cos(hb) * math.cos(ht) + cd * math.sin(hb) * math.sin(ht),
+    )
+    psi1 = math.atan2(
+        -sd * math.sin(hb) * math.cos(ht),
+        math.cos(hb) * math.sin(ht) - cd * math.sin(hb) * math.cos(ht),
+    )
+    return OverlapAngles(
+        delta_theta=delta_theta, delta_phi=psi1 - psi0, psi0=psi0, psi1=psi1
+    )
+
+
+def born_probabilities(overlap: OverlapAngles) -> tuple[float, float]:
+    """Outcome distribution of a two-outcome measurement in the probe pair."""
+    p0 = math.cos(0.5 * overlap.delta_theta) ** 2
+    return p0, 1.0 - p0

@@ -6,9 +6,9 @@ bookkeeping; ``reference_experiment`` runs and reduces one repetition at a
 time with it, and ``diag_residual`` is the one-matrix form of the stacked
 ``harness.diag_residual``.  Unlike :mod:`oracles`, these are written with
 the package's own primitives (``linalg.rotation_block``,
-``linalg.gram_schmidt``, the environments' ``interact``), because matching
-the engine bit for bit needs the same floating-point operations in the
-same order.
+``linalg.gram_schmidt``, and the engine's black box on a stack of one,
+``lone_black_box``), because matching the engine bit for bit needs the
+same floating-point operations in the same order.
 
 ``feed`` drives the engine itself: it applies a given outcome to a
 one-member ``protocol.EnsembleState``, the lone agent of the tests.
@@ -185,6 +185,13 @@ def diag_residual(basis: np.ndarray, operator: np.ndarray) -> float:
     return float(np.linalg.norm(off) / denom)
 
 
+def lone_black_box(env):
+    """``env`` as a one-state black box: the engine's ``harness._black_box``
+    on a stack of one."""
+    box = harness._black_box([env])
+    return lambda psi: box(np.array([0]), psi[None])[0]
+
+
 def lone_environment(config, i):
     """Repetition ``i``'s environment, built alone: a random operator of its
     own when resampled, else the shared one."""
@@ -224,7 +231,7 @@ def reference_experiment(config):
                 amp = np.abs(vecs.conj().T @ agent_now.basis)
                 rows.append((rec.w_after, rec.stage, amp))
 
-        protocol.run_stages(agent, env.interact, config.stopping, observer)
+        protocol.run_stages(agent, lone_black_box(env), config.stopping, observer)
         final_amp = np.abs(vecs.conj().T @ agent.basis)
         last_max = rows[-1][2].max(axis=0)
         while len(w_sum) < len(rows):  # grid grows: seed with finished reps

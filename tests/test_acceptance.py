@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenrl import bloch, harness, linalg, protocol
+import oracles
+from eigenrl import harness, linalg, protocol
 from eigenrl.environment import (
     SingleQubitSpec,
     env_from_matrix,
@@ -21,7 +22,7 @@ from eigenrl.environment import (
 )
 from eigenrl.cli import main
 from eigenrl.protocol import EnsembleState, RewardParams
-from reference import feed
+from reference import feed, lone_black_box
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -185,15 +186,15 @@ def test_7_exact_property_suite():
             lambda1=rng.normal(),
         )
         tau = rng.uniform(0.2, 2.0)
-        probe = bloch.BlochAngles(
+        probe = oracles.BlochAngles(
             theta=rng.uniform(0.0, math.pi), phi=rng.uniform(0.0, 2.0 * math.pi)
         )
-        evolved = env_single_qubit(spec, tau).interact(bloch.state_from_angles(probe))
-        closed = bloch.evolved_bloch_angles(spec, tau, probe)
-        overlap = abs(np.vdot(bloch.state_from_angles(closed), evolved))
+        evolved = lone_black_box(env_single_qubit(spec, tau))(oracles.state_from_angles(probe))
+        closed = oracles.evolved_bloch_angles(spec, tau, probe)
+        overlap = abs(np.vdot(oracles.state_from_angles(closed), evolved))
         worst_state = max(worst_state, abs(1.0 - overlap))
-        q0, _ = bloch.born_probabilities(bloch.overlap_angles(probe, closed))
-        q0_matrix = abs(np.vdot(bloch.state_from_angles(probe), evolved)) ** 2
+        q0, _ = oracles.born_probabilities(oracles.overlap_angles(probe, closed))
+        q0_matrix = abs(np.vdot(oracles.state_from_angles(probe), evolved)) ** 2
         worst_born = max(worst_born, abs(q0 - q0_matrix))
     print(f"[7c] dual-route state gap = {worst_state:.2e}, Born gap = {worst_born:.2e} (<= 1e-9)")
     assert worst_state <= 1e-9

@@ -462,6 +462,9 @@ MALFORMED = {
     "replay-fractional-k": lambda tmp_path: replay_args(tmp_path, 1, k=1.7),
     "replay-bool-k": lambda tmp_path: replay_args(tmp_path, 1, k=True),
     "replay-bogus-class": lambda tmp_path: replay_args(tmp_path, 1, **{"class": "bogus"}),
+    "replay-k-from-0": lambda tmp_path: replay_args(tmp_path, 1, k=0),
+    "replay-k-from-7": lambda tmp_path: replay_args(tmp_path, 1, k=7),
+    "replay-k-from-10000": lambda tmp_path: replay_args(tmp_path, 1, k=10000),
     "deeply-nested-config": deeply_nested_config_args,
     "run-out-is-config": lambda tmp_path: run_path_args(tmp_path, "config"),
     "run-trace-is-config": lambda tmp_path: run_path_args(tmp_path, "o.csv", "config"),

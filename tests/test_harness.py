@@ -17,7 +17,7 @@ from eigenrl.environment import env_from_matrix, env_random, env_spin_x, save_op
 from eigenrl.errors import ConfigError, DimMismatch, ModeMismatch
 from eigenrl.harness import ExperimentConfig, config_from_dict
 from eigenrl.protocol import StoppingRule
-from reference import AgentState, lone_environment, reference_experiment
+from reference import AgentState, lone_black_box, lone_environment, reference_experiment
 from results import read_results
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -420,7 +420,7 @@ class TestDiagResidual:
         cfg = small_config(repetitions=1)
         env = harness.build_environment(cfg)
         agent = AgentState(2, cfg.params, harness.derive_seed(cfg.seed, 0))
-        protocol.run_stages(agent, env.interact, cfg.stopping)
+        protocol.run_stages(agent, lone_black_box(env), cfg.stopping)
         assert harness.run_experiment(cfg).diag_residual == reference.diag_residual(
             agent.basis, env.operator
         )
@@ -792,7 +792,7 @@ def test_record_trace_writes_the_bytes_of_the_reference_agent(tmp_path, name):
     seed = harness.derive_seed(config.seed, 0)
     agent = AgentState(config.dim, config.params, seed)
     records = []
-    protocol.run_stages(agent, harness.build_environment(config).interact,
+    protocol.run_stages(agent, lone_black_box(harness.build_environment(config)),
                         config.stopping, lambda a, rec: records.append(rec))
     header = {"dim": config.dim, "rep_index": 0, "root_seed": config.seed,
               "agent_seed": seed}
@@ -817,7 +817,7 @@ def test_threshold_convergence_couples_probe_to_outcome():
         protocol.run_stages(agent, harness._black_box([env]), rule)
         assert agent.k - 1 < rule.max_iterations  # stopped via w, not budget
         basis = agent.bases[0]
-        evolved = env.interact(basis[:, 0])
+        evolved = lone_black_box(env)(basis[:, 0])
         weights = np.abs(basis.conj().T @ evolved) ** 2
         rng = np.random.default_rng(1000 + seed)
         hits = int(np.sum(rng.random(1000) < weights[0]))
@@ -834,7 +834,7 @@ def test_threshold_stops_that_hit_the_cap_are_counted(caplog):
     for i in range(cfg.repetitions):
         agent = AgentState(cfg.dim, cfg.params, harness.derive_seed(cfg.seed, i))
         last_w = {}
-        protocol.run_stages(agent, lone_environment(cfg, i).interact, rule,
+        protocol.run_stages(agent, lone_black_box(lone_environment(cfg, i)), rule,
                             lambda a, rec: last_w.__setitem__(rec.stage, rec.w_after))
         for t, w in last_w.items():
             want[t, 0 if w < rule.w_min else 1] += 1

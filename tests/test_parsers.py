@@ -229,6 +229,11 @@ def with_punish(**changes):
     return trace_text([header, {**punish, **changes}, footer])
 
 
+def with_reward(**changes):
+    header, punish, reward, footer = VALID_TRACE
+    return trace_text([header, punish, {**reward, **changes}, footer])
+
+
 trace_texts = st.builds(
     lambda rows, drop: trace_text(row for i, row in enumerate(rows) if i not in drop),
     st.tuples(*map(perturbed, VALID_TRACE)),
@@ -275,12 +280,22 @@ NOT_A_TRACE = {
     "text angle": with_punish(angles={"phi_x": "0.1", "phi_y": 0.0, "phi_z": 0.0}),
     "text w_after": with_punish(w_after="2.2"),
     "extra key": with_punish(note=1),
+    "k from 0": with_punish(k=0),
+    "k from 7": with_punish(k=7),
+    "k skips one": with_reward(k=3),
+    "k repeats": with_reward(k=1),
+    "first stage past 0": with_punish(stage=1),
+    "stage skips one": trace_text([{**VALID_TRACE[0], "dim": 4}, VALID_TRACE[1],
+                                   {**VALID_TRACE[2], "stage": 2, "m": 2}, VALID_TRACE[3]]),
+    "stage falls": trace_text([*VALID_TRACE[:2], {**VALID_TRACE[2], "stage": 1, "m": 1},
+                               {**VALID_TRACE[2], "k": 3}, VALID_TRACE[3]]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NOT_A_TRACE))
 def test_read_trace_holds_records_to_the_run_rules(scratch, case):
-    """Each record is one a run could write, and the footer is a SHA-256."""
+    """Each record is one a run could write, in the order a run writes them,
+    and the footer is a SHA-256."""
     payload = NOT_A_TRACE[case]
     with pytest.raises(ConfigError):
         protocol.read_trace(write(scratch, payload if isinstance(payload, str)

@@ -363,6 +363,23 @@ def test_agent_sees_only_the_interaction_callable():
     assert rec.k == 1 and rec.stage.tolist() == [0]
 
 
+def test_the_command_line_loads_every_package_module():
+    """A fresh ``import eigenrl.cli`` loads each module of the package: one
+    that no command reaches is a test oracle, and lives in ``tests/``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import eigenrl.cli\n"
+        "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'eigenrl'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    shipped = {"eigenrl"} | {f"eigenrl.{path.stem}" for path in (src / "eigenrl").glob("*.py")
+                             if path.stem != "__init__"}
+    assert set(out.stdout.split()) == shipped
+
+
 class TestEnsemble:
     RULE = StoppingRule(kind="threshold", w_min=5e-2, max_iterations=400)
 
@@ -382,7 +399,8 @@ class TestEnsemble:
         for i, seed in enumerate(seeds):
             agent = reference.AgentState(dim, default_params(w_cap=1.0), seed)
             recs = []
-            run_stages(agent, env.interact, rule, lambda a, rec: recs.append(rec))
+            run_stages(agent, reference.lone_black_box(env), rule,
+                       lambda a, rec: recs.append(rec))
             assert steps[i] == [(r.k, r.stage, r.outcome, r.w_after) for r in recs]
             agents.append(agent)
         return returned, ensemble, agents
