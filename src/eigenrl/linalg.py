@@ -259,8 +259,11 @@ def rotation_blocks(phi: np.ndarray) -> np.ndarray:
     same order; the terms they drop are exact zeros, which leave a nonzero
     sum unchanged.  A block with a zero among those products (an angle of
     exactly 0, or an underflow) could differ in the sign of a zero, so it
-    is computed by :func:`rotation_block` itself.
+    is computed by :func:`rotation_block` itself, and so is a lone block,
+    for which the scalar arithmetic is the faster of the two.
     """
+    if phi.shape[1] == 1:
+        return rotation_block(RotationAngles(*phi[:, 0].tolist()))[None]
     half = 0.5 * phi
     trig = np.array((np.cos(half), np.sin(half)))  # of the half angles x, y, z
     # t[i, j, k] = (cy, sy)[i] * (cx, sx)[j] * (cz, sz)[k], multiplied left to right

@@ -25,7 +25,9 @@ seeded agents in lockstep with stacked array operations, and every check,
 draw and update lives there; :func:`run_stages` drives it, and a lone agent
 is a one-member ensemble.  :func:`first_record` turns the first listed
 member's row of an :class:`EnsembleRecord` into a trace line's
-:class:`IterationRecord`, and :func:`replay_basis` replays a trace.
+:class:`IterationRecord`, and :func:`replay_basis` replays a trace.  Every
+punishment, whether one member is punished or many, live or replayed, goes
+through the one stacked column update, :func:`_rotate`.
 
 In the protocol each iteration sends a fresh probe through the black box,
 but a member's probe, and so the distribution of its outcome, changes only
@@ -80,13 +82,6 @@ BORN_TOL = 1e-9
 DRAW_BUFFER_BYTES = 1 << 20
 DRAW_BUFFER_MIN = 32
 DRAW_BUFFER_MAX = 256
-
-#: an iteration that punishes at most this many members updates them one at
-#: a time, with the scalar primitives ``replay_basis`` uses; more punished
-#: members go through the stacked update, whose fixed cost is then shared.
-#: Timed at n = 16, 40 and 1000 members (d = 4): one at a time was faster
-#: for one punished member, about even for two, and slower from three.
-PUNISH_EACH_MAX = 1
 
 #: doubles one iteration can use: the measurement draw and three punish angles
 _DRAWS_PER_ITERATION = 4
@@ -184,9 +179,14 @@ class IterationRecord:
     w_after: float
 
 
-def _apply_block(basis: np.ndarray, t: int, m: int, block: np.ndarray) -> None:
-    """Right-multiply the embedded two-level block onto columns t and m."""
-    basis[:, (t, m)] = basis[:, (t, m)] @ block
+def _rotate(bases: np.ndarray, who: np.ndarray, t: np.ndarray, m: np.ndarray,
+            angles: np.ndarray) -> None:
+    """Rotate columns ``t[j]`` and ``m[j]`` of ``bases[who[j]]`` in place by
+    the two-level rotation of ``angles[:, j]`` (rows phi_x, phi_y, phi_z)."""
+    blocks = linalg.rotation_blocks(angles)
+    cols = np.array((t, m)).T[:, None, :]
+    at = (who[:, None, None], np.arange(bases.shape[1])[:, None], cols)  # (h, dim, 2)
+    bases[at] = bases[at] @ blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +228,8 @@ class EnsembleState:
     Member ``i`` is the lone agent seeded ``seeds[i]``: how many members run
     beside it changes none of its bits.  Each step evolves the stale probes
     (below) in one batched black-box call and applies the feedback in
-    stacked form, or member by member when few are punished, and each form
-    gives the bits of the one-agent arithmetic.  Each member reads its
+    stacked form, which gives the bits of the one-agent arithmetic however
+    many members it punishes.  Each member reads its
     doubles in order from a row of ``_draws`` pre-drawn from its own
     generator, which gives the same values as drawing them one at a time;
     the rows share ``DRAW_BUFFER_BYTES``, within the per-member bounds.
@@ -283,7 +283,6 @@ class EnsembleState:
         width = min(max(DRAW_BUFFER_BYTES // (8 * n), DRAW_BUFFER_MIN), DRAW_BUFFER_MAX)
         self._draws = np.empty((n, width))
         self._cursor = np.full(n, width)
-        self._row_index = np.arange(dim)[None, :, None]
         # cumulative Born weights of every outcome but the last, and their sum
         self._cumulative = np.empty((n, dim - 1))
         self._total = np.empty(n)
@@ -364,10 +363,7 @@ class EnsembleState:
         hit = np.nonzero(punish)[0]
         if hit.size:
             who = members[hit]
-            if hit.size <= PUNISH_EACH_MAX:
-                angles = self._punish_each(who, t[hit], outcomes[hit], w[hit])
-            else:
-                angles = self._punish_stacked(who, t[hit], outcomes[hit], w[hit])
+            angles = self._punish(who, t[hit], outcomes[hit], w[hit])
             self.changed[who] = k
             self._stale[who] = True
             w_after[hit] = np.minimum(w[hit] * self.params.p, self.params.w_cap)
@@ -386,10 +382,10 @@ class EnsembleState:
             angles=angles,
         )
 
-    def _punish_stacked(self, who: np.ndarray, t: np.ndarray, m: np.ndarray,
-                        w: np.ndarray) -> np.ndarray:
-        """Rotate columns ``t`` and ``m`` of each listed member's basis in one
-        stacked update; returns the angles, rows phi_x, phi_y, phi_z."""
+    def _punish(self, who: np.ndarray, t: np.ndarray, m: np.ndarray,
+                w: np.ndarray) -> np.ndarray:
+        """Rotate columns ``t`` and ``m`` of each listed member's basis by
+        angles drawn from its row; returns them, rows phi_x, phi_y, phi_z."""
         bound = np.minimum(w * math.pi, MAX_DRAW_BOUND)
         low = -bound
         cursor = self._cursor[who]
@@ -397,26 +393,7 @@ class EnsembleState:
         draws = self._draws[who, cursor + _DRAWN_XYZ]
         self._cursor[who] = cursor + 3
         angles = low + (bound - low) * draws
-        blocks = linalg.rotation_blocks(angles)
-        cols = np.array((t, m)).T[:, None, :]
-        at = (who[:, None, None], self._row_index, cols)  # (n, dim, 2) pairs
-        self.bases[at] = self.bases[at] @ blocks
-        return angles
-
-    def _punish_each(self, who: np.ndarray, t: np.ndarray, m: np.ndarray,
-                     w: np.ndarray) -> np.ndarray:
-        """:meth:`_punish_stacked` one member at a time, with the bits of the
-        stacked form: scalar angles and the 2x2 block of ``replay_basis``."""
-        angles = np.empty((3, len(who)))
-        rows = zip(who.tolist(), t.tolist(), m.tolist(), w.tolist())
-        for j, (i, ti, mi, wi) in enumerate(rows):
-            bound = min(wi * math.pi, MAX_DRAW_BOUND)
-            low = -bound
-            c = int(self._cursor[i])
-            x, z, y = (low + (bound - low) * v for v in self._draws[i, c:c + 3].tolist())
-            self._cursor[i] = c + 3
-            angles[:, j] = x, y, z
-            _apply_block(self.bases[i], ti, mi, linalg.rotation_block(RotationAngles(x, y, z)))
+        _rotate(self.bases, who, t, m, angles)
         return angles
 
     def step(
@@ -588,8 +565,9 @@ def _record(row: dict, dim: int) -> IterationRecord:
 def read_trace(path: str) -> tuple[dict, list[IterationRecord], str]:
     """Parse a trace file; raises ConfigError if it is unreadable, truncated,
     or holds a record that a run at the header's ``dim`` cannot write, or
-    records out of a run's order: ``k`` counts 1, 2, 3, ... and ``stage``
-    starts at 0 and rises by at most 1 per record."""
+    records out of a run's order: ``k`` counts 1, 2, 3, ..., ``stage``
+    starts at 0 and rises by at most 1 per record, and the last record is
+    at the last stage, ``dim - 2``."""
     try:
         with open(path, encoding="utf-8") as fh:
             rows = [json.loads(line) for line in (raw.strip() for raw in fh) if line]
@@ -622,17 +600,21 @@ def read_trace(path: str) -> tuple[dict, list[IterationRecord], str]:
             raise ConfigError(f"trace record {k} has k {rec.k} and stage {rec.stage}; "
                               f"a run writes k {k} and a stage in {list(stages)}")
         stages = (rec.stage, rec.stage + 1)
+    if not records or records[-1].stage != dim - 2:
+        raise ConfigError(f"trace has no record of the last stage, {dim - 2}, "
+                          f"where every run at dim {dim} ends")
     return dict(header), records, recorded
 
 
 def replay_basis(dim: int, records: Iterable[IterationRecord]) -> np.ndarray:
     """Re-apply recorded punishments; reproduces the live basis bit for bit."""
     basis = np.eye(dim, dtype=np.complex128)
+    stack, first = basis[None], np.zeros(1, dtype=np.intp)  # the engine's update on a stack of one
     for rec in records:
         if rec.classification == PUNISH:
-            _apply_block(
-                basis, rec.stage, rec.outcome, linalg.rotation_block(rec.angles)
-            )
+            a = rec.angles
+            _rotate(stack, first, np.array([rec.stage]), np.array([rec.outcome]),
+                    np.array([[a.phi_x], [a.phi_y], [a.phi_z]]))
         if rec.k % REORTHONORMALIZE_EVERY == 0:
             linalg.gram_schmidt(basis)
     return basis

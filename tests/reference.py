@@ -8,7 +8,9 @@ time with it, and ``diag_residual`` is the one-matrix form of the stacked
 the package's own primitives (``linalg.rotation_block``,
 ``linalg.gram_schmidt``, and the engine's black box on a stack of one,
 ``lone_black_box``), because matching the engine bit for bit needs the
-same floating-point operations in the same order.
+same floating-point operations in the same order.  The punish update is
+the reference's own: ``apply_block`` multiplies one 2x2 block onto two
+columns of one basis, where the engine rotates a stack of bases at once.
 
 ``feed`` drives the engine itself: it applies a given outcome to a
 one-member ``protocol.EnsembleState``, the lone agent of the tests.
@@ -34,8 +36,12 @@ from eigenrl.protocol import (
     IterationRecord,
     RewardParams,
     StoppingRule,
-    _apply_block,
 )
+
+
+def apply_block(basis: np.ndarray, t: int, m: int, block: np.ndarray) -> None:
+    """Right-multiply the embedded two-level block onto columns t and m."""
+    basis[:, (t, m)] = basis[:, (t, m)] @ block
 
 
 class AgentState:
@@ -109,7 +115,7 @@ class AgentState:
             angles = RotationAngles(
                 phi_x=float(draw[0]), phi_y=float(draw[2]), phi_z=float(draw[1])
             )
-            _apply_block(self.basis, t, m, linalg.rotation_block(angles))
+            apply_block(self.basis, t, m, linalg.rotation_block(angles))
             self.w = min(self.w * self.params.p, self.params.w_cap)
             self.n_p += 1
             classification = PUNISH

@@ -388,6 +388,13 @@ def test_the_malformed_trace_starts_out_valid(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("replay OK: 1 iterations")
 
 
+def no_records_args(tmp_path):
+    """replay argv for a trace of a header and the identity's hash alone."""
+    path = tmp_path / "empty.trace"
+    protocol.write_trace(str(path), {"dim": 2}, [], np.eye(2, dtype=np.complex128))
+    return ["replay", "--trace", str(path)]
+
+
 def run_path_args(tmp_path, out, trace=None):
     """run argv whose --out (and --trace, if given) are ``out`` and ``trace``,
     with "config" standing for the --config path."""
@@ -465,6 +472,7 @@ MALFORMED = {
     "replay-k-from-0": lambda tmp_path: replay_args(tmp_path, 1, k=0),
     "replay-k-from-7": lambda tmp_path: replay_args(tmp_path, 1, k=7),
     "replay-k-from-10000": lambda tmp_path: replay_args(tmp_path, 1, k=10000),
+    "replay-no-records": no_records_args,
     "deeply-nested-config": deeply_nested_config_args,
     "run-out-is-config": lambda tmp_path: run_path_args(tmp_path, "config"),
     "run-trace-is-config": lambda tmp_path: run_path_args(tmp_path, "o.csv", "config"),
@@ -511,9 +519,7 @@ def test_lost_unitarity_exits_3_with_one_stderr_line(tmp_path, flags):
         f"sys.path.insert(0, {str(src)!r})\n"
         "from eigenrl import linalg\n"
         "from eigenrl.cli import main\n"
-        "block, blocks = linalg.rotation_block, linalg.rotation_blocks\n"
-        "# neither form is unitary: one punished member takes the one-block form\n"
-        "linalg.rotation_block = lambda angles: 2.0 * block(angles)\n"
+        "blocks = linalg.rotation_blocks\n"
         "linalg.rotation_blocks = lambda phi: 2.0 * blocks(phi)\n"
         f"sys.exit(main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o.csv')!r}]))\n"
     )

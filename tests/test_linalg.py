@@ -276,13 +276,14 @@ def test_stacked_rotation_blocks_match_the_scalar_block_bit_for_bit():
         phi = rng.uniform(-scale, scale, (3, 400))
         phi[0, :20] = 0.0  # exact zeros go through the scalar fallback
         phi[2, 20:40] = -0.0
-        blocks = linalg.rotation_blocks(phi)
-        assert blocks.shape == (400, 2, 2) and blocks.flags.c_contiguous
-        for i in range(phi.shape[1]):
-            angles = linalg.RotationAngles(
-                phi_x=float(phi[0, i]), phi_y=float(phi[1, i]), phi_z=float(phi[2, i])
-            )
-            assert blocks[i].tobytes() == linalg.rotation_block(angles).tobytes()
+        # the whole stack, and stacks of one and two with and without zeros
+        for cols in (slice(None), [0], [20], [40], [19, 20], [0, 40], [40, 41]):
+            stack = phi[:, cols]
+            blocks = linalg.rotation_blocks(stack)
+            assert blocks.shape == (stack.shape[1], 2, 2) and blocks.flags.c_contiguous
+            for i in range(stack.shape[1]):
+                angles = linalg.RotationAngles(*stack[:, i].tolist())
+                assert blocks[i].tobytes() == linalg.rotation_block(angles).tobytes()
 
 
 def test_gram_schmidt_restores_unitarity():

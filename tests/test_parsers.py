@@ -216,6 +216,7 @@ VALID_TRACE = [
     {"k": 1, "stage": 0, "m": 2, "class": "punish",
      "angles": {"phi_x": 0.1, "phi_y": -0.2, "phi_z": 0.3}, "w_after": 2.2},
     {"k": 2, "stage": 0, "m": 0, "class": "reward", "angles": None, "w_after": 1.98},
+    {"k": 3, "stage": 1, "m": 1, "class": "reward", "angles": None, "w_after": 0.9},
     {"final_sha256": "0" * 64},
 ]
 
@@ -224,14 +225,18 @@ def trace_text(rows):
     return "\n".join(json.dumps(row) for row in rows)
 
 
+def with_row(i, **changes):
+    rows = list(VALID_TRACE)
+    rows[i] = {**rows[i], **changes}
+    return trace_text(rows)
+
+
 def with_punish(**changes):
-    header, punish, _, footer = VALID_TRACE
-    return trace_text([header, {**punish, **changes}, footer])
+    return with_row(1, **changes)
 
 
 def with_reward(**changes):
-    header, punish, reward, footer = VALID_TRACE
-    return trace_text([header, punish, {**reward, **changes}, footer])
+    return with_row(2, **changes)
 
 
 trace_texts = st.builds(
@@ -286,10 +291,18 @@ NOT_A_TRACE = {
     "k repeats": with_reward(k=1),
     "first stage past 0": with_punish(stage=1),
     "stage skips one": trace_text([{**VALID_TRACE[0], "dim": 4}, VALID_TRACE[1],
-                                   {**VALID_TRACE[2], "stage": 2, "m": 2}, VALID_TRACE[3]]),
+                                   {**VALID_TRACE[2], "stage": 2, "m": 2}, VALID_TRACE[-1]]),
     "stage falls": trace_text([*VALID_TRACE[:2], {**VALID_TRACE[2], "stage": 1, "m": 1},
-                               {**VALID_TRACE[2], "k": 3}, VALID_TRACE[3]]),
+                               {**VALID_TRACE[2], "k": 3}, VALID_TRACE[-1]]),
+    "no records": trace_text([VALID_TRACE[0], VALID_TRACE[-1]]),
+    "ends before the last stage": trace_text([*VALID_TRACE[:3], VALID_TRACE[-1]]),
 }
+
+
+def test_the_valid_trace_reads(scratch):
+    """VALID_TRACE reads, so each NOT_A_TRACE case fails on the rule it breaks."""
+    _, records, _ = protocol.read_trace(write(scratch, trace_text(VALID_TRACE)))
+    assert [rec.k for rec in records] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("case", sorted(NOT_A_TRACE))
