@@ -453,9 +453,27 @@ class TestEnsemble:
         "rule", [RULE, StoppingRule(kind="fixed-budget", budgets=(60, 45))],
         ids=["threshold", "fixed-budget"],
     )
-    def test_one_or_several_punished_members_get_the_lone_agents_bits(self, rule):
-        """One punished member and several go through the same update, and
-        both give the bits of the scalar reference."""
+    @pytest.mark.parametrize("form", ["stacked", "default", "each"])
+    def test_punish_form_changes_no_bits(self, monkeypatch, form, rule):
+        """Each step's punished members go through one update.  Its rotation
+        blocks may come all from the stacked arithmetic, a lone block too,
+        each from the scalar builder alone, or as shipped; every form gives
+        the bits of the scalar reference, for one punished member and for
+        several."""
+        shipped = linalg.rotation_blocks
+        build = {
+            "stacked": lambda phi: shipped(np.repeat(phi, 2, axis=1))[::2].copy(),
+            "default": shipped,
+            "each": lambda phi: np.concatenate(
+                [shipped(phi[:, j:j + 1]) for j in range(phi.shape[1])]),
+        }[form]
+        sizes = []
+
+        def counted(phi):
+            sizes.append(phi.shape[1])
+            return build(phi)
+
+        monkeypatch.setattr(linalg, "rotation_blocks", counted)
         punished = []
         _, ensemble, agents = self.run_both(
             3, [5, 6, 7, 8, 9], rule,
@@ -464,7 +482,8 @@ class TestEnsemble:
         for i, agent in enumerate(agents):
             assert ensemble.bases[i].tobytes() == agent.basis.tobytes()
             assert ensemble.w[i] == agent.w
-        assert 1 in punished and max(punished) >= 2
+        assert sizes == [n for n in punished if n]  # one update per step
+        assert 1 in punished and max(punished) >= 2  # one and several members
 
     @pytest.mark.parametrize(
         "rule", [RULE, StoppingRule(kind="fixed-budget", budgets=(30, 25))],
