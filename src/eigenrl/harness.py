@@ -332,14 +332,14 @@ class _Fold:
 
     ``rows`` holds one row per repetition: its search range, then either
     its |<l_E|D|j>| matrix ("paper" mode) or that matrix's column maxima
-    ("per-rep" mode).  A running repetition refreshes its search range at
-    each recorded k, and its amplitudes only when its basis changed since
-    they were computed: ``seen[i]`` is the k of row ``i``'s amplitudes, and
-    the ensemble's ``changed[i]`` the k of basis ``i``'s last change.  One
-    that has stopped keeps contributing its final range and amplitudes
-    ("paper") or its last recorded maxima ("per-rep"), so threshold-mode
-    curves stay flat after convergence instead of dropping out of the
-    average.
+    ("per-rep" mode).  Every step writes into column 0 the search range of
+    each member that ran it.  At each recorded k the rows whose basis
+    changed after ``last_k``, the k of the last recorded sum, are recomputed
+    before the sum, so after each sum every row is current as of ``last_k``.
+    The rule is the same in both modes and for running and stopped
+    repetitions: one that has stopped adds its final range and basis to
+    every later point, so threshold-mode curves stay flat after convergence
+    instead of dropping out of the average.
     """
 
     def __init__(self, config: ExperimentConfig, envs: list[Environment],
@@ -355,9 +355,8 @@ class _Fold:
         self.rows = np.empty((n, 1 + (d * d if self.paper else d)))
         self.rows[:, 0] = config.w1
         self.rows[:, 1:] = self._features(ensemble.active, ensemble.bases)
-        self.seen = np.zeros(n, dtype=np.int64)
-        self.last_w = np.full(n, config.w1)
-        self.running = ensemble.active
+        self.w = self.rows[:, 0]  # a view; writing through it beats rows[members, 0]
+        self.last_k = 0
         self.w_sums: list[float] = []
         self.fidelity_sums: list[np.ndarray] = []
         self.stage_min: list[int] = []
@@ -380,27 +379,16 @@ class _Fold:
             self.fidelity_sums.append(sums[1:])
         self.stage_min.append(stage_min)
 
-    def _refresh(self, state: protocol.EnsembleState, members: np.ndarray, k: int) -> None:
-        """Recompute the amplitudes of the listed rows whose basis moved."""
-        stale = members[state.changed[members] > self.seen[members]]
-        if stale.size:
-            self.rows[stale, 1:] = self._features(stale, state.bases[stale])
-            self.seen[stale] = k
-
     def observe(
         self, state: protocol.EnsembleState, rec: protocol.EnsembleRecord
     ) -> None:
-        self.last_w[rec.members] = rec.w_after
+        self.w[rec.members] = rec.w_after
         if rec.k % self.config.record_every:
             return
-        if len(rec.members) < len(self.running):
-            stopped = np.setdiff1d(self.running, rec.members, assume_unique=True)
-            self.rows[stopped, 0] = self.last_w[stopped]
-            if self.paper:
-                self._refresh(state, stopped, rec.k)
-            self.running = rec.members
-        self.rows[rec.members, 0] = rec.w_after
-        self._refresh(state, rec.members, rec.k)
+        moved = np.flatnonzero(state.changed > self.last_k)
+        if moved.size:
+            self.rows[moved, 1:] = self._features(moved, state.bases[moved])
+        self.last_k = rec.k
         # a stopped repetition's stage, d - 1, lies above every running one
         self._reduce(int(rec.stage.min()))
 

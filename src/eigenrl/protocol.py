@@ -539,7 +539,8 @@ def _is_number(value) -> bool:
 
 def _record(row: dict, dim: int) -> IterationRecord:
     """A trace line as a record; ConfigError unless a run at ``dim`` could
-    have written it.  ``w_after`` may be infinite: uncapped runs overflow."""
+    have written it.  ``w_after`` is at least 0, and may be infinite: uncapped
+    runs overflow."""
     if set(row) != _RECORD_KEYS:
         raise ConfigError(f"trace record {row!r} needs the keys {sorted(_RECORD_KEYS)}")
     k, t, m, angles = row["k"], row["stage"], row["m"], row["angles"]
@@ -557,8 +558,8 @@ def _record(row: dict, dim: int) -> IterationRecord:
         angles = RotationAngles(**{key: float(v) for key, v in angles.items()})
     elif angles is not None:
         raise ConfigError(f"{kind} record {row!r} may hold no angles")
-    if not _is_number(row["w_after"]):
-        raise ConfigError(f"trace record {row!r} needs a number w_after")
+    if not (_is_number(row["w_after"]) and row["w_after"] >= 0):  # NaN fails too
+        raise ConfigError(f"trace record {row!r} needs a number w_after >= 0")
     return IterationRecord(k, t, m, kind, angles, float(row["w_after"]))
 
 

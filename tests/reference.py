@@ -239,7 +239,7 @@ def reference_experiment(config):
 
         protocol.run_stages(agent, lone_black_box(env), config.stopping, observer)
         final_amp = np.abs(vecs.conj().T @ agent.basis)
-        last_max = rows[-1][2].max(axis=0)
+        last_max = final_amp.max(axis=0)
         while len(w_sum) < len(rows):  # grid grows: seed with finished reps
             w_sum.append(done_w)
             amp_sum.append(done_amp.copy())

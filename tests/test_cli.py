@@ -469,6 +469,7 @@ MALFORMED = {
     "replay-fractional-k": lambda tmp_path: replay_args(tmp_path, 1, k=1.7),
     "replay-bool-k": lambda tmp_path: replay_args(tmp_path, 1, k=True),
     "replay-bogus-class": lambda tmp_path: replay_args(tmp_path, 1, **{"class": "bogus"}),
+    "replay-w-after-nan": lambda tmp_path: replay_args(tmp_path, 1, w_after=math.nan),
     "replay-k-from-0": lambda tmp_path: replay_args(tmp_path, 1, k=0),
     "replay-k-from-7": lambda tmp_path: replay_args(tmp_path, 1, k=7),
     "replay-k-from-10000": lambda tmp_path: replay_args(tmp_path, 1, k=10000),

@@ -517,6 +517,23 @@ class TestRunExperiment:
         # carried search ranges all sit below the stopping threshold
         assert res.search_curve[-1] < 5e-2
 
+    @pytest.mark.parametrize("fidelity_mode", ["paper", "per-rep"])
+    def test_a_point_after_every_stop_reduces_the_final_bases(self, fidelity_mode):
+        """A stopped repetition adds its final basis to every later point, in
+        both modes, however long ago the fold last recorded it running."""
+        cfg = small_config(dim=3, repetitions=12, fidelity_mode=fidelity_mode,
+                           stopping=StoppingRule(kind="threshold", w_min=0.2, max_iterations=30))
+        longest = harness.run_experiment(cfg).metadata["longest_run"]
+        # the stride changes no decision, and puts the last point after every stop
+        res = harness.run_experiment(replace(cfg, record_every=longest))
+        np.testing.assert_array_equal(res.ks, [0, longest])
+        finals = res.per_repetition_final  # [i, l, j]
+        if fidelity_mode == "paper":
+            want = finals.mean(axis=0).max(axis=0)
+        else:
+            want = finals.max(axis=1).mean(axis=0)
+        np.testing.assert_allclose(res.fidelity_curves[:, -1], want, rtol=1e-12)
+
     @pytest.mark.parametrize(
         "overrides",
         [

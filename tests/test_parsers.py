@@ -284,6 +284,8 @@ NOT_A_TRACE = {
     "angles on a reward": with_punish(m=0, **{"class": "reward"}),
     "text angle": with_punish(angles={"phi_x": "0.1", "phi_y": 0.0, "phi_z": 0.0}),
     "text w_after": with_punish(w_after="2.2"),
+    "w_after NaN": with_punish(w_after=math.nan),
+    "w_after negative": with_punish(w_after=-1.0),
     "extra key": with_punish(note=1),
     "k from 0": with_punish(k=0),
     "k from 7": with_punish(k=7),
