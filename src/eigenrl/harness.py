@@ -5,7 +5,7 @@ against a configured environment and aggregates two curves over the
 iteration count k: the mean fidelity F_j(k) between basis column j and
 the environment's eigenvectors, and the mean search range W(k).
 
-All repetitions run together in one lockstep ensemble, and every curve
+All repetitions run together in one ensemble, round by round, and every curve
 point is a sum over repetitions taken in index order, so each repetition
 matches a lone agent bit for bit and the results do not depend on how
 the work is scheduled.  A trace of repetition 0 is captured from the same
@@ -277,7 +277,7 @@ def build_environment(config: ExperimentConfig) -> Environment:
 
 
 # ---------------------------------------------------------------------------
-# lockstep execution and the streaming reduction
+# the ensemble run and the streaming reduction
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -332,14 +332,20 @@ class _Fold:
 
     ``rows`` holds one row per repetition: its search range, then either
     its |<l_E|D|j>| matrix ("paper" mode) or that matrix's column maxima
-    ("per-rep" mode).  Every step writes into column 0 the search range of
-    each member that ran it.  At each recorded k the rows whose basis
-    changed after ``last_k``, the k of the last recorded sum, are recomputed
-    before the sum, so after each sum every row is current as of ``last_k``.
-    The rule is the same in both modes and for running and stopped
-    repetitions: one that has stopped adds its final range and basis to
-    every later point, so threshold-mode curves stay flat after convergence
-    instead of dropping out of the average.
+    ("per-rep" mode).  A record point k sums ``rows`` as of iteration k:
+    each repetition's search range after iteration k and the features of
+    its basis after that iteration's punishment or drift control.  Each
+    round moves the repetitions through segments of iterations, some ahead
+    of others, so the fold keeps what the pending points need in rings: the
+    search range of each repetition at each point it has passed, and the
+    features of each basis that moved, at the first point after the move.
+    Once every running repetition has passed a point, ``rows`` takes that
+    point's values and is summed down axis 0, in record order.  The rule is
+    the same in both modes and for running and stopped repetitions: one
+    that has stopped adds its last search range and final basis to every
+    later point, so threshold-mode curves stay flat after convergence
+    instead of dropping out of the average.  The engine keeps every running
+    repetition within one lead of the slowest, which bounds the rings.
     """
 
     def __init__(self, config: ExperimentConfig, envs: list[Environment],
@@ -355,8 +361,17 @@ class _Fold:
         self.rows = np.empty((n, 1 + (d * d if self.paper else d)))
         self.rows[:, 0] = config.w1
         self.rows[:, 1:] = self._features(ensemble.active, ensemble.bases)
-        self.w = self.rows[:, 0]  # a view; writing through it beats rows[members, 0]
-        self.last_k = 0
+        self.last_w = self.rows[:, 0].copy()  # after each repetition's latest iteration
+        # rings over the points q not summed yet, at k = q * record_every, in
+        # slot q % size: the search ranges of the repetitions that ran past a
+        # point, and the features of the bases they held there
+        self._w = np.empty((2, n))
+        self._f = np.empty((2, n, self.rows.shape[1] - 1))
+        self._held = np.zeros((2, n), dtype=bool)
+        self._pending = np.zeros(n, dtype=np.int64)  # the point of each one's last move
+        self._next = 1  # the next point to sum
+        self._top = 0   # the last point the rings hold
+        self._stage = 0  # stages every repetition closed before the next point
         self.w_sums: list[float] = []
         self.fidelity_sums: list[np.ndarray] = []
         self.stage_min: list[int] = []
@@ -379,18 +394,107 @@ class _Fold:
             self.fidelity_sums.append(sums[1:])
         self.stage_min.append(stage_min)
 
+    def _reserve(self, top: int) -> None:
+        """Make room for the points up to ``top``, doubling the rings when full."""
+        if top <= self._top:
+            return
+        size = len(self._w)
+        if top - self._next >= size:
+            pending = np.arange(self._next, self._top + 1)
+            grown = 2 * (top - self._next + 1)
+            rings = []
+            for ring in (self._w, self._f, self._held):
+                bigger = np.zeros((grown, *ring.shape[1:]), dtype=ring.dtype)
+                bigger[pending % grown] = ring[pending % size]
+                rings.append(bigger)
+            self._w, self._f, self._held = rings
+        self._top = top
+
     def observe(
         self, state: protocol.EnsembleState, rec: protocol.EnsembleRecord
     ) -> None:
-        self.w[rec.members] = rec.w_after
-        if rec.k % self.config.record_every:
+        every = self.config.record_every
+        members = rec.members
+        width = rec.u.shape[1]
+        last = rec.length - 1
+        if width == 1:
+            ends, w_end = rec.k, rec.w_after[:, 0]  # each segment's last iteration
+        else:
+            ends, w_end = rec.k + last, rec.w_after[np.arange(len(members)), last]
+        if len(members) == len(self.rows):
+            self.last_w[:] = w_end
+        else:
+            self.last_w[members] = w_end
+        self._note_moves(rec, ends)
+        running = state.active
+        if rec.before is None:  # every running repetition ran to the same iteration
+            top = int(ends[0])
+            if top < self._next * every and len(running):
+                return  # no point is complete
+            ready = top // every
+        else:
+            ready = int(state.calls[running].min() if len(running) else state.calls.max()) // every
+            top = int(state.calls.max())
+        # the search range at a point a segment moved past, or at its last
+        # iteration when that point is not summed now, goes into the ring;
+        # at every other point a repetition's latest range is the one
+        if width > 1 or top // every > ready:
+            positions = np.arange(width)
+            on = positions < last[:, None]
+            on[np.arange(len(members)), last] = ends // every > ready
+            ks = rec.k[:, None] + positions
+            if every > 1:
+                on &= ks % every == 0
+            seg, at = on.nonzero()
+            if seg.size:
+                points = ks[seg, at] // every
+                self._reserve(int(points.max()))
+                self._w[points % len(self._w), members[seg]] = rec.w_after[seg, at]
+        while self._next <= ready:
+            self._sum_point(state, top)
+
+    def _note_moves(self, rec: protocol.EnsembleRecord, ends: np.ndarray) -> None:
+        """Note the first point at or after each basis move of ``rec``.  A
+        repetition that moves again past the point of a move not summed yet
+        leaves that point, in the ring, the basis it had before the round."""
+        ev = rec.moved.nonzero()[0]
+        if not ev.size:
             return
-        moved = np.flatnonzero(state.changed > self.last_k)
+        moved = rec.members[ev]
+        every = self.config.record_every
+        points = (ends[ev] + every - 1) // every
+        if rec.before is not None:
+            earlier = self._pending[moved]
+            crossed = (earlier >= self._next) & (points > earlier)
+            if crossed.any():
+                earlier, held = earlier[crossed], moved[crossed]
+                self._reserve(int(earlier.max()))
+                slots = earlier % len(self._w)
+                self._f[slots, held] = self._features(held, rec.before[crossed])
+                self._held[slots, held] = True
+        self._pending[moved] = points
+
+    def _sum_point(self, state: protocol.EnsembleState, top: int) -> None:
+        """Sum the next point, which every running repetition has passed;
+        ``top`` is the most iterations any repetition has run."""
+        k, slot = self._next * self.config.record_every, self._next % len(self._w)
+        self.rows[:, 0] = self.last_w
+        if top > k:
+            np.copyto(self.rows[:, 0], self._w[slot], where=state.calls > k)
+        held = self._held[slot].nonzero()[0]
+        if held.size:
+            self.rows[held, 1:] = self._f[slot, held]
+            self._held[slot] = False
+        # the others whose last move falls in this point have that basis now
+        moved = (self._pending == self._next).nonzero()[0]
         if moved.size:
             self.rows[moved, 1:] = self._features(moved, state.bases[moved])
-        self.last_k = rec.k
-        # a stopped repetition's stage, d - 1, lies above every running one
-        self._reduce(int(rec.stage.min()))
+        stage, closed, closed_at = self._stage, state.closed, state.closed_at
+        while stage < len(closed) and closed[stage] == len(self.rows) and closed_at[stage] < k:
+            stage += 1
+        self._stage = stage
+        self._reduce(stage)
+        self._next += 1
 
     def finalize(self, state: protocol.EnsembleState,
                  envs: list[Environment]) -> "ExperimentResult":
@@ -425,7 +529,7 @@ class _Fold:
 
 @dataclass
 class Trace:
-    """Repetition 0's decisions, captured from the lockstep run as it goes."""
+    """Repetition 0's decisions, captured from the ensemble run as it goes."""
 
     header: dict
     records: list[protocol.IterationRecord] = field(default_factory=list)
@@ -435,7 +539,7 @@ class Trace:
         self, state: protocol.EnsembleState, rec: protocol.EnsembleRecord
     ) -> None:
         if rec.members[0] == 0:  # members are listed in index order
-            self.records.append(protocol.first_record(rec))
+            self.records.extend(protocol.iteration_records(rec))
 
     def write(self, path: str) -> str:
         """Write the trace file; returns the final basis hash its footer holds."""
@@ -465,7 +569,7 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentResult:
-    """Run every repetition in lockstep and reduce them in index order.
+    """Run every repetition in one ensemble and reduce them in index order.
 
     Repetition ``i`` is member ``i`` of one ensemble, run against the
     shared ``build_environment(config)`` or, when resampled, a random
@@ -474,7 +578,9 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
     each would have alone.  With ``trace``, the result also holds repetition
     0's decisions from this same run, ready to be written as a trace.
     Under a threshold rule it logs, at INFO, how many repetitions closed
-    each stage by meeting ``w_min`` and how many by hitting the cap.
+    each stage by meeting ``w_min`` and how many by hitting the cap; every
+    run then logs its iterations, which are the black-box calls, the probes
+    the simulator evolved and the engine's rounds.
     """
     n = config.repetitions
     if config.resample_env_per_repetition:
@@ -501,6 +607,8 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
                                               ensemble.hit_max_iterations.tolist())):
             log.info("stage %d: %d repetitions reached w_min, %d hit max_iterations",
                      t, met, capped)
+    log.info("%d iterations (black-box calls), %d probes evolved (a simulator cost), "
+             "%d engine rounds", ensemble.k - 1, ensemble.evolved, ensemble.rounds)
     result = fold.finalize(ensemble, envs)
     if trace:
         captured.final_basis = ensemble.bases[0].copy()

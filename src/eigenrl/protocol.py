@@ -21,32 +21,54 @@ and the next column is learned.  The last column needs no stage of its
 own, being pinned by unitarity.
 
 There is one engine: :class:`EnsembleState` advances many independently
-seeded agents in lockstep with stacked array operations, and every check,
+seeded agents together with stacked array operations, and every check,
 draw and update lives there; :func:`run_stages` drives it, and a lone agent
-is a one-member ensemble.  :func:`first_record` turns the first listed
-member's row of an :class:`EnsembleRecord` into a trace line's
-:class:`IterationRecord`, and :func:`replay_basis` replays a trace.  Every
-punishment, whether one member is punished or many, live or replayed, goes
-through the one stacked column update, :func:`_rotate`.
+is a one-member ensemble.  :func:`iteration_records` turns a member's row
+of an :class:`EnsembleRecord` into trace lines, :class:`IterationRecord`,
+and :func:`replay_basis` replays a trace.  Every punishment, whether one
+member is punished or many, live or replayed, goes through the one stacked
+column update, :func:`_rotate`.
 
 In the protocol each iteration sends a fresh probe through the black box,
 but a member's probe, and so the distribution of its outcome, changes only
 when it is punished, when the drift control re-orthonormalizes its basis or
-when it starts a stage.  The engine therefore keeps each member's Born
-weights from the last such change and evolves only the changed probes; the
+when it starts a stage, and in between an iteration only multiplies ``w``
+by ``r`` or leaves it.  The engine therefore keeps each member's Born
+weights from the last such change, evolves only the changed probes, and
+advances each member from event to event: a round moves every member it
+runs through one segment of iterations that ends at the first of those
+events or at the end of its window (see :class:`EnsembleState`).  The
 iteration counts ``k`` and ``calls`` still count every iteration, one use
-of the black box each.  A fixed-budget stage can end only where its budget
-runs out, and :func:`run_stages` applies such a rule there alone.
+of the black box each.
+
+The rounds give each member the bits of the lone agent that runs one
+iteration at a time, because they keep these rules:
+
+- an iteration's draw ``u`` is the member's next unread double times the
+  sum of its Born weights, elementwise, and its outcome is the count of
+  cumulative weights at or below ``u``;
+- a segment reads its measurement draws first, so the cursor moves past
+  them before the punishment at its end reads the angles x, z, y;
+- the punish bound uses the ``w`` from before the punishing iteration, and
+  ``w`` along a segment is one sequential product of ``r`` and ``1.0``;
+- a recorded point's features come from the basis after that iteration's
+  punishment or drift control;
+- a finished member carries its last ``w_after`` and its final basis into
+  every later record point, and record points exist only up to the
+  longest run;
+- the black box, the Born check, the cumulative sums and :func:`_rotate`
+  give each member the same bits whatever batch it is computed in.
 
 Punish angles are drawn in the fixed order x, z, y from the per-agent
-generator, using the pre-update ``w``, so runs are reproducible and a
-recorded trace can be replayed bit for bit.
+generator, so runs are reproducible and a recorded trace can be replayed
+bit for bit.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
@@ -77,17 +99,32 @@ BORN_TOL = 1e-9
 
 #: bytes of pre-drawn doubles per ensemble; each member's share is clamped
 #: to [DRAW_BUFFER_MIN, DRAW_BUFFER_MAX] doubles.  Wider rows refill less
-#: often; the cap keeps a small ensemble, such as a lone agent, from
-#: drawing up to a MiB ahead.
-DRAW_BUFFER_BYTES = 1 << 20
+#: often (a refill is a generator call per row, so at 1000 members the
+#: 256-double cap halves them against 1 MiB); the cap keeps a small
+#: ensemble, such as a lone agent, from drawing MiBs ahead.
+DRAW_BUFFER_BYTES = 1 << 21
 DRAW_BUFFER_MIN = 32
 DRAW_BUFFER_MAX = 256
 
 #: doubles one iteration can use: the measurement draw and three punish angles
 _DRAWS_PER_ITERATION = 4
 
+#: member-iterations one round may draw: a round's window is this many
+#: iterations shared among the running members, at least one, so it shrinks
+#: as the ensemble grows and is a single iteration from 1024 members on
+ROUND_ELEMENTS = 1 << 10
+
+#: how far a member may run ahead of the slowest running one: the
+#: iterations whose rows of 1 + dim**2 doubles per member fit in this many
+#: bytes, what an observer holds at most for iterations not all have run
+LEAD_BYTES = 1 << 23
+
 #: positions of phi_x, phi_y, phi_z among the three punish draws (x, z, y)
 _DRAWN_XYZ = np.array([[0], [2], [1]])
+
+#: a stage's own outcome and the one after it, among the running sums that
+#: start with -inf for the sum before outcome 0
+_OWN_AND_NEXT = np.array([0, 1])
 
 #: the punish angles of an iteration that punished no member
 _NO_ANGLES = np.empty((3, 0))
@@ -191,16 +228,46 @@ def _rotate(bases: np.ndarray, who: np.ndarray, t: np.ndarray, m: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class EnsembleRecord:
-    """What one lockstep iteration did, for the members that ran it."""
+    """What one round did: one segment of consecutive iterations per member
+    that ran in it.  Row ``j`` is member ``members[j]``'s segment, iterations
+    ``k[j]`` to ``k[j] + length[j] - 1`` of that member, all in stage
+    ``stage[j]``; only a segment's last iteration can punish or be followed
+    by the drift control."""
 
-    k: int
-    members: np.ndarray  # (n,) indices of the members that ran iteration k
-    stage: np.ndarray    # (n,) stage each of them ran it in
-    outcome: np.ndarray  # (n,)
-    w_after: np.ndarray  # (n,)
-    #: (3, h) rows phi_x, phi_y, phi_z of the h punished members, in the
-    #: order of ``members[outcome > stage]``
+    members: np.ndarray  # (s,) the members that ran a segment, in index order
+    k: np.ndarray        # (s,) each segment's first iteration, counted per member
+    length: np.ndarray   # (s,) iterations in the segment, at least 1
+    stage: np.ndarray    # (s,)
+    #: (s, L) each iteration's measurement draw times the sum of the Born
+    #: weights, and the search range after it; entries at and beyond
+    #: ``length[j]`` in row ``j`` mean nothing
+    u: np.ndarray
+    w_after: np.ndarray
+    #: (s, dim) -inf, then the cumulative Born weights the segment's draws
+    #: were read on
+    cumulative: np.ndarray
+    punished: np.ndarray  # (s,) whether the segment ends in a punishment
+    #: (3, h) rows phi_x, phi_y, phi_z of the h punished segments, in row order
     angles: np.ndarray
+    #: (s,) whether the basis changed at the segment's last iteration: a
+    #: punishment or the drift control
+    moved: np.ndarray
+    #: (moved.sum(), dim, dim) the bases of the moved members before the
+    #: round; None when the round moved every running member one iteration
+    #: from one place, as every round of a one-iteration window does, so
+    #: that no member, running or stopped, has run past the others
+    before: np.ndarray | None
+
+    @property
+    def outcome(self) -> np.ndarray:
+        """(s, L) outcomes: how many cumulative weights each ``u`` reaches."""
+        return _count(self.cumulative[:, None, 1:], self.u[:, :, None])
+
+
+def _count(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The outcome of each draw ``u``: the first index whose running sum of
+    Born weights exceeds it, that is how many of ``cumulative`` it reaches."""
+    return (cumulative <= u).sum(axis=-1)
 
 
 def _classify(t: int, m: int) -> str:
@@ -208,53 +275,75 @@ def _classify(t: int, m: int) -> str:
     return REWARD if m == t else PUNISH if m > t else NEUTRAL
 
 
-def first_record(rec: EnsembleRecord) -> IterationRecord:
-    """What the first listed member did in ``rec``, in plain Python numbers;
-    if it was punished, its angles are column 0 of ``rec.angles``."""
-    t, m = int(rec.stage[0]), int(rec.outcome[0])
-    return IterationRecord(
-        k=rec.k,
-        stage=t,
-        outcome=m,
-        classification=_classify(t, m),
-        angles=RotationAngles(*rec.angles[:, 0].tolist()) if m > t else None,
-        w_after=float(rec.w_after[0]),
-    )
+def iteration_records(rec: EnsembleRecord, row: int = 0) -> list[IterationRecord]:
+    """The iterations of ``rec``'s segment ``row``, one trace record each, in
+    plain Python numbers."""
+    t, k, n = int(rec.stage[row]), int(rec.k[row]), int(rec.length[row])
+    cumulative = rec.cumulative[row, 1:].tolist()
+    records = [
+        IterationRecord(k + j, t, m, _classify(t, m), None, w)
+        for j, (m, w) in enumerate(zip(
+            [bisect_right(cumulative, u) for u in rec.u[row, :n].tolist()],  # as _count
+            rec.w_after[row, :n].tolist()))
+    ]
+    if rec.punished[row]:
+        column = int(np.count_nonzero(rec.punished[:row]))
+        last = records[-1]
+        angles = RotationAngles(*rec.angles[:, column].tolist())
+        records[-1] = IterationRecord(last.k, t, last.outcome, PUNISH, angles, last.w_after)
+    return records
 
 
 class EnsembleState:
-    """Independently seeded agents advanced together, one iteration at a time.
+    """Independently seeded agents advanced together, round by round.
 
     Member ``i`` is the lone agent seeded ``seeds[i]``: how many members run
-    beside it changes none of its bits.  Each step evolves the stale probes
-    (below) in one batched black-box call and applies the feedback in
-    stacked form, which gives the bits of the one-agent arithmetic however
-    many members it punishes.  Each member reads its
-    doubles in order from a row of ``_draws`` pre-drawn from its own
-    generator, which gives the same values as drawing them one at a time;
-    the rows share ``DRAW_BUFFER_BYTES``, within the per-member bounds.
+    beside it, and how its iterations are grouped into rounds, change none
+    of its bits.  Each member reads its doubles in order from a row of
+    ``_draws`` pre-drawn from its own generator, which gives the same values
+    as drawing them one at a time; the rows share ``DRAW_BUFFER_BYTES``,
+    within the per-member bounds.
+
+    Between its events a member's iterations differ only in their draws:
+    its probe, and so the distribution of its outcome, changes only when it
+    is punished, when the drift control re-orthonormalizes its basis or when
+    it starts a stage, and a reward or neutral outcome only multiplies ``w``
+    by ``r`` or 1.  :meth:`advance` therefore runs one round in which every
+    member it moves runs a *segment*: consecutive iterations up to its first
+    punishment, the close of its stage, the next drift-control ``k`` or the
+    end of its window, whichever comes first.  A window is
+    ``ROUND_ELEMENTS`` iterations shared among the running members, at
+    least one and at most what a draw row holds, so it shrinks as the
+    ensemble grows; a one-iteration window moves the members in lockstep.
+    No member runs ahead of the slowest by more than the iterations whose
+    rows of ``1 + dim**2`` doubles per member fit in ``LEAD_BYTES``, or one
+    window if that is more, which bounds what an observer must hold for the
+    iterations not every member has run.  A round sends the stale probes
+    (below) through one batched black-box call, draws every segment's
+    outcomes at once, and applies all its punishments in one stacked
+    update.  :meth:`step` is the round of one iteration per running member,
+    without a stopping rule.
 
     A member runs until its own stopping rule has closed its last stage,
     so threshold runs end at different iterations; ``active`` lists the
-    members still running.  They all share the iteration counter
-    ``iteration``, so drift control runs at the same ``k`` as for a lone
-    agent.  ``k`` is one more than the iterations run, summed over members,
-    and ``calls[i]`` is member ``i``'s iterations once it finishes.
-    ``n_r``, ``n_p`` and ``n_neutral`` count the current stage only, so
+    members still running.  ``calls[i]`` counts member ``i``'s iterations,
+    its uses of the black box; ``k`` is one more than their sum.  The
+    drift control runs after a member's own iteration ``k`` whenever
+    ``k % REORTHONORMALIZE_EVERY == 0``, as for a lone agent.  ``n_r``,
+    ``n_p`` and ``n_neutral`` count the current stage only, so
     ``w = w1 * r**n_r * p**n_p`` holds per stage while ``w_cap`` is
-    infinite, the default.
-
-    ``changed[i]`` is the iteration that last changed member ``i``'s basis
-    (a punishment or the drift control), 0 if none has, so an observer can
-    tell which members' bases moved since it last looked.
+    infinite, the default.  ``closed[t]`` counts the members that have
+    closed stage ``t``, and ``closed_at[t]`` is the last iteration at which
+    one did.
 
     Each member's cumulative Born weights are cached from the last time its
     probe changed.  A member is stale, and its probe goes through the black
-    box again at its next step, once it is punished, re-orthonormalized by
+    box again at its next round, once it is punished, re-orthonormalized by
     the drift control or starts a stage (every member starts stale); the
-    others draw their outcome from the cached weights, which are the bits
-    that evolving the same probe again would give.  ``k`` and ``calls``
-    count every iteration all the same.
+    others draw their outcomes from the cached weights, which are the bits
+    that evolving the same probe again would give.  ``evolved`` counts the
+    probes sent through the black box, a cost of this simulator, and
+    ``rounds`` the rounds run.
 
     ``reached_w_min[t]`` and ``hit_max_iterations[t]`` count the members
     whose threshold stage ``t`` closed by meeting ``w_min`` and by reaching
@@ -271,58 +360,76 @@ class EnsembleState:
         self.bases = np.tile(np.eye(dim, dtype=np.complex128), (n, 1, 1))
         self.w = np.full(n, params.w1)
         self.stage = np.zeros(n, dtype=np.intp)
+        self.calls = np.zeros(n, dtype=np.int64)
         self.n_r = np.zeros(n, dtype=np.int64)
         self.n_p = np.zeros(n, dtype=np.int64)
-        self.n_neutral = np.zeros(n, dtype=np.int64)
-        self.iteration = 1
-        self.calls = np.zeros(n, dtype=np.int64)  # set as each member finishes
-        self.changed = np.zeros(n, dtype=np.int64)
         self.active = np.arange(n)
-        # selects the active members; a slice (a view, no copy) while all run
-        self._running: slice | np.ndarray = slice(None)
+        self.rounds = 0
+        self.evolved = 0
+        self.closed = np.zeros(dim - 1, dtype=np.int64)
+        self.closed_at = np.zeros(dim - 1, dtype=np.int64)
+        self.reached_w_min = np.zeros(dim - 1, dtype=np.int64)
+        self.hit_max_iterations = np.zeros(dim - 1, dtype=np.int64)
         width = min(max(DRAW_BUFFER_BYTES // (8 * n), DRAW_BUFFER_MIN), DRAW_BUFFER_MAX)
         self._draws = np.empty((n, width))
         self._cursor = np.full(n, width)
-        # cumulative Born weights of every outcome but the last, and their sum
-        self._cumulative = np.empty((n, dim - 1))
+        self._index = np.arange(max(n, width))
+        self._zeros, self._ones = np.zeros(n, dtype=np.intp), np.ones(n, dtype=np.intp)
+        self._row_start = self._index[:n] * width  # of each row in the flat _draws
+        # -inf, then the cumulative Born weights of every outcome but the
+        # last, and their sum
+        self._cumulative = np.full((n, dim), -np.inf)
         self._total = np.empty(n)
+        self._stages = (0, 0)  # the least and the greatest stage running
         self._stale = np.ones(n, dtype=bool)
-        self.reached_w_min = np.zeros(dim - 1, dtype=np.int64)
-        self.hit_max_iterations = np.zeros(dim - 1, dtype=np.int64)
+        # each member's calls when its stage opened, and when the stopping
+        # rule closes the stage at the latest (set by the first advance)
+        self._stage_start = np.zeros(n, dtype=np.int64)
+        self._stage_end = self._stage_start.copy()
+        self._soonest_end = 0  # the least _stage_end of a running member
+        self._stopped_at = 0  # the most iterations a finished member ran
+        self._rule: StoppingRule | None = None
 
     @property
     def k(self) -> int:
-        return 1 + int(self.calls.sum()) + (self.iteration - 1) * len(self.active)
+        return 1 + int(self.calls.sum())
+
+    @property
+    def n_neutral(self) -> np.ndarray:
+        return self.calls - self._stage_start - self.n_r - self.n_p
 
     @property
     def finished(self) -> bool:
         return len(self.active) == 0
 
-    def _members(self) -> np.ndarray:
-        """The running members; an error once every member has finished."""
-        if not len(self.active):
+    def _members(self) -> tuple[np.ndarray, np.ndarray | slice]:
+        """The running members, and what selects them: a slice (a view, no
+        copy) while every member runs; an error once every one has finished."""
+        members = self.active
+        if not len(members):
             raise StageOverflow("no member is active: every stage is done")
-        return self.active
+        return members, slice(None) if len(members) == len(self.w) else members
 
-    def _refill(self) -> None:
-        """Give every running member the doubles of at least one more iteration."""
+    def _refill(self, members: np.ndarray, sel: np.ndarray | slice,
+                need: int = _DRAWS_PER_ITERATION) -> None:
+        """Give each selected member at least ``need`` unread doubles."""
         width = self._draws.shape[1]
-        low = self._cursor[self._running] > width - _DRAWS_PER_ITERATION
-        for i in self.active[low]:
+        for i in members[self._cursor[sel] > width - need]:
             row, start = self._draws[i], self._cursor[i]
             kept = width - start
             row[:kept] = row[start:]
             self.rngs[i].random(out=row[kept:])
             self._cursor[i] = 0
 
-    def measure(
-        self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    def _sample(
+        self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        members: np.ndarray, sel: np.ndarray | slice, width: int,
     ) -> np.ndarray:
-        """One outcome per running member, sampled from the Born weights of
-        its evolved probe; only the stale members' probes go through
-        ``interact`` (see :meth:`step`), the others reuse their weights."""
-        members, running = self._members(), self._running
-        stale = members[self._stale[running]]
+        """(members, width): the selected members' next ``width`` unread
+        doubles, each times the sum of the member's Born weights.  The
+        weights are those of its evolved probe; only the stale members'
+        probes go through ``interact``, the others reuse their weights."""
+        stale = members[self._stale[sel]]
         if stale.size:
             evolved = interact(stale, self.bases[stale, :, self.stage[stale]])
             if evolved.shape != (len(stale), self.dim):
@@ -338,48 +445,84 @@ class EnsembleState:
                 raise NotNormalized(
                     f"Born weights of member {stale[j]} sum to {total[j]!r}, not 1"
                 )
-            self._cumulative[stale] = np.cumsum(q[:, :-1], axis=1)
+            self._cumulative[stale, 1:] = np.cumsum(q[:, :-1], axis=1)
             self._total[stale] = total
             self._stale[stale] = False
-        u = self._draws[members, self._cursor[members]] * self._total[running]
-        self._cursor[running] += 1
-        # the outcome is the first index whose running sum exceeds u
-        return (self._cumulative[running] <= u[:, None]).sum(axis=1)
+            self.evolved += len(stale)
+        start = (self._row_start[sel] + self._cursor[sel])[:, None]
+        u = self._draws.take(start if width == 1 else start + self._index[:width])
+        u *= self._total[sel, None]
+        return u
 
-    def decide_and_update(self, outcomes: np.ndarray) -> EnsembleRecord:
-        """Apply each running member's feedback and advance the shared counter."""
-        members, running = self._members(), self._running
-        if outcomes.shape != members.shape or not (
-            0 <= outcomes.min() and outcomes.max() < self.dim
-        ):
-            raise OutOfRange(f"outcomes outside [0, {self.dim})")
-        k = self.iteration
-        t = self.stage[members]
-        w = self.w[running]
-        reward = outcomes == t
-        punish = outcomes > t
-        w_after = np.where(reward, w * self.params.r, w)
+    def _update(self, members: np.ndarray, sel: np.ndarray | slice, u: np.ndarray,
+                cumulative: np.ndarray, bounds: np.ndarray, caps: np.ndarray | None = None,
+                w_min: float | None = None, read: bool = True, drift: bool = True,
+                keep: bool = True) -> EnsembleRecord:
+        """Apply the feedback of each selected member's segment: its
+        iterations up to its first punishment, its first ``w`` below
+        ``w_min`` (if given) or its ``caps`` entry, whichever comes first;
+        one iteration each without ``caps``.  ``u`` holds the draws on
+        ``cumulative``, and ``bounds`` each member's running sums before and
+        through its stage's outcome.  With ``read``, the cursor first moves
+        past the segments' measurement draws; ``drift`` says whether a
+        segment may end at a drift-control ``k``, and ``keep`` whether the
+        record keeps the moved members' bases from before the round."""
+        t = self.stage[sel]
+        w = self.w[sel]
+        # outcome > t reaches the sum through t; outcome == t only the one before
+        punish = u >= bounds[:, 1:]
+        reward = u >= bounds[:, :1]
+        reward ^= punish
+        # w along the window: times r at each reward, times 1.0 otherwise
+        w_after = np.where(reward, self.params.r, 1.0)
+        w_after[:, 0] *= w
+        m = len(members)
+        if caps is None:
+            last, length = self._zeros[:m], self._ones[:m]
+            rewards, ended, w_end = reward[:, 0], punish[:, 0], w_after[:, 0]
+        else:
+            np.multiply.accumulate(w_after, axis=1, out=w_after)
+            stop = self._index[:u.shape[1]] >= caps[:, None] - 1
+            stop |= punish
+            if w_min is not None:
+                stop |= w_after < w_min
+            last = stop.argmax(axis=1)
+            rows = self._index[:m]
+            rewards = np.cumsum(reward, axis=1)[rows, last]
+            ended, w_end = punish[rows, last], w_after[rows, last]
+            length = last + 1
+        if read:
+            self._cursor[sel] += length  # the measurement draws come first
+        moved, controlled = ended, None
+        if drift:
+            controlled = (self.calls[sel] + length) % REORTHONORMALIZE_EVERY == 0
+            moved = ended | controlled
+        before = self.bases[members[moved]] if keep else None
         angles = _NO_ANGLES
-        hit = np.nonzero(punish)[0]
+        hit = ended.nonzero()[0]
         if hit.size:
-            who = members[hit]
-            angles = self._punish(who, t[hit], outcomes[hit], w[hit])
-            self.changed[who] = k
+            who, at = members[hit], last[hit]
+            w_before = w[hit] if caps is None else np.where(at > 0, w_after[hit, at - 1], w[hit])
+            drawn = u[hit] if caps is None else u[hit, at, None]
+            angles = self._punish(who, t[hit], _count(cumulative[hit, 1:], drawn), w_before)
             self._stale[who] = True
-            w_after[hit] = np.minimum(w[hit] * self.params.p, self.params.w_cap)
-        self.w[running] = w_after
-        self.n_r[running] += reward
-        self.n_p[running] += punish
-        self.n_neutral[running] += outcomes < t
-        self.iteration = k + 1
-        if k % REORTHONORMALIZE_EVERY == 0:
-            for i in members:
+            w_end[hit] = np.minimum(w_before * self.params.p, self.params.w_cap)
+            if caps is not None:
+                w_after[hit, at] = w_end[hit]
+        self.w[sel] = w_end
+        self.n_r[sel] += rewards
+        self.n_p[sel] += ended
+        self.calls[sel] += length
+        calls = self.calls[sel]
+        if controlled is not None and controlled.any():
+            for i in members[controlled]:
                 linalg.gram_schmidt(self.bases[i])
-            self.changed[members] = k
-            self._stale[members] = True
+            self._stale[members[controlled]] = True
+        self.rounds += 1
         return EnsembleRecord(
-            k=k, members=members, stage=t, outcome=outcomes, w_after=w_after,
-            angles=angles,
+            members=members, k=calls - last, length=length, stage=t.copy(), u=u,
+            w_after=w_after, cumulative=cumulative, punished=ended, angles=angles,
+            moved=moved, before=before,
         )
 
     def _punish(self, who: np.ndarray, t: np.ndarray, m: np.ndarray,
@@ -396,64 +539,143 @@ class EnsembleState:
         _rotate(self.bases, who, t, m, angles)
         return angles
 
+    def measure(
+        self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """One outcome per running member, for its next iteration, reading
+        one double of each (see :meth:`_sample`)."""
+        members, sel = self._members()
+        u = self._sample(interact, members, sel, 1)
+        self._cursor[sel] += 1
+        return _count(self._cumulative[sel, 1:], u)
+
+    def decide_and_update(self, outcomes: np.ndarray) -> EnsembleRecord:
+        """Apply one iteration's outcome to each running member; the
+        measurement draw is :meth:`measure`'s.  The outcomes are recorded as
+        draws on the cumulative weights 1, 2, ..., dim - 1, which they reach
+        ``m`` of."""
+        members, sel = self._members()
+        if outcomes.shape != members.shape or not (
+            0 <= outcomes.min() and outcomes.max() < self.dim
+        ):
+            raise OutOfRange(f"outcomes outside [0, {self.dim})")
+        t = self.stage[sel, None]
+        steps = np.broadcast_to(np.r_[-np.inf, self._index[1:self.dim]], (len(members), self.dim))
+        return self._update(members, sel, outcomes[:, None].astype(float), steps,
+                            np.hstack((t, t + 1)).astype(float), read=False)
+
     def step(
         self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray]
     ) -> EnsembleRecord:
-        """Run one iteration of every running member against the black box.
+        """Run one iteration of every running member against the black box:
+        the round of one iteration each, without a stopping rule.
 
         ``interact(members, probes)`` evolves row ``j`` of ``probes`` as the
         black box of member ``members[j]`` would; it sees the probes of the
         stale members only, and is not called when none is stale.
         """
-        self._refill()
-        return self.decide_and_update(self.measure(interact))
+        members, sel = self._members()
+        self._refill(members, sel)
+        u = self._sample(interact, members, sel, 1)
+        return self._update(members, sel, u, self._cumulative[sel].copy(), self._bounds(sel))
 
-    def stage_converged(self, rule: StoppingRule) -> np.ndarray:
-        """Mask over ``active``: whose current stage has met the rule."""
-        running = self._running
-        done = self.n_r[running] + self.n_p[running] + self.n_neutral[running]
-        if rule.kind == "fixed-budget":
-            return done >= np.asarray(rule.budgets)[self.stage[running]]
-        return (self.w[running] < rule.w_min) | (done >= rule.max_iterations)
+    def _bounds(self, sel: np.ndarray | slice) -> np.ndarray:
+        """(members, 2): each selected member's running sums of Born weights
+        before and through its stage's own outcome, -inf before outcome 0."""
+        low, high = self._stages
+        if low == high:
+            return self._cumulative[sel, low:low + 2]
+        cumulative = self._cumulative[sel]
+        at = self.stage[sel, None] + _OWN_AND_NEXT
+        return cumulative[self._index[:len(cumulative), None], at]
 
-    def iterations_to_stage_end(self, rule: StoppingRule) -> int:
-        """Iterations until the rule can next close a running member's stage:
-        the fewest left in a fixed budget, else 1, as a threshold can close
-        a stage at any iteration."""
-        if rule.kind != "fixed-budget" or self.finished:
-            return 1
-        running = self._running
-        done = self.n_r[running] + self.n_p[running] + self.n_neutral[running]
-        return int((np.asarray(rule.budgets)[self.stage[running]] - done).min())
+    def advance(
+        self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray], rule: StoppingRule
+    ) -> EnsembleRecord:
+        """Run one round (see the class docstring) and close the stages that
+        ``rule`` says are done."""
+        if rule is not self._rule:
+            self._rule = rule
+            # iterations each stage may run at most; none after the last
+            limit = rule.budgets if rule.kind == "fixed-budget" else [rule.max_iterations] * self.dim
+            self._limit = np.append(np.asarray(limit[:self.dim - 1], dtype=np.int64), 0)
+            self._stage_end = self._stage_start + self._limit[self.stage]
+            self._soonest_end = int(self._stage_end[self.active].min()) if len(self.active) else 0
+        members, sel = self._members()
+        at = self.calls[sel]
+        width = min(max(ROUND_ELEMENTS // len(members), 1),
+                    self._draws.shape[1] - _DRAWS_PER_ITERATION + 1)
+        if width == 1:
+            # the window only widens as members finish, so every round so far
+            # moved each running member one iteration: they run level
+            slowest = fastest = int(at[0])
+        else:
+            slowest, fastest = int(at.min()), int(at.max())
+        lead = max(LEAD_BYTES // (8 * len(self.w) * (1 + self.dim**2)), width)
+        drift = slowest - slowest % REORTHONORMALIZE_EVERY + REORTHONORMALIZE_EVERY
+        end = min(slowest + lead, drift)
+        caps = None
+        if width > 1 or fastest >= end:
+            caps = np.minimum(self._stage_end[sel], end)
+            caps -= at
+            if lead > width:
+                np.minimum(caps, width, out=caps)
+            if fastest >= end:  # members at the end of the window wait
+                members = members[caps > 0]
+                sel, caps = members, caps[caps > 0]
+            width = int(caps.max())
+            if width == 1:
+                caps = None
+        self._refill(members, sel, width + 3)
+        u = self._sample(interact, members, sel, width)
+        threshold = rule.kind == "threshold"
+        rec = self._update(members, sel, u, self._cumulative[sel].copy(), self._bounds(sel),
+                           caps, rule.w_min if threshold else None, drift=end == drift,
+                           keep=width > 1 or fastest > slowest or self._stopped_at > slowest)
+        # no budget can run out before the soonest stage end
+        if threshold or fastest + width >= self._soonest_end:
+            closing = self.stage_converged(rule, sel)
+            if closing.any():
+                closed = members[closing]
+                if threshold:
+                    stages = self.stage[closed]
+                    met = self.w[closed] < rule.w_min
+                    self.reached_w_min += np.bincount(stages[met], minlength=self.dim - 1)
+                    self.hit_max_iterations += np.bincount(stages[~met], minlength=self.dim - 1)
+                self.advance_stage(closed)
+        return rec
+
+    def stage_converged(self, rule: StoppingRule, sel: np.ndarray | slice) -> np.ndarray:
+        """Mask over the selected running members: whose current stage the
+        rule has closed, by its ``w_min`` or by the iterations it allows."""
+        done = self.calls[sel] == self._stage_end[sel]
+        if rule.kind == "threshold":
+            done |= self.w[sel] < rule.w_min
+        return done
 
     def advance_stage(self, members: np.ndarray) -> None:
         """Fix the current column of each listed member and start its next one."""
-        if (self.stage[members] >= self.dim - 1).any():
+        stages = self.stage[members]
+        if (stages >= self.dim - 1).any():
             raise StageOverflow(f"no stage after {self.dim - 2} at dim {self.dim}")
-        self.stage[members] += 1
+        self.closed += np.bincount(stages, minlength=self.dim - 1)
+        np.maximum.at(self.closed_at, stages, self.calls[members])
+        self.stage[members] = stages + 1
         self._stale[members] = True
         self.w[members] = self.params.w1
         self.n_r[members] = 0
         self.n_p[members] = 0
-        self.n_neutral[members] = 0
-        last = members[self.stage[members] == self.dim - 1]
-        if last.size:
-            self.calls[last] = self.iteration - 1
+        self._stage_start[members] = self.calls[members]
+        if (stages == self.dim - 2).any():
             self.active = self.active[self.stage[self.active] < self.dim - 1]
-            self._running = self.active
-
-    def advance_converged(self, rule: StoppingRule) -> None:
-        """Advance every member whose stage the rule says is done, counting
-        how each closed threshold stage ended."""
-        converged = self.stage_converged(rule)
-        if converged.any():
-            members = self.active[converged]
-            if rule.kind == "threshold":
-                met = self.w[members] < rule.w_min
-                stages = self.stage[members]
-                self.reached_w_min += np.bincount(stages[met], minlength=self.dim - 1)
-                self.hit_max_iterations += np.bincount(stages[~met], minlength=self.dim - 1)
-            self.advance_stage(members)
+            last = members[stages == self.dim - 2]
+            self._stopped_at = max(self._stopped_at, int(self.calls[last].max()))
+        if len(self.active):
+            running = self.stage[self.active]
+            self._stages = (int(running.min()), int(running.max()))
+        if self._rule is not None:
+            self._stage_end[members] = self.calls[members] + self._limit[stages + 1]
+            self._soonest_end = int(self._stage_end[self.active].min()) if len(self.active) else 0
 
 
 def validate_rule(dim: int, params: RewardParams, rule: StoppingRule) -> None:
@@ -477,25 +699,19 @@ def run_stages(
     """Drive every member of an ensemble through all ``dim - 1`` stages.
 
     ``interact`` is the batched black box of :meth:`EnsembleState.step`.
-    ``observer(state, record)`` sees every :class:`EnsembleRecord` before
-    the stopping rule is applied.  The rule is applied at the iterations
-    ``state.iterations_to_stage_end`` names: every one under a threshold,
-    only where a budget runs out under fixed budgets.  Returns ``state``,
+    The ensemble runs round by round (:meth:`EnsembleState.advance`), and
+    ``observer(state, record)`` sees each round's :class:`EnsembleRecord`
+    once the stages the round closed have advanced.  Returns ``state``,
     finished; its ``k - 1`` is the number of iterations run, summed over
     members.  An uncapped runaway ``w`` overflows to ``inf``, the value of
     the bare update, silently.
     """
     validate_rule(state.dim, state.params, rule)
-    wait = state.iterations_to_stage_end(rule)
     with np.errstate(over="ignore"):
         while not state.finished:
-            rec = state.step(interact)
+            rec = state.advance(interact, rule)
             if observer is not None:
                 observer(state, rec)
-            wait -= 1
-            if wait == 0:
-                state.advance_converged(rule)
-                wait = state.iterations_to_stage_end(rule)
     return state
 
 

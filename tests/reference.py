@@ -1,9 +1,9 @@
-"""References the lockstep engine is checked against bit for bit.
+"""References the ensemble engine is checked against bit for bit.
 
 ``AgentState`` is the scalar agent loop, one agent and one iteration at a
 time, with its own generator, Born sampling, feedback update and stage
-bookkeeping; ``reference_experiment`` runs and reduces one repetition at a
-time with it, and ``diag_residual`` is the one-matrix form of the stacked
+bookkeeping, and ``run_agent`` its own stage loop; ``reference_experiment``
+runs and reduces one repetition at a time with them, and ``diag_residual`` is the one-matrix form of the stacked
 ``harness.diag_residual``.  Unlike :mod:`oracles`, these are written with
 the package's own primitives (``linalg.rotation_block``,
 ``linalg.gram_schmidt``, and the engine's black box on a stack of one,
@@ -145,12 +145,6 @@ class AgentState:
             return done >= rule.budgets[self.stage]
         return self.w < rule.w_min or done >= rule.max_iterations
 
-    def iterations_to_stage_end(self, rule: StoppingRule) -> int:
-        """Iterations until the rule can next close the stage."""
-        if rule.kind != "fixed-budget" or self.finished:
-            return 1
-        return rule.budgets[self.stage] - self.stage_iterations
-
     @property
     def finished(self) -> bool:
         """True once every stage has been learned."""
@@ -172,13 +166,24 @@ class AgentState:
         self.n_neutral = 0
 
 
+def run_agent(agent: AgentState, interact, rule: StoppingRule, observer=None) -> AgentState:
+    """The reference's own stage loop: one iteration at a time, the rule
+    checked after each; ``observer(agent, record)`` sees every iteration."""
+    while not agent.finished:
+        rec = agent.step(interact)
+        if observer is not None:
+            observer(agent, rec)
+        agent.advance_converged(rule)
+    return agent
+
+
 def feed(agent: protocol.EnsembleState, m: int) -> IterationRecord:
     """Apply outcome ``m`` to a one-member ensemble as if it had been
     measured; an uncapped runaway ``w`` overflows to ``inf`` silently, as
     in ``run_stages``."""
-    agent._refill()
+    agent._refill(agent.active, agent.active)
     with np.errstate(over="ignore"):
-        return protocol.first_record(agent.decide_and_update(np.array([m])))
+        return protocol.iteration_records(agent.decide_and_update(np.array([m])))[0]
 
 
 def diag_residual(basis: np.ndarray, operator: np.ndarray) -> float:
@@ -237,7 +242,7 @@ def reference_experiment(config):
                 amp = np.abs(vecs.conj().T @ agent_now.basis)
                 rows.append((rec.w_after, rec.stage, amp))
 
-        protocol.run_stages(agent, lone_black_box(env), config.stopping, observer)
+        run_agent(agent, lone_black_box(env), config.stopping, observer)
         final_amp = np.abs(vecs.conj().T @ agent.basis)
         last_max = final_amp.max(axis=0)
         while len(w_sum) < len(rows):  # grid grows: seed with finished reps

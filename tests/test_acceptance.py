@@ -223,7 +223,7 @@ def test_7_exact_property_suite():
     expected = params.w1
     for k in range(1, 201):
         assert agent.w[0] == expected  # value used at iteration k is r^{k-1}
-        rec = protocol.first_record(agent.step(black_box))
+        [rec] = protocol.iteration_records(agent.step(black_box))
         assert rec.classification == protocol.REWARD
         expected *= params.r
         assert agent.w[0] == expected

@@ -381,9 +381,12 @@ def test_mean_search_range():
     fold, ensemble = fold_at_start(np.stack([np.eye(2)] * 2), [env_spin_x(1.0)],
                                    "per-rep", w1=0.7)
     members = np.arange(2)
-    rec = protocol.EnsembleRecord(k=1, members=members, stage=np.zeros(2, int),
-                                  outcome=np.zeros(2, int), w_after=np.array([0.9, 1.1]),
-                                  angles=np.empty((3, 0)))
+    rec = protocol.EnsembleRecord(members=members, k=np.ones(2, int), length=np.ones(2, int),
+                                  stage=np.zeros(2, int), u=np.zeros((2, 1)),
+                                  w_after=np.array([[0.9], [1.1]]), cumulative=np.ones((2, 1)),
+                                  punished=np.zeros(2, bool), angles=np.empty((3, 0)),
+                                  moved=np.zeros(2, bool), before=np.empty((0, 2, 2)))
+    ensemble.calls[:] = 1  # both members ran iteration 1
     fold.observe(ensemble, rec)
     search = fold.finalize(ensemble, [env_spin_x(1.0)]).search_curve
     assert search[0] == 0.7
@@ -420,7 +423,7 @@ class TestDiagResidual:
         cfg = small_config(repetitions=1)
         env = harness.build_environment(cfg)
         agent = AgentState(2, cfg.params, harness.derive_seed(cfg.seed, 0))
-        protocol.run_stages(agent, lone_black_box(env), cfg.stopping)
+        reference.run_agent(agent, lone_black_box(env), cfg.stopping)
         assert harness.run_experiment(cfg).diag_residual == reference.diag_residual(
             agent.basis, env.operator
         )
@@ -566,6 +569,24 @@ class TestRunExperiment:
                 record_every=500,
                 stopping=StoppingRule(kind="fixed-budget", budgets=(10_050,)),
             ),
+            dict(  # budgets far shorter than a window
+                dim=4,
+                repetitions=12,
+                record_every=2,
+                stopping=StoppingRule(kind="fixed-budget", budgets=(3, 1, 2)),
+            ),
+            dict(  # threshold stages closing inside a window
+                dim=3,
+                repetitions=8,
+                fidelity_mode="paper",
+                stopping=StoppingRule(kind="threshold", w_min=0.4, max_iterations=90),
+            ),
+            dict(repetitions=1, dim=3, stopping=StoppingRule(kind="fixed-budget", budgets=(70, 40))),
+            dict(
+                repetitions=1,
+                record_every=4,
+                stopping=StoppingRule(kind="threshold", w_min=0.05, max_iterations=300),
+            ),
         ],
         ids=[
             "fixed-shared-paper-1",
@@ -574,13 +595,21 @@ class TestRunExperiment:
             "fixed-resampled-perrep-7",
             "threshold-shared-paper-7",
             "fixed-crosses-gram-schmidt",
+            "fixed-shorter-than-window",
+            "threshold-closes-mid-window-paper",
+            "one-member-fixed",
+            "one-member-threshold-4",
         ],
     )
     def test_ensemble_matches_agent_runs(self, overrides):
-        """The lockstep engine reproduces lone agents bit for bit."""
+        """The engine reproduces lone agents bit for bit, curves and trace,
+        however its rounds group their iterations."""
         cfg = small_config(**{"repetitions": 10, **overrides})
         want, agents = reference_experiment(cfg)
-        assert_same_result(harness.run_experiment(cfg), want)
+        got = harness.run_experiment(cfg, trace=True)
+        assert_same_result(got, want)
+        assert got.trace.records == want.trace.records
+        assert got.trace.final_basis.tobytes() == want.trace.final_basis.tobytes()
 
         envs = [lone_environment(cfg, i) for i in range(cfg.repetitions)]
         unitaries = np.stack([env.unitary for env in envs])
@@ -617,17 +646,23 @@ class TestRunExperiment:
                 stopping=StoppingRule(kind="threshold", w_min=0.3, max_iterations=25),
             ),
             dict(r=0.5, stopping=StoppingRule(kind="threshold", w_min=0.05, max_iterations=60)),
+            dict(record_every=1, stopping=StoppingRule(kind="fixed-budget", budgets=(20, 20))),
+            dict(record_every=3, stopping=StoppingRule(kind="fixed-budget", budgets=(7, 31))),
+            dict(record_every=10,
+                 stopping=StoppingRule(kind="threshold", w_min=0.2, max_iterations=40)),
         ],
         ids=["fixed", "fixed-uneven", "fixed-narrow", "threshold", "threshold-uncapped",
-             "threshold-fast"],
+             "threshold-fast", "fixed-every-1", "fixed-uneven-every-3", "threshold-every-10"],
     )
     def test_drift_control_refreshes_the_fold(self, monkeypatch, overrides, fidelity_mode):
         """With the drift control every 5 iterations, at each recorded k the
-        fold recomputes every row whose basis it moved, punished or not."""
+        fold recomputes every row whose basis it moved, punished or not,
+        whether the points fall on drift-control iterations or between
+        them, and however far the rounds run members past a point."""
         monkeypatch.setattr(protocol, "REORTHONORMALIZE_EVERY", 5)
         monkeypatch.setattr(reference, "REORTHONORMALIZE_EVERY", 5)
-        cfg = small_config(dim=3, repetitions=8, record_every=5,
-                           fidelity_mode=fidelity_mode, **overrides)
+        cfg = small_config(**{"dim": 3, "repetitions": 8, "record_every": 5,
+                              "fidelity_mode": fidelity_mode, **overrides})
         want, _ = reference_experiment(cfg)
         assert_same_result(harness.run_experiment(cfg), want)
 
@@ -679,7 +714,7 @@ def small_configs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(small_configs())
 def test_run_matches_the_reference_on_small_configs(cfg):
-    """One lockstep run, its fold and its captured trace equal the loop that
+    """One ensemble run, its fold and its captured trace equal the loop that
     runs one repetition at a time, bit for bit."""
     runs = []
 
@@ -809,7 +844,7 @@ def test_record_trace_writes_the_bytes_of_the_reference_agent(tmp_path, name):
     seed = harness.derive_seed(config.seed, 0)
     agent = AgentState(config.dim, config.params, seed)
     records = []
-    protocol.run_stages(agent, lone_black_box(harness.build_environment(config)),
+    reference.run_agent(agent, lone_black_box(harness.build_environment(config)),
                         config.stopping, lambda a, rec: records.append(rec))
     header = {"dim": config.dim, "rep_index": 0, "root_seed": config.seed,
               "agent_seed": seed}
@@ -851,17 +886,41 @@ def test_threshold_stops_that_hit_the_cap_are_counted(caplog):
     for i in range(cfg.repetitions):
         agent = AgentState(cfg.dim, cfg.params, harness.derive_seed(cfg.seed, i))
         last_w = {}
-        protocol.run_stages(agent, lone_black_box(lone_environment(cfg, i)), rule,
+        reference.run_agent(agent, lone_black_box(lone_environment(cfg, i)), rule,
                             lambda a, rec: last_w.__setitem__(rec.stage, rec.w_after))
         for t, w in last_w.items():
             want[t, 0 if w < rule.w_min else 1] += 1
     assert want.min() > 0  # the cap binds, and w_min is met too, in each stage
     with caplog.at_level(logging.INFO, logger="eigenrl.harness"):
         harness.run_experiment(cfg)
-    assert [r.getMessage() for r in caplog.records if r.name == "eigenrl.harness"] == [
+    logged = [r.getMessage() for r in caplog.records if r.name == "eigenrl.harness"]
+    assert [line for line in logged if line.startswith("stage ")] == [
         f"stage {t}: {met} repetitions reached w_min, {capped} hit max_iterations"
         for t, (met, capped) in enumerate(want.tolist())
     ]
+
+
+def test_info_log_counts_iterations_probes_and_rounds(caplog):
+    """At INFO a run ends by logging its black-box calls, which are the
+    iterations, the probes the simulator evolved and the engine's rounds;
+    none of them enters the results."""
+    runs = []
+
+    def keep(*args, **kwargs):
+        runs.append(protocol.run_stages(*args, **kwargs))
+        return runs[-1]
+
+    cfg = small_config(dim=3, repetitions=6, stopping=StoppingRule(kind="fixed-budget",
+                                                                    budgets=(40, 30)))
+    with mock.patch.object(harness, "run_stages", keep), \
+            caplog.at_level(logging.INFO, logger="eigenrl.harness"):
+        harness.run_experiment(cfg)
+    (ensemble,) = runs
+    (line,) = [r.getMessage() for r in caplog.records if "engine rounds" in r.getMessage()]
+    calls, probes, rounds = (int(word) for word in line.split() if word.isdigit())
+    assert calls == ensemble.calls.sum() == cfg.repetitions * 70
+    assert (probes, rounds) == (ensemble.evolved, ensemble.rounds)
+    assert rounds < 70 < probes < calls
 
 
 def test_residual_tracks_fidelity_loss():

@@ -119,7 +119,7 @@ def measure_lone(agent, evolved, times):
     ensemble; its weights are computed once and then reused."""
     outcomes = []
     for _ in range(times):
-        agent._refill()
+        agent._refill(agent.active, agent.active)
         outcomes.append(int(agent.measure(returning(evolved[None]))[0]))
     return outcomes
 
@@ -286,7 +286,7 @@ def test_advance_stage_resets_bookkeeping():
 
 def recorder(seen):
     """An observer that appends the lone member's record of each iteration."""
-    return lambda state, rec: seen.append(protocol.first_record(rec))
+    return lambda state, rec: seen.extend(protocol.iteration_records(rec))
 
 
 def test_run_stages_budget_schedule():
@@ -360,7 +360,7 @@ def test_agent_sees_only_the_interaction_callable():
     unitary = linalg.unitary_from_eigensystem(linalg.eig_hermitian(sx), 1.0)
     agent = EnsembleState(2, default_params(), [1])
     rec = agent.step(lambda members, probes: probes @ unitary.T)
-    assert rec.k == 1 and rec.stage.tolist() == [0]
+    assert rec.k.tolist() == [1] and rec.stage.tolist() == [0]
 
 
 def test_the_command_line_loads_every_package_module():
@@ -384,8 +384,8 @@ class TestEnsemble:
     RULE = StoppingRule(kind="threshold", w_min=5e-2, max_iterations=400)
 
     def run_both(self, dim, seeds, rule, see=None):
-        """Per-member iteration records of a lockstep run and of lone agents;
-        ``see(record)``, if given, also sees every lockstep record."""
+        """Per-member iteration records of an ensemble run and of lone agents;
+        ``see(record)``, if given, also sees every round's record."""
         env = env_random(dim, 1.0, seed=31)
         ensemble = EnsembleState(dim, default_params(w_cap=1.0), seeds)
         steps = {i: [] for i in range(len(seeds))}
@@ -393,18 +393,17 @@ class TestEnsemble:
         def observer(state, rec):
             if see is not None:
                 see(rec)
-            for j, i in enumerate(rec.members):
-                row = (int(rec.stage[j]), int(rec.outcome[j]), float(rec.w_after[j]))
-                steps[i].append((rec.k, *row))
+            for j, i in enumerate(rec.members.tolist()):
+                steps[i].extend(protocol.iteration_records(rec, j))
 
         returned = run_stages(ensemble, harness._black_box([env]), rule, observer)
         agents = []
         for i, seed in enumerate(seeds):
             agent = reference.AgentState(dim, default_params(w_cap=1.0), seed)
             recs = []
-            run_stages(agent, reference.lone_black_box(env), rule,
-                       lambda a, rec: recs.append(rec))
-            assert steps[i] == [(r.k, r.stage, r.outcome, r.w_after) for r in recs]
+            reference.run_agent(agent, reference.lone_black_box(env), rule,
+                                lambda a, rec: recs.append(rec))
+            assert steps[i] == recs
             agents.append(agent)
         return returned, ensemble, agents
 
@@ -434,7 +433,7 @@ class TestEnsemble:
         agent = reference.AgentState(4, default_params(), seed=1)
         agent.rng = Half()
         ensemble = EnsembleState(4, default_params(), [1])
-        ensemble._refill()
+        ensemble._refill(ensemble.active, ensemble.active)
         ensemble._draws[0, ensemble._cursor[0]] = 0.5
         assert agent.measure(evolved) == 2
         assert list(ensemble.measure(returning(evolved[None]))) == [2]
@@ -477,12 +476,12 @@ class TestEnsemble:
         punished = []
         _, ensemble, agents = self.run_both(
             3, [5, 6, 7, 8, 9], rule,
-            see=lambda rec: punished.append(int((rec.outcome > rec.stage).sum())),
+            see=lambda rec: punished.append(rec.angles.shape[1]),
         )
         for i, agent in enumerate(agents):
             assert ensemble.bases[i].tobytes() == agent.basis.tobytes()
             assert ensemble.w[i] == agent.w
-        assert sizes == [n for n in punished if n]  # one update per step
+        assert sizes == [n for n in punished if n]  # one update per round
         assert 1 in punished and max(punished) >= 2  # one and several members
 
     @pytest.mark.parametrize(
@@ -491,8 +490,9 @@ class TestEnsemble:
     )
     def test_the_black_box_sees_only_changed_probes(self, monkeypatch, rule):
         """A member's probe goes through the black box only at an iteration
-        that opens its stage or follows its punishment or a drift control;
-        otherwise its cached Born weights serve."""
+        that opens its stage or follows its punishment or a drift control,
+        which is always the first of a round's segment; otherwise its cached
+        Born weights serve."""
         monkeypatch.setattr(protocol, "REORTHONORMALIZE_EVERY", 7)
         ensemble = EnsembleState(3, default_params(w_cap=1.0), [5, 6, 7, 8, 9])
         box = harness._black_box([env_random(3, 1.0, seed=31)])
@@ -500,32 +500,48 @@ class TestEnsemble:
 
         def spy(members, probes):
             sizes.append(len(members))
-            sent.extend((ensemble.iteration, i) for i in members.tolist())
+            sent.extend((ensemble.rounds, i) for i in members.tolist())
             return box(members, probes)
 
         due, previous, reasons = [], {}, set()
 
         def observer(state, rec):
             for j, i in enumerate(rec.members.tolist()):
-                t, m = int(rec.stage[j]), int(rec.outcome[j])
-                stage, punished = previous.get(i, (None, False))
-                why = {"opens": stage != t, "punished": punished,
-                       "drift": rec.k > 1 and (rec.k - 1) % 7 == 0}
-                if any(why.values()):
-                    due.append((rec.k, i))
-                    reasons.update(key for key, hit in why.items() if hit)
-                previous[i] = (t, m > t)
+                for it in protocol.iteration_records(rec, j):
+                    stage, punished = previous.get(i, (None, False))
+                    why = {"opens": stage != it.stage, "punished": punished,
+                           "drift": it.k > 1 and (it.k - 1) % 7 == 0}
+                    if any(why.values()):
+                        due.append((state.rounds - 1, i))
+                        reasons.update(key for key, hit in why.items() if hit)
+                    previous[i] = (it.stage, it.classification == protocol.PUNISH)
 
         run_stages(ensemble, spy, rule, observer)
         assert sent == due
         assert min(sizes) > 0 and reasons == {"opens", "punished", "drift"}
         assert len(due) < (ensemble.k - 1) / 2  # most iterations reuse weights
 
+    def test_a_round_runs_each_member_to_its_next_event(self):
+        """At 16 members a run of ``fig6_random2q``'s operator, on shortened
+        budgets, takes fewer than half as many rounds as a member runs
+        iterations: a round advances each member to its next punishment,
+        stage close or window end, not by one iteration."""
+        config = harness.load_config(str(Path(__file__).resolve().parents[1]
+                                         / "configs" / "fig6_random2q.json"))
+        ensemble = EnsembleState(config.dim, config.params,
+                                 [harness.derive_seed(config.seed, i) for i in range(16)])
+        rule = StoppingRule(kind="fixed-budget", budgets=(400, 250, 200))
+        rounds = []
+        run_stages(ensemble, harness._black_box([harness.build_environment(config)]), rule,
+                   lambda state, rec: rounds.append(int(rec.length.max())))
+        assert ensemble.rounds == len(rounds) < ensemble.calls.max() / 2 == 425
+        assert max(rounds) > 1 and ensemble.k - 1 == 16 * 850
+
     @pytest.mark.parametrize("n", [1, 512, 1000, 4096, 5000])
     def test_draw_buffers_keep_to_the_byte_budget(self, n):
         draws = EnsembleState(2, default_params(), list(range(n)))._draws
         assert draws.nbytes <= max(protocol.DRAW_BUFFER_BYTES, 32 * 8 * n)
-        assert draws.shape[1] == {1: 256, 512: 256, 1000: 131}.get(n, 32)
+        assert draws.shape[1] == {1: 256, 512: 256, 1000: 256, 4096: 64, 5000: 52}[n]
 
     def test_validation(self):
         with pytest.raises(BadDim):
