@@ -416,10 +416,10 @@ class _Fold:
         every = self.config.record_every
         members = rec.members
         width = rec.u.shape[1]
-        last = rec.length - 1
         if width == 1:
             ends, w_end = rec.k, rec.w_after[:, 0]  # each segment's last iteration
         else:
+            last = rec.length - 1
             ends, w_end = rec.k + last, rec.w_after[np.arange(len(members)), last]
         if len(members) == len(self.rows):
             self.last_w[:] = w_end
@@ -439,6 +439,7 @@ class _Fold:
         # iteration when that point is not summed now, goes into the ring;
         # at every other point a repetition's latest range is the one
         if width > 1 or top // every > ready:
+            last = rec.length - 1
             positions = np.arange(width)
             on = positions < last[:, None]
             on[np.arange(len(members)), last] = ends // every > ready
@@ -462,7 +463,7 @@ class _Fold:
             return
         moved = rec.members[ev]
         every = self.config.record_every
-        points = (ends[ev] + every - 1) // every
+        points = ends[ev] if every == 1 else (ends[ev] + every - 1) // every
         if rec.before is not None:
             earlier = self._pending[moved]
             crossed = (earlier >= self._next) & (points > earlier)
