@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -327,6 +328,10 @@ def _black_box(envs: list[Environment]):
     return interact
 
 
+#: the pending point of a repetition whose last move has been summed
+_SUMMED = np.iinfo(np.int64).max
+
+
 class _Fold:
     """Sums over repetitions at each recorded k, taken in repetition order.
 
@@ -337,15 +342,16 @@ class _Fold:
     its basis after that iteration's punishment or drift control.  Each
     round moves the repetitions through segments of iterations, some ahead
     of others, so the fold keeps what the pending points need in rings: the
-    search range of each repetition at each point it has passed, and the
-    features of each basis that moved, at the first point after the move.
-    Once every running repetition has passed a point, ``rows`` takes that
-    point's values and is summed down axis 0, in record order.  The rule is
-    the same in both modes and for running and stopped repetitions: one
-    that has stopped adds its last search range and final basis to every
-    later point, so threshold-mode curves stay flat after convergence
-    instead of dropping out of the average.  The engine keeps every running
-    repetition within one lead of the slowest, which bounds the rings.
+    search range of each repetition at each point it has passed, and, when
+    a repetition moves again past the point of a move not summed yet, the
+    features of the basis it held there.  Once every running repetition has
+    passed a point, ``rows`` takes that point's values and is summed down
+    axis 0, in record order.  The rule is the same in both modes and for
+    running and stopped repetitions: one that has stopped adds its last
+    search range and final basis to every later point, so threshold-mode
+    curves stay flat after convergence instead of dropping out of the
+    average.  The engine keeps every running repetition within its reach of
+    the slowest, which bounds the rings.
     """
 
     def __init__(self, config: ExperimentConfig, envs: list[Environment],
@@ -364,16 +370,17 @@ class _Fold:
         self.last_w = self.rows[:, 0].copy()  # after each repetition's latest iteration
         # rings over the points q not summed yet, at k = q * record_every, in
         # slot q % size: the search ranges of the repetitions that ran past a
-        # point, and the features of the bases they held there
-        self._w = np.empty((2, n))
-        self._f = np.empty((2, n, self.rows.shape[1] - 1))
+        # point, and the features of the bases they held there; at most the
+        # points the engine's reach spans, the search ranges one window more
+        self._w, self._f = np.empty((2, n)), np.empty((2, n, self.rows.shape[1] - 1))
         self._held = np.zeros((2, n), dtype=bool)
-        self._pending = np.zeros(n, dtype=np.int64)  # the point of each one's last move
+        self._span = ensemble.reach // config.record_every + 2
+        # the point of each one's last move not summed yet, else _SUMMED
+        self._pending = np.full(n, _SUMMED)
+        self._steps = np.arange(self._span)
         self._next = 1  # the next point to sum
-        self._top = 0   # the last point the rings hold
         self._stage = 0  # stages every repetition closed before the next point
-        self.w_sums: list[float] = []
-        self.fidelity_sums: list[np.ndarray] = []
+        self._sums: list[np.ndarray] = []
         self.stage_min: list[int] = []
         self._reduce(0)
 
@@ -385,103 +392,77 @@ class _Fold:
         return amp.reshape(len(amp), -1) if self.paper else amp.max(axis=1)
 
     def _reduce(self, stage_min: int) -> None:
-        sums = np.add.reduce(self.rows, axis=0)  # a sequential fold down axis 0
-        d = self.config.dim
-        self.w_sums.append(sums[0])
-        if self.paper:
-            self.fidelity_sums.append(sums[1:].reshape(d, d).max(axis=0))
-        else:
-            self.fidelity_sums.append(sums[1:])
+        self._sums.append(np.add.reduce(self.rows, axis=0))  # a sequential fold down axis 0
         self.stage_min.append(stage_min)
 
-    def _reserve(self, top: int) -> None:
-        """Make room for the points up to ``top``, doubling the rings when full."""
-        if top <= self._top:
-            return
-        size = len(self._w)
-        if top - self._next >= size:
-            pending = np.arange(self._next, self._top + 1)
-            grown = 2 * (top - self._next + 1)
-            rings = []
-            for ring in (self._w, self._f, self._held):
-                bigger = np.zeros((grown, *ring.shape[1:]), dtype=ring.dtype)
-                bigger[pending % grown] = ring[pending % size]
-                rings.append(bigger)
-            self._w, self._f, self._held = rings
-        self._top = top
+    def _grow(self, rings: tuple[np.ndarray, ...], top: int, span: int) -> tuple[np.ndarray, ...]:
+        """``rings`` doubled, at most to ``span`` slots, to hold the points up to ``top``."""
+        need = top - self._next + 1
+        grown = max(need, min(2 * need, span))
+        points = np.arange(self._next, self._next + len(rings[0]))
+        bigger = tuple(np.zeros((grown, *ring.shape[1:]), dtype=ring.dtype) for ring in rings)
+        for ring, big in zip(rings, bigger):
+            big[points % grown] = ring[points % len(ring)]
+        return bigger
 
     def observe(
         self, state: protocol.EnsembleState, rec: protocol.EnsembleRecord
     ) -> None:
-        every = self.config.record_every
-        members = rec.members
-        width = rec.u.shape[1]
-        if width == 1:
-            ends, w_end = rec.k, rec.w_after[:, 0]  # each segment's last iteration
-        else:
-            last = rec.length - 1
-            ends, w_end = rec.k + last, rec.w_after[np.arange(len(members)), last]
-        if len(members) == len(self.rows):
-            self.last_w[:] = w_end
-        else:
-            self.last_w[members] = w_end
-        self._note_moves(rec, ends)
-        running = state.active
+        every, members = self.config.record_every, rec.members
+        self.last_w[members] = rec.w_end
         if rec.before is None:  # every running repetition ran to the same iteration
-            top = int(ends[0])
-            if top < self._next * every and len(running):
-                return  # no point is complete
-            ready = top // every
+            top = slowest = int(rec.k[0])
         else:
-            ready = int(state.calls[running].min() if len(running) else state.calls.max()) // every
-            top = int(state.calls.max())
-        # the search range at a point a segment moved past, or at its last
-        # iteration when that point is not summed now, goes into the ring;
-        # at every other point a repetition's latest range is the one
-        if width > 1 or top // every > ready:
-            last = rec.length - 1
-            positions = np.arange(width)
-            on = positions < last[:, None]
-            on[np.arange(len(members)), last] = ends // every > ready
-            ks = rec.k[:, None] + positions
+            top, running = int(state.calls.max()), state.active
+            slowest = int(state.calls[running].min()) if len(running) else top
+        ready = slowest // every
+        last = -(-top // every)  # the last point any repetition has reached
+        # the first point at or after each basis move; a repetition that moves
+        # again past the point of a move not summed yet leaves that point, in
+        # the ring, the basis it had before the round
+        moved = members[rec.moved]
+        if moved.size:
+            points = state.calls[moved]
             if every > 1:
-                on &= ks % every == 0
-            seg, at = on.nonzero()
-            if seg.size:
-                points = ks[seg, at] // every
-                self._reserve(int(points.max()))
-                self._w[points % len(self._w), members[seg]] = rec.w_after[seg, at]
+                points += every - 1
+                points //= every
+            if rec.before is not None:
+                earlier = self._pending[moved]
+                crossed = (earlier < points).nonzero()[0]
+                if crossed.size:
+                    if last - self._next >= len(self._f):
+                        self._f, self._held = self._grow((self._f, self._held), last, self._span)
+                    earlier, held = earlier[crossed] % len(self._f), moved[crossed]
+                    self._f[earlier, held] = self._features(held, rec.before[crossed])
+                    self._held[earlier, held] = True
+            self._pending[moved] = points
+        # the search range at each point a segment passed, when that point is
+        # not summed now or was not its last iteration; positions past a
+        # segment's end write points its repetition overwrites on reaching them
+        width = rec.u.shape[1]
+        if width > 1 or top // every > ready:
+            reached = -(-width // every)
+            if last + reached - 1 - self._next >= len(self._w):
+                (self._w,) = self._grow((self._w,), last + reached - 1, self._span + reached)
+            points = ((rec.k + every - 1) // every)[:, None] + self._steps[:reached]
+            # flat positions in w_after: row j * width plus iteration minus k[j]
+            at = (np.arange(0, len(members) * width, width) - rec.k)[:, None] + points * every
+            self._w[points % len(self._w), members[:, None]] = rec.w_after.take(at, mode="clip")
         while self._next <= ready:
-            self._sum_point(state, top)
+            self._sum_point(state, top, slowest)
 
-    def _note_moves(self, rec: protocol.EnsembleRecord, ends: np.ndarray) -> None:
-        """Note the first point at or after each basis move of ``rec``.  A
-        repetition that moves again past the point of a move not summed yet
-        leaves that point, in the ring, the basis it had before the round."""
-        ev = rec.moved.nonzero()[0]
-        if not ev.size:
-            return
-        moved = rec.members[ev]
-        every = self.config.record_every
-        points = ends[ev] if every == 1 else (ends[ev] + every - 1) // every
-        if rec.before is not None:
-            earlier = self._pending[moved]
-            crossed = (earlier >= self._next) & (points > earlier)
-            if crossed.any():
-                earlier, held = earlier[crossed], moved[crossed]
-                self._reserve(int(earlier.max()))
-                slots = earlier % len(self._w)
-                self._f[slots, held] = self._features(held, rec.before[crossed])
-                self._held[slots, held] = True
-        self._pending[moved] = points
-
-    def _sum_point(self, state: protocol.EnsembleState, top: int) -> None:
+    def _sum_point(self, state: protocol.EnsembleState, top: int, slowest: int) -> None:
         """Sum the next point, which every running repetition has passed;
-        ``top`` is the most iterations any repetition has run."""
-        k, slot = self._next * self.config.record_every, self._next % len(self._w)
-        self.rows[:, 0] = self.last_w
-        if top > k:
-            np.copyto(self.rows[:, 0], self._w[slot], where=state.calls > k)
+        ``top`` and ``slowest`` are the most iterations any repetition has
+        run and the least a running one has."""
+        k, w = self._next * self.config.record_every, self._w[self._next % len(self._w)]
+        if slowest > k and len(state.active) == len(self.rows):
+            self.rows[:, 0] = w  # every repetition ran past k
+        else:
+            self.rows[:, 0] = self.last_w
+            if top > k:
+                np.copyto(self.rows[:, 0], w, where=state.calls > k)
+        slot = self._next % len(self._f)
         held = self._held[slot].nonzero()[0]
         if held.size:
             self.rows[held, 1:] = self._f[slot, held]
@@ -490,6 +471,7 @@ class _Fold:
         moved = (self._pending == self._next).nonzero()[0]
         if moved.size:
             self.rows[moved, 1:] = self._features(moved, state.bases[moved])
+            self._pending[moved] = _SUMMED
         stage, closed, closed_at = self._stage, state.closed, state.closed_at
         while stage < len(closed) and closed[stage] == len(self.rows) and closed_at[stage] < k:
             stage += 1
@@ -501,9 +483,13 @@ class _Fold:
                  envs: list[Environment]) -> "ExperimentResult":
         config = self.config
         n = config.repetitions
-        ks = np.arange(len(self.w_sums)) * config.record_every
-        search = np.asarray(self.w_sums) / n
-        fidelity = np.stack(self.fidelity_sums).T / n  # (d, K)
+        sums = np.stack(self._sums)
+        ks = np.arange(len(sums)) * config.record_every
+        search = sums[:, 0] / n
+        fidelity = sums[:, 1:]
+        if self.paper:
+            fidelity = fidelity.reshape(len(sums), config.dim, config.dim).max(axis=1)
+        fidelity = fidelity.T / n  # (d, K)
         if fidelity.max(initial=0.0) > 1.0 + 1e-9:
             raise EigenrlError("fidelity left [0, 1]: unitarity was lost")
         fidelity = np.minimum(fidelity, 1.0)
@@ -581,7 +567,8 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
     Under a threshold rule it logs, at INFO, how many repetitions closed
     each stage by meeting ``w_min`` and how many by hitting the cap; every
     run then logs its iterations, which are the black-box calls, the probes
-    the simulator evolved and the engine's rounds.
+    the simulator evolved, the engine's rounds and their wall time, the
+    fold's and the trace capture's included.
     """
     n = config.repetitions
     if config.resample_env_per_repetition:
@@ -602,14 +589,17 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
             fold.observe(state, rec)
             captured.observe(state, rec)
 
+    start = time.perf_counter()
     run_stages(ensemble, _black_box(envs), config.stopping, observer)
+    seconds = time.perf_counter() - start
     if config.stopping.kind == "threshold":
         for t, (met, capped) in enumerate(zip(ensemble.reached_w_min.tolist(),
                                               ensemble.hit_max_iterations.tolist())):
             log.info("stage %d: %d repetitions reached w_min, %d hit max_iterations",
                      t, met, capped)
     log.info("%d iterations (black-box calls), %d probes evolved (a simulator cost), "
-             "%d engine rounds", ensemble.k - 1, ensemble.evolved, ensemble.rounds)
+             "%d engine rounds in %.3f s, %.1f us per round", ensemble.k - 1, ensemble.evolved,
+             ensemble.rounds, seconds, 1e6 * seconds / ensemble.rounds)
     result = fold.finalize(ensemble, envs)
     if trace:
         captured.final_basis = ensemble.bases[0].copy()

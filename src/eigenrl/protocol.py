@@ -243,6 +243,7 @@ class EnsembleRecord:
     #: ``length[j]`` in row ``j`` mean nothing
     u: np.ndarray
     w_after: np.ndarray
+    w_end: np.ndarray    # (s,) the search range after each segment's last iteration
     #: (s, dim) -inf, then the cumulative Born weights the segment's draws
     #: were read on
     cumulative: np.ndarray
@@ -257,11 +258,6 @@ class EnsembleRecord:
     #: from one place, as every round of a one-iteration window does, so
     #: that no member, running or stopped, has run past the others
     before: np.ndarray | None
-
-    @property
-    def outcome(self) -> np.ndarray:
-        """(s, L) outcomes: how many cumulative weights each ``u`` reaches."""
-        return _count(self.cumulative[:, None, 1:], self.u[:, :, None])
 
 
 def _count(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -317,12 +313,12 @@ class EnsembleState:
     ensemble grows; a one-iteration window moves the members in lockstep.
     No member runs ahead of the slowest by more than the iterations whose
     rows of ``1 + dim**2`` doubles per member fit in ``LEAD_BYTES``, or one
-    window if that is more, which bounds what an observer must hold for the
-    iterations not every member has run.  A round sends the stale probes
-    (below) through one batched black-box call, draws every segment's
-    outcomes at once, and applies all its punishments in one stacked
-    update.  :meth:`step` is the round of one iteration per running member,
-    without a stopping rule.
+    window if that is more (``reach`` is the most that can be), which bounds
+    what an observer must hold for the iterations not every member has run.
+    A round sends the stale probes (below) through one batched black-box
+    call, draws every segment's outcomes at once, and applies all its
+    punishments in one stacked update.  :meth:`step` is the round of one
+    iteration per running member, without a stopping rule.
 
     A member runs until its own stopping rule has closed its last stage,
     so threshold runs end at different iterations; ``active`` lists the
@@ -373,6 +369,10 @@ class EnsembleState:
         width = min(max(DRAW_BUFFER_BYTES // (8 * n), DRAW_BUFFER_MIN), DRAW_BUFFER_MAX)
         self._draws = np.empty((n, width))
         self._cursor = np.full(n, width)
+        # the widest window, and the lead LEAD_BYTES allows
+        self._widest = min(ROUND_ELEMENTS, width - _DRAWS_PER_ITERATION + 1)
+        self._lead = LEAD_BYTES // (8 * n * (1 + dim**2))
+        self.reach = max(self._lead, self._widest)
         self._index = np.arange(max(n, width))
         self._zeros, self._ones = np.zeros(n, dtype=np.intp), np.ones(n, dtype=np.intp)
         self._row_start = self._index[:n] * width  # of each row in the flat _draws
@@ -431,12 +431,13 @@ class EnsembleState:
         probes go through ``interact``, the others reuse their weights."""
         stale = members[self._stale[sel]]
         if stale.size:
-            evolved = interact(stale, self.bases[stale, :, self.stage[stale]])
+            bases = self.bases[stale]
+            evolved = interact(stale, bases[self._index[:len(stale)], :, self.stage[stale]])
             if evolved.shape != (len(stale), self.dim):
                 raise DimMismatch(
                     f"states shape {evolved.shape}, expected ({len(stale)}, {self.dim})"
                 )
-            amps = (evolved[:, None, :] @ self.bases[stale].conj())[:, 0]
+            amps = (evolved[:, None, :] @ bases.conj())[:, 0]
             q = amps.real**2 + amps.imag**2
             total = q.sum(axis=1)
             drift = np.abs(total - 1.0)
@@ -445,7 +446,7 @@ class EnsembleState:
                 raise NotNormalized(
                     f"Born weights of member {stale[j]} sum to {total[j]!r}, not 1"
                 )
-            self._cumulative[stale, 1:] = np.cumsum(q[:, :-1], axis=1)
+            self._cumulative[stale, 1:] = q[:, :-1].cumsum(axis=1)
             self._total[stale] = total
             self._stale[stale] = False
             self.evolved += len(stale)
@@ -473,56 +474,62 @@ class EnsembleState:
         punish = u >= bounds[:, 1:]
         reward = u >= bounds[:, :1]
         reward ^= punish
-        # w along the window: times r at each reward, times 1.0 otherwise
-        w_after = np.where(reward, self.params.r, 1.0)
-        w_after[:, 0] *= w
-        m = len(members)
+        m, width = u.shape
         if caps is None:
-            last, length = self._zeros[:m], self._ones[:m]
+            # w after the iteration: times r at a reward, times 1.0 otherwise
+            w_after = np.where(reward, self.params.r, 1.0)
+            w_after[:, 0] *= w
+            last, length, ends = self._zeros[:m], self._ones[:m], self._index[:m]
             rewards, ended, w_end = reward[:, 0], punish[:, 0], w_after[:, 0]
         else:
-            np.multiply.accumulate(w_after, axis=1, out=w_after)
-            stop = self._index[:u.shape[1]] >= caps[:, None] - 1
+            # w before the window, then along it as one sequential product
+            trail = np.empty((m, width + 1))
+            trail[:, 0] = w
+            trail[:, 1:] = np.where(reward, self.params.r, 1.0)
+            np.multiply.accumulate(trail, axis=1, out=trail)
+            w_after = trail[:, 1:]
+            stop = self._index[1:width + 1] >= caps[:, None]
             stop |= punish
             if w_min is not None:
                 stop |= w_after < w_min
             last = stop.argmax(axis=1)
-            rows = self._index[:m]
-            rewards = np.cumsum(reward, axis=1)[rows, last]
-            ended, w_end = punish[rows, last], w_after[rows, last]
+            ends = np.arange(0, m * width, width) + last  # flat, in the (m, width) arrays
+            rewards = np.add.accumulate(reward, axis=1, dtype=np.intp).take(ends)
+            # in trail, whose rows are one longer, the iteration after them
+            ended, w_end = punish.take(ends), trail.take(ends + self._index[1:m + 1])
             length = last + 1
         if read:
             self._cursor[sel] += length  # the measurement draws come first
+        calls = self.calls[sel] + length
         moved, controlled = ended, None
         if drift:
-            controlled = (self.calls[sel] + length) % REORTHONORMALIZE_EVERY == 0
+            controlled = calls % REORTHONORMALIZE_EVERY == 0
             moved = ended | controlled
         before = self.bases[members[moved]] if keep else None
         angles = _NO_ANGLES
         hit = ended.nonzero()[0]
         if hit.size:
-            who, at = members[hit], last[hit]
-            w_before = w[hit] if caps is None else np.where(at > 0, w_after[hit, at - 1], w[hit])
-            drawn = u[hit] if caps is None else u[hit, at, None]
-            angles = self._punish(who, t[hit], _count(cumulative[hit, 1:], drawn), w_before)
+            who, at = members[hit], ends[hit]
+            w_before = w[hit] if caps is None else trail.take(at + hit)
+            angles = self._punish(who, t[hit], _count(cumulative[hit, 1:], u.take(at)[:, None]),
+                                  w_before)
             self._stale[who] = True
-            w_end[hit] = np.minimum(w_before * self.params.p, self.params.w_cap)
+            w_end[hit] = grown = np.minimum(w_before * self.params.p, self.params.w_cap)
             if caps is not None:
-                w_after[hit, at] = w_end[hit]
+                trail.put(at + hit + 1, grown)
         self.w[sel] = w_end
         self.n_r[sel] += rewards
         self.n_p[sel] += ended
-        self.calls[sel] += length
-        calls = self.calls[sel]
+        self.calls[sel] = calls
         if controlled is not None and controlled.any():
             for i in members[controlled]:
                 linalg.gram_schmidt(self.bases[i])
             self._stale[members[controlled]] = True
         self.rounds += 1
         return EnsembleRecord(
-            members=members, k=calls - last, length=length, stage=t.copy(), u=u,
-            w_after=w_after, cumulative=cumulative, punished=ended, angles=angles,
-            moved=moved, before=before,
+            members=members, k=calls - last, length=length, u=u, w_after=w_after,
+            stage=t.copy() if isinstance(sel, slice) else t, w_end=w_end,
+            cumulative=cumulative, punished=ended, angles=angles, moved=moved, before=before,
         )
 
     def _punish(self, who: np.ndarray, t: np.ndarray, m: np.ndarray,
@@ -577,17 +584,20 @@ class EnsembleState:
         members, sel = self._members()
         self._refill(members, sel)
         u = self._sample(interact, members, sel, 1)
-        return self._update(members, sel, u, self._cumulative[sel].copy(), self._bounds(sel))
+        return self._update(members, sel, u, *self._weights(sel))
 
-    def _bounds(self, sel: np.ndarray | slice) -> np.ndarray:
-        """(members, 2): each selected member's running sums of Born weights
-        before and through its stage's own outcome, -inf before outcome 0."""
+    def _weights(self, sel: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
+        """A copy of the selected members' ``_cumulative`` rows, and (members,
+        2) each one's running sums of Born weights before and through its
+        stage's own outcome, -inf before outcome 0."""
+        cumulative = self._cumulative[sel]
+        if isinstance(sel, slice):
+            cumulative = cumulative.copy()
         low, high = self._stages
         if low == high:
-            return self._cumulative[sel, low:low + 2]
-        cumulative = self._cumulative[sel]
+            return cumulative, cumulative[:, low:low + 2]
         at = self.stage[sel, None] + _OWN_AND_NEXT
-        return cumulative[self._index[:len(cumulative), None], at]
+        return cumulative, cumulative[self._index[:len(cumulative), None], at]
 
     def advance(
         self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray], rule: StoppingRule
@@ -603,23 +613,22 @@ class EnsembleState:
             self._soonest_end = int(self._stage_end[self.active].min()) if len(self.active) else 0
         members, sel = self._members()
         at = self.calls[sel]
-        width = min(max(ROUND_ELEMENTS // len(members), 1),
-                    self._draws.shape[1] - _DRAWS_PER_ITERATION + 1)
+        width = min(max(ROUND_ELEMENTS // len(members), 1), self._widest)
         if width == 1:
             # the window only widens as members finish, so every round so far
             # moved each running member one iteration: they run level
             slowest = fastest = int(at[0])
         else:
             slowest, fastest = int(at.min()), int(at.max())
-        lead = max(LEAD_BYTES // (8 * len(self.w) * (1 + self.dim**2)), width)
+        lead = max(self._lead, width)
         drift = slowest - slowest % REORTHONORMALIZE_EVERY + REORTHONORMALIZE_EVERY
         end = min(slowest + lead, drift)
         caps = None
         if width > 1 or fastest >= end:
-            caps = np.minimum(self._stage_end[sel], end)
-            caps -= at
-            if lead > width:
-                np.minimum(caps, width, out=caps)
+            caps = self._stage_end[sel] - at
+            if fastest + width > end:
+                np.minimum(caps, end - at, out=caps)
+            np.minimum(caps, width, out=caps)
             if fastest >= end:  # members at the end of the window wait
                 members = members[caps > 0]
                 sel, caps = members, caps[caps > 0]
@@ -629,13 +638,14 @@ class EnsembleState:
         self._refill(members, sel, width + 3)
         u = self._sample(interact, members, sel, width)
         threshold = rule.kind == "threshold"
-        rec = self._update(members, sel, u, self._cumulative[sel].copy(), self._bounds(sel),
-                           caps, rule.w_min if threshold else None, drift=end == drift,
+        rec = self._update(members, sel, u, *self._weights(sel), caps,
+                           rule.w_min if threshold else None,
+                           drift=end == drift and fastest + width >= drift,
                            keep=width > 1 or fastest > slowest or self._stopped_at > slowest)
         # no budget can run out before the soonest stage end
         if threshold or fastest + width >= self._soonest_end:
-            closing = self.stage_converged(rule, sel)
-            if closing.any():
+            closing = self.stage_converged(rule, sel).nonzero()[0]
+            if closing.size:
                 closed = members[closing]
                 if threshold:
                     stages = self.stage[closed]

@@ -2,6 +2,7 @@
 import json
 import logging
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -383,7 +384,8 @@ def test_mean_search_range():
     members = np.arange(2)
     rec = protocol.EnsembleRecord(members=members, k=np.ones(2, int), length=np.ones(2, int),
                                   stage=np.zeros(2, int), u=np.zeros((2, 1)),
-                                  w_after=np.array([[0.9], [1.1]]), cumulative=np.ones((2, 1)),
+                                  w_after=np.array([[0.9], [1.1]]), w_end=np.array([0.9, 1.1]),
+                                  cumulative=np.ones((2, 1)),
                                   punished=np.zeros(2, bool), angles=np.empty((3, 0)),
                                   moved=np.zeros(2, bool), before=np.empty((0, 2, 2)))
     ensemble.calls[:] = 1  # both members ran iteration 1
@@ -666,6 +668,54 @@ class TestRunExperiment:
         want, _ = reference_experiment(cfg)
         assert_same_result(harness.run_experiment(cfg), want)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(repetitions=16, record_every=3,
+                 stopping=StoppingRule(kind="fixed-budget", budgets=(400, 250, 200))),
+            dict(repetitions=12, record_every=10,
+                 stopping=StoppingRule(kind="threshold", w_min=0.2, max_iterations=300)),
+            dict(repetitions=9, record_every=1, fidelity_mode="paper",
+                 stopping=StoppingRule(kind="threshold", w_min=0.2, max_iterations=300)),
+        ],
+        ids=["fixed-every-3", "threshold-every-10", "threshold-paper-every-1"],
+    )
+    def test_results_do_not_depend_on_how_rounds_group_iterations(
+        self, monkeypatch, tmp_path, overrides
+    ):
+        """The same CSV bytes and trace records whether rounds are wide or
+        one iteration, and whether members may run far ahead or one window."""
+        cfg = replace(harness.load_config(str(CONFIG_DIR / "fig6_random2q.json")), **overrides)
+        runs = []
+        for elements, lead in ((1024, 1 << 23), (1, 1 << 23), (64, 4096), (16, 2000), (1024, 1)):
+            monkeypatch.setattr(protocol, "ROUND_ELEMENTS", elements)
+            monkeypatch.setattr(protocol, "LEAD_BYTES", lead)
+            result = harness.run_experiment(cfg, trace=True)
+            path = tmp_path / f"{elements}-{lead}.csv"
+            harness.write_results(result, str(path))
+            runs.append((path.read_bytes(), result.trace.records,
+                         result.trace.final_basis.tobytes()))
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_the_fold_rings_hold_at_most_the_points_the_reach_spans(self, monkeypatch):
+        """A ragged threshold run, whose members run ahead of the slowest by
+        up to the engine's reach, grows the features ring to the points that
+        reach spans, where doubling would have overshot them, and the
+        search-range ring to at most one window more."""
+        monkeypatch.setattr(protocol, "LEAD_BYTES", 1 << 17)
+        cfg = replace(harness.load_config(str(CONFIG_DIR / "fig6_random2q.json")),
+                      repetitions=12, record_every=1,
+                      stopping=StoppingRule(kind="threshold", w_min=0.05, max_iterations=3000))
+        envs = [harness.build_environment(cfg)]
+        ensemble = protocol.EnsembleState(
+            cfg.dim, cfg.params, [harness.derive_seed(cfg.seed, i) for i in range(cfg.repetitions)]
+        )
+        fold = harness._Fold(cfg, envs, ensemble)
+        protocol.run_stages(ensemble, harness._black_box(envs), cfg.stopping, fold.observe)
+        span = ensemble.reach // cfg.record_every + 2
+        assert 2 < len(fold._f) <= span < 2 * len(fold._f)
+        assert len(fold._w) <= span + ensemble.reach
+
     def test_fold_is_sequential_in_repetition_order(self):
         """np.add.reduce down axis 0 of a 2-d array, at least two columns
         wide, adds the rows one after another, as the streaming fold needs."""
@@ -902,8 +952,8 @@ def test_threshold_stops_that_hit_the_cap_are_counted(caplog):
 
 def test_info_log_counts_iterations_probes_and_rounds(caplog):
     """At INFO a run ends by logging its black-box calls, which are the
-    iterations, the probes the simulator evolved and the engine's rounds;
-    none of them enters the results."""
+    iterations, the probes the simulator evolved, the engine's rounds and
+    their wall time; none of them enters the results."""
     runs = []
 
     def keep(*args, **kwargs):
@@ -917,10 +967,16 @@ def test_info_log_counts_iterations_probes_and_rounds(caplog):
         harness.run_experiment(cfg)
     (ensemble,) = runs
     (line,) = [r.getMessage() for r in caplog.records if "engine rounds" in r.getMessage()]
-    calls, probes, rounds = (int(word) for word in line.split() if word.isdigit())
+    shape = re.fullmatch(r"(\d+) iterations \(black-box calls\), (\d+) probes evolved "
+                         r"\(a simulator cost\), (\d+) engine rounds in (\d+\.\d{3}) s, "
+                         r"(\d+\.\d) us per round", line)
+    assert shape, line
+    calls, probes, rounds = (int(word) for word in shape.groups()[:3])
     assert calls == ensemble.calls.sum() == cfg.repetitions * 70
     assert (probes, rounds) == (ensemble.evolved, ensemble.rounds)
     assert rounds < 70 < probes < calls
+    seconds, per_round = (float(word) for word in shape.groups()[3:])
+    assert per_round == pytest.approx(1e6 * seconds / rounds, abs=0.05 + 1e3 / rounds)
 
 
 def test_residual_tracks_fidelity_loss():
