@@ -377,7 +377,7 @@ class _Fold:
         self._span = ensemble.reach // config.record_every + 2
         # the point of each one's last move not summed yet, else _SUMMED
         self._pending = np.full(n, _SUMMED)
-        self._steps = np.arange(self._span)
+        self._steps = np.arange(-(-ensemble.widest // config.record_every))  # a window's points
         self._next = 1  # the next point to sum
         self._stage = 0  # stages every repetition closed before the next point
         self._sums: list[np.ndarray] = []

@@ -309,8 +309,8 @@ class EnsembleState:
     punishment, the close of its stage, the next drift-control ``k`` or the
     end of its window, whichever comes first.  A window is
     ``ROUND_ELEMENTS`` iterations shared among the running members, at
-    least one and at most what a draw row holds, so it shrinks as the
-    ensemble grows; a one-iteration window moves the members in lockstep.
+    least one and at most what a draw row holds (``widest``), so it shrinks
+    as the ensemble grows; a one-iteration window moves the members in lockstep.
     No member runs ahead of the slowest by more than the iterations whose
     rows of ``1 + dim**2`` doubles per member fit in ``LEAD_BYTES``, or one
     window if that is more (``reach`` is the most that can be), which bounds
@@ -370,10 +370,10 @@ class EnsembleState:
         self._draws = np.empty((n, width))
         self._cursor = np.full(n, width)
         # the widest window, and the lead LEAD_BYTES allows
-        self._widest = min(ROUND_ELEMENTS, width - _DRAWS_PER_ITERATION + 1)
+        self.widest = min(ROUND_ELEMENTS, width - _DRAWS_PER_ITERATION + 1)
         self._lead = LEAD_BYTES // (8 * n * (1 + dim**2))
-        self.reach = max(self._lead, self._widest)
-        self._index = np.arange(max(n, width))
+        self.reach = max(self._lead, self.widest)
+        self._index = np.arange(max(n, width) + 1)  # up to every member, plus one
         self._zeros, self._ones = np.zeros(n, dtype=np.intp), np.ones(n, dtype=np.intp)
         self._row_start = self._index[:n] * width  # of each row in the flat _draws
         # -inf, then the cumulative Born weights of every outcome but the
@@ -613,7 +613,7 @@ class EnsembleState:
             self._soonest_end = int(self._stage_end[self.active].min()) if len(self.active) else 0
         members, sel = self._members()
         at = self.calls[sel]
-        width = min(max(ROUND_ELEMENTS // len(members), 1), self._widest)
+        width = min(max(ROUND_ELEMENTS // len(members), 1), self.widest)
         if width == 1:
             # the window only widens as members finish, so every round so far
             # moved each running member one iteration: they run level

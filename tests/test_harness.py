@@ -677,8 +677,12 @@ class TestRunExperiment:
                  stopping=StoppingRule(kind="threshold", w_min=0.2, max_iterations=300)),
             dict(repetitions=9, record_every=1, fidelity_mode="paper",
                  stopping=StoppingRule(kind="threshold", w_min=0.2, max_iterations=300)),
+            # more members than a draw row is wide, and windows of several iterations
+            dict(repetitions=300, record_every=3,
+                 stopping=StoppingRule(kind="fixed-budget", budgets=(30, 20, 10))),
         ],
-        ids=["fixed-every-3", "threshold-every-10", "threshold-paper-every-1"],
+        ids=["fixed-every-3", "threshold-every-10", "threshold-paper-every-1",
+             "fixed-300-repetitions"],
     )
     def test_results_do_not_depend_on_how_rounds_group_iterations(
         self, monkeypatch, tmp_path, overrides
