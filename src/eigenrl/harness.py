@@ -449,19 +449,15 @@ class _Fold:
             at = (np.arange(0, len(members) * width, width) - rec.k)[:, None] + points * every
             self._w[points % len(self._w), members[:, None]] = rec.w_after.take(at, mode="clip")
         while self._next <= ready:
-            self._sum_point(state, top, slowest)
+            self._sum_point(state, top)
 
-    def _sum_point(self, state: protocol.EnsembleState, top: int, slowest: int) -> None:
+    def _sum_point(self, state: protocol.EnsembleState, top: int) -> None:
         """Sum the next point, which every running repetition has passed;
-        ``top`` and ``slowest`` are the most iterations any repetition has
-        run and the least a running one has."""
-        k, w = self._next * self.config.record_every, self._w[self._next % len(self._w)]
-        if slowest > k and len(state.active) == len(self.rows):
-            self.rows[:, 0] = w  # every repetition ran past k
-        else:
-            self.rows[:, 0] = self.last_w
-            if top > k:
-                np.copyto(self.rows[:, 0], w, where=state.calls > k)
+        ``top`` is the most iterations any repetition has run."""
+        k = self._next * self.config.record_every
+        self.rows[:, 0] = self.last_w
+        if top > k:
+            np.copyto(self.rows[:, 0], self._w[self._next % len(self._w)], where=state.calls > k)
         slot = self._next % len(self._f)
         held = self._held[slot].nonzero()[0]
         if held.size:

@@ -275,7 +275,7 @@ def rotation_blocks(phi: np.ndarray) -> np.ndarray:
     combined = (t[:, :, 0] + t[::-1, ::-1, 1] * _TERM_SIGN).reshape(4, -1)
     parts = np.multiply(combined[_PART_ORDER].T, _PART_SIGN, order="C")
     blocks = parts.view(np.complex128).reshape(-1, 2, 2)
-    if np.count_nonzero(t) < t.size:
+    if not t.all():
         for i in np.nonzero(~t.all(axis=(0, 1, 2)))[0]:
             x, y, z = (float(v) for v in phi[:, i])
             blocks[i] = rotation_block(RotationAngles(phi_x=x, phi_y=y, phi_z=z))

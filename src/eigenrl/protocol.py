@@ -446,7 +446,7 @@ class EnsembleState:
                 raise NotNormalized(
                     f"Born weights of member {stale[j]} sum to {total[j]!r}, not 1"
                 )
-            self._cumulative[stale, 1:] = q[:, :-1].cumsum(axis=1)
+            self._cumulative[stale, 1:] = np.cumsum(q[:, :-1], axis=1)
             self._total[stale] = total
             self._stale[stale] = False
             self.evolved += len(stale)
@@ -528,7 +528,7 @@ class EnsembleState:
         self.rounds += 1
         return EnsembleRecord(
             members=members, k=calls - last, length=length, u=u, w_after=w_after,
-            stage=t.copy() if isinstance(sel, slice) else t, w_end=w_end,
+            stage=t.copy(), w_end=w_end,
             cumulative=cumulative, punished=ended, angles=angles, moved=moved, before=before,
         )
 
@@ -590,9 +590,7 @@ class EnsembleState:
         """A copy of the selected members' ``_cumulative`` rows, and (members,
         2) each one's running sums of Born weights before and through its
         stage's own outcome, -inf before outcome 0."""
-        cumulative = self._cumulative[sel]
-        if isinstance(sel, slice):
-            cumulative = cumulative.copy()
+        cumulative = self._cumulative[sel].copy()
         low, high = self._stages
         if low == high:
             return cumulative, cumulative[:, low:low + 2]
@@ -625,10 +623,10 @@ class EnsembleState:
         end = min(slowest + lead, drift)
         caps = None
         if width > 1 or fastest >= end:
-            caps = self._stage_end[sel] - at
-            if fastest + width > end:
-                np.minimum(caps, end - at, out=caps)
-            np.minimum(caps, width, out=caps)
+            caps = np.minimum(self._stage_end[sel], end)
+            caps -= at
+            if lead > width:
+                np.minimum(caps, width, out=caps)
             if fastest >= end:  # members at the end of the window wait
                 members = members[caps > 0]
                 sel, caps = members, caps[caps > 0]
@@ -640,12 +638,12 @@ class EnsembleState:
         threshold = rule.kind == "threshold"
         rec = self._update(members, sel, u, *self._weights(sel), caps,
                            rule.w_min if threshold else None,
-                           drift=end == drift and fastest + width >= drift,
+                           drift=end == drift,
                            keep=width > 1 or fastest > slowest or self._stopped_at > slowest)
         # no budget can run out before the soonest stage end
         if threshold or fastest + width >= self._soonest_end:
-            closing = self.stage_converged(rule, sel).nonzero()[0]
-            if closing.size:
+            closing = self.stage_converged(rule, sel)
+            if closing.any():
                 closed = members[closing]
                 if threshold:
                     stages = self.stage[closed]
