@@ -17,10 +17,6 @@ class DimMismatch(EigenrlError):
     """Operands have incompatible dimensions."""
 
 
-class OutOfRange(EigenrlError):
-    """Integer argument lies outside its permitted range."""
-
-
 class BadDim(EigenrlError):
     """Hilbert-space dimension is unsupported."""
 

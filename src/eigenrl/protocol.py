@@ -22,12 +22,13 @@ own, being pinned by unitarity.
 
 There is one engine: :class:`EnsembleState` advances many independently
 seeded agents together with stacked array operations, and every check,
-draw and update lives there; :func:`run_stages` drives it, and a lone agent
-is a one-member ensemble.  :func:`iteration_records` turns a member's row
-of an :class:`EnsembleRecord` into trace lines, :class:`IterationRecord`,
-and :func:`replay_basis` replays a trace.  Every punishment, whether one
-member is punished or many, live or replayed, goes through the one stacked
-column update, :func:`_rotate`.
+draw and update lives there.  It is reached only through
+:meth:`EnsembleState.advance`, one round at a time, which :func:`run_stages`
+drives; a lone agent is a one-member ensemble.  :func:`iteration_records`
+turns a member's row of an :class:`EnsembleRecord` into trace lines,
+:class:`IterationRecord`, and :func:`replay_basis` replays a trace.  Every
+punishment, whether one member is punished or many, live or replayed, goes
+through the one stacked column update, :func:`_rotate`.
 
 In the protocol each iteration sends a fresh probe through the black box,
 but a member's probe, and so the distribution of its outcome, changes only
@@ -80,7 +81,6 @@ from .errors import (
     ConfigError,
     DimMismatch,
     NotNormalized,
-    OutOfRange,
     StageOverflow,
 )
 from .linalg import RotationAngles
@@ -317,20 +317,18 @@ class EnsembleState:
     what an observer must hold for the iterations not every member has run.
     A round sends the stale probes (below) through one batched black-box
     call, draws every segment's outcomes at once, and applies all its
-    punishments in one stacked update.  :meth:`step` is the round of one
-    iteration per running member, without a stopping rule.
+    punishments in one stacked update.
 
     A member runs until its own stopping rule has closed its last stage,
     so threshold runs end at different iterations; ``active`` lists the
     members still running.  ``calls[i]`` counts member ``i``'s iterations,
     its uses of the black box; ``k`` is one more than their sum.  The
     drift control runs after a member's own iteration ``k`` whenever
-    ``k % REORTHONORMALIZE_EVERY == 0``, as for a lone agent.  ``n_r``,
-    ``n_p`` and ``n_neutral`` count the current stage only, so
-    ``w = w1 * r**n_r * p**n_p`` holds per stage while ``w_cap`` is
-    infinite, the default.  ``closed[t]`` counts the members that have
-    closed stage ``t``, and ``closed_at[t]`` is the last iteration at which
-    one did.
+    ``k % REORTHONORMALIZE_EVERY == 0``, as for a lone agent.  ``n_r`` and
+    ``n_p`` count the current stage only, so ``w = w1 * r**n_r * p**n_p``
+    holds per stage while ``w_cap`` is infinite, the default.
+    ``closed[t]`` counts the members that have closed stage ``t``, and
+    ``closed_at[t]`` is the last iteration at which one did.
 
     Each member's cumulative Born weights are cached from the last time its
     probe changed.  A member is stale, and its probe goes through the black
@@ -395,20 +393,8 @@ class EnsembleState:
         return 1 + int(self.calls.sum())
 
     @property
-    def n_neutral(self) -> np.ndarray:
-        return self.calls - self._stage_start - self.n_r - self.n_p
-
-    @property
     def finished(self) -> bool:
         return len(self.active) == 0
-
-    def _members(self) -> tuple[np.ndarray, np.ndarray | slice]:
-        """The running members, and what selects them: a slice (a view, no
-        copy) while every member runs; an error once every one has finished."""
-        members = self.active
-        if not len(members):
-            raise StageOverflow("no member is active: every stage is done")
-        return members, slice(None) if len(members) == len(self.w) else members
 
     def _refill(self, members: np.ndarray, sel: np.ndarray | slice,
                 need: int = _DRAWS_PER_ITERATION) -> None:
@@ -457,17 +443,17 @@ class EnsembleState:
 
     def _update(self, members: np.ndarray, sel: np.ndarray | slice, u: np.ndarray,
                 cumulative: np.ndarray, bounds: np.ndarray, caps: np.ndarray | None = None,
-                w_min: float | None = None, read: bool = True, drift: bool = True,
+                w_min: float | None = None, drift: bool = True,
                 keep: bool = True) -> EnsembleRecord:
         """Apply the feedback of each selected member's segment: its
         iterations up to its first punishment, its first ``w`` below
         ``w_min`` (if given) or its ``caps`` entry, whichever comes first;
         one iteration each without ``caps``.  ``u`` holds the draws on
         ``cumulative``, and ``bounds`` each member's running sums before and
-        through its stage's outcome.  With ``read``, the cursor first moves
-        past the segments' measurement draws; ``drift`` says whether a
-        segment may end at a drift-control ``k``, and ``keep`` whether the
-        record keeps the moved members' bases from before the round."""
+        through its stage's outcome.  The cursor first moves past the
+        segments' measurement draws; ``drift`` says whether a segment may end
+        at a drift-control ``k``, and ``keep`` whether the record keeps the
+        moved members' bases from before the round."""
         t = self.stage[sel]
         w = self.w[sel]
         # outcome > t reaches the sum through t; outcome == t only the one before
@@ -498,8 +484,7 @@ class EnsembleState:
             # in trail, whose rows are one longer, the iteration after them
             ended, w_end = punish.take(ends), trail.take(ends + self._index[1:m + 1])
             length = last + 1
-        if read:
-            self._cursor[sel] += length  # the measurement draws come first
+        self._cursor[sel] += length  # the measurement draws come first
         calls = self.calls[sel] + length
         moved, controlled = ended, None
         if drift:
@@ -546,46 +531,6 @@ class EnsembleState:
         _rotate(self.bases, who, t, m, angles)
         return angles
 
-    def measure(
-        self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    ) -> np.ndarray:
-        """One outcome per running member, for its next iteration, reading
-        one double of each (see :meth:`_sample`)."""
-        members, sel = self._members()
-        u = self._sample(interact, members, sel, 1)
-        self._cursor[sel] += 1
-        return _count(self._cumulative[sel, 1:], u)
-
-    def decide_and_update(self, outcomes: np.ndarray) -> EnsembleRecord:
-        """Apply one iteration's outcome to each running member; the
-        measurement draw is :meth:`measure`'s.  The outcomes are recorded as
-        draws on the cumulative weights 1, 2, ..., dim - 1, which they reach
-        ``m`` of."""
-        members, sel = self._members()
-        if outcomes.shape != members.shape or not (
-            0 <= outcomes.min() and outcomes.max() < self.dim
-        ):
-            raise OutOfRange(f"outcomes outside [0, {self.dim})")
-        t = self.stage[sel, None]
-        steps = np.broadcast_to(np.r_[-np.inf, self._index[1:self.dim]], (len(members), self.dim))
-        return self._update(members, sel, outcomes[:, None].astype(float), steps,
-                            np.hstack((t, t + 1)).astype(float), read=False)
-
-    def step(
-        self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    ) -> EnsembleRecord:
-        """Run one iteration of every running member against the black box:
-        the round of one iteration each, without a stopping rule.
-
-        ``interact(members, probes)`` evolves row ``j`` of ``probes`` as the
-        black box of member ``members[j]`` would; it sees the probes of the
-        stale members only, and is not called when none is stale.
-        """
-        members, sel = self._members()
-        self._refill(members, sel)
-        u = self._sample(interact, members, sel, 1)
-        return self._update(members, sel, u, *self._weights(sel))
-
     def _weights(self, sel: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
         """A copy of the selected members' ``_cumulative`` rows, and (members,
         2) each one's running sums of Born weights before and through its
@@ -601,7 +546,12 @@ class EnsembleState:
         self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray], rule: StoppingRule
     ) -> EnsembleRecord:
         """Run one round (see the class docstring) and close the stages that
-        ``rule`` says are done."""
+        ``rule`` says are done.
+
+        ``interact(members, probes)`` evolves row ``j`` of ``probes`` as the
+        black box of member ``members[j]`` would; it sees the probes of the
+        stale members only, and is not called when none is stale.
+        """
         if rule is not self._rule:
             self._rule = rule
             # iterations each stage may run at most; none after the last
@@ -609,7 +559,10 @@ class EnsembleState:
             self._limit = np.append(np.asarray(limit[:self.dim - 1], dtype=np.int64), 0)
             self._stage_end = self._stage_start + self._limit[self.stage]
             self._soonest_end = int(self._stage_end[self.active].min()) if len(self.active) else 0
-        members, sel = self._members()
+        members = self.active
+        if not len(members):
+            raise StageOverflow("no member is active: every stage is done")
+        sel = slice(None) if len(members) == len(self.w) else members  # a view while all run
         at = self.calls[sel]
         width = min(max(ROUND_ELEMENTS // len(members), 1), self.widest)
         if width == 1:
@@ -706,8 +659,8 @@ def run_stages(
 ) -> EnsembleState:
     """Drive every member of an ensemble through all ``dim - 1`` stages.
 
-    ``interact`` is the batched black box of :meth:`EnsembleState.step`.
-    The ensemble runs round by round (:meth:`EnsembleState.advance`), and
+    The ensemble runs round by round (:meth:`EnsembleState.advance`, which
+    says what the batched black box ``interact`` sees), and
     ``observer(state, record)`` sees each round's :class:`EnsembleRecord`
     once the stages the round closed have advanced.  Returns ``state``,
     finished; its ``k - 1`` is the number of iterations run, summed over

@@ -12,8 +12,11 @@ same floating-point operations in the same order.  The punish update is
 the reference's own: ``apply_block`` multiplies one 2x2 block onto two
 columns of one basis, where the engine rotates a stack of bases at once.
 
-``feed`` drives the engine itself: it applies a given outcome to a
-one-member ``protocol.EnsembleState``, the lone agent of the tests.
+``feed`` drives the engine itself: it applies a given outcome to the next
+iteration of a one-member ``protocol.EnsembleState``, the lone agent of the
+tests, through the engine's own update.  The injected iteration consumes
+one measurement double, as a measured one does, so a punishment's angles
+are the three doubles after it.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from eigenrl import harness, linalg, protocol
 from eigenrl.environment import env_random
-from eigenrl.errors import BadDim, DimMismatch, NotNormalized, OutOfRange, StageOverflow
+from eigenrl.errors import BadDim, DimMismatch, NotNormalized, StageOverflow
 from eigenrl.linalg import RotationAngles
 from eigenrl.protocol import (
     BORN_TOL,
@@ -101,7 +104,7 @@ class AgentState:
     def decide_and_update(self, m: int) -> IterationRecord:
         """Apply the feedback for outcome ``m`` and advance the counter."""
         if not 0 <= m < self.dim:
-            raise OutOfRange(f"outcome {m} outside [0, {self.dim})")
+            raise ValueError(f"outcome {m} outside [0, {self.dim})")
         t = self.stage
         k = self.k
         angles = None
@@ -178,12 +181,19 @@ def run_agent(agent: AgentState, interact, rule: StoppingRule, observer=None) ->
 
 
 def feed(agent: protocol.EnsembleState, m: int) -> IterationRecord:
-    """Apply outcome ``m`` to a one-member ensemble as if it had been
-    measured; an uncapped runaway ``w`` overflows to ``inf`` silently, as
-    in ``run_stages``."""
-    agent._refill(agent.active, agent.active)
+    """Apply outcome ``m`` to the next iteration of a one-member ensemble:
+    the draw ``m`` on the cumulative weights 1, 2, ..., dim - 1 reaches
+    ``m`` of them.  An uncapped runaway ``w`` overflows to ``inf``
+    silently, as in ``run_stages``."""
+    members = agent.active
+    t = float(agent.stage[0])
+    cumulative = np.arange(agent.dim, dtype=float)[None]
+    cumulative[0, 0] = -np.inf
+    agent._refill(members, members)
     with np.errstate(over="ignore"):
-        return protocol.iteration_records(agent.decide_and_update(np.array([m])))[0]
+        rec = agent._update(members, members, np.array([[float(m)]]), cumulative,
+                            np.array([[t, t + 1]]))
+    return protocol.iteration_records(rec)[0]
 
 
 def diag_residual(basis: np.ndarray, operator: np.ndarray) -> float:

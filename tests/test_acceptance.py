@@ -21,7 +21,7 @@ from eigenrl.environment import (
     env_single_qubit,
 )
 from eigenrl.cli import main
-from eigenrl.protocol import EnsembleState, RewardParams
+from eigenrl.protocol import EnsembleState, RewardParams, StoppingRule
 from reference import feed, lone_black_box
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -162,14 +162,17 @@ def test_7_exact_property_suite():
     print(f"\n[7a] ledger identity worst rel err = {worst_ledger:.2e} (<= 1e-9)")
     assert worst_ledger <= 1e-9
 
-    # (b) accumulated basis stays unitary through 1e5 updates
+    # (b) accumulated basis stays unitary through 1e5 updates, all of them
+    # in stage 0
     env = env_random(4, 1.0, seed=3)
     black_box = harness._black_box([env])
     agent = EnsembleState(4, RewardParams(r=0.9, nu=2.0), [3])
+    rule = StoppingRule(kind="fixed-budget", budgets=(100_000, 1, 1))
+    punished = 0
     with np.errstate(over="ignore"):  # an uncapped w may run away, as in run_stages
-        for _ in range(100_000):
-            agent.step(black_box)
-    assert agent.n_p[0] > 0
+        while agent.stage[0] == 0:
+            punished += int(agent.advance(black_box, rule).punished.sum())
+    assert agent.calls[0] == 100_000 and punished > 0
     basis = agent.bases[0]
     defect = np.abs(basis.conj().T @ basis - np.eye(4)).max()
     print(f"[7b] unitarity defect after 1e5 iterations = {defect:.2e} (<= 1e-9)")
@@ -220,13 +223,17 @@ def test_7_exact_property_suite():
     black_box = harness._black_box([env])
     params = RewardParams(r=0.9, nu=2.0)
     agent = EnsembleState(3, params, [8])
+    rule = StoppingRule(kind="fixed-budget", budgets=(200, 1))
     expected = params.w1
-    for k in range(1, 201):
-        assert agent.w[0] == expected  # value used at iteration k is r^{k-1}
-        [rec] = protocol.iteration_records(agent.step(black_box))
-        assert rec.classification == protocol.REWARD
-        expected *= params.r
-        assert agent.w[0] == expected
+    while agent.stage[0] == 0:
+        rec = agent.advance(black_box, rule)
+        walked = rec.w_after[0, :rec.length[0]]
+        for w in walked.tolist():
+            expected *= params.r
+            assert w == expected  # after iteration k, r^k: the next one uses it
+        assert all(it.classification == protocol.REWARD
+                   for it in protocol.iteration_records(rec))
+    assert agent.calls[0] == 200
     np.testing.assert_array_equal(agent.bases[0], np.eye(3, dtype=complex))
     amps = np.abs(env.eigensystem_oracle().eigenvectors.conj().T @ agent.bases[0])
     np.testing.assert_array_equal(amps.max(axis=0), np.ones(3))

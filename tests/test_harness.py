@@ -3,13 +3,14 @@ import json
 import logging
 import math
 import re
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -765,20 +766,60 @@ def small_configs(draw):
     )
 
 
+@st.composite
+def engine_constants(draw):
+    """The engine's module constants that set how rounds group iterations,
+    at values a handful of repetitions feels: draw rows as narrow as one
+    iteration's 4 doubles, windows of one iteration or of several, leads
+    down to none, and the drift control every few iterations."""
+    low = draw(st.sampled_from([4, 5, 6, 9]))
+    return {
+        "ROUND_ELEMENTS": draw(st.sampled_from([1 << 10, 1, 5, 12, 64])),
+        "LEAD_BYTES": draw(st.sampled_from([1 << 23, 1, 1 << 9, 1 << 12])),
+        "DRAW_BUFFER_BYTES": draw(st.sampled_from([1 << 21, 1, 1 << 8])),
+        "DRAW_BUFFER_MIN": low,
+        "DRAW_BUFFER_MAX": draw(st.sampled_from([256, low, low + 1, 40])),
+        "REORTHONORMALIZE_EVERY": draw(st.sampled_from([10_000, 3, 7, 25])),
+    }
+
+
+#: the module's own values of the constants ``engine_constants`` draws
+SHIPPED_CONSTANTS = {name: getattr(protocol, name) for name in (
+    "ROUND_ELEMENTS", "LEAD_BYTES", "DRAW_BUFFER_BYTES", "DRAW_BUFFER_MIN", "DRAW_BUFFER_MAX",
+    "REORTHONORMALIZE_EVERY")}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(small_configs())
-def test_run_matches_the_reference_on_small_configs(cfg):
+@given(small_configs(), engine_constants())
+# a member stops ahead of the slowest, and a later round runs one iteration:
+# its record must still keep the bases from before the round
+@example(ExperimentConfig(dim=3, env_kind="random", r=0.5, nu=1.0, w1=0.5, repetitions=2,
+                          seed=2, env_seed=0, resample_env_per_repetition=True,
+                          fidelity_mode="per-rep", record_every=1,
+                          stopping=StoppingRule(kind="fixed-budget", budgets=(8, 1))),
+         SHIPPED_CONSTANTS)
+def test_run_matches_the_reference_on_small_configs(cfg, constants):
     """One ensemble run, its fold and its captured trace equal the loop that
-    runs one repetition at a time, bit for bit."""
+    runs one repetition at a time, bit for bit, however the engine's
+    constants group the iterations into rounds.  The drawn constants reach
+    more members than a draw row is wide, a one-iteration window below 1024
+    members, a lead shorter than the window, ``LEAD_BYTES`` of 1 and the
+    drift control inside a wide window; the reference reads only
+    ``REORTHONORMALIZE_EVERY``, patched on both sides."""
     runs = []
 
     def keep(*args, **kwargs):
         runs.append(protocol.run_stages(*args, **kwargs))
         return runs[-1]
 
-    with mock.patch.object(harness, "run_stages", keep):
+    with ExitStack() as patched:
+        for name, value in constants.items():
+            patched.enter_context(mock.patch.object(protocol, name, value))
+        patched.enter_context(mock.patch.object(
+            reference, "REORTHONORMALIZE_EVERY", constants["REORTHONORMALIZE_EVERY"]))
+        patched.enter_context(mock.patch.object(harness, "run_stages", keep))
         got = harness.run_experiment(cfg, trace=True)
-    want, agents = reference_experiment(cfg)
+        want, agents = reference_experiment(cfg)
     assert_same_result(got, want)
 
     (ensemble,) = runs

@@ -17,7 +17,6 @@ from eigenrl.errors import (
     BadDim,
     ConfigError,
     DimMismatch,
-    OutOfRange,
     StageOverflow,
 )
 from eigenrl.protocol import (
@@ -98,7 +97,7 @@ def test_agent_initial_state():
     assert agent.w[0] == 1.0
     assert agent.stage[0] == 0
     assert agent.k == 1
-    assert (agent.n_r[0], agent.n_p[0], agent.n_neutral[0]) == (0, 0, 0)
+    assert (agent.n_r[0], agent.n_p[0], agent.calls[0]) == (0, 0, 0)
     with pytest.raises(BadDim):
         EnsembleState(1, default_params(), [1])
 
@@ -108,38 +107,44 @@ def returning(evolved):
     return lambda members, probes: evolved
 
 
+#: one iteration in the only stage of a dim-2 run
+ONE_ITERATION = StoppingRule(kind="fixed-budget", budgets=(1,))
+
+
 def test_measure_validates_shape():
     agent = EnsembleState(2, default_params(), [3])
     with pytest.raises(DimMismatch):
-        agent.measure(returning(np.zeros((1, 3), dtype=complex)))
+        agent.advance(returning(np.zeros((1, 3), dtype=complex)), ONE_ITERATION)
 
 
-def measure_lone(agent, evolved, times):
-    """The outcomes of measuring ``evolved`` ``times`` times with a one-member
-    ensemble; its weights are computed once and then reused."""
-    outcomes = []
-    for _ in range(times):
-        agent._refill(agent.active, agent.active)
-        outcomes.append(int(agent.measure(returning(evolved[None]))[0]))
-    return outcomes
+def measure_lone(seed, basis, evolved, times):
+    """The outcomes of ``times`` iterations of a lone dim-3 agent in stage 1,
+    with basis ``basis`` and a black box that returns ``evolved``.  Lying in
+    the span of columns 0 and 1, ``evolved`` gives neutral outcomes and
+    rewards only, so the basis never moves."""
+    agent = EnsembleState(3, default_params(), [seed])
+    agent.bases[0] = basis
+    agent.advance_stage(np.array([0]))
+    seen = []
+    run_stages(agent, returning(evolved[None]),
+               StoppingRule(kind="fixed-budget", budgets=(1, times)), recorder(seen))
+    assert {rec.classification for rec in seen} <= {protocol.NEUTRAL, protocol.REWARD}
+    return [rec.outcome for rec in seen]
 
 
 def test_measure_matches_born_weights():
-    agent = EnsembleState(2, default_params(), [2024])
-    evolved = np.array([math.sqrt(0.3), math.sqrt(0.7) * np.exp(0.4j)])
-    hits = sum(measure_lone(agent, evolved, 20000))
+    evolved = np.array([math.sqrt(0.3), math.sqrt(0.7) * np.exp(0.4j), 0.0])
+    hits = sum(measure_lone(2024, np.eye(3, dtype=complex), evolved, 20000))
     assert hits / 20000 == pytest.approx(0.7, abs=0.015)
 
 
 def test_measure_uses_adapted_basis():
     # after rotating the basis, outcome weights follow the new columns
-    agent = EnsembleState(2, default_params(), [77])
-    rot = linalg.rotation_block(
+    basis = np.eye(3, dtype=complex)
+    basis[:2, :2] = linalg.rotation_block(
         linalg.RotationAngles(phi_x=0.9, phi_y=-0.4, phi_z=1.7)
     )
-    agent.bases[0] = rot
-    evolved = rot[:, 1]
-    hits = sum(measure_lone(agent, evolved, 2000))
+    hits = sum(measure_lone(77, basis, basis[:, 1], 2000))
     assert hits == 2000  # evolved state sits exactly on column 1
 
 
@@ -149,18 +154,19 @@ def test_born_weight_check_raises_under_optimize():
     script = (
         "import sys, numpy as np\n"
         f"sys.path.insert(0, {str(src)!r})\n"
-        "from eigenrl.protocol import EnsembleState, RewardParams\n"
+        "from eigenrl.protocol import EnsembleState, RewardParams, StoppingRule\n"
         "from eigenrl.errors import NotNormalized\n"
         "params = RewardParams(r=0.9, nu=2.0)\n"
+        "rule = StoppingRule(kind='fixed-budget', budgets=(1,))\n"
         "box = lambda states: lambda members, probes: np.array(states, dtype=complex)\n"
         "caught = 0\n"
         "try:\n"
-        "    EnsembleState(2, params, [1]).measure(box([[1.0, 1.0]]))\n"
+        "    EnsembleState(2, params, [1]).advance(box([[1.0, 1.0]]), rule)\n"
         "except NotNormalized:\n"
         "    caught += 1\n"
         "ensemble = EnsembleState(2, params, [1, 2])\n"
         "try:\n"
-        "    ensemble.measure(box([[1.0, 0.0], [0.6, 0.6]]))\n"
+        "    ensemble.advance(box([[1.0, 0.0], [0.6, 0.6]]), rule)\n"
         "except NotNormalized:\n"
         "    caught += 1\n"
         "print(sys.flags.optimize, caught)\n"
@@ -188,16 +194,17 @@ class TestFeedback:
         rec = feed(agent, 0)
         assert rec.classification == protocol.NEUTRAL
         assert agent.w[0] == 1.0
-        assert agent.n_neutral[0] == 1
+        assert agent.calls[0] - agent.n_r[0] - agent.n_p[0] == 1
         np.testing.assert_array_equal(agent.bases[0], np.eye(3))
 
     def test_punish_draw_order_and_block(self):
         """Punish consumes x, z, y bounds in that order after one measure draw."""
         seed = 421
         agent = EnsembleState(2, default_params(), [seed])
-        [m] = measure_lone(agent, np.array([0.0, 1.0], dtype=complex), 1)
-        assert m == 1
-        rec = feed(agent, m)
+        # every draw reaches outcome 1, a punishment at stage 0
+        [rec] = protocol.iteration_records(
+            agent.advance(returning(np.array([[0.0, 1.0]], dtype=complex)), ONE_ITERATION))
+        assert (rec.k, rec.outcome, rec.classification) == (1, 1, protocol.PUNISH)
 
         mirror = np.random.default_rng(seed)
         mirror.random()  # the measurement draw
@@ -207,8 +214,8 @@ class TestFeedback:
         )
         expected = linalg.rotation_block(rec.angles)
         np.testing.assert_allclose(agent.bases[0], expected, atol=1e-15)
-        assert agent.w[0] == pytest.approx(2.0 / 0.9)
-        assert agent.n_p[0] == 1
+        assert rec.w_after == pytest.approx(2.0 / 0.9)  # the stage then closes
+        assert agent.finished and agent.calls[0] == 1
 
     def test_punish_touches_only_the_two_columns(self):
         agent = EnsembleState(4, default_params(), [9])
@@ -220,13 +227,6 @@ class TestFeedback:
         full = np.eye(4, dtype=complex)
         full[np.ix_((0, 2), (0, 2))] = linalg.rotation_block(rec.angles)
         np.testing.assert_allclose(agent.bases[0], before @ full, atol=1e-15)
-
-    def test_outcome_out_of_range(self):
-        agent = EnsembleState(2, default_params(), [5])
-        with pytest.raises(OutOfRange):
-            feed(agent, 2)
-        with pytest.raises(OutOfRange):
-            feed(agent, -1)
 
 
 def test_runaway_search_range_never_overflows_the_sampler():
@@ -273,12 +273,15 @@ def test_advance_stage_resets_bookkeeping():
     agent = EnsembleState(3, default_params(), [8])
     feed(agent, 0)
     feed(agent, 2)
+    assert (agent.n_r[0], agent.n_p[0], agent.calls[0]) == (1, 1, 2)
     k_before = agent.k
     agent.advance_stage(np.array([0]))
     assert agent.stage[0] == 1
     assert agent.w[0] == 1.0
-    assert (agent.n_r[0], agent.n_p[0], agent.n_neutral[0]) == (0, 0, 0)
+    assert (agent.n_r[0], agent.n_p[0]) == (0, 0)
     assert agent.k == k_before  # the global clock keeps running
+    assert feed(agent, 0).classification == protocol.NEUTRAL
+    assert (agent.n_r[0], agent.n_p[0], agent.k) == (0, 0, k_before + 1)
     agent.advance_stage(np.array([0]))
     with pytest.raises(StageOverflow):
         agent.advance_stage(np.array([0]))
@@ -359,7 +362,7 @@ def test_agent_sees_only_the_interaction_callable():
     sx = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
     unitary = linalg.unitary_from_eigensystem(linalg.eig_hermitian(sx), 1.0)
     agent = EnsembleState(2, default_params(), [1])
-    rec = agent.step(lambda members, probes: probes @ unitary.T)
+    rec = agent.advance(lambda members, probes: probes @ unitary.T, ONE_ITERATION)
     assert rec.k.tolist() == [1] and rec.stage.tolist() == [0]
 
 
@@ -436,7 +439,9 @@ class TestEnsemble:
         ensemble._refill(ensemble.active, ensemble.active)
         ensemble._draws[0, ensemble._cursor[0]] = 0.5
         assert agent.measure(evolved) == 2
-        assert list(ensemble.measure(returning(evolved[None]))) == [2]
+        rec = ensemble.advance(returning(evolved[None]),
+                               StoppingRule(kind="fixed-budget", budgets=(1, 1, 1)))
+        assert [r.outcome for r in protocol.iteration_records(rec)] == [2]
 
     @pytest.mark.parametrize("width", [32, 33, 256])
     def test_draw_width_changes_no_bits(self, monkeypatch, width):
@@ -548,9 +553,7 @@ class TestEnsemble:
             EnsembleState(1, default_params(), [1])
         ensemble = EnsembleState(2, default_params(), [1, 2])
         with pytest.raises(DimMismatch):
-            ensemble.measure(returning(np.zeros((2, 3), dtype=complex)))
-        with pytest.raises(OutOfRange):
-            ensemble.decide_and_update(np.array([0, 2]))
+            ensemble.advance(returning(np.zeros((2, 3), dtype=complex)), ONE_ITERATION)
         ensemble.advance_stage(np.array([0]))
         with pytest.raises(StageOverflow):
             ensemble.advance_stage(np.array([0]))
@@ -560,15 +563,9 @@ class TestEnsemble:
         ensemble = EnsembleState(2, default_params(), [1, 2])
         ensemble.advance_stage(np.array([0, 1]))
         assert ensemble.finished
-        calls = [
-            lambda: ensemble.measure(returning(np.zeros((0, 2), dtype=complex))),
-            lambda: ensemble.decide_and_update(np.zeros(0, dtype=np.intp)),
-            lambda: ensemble.step(lambda members, probes: probes),
-            lambda: feed(ensemble, 0),
-        ]
-        for call in calls:
+        for rule in (ONE_ITERATION, self.RULE):
             with pytest.raises(StageOverflow, match="no member is active"):
-                call()
+                ensemble.advance(lambda members, probes: probes, rule)
 
 
 class TestTraces:
