@@ -12,17 +12,19 @@ Random operators are drawn from the Gaussian unitary ensemble,
 ``(G + G^dag)/2`` with standard complex Gaussian ``G``, then rescaled so the
 spectral range ``lambda_max - lambda_min`` equals 2.  With the default
 ``tau = 1`` the relevant phases ``lambda * tau`` then stay well inside one
-period regardless of dimension.
+period regardless of dimension.  The draws of many seeds share one seeding
+pass, :func:`eigenrl.seeding.generators`.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from . import linalg
+from . import linalg, seeding
 from .errors import BadDim, ConfigError
 from .linalg import MAX_DIM, MIN_DIM
 
@@ -110,17 +112,18 @@ def _draw_gue(rng: np.random.Generator, dim: int) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def envs_random(dim: int, tau: float, seeds: list[int]) -> list[Environment]:
-    """One GUE-distributed hidden operator per seed, rescaled to spectral
-    range 2.
+def envs_random(dim: int, tau: float, seeds: Sequence[int] | np.ndarray) -> list[Environment]:
+    """One GUE-distributed hidden operator per non-negative integer seed,
+    rescaled to spectral range 2.
 
-    Every draw is diagonalized in one stacked call, twice: for its spread,
-    then rescaled.  Each environment has the bits ``env_random`` gives for
-    its seed.
+    The generators are seeded in one array pass, ``seeding.generators``, each
+    with the stream NumPy's default generator gives for its seed.  Every draw is
+    diagonalized in one stacked call, twice: for its spread, then rescaled.
+    Each environment has the bits ``env_random`` gives for its seed.
     """
     if not MIN_DIM <= dim <= MAX_DIM:
         raise BadDim(f"dim must lie in [{MIN_DIM}, {MAX_DIM}], got {dim}")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = seeding.generators(seeds)
     draws = np.stack([_draw_gue(rng, dim) for rng in rngs])
     spread = np.empty(len(rngs))
     pending = np.arange(len(rngs))

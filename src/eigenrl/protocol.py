@@ -71,11 +71,11 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import linalg, seeding
 from .errors import (
     BadDim,
     ConfigError,
@@ -293,12 +293,14 @@ def iteration_records(rec: EnsembleRecord, row: int = 0) -> list[IterationRecord
 class EnsembleState:
     """Independently seeded agents advanced together, round by round.
 
-    Member ``i`` is the lone agent seeded ``seeds[i]``: how many members run
-    beside it, and how its iterations are grouped into rounds, change none
-    of its bits.  Each member reads its doubles in order from a row of
-    ``_draws`` pre-drawn from its own generator, which gives the same values
-    as drawing them one at a time; the rows share ``DRAW_BUFFER_BYTES``,
-    within the per-member bounds.
+    Member ``i`` is the lone agent seeded ``seeds[i]``, an integer in
+    ``[0, 2**64)``: how many members run beside it, and how its iterations
+    are grouped into rounds, change none of its bits.  Every member's
+    generator is seeded in one array pass, ``seeding.generators``, with the
+    stream NumPy's default generator gives for its seed.  Each member reads its
+    doubles in order from a row of ``_draws`` pre-drawn from its own
+    generator, which gives the same values as drawing them one at a time;
+    the rows share ``DRAW_BUFFER_BYTES``, within the per-member bounds.
 
     Between its events a member's iterations differ only in their draws:
     its probe, and so the distribution of its outcome, changes only when it
@@ -344,13 +346,14 @@ class EnsembleState:
     the ``max_iterations`` cap.
     """
 
-    def __init__(self, dim: int, params: RewardParams, seeds: list[int]) -> None:
+    def __init__(self, dim: int, params: RewardParams,
+                 seeds: Sequence[int] | np.ndarray) -> None:
         if dim < 2:
             raise BadDim(f"need dim >= 2, got {dim}")
         n = len(seeds)
         self.dim = dim
         self.params = params
-        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.rngs = seeding.generators(seeds)
         self.bases = np.tile(np.eye(dim, dtype=np.complex128), (n, 1, 1))
         self.w = np.full(n, params.w1)
         self.stage = np.zeros(n, dtype=np.intp)

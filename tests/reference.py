@@ -12,6 +12,10 @@ same floating-point operations in the same order.  The punish update is
 the reference's own: ``apply_block`` multiplies one 2x2 block onto two
 columns of one basis, where the engine rotates a stack of bases at once.
 
+``derive_seed`` is NumPy's own seed derivation, one ``SeedSequence`` per
+repetition, against which the engine's one-pass ``seeding.derive_seeds``
+is checked.
+
 ``feed`` drives the engine itself: it applies a given outcome to the next
 iteration of a one-member ``protocol.EnsembleState``, the lone agent of the
 tests, through the engine's own update.  The injected iteration consumes
@@ -40,6 +44,12 @@ from eigenrl.protocol import (
     RewardParams,
     StoppingRule,
 )
+
+
+def derive_seed(root: int, index: int, salt: int = harness._REP_SALT) -> int:
+    """Repetition ``index``'s seed in a run seeded ``root``, as NumPy derives it."""
+    seq = np.random.SeedSequence([root, salt, index])
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def apply_block(basis: np.ndarray, t: int, m: int, block: np.ndarray) -> None:
@@ -217,7 +227,7 @@ def lone_environment(config, i):
     """Repetition ``i``'s environment, built alone: a random operator of its
     own when resampled, else the shared one."""
     if config.resample_env_per_repetition:
-        seed = harness.derive_seed(config.seed, i, harness._ENV_SALT)
+        seed = derive_seed(config.seed, i, harness._ENV_SALT)
         return env_random(config.dim, config.tau, seed)
     return harness.build_environment(config)
 
@@ -239,7 +249,7 @@ def reference_experiment(config):
     for i in range(n):
         env = lone_environment(config, i)
         vecs = env.eigensystem_oracle().eigenvectors
-        seed = harness.derive_seed(config.seed, i)
+        seed = derive_seed(config.seed, i)
         agent = AgentState(d, config.params, seed)
         rows = [(config.w1, 0, np.abs(vecs.conj().T @ agent.basis))]
         last_w = [config.w1]
@@ -299,7 +309,7 @@ def reference_experiment(config):
                 "dim": d,
                 "rep_index": 0,
                 "root_seed": config.seed,
-                "agent_seed": harness.derive_seed(config.seed, 0),
+                "agent_seed": derive_seed(config.seed, 0),
             },
             records=first_records,
             final_basis=agents[0].basis,

@@ -69,14 +69,6 @@ def raw_dict(**overrides):
     return base
 
 
-def test_derive_seed_is_stable_and_spread():
-    assert harness.derive_seed(7, 0) == harness.derive_seed(7, 0)
-    seen = {harness.derive_seed(7, i) for i in range(200)}
-    assert len(seen) == 200
-    assert harness.derive_seed(7, 0) != harness.derive_seed(8, 0)
-    assert harness.derive_seed(7, 0, salt=23) != harness.derive_seed(7, 0)
-
-
 class TestConfigSchema:
     def test_minimal_dict_parses_with_defaults(self):
         cfg = config_from_dict(raw_dict())
@@ -425,7 +417,7 @@ class TestDiagResidual:
         # a one-repetition result reports the residual of its lone agent
         cfg = small_config(repetitions=1)
         env = harness.build_environment(cfg)
-        agent = AgentState(2, cfg.params, harness.derive_seed(cfg.seed, 0))
+        agent = AgentState(2, cfg.params, reference.derive_seed(cfg.seed, 0))
         reference.run_agent(agent, lone_black_box(env), cfg.stopping)
         assert harness.run_experiment(cfg).diag_residual == reference.diag_residual(
             agent.basis, env.operator
@@ -619,7 +611,7 @@ class TestRunExperiment:
         ensemble = protocol.EnsembleState(
             cfg.dim,
             cfg.params,
-            [harness.derive_seed(cfg.seed, i) for i in range(cfg.repetitions)],
+            [reference.derive_seed(cfg.seed, i) for i in range(cfg.repetitions)],
         )
         returned = protocol.run_stages(
             ensemble,
@@ -713,7 +705,7 @@ class TestRunExperiment:
                       stopping=StoppingRule(kind="threshold", w_min=0.05, max_iterations=3000))
         envs = [harness.build_environment(cfg)]
         ensemble = protocol.EnsembleState(
-            cfg.dim, cfg.params, [harness.derive_seed(cfg.seed, i) for i in range(cfg.repetitions)]
+            cfg.dim, cfg.params, [reference.derive_seed(cfg.seed, i) for i in range(cfg.repetitions)]
         )
         fold = harness._Fold(cfg, envs, ensemble)
         protocol.run_stages(ensemble, harness._black_box(envs), cfg.stopping, fold.observe)
@@ -936,7 +928,7 @@ def test_record_trace_writes_the_bytes_of_the_reference_agent(tmp_path, name):
     engine = tmp_path / "engine.trace"
     harness.run_experiment(replace(config, repetitions=1), trace=True).trace.write(str(engine))
 
-    seed = harness.derive_seed(config.seed, 0)
+    seed = reference.derive_seed(config.seed, 0)
     agent = AgentState(config.dim, config.params, seed)
     records = []
     reference.run_agent(agent, lone_black_box(harness.build_environment(config)),
@@ -979,7 +971,7 @@ def test_threshold_stops_that_hit_the_cap_are_counted(caplog):
     cfg = small_config(dim=3, repetitions=20, stopping=rule)
     want = np.zeros((2, 2), dtype=int)  # [stage, (reached w_min, hit the cap)]
     for i in range(cfg.repetitions):
-        agent = AgentState(cfg.dim, cfg.params, harness.derive_seed(cfg.seed, i))
+        agent = AgentState(cfg.dim, cfg.params, reference.derive_seed(cfg.seed, i))
         last_w = {}
         reference.run_agent(agent, lone_black_box(lone_environment(cfg, i)), rule,
                             lambda a, rec: last_w.__setitem__(rec.stage, rec.w_after))
@@ -1022,6 +1014,28 @@ def test_info_log_counts_iterations_probes_and_rounds(caplog):
     assert rounds < 70 < probes < calls
     seconds, per_round = (float(word) for word in shape.groups()[3:])
     assert per_round == pytest.approx(1e6 * seconds / rounds, abs=0.05 + 1e3 / rounds)
+
+
+@pytest.mark.parametrize("resample", [False, True])
+def test_info_log_counts_the_set_up_before_the_first_round(caplog, resample):
+    """Before its first round a run logs, at INFO, the environments it built,
+    the members it seeded and the wall time of both."""
+    logged = []
+
+    def keep(*args, **kwargs):
+        logged.extend(r.getMessage() for r in caplog.records)
+        return protocol.run_stages(*args, **kwargs)
+
+    modes = dict(resample_env_per_repetition=True, fidelity_mode="per-rep") if resample else {}
+    cfg = small_config(repetitions=6, **modes)
+    with mock.patch.object(harness, "run_stages", keep), \
+            caplog.at_level(logging.INFO, logger="eigenrl.harness"):
+        harness.run_experiment(cfg)
+    (line,) = [message for message in logged if message.startswith("set-up")]
+    shape = re.fullmatch(r"set-up: (\d+) environments built and (\d+) members seeded "
+                         r"in (\d+\.\d{3}) s", line)
+    assert shape, line
+    assert shape.groups()[:2] == (str(cfg.repetitions if resample else 1), str(cfg.repetitions))
 
 
 def test_residual_tracks_fidelity_loss():

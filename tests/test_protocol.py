@@ -534,7 +534,7 @@ class TestEnsemble:
         config = harness.load_config(str(Path(__file__).resolve().parents[1]
                                          / "configs" / "fig6_random2q.json"))
         ensemble = EnsembleState(config.dim, config.params,
-                                 [harness.derive_seed(config.seed, i) for i in range(16)])
+                                 [reference.derive_seed(config.seed, i) for i in range(16)])
         rule = StoppingRule(kind="fixed-budget", budgets=(400, 250, 200))
         rounds = []
         run_stages(ensemble, harness._black_box([harness.build_environment(config)]), rule,
