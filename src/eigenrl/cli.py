@@ -21,12 +21,10 @@ from .environment import (
     env_bell,
     env_random,
     env_spin_x,
-    finite_number,
     load_operator,
     save_operator,
 )
-from .errors import ConfigError, EigenrlError
-from .linalg import MAX_DIM, MIN_DIM
+from .errors import ConfigError, EigenrlError, finite_number
 
 log = logging.getLogger("eigenrl")
 
@@ -161,23 +159,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_gen_operator(args: argparse.Namespace) -> int:
     _distinct([], [("--out", args.out)])
-    finite_number(args.tau, "--tau")
     if args.kind == "random":
         if args.dim is None:
             raise ConfigError("gen-operator --kind random needs --dim")
-        if not MIN_DIM <= args.dim <= MAX_DIM:
-            raise ConfigError(f"--dim must lie in [{MIN_DIM}, {MAX_DIM}], got {args.dim}")
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         env = env_random(args.dim, args.tau, args.seed)
-    elif args.kind == "spin-x":
-        if args.dim not in (None, 2):
-            raise ConfigError("spin-x is fixed at dim 2")
-        env = env_spin_x(args.tau)
     else:
-        if args.dim not in (None, 4):
-            raise ConfigError("the Bell operator is fixed at dim 4")
-        env = env_bell(args.tau)
+        env = (env_spin_x if args.kind == "spin-x" else env_bell)(args.tau)
+    if args.dim not in (None, env.dim):
+        raise ConfigError(f"--dim {args.dim}, but the {args.kind} operator has dim {env.dim}")
     save_operator(args.out, env.operator, args.tau)
     eigenvalues = env.eigensystem_oracle().eigenvalues
     print(f"wrote {args.out}: dim {env.dim}, spectrum {np.round(eigenvalues, 6)}")

@@ -25,8 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, seeding
-from .errors import BadDim, ConfigError
-from .linalg import MAX_DIM, MIN_DIM
+from .errors import ConfigError, finite_number, read_json
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,8 @@ class Environment:
 
 def _environments(operators: np.ndarray, tau: float) -> list[Environment]:
     """One environment per operator of a (B, d, d) stack, all diagonalized
-    in one stacked call."""
+    in one stacked call; ConfigError unless ``tau`` is a finite number."""
+    tau = finite_number(tau, "tau")
     system = linalg.eig_hermitian(operators)
     system.eigenvalues.setflags(write=False)
     system.eigenvectors.setflags(write=False)
@@ -99,10 +99,7 @@ def _environments(operators: np.ndarray, tau: float) -> list[Environment]:
 
 def env_from_matrix(operator: np.ndarray, tau: float) -> Environment:
     operator = np.asarray(operator, dtype=np.complex128)
-    dim = linalg.require_square(operator)
-    if not MIN_DIM <= dim <= MAX_DIM:
-        raise BadDim(f"dim must lie in [{MIN_DIM}, {MAX_DIM}], got {dim}")
-    linalg.require_hermitian(operator)
+    linalg.require_dim(linalg.require_square(operator))
     return _environments(operator[None], tau)[0]
 
 
@@ -121,8 +118,7 @@ def envs_random(dim: int, tau: float, seeds: Sequence[int] | np.ndarray) -> list
     diagonalized in one stacked call, twice: for its spread, then rescaled.
     Each environment has the bits ``env_random`` gives for its seed.
     """
-    if not MIN_DIM <= dim <= MAX_DIM:
-        raise BadDim(f"dim must lie in [{MIN_DIM}, {MAX_DIM}], got {dim}")
+    linalg.require_dim(dim)
     rngs = seeding.generators(seeds)
     draws = np.stack([_draw_gue(rng, dim) for rng in rngs])
     spread = np.empty(len(rngs))
@@ -183,28 +179,6 @@ def env_bell(tau: float) -> Environment:
     return env_from_matrix(operator, tau)
 
 
-def finite_number(value, what: str) -> float:
-    """``value`` as a float if it is a finite number and not a bool."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ConfigError(f"{what} must be a finite number, got {value!r}")
-
-
-def read_json(path: str, what: str):
-    """The JSON document in the ``what`` file at ``path``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, an int too long
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
 def parse_matrix(doc, what: str, keys=("dim", "entries_re", "entries_im")) -> np.ndarray:
     """The complex matrix of a ``{dim, entries_re, entries_im, ...}`` document.
 
@@ -214,9 +188,7 @@ def parse_matrix(doc, what: str, keys=("dim", "entries_re", "entries_im")) -> np
     """
     if not isinstance(doc, dict) or set(doc) != set(keys):
         raise ConfigError(f"{what} needs exactly the keys {sorted(keys)}")
-    dim = doc["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or not MIN_DIM <= dim <= MAX_DIM:
-        raise ConfigError(f"{what} dim must be an integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}")
+    dim = linalg.require_dim(doc["dim"], f"{what} dim")
     parts = []
     for key in ("entries_re", "entries_im"):
         rows = doc[key]
@@ -247,10 +219,5 @@ def load_operator(path: str) -> tuple[np.ndarray, float]:
     doc = read_json(path, "operator")
     operator = parse_matrix(doc, f"operator {path}", ("dim", "tau", "entries_re", "entries_im"))
     tau = finite_number(doc["tau"], "tau")
-    defect = linalg.hermiticity_defect(operator)
-    if defect > linalg.HERMITICITY_TOL:
-        raise ConfigError(
-            f"operator {path} is not Hermitian: max |H - H^dag| = {defect:.3e} "
-            f"exceeds {linalg.HERMITICITY_TOL:.1e}"
-        )
+    linalg.require_hermitian(operator, f"operator {path}")
     return operator, tau

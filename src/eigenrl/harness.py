@@ -35,13 +35,11 @@ from .environment import (
     env_single_qubit,
     env_spin_x,
     envs_random,
-    finite_number,
     load_operator,
     parse_matrix,
-    read_json,
 )
 from .errors import ConfigError, DimMismatch, EigenrlError, ModeMismatch
-from .linalg import MAX_DIM, MIN_DIM
+from .errors import finite_number, integer, read_json
 from .protocol import RewardParams, StoppingRule, run_stages
 
 RESULTS_FORMAT = "eigenrl-results-1"
@@ -97,16 +95,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"env_kind must be one of {ENV_KINDS}, got {self.env_kind!r}"
             )
-        if not MIN_DIM <= self.dim <= MAX_DIM:
-            raise ConfigError(f"dim must lie in [{MIN_DIM}, {MAX_DIM}], got {self.dim}")
-        if self.seed < 0 or self.env_seed < 0:
-            raise ConfigError(f"seeds must be >= 0, got {self.seed} and {self.env_seed}")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.record_every < 1:
-            raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
-        if not math.isfinite(self.tau):
-            raise ConfigError(f"tau must be finite, got {self.tau}")
+        linalg.require_dim(self.dim)
+        seeding.require_seed(self.seed, "seed")
+        seeding.require_seed(self.env_seed, "env_seed")
+        if not 1 <= self.repetitions <= seeding.MAX_MEMBERS:
+            raise ConfigError(
+                f"repetitions must lie in [1, {seeding.MAX_MEMBERS}], got {self.repetitions}")
+        if not 1 <= self.record_every <= protocol.MAX_COUNT:
+            raise ConfigError(
+                f"record_every must lie in [1, {protocol.MAX_COUNT}], got {self.record_every}")
         if self.fidelity_mode not in FIDELITY_MODES:
             raise ConfigError(
                 f"fidelity_mode must be one of {FIDELITY_MODES}, "
@@ -136,12 +133,6 @@ class ExperimentConfig:
         return RewardParams(r=self.r, nu=self.nu, w1=self.w1, w_cap=self.w_cap)
 
 
-def _integer(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _boolean(value, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
@@ -161,19 +152,17 @@ def _parse_stopping(raw, key: str) -> StoppingRule:
     if kind == "fixed-budget":
         allowed = {"kind", "budgets"}
         budgets = raw.get("budgets")
-        if not isinstance(budgets, list) or not budgets:
-            raise ConfigError("fixed-budget stopping needs a non-empty budgets list")
-        rule = StoppingRule(kind=kind, budgets=tuple(_integer(b, "budgets") for b in budgets))
-    elif kind == "threshold":
+        if not isinstance(budgets, list):
+            raise ConfigError(f"fixed-budget stopping needs a budgets list, got {budgets!r}")
+        kw = {"budgets": tuple(integer(b, "budgets") for b in budgets)}
+    else:
         allowed = {"kind", "w_min", "max_iterations"}
         kw = {}
         if "w_min" in raw:
             kw["w_min"] = finite_number(raw["w_min"], "w_min")
         if "max_iterations" in raw:
-            kw["max_iterations"] = _integer(raw["max_iterations"], "max_iterations")
-        rule = StoppingRule(kind=kind, **kw)
-    else:
-        raise ConfigError(f"stopping.kind must be fixed-budget or threshold, got {kind!r}")
+            kw["max_iterations"] = integer(raw["max_iterations"], "max_iterations")
+    rule = StoppingRule(kind=kind, **kw)  # which also checks the kind
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"unknown stopping keys: {unknown}")
@@ -199,20 +188,20 @@ def _nullable(parse):
 #: one parser per ExperimentConfig field, called as ``parse(value, key)``;
 #: null is a value only where a parser says what it means
 _PARSERS = {
-    "dim": _integer,
+    "dim": integer,
     "env_kind": lambda value, key: value,  # checked by ExperimentConfig
     "r": finite_number,
     "nu": finite_number,
-    "repetitions": _integer,
-    "seed": _integer,
+    "repetitions": integer,
+    "seed": integer,
     "stopping": _parse_stopping,
     "tau": finite_number,
     "w1": finite_number,
     "w_cap": lambda value, key: math.inf if value is None else finite_number(value, key),
-    "env_seed": _integer,
+    "env_seed": integer,
     "resample_env_per_repetition": _boolean,
     "fidelity_mode": lambda value, key: value,  # checked by ExperimentConfig
-    "record_every": _integer,
+    "record_every": integer,
     "single_qubit": _nullable(_parse_single_qubit),
     "operator_file": _nullable(_path),
 }

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NoConvergence, NotHermitian
+from .errors import BadDim, DimMismatch, NoConvergence, NotHermitian, integer
 
 #: the Hilbert-space dimensions the package accepts from its inputs
 MIN_DIM = 2
@@ -72,6 +72,14 @@ class RotationAngles:
     phi_z: float
 
 
+def require_dim(dim, what: str = "dim") -> int:
+    """``dim`` if it is an integer in [MIN_DIM, MAX_DIM]; BadDim, naming
+    ``what``, if it is out of range, and ConfigError if it is no integer."""
+    if not MIN_DIM <= integer(dim, what) <= MAX_DIM:
+        raise BadDim(f"{what} must be an integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}")
+    return dim
+
+
 def require_square(mat: np.ndarray) -> int:
     """Return the side length of a square 2-d array or raise DimMismatch."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -79,15 +87,21 @@ def require_square(mat: np.ndarray) -> int:
     return int(mat.shape[0])
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """Largest absolute deviation of ``mat`` from its conjugate transpose."""
-    return float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+def hermiticity_defect(h: np.ndarray) -> np.ndarray:
+    """Largest absolute deviation from its conjugate transpose of a matrix,
+    or of each matrix of a stack, in one array pass."""
+    return np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
-def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    defect = hermiticity_defect(mat)
-    if defect > tol:
-        raise NotHermitian(f"max |H - H^dag| = {defect:.3e} exceeds {tol:.1e}")
+def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
+    """NotHermitian, naming ``what``, unless the matrix ``h`` is Hermitian
+    within HERMITICITY_TOL; for a stack, the first member that is not."""
+    defect = hermiticity_defect(h)
+    bad = np.flatnonzero(defect > HERMITICITY_TOL)
+    if bad.size:
+        member = f" member {bad[0]}" if h.ndim == 3 else ""
+        raise NotHermitian(f"{what}{member} is not Hermitian: max |H - H^dag| = "
+                           f"{defect.flat[bad[0]]:.3e} exceeds {HERMITICITY_TOL:.1e}")
 
 
 def normalize_phase(vecs: np.ndarray) -> np.ndarray:
@@ -154,19 +168,10 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
     stacked = h.ndim == 3
     if not stacked:
         require_square(h)
-        h = h[None]
     elif h.shape[1] != h.shape[2]:
         raise DimMismatch(f"expected a stack of square matrices, got shape {h.shape}")
-
-    def member(i: int) -> str:  # errors from a stack name the member
-        return f"member {i}: " if stacked else ""
-
-    for i, mat in enumerate(h):
-        try:
-            require_hermitian(mat)
-        except NotHermitian as exc:
-            raise NotHermitian(f"{member(i)}{exc}") from None
-
+    require_hermitian(h)
+    h = h.reshape(-1, *h.shape[-2:])  # a lone matrix is a stack of one
     b, n = h.shape[:2]
     av = np.zeros((b, 2 * n, n), dtype=np.complex128)
     av[:, :n] = h
@@ -194,9 +199,9 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
         for i in np.flatnonzero(rotated):
             off = float(np.max(np.abs(a[i] - np.diag(a[i].diagonal()))))
             if off > stop[i]:
+                member = f"member {i}: " if stacked else ""  # a stack's error names the member
                 raise NoConvergence(
-                    f"{member(i)}off-diagonal {off:.3e} after {JACOBI_SWEEP_BUDGET} sweeps"
-                )
+                    f"{member}off-diagonal {off:.3e} after {JACOBI_SWEEP_BUDGET} sweeps")
 
     values = np.diagonal(a, axis1=1, axis2=2).real
     rows = normalize_phase(av[:, n:].transpose(0, 2, 1).copy())  # row l is eigenvector l

@@ -77,16 +77,23 @@ import numpy as np
 
 from . import linalg, seeding
 from .errors import (
-    BadDim,
     ConfigError,
     DimMismatch,
     NotNormalized,
     StageOverflow,
+    finite_number,
+    integer,
+    read_json,
 )
 from .linalg import RotationAngles
 
 #: cadence (in iterations) of the drift-control re-orthonormalization
 REORTHONORMALIZE_EVERY = 10_000
+
+#: the most iterations a stage budget or cap, or a record stride, may count.
+#: The engine and the fold sum a member's stage counts, up to MAX_DIM - 1 of
+#: them, and a stride in int64, so each count leaves room for that sum
+MAX_COUNT = int(np.iinfo(np.int64).max) // (2 * linalg.MAX_DIM)
 
 #: ceiling on the punish draw interval: beyond a million full turns the
 #: angles are uniform mod 2pi anyway, and an unbounded interval would
@@ -189,19 +196,20 @@ class StoppingRule:
 
     def __post_init__(self) -> None:
         if self.kind not in ("threshold", "fixed-budget"):
-            raise ConfigError(f"unknown stopping kind {self.kind!r}")
+            raise ConfigError(f"stopping.kind must be threshold or fixed-budget, got {self.kind!r}")
         if self.kind == "fixed-budget":
             if not self.budgets:
-                raise ConfigError("fixed-budget stopping needs a budgets list")
+                raise ConfigError("fixed-budget stopping needs a non-empty budgets list")
             object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
-            if any(b < 1 for b in self.budgets):
-                raise ConfigError(f"budgets must be positive, got {self.budgets}")
+            if not all(1 <= b <= MAX_COUNT for b in self.budgets):
+                raise ConfigError(f"budgets must lie in [1, {MAX_COUNT}], got {self.budgets}")
         elif self.budgets is not None:
             raise ConfigError("threshold stopping takes no budgets")
         if self.w_min <= 0.0:
             raise ConfigError(f"w_min must be positive, got {self.w_min}")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be at least 1")
+        if not 1 <= self.max_iterations <= MAX_COUNT:
+            raise ConfigError(
+                f"max_iterations must lie in [1, {MAX_COUNT}], got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -348,8 +356,7 @@ class EnsembleState:
 
     def __init__(self, dim: int, params: RewardParams,
                  seeds: Sequence[int] | np.ndarray) -> None:
-        if dim < 2:
-            raise BadDim(f"need dim >= 2, got {dim}")
+        linalg.require_dim(dim)
         n = len(seeds)
         self.dim = dim
         self.params = params
@@ -709,38 +716,30 @@ def write_trace(
         fh.write(json.dumps({"final_sha256": basis_hash(final_basis)}) + "\n")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _record(row: dict, dim: int) -> IterationRecord:
     """A trace line as a record; ConfigError unless a run at ``dim`` could
     have written it.  ``w_after`` is at least 0, and may be infinite: uncapped
     runs overflow."""
     if set(row) != _RECORD_KEYS:
         raise ConfigError(f"trace record {row!r} needs the keys {sorted(_RECORD_KEYS)}")
-    k, t, m, angles = row["k"], row["stage"], row["m"], row["angles"]
-    if not (_is_int(k) and _is_int(t) and _is_int(m) and 0 <= t < dim - 1 and 0 <= m < dim):
-        raise ConfigError(
-            f"trace record {row!r} needs integers k, stage in [0, {dim - 1}) and m in [0, {dim})"
-        )
-    kind = _classify(t, m)
+    k, t, m = (integer(row[key], f"trace record {row!r} {key}") for key in ("k", "stage", "m"))
+    if not (0 <= t < dim - 1 and 0 <= m < dim):
+        raise ConfigError(f"trace record {row!r} needs stage in [0, {dim - 1}) and m in [0, {dim})")
+    kind, angles, w_after = _classify(t, m), row["angles"], row["w_after"]
     if row["class"] != kind:
         raise ConfigError(f"trace record {row!r}: its stage and m make it a {kind} row")
     if kind == PUNISH:
-        if not (isinstance(angles, dict) and set(angles) == _ANGLE_KEYS
-                and all(_is_number(v) and math.isfinite(v) for v in angles.values())):
-            raise ConfigError(f"punish record {row!r} needs finite {sorted(_ANGLE_KEYS)}")
-        angles = RotationAngles(**{key: float(v) for key, v in angles.items()})
+        if not (isinstance(angles, dict) and set(angles) == _ANGLE_KEYS):
+            raise ConfigError(f"punish record {row!r} needs the angles {sorted(_ANGLE_KEYS)}")
+        angles = RotationAngles(**{key: finite_number(v, f"punish record {row!r} {key}")
+                                   for key, v in angles.items()})
     elif angles is not None:
         raise ConfigError(f"{kind} record {row!r} may hold no angles")
-    if not (_is_number(row["w_after"]) and row["w_after"] >= 0):  # NaN fails too
-        raise ConfigError(f"trace record {row!r} needs a number w_after >= 0")
-    return IterationRecord(k, t, m, kind, angles, float(row["w_after"]))
+    if w_after != math.inf:  # uncapped runs overflow to inf
+        w_after = finite_number(w_after, f"trace record {row!r} w_after")
+    if w_after < 0:
+        raise ConfigError(f"trace record {row!r} needs w_after >= 0")
+    return IterationRecord(k, t, m, kind, angles, w_after)
 
 
 def read_trace(path: str) -> tuple[dict, list[IterationRecord], str]:
@@ -749,13 +748,7 @@ def read_trace(path: str) -> tuple[dict, list[IterationRecord], str]:
     records out of a run's order: ``k`` counts 1, 2, 3, ..., ``stage``
     starts at 0 and rises by at most 1 per record, and the last record is
     at the last stage, ``dim - 2``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            rows = [json.loads(line) for line in (raw.strip() for raw in fh) if line]
-    except OSError as exc:
-        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, an int too long
-        raise ConfigError(f"trace line is not valid JSON: {exc}") from exc
+    rows = read_json(path, "trace", lines=True)
     if len(rows) < 2:
         raise ConfigError("trace too short: need a header and a final hash")
     if not all(isinstance(row, dict) for row in rows):
@@ -763,18 +756,13 @@ def read_trace(path: str) -> tuple[dict, list[IterationRecord], str]:
     header, body, footer = rows[0], rows[1:-1], rows[-1]
     if header.get("format") != TRACE_FORMAT:
         raise ConfigError(f"unknown trace format: {header.get('format')!r}")
-    dim = header.get("dim")
-    if not _is_int(dim) or not linalg.MIN_DIM <= dim <= linalg.MAX_DIM:
-        raise ConfigError(f"trace header lacks a usable dim: {dim!r}")
+    dim = linalg.require_dim(header.get("dim"), "trace header dim")
     if "final_sha256" not in footer:
         raise ConfigError("trace truncated: final hash line missing")
     recorded = footer["final_sha256"]
     if not (isinstance(recorded, str) and len(recorded) == 64 and set(recorded) <= _HEX_DIGITS):
         raise ConfigError(f"trace final_sha256 must be 64 lowercase hex digits, got {recorded!r}")
-    try:
-        records = [_record(row, dim) for row in body]
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ConfigError(f"bad trace record: {exc}") from exc
+    records = [_record(row, dim) for row in body]
     stages = (0,)
     for k, rec in enumerate(records, start=1):
         if rec.k != k or rec.stage not in stages:

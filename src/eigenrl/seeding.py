@@ -28,6 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigError
+
+#: the most members whose seeds one root seed derives: member indices are
+#: one 32-bit word of the entropy
+MAX_MEMBERS = 1 << 32
+
 _MASK = 0xFFFFFFFF
 _POOL = 4
 # NumPy's SeedSequence constants
@@ -53,10 +59,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ (value >> 16)
 
 
+def require_seed(seed: int, what: str = "seed") -> int:
+    """``seed`` if it is non-negative, as NumPy's seed sequences need;
+    ConfigError naming ``what`` otherwise."""
+    if seed < 0:
+        raise ConfigError(f"{what} must be non-negative, got {seed}")
+    return seed
+
+
 def _words(value: int) -> list[int]:
     """The 32-bit words of a non-negative integer, least significant first."""
-    if value < 0:
-        raise ValueError(f"seeds must be non-negative, got {value}")
     words = [value & _MASK]
     while value := value >> 32:
         words.append(value & _MASK)
@@ -90,9 +102,9 @@ def derive_seeds(root: int, salt: int, count: int) -> np.ndarray:
     """(count,) uint64: seed ``i`` is ``SeedSequence([root, salt,
     i]).generate_state(1, np.uint64)[0]``, the independent child seed of
     member ``i`` of a run seeded ``root``."""
-    if count > 1 << 32:
-        raise ValueError(f"at most 2**32 members share a root seed, got {count}")
-    head = _words(root) + _words(salt)
+    if count > MAX_MEMBERS:
+        raise ConfigError(f"at most {MAX_MEMBERS} members share a root seed, got {count}")
+    head = _words(require_seed(root, "root seed")) + _words(require_seed(salt, "salt"))
     entropy = np.empty((len(head) + 1, count), dtype=np.uint32)
     entropy[:-1] = np.array(head, dtype=np.uint32)[:, None]
     entropy[-1] = np.arange(count, dtype=np.uint32)
@@ -127,8 +139,7 @@ def generators(seeds: Sequence[int] | np.ndarray) -> list:
     """One ``np.random.Generator`` per non-negative integer seed, each with
     the stream of ``np.random.default_rng(seed)``."""
     values = np.asarray(seeds, dtype=object).tolist()  # Python ints, of any width
-    if min(values, default=0) < 0:
-        raise ValueError(f"seeds must be non-negative, got {min(values)}")
+    require_seed(min(values, default=0))
     width = max(2, -(-max(values, default=0).bit_length() // 32))  # words of the widest
     blob = b"".join(v.to_bytes(4 * width, "little") for v in values)
     entropy = np.frombuffer(blob, dtype="<u4").reshape(len(values), width).T.astype(np.uint32)

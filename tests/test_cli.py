@@ -14,6 +14,17 @@ import pytest
 from eigenrl import harness, linalg, protocol
 from eigenrl.cli import main
 from eigenrl.environment import load_operator, save_operator
+from eigenrl.errors import (
+    BadDim,
+    ConfigError,
+    DimMismatch,
+    EigenrlError,
+    ModeMismatch,
+    NoConvergence,
+    NotHermitian,
+    NotNormalized,
+    StageOverflow,
+)
 from results import read_results
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -491,6 +502,14 @@ MALFORMED = {
         "gen-operator", "--kind", "bell", "--out", str(tmp_path / "nodir" / "op.json")],
     "gen-operator-out-is-a-directory": lambda tmp_path: [
         "gen-operator", "--kind", "bell", "--out", str(tmp_path)],
+    # integers the parser once passed and the run then crashed on
+    "repetitions-beyond-the-member-limit": lambda tmp_path: run_args(
+        tmp_path, repetitions=5_000_000_000),
+    "max-iterations-beyond-int64": lambda tmp_path: run_args(
+        tmp_path, stopping={"kind": "threshold", "w_min": 0.01, "max_iterations": 2**63}),
+    "budget-beyond-int64": lambda tmp_path: run_args(
+        tmp_path, stopping={"kind": "fixed-budget", "budgets": [2**63]}),
+    "record-every-beyond-int64": lambda tmp_path: run_args(tmp_path, record_every=2**70),
 }
 
 
@@ -505,6 +524,14 @@ def test_malformed_input_exits_2_with_one_stderr_line(tmp_path, capsys, case):
     assert captured.out == ""
     # nothing was written: every input is as it was and no output appeared
     assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+
+def test_bad_input_is_a_config_error_and_a_runtime_failure_is_not():
+    """Exit 2 for every bad-input class, exit 3 for the runtime failures."""
+    for cls in (BadDim, NotHermitian, ModeMismatch):
+        assert issubclass(cls, ConfigError), cls
+    for cls in (NoConvergence, StageOverflow, NotNormalized, DimMismatch):
+        assert issubclass(cls, EigenrlError) and not issubclass(cls, ConfigError), cls
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])

@@ -55,6 +55,22 @@ def assert_same_result(got, want):
     assert got.metadata == want.metadata
 
 
+def test_the_largest_counts_a_config_takes_change_no_bit():
+    """A threshold cap of ``protocol.MAX_COUNT``, never reached, gives the
+    bits of a smaller unreached cap, and a stride of ``MAX_COUNT`` records
+    k = 0 alone: the int64 stage ends and record points do not wrap.  With a
+    cap of 2**63 - 1 the stage ends wrapped, and this run crashed."""
+    def run(cap, every=1):
+        return harness.run_experiment(small_config(
+            dim=4, repetitions=300, seed=5, record_every=every,
+            stopping=StoppingRule(kind="threshold", w_min=1e-2, max_iterations=cap)))
+
+    got, want = run(protocol.MAX_COUNT), run(10**6)
+    assert got.metadata["longest_run"] == want.metadata["longest_run"] < 10**6
+    assert_same_result(got, replace(want, metadata=got.metadata))
+    assert run(10**6, protocol.MAX_COUNT).ks.tolist() == [0]
+
+
 def raw_dict(**overrides):
     base = {
         "dim": 2,

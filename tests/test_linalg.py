@@ -99,6 +99,14 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             linalg.eig_hermitian(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        stack = np.stack([SX] * 4)
+        stack[2, 0, 1] += 1e-9
+        stack[3, 1, 0] += 1e-9  # the message names the first member that is not
+        with pytest.raises(NotHermitian, match=r"member 2 is not Hermitian: .* = 1\.000e-09"):
+            linalg.eig_hermitian(stack)
+        stack[2:] = SX
+        stack[2, 0, 1] += 1e-11  # within HERMITICITY_TOL
+        linalg.eig_hermitian(stack)
 
 
 def sweeps_needed(h):

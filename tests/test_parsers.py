@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigenrl import harness, linalg, protocol
+from eigenrl import harness, linalg, protocol, seeding
 from eigenrl.environment import load_operator
 from eigenrl.errors import ConfigError
 from eigenrl.linalg import MAX_DIM, MIN_DIM
@@ -121,6 +121,11 @@ VALID_CONFIG = {
 @example({**VALID_CONFIG, "w_cap": None})  # null means uncapped
 @example({**VALID_CONFIG, "env_kind": "random", "single_qubit": None})
 @example({**VALID_CONFIG, "env_kind": "random", "single_qubit": None, "operator_file": None})
+@example({**VALID_CONFIG, "repetitions": 5_000_000_000})
+@example({**VALID_CONFIG, "record_every": 2**70})
+@example({**VALID_CONFIG, "stopping": {"kind": "threshold", "w_min": 0.01, "max_iterations": 2**63}})
+@example({**VALID_CONFIG, "env_kind": "random", "single_qubit": None,
+          "stopping": {"kind": "fixed-budget", "budgets": [2**63]}})
 def test_config_from_dict_raises_only_config_error(raw):
     try:
         config = harness.config_from_dict(raw)
@@ -128,6 +133,11 @@ def test_config_from_dict_raises_only_config_error(raw):
         return
     assert all(math.isfinite(v) for v in (config.r, config.nu, config.w1, config.tau))
     assert MIN_DIM <= config.dim <= MAX_DIM and min(config.seed, config.env_seed) >= 0
+    # the engine's bounds: a uint32 member index, and iteration counts whose
+    # int64 sums do not wrap
+    assert 1 <= config.repetitions <= seeding.MAX_MEMBERS == 2**32
+    counts = [config.record_every, config.stopping.max_iterations, *(config.stopping.budgets or ())]
+    assert all(1 <= count <= protocol.MAX_COUNT for count in counts)
     echoed = json.loads(json.dumps(harness.config_to_dict(config)))
     assert harness.config_from_dict(echoed) == config
     for key, value in raw.items():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenrl import harness, seeding
+from eigenrl.errors import ConfigError
 from reference import derive_seed
 
 
@@ -43,10 +44,15 @@ def test_generators_give_numpys_streams():
 
 
 def test_negative_seeds_are_refused():
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ConfigError, match="non-negative"):
         seeding.generators([3, -1])
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ConfigError, match="non-negative"):
         seeding.derive_seeds(-1, harness._REP_SALT, 4)
+
+
+def test_the_member_limit_is_refused_before_any_work():
+    with pytest.raises(ConfigError, match=str(seeding.MAX_MEMBERS)):
+        seeding.derive_seeds(7, harness._REP_SALT, seeding.MAX_MEMBERS + 1)
 
 
 def test_importing_the_command_line_leaves_numpy_random_unloaded():
