@@ -79,9 +79,13 @@ class Environment:
 
 def _environments(operators: np.ndarray, tau: float) -> list[Environment]:
     """One environment per operator of a (B, d, d) stack, all diagonalized
-    in one stacked call; ConfigError unless ``tau`` is a finite number."""
+    in one stacked call; ConfigError unless ``tau`` is a finite number whose
+    product with every eigenvalue, the propagator's phase, is finite."""
     tau = finite_number(tau, "tau")
     system = linalg.eig_hermitian(operators)
+    phase = abs(tau) * float(np.abs(system.eigenvalues).max(initial=0.0))
+    if not math.isfinite(phase):
+        raise ConfigError(f"tau {tau} times the largest eigenvalue magnitude overflows")
     system.eigenvalues.setflags(write=False)
     system.eigenvectors.setflags(write=False)
     envs = []

@@ -568,7 +568,7 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
     else:
         envs = [build_environment(config)]
     seeds = seeding.derive_seeds(config.seed, _REP_SALT, n)
-    ensemble = protocol.EnsembleState(config.dim, config.params, seeds)
+    ensemble = protocol.EnsembleState(config.dim, config.params, config.stopping, seeds)
     fold = _Fold(config, envs, ensemble)
     observer = fold.observe
     if trace:
@@ -582,7 +582,7 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
     log.info("set-up: %d environments built and %d members seeded in %.3f s",
              len(envs), n, time.perf_counter() - start)
     start = time.perf_counter()
-    run_stages(ensemble, _black_box(envs), config.stopping, observer)
+    run_stages(ensemble, _black_box(envs), observer)
     seconds = time.perf_counter() - start
     if config.stopping.kind == "threshold":
         for t, (met, capped) in enumerate(zip(ensemble.reached_w_min.tolist(),

@@ -33,13 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDim, DimMismatch, NoConvergence, NotHermitian, integer
+from .errors import BadDim, ConfigError, DimMismatch, NoConvergence, NotHermitian, integer
 
 #: the Hilbert-space dimensions the package accepts from its inputs
 MIN_DIM = 2
 MAX_DIM = 64
 #: tolerance for accepting a matrix as Hermitian
 HERMITICITY_TOL = 1e-10
+#: bound on the magnitude of the real and imaginary part of a matrix entry:
+#: below it the 2 * MAX_DIM**2 squares a Frobenius norm sums stay finite
+MAX_ENTRY = 1e150
 #: hard cap on cyclic Jacobi sweeps before giving up
 JACOBI_SWEEP_BUDGET = 100
 #: components smaller than this are ignored when fixing a global phase
@@ -94,13 +97,21 @@ def hermiticity_defect(h: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
-    """NotHermitian, naming ``what``, unless the matrix ``h`` is Hermitian
-    within HERMITICITY_TOL; for a stack, the first member that is not."""
+    """ConfigError, naming ``what``, unless every real and imaginary part of
+    an entry of the matrix ``h`` lies within MAX_ENTRY, then NotHermitian
+    unless ``h`` is Hermitian within HERMITICITY_TOL; for a stack, the first
+    member at fault.  The entries come first: beyond the bound the defect
+    itself can overflow."""
+    name = (lambda i: f"{what} member {i}") if h.ndim == 3 else (lambda i: what)
+    size = np.maximum(np.abs(h.real), np.abs(h.imag)).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(~(size <= MAX_ENTRY))
+    if bad.size:
+        raise ConfigError(f"{name(bad[0])} has an entry part of magnitude "
+                          f"{size.flat[bad[0]]:.3e}, beyond {MAX_ENTRY:.0e}")
     defect = hermiticity_defect(h)
     bad = np.flatnonzero(defect > HERMITICITY_TOL)
     if bad.size:
-        member = f" member {bad[0]}" if h.ndim == 3 else ""
-        raise NotHermitian(f"{what}{member} is not Hermitian: max |H - H^dag| = "
+        raise NotHermitian(f"{name(bad[0])} is not Hermitian: max |H - H^dag| = "
                            f"{defect.flat[bad[0]]:.3e} exceeds {HERMITICITY_TOL:.1e}")
 
 
@@ -160,7 +171,8 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
 
     Raises
     ------
-    NotHermitian if a member is not Hermitian within HERMITICITY_TOL,
+    ConfigError if a member has an entry beyond MAX_ENTRY, NotHermitian if
+    a member is not Hermitian within HERMITICITY_TOL,
     NoConvergence if a member exhausts the sweep budget; for a stack the
     message names the member.
     """
@@ -264,11 +276,8 @@ def rotation_blocks(phi: np.ndarray) -> np.ndarray:
     same order; the terms they drop are exact zeros, which leave a nonzero
     sum unchanged.  A block with a zero among those products (an angle of
     exactly 0, or an underflow) could differ in the sign of a zero, so it
-    is computed by :func:`rotation_block` itself, and so is a lone block,
-    for which the scalar arithmetic is the faster of the two.
+    is computed by :func:`rotation_block` itself.
     """
-    if phi.shape[1] == 1:
-        return rotation_block(RotationAngles(*phi[:, 0].tolist()))[None]
     half = 0.5 * phi
     trig = np.array((np.cos(half), np.sin(half)))  # of the half angles x, y, z
     # t[i, j, k] = (cy, sy)[i] * (cx, sx)[j] * (cz, sz)[k], multiplied left to right

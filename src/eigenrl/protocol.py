@@ -17,8 +17,9 @@ stage ``t``:
    stage, so nothing changes.
 
 A stage ends when its stopping rule fires; the search range then resets
-and the next column is learned.  The last column needs no stage of its
-own, being pinned by unitarity.
+and the next column is learned.  Each ensemble runs under one rule, given
+when it is built.  The last column needs no stage of its own, being pinned
+by unitarity.
 
 There is one engine: :class:`EnsembleState` advances many independently
 seeded agents together with stacked array operations, and every check,
@@ -151,8 +152,9 @@ class RewardParams:
     """Feedback constants: shrink factor ``r``, growth product ``nu = r p``.
 
     ``w_cap`` optionally saturates the search range on punishment.  The
-    default (infinity) keeps the bare multiplicative update, for which
-    ``w = w1 * r**n_r * p**n_p`` holds exactly.  A cap of 1 is the natural
+    default (infinity) keeps the bare multiplicative update, for which a
+    stage of ``a`` rewards and ``b`` punishments ends at
+    ``w = w1 * r**a * p**b`` exactly.  A cap of 1 is the natural
     saturated choice: at ``w = 1`` the punish angles already span the full
     ``[-pi, pi]`` interval, so larger ``w`` only relabels the same rotation
     distribution while making recovery from a long punish streak
@@ -329,14 +331,14 @@ class EnsembleState:
     call, draws every segment's outcomes at once, and applies all its
     punishments in one stacked update.
 
-    A member runs until its own stopping rule has closed its last stage,
-    so threshold runs end at different iterations; ``active`` lists the
+    Every member runs under ``rule``, the stopping rule given at
+    construction, which refuses one that ``validate_rule`` rejects before
+    any round.  A member runs until the rule has closed its last stage, so
+    threshold runs end at different iterations; ``active`` lists the
     members still running.  ``calls[i]`` counts member ``i``'s iterations,
     its uses of the black box; ``k`` is one more than their sum.  The
     drift control runs after a member's own iteration ``k`` whenever
-    ``k % REORTHONORMALIZE_EVERY == 0``, as for a lone agent.  ``n_r`` and
-    ``n_p`` count the current stage only, so ``w = w1 * r**n_r * p**n_p``
-    holds per stage while ``w_cap`` is infinite, the default.
+    ``k % REORTHONORMALIZE_EVERY == 0``, as for a lone agent.
     ``closed[t]`` counts the members that have closed stage ``t``, and
     ``closed_at[t]`` is the last iteration at which one did.
 
@@ -354,19 +356,19 @@ class EnsembleState:
     the ``max_iterations`` cap.
     """
 
-    def __init__(self, dim: int, params: RewardParams,
+    def __init__(self, dim: int, params: RewardParams, rule: StoppingRule,
                  seeds: Sequence[int] | np.ndarray) -> None:
         linalg.require_dim(dim)
+        validate_rule(dim, params, rule)
         n = len(seeds)
         self.dim = dim
         self.params = params
+        self.rule = rule
         self.rngs = seeding.generators(seeds)
         self.bases = np.tile(np.eye(dim, dtype=np.complex128), (n, 1, 1))
         self.w = np.full(n, params.w1)
         self.stage = np.zeros(n, dtype=np.intp)
         self.calls = np.zeros(n, dtype=np.int64)
-        self.n_r = np.zeros(n, dtype=np.int64)
-        self.n_p = np.zeros(n, dtype=np.int64)
         self.active = np.arange(n)
         self.rounds = 0
         self.evolved = 0
@@ -390,13 +392,13 @@ class EnsembleState:
         self._total = np.empty(n)
         self._stages = (0, 0)  # the least and the greatest stage running
         self._stale = np.ones(n, dtype=bool)
-        # each member's calls when its stage opened, and when the stopping
-        # rule closes the stage at the latest (set by the first advance)
-        self._stage_start = np.zeros(n, dtype=np.int64)
-        self._stage_end = self._stage_start.copy()
-        self._soonest_end = 0  # the least _stage_end of a running member
+        # iterations each stage may run at most, none after the last, and
+        # each member's calls when the rule closes its stage at the latest
+        limit = rule.budgets if rule.kind == "fixed-budget" else [rule.max_iterations] * dim
+        self._limit = np.append(np.asarray(limit[:dim - 1], dtype=np.int64), 0)
+        self._stage_end = np.full(n, self._limit[0])
+        self._soonest_end = int(self._limit[0])  # the least _stage_end of a running member
         self._stopped_at = 0  # the most iterations a finished member ran
-        self._rule: StoppingRule | None = None
 
     @property
     def k(self) -> int:
@@ -476,7 +478,7 @@ class EnsembleState:
             w_after = np.where(reward, self.params.r, 1.0)
             w_after[:, 0] *= w
             last, length, ends = self._zeros[:m], self._ones[:m], self._index[:m]
-            rewards, ended, w_end = reward[:, 0], punish[:, 0], w_after[:, 0]
+            ended, w_end = punish[:, 0], w_after[:, 0]
         else:
             # w before the window, then along it as one sequential product
             trail = np.empty((m, width + 1))
@@ -490,7 +492,6 @@ class EnsembleState:
                 stop |= w_after < w_min
             last = stop.argmax(axis=1)
             ends = np.arange(0, m * width, width) + last  # flat, in the (m, width) arrays
-            rewards = np.add.accumulate(reward, axis=1, dtype=np.intp).take(ends)
             # in trail, whose rows are one longer, the iteration after them
             ended, w_end = punish.take(ends), trail.take(ends + self._index[1:m + 1])
             length = last + 1
@@ -513,8 +514,6 @@ class EnsembleState:
             if caps is not None:
                 trail.put(at + hit + 1, grown)
         self.w[sel] = w_end
-        self.n_r[sel] += rewards
-        self.n_p[sel] += ended
         self.calls[sel] = calls
         if controlled is not None and controlled.any():
             for i in members[controlled]:
@@ -552,23 +551,15 @@ class EnsembleState:
         at = self.stage[sel, None] + _OWN_AND_NEXT
         return cumulative, cumulative[self._index[:len(cumulative), None], at]
 
-    def advance(
-        self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray], rule: StoppingRule
-    ) -> EnsembleRecord:
+    def advance(self, interact: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> EnsembleRecord:
         """Run one round (see the class docstring) and close the stages that
-        ``rule`` says are done.
+        the rule says are done.
 
         ``interact(members, probes)`` evolves row ``j`` of ``probes`` as the
         black box of member ``members[j]`` would; it sees the probes of the
         stale members only, and is not called when none is stale.
         """
-        if rule is not self._rule:
-            self._rule = rule
-            # iterations each stage may run at most; none after the last
-            limit = rule.budgets if rule.kind == "fixed-budget" else [rule.max_iterations] * self.dim
-            self._limit = np.append(np.asarray(limit[:self.dim - 1], dtype=np.int64), 0)
-            self._stage_end = self._stage_start + self._limit[self.stage]
-            self._soonest_end = int(self._stage_end[self.active].min()) if len(self.active) else 0
+        rule = self.rule
         members = self.active
         if not len(members):
             raise StageOverflow("no member is active: every stage is done")
@@ -605,7 +596,7 @@ class EnsembleState:
                            keep=width > 1 or fastest > slowest or self._stopped_at > slowest)
         # no budget can run out before the soonest stage end
         if threshold or fastest + width >= self._soonest_end:
-            closing = self.stage_converged(rule, sel)
+            closing = self.stage_converged(sel)
             if closing.any():
                 closed = members[closing]
                 if threshold:
@@ -616,12 +607,12 @@ class EnsembleState:
                 self.advance_stage(closed)
         return rec
 
-    def stage_converged(self, rule: StoppingRule, sel: np.ndarray | slice) -> np.ndarray:
+    def stage_converged(self, sel: np.ndarray | slice) -> np.ndarray:
         """Mask over the selected running members: whose current stage the
         rule has closed, by its ``w_min`` or by the iterations it allows."""
         done = self.calls[sel] == self._stage_end[sel]
-        if rule.kind == "threshold":
-            done |= self.w[sel] < rule.w_min
+        if self.rule.kind == "threshold":
+            done |= self.w[sel] < self.rule.w_min
         return done
 
     def advance_stage(self, members: np.ndarray) -> None:
@@ -634,9 +625,7 @@ class EnsembleState:
         self.stage[members] = stages + 1
         self._stale[members] = True
         self.w[members] = self.params.w1
-        self.n_r[members] = 0
-        self.n_p[members] = 0
-        self._stage_start[members] = self.calls[members]
+        self._stage_end[members] = self.calls[members] + self._limit[stages + 1]
         if (stages == self.dim - 2).any():
             self.active = self.active[self.stage[self.active] < self.dim - 1]
             last = members[stages == self.dim - 2]
@@ -644,9 +633,7 @@ class EnsembleState:
         if len(self.active):
             running = self.stage[self.active]
             self._stages = (int(running.min()), int(running.max()))
-        if self._rule is not None:
-            self._stage_end[members] = self.calls[members] + self._limit[stages + 1]
-            self._soonest_end = int(self._stage_end[self.active].min()) if len(self.active) else 0
+            self._soonest_end = int(self._stage_end[self.active].min())
 
 
 def validate_rule(dim: int, params: RewardParams, rule: StoppingRule) -> None:
@@ -664,10 +651,10 @@ def validate_rule(dim: int, params: RewardParams, rule: StoppingRule) -> None:
 def run_stages(
     state: EnsembleState,
     interact: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    rule: StoppingRule,
     observer: Callable[[EnsembleState, EnsembleRecord], None] | None = None,
 ) -> EnsembleState:
-    """Drive every member of an ensemble through all ``dim - 1`` stages.
+    """Drive every member of an ensemble through all ``dim - 1`` stages,
+    under the stopping rule it was built with.
 
     The ensemble runs round by round (:meth:`EnsembleState.advance`, which
     says what the batched black box ``interact`` sees), and
@@ -677,10 +664,9 @@ def run_stages(
     members.  An uncapped runaway ``w`` overflows to ``inf``, the value of
     the bare update, silently.
     """
-    validate_rule(state.dim, state.params, rule)
     with np.errstate(over="ignore"):
         while not state.finished:
-            rec = state.advance(interact, rule)
+            rec = state.advance(interact)
             if observer is not None:
                 observer(state, rec)
     return state

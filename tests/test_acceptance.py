@@ -153,12 +153,13 @@ def test_7_exact_property_suite():
         closed = params.w1 * params.r**n_r * params.p**n_p
         worst_ledger = max(worst_ledger, np.abs(walked / closed - 1.0).max())
         for column in range(0, 20_000, 100):  # real-update anchor
-            agent = EnsembleState(3, params, [column])
+            agent = EnsembleState(3, params, StoppingRule(), [column])
             agent.advance_stage(np.array([0]))
-            for m in outcomes[: lengths[column], column]:
-                feed(agent, int(m))
+            kinds = [feed(agent, int(m)).classification
+                     for m in outcomes[: lengths[column], column]]
             assert agent.w[0] == walked[column]
-            assert (agent.n_r[0], agent.n_p[0]) == (n_r[column], n_p[column])
+            assert (kinds.count(protocol.REWARD), kinds.count(protocol.PUNISH)) == (
+                n_r[column], n_p[column])
     print(f"\n[7a] ledger identity worst rel err = {worst_ledger:.2e} (<= 1e-9)")
     assert worst_ledger <= 1e-9
 
@@ -166,12 +167,12 @@ def test_7_exact_property_suite():
     # in stage 0
     env = env_random(4, 1.0, seed=3)
     black_box = harness._black_box([env])
-    agent = EnsembleState(4, RewardParams(r=0.9, nu=2.0), [3])
     rule = StoppingRule(kind="fixed-budget", budgets=(100_000, 1, 1))
+    agent = EnsembleState(4, RewardParams(r=0.9, nu=2.0), rule, [3])
     punished = 0
     with np.errstate(over="ignore"):  # an uncapped w may run away, as in run_stages
         while agent.stage[0] == 0:
-            punished += int(agent.advance(black_box, rule).punished.sum())
+            punished += int(agent.advance(black_box).punished.sum())
     assert agent.calls[0] == 100_000 and punished > 0
     basis = agent.bases[0]
     defect = np.abs(basis.conj().T @ basis - np.eye(4)).max()
@@ -222,11 +223,10 @@ def test_7_exact_property_suite():
     env = env_from_matrix(np.diag([-1.0, 0.4, 1.1]), tau=1.0)
     black_box = harness._black_box([env])
     params = RewardParams(r=0.9, nu=2.0)
-    agent = EnsembleState(3, params, [8])
-    rule = StoppingRule(kind="fixed-budget", budgets=(200, 1))
+    agent = EnsembleState(3, params, StoppingRule(kind="fixed-budget", budgets=(200, 1)), [8])
     expected = params.w1
     while agent.stage[0] == 0:
-        rec = agent.advance(black_box, rule)
+        rec = agent.advance(black_box)
         walked = rec.w_after[0, :rec.length[0]]
         for w in walked.tolist():
             expected *= params.r

@@ -435,6 +435,36 @@ def replay_onto_trace_args(tmp_path):
     return [*argv, "--d-matrix", str(tmp_path / "." / "one.trace")]
 
 
+def huge_operator(tmp_path, entry, dim=2):
+    """An operator file of a Hermitian matrix whose every real part, and
+    every imaginary part off the diagonal, has magnitude ``entry``."""
+    signs = np.where(np.add.outer(np.arange(dim), np.arange(dim)) % 3 == 0, -1.0, 1.0)
+    real = entry * signs
+    imag = entry * np.triu(signs, 1)
+    operator = tmp_path / "op.json"
+    operator.write_text(json.dumps({"dim": dim, "tau": 1.0, "entries_re": real.tolist(),
+                                    "entries_im": (imag - imag.T).tolist()}))
+    return str(operator)
+
+
+def huge_verify_args(tmp_path, entry, dim=2):
+    argv = verify_args(tmp_path, np.eye(dim))
+    argv[argv.index("--operator") + 1] = huge_operator(tmp_path, entry, dim)
+    return argv
+
+
+def huge_run_args(tmp_path, entry, dim=2):
+    return run_args(tmp_path, dim=dim, env_kind="file", env_seed=None,
+                    operator_file=huge_operator(tmp_path, entry, dim), repetitions=2,
+                    record_every=1, stopping={"kind": "fixed-budget", "budgets": [3] * (dim - 1)})
+
+
+def bundled_config_args(tmp_path, name, **changes):
+    """run argv for the bundled config ``name`` with ``changes`` to its keys."""
+    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    return run_args(tmp_path, **{**raw, **changes})
+
+
 def deeply_nested_config_args(tmp_path):
     argv = run_args(tmp_path)
     Path(argv[2]).write_text("[" * 100_000)
@@ -510,6 +540,20 @@ MALFORMED = {
     "budget-beyond-int64": lambda tmp_path: run_args(
         tmp_path, stopping={"kind": "fixed-budget", "budgets": [2**63]}),
     "record-every-beyond-int64": lambda tmp_path: run_args(tmp_path, record_every=2**70),
+    # numbers the parsers once passed and the arithmetic then overflowed on
+    "verify-operator-entries-near-the-float-maximum": lambda tmp_path: huge_verify_args(
+        tmp_path, 1e308),
+    "run-operator-entries-near-the-float-maximum": lambda tmp_path: huge_run_args(tmp_path, 1e308),
+    "verify-operator-entries-beyond-the-entry-bound": lambda tmp_path: huge_verify_args(
+        tmp_path, 1e200),
+    "run-operator-entries-beyond-the-entry-bound": lambda tmp_path: huge_run_args(tmp_path, 1e200),
+    "single-qubit-eigenvalue-beyond-the-entry-bound": lambda tmp_path: run_args(
+        tmp_path, env_kind="single-qubit-spec", env_seed=None,
+        single_qubit={"alpha": 1.0, "beta": 0.5, "lambda0": 1e308, "lambda1": 0.5}),
+    "bell-tau-overflows-the-phase": lambda tmp_path: bundled_config_args(
+        tmp_path, "fig7_bell.json", tau=1e308),
+    "gen-operator-tau-overflows-the-phase": lambda tmp_path: [
+        "gen-operator", "--kind", "bell", "--tau", "1e308", "--out", str(tmp_path / "o.json")],
 }
 
 
@@ -524,6 +568,28 @@ def test_malformed_input_exits_2_with_one_stderr_line(tmp_path, capsys, case):
     assert captured.out == ""
     # nothing was written: every input is as it was and no output appeared
     assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+
+def test_an_entry_beyond_the_bound_is_named_before_the_hermitian_defect(tmp_path, capsys):
+    """An operator entry beyond ``MAX_ENTRY`` is reported as such, not as
+    the Hermitian defect its rounding leaves."""
+    for case in ("verify-operator-entries-near-the-float-maximum",
+                 "single-qubit-eigenvalue-beyond-the-entry-bound"):
+        assert main(MALFORMED[case](tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"beyond {linalg.MAX_ENTRY:.0e}" in err and "Hermitian" not in err, err
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_entries_at_the_bound_stay_finite_at_the_largest_dim(tmp_path, capsys, command):
+    """At ``MAX_DIM`` an operator whose every entry part is ``MAX_ENTRY``
+    runs and verifies without an overflow: the suite makes a warning an
+    error, and the printed numbers are finite."""
+    make = huge_verify_args if command == "verify" else huge_run_args
+    argv = make(tmp_path, linalg.MAX_ENTRY, linalg.MAX_DIM)
+    assert main(argv) in (0, 1)
+    out = capsys.readouterr().out
+    assert out and "nan" not in out and "inf" not in out, out
 
 
 def test_bad_input_is_a_config_error_and_a_runtime_failure_is_not():

@@ -312,7 +312,7 @@ def fold_at_start(bases, envs, mode, w1=1.0):
         resample_env_per_repetition=len(envs) > 1,
         stopping=StoppingRule(kind="fixed-budget", budgets=(1,) * (d - 1)),
     )
-    ensemble = protocol.EnsembleState(d, config.params, list(range(n)))
+    ensemble = protocol.EnsembleState(d, config.params, config.stopping, list(range(n)))
     ensemble.bases[:] = bases
     return harness._Fold(config, envs, ensemble), ensemble
 
@@ -627,12 +627,12 @@ class TestRunExperiment:
         ensemble = protocol.EnsembleState(
             cfg.dim,
             cfg.params,
+            cfg.stopping,
             [reference.derive_seed(cfg.seed, i) for i in range(cfg.repetitions)],
         )
         returned = protocol.run_stages(
             ensemble,
             lambda members, probes: (unitaries[members] @ probes[:, :, None])[:, :, 0],
-            cfg.stopping,
         )
         assert returned is ensemble
         assert ensemble.k - 1 == sum(agent.k - 1 for agent in agents)
@@ -721,10 +721,11 @@ class TestRunExperiment:
                       stopping=StoppingRule(kind="threshold", w_min=0.05, max_iterations=3000))
         envs = [harness.build_environment(cfg)]
         ensemble = protocol.EnsembleState(
-            cfg.dim, cfg.params, [reference.derive_seed(cfg.seed, i) for i in range(cfg.repetitions)]
+            cfg.dim, cfg.params, cfg.stopping,
+            [reference.derive_seed(cfg.seed, i) for i in range(cfg.repetitions)],
         )
         fold = harness._Fold(cfg, envs, ensemble)
-        protocol.run_stages(ensemble, harness._black_box(envs), cfg.stopping, fold.observe)
+        protocol.run_stages(ensemble, harness._black_box(envs), fold.observe)
         span = ensemble.reach // cfg.record_every + 2
         assert 2 < len(fold._f) <= span < 2 * len(fold._f)
         assert len(fold._w) <= span + ensemble.reach
@@ -968,8 +969,8 @@ def test_threshold_convergence_couples_probe_to_outcome():
     rule = StoppingRule(kind="threshold", w_min=1e-3, max_iterations=200_000)
     for seed in (13, 16, 22, 23, 24):
         env = env_random(2, 1.0, seed=seed)
-        agent = protocol.EnsembleState(2, params, [seed])
-        protocol.run_stages(agent, harness._black_box([env]), rule)
+        agent = protocol.EnsembleState(2, params, rule, [seed])
+        protocol.run_stages(agent, harness._black_box([env]))
         assert agent.k - 1 < rule.max_iterations  # stopped via w, not budget
         basis = agent.bases[0]
         evolved = lone_black_box(env)(basis[:, 0])

@@ -35,6 +35,17 @@ def default_params(**kw):
     return RewardParams(**merged)
 
 
+#: the default threshold rule, which every dim can run: the rule of the
+#: ensembles that ``feed`` drives, whose stages only close by hand
+THRESHOLD = StoppingRule()
+
+
+def tally(records):
+    """How many of ``records`` are rewards, and how many punishments."""
+    kinds = [rec.classification for rec in records]
+    return kinds.count(protocol.REWARD), kinds.count(protocol.PUNISH)
+
+
 class TestRewardParams:
     def test_growth_factor(self):
         assert default_params().p == pytest.approx(2.0 / 0.9)
@@ -92,14 +103,29 @@ class TestStoppingRule:
 
 
 def test_agent_initial_state():
-    agent = EnsembleState(3, default_params(), [1])
+    agent = EnsembleState(3, default_params(), THRESHOLD, [1])
     np.testing.assert_array_equal(agent.bases[0], np.eye(3))
     assert agent.w[0] == 1.0
     assert agent.stage[0] == 0
     assert agent.k == 1
-    assert (agent.n_r[0], agent.n_p[0], agent.calls[0]) == (0, 0, 0)
+    assert agent.calls[0] == 0
+    assert agent.rule is THRESHOLD
     with pytest.raises(BadDim):
-        EnsembleState(1, default_params(), [1])
+        EnsembleState(1, default_params(), THRESHOLD, [1])
+
+
+@pytest.mark.parametrize("dim, rule", [
+    (3, StoppingRule(kind="fixed-budget", budgets=(5,))),
+    (2, StoppingRule(w_min=1.0)),
+    (2, StoppingRule(w_min=2.0)),
+], ids=["too-few-budgets", "w_min-at-w1", "w_min-above-w1"])
+def test_a_rule_the_ensemble_cannot_run_is_refused_at_construction(dim, rule):
+    """The rule ``validate_rule`` rejects is refused when the ensemble is
+    built, before any round can reach the black box."""
+    with pytest.raises(ConfigError):
+        protocol.validate_rule(dim, default_params(), rule)
+    with pytest.raises(ConfigError):
+        EnsembleState(dim, default_params(), rule, [1])
 
 
 def returning(evolved):
@@ -112,9 +138,9 @@ ONE_ITERATION = StoppingRule(kind="fixed-budget", budgets=(1,))
 
 
 def test_measure_validates_shape():
-    agent = EnsembleState(2, default_params(), [3])
+    agent = EnsembleState(2, default_params(), ONE_ITERATION, [3])
     with pytest.raises(DimMismatch):
-        agent.advance(returning(np.zeros((1, 3), dtype=complex)), ONE_ITERATION)
+        agent.advance(returning(np.zeros((1, 3), dtype=complex)))
 
 
 def measure_lone(seed, basis, evolved, times):
@@ -122,12 +148,12 @@ def measure_lone(seed, basis, evolved, times):
     with basis ``basis`` and a black box that returns ``evolved``.  Lying in
     the span of columns 0 and 1, ``evolved`` gives neutral outcomes and
     rewards only, so the basis never moves."""
-    agent = EnsembleState(3, default_params(), [seed])
+    rule = StoppingRule(kind="fixed-budget", budgets=(1, times))
+    agent = EnsembleState(3, default_params(), rule, [seed])
     agent.bases[0] = basis
     agent.advance_stage(np.array([0]))
     seen = []
-    run_stages(agent, returning(evolved[None]),
-               StoppingRule(kind="fixed-budget", budgets=(1, times)), recorder(seen))
+    run_stages(agent, returning(evolved[None]), recorder(seen))
     assert {rec.classification for rec in seen} <= {protocol.NEUTRAL, protocol.REWARD}
     return [rec.outcome for rec in seen]
 
@@ -161,12 +187,12 @@ def test_born_weight_check_raises_under_optimize():
         "box = lambda states: lambda members, probes: np.array(states, dtype=complex)\n"
         "caught = 0\n"
         "try:\n"
-        "    EnsembleState(2, params, [1]).advance(box([[1.0, 1.0]]), rule)\n"
+        "    EnsembleState(2, params, rule, [1]).advance(box([[1.0, 1.0]]))\n"
         "except NotNormalized:\n"
         "    caught += 1\n"
-        "ensemble = EnsembleState(2, params, [1, 2])\n"
+        "ensemble = EnsembleState(2, params, rule, [1, 2])\n"
         "try:\n"
-        "    ensemble.advance(box([[1.0, 0.0], [0.6, 0.6]]), rule)\n"
+        "    ensemble.advance(box([[1.0, 0.0], [0.6, 0.6]]))\n"
         "except NotNormalized:\n"
         "    caught += 1\n"
         "print(sys.flags.optimize, caught)\n"
@@ -180,30 +206,30 @@ def test_born_weight_check_raises_under_optimize():
 
 class TestFeedback:
     def test_reward_shrinks_range_only(self):
-        agent = EnsembleState(2, default_params(), [5])
+        agent = EnsembleState(2, default_params(), THRESHOLD, [5])
         rec = feed(agent, 0)
         assert rec.classification == protocol.REWARD
         assert rec.angles is None
         assert agent.w[0] == pytest.approx(0.9)
-        assert (agent.n_r[0], agent.n_p[0]) == (1, 0)
+        assert tally([rec]) == (1, 0)
         np.testing.assert_array_equal(agent.bases[0], np.eye(2))
 
     def test_neutral_changes_nothing_but_the_counter(self):
-        agent = EnsembleState(3, default_params(), [5])
+        agent = EnsembleState(3, default_params(), THRESHOLD, [5])
         agent.advance_stage(np.array([0]))
         rec = feed(agent, 0)
         assert rec.classification == protocol.NEUTRAL
         assert agent.w[0] == 1.0
-        assert agent.calls[0] - agent.n_r[0] - agent.n_p[0] == 1
+        assert agent.calls[0] - sum(tally([rec])) == 1
         np.testing.assert_array_equal(agent.bases[0], np.eye(3))
 
     def test_punish_draw_order_and_block(self):
         """Punish consumes x, z, y bounds in that order after one measure draw."""
         seed = 421
-        agent = EnsembleState(2, default_params(), [seed])
+        agent = EnsembleState(2, default_params(), ONE_ITERATION, [seed])
         # every draw reaches outcome 1, a punishment at stage 0
         [rec] = protocol.iteration_records(
-            agent.advance(returning(np.array([[0.0, 1.0]], dtype=complex)), ONE_ITERATION))
+            agent.advance(returning(np.array([[0.0, 1.0]], dtype=complex))))
         assert (rec.k, rec.outcome, rec.classification) == (1, 1, protocol.PUNISH)
 
         mirror = np.random.default_rng(seed)
@@ -218,7 +244,7 @@ class TestFeedback:
         assert agent.finished and agent.calls[0] == 1
 
     def test_punish_touches_only_the_two_columns(self):
-        agent = EnsembleState(4, default_params(), [9])
+        agent = EnsembleState(4, default_params(), THRESHOLD, [9])
         before = agent.bases[0].copy()
         rec = feed(agent, 2)
         assert rec.classification == protocol.PUNISH
@@ -231,7 +257,7 @@ class TestFeedback:
 
 def test_runaway_search_range_never_overflows_the_sampler():
     """Uncapped w past ~1e6 turns must clamp the draw interval, not crash."""
-    agent = EnsembleState(2, default_params(), [2])
+    agent = EnsembleState(2, default_params(), THRESHOLD, [2])
     agent.w[0] = 1e300  # deep in the runaway regime
     rec = feed(agent, 1)
     assert rec.classification == protocol.PUNISH
@@ -243,7 +269,7 @@ def test_runaway_search_range_never_overflows_the_sampler():
 
 def test_search_range_saturates_at_cap():
     params = default_params(w_cap=1.0)
-    agent = EnsembleState(2, params, [13])
+    agent = EnsembleState(2, params, THRESHOLD, [13])
     prev = agent.w[0]
     for step in range(40):
         rec = feed(agent, 1 if step % 3 else 0)
@@ -259,29 +285,35 @@ def test_search_range_saturates_at_cap():
 def test_uncapped_ledger_identity_over_random_run():
     env = env_random(2, 1.0, seed=301)
     params = default_params()
-    agent = EnsembleState(2, params, [301])
+    agent = EnsembleState(2, params, StoppingRule(kind="fixed-budget", budgets=(600,)), [301])
+    seen = []
 
     def check(state, rec):
-        expected = params.w1 * params.r ** int(state.n_r[0]) * params.p ** int(state.n_p[0])
-        np.testing.assert_allclose(state.w[0], expected, rtol=1e-10)
+        # the one stage's records so far, and w after the last of them
+        seen.extend(protocol.iteration_records(rec))
+        rewards, punishments = tally(seen)
+        expected = params.w1 * params.r ** rewards * params.p ** punishments
+        np.testing.assert_allclose(seen[-1].w_after, expected, rtol=1e-10)
 
-    rule = StoppingRule(kind="fixed-budget", budgets=(600,))
-    run_stages(agent, harness._black_box([env]), rule, check)
+    run_stages(agent, harness._black_box([env]), check)
+    assert len(seen) == 600
 
 
 def test_advance_stage_resets_bookkeeping():
-    agent = EnsembleState(3, default_params(), [8])
-    feed(agent, 0)
-    feed(agent, 2)
-    assert (agent.n_r[0], agent.n_p[0], agent.calls[0]) == (1, 1, 2)
+    agent = EnsembleState(3, default_params(), THRESHOLD, [8])
+    seen = [feed(agent, 0), feed(agent, 2)]
+    assert (*tally(seen), agent.calls[0]) == (1, 1, 2)
     k_before = agent.k
     agent.advance_stage(np.array([0]))
     assert agent.stage[0] == 1
     assert agent.w[0] == 1.0
-    assert (agent.n_r[0], agent.n_p[0]) == (0, 0)
+    # the records of the stage now open
+    assert tally(rec for rec in seen if rec.stage == agent.stage[0]) == (0, 0)
     assert agent.k == k_before  # the global clock keeps running
-    assert feed(agent, 0).classification == protocol.NEUTRAL
-    assert (agent.n_r[0], agent.n_p[0], agent.k) == (0, 0, k_before + 1)
+    seen.append(feed(agent, 0))
+    assert seen[-1].classification == protocol.NEUTRAL
+    assert (*tally(rec for rec in seen if rec.stage == agent.stage[0]), agent.k) == (
+        0, 0, k_before + 1)
     agent.advance_stage(np.array([0]))
     with pytest.raises(StageOverflow):
         agent.advance_stage(np.array([0]))
@@ -294,14 +326,10 @@ def recorder(seen):
 
 def test_run_stages_budget_schedule():
     env = env_random(3, 1.0, seed=17)
-    agent = EnsembleState(3, default_params(), [17])
+    agent = EnsembleState(3, default_params(), StoppingRule(kind="fixed-budget", budgets=(5, 7)),
+                          [17])
     seen = []
-    run_stages(
-        agent,
-        harness._black_box([env]),
-        StoppingRule(kind="fixed-budget", budgets=(5, 7)),
-        recorder(seen),
-    )
+    run_stages(agent, harness._black_box([env]), recorder(seen))
     assert [rec.stage for rec in seen] == [0] * 5 + [1] * 7
     assert [rec.k for rec in seen] == list(range(1, 13))
     assert agent.stage[0] == 2
@@ -311,9 +339,9 @@ def test_run_stages_budget_schedule():
 def test_threshold_run_on_diagonal_environment():
     """Probe starts on an eigenvector: pure reward, w = r^k, basis frozen."""
     params = default_params()
-    agent = EnsembleState(2, params, [99])
+    agent = EnsembleState(2, params, StoppingRule(w_min=1e-3), [99])
     seen = []
-    run_stages(agent, harness._black_box([DIAG2]), StoppingRule(w_min=1e-3), recorder(seen))
+    run_stages(agent, harness._black_box([DIAG2]), recorder(seen))
     expected_len = math.ceil(math.log(1e-3) / math.log(params.r))
     assert len(seen) == expected_len
     assert all(rec.classification == protocol.REWARD for rec in seen)
@@ -325,14 +353,10 @@ def test_threshold_run_on_diagonal_environment():
 
 def test_basis_stays_unitary_over_long_runs():
     env = env_random(3, 1.0, seed=5)
-    agent = EnsembleState(3, default_params(), [5])
+    agent = EnsembleState(3, default_params(),
+                          StoppingRule(kind="fixed-budget", budgets=(700, 700)), [5])
     seen = []
-    run_stages(
-        agent,
-        harness._black_box([env]),
-        StoppingRule(kind="fixed-budget", budgets=(700, 700)),
-        recorder(seen),
-    )
+    run_stages(agent, harness._black_box([env]), recorder(seen))
     assert any(rec.classification == protocol.PUNISH for rec in seen)  # it rotated
     gram = agent.bases[0].conj().T @ agent.bases[0]
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
@@ -344,9 +368,9 @@ def test_identically_seeded_runs_are_bit_identical():
     traces = []
     hashes = []
     for _ in range(2):
-        agent = EnsembleState(2, default_params(), [88])
+        agent = EnsembleState(2, default_params(), rule, [88])
         recs = []
-        run_stages(agent, harness._black_box([env]), rule, recorder(recs))
+        run_stages(agent, harness._black_box([env]), recorder(recs))
         traces.append(recs)
         hashes.append(protocol.basis_hash(agent.bases[0]))
     assert traces[0] == traces[1]
@@ -361,8 +385,8 @@ def test_agent_sees_only_the_interaction_callable():
     # a bare callable is a fully sufficient black box
     sx = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
     unitary = linalg.unitary_from_eigensystem(linalg.eig_hermitian(sx), 1.0)
-    agent = EnsembleState(2, default_params(), [1])
-    rec = agent.advance(lambda members, probes: probes @ unitary.T, ONE_ITERATION)
+    agent = EnsembleState(2, default_params(), ONE_ITERATION, [1])
+    rec = agent.advance(lambda members, probes: probes @ unitary.T)
     assert rec.k.tolist() == [1] and rec.stage.tolist() == [0]
 
 
@@ -390,7 +414,7 @@ class TestEnsemble:
         """Per-member iteration records of an ensemble run and of lone agents;
         ``see(record)``, if given, also sees every round's record."""
         env = env_random(dim, 1.0, seed=31)
-        ensemble = EnsembleState(dim, default_params(w_cap=1.0), seeds)
+        ensemble = EnsembleState(dim, default_params(w_cap=1.0), rule, seeds)
         steps = {i: [] for i in range(len(seeds))}
 
         def observer(state, rec):
@@ -399,7 +423,7 @@ class TestEnsemble:
             for j, i in enumerate(rec.members.tolist()):
                 steps[i].extend(protocol.iteration_records(rec, j))
 
-        returned = run_stages(ensemble, harness._black_box([env]), rule, observer)
+        returned = run_stages(ensemble, harness._black_box([env]), observer)
         agents = []
         for i, seed in enumerate(seeds):
             agent = reference.AgentState(dim, default_params(w_cap=1.0), seed)
@@ -422,7 +446,7 @@ class TestEnsemble:
     def test_k_counts_black_box_calls_summed_over_members(self):
         _, ensemble, agents = self.run_both(2, [1, 2, 3], self.RULE)
         assert ensemble.k - 1 == sum(agent.k - 1 for agent in agents)
-        fresh = EnsembleState(2, default_params(), [1, 2, 3])
+        fresh = EnsembleState(2, default_params(), self.RULE, [1, 2, 3])
         assert fresh.k == 1 and not fresh.finished
 
     def test_draw_on_a_cumulative_weight_samples_like_the_scalar_loop(self):
@@ -435,12 +459,12 @@ class TestEnsemble:
         evolved = np.full(4, 0.5, dtype=complex)  # weights 1/4 each, exactly
         agent = reference.AgentState(4, default_params(), seed=1)
         agent.rng = Half()
-        ensemble = EnsembleState(4, default_params(), [1])
+        ensemble = EnsembleState(4, default_params(),
+                                 StoppingRule(kind="fixed-budget", budgets=(1, 1, 1)), [1])
         ensemble._refill(ensemble.active, ensemble.active)
         ensemble._draws[0, ensemble._cursor[0]] = 0.5
         assert agent.measure(evolved) == 2
-        rec = ensemble.advance(returning(evolved[None]),
-                               StoppingRule(kind="fixed-budget", budgets=(1, 1, 1)))
+        rec = ensemble.advance(returning(evolved[None]))
         assert [r.outcome for r in protocol.iteration_records(rec)] == [2]
 
     @pytest.mark.parametrize("width", [32, 33, 256])
@@ -460,16 +484,17 @@ class TestEnsemble:
     @pytest.mark.parametrize("form", ["stacked", "default", "each"])
     def test_punish_form_changes_no_bits(self, monkeypatch, form, rule):
         """Each step's punished members go through one update.  Its rotation
-        blocks may come all from the stacked arithmetic, a lone block too,
-        each from the scalar builder alone, or as shipped; every form gives
-        the bits of the scalar reference, for one punished member and for
-        several."""
+        blocks may come from the stacked arithmetic on a stack of at least
+        two, each from the scalar builder alone, or as shipped (the stacked
+        arithmetic, a lone block too); every form gives the bits of the
+        scalar reference, for one punished member and for several."""
         shipped = linalg.rotation_blocks
         build = {
             "stacked": lambda phi: shipped(np.repeat(phi, 2, axis=1))[::2].copy(),
             "default": shipped,
-            "each": lambda phi: np.concatenate(
-                [shipped(phi[:, j:j + 1]) for j in range(phi.shape[1])]),
+            "each": lambda phi: np.array(
+                [linalg.rotation_block(linalg.RotationAngles(*phi[:, j].tolist()))
+                 for j in range(phi.shape[1])]),
         }[form]
         sizes = []
 
@@ -499,7 +524,7 @@ class TestEnsemble:
         which is always the first of a round's segment; otherwise its cached
         Born weights serve."""
         monkeypatch.setattr(protocol, "REORTHONORMALIZE_EVERY", 7)
-        ensemble = EnsembleState(3, default_params(w_cap=1.0), [5, 6, 7, 8, 9])
+        ensemble = EnsembleState(3, default_params(w_cap=1.0), rule, [5, 6, 7, 8, 9])
         box = harness._black_box([env_random(3, 1.0, seed=31)])
         sent, sizes = [], []
 
@@ -521,7 +546,7 @@ class TestEnsemble:
                         reasons.update(key for key, hit in why.items() if hit)
                     previous[i] = (it.stage, it.classification == protocol.PUNISH)
 
-        run_stages(ensemble, spy, rule, observer)
+        run_stages(ensemble, spy, observer)
         assert sent == due
         assert min(sizes) > 0 and reasons == {"opens", "punished", "drift"}
         assert len(due) < (ensemble.k - 1) / 2  # most iterations reuse weights
@@ -533,53 +558,49 @@ class TestEnsemble:
         stage close or window end, not by one iteration."""
         config = harness.load_config(str(Path(__file__).resolve().parents[1]
                                          / "configs" / "fig6_random2q.json"))
-        ensemble = EnsembleState(config.dim, config.params,
-                                 [reference.derive_seed(config.seed, i) for i in range(16)])
         rule = StoppingRule(kind="fixed-budget", budgets=(400, 250, 200))
+        ensemble = EnsembleState(config.dim, config.params, rule,
+                                 [reference.derive_seed(config.seed, i) for i in range(16)])
         rounds = []
-        run_stages(ensemble, harness._black_box([harness.build_environment(config)]), rule,
+        run_stages(ensemble, harness._black_box([harness.build_environment(config)]),
                    lambda state, rec: rounds.append(int(rec.length.max())))
         assert ensemble.rounds == len(rounds) < ensemble.calls.max() / 2 == 425
         assert max(rounds) > 1 and ensemble.k - 1 == 16 * 850
 
     @pytest.mark.parametrize("n", [1, 512, 1000, 4096, 5000])
     def test_draw_buffers_keep_to_the_byte_budget(self, n):
-        draws = EnsembleState(2, default_params(), list(range(n)))._draws
+        draws = EnsembleState(2, default_params(), THRESHOLD, list(range(n)))._draws
         assert draws.nbytes <= max(protocol.DRAW_BUFFER_BYTES, 32 * 8 * n)
         assert draws.shape[1] == {1: 256, 512: 256, 1000: 256, 4096: 64, 5000: 52}[n]
 
     def test_validation(self):
         with pytest.raises(BadDim):
-            EnsembleState(1, default_params(), [1])
-        ensemble = EnsembleState(2, default_params(), [1, 2])
+            EnsembleState(1, default_params(), THRESHOLD, [1])
+        ensemble = EnsembleState(2, default_params(), ONE_ITERATION, [1, 2])
         with pytest.raises(DimMismatch):
-            ensemble.advance(returning(np.zeros((2, 3), dtype=complex)), ONE_ITERATION)
+            ensemble.advance(returning(np.zeros((2, 3), dtype=complex)))
         ensemble.advance_stage(np.array([0]))
         with pytest.raises(StageOverflow):
             ensemble.advance_stage(np.array([0]))
         assert list(ensemble.active) == [1] and ensemble.calls[0] == 0
 
     def test_a_finished_ensemble_says_no_member_is_active(self):
-        ensemble = EnsembleState(2, default_params(), [1, 2])
-        ensemble.advance_stage(np.array([0, 1]))
-        assert ensemble.finished
         for rule in (ONE_ITERATION, self.RULE):
+            ensemble = EnsembleState(2, default_params(), rule, [1, 2])
+            ensemble.advance_stage(np.array([0, 1]))
+            assert ensemble.finished
             with pytest.raises(StageOverflow, match="no member is active"):
-                ensemble.advance(lambda members, probes: probes, rule)
+                ensemble.advance(lambda members, probes: probes)
 
 
 class TestTraces:
     @pytest.fixture()
     def recorded_run(self, tmp_path):
         env = env_random(2, 1.0, seed=555)
-        agent = EnsembleState(2, default_params(), [555])
+        agent = EnsembleState(2, default_params(), StoppingRule(kind="fixed-budget", budgets=(50,)),
+                              [555])
         records = []
-        run_stages(
-            agent,
-            harness._black_box([env]),
-            StoppingRule(kind="fixed-budget", budgets=(50,)),
-            recorder(records),
-        )
+        run_stages(agent, harness._black_box([env]), recorder(records))
         assert any(r.classification == protocol.PUNISH for r in records)
         path = str(tmp_path / "run.trace")
         protocol.write_trace(path, {"dim": 2, "seed": 555}, records, agent.bases[0])
