@@ -162,13 +162,13 @@ def cmd_gen_operator(args: argparse.Namespace) -> int:
     if args.kind == "random":
         if args.dim is None:
             raise ConfigError("gen-operator --kind random needs --dim")
-        env = env_random(args.dim, args.tau, args.seed)
+        env = env_random(args.dim, args.tau, [args.seed])
     else:
         env = (env_spin_x if args.kind == "spin-x" else env_bell)(args.tau)
     if args.dim not in (None, env.dim):
         raise ConfigError(f"--dim {args.dim}, but the {args.kind} operator has dim {env.dim}")
-    save_operator(args.out, env.operator, args.tau)
-    eigenvalues = env.eigensystem_oracle().eigenvalues
+    save_operator(args.out, env.operators[0], args.tau)
+    eigenvalues = env.eigensystem.eigenvalues[0]
     print(f"wrote {args.out}: dim {env.dim}, spectrum {np.round(eigenvalues, 6)}")
     return 0
 

@@ -1,11 +1,12 @@
 """The black-box side of the eigensolver.
 
-An :class:`Environment` wraps a hidden Hermitian operator together with its
-unitary propagator ``exp(-i tau O)``.  The learning layer is only ever
-handed the batched black box that ``harness._black_box`` builds from the
-environments' ``unitary``; the exact spectrum stays behind
-:meth:`Environment.eigensystem_oracle`, which exists for scoring and
-verification and is never imported by the protocol module (a structural
+An :class:`Environment` holds a run's hidden Hermitian operators as one
+stack, with their unitary propagators ``exp(-i tau O)`` and their exact
+spectra: a stack of one when every repetition shares the operator, one
+operator per repetition when each draws its own.  The learning layer is only
+ever handed the batched black box that ``harness._black_box`` builds from the
+stacked ``unitaries``; the spectra, ``eigensystem``, exist for scoring and
+verification and are never imported by the protocol module (a structural
 test keeps it that way).
 
 Random operators are drawn from the Gaussian unitary ensemble,
@@ -60,51 +61,39 @@ class SingleQubitSpec:
 
 @dataclass(frozen=True)
 class Environment:
-    """Hidden Hermitian operator plus its cached propagator and spectrum."""
+    """Hidden Hermitian operators, stacked, with their propagators and spectra.
 
-    dim: int
-    operator: np.ndarray
-    tau: float
-    unitary: np.ndarray
+    ``operators`` and ``unitaries`` have shape (B, d, d), and ``eigensystem``
+    holds (B, d) eigenvalues and (B, d, d) eigenvectors: B is 1 when the
+    repetitions share one operator.  Every array is read-only.
+    """
+
+    operators: np.ndarray
+    unitaries: np.ndarray
     eigensystem: linalg.Eigensystem = field(repr=False, compare=False)
+    tau: float
 
-    def eigensystem_oracle(self) -> linalg.Eigensystem:
-        """Exact spectrum of the hidden operator (verification side only).
-
-        The decomposition that built the propagator, shared by every call;
-        its arrays are read-only.
-        """
-        return self.eigensystem
+    @property
+    def dim(self) -> int:
+        return self.operators.shape[-1]
 
 
-def _environments(operators: np.ndarray, tau: float) -> list[Environment]:
-    """One environment per operator of a (B, d, d) stack, all diagonalized
-    in one stacked call; ConfigError unless ``tau`` is a finite number whose
-    product with every eigenvalue, the propagator's phase, is finite."""
+def env_from_matrix(operator: np.ndarray, tau: float) -> Environment:
+    """The environment of one Hermitian matrix, or of each matrix of a
+    (B, d, d) stack, all diagonalized in one stacked call; ConfigError unless
+    ``tau`` is a finite number whose product with every eigenvalue, the
+    propagator's phase, is finite."""
+    operators = np.array(operator, dtype=np.complex128, order="C", ndmin=3)
+    linalg.require_dim(linalg.require_square(operators[0]))
     tau = finite_number(tau, "tau")
     system = linalg.eig_hermitian(operators)
     phase = abs(tau) * float(np.abs(system.eigenvalues).max(initial=0.0))
     if not math.isfinite(phase):
         raise ConfigError(f"tau {tau} times the largest eigenvalue magnitude overflows")
-    system.eigenvalues.setflags(write=False)
-    system.eigenvectors.setflags(write=False)
-    envs = []
-    for operator, values, vectors in zip(operators, system.eigenvalues, system.eigenvectors):
-        member = linalg.Eigensystem(eigenvalues=values, eigenvectors=vectors)
-        envs.append(Environment(
-            dim=len(operator),
-            operator=operator.copy(),
-            tau=tau,
-            unitary=linalg.unitary_from_eigensystem(member, tau),
-            eigensystem=member,
-        ))
-    return envs
-
-
-def env_from_matrix(operator: np.ndarray, tau: float) -> Environment:
-    operator = np.asarray(operator, dtype=np.complex128)
-    linalg.require_dim(linalg.require_square(operator))
-    return _environments(operator[None], tau)[0]
+    unitaries = linalg.unitary_from_eigensystem(system, tau)
+    for array in (operators, unitaries, system.eigenvalues, system.eigenvectors):
+        array.setflags(write=False)
+    return Environment(operators=operators, unitaries=unitaries, eigensystem=system, tau=tau)
 
 
 def _draw_gue(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -113,14 +102,14 @@ def _draw_gue(rng: np.random.Generator, dim: int) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def envs_random(dim: int, tau: float, seeds: Sequence[int] | np.ndarray) -> list[Environment]:
+def env_random(dim: int, tau: float, seeds: Sequence[int] | np.ndarray) -> Environment:
     """One GUE-distributed hidden operator per non-negative integer seed,
     rescaled to spectral range 2.
 
     The generators are seeded in one array pass, ``seeding.generators``, each
     with the stream NumPy's default generator gives for its seed.  Every draw is
     diagonalized in one stacked call, twice: for its spread, then rescaled.
-    Each environment has the bits ``env_random`` gives for its seed.
+    Each member has the bits that a build of its seed alone gives.
     """
     linalg.require_dim(dim)
     rngs = seeding.generators(seeds)
@@ -134,12 +123,7 @@ def envs_random(dim: int, tau: float, seeds: Sequence[int] | np.ndarray) -> list
         pending = pending[spread[pending] <= 1e-9]
         for i in pending:
             draws[i] = _draw_gue(rngs[i], dim)
-    return _environments(draws * (2.0 / spread)[:, None, None], tau)
-
-
-def env_random(dim: int, tau: float, seed: int) -> Environment:
-    """GUE-distributed hidden operator, rescaled to spectral range 2."""
-    return envs_random(dim, tau, [seed])[0]
+    return env_from_matrix(draws * (2.0 / spread)[:, None, None], tau)
 
 
 def env_single_qubit(spec: SingleQubitSpec, tau: float) -> Environment:

@@ -3,7 +3,10 @@
 A single experiment repeats the learning protocol ``repetitions`` times
 against a configured environment and aggregates two curves over the
 iteration count k: the mean fidelity F_j(k) between basis column j and
-the environment's eigenvectors, and the mean search range W(k).
+the environment's eigenvectors, and the mean search range W(k).  A run
+builds one :class:`~eigenrl.environment.Environment`, a stack of one shared
+operator or of one operator per repetition; the black box, the fold and the
+final residual all read its stacked arrays.
 
 All repetitions run together in one ensemble, round by round, and every curve
 point is a sum over repetitions taken in index order, so each repetition
@@ -34,7 +37,6 @@ from .environment import (
     env_random,
     env_single_qubit,
     env_spin_x,
-    envs_random,
     load_operator,
     parse_matrix,
 )
@@ -244,10 +246,16 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def build_environment(config: ExperimentConfig) -> Environment:
-    """The environment of a run whose repetitions share one."""
+    """The run's one environment: the operator every repetition shares or,
+    when resampled, one random operator per repetition, all built together
+    with the bits each has alone.  Repetition ``i``'s is drawn with the
+    first uint64 that NumPy's seed sequence of the entropy ``[seed, 23, i]``
+    generates.  A ``file`` kind's ``tau`` must equal the operator file's."""
     kind = config.env_kind
     if kind == "random":
-        env = env_random(config.dim, config.tau, config.env_seed)
+        seeds = (seeding.derive_seeds(config.seed, _ENV_SALT, config.repetitions)
+                 if config.resample_env_per_repetition else [config.env_seed])
+        env = env_random(config.dim, config.tau, seeds)
     elif kind == "single-qubit-spec":
         env = env_single_qubit(config.single_qubit, config.tau)
     elif kind == "spin-x":
@@ -255,8 +263,11 @@ def build_environment(config: ExperimentConfig) -> Environment:
     elif kind == "bell":
         env = env_bell(config.tau)
     else:  # file
-        operator, _ = load_operator(config.operator_file)
-        env = env_from_matrix(operator, config.tau)
+        operator, tau = load_operator(config.operator_file)
+        if tau != config.tau:
+            raise ConfigError(f"config tau {config.tau!r} differs from the tau {tau!r} "
+                              f"of operator file {config.operator_file}")
+        env = env_from_matrix(operator, tau)
     if env.dim != config.dim:
         raise ConfigError(
             f"config dim {config.dim} but the {kind} environment has dim {env.dim}"
@@ -300,14 +311,15 @@ def _pick(stacked: np.ndarray, members: np.ndarray) -> np.ndarray:
     return stacked if len(stacked) == 1 else stacked[members]
 
 
-def _black_box(envs: list[Environment]):
-    """Batched ``interact(members, probes)`` over one shared or N environments.
+def _black_box(env: Environment):
+    """Batched ``interact(members, probes)`` over a shared operator or one
+    operator per member.
 
     Row ``j`` of ``probes`` is sent through member ``members[j]``'s
-    environment: one application of its ``unitary``, ``exp(-i tau O)``.
-    This is the only black box the learner is handed.
+    operator: one application of its unitary, ``exp(-i tau O)``.  This is
+    the only black box the learner is handed.
     """
-    unitaries = np.stack([env.unitary for env in envs])
+    unitaries = env.unitaries
 
     def interact(members: np.ndarray, probes: np.ndarray) -> np.ndarray:
         return (_pick(unitaries, members) @ probes[:, :, None])[:, :, 0]
@@ -341,16 +353,14 @@ class _Fold:
     the slowest, which bounds the rings.
     """
 
-    def __init__(self, config: ExperimentConfig, envs: list[Environment],
+    def __init__(self, config: ExperimentConfig, env: Environment,
                  ensemble: protocol.EnsembleState) -> None:
         n, d = config.repetitions, config.dim
         self.config = config
         self.paper = config.fidelity_mode == "paper"
         # conj here and transpose as a view later, so each item is laid out
         # as eigenvectors.conj().T is
-        self._vconj = np.stack(
-            [env.eigensystem_oracle().eigenvectors.conj() for env in envs]
-        )
+        self._vconj = env.eigensystem.eigenvectors.conj()
         self.rows = np.empty((n, 1 + (d * d if self.paper else d)))
         self.rows[:, 0] = config.w1
         self.rows[:, 1:] = self._features(ensemble.active, ensemble.bases)
@@ -462,8 +472,7 @@ class _Fold:
         self._reduce(stage)
         self._next += 1
 
-    def finalize(self, state: protocol.EnsembleState,
-                 envs: list[Environment]) -> "ExperimentResult":
+    def finalize(self, state: protocol.EnsembleState, env: Environment) -> "ExperimentResult":
         config = self.config
         n = config.repetitions
         sums = np.stack(self._sums)
@@ -476,9 +485,8 @@ class _Fold:
         if fidelity.max(initial=0.0) > 1.0 + 1e-9:
             raise EigenrlError("fidelity left [0, 1]: unitarity was lost")
         fidelity = np.minimum(fidelity, 1.0)
-        operators = np.stack([env.operator for env in envs])
         residual_sum = 0.0
-        for residual in diag_residual(state.bases, operators).tolist():
+        for residual in diag_residual(state.bases, env.operators).tolist():
             residual_sum += residual  # one by one in repetition order; np.sum pairs them
         metadata = {
             "format": RESULTS_FORMAT,
@@ -541,12 +549,12 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentResult:
     """Run every repetition in one ensemble and reduce them in index order.
 
-    Repetition ``i`` is member ``i`` of one ensemble, run against the
-    shared ``build_environment(config)`` or, when resampled, a random
-    operator of its own; how many members run beside it changes none of
-    its bits.  Resampled environments are built together, with the bits
-    each would have alone.  With ``trace``, the result also holds repetition
-    0's decisions from this same run, ready to be written as a trace.
+    Repetition ``i`` is member ``i`` of one ensemble, run against the run's
+    one environment, ``build_environment(config)``: the operator they all
+    share or, when resampled, the stack's member ``i``.  How many members
+    run beside it changes none of its bits.  With ``trace``, the result also
+    holds repetition 0's decisions from this same run, ready to be written
+    as a trace.
     Under a threshold rule it logs, at INFO, how many repetitions closed
     each stage by meeting ``w_min`` and how many by hitting the cap; every
     run then logs its iterations, which are the black-box calls, the probes
@@ -556,20 +564,15 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
     its wall time.
 
     Repetition ``i``'s agent is seeded with the first uint64 that NumPy's
-    seed sequence of the entropy ``[seed, 17, i]`` generates, and its
-    resampled operator the same with salt 23; ``seeding.derive_seeds``
-    computes every such seed in one array pass.
+    seed sequence of the entropy ``[seed, 17, i]`` generates;
+    ``seeding.derive_seeds`` computes every such seed in one array pass.
     """
     start = time.perf_counter()
     n = config.repetitions
-    if config.resample_env_per_repetition:
-        envs = envs_random(config.dim, config.tau,
-                           seeding.derive_seeds(config.seed, _ENV_SALT, n))
-    else:
-        envs = [build_environment(config)]
+    env = build_environment(config)
     seeds = seeding.derive_seeds(config.seed, _REP_SALT, n)
     ensemble = protocol.EnsembleState(config.dim, config.params, config.stopping, seeds)
-    fold = _Fold(config, envs, ensemble)
+    fold = _Fold(config, env, ensemble)
     observer = fold.observe
     if trace:
         captured = Trace({"dim": config.dim, "rep_index": 0, "root_seed": config.seed,
@@ -580,9 +583,9 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
             captured.observe(state, rec)
 
     log.info("set-up: %d environments built and %d members seeded in %.3f s",
-             len(envs), n, time.perf_counter() - start)
+             len(env.operators), n, time.perf_counter() - start)
     start = time.perf_counter()
-    run_stages(ensemble, _black_box(envs), observer)
+    run_stages(ensemble, _black_box(env), observer)
     seconds = time.perf_counter() - start
     if config.stopping.kind == "threshold":
         for t, (met, capped) in enumerate(zip(ensemble.reached_w_min.tolist(),
@@ -592,7 +595,7 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
     log.info("%d iterations (black-box calls), %d probes evolved (a simulator cost), "
              "%d engine rounds in %.3f s, %.1f us per round", ensemble.k - 1, ensemble.evolved,
              ensemble.rounds, seconds, 1e6 * seconds / ensemble.rounds)
-    result = fold.finalize(ensemble, envs)
+    result = fold.finalize(ensemble, env)
     if trace:
         captured.final_basis = ensemble.bases[0].copy()
         result.trace = captured

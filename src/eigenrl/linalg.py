@@ -38,7 +38,8 @@ from .errors import BadDim, ConfigError, DimMismatch, NoConvergence, NotHermitia
 #: the Hilbert-space dimensions the package accepts from its inputs
 MIN_DIM = 2
 MAX_DIM = 64
-#: tolerance for accepting a matrix as Hermitian
+#: tolerance for accepting a matrix as Hermitian, relative to its largest
+#: entry magnitude when that exceeds 1: our own rounding scales with it
 HERMITICITY_TOL = 1e-10
 #: bound on the magnitude of the real and imaginary part of a matrix entry:
 #: below it the 2 * MAX_DIM**2 squares a Frobenius norm sums stay finite
@@ -99,8 +100,9 @@ def hermiticity_defect(h: np.ndarray) -> np.ndarray:
 def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
     """ConfigError, naming ``what``, unless every real and imaginary part of
     an entry of the matrix ``h`` lies within MAX_ENTRY, then NotHermitian
-    unless ``h`` is Hermitian within HERMITICITY_TOL; for a stack, the first
-    member at fault.  The entries come first: beyond the bound the defect
+    unless ``h`` is Hermitian within HERMITICITY_TOL * max(1, max |h_ij|); for
+    a stack, each member within its own bound, and the first member at fault
+    is named.  The entries come first: beyond the bound the defect
     itself can overflow."""
     name = (lambda i: f"{what} member {i}") if h.ndim == 3 else (lambda i: what)
     size = np.maximum(np.abs(h.real), np.abs(h.imag)).max(axis=(-2, -1), initial=0.0)
@@ -109,10 +111,11 @@ def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
         raise ConfigError(f"{name(bad[0])} has an entry part of magnitude "
                           f"{size.flat[bad[0]]:.3e}, beyond {MAX_ENTRY:.0e}")
     defect = hermiticity_defect(h)
-    bad = np.flatnonzero(defect > HERMITICITY_TOL)
+    bound = HERMITICITY_TOL * np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
+    bad = np.flatnonzero(defect > bound)
     if bad.size:
         raise NotHermitian(f"{name(bad[0])} is not Hermitian: max |H - H^dag| = "
-                           f"{defect.flat[bad[0]]:.3e} exceeds {HERMITICITY_TOL:.1e}")
+                           f"{defect.flat[bad[0]]:.3e} exceeds {bound.flat[bad[0]]:.1e}")
 
 
 def normalize_phase(vecs: np.ndarray) -> np.ndarray:
@@ -172,7 +175,7 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
     Raises
     ------
     ConfigError if a member has an entry beyond MAX_ENTRY, NotHermitian if
-    a member is not Hermitian within HERMITICITY_TOL,
+    a member is not Hermitian within its HERMITICITY_TOL bound,
     NoConvergence if a member exhausts the sweep budget; for a stack the
     message names the member.
     """
@@ -232,9 +235,11 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
 
 
 def unitary_from_eigensystem(es: Eigensystem, tau: float) -> np.ndarray:
-    """Return ``exp(-i tau H)`` for the H that ``es`` decomposes."""
+    """Return ``exp(-i tau H)`` for the H that ``es`` decomposes, or for each
+    member of a stacked decomposition; each member gets the bits it gets
+    alone."""
     phases = np.exp(-1j * tau * es.eigenvalues)
-    return (es.eigenvectors * phases) @ es.eigenvectors.conj().T
+    return (es.eigenvectors * phases[..., None, :]) @ es.eigenvectors.conj().swapaxes(-1, -2)
 
 
 def rotation_block(angles: RotationAngles) -> np.ndarray:

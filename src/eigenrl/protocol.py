@@ -70,7 +70,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -285,11 +284,10 @@ def iteration_records(rec: EnsembleRecord, row: int = 0) -> list[IterationRecord
     """The iterations of ``rec``'s segment ``row``, one trace record each, in
     plain Python numbers."""
     t, k, n = int(rec.stage[row]), int(rec.k[row]), int(rec.length[row])
-    cumulative = rec.cumulative[row, 1:].tolist()
     records = [
         IterationRecord(k + j, t, m, _classify(t, m), None, w)
         for j, (m, w) in enumerate(zip(
-            [bisect_right(cumulative, u) for u in rec.u[row, :n].tolist()],  # as _count
+            _count(rec.cumulative[row, 1:], rec.u[row, :n, None]).tolist(),
             rec.w_after[row, :n].tolist()))
     ]
     if rec.punished[row]:

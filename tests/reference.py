@@ -217,18 +217,18 @@ def diag_residual(basis: np.ndarray, operator: np.ndarray) -> float:
 
 
 def lone_black_box(env):
-    """``env`` as a one-state black box: the engine's ``harness._black_box``
-    on a stack of one."""
-    box = harness._black_box([env])
+    """A one-operator ``env`` as a one-state black box: the engine's
+    ``harness._black_box`` on a stack of one."""
+    box = harness._black_box(env)
     return lambda psi: box(np.array([0]), psi[None])[0]
 
 
 def lone_environment(config, i):
-    """Repetition ``i``'s environment, built alone: a random operator of its
-    own when resampled, else the shared one."""
+    """Repetition ``i``'s environment, built alone as a stack of one: a
+    random operator of its own when resampled, else the shared one."""
     if config.resample_env_per_repetition:
         seed = derive_seed(config.seed, i, harness._ENV_SALT)
-        return env_random(config.dim, config.tau, seed)
+        return env_random(config.dim, config.tau, [seed])
     return harness.build_environment(config)
 
 
@@ -248,7 +248,7 @@ def reference_experiment(config):
     first_records = []
     for i in range(n):
         env = lone_environment(config, i)
-        vecs = env.eigensystem_oracle().eigenvectors
+        vecs = env.eigensystem.eigenvectors[0]
         seed = derive_seed(config.seed, i)
         agent = AgentState(d, config.params, seed)
         rows = [(config.w1, 0, np.abs(vecs.conj().T @ agent.basis))]
@@ -284,7 +284,7 @@ def reference_experiment(config):
         done_amp += final_amp
         done_max += last_max
         finals[i] = final_amp
-        residual_sum += diag_residual(agent.basis, env.operator)
+        residual_sum += diag_residual(agent.basis, env.operators[0])
         agents.append(agent)
     if config.fidelity_mode == "paper":
         fidelity = np.stack(amp_sum).max(axis=1).T / n

@@ -165,8 +165,8 @@ def test_7_exact_property_suite():
 
     # (b) accumulated basis stays unitary through 1e5 updates, all of them
     # in stage 0
-    env = env_random(4, 1.0, seed=3)
-    black_box = harness._black_box([env])
+    env = env_random(4, 1.0, [3])
+    black_box = harness._black_box(env)
     rule = StoppingRule(kind="fixed-budget", budgets=(100_000, 1, 1))
     agent = EnsembleState(4, RewardParams(r=0.9, nu=2.0), rule, [3])
     punished = 0
@@ -221,7 +221,7 @@ def test_7_exact_property_suite():
     # (e) diagonal environment: every outcome rewards, so w walks down
     # r^k with the basis frozen at the identity and F_j pinned to 1
     env = env_from_matrix(np.diag([-1.0, 0.4, 1.1]), tau=1.0)
-    black_box = harness._black_box([env])
+    black_box = harness._black_box(env)
     params = RewardParams(r=0.9, nu=2.0)
     agent = EnsembleState(3, params, StoppingRule(kind="fixed-budget", budgets=(200, 1)), [8])
     expected = params.w1
@@ -235,7 +235,7 @@ def test_7_exact_property_suite():
                    for it in protocol.iteration_records(rec))
     assert agent.calls[0] == 200
     np.testing.assert_array_equal(agent.bases[0], np.eye(3, dtype=complex))
-    amps = np.abs(env.eigensystem_oracle().eigenvectors.conj().T @ agent.bases[0])
+    amps = np.abs(env.eigensystem.eigenvectors[0].conj().T @ agent.bases[0])
     np.testing.assert_array_equal(amps.max(axis=0), np.ones(3))
     print("[7e] diagonal-environment shortcut: w = r^(k-1) exact, F_j = 1 exact")
 

@@ -422,6 +422,13 @@ def linked_trace_args(tmp_path):
     return run_path_args(tmp_path, "o.csv", "link")
 
 
+def file_tau_mismatch_args(tmp_path):
+    """A file run whose config ``tau``, 1.0, is not the operator file's."""
+    operator = tmp_path / "op.json"
+    save_operator(str(operator), np.diag([-1.0, 1.0]), 0.5)
+    return run_args(tmp_path, env_kind="file", operator_file=str(operator), env_seed=None)
+
+
 def operator_file_out_args(tmp_path):
     operator = tmp_path / "op.json"
     save_operator(str(operator), np.diag([-1.0, 1.0]), 1.0)
@@ -521,6 +528,7 @@ MALFORMED = {
     "run-trace-is-out": lambda tmp_path: run_path_args(tmp_path, "o.csv", "o.csv"),
     "run-trace-links-to-out": linked_trace_args,
     "run-out-is-operator-file": operator_file_out_args,
+    "run-config-tau-differs-from-the-file": file_tau_mismatch_args,
     "replay-d-matrix-is-trace": replay_onto_trace_args,
     "run-out-dir-missing": lambda tmp_path: run_path_args(tmp_path, "nodir/o.csv"),
     "run-trace-dir-missing": lambda tmp_path: run_path_args(tmp_path, "o.csv", "nodir/t.trace"),
@@ -638,3 +646,24 @@ def test_no_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_the_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """Every ``eigenrl`` command of the README's ``sh`` blocks exits 0 in a
+    fresh directory, and prints each ``# ->`` line that follows it."""
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    lines = [line.strip() for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.DOTALL)
+             for line in block.splitlines()]
+    (tmp_path / "configs").symlink_to(CONFIG_DIR)
+    monkeypatch.chdir(tmp_path)
+    commands, printed = [], []
+    for line in lines:
+        if line.startswith("eigenrl "):
+            argv = line.split()[1:]
+            capsys.readouterr()
+            assert main(argv) == 0, line
+            commands.append(argv[0])
+            printed = capsys.readouterr().out.splitlines()
+        elif line.startswith("# -> "):
+            assert line[len("# -> "):] in printed, line
+    assert commands == ["run", "replay", "gen-operator", "verify"]

@@ -15,9 +15,11 @@ from reference import lone_black_box
 def test_env_from_matrix_caches_propagator():
     h = np.array([[1.0, 0.2], [0.2, -1.0]], dtype=np.complex128)
     env = envm.env_from_matrix(h, tau=0.8)
-    np.testing.assert_allclose(env.unitary, oracles.propagator(h, 0.8), atol=1e-11)
+    np.testing.assert_allclose(env.unitaries[0], oracles.propagator(h, 0.8), atol=1e-11)
     assert env.dim == 2
     assert env.tau == 0.8
+    h[0, 0] = 5.0  # the environment holds its own copy
+    assert env.operators.shape == (1, 2, 2) and env.operators[0, 0, 0] == 1.0
 
 
 def test_oracle_returns_the_decomposition_behind_the_propagator(monkeypatch):
@@ -32,34 +34,36 @@ def test_oracle_returns_the_decomposition_behind_the_propagator(monkeypatch):
     h = np.array([[1.0, 0.2 - 0.1j], [0.2 + 0.1j, -1.0]])
     env = envm.env_from_matrix(h, tau=0.8)
     assert decompositions == [1]
-    system = env.eigensystem_oracle()
-    assert system is env.eigensystem_oracle() and decompositions == [1]
-    fresh = real(env.operator)
-    assert system.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
-    assert system.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
-    assert not system.eigenvectors.flags.writeable
+    system = env.eigensystem
+    fresh = real(env.operators[0])
+    assert system.eigenvalues[0].tobytes() == fresh.eigenvalues.tobytes()
+    assert system.eigenvectors[0].tobytes() == fresh.eigenvectors.tobytes()
+    for array in (env.operators, env.unitaries, system.eigenvalues, system.eigenvectors):
+        assert not array.flags.writeable
     decompositions.clear()
-    envm.env_random(3, 1.0, seed=4).eigensystem_oracle()
+    envm.env_random(3, 1.0, [4])
     assert decompositions == [1, 1]  # one draw's spread, one for the rescaled operator
     decompositions.clear()
-    envm.envs_random(3, 1.0, [4, 5, 6])
+    envm.env_random(3, 1.0, [4, 5, 6])
     assert decompositions == [3, 3]  # the same two per environment, in two stacked calls
     direct = linalg.unitary_from_eigensystem(linalg.eig_hermitian(h), 0.8)
-    assert env.unitary.tobytes() == direct.tobytes()
+    assert env.unitaries[0].tobytes() == direct.tobytes()
 
 
 def test_environments_built_together_equal_lone_ones():
     seeds = [4, 5, 6, 7]
-    for env, seed in zip(envm.envs_random(5, 0.7, seeds), seeds):
-        lone = envm.env_random(5, 0.7, seed)
-        assert env.operator.tobytes() == lone.operator.tobytes()
-        assert env.unitary.tobytes() == lone.unitary.tobytes()
-        ours, theirs = env.eigensystem_oracle(), lone.eigensystem_oracle()
-        assert ours.eigenvalues.tobytes() == theirs.eigenvalues.tobytes()
-        assert ours.eigenvectors.tobytes() == theirs.eigenvectors.tobytes()
-        assert not ours.eigenvectors.flags.writeable
+    env = envm.env_random(5, 0.7, seeds)
+    assert env.operators.shape == env.unitaries.shape == (4, 5, 5)
+    ours = env.eigensystem
+    for i, seed in enumerate(seeds):
+        lone = envm.env_random(5, 0.7, [seed])
+        assert env.operators[i].tobytes() == lone.operators[0].tobytes()
+        assert env.unitaries[i].tobytes() == lone.unitaries[0].tobytes()
+        theirs = lone.eigensystem
+        assert ours.eigenvalues[i].tobytes() == theirs.eigenvalues[0].tobytes()
+        assert ours.eigenvectors[i].tobytes() == theirs.eigenvectors[0].tobytes()
     with pytest.raises(BadDim):
-        envm.envs_random(1, 1.0, seeds)
+        envm.env_random(1, 1.0, seeds)
 
 
 def test_env_from_matrix_rejections():
@@ -81,27 +85,27 @@ def test_interact_applies_propagator_once():
 class TestRandomEnv:
     def test_spectral_range_rescaled_to_two(self):
         for dim in (2, 3, 4, 8, 16):
-            env = envm.env_random(dim=dim, tau=1.0, seed=dim)
-            lam = env.eigensystem_oracle().eigenvalues
+            env = envm.env_random(dim=dim, tau=1.0, seeds=[dim])
+            lam = env.eigensystem.eigenvalues[0]
             assert lam[-1] - lam[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_seed_reproducible(self):
-        a = envm.env_random(dim=4, tau=1.0, seed=99)
-        b = envm.env_random(dim=4, tau=1.0, seed=99)
-        np.testing.assert_array_equal(a.operator, b.operator)
-        c = envm.env_random(dim=4, tau=1.0, seed=100)
-        assert np.max(np.abs(a.operator - c.operator)) > 1e-3
+        a = envm.env_random(dim=4, tau=1.0, seeds=[99])
+        b = envm.env_random(dim=4, tau=1.0, seeds=[99])
+        np.testing.assert_array_equal(a.operators[0], b.operators[0])
+        c = envm.env_random(dim=4, tau=1.0, seeds=[100])
+        assert np.max(np.abs(a.operators[0] - c.operators[0])) > 1e-3
 
     def test_hermitian(self):
-        env = envm.env_random(dim=6, tau=1.0, seed=1)
-        assert linalg.hermiticity_defect(env.operator) < 1e-14
+        env = envm.env_random(dim=6, tau=1.0, seeds=[1])
+        assert linalg.hermiticity_defect(env.operators[0]) < 1e-14
 
     def test_offdiagonal_statistics(self):
         """GUE off-diagonal entries have unit variance before rescaling;
         after rescaling the matrix is only checked for zero-mean symmetry."""
         rng = np.random.default_rng(0)
         samples = [
-            envm.env_random(dim=2, tau=1.0, seed=int(s)).operator[0, 1]
+            envm.env_random(dim=2, tau=1.0, seeds=[int(s)]).operators[0, 0, 1]
             for s in rng.integers(0, 10_000, size=200)
         ]
         mean = np.mean(samples)
@@ -138,14 +142,14 @@ class TestSingleQubitSpec:
         )
         env = envm.env_single_qubit(plus, tau=1.0)
         np.testing.assert_allclose(
-            env.operator, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12
+            env.operators[0], [[0.0, 0.5], [0.5, 0.0]], atol=1e-12
         )
         minus = envm.SingleQubitSpec(
             alpha=math.pi / 2, beta=0.0, lambda0=-0.5, lambda1=0.5
         )
         env = envm.env_single_qubit(minus, tau=1.0)
         np.testing.assert_allclose(
-            env.operator, [[0.0, -0.5], [-0.5, 0.0]], atol=1e-12
+            env.operators[0], [[0.0, -0.5], [-0.5, 0.0]], atol=1e-12
         )
 
     def test_eigensystem_roundtrip(self):
@@ -153,11 +157,19 @@ class TestSingleQubitSpec:
             alpha=1.1, beta=2.0, lambda0=-0.7, lambda1=0.9
         )
         env = envm.env_single_qubit(spec, tau=1.0)
-        es = env.eigensystem_oracle()
-        np.testing.assert_allclose(es.eigenvalues, [-0.7, 0.9], atol=1e-12)
+        values, vectors = env.eigensystem.eigenvalues[0], env.eigensystem.eigenvectors[0]
+        np.testing.assert_allclose(values, [-0.7, 0.9], atol=1e-12)
         v0, v1 = spec.basis_vectors()
-        assert abs(np.vdot(es.eigenvectors[:, 0], v0)) == pytest.approx(1.0)
-        assert abs(np.vdot(es.eigenvectors[:, 1], v1)) == pytest.approx(1.0)
+        assert abs(np.vdot(vectors[:, 0], v0)) == pytest.approx(1.0)
+        assert abs(np.vdot(vectors[:, 1], v1)) == pytest.approx(1.0)
+
+    def test_large_eigenvalues_pass_the_relative_hermiticity_check(self):
+        """Rounding in the outer products leaves a defect that scales with
+        the eigenvalues: 4.7e-10 at 1e7, well within the relative bound."""
+        spec = envm.SingleQubitSpec(alpha=1.0, beta=0.5, lambda0=1e7, lambda1=-1e7)
+        env = envm.env_single_qubit(spec, tau=1.0)
+        assert linalg.hermiticity_defect(env.operators[0]) > linalg.HERMITICITY_TOL
+        np.testing.assert_allclose(env.eigensystem.eigenvalues[0], [-1e7, 1e7], rtol=1e-12)
 
 
 class TestBell:
@@ -176,30 +188,28 @@ class TestBell:
                 [1.0, 0.0, 0.0, 0.0],
             ]
         )
-        np.testing.assert_allclose(env.operator, expected, atol=1e-14)
+        np.testing.assert_allclose(env.operators[0], expected, atol=1e-14)
 
     def test_spectrum_and_eigenvectors(self):
         env = envm.env_bell(tau=1.0)
-        es = env.eigensystem_oracle()
-        np.testing.assert_allclose(es.eigenvalues, [-2.0, -1.0, 1.0, 2.0], atol=1e-12)
+        values, vectors = env.eigensystem.eigenvalues[0], env.eigensystem.eigenvectors[0]
+        np.testing.assert_allclose(values, [-2.0, -1.0, 1.0, 2.0], atol=1e-12)
         b = envm.bell_states()
         # ascending order pairs with (psi-, phi-, phi+, psi+)
         for l, col in enumerate((3, 1, 0, 2)):
-            assert abs(
-                np.vdot(es.eigenvectors[:, l], b[:, col])
-            ) == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.vdot(vectors[:, l], b[:, col])) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOperatorFiles:
     def test_roundtrip(self, tmp_path):
-        env = envm.env_random(dim=3, tau=0.7, seed=5)
+        env = envm.env_random(dim=3, tau=0.7, seeds=[5])
         path = tmp_path / "op.json"
-        envm.save_operator(str(path), env.operator, env.tau)
+        envm.save_operator(str(path), env.operators[0], env.tau)
         loaded, tau = envm.load_operator(str(path))
-        np.testing.assert_allclose(loaded, env.operator, atol=1e-15)
+        np.testing.assert_allclose(loaded, env.operators[0], atol=1e-15)
         assert tau == 0.7
         env2 = envm.env_from_matrix(*envm.load_operator(str(path)))
-        np.testing.assert_allclose(env2.unitary, env.unitary, atol=1e-12)
+        np.testing.assert_allclose(env2.unitaries[0], env.unitaries[0], atol=1e-12)
 
     def test_rejects_malformed(self, tmp_path):
         cases = [

@@ -230,7 +230,7 @@ class TestBuildEnvironment:
     def test_named_kinds_and_dim_guard(self):
         cfg = small_config(env_kind="spin-x", env_seed=0)
         env = harness.build_environment(cfg)
-        np.testing.assert_allclose(env.operator, [[0.0, 0.5], [0.5, 0.0]])
+        np.testing.assert_allclose(env.operators[0], [[0.0, 0.5], [0.5, 0.0]])
         with pytest.raises(ConfigError):
             harness.build_environment(small_config(dim=4, env_kind="spin-x",
                                                    stopping=StoppingRule(
@@ -243,18 +243,18 @@ class TestBuildEnvironment:
         built = []
         real_black_box = harness._black_box
         monkeypatch.setattr(
-            harness, "_black_box", lambda envs: built.append(envs) or real_black_box(envs)
+            harness, "_black_box", lambda env: built.append(env) or real_black_box(env)
         )
         harness.run_experiment(cfg)
-        (envs,) = built
-        assert len(envs) == 1
-        assert envs[0].unitary.tobytes() == harness.build_environment(cfg).unitary.tobytes()
+        (env,) = built
+        assert env.unitaries.shape == (1, cfg.dim, cfg.dim)
+        assert env.unitaries.tobytes() == harness.build_environment(cfg).unitaries.tobytes()
 
     def test_resampled_environments_differ_but_reproduce(self):
         cfg = small_config(resample_env_per_repetition=True)
         a0, a1, again = (lone_environment(cfg, i) for i in (0, 1, 0))
-        assert not np.allclose(a0.operator, a1.operator)
-        np.testing.assert_array_equal(a0.operator, again.operator)
+        assert not np.allclose(a0.operators[0], a1.operators[0])
+        np.testing.assert_array_equal(a0.operators[0], again.operators[0])
 
     def test_run_builds_resampled_environments_together_with_the_lone_bits(
         self, monkeypatch
@@ -267,30 +267,38 @@ class TestBuildEnvironment:
             linalg, "eig_hermitian", lambda h: shapes.append(np.shape(h)) or real_eig(h)
         )
         monkeypatch.setattr(
-            harness, "_black_box", lambda envs: built.append(envs) or real_black_box(envs)
+            harness, "_black_box", lambda env: built.append(env) or real_black_box(env)
         )
         harness.run_experiment(cfg)
         # one stacked call for the spreads, one for the rescaled operators
         assert shapes == [(6, 5, 5), (6, 5, 5)]
         monkeypatch.setattr(linalg, "eig_hermitian", real_eig)
-        (envs,) = built
-        assert len(envs) == cfg.repetitions
-        for i, env in enumerate(envs):
+        (env,) = built
+        ours = env.eigensystem
+        assert env.operators.shape == env.unitaries.shape == (cfg.repetitions, 5, 5)
+        assert ours.eigenvalues.shape == (cfg.repetitions, 5)
+        assert ours.eigenvectors.shape == (cfg.repetitions, 5, 5)
+        for i in range(cfg.repetitions):
             lone = lone_environment(cfg, i)
-            assert env.operator.tobytes() == lone.operator.tobytes()
-            assert env.unitary.tobytes() == lone.unitary.tobytes()
-            ours, theirs = env.eigensystem_oracle(), lone.eigensystem_oracle()
-            assert ours.eigenvalues.tobytes() == theirs.eigenvalues.tobytes()
-            assert ours.eigenvectors.tobytes() == theirs.eigenvectors.tobytes()
+            theirs = lone.eigensystem
+            assert env.operators[i].tobytes() == lone.operators[0].tobytes()
+            assert env.unitaries[i].tobytes() == lone.unitaries[0].tobytes()
+            assert ours.eigenvalues[i].tobytes() == theirs.eigenvalues[0].tobytes()
+            assert ours.eigenvectors[i].tobytes() == theirs.eigenvectors[0].tobytes()
 
-    def test_file_kind_uses_config_tau(self, tmp_path):
+    def test_file_kind_tau_must_match_the_file(self, tmp_path):
+        """A ``file`` run takes its ``tau`` from the operator file, and a
+        config ``tau`` that differs from it is refused, naming both."""
         path = tmp_path / "op.json"
         save_operator(str(path), np.diag([-1.0, 1.0]).astype(complex), tau=9.9)
         cfg = small_config(env_kind="file", operator_file=str(path), tau=0.5)
+        with pytest.raises(ConfigError, match=r"config tau 0\.5 differs from the tau 9\.9"):
+            harness.build_environment(cfg)
+        save_operator(str(path), np.diag([-1.0, 1.0]).astype(complex), tau=0.5)
         env = harness.build_environment(cfg)
         assert env.tau == 0.5
         np.testing.assert_allclose(
-            env.unitary, np.diag(np.exp([0.5j, -0.5j])), atol=1e-12
+            env.unitaries[0], np.diag(np.exp([0.5j, -0.5j])), atol=1e-12
         )
 
 
@@ -301,7 +309,7 @@ def two_level_rotation(a, b, dim, angles):
     return u
 
 
-def fold_at_start(bases, envs, mode, w1=1.0):
+def fold_at_start(bases, env, mode, w1=1.0):
     """The fold of hand-set member bases at k = 0, and the fold itself."""
     n, d = bases.shape[:2]
     config = small_config(
@@ -309,17 +317,17 @@ def fold_at_start(bases, envs, mode, w1=1.0):
         repetitions=n,
         w1=w1,
         fidelity_mode=mode,
-        resample_env_per_repetition=len(envs) > 1,
+        resample_env_per_repetition=len(env.operators) > 1,
         stopping=StoppingRule(kind="fixed-budget", budgets=(1,) * (d - 1)),
     )
     ensemble = protocol.EnsembleState(d, config.params, config.stopping, list(range(n)))
     ensemble.bases[:] = bases
-    return harness._Fold(config, envs, ensemble), ensemble
+    return harness._Fold(config, env, ensemble), ensemble
 
 
-def start_fidelity(bases, envs, mode):
-    fold, ensemble = fold_at_start(np.asarray(bases, dtype=complex), envs, mode)
-    return fold.finalize(ensemble, envs).fidelity_curves[:, 0]
+def start_fidelity(bases, env, mode):
+    fold, ensemble = fold_at_start(np.asarray(bases, dtype=complex), env, mode)
+    return fold.finalize(ensemble, env).fidelity_curves[:, 0]
 
 
 class TestMeanFidelity:
@@ -331,7 +339,7 @@ class TestMeanFidelity:
     def test_identity_on_diagonal_environment(self):
         mats = np.stack([np.eye(2)] * 4)
         for mode in ("paper", "per-rep"):
-            np.testing.assert_allclose(start_fidelity(mats, [self.diag_env], mode), 1.0)
+            np.testing.assert_allclose(start_fidelity(mats, self.diag_env, mode), 1.0)
 
     def test_single_rotation_takes_best_match(self):
         theta = 0.8
@@ -340,7 +348,7 @@ class TestMeanFidelity:
         )
         expected = max(abs(math.cos(theta / 2)), abs(math.sin(theta / 2)))
         for mode in ("paper", "per-rep"):
-            value = start_fidelity([rot], [self.diag_env], mode)[0]
+            value = start_fidelity([rot], self.diag_env, mode)[0]
             assert value == pytest.approx(expected)
 
     def test_mode_placement_differs_on_split_ensembles(self):
@@ -348,14 +356,15 @@ class TestMeanFidelity:
         # the shared-index mean cannot
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         mats = [np.eye(2), swap]
-        assert start_fidelity(mats, [self.diag_env], "per-rep")[0] == pytest.approx(1.0)
-        assert start_fidelity(mats, [self.diag_env], "paper")[0] == pytest.approx(0.5)
+        assert start_fidelity(mats, self.diag_env, "per-rep")[0] == pytest.approx(1.0)
+        assert start_fidelity(mats, self.diag_env, "paper")[0] == pytest.approx(0.5)
 
     def test_paper_mode_requires_shared_eigensystem(self):
         with pytest.raises(ModeMismatch):
             small_config(fidelity_mode="paper", resample_env_per_repetition=True)
-        envs = [self.diag_env, env_spin_x(1.0)]
-        value = start_fidelity([np.eye(2)] * 2, envs, "per-rep")[0]
+        env = env_from_matrix(np.stack([self.diag_env.operators[0],
+                                        env_spin_x(1.0).operators[0]]), 1.0)
+        value = start_fidelity([np.eye(2)] * 2, env, "per-rep")[0]
         assert value == pytest.approx((1.0 + 1.0 / math.sqrt(2.0)) / 2.0)
 
     def test_validation(self):
@@ -372,10 +381,10 @@ class TestMeanFidelity:
                 a, b = sorted(rng.choice(4, size=2, replace=False))
                 angles = linalg.RotationAngles(*rng.uniform(-math.pi, math.pi, 3))
                 mat[:] = mat @ two_level_rotation(int(a), int(b), 4, angles)
-        envs = [env_random(4, 1.0, seed=2)]
+        env = env_random(4, 1.0, [2])
         for mode in ("per-rep", "paper"):
-            fold, ensemble = fold_at_start(mats, envs, mode)
-            result = fold.finalize(ensemble, envs)
+            fold, ensemble = fold_at_start(mats, env, mode)
+            result = fold.finalize(ensemble, env)
             amps = result.per_repetition_final  # [i, l, j] = |<l_E|D_i|j>|
             best = amps.max(axis=1)
             assert np.all((best > 0.0) & (best <= 1.0))
@@ -388,7 +397,7 @@ class TestMeanFidelity:
 
 def test_mean_search_range():
     """W(k) is the arithmetic mean of the members' search ranges."""
-    fold, ensemble = fold_at_start(np.stack([np.eye(2)] * 2), [env_spin_x(1.0)],
+    fold, ensemble = fold_at_start(np.stack([np.eye(2)] * 2), env_spin_x(1.0),
                                    "per-rep", w1=0.7)
     members = np.arange(2)
     rec = protocol.EnsembleRecord(members=members, k=np.ones(2, int), length=np.ones(2, int),
@@ -399,7 +408,7 @@ def test_mean_search_range():
                                   moved=np.zeros(2, bool), before=np.empty((0, 2, 2)))
     ensemble.calls[:] = 1  # both members ran iteration 1
     fold.observe(ensemble, rec)
-    search = fold.finalize(ensemble, [env_spin_x(1.0)]).search_curve
+    search = fold.finalize(ensemble, env_spin_x(1.0)).search_curve
     assert search[0] == 0.7
     assert search[1] == pytest.approx(1.0)
     with pytest.raises(ConfigError):
@@ -408,9 +417,9 @@ def test_mean_search_range():
 
 class TestDiagResidual:
     def test_exact_eigenbasis_nulls_the_residual(self):
-        env = env_random(3, 1.0, seed=44)
-        exact = env.eigensystem_oracle().eigenvectors
-        assert harness.diag_residual(exact[None], env.operator[None])[0] < 1e-9
+        env = env_random(3, 1.0, [44])
+        exact = env.eigensystem.eigenvectors[0]
+        assert harness.diag_residual(exact[None], env.operators)[0] < 1e-9
 
     def test_identity_on_diagonal_operator_is_zero(self):
         assert harness.diag_residual(np.eye(2)[None], DIAG[None]).tolist() == [0.0]
@@ -436,7 +445,7 @@ class TestDiagResidual:
         agent = AgentState(2, cfg.params, reference.derive_seed(cfg.seed, 0))
         reference.run_agent(agent, lone_black_box(env), cfg.stopping)
         assert harness.run_experiment(cfg).diag_residual == reference.diag_residual(
-            agent.basis, env.operator
+            agent.basis, env.operators[0]
         )
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 16, 64])
@@ -622,8 +631,8 @@ class TestRunExperiment:
         assert got.trace.records == want.trace.records
         assert got.trace.final_basis.tobytes() == want.trace.final_basis.tobytes()
 
-        envs = [lone_environment(cfg, i) for i in range(cfg.repetitions)]
-        unitaries = np.stack([env.unitary for env in envs])
+        unitaries = np.stack([lone_environment(cfg, i).unitaries[0]
+                              for i in range(cfg.repetitions)])
         ensemble = protocol.EnsembleState(
             cfg.dim,
             cfg.params,
@@ -719,13 +728,13 @@ class TestRunExperiment:
         cfg = replace(harness.load_config(str(CONFIG_DIR / "fig6_random2q.json")),
                       repetitions=12, record_every=1,
                       stopping=StoppingRule(kind="threshold", w_min=0.05, max_iterations=3000))
-        envs = [harness.build_environment(cfg)]
+        env = harness.build_environment(cfg)
         ensemble = protocol.EnsembleState(
             cfg.dim, cfg.params, cfg.stopping,
             [reference.derive_seed(cfg.seed, i) for i in range(cfg.repetitions)],
         )
-        fold = harness._Fold(cfg, envs, ensemble)
-        protocol.run_stages(ensemble, harness._black_box(envs), fold.observe)
+        fold = harness._Fold(cfg, env, ensemble)
+        protocol.run_stages(ensemble, harness._black_box(env), fold.observe)
         span = ensemble.reach // cfg.record_every + 2
         assert 2 < len(fold._f) <= span < 2 * len(fold._f)
         assert len(fold._w) <= span + ensemble.reach
@@ -905,7 +914,7 @@ class TestResultFiles:
 
 class TestBasisFiles:
     def test_roundtrip(self, tmp_path):
-        basis = env_random(3, 1.0, seed=12).eigensystem_oracle().eigenvectors
+        basis = env_random(3, 1.0, [12]).eigensystem.eigenvectors[0]
         path = tmp_path / "b.json"
         harness.save_basis(str(path), basis)
         np.testing.assert_allclose(harness.load_basis(str(path)), basis, atol=1e-15)
@@ -968,9 +977,9 @@ def test_threshold_convergence_couples_probe_to_outcome():
     params = protocol.RewardParams(r=0.9, nu=2.0, w1=1.0)
     rule = StoppingRule(kind="threshold", w_min=1e-3, max_iterations=200_000)
     for seed in (13, 16, 22, 23, 24):
-        env = env_random(2, 1.0, seed=seed)
+        env = env_random(2, 1.0, [seed])
         agent = protocol.EnsembleState(2, params, rule, [seed])
-        protocol.run_stages(agent, harness._black_box([env]))
+        protocol.run_stages(agent, harness._black_box(env))
         assert agent.k - 1 < rule.max_iterations  # stopped via w, not budget
         basis = agent.bases[0]
         evolved = lone_black_box(env)(basis[:, 0])
@@ -1057,16 +1066,15 @@ def test_info_log_counts_the_set_up_before_the_first_round(caplog, resample):
 
 def test_residual_tracks_fidelity_loss():
     """diag_residual and min_j F_j move in strictly opposite rank order."""
-    env = env_random(3, 1.0, seed=21)
-    system = env.eigensystem_oracle()
-    exact = system.eigenvectors
+    env = env_random(3, 1.0, [21])
+    exact = env.eigensystem.eigenvectors[0]
     bases, fidelities = [], []
     for theta in (0.0, 0.25, 0.5, 0.75, 1.0, 1.25):
         angles = linalg.RotationAngles(phi_x=theta, phi_y=0.0, phi_z=0.0)
         basis = exact @ two_level_rotation(0, 1, 3, angles)
         bases.append(basis)
-        fidelities.append(np.abs(system.eigenvectors.conj().T @ basis).max(axis=0).min())
-    residuals = harness.diag_residual(np.stack(bases), env.operator[None])
+        fidelities.append(np.abs(exact.conj().T @ basis).max(axis=0).min())
+    residuals = harness.diag_residual(np.stack(bases), env.operators)
     assert np.all(np.diff(residuals) > 0)
     assert np.all(np.diff(fidelities) < 0)
 

@@ -107,6 +107,12 @@ class TestEigHermitian:
         stack[2:] = SX
         stack[2, 0, 1] += 1e-11  # within HERMITICITY_TOL
         linalg.eig_hermitian(stack)
+        stack[2] = 1e7 * SX  # the bound scales with the largest |h_ij|, 5e6
+        stack[2, 0, 1] += 1e-4
+        linalg.eig_hermitian(stack)
+        stack[2, 0, 1] += 1e-3
+        with pytest.raises(NotHermitian, match=r"member 2 .* exceeds 5\.0e-04"):
+            linalg.eig_hermitian(stack)
 
 
 def sweeps_needed(h):

@@ -283,7 +283,7 @@ def test_search_range_saturates_at_cap():
 
 
 def test_uncapped_ledger_identity_over_random_run():
-    env = env_random(2, 1.0, seed=301)
+    env = env_random(2, 1.0, [301])
     params = default_params()
     agent = EnsembleState(2, params, StoppingRule(kind="fixed-budget", budgets=(600,)), [301])
     seen = []
@@ -295,7 +295,7 @@ def test_uncapped_ledger_identity_over_random_run():
         expected = params.w1 * params.r ** rewards * params.p ** punishments
         np.testing.assert_allclose(seen[-1].w_after, expected, rtol=1e-10)
 
-    run_stages(agent, harness._black_box([env]), check)
+    run_stages(agent, harness._black_box(env), check)
     assert len(seen) == 600
 
 
@@ -325,11 +325,11 @@ def recorder(seen):
 
 
 def test_run_stages_budget_schedule():
-    env = env_random(3, 1.0, seed=17)
+    env = env_random(3, 1.0, [17])
     agent = EnsembleState(3, default_params(), StoppingRule(kind="fixed-budget", budgets=(5, 7)),
                           [17])
     seen = []
-    run_stages(agent, harness._black_box([env]), recorder(seen))
+    run_stages(agent, harness._black_box(env), recorder(seen))
     assert [rec.stage for rec in seen] == [0] * 5 + [1] * 7
     assert [rec.k for rec in seen] == list(range(1, 13))
     assert agent.stage[0] == 2
@@ -341,7 +341,7 @@ def test_threshold_run_on_diagonal_environment():
     params = default_params()
     agent = EnsembleState(2, params, StoppingRule(w_min=1e-3), [99])
     seen = []
-    run_stages(agent, harness._black_box([DIAG2]), recorder(seen))
+    run_stages(agent, harness._black_box(DIAG2), recorder(seen))
     expected_len = math.ceil(math.log(1e-3) / math.log(params.r))
     assert len(seen) == expected_len
     assert all(rec.classification == protocol.REWARD for rec in seen)
@@ -352,11 +352,11 @@ def test_threshold_run_on_diagonal_environment():
 
 
 def test_basis_stays_unitary_over_long_runs():
-    env = env_random(3, 1.0, seed=5)
+    env = env_random(3, 1.0, [5])
     agent = EnsembleState(3, default_params(),
                           StoppingRule(kind="fixed-budget", budgets=(700, 700)), [5])
     seen = []
-    run_stages(agent, harness._black_box([env]), recorder(seen))
+    run_stages(agent, harness._black_box(env), recorder(seen))
     assert any(rec.classification == protocol.PUNISH for rec in seen)  # it rotated
     gram = agent.bases[0].conj().T @ agent.bases[0]
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
@@ -364,13 +364,13 @@ def test_basis_stays_unitary_over_long_runs():
 
 def test_identically_seeded_runs_are_bit_identical():
     rule = StoppingRule(kind="fixed-budget", budgets=(300,))
-    env = env_random(2, 1.0, seed=88)
+    env = env_random(2, 1.0, [88])
     traces = []
     hashes = []
     for _ in range(2):
         agent = EnsembleState(2, default_params(), rule, [88])
         recs = []
-        run_stages(agent, harness._black_box([env]), recorder(recs))
+        run_stages(agent, harness._black_box(env), recorder(recs))
         traces.append(recs)
         hashes.append(protocol.basis_hash(agent.bases[0]))
     assert traces[0] == traces[1]
@@ -413,7 +413,7 @@ class TestEnsemble:
     def run_both(self, dim, seeds, rule, see=None):
         """Per-member iteration records of an ensemble run and of lone agents;
         ``see(record)``, if given, also sees every round's record."""
-        env = env_random(dim, 1.0, seed=31)
+        env = env_random(dim, 1.0, [31])
         ensemble = EnsembleState(dim, default_params(w_cap=1.0), rule, seeds)
         steps = {i: [] for i in range(len(seeds))}
 
@@ -423,7 +423,7 @@ class TestEnsemble:
             for j, i in enumerate(rec.members.tolist()):
                 steps[i].extend(protocol.iteration_records(rec, j))
 
-        returned = run_stages(ensemble, harness._black_box([env]), observer)
+        returned = run_stages(ensemble, harness._black_box(env), observer)
         agents = []
         for i, seed in enumerate(seeds):
             agent = reference.AgentState(dim, default_params(w_cap=1.0), seed)
@@ -525,7 +525,7 @@ class TestEnsemble:
         Born weights serve."""
         monkeypatch.setattr(protocol, "REORTHONORMALIZE_EVERY", 7)
         ensemble = EnsembleState(3, default_params(w_cap=1.0), rule, [5, 6, 7, 8, 9])
-        box = harness._black_box([env_random(3, 1.0, seed=31)])
+        box = harness._black_box(env_random(3, 1.0, [31]))
         sent, sizes = [], []
 
         def spy(members, probes):
@@ -562,7 +562,7 @@ class TestEnsemble:
         ensemble = EnsembleState(config.dim, config.params, rule,
                                  [reference.derive_seed(config.seed, i) for i in range(16)])
         rounds = []
-        run_stages(ensemble, harness._black_box([harness.build_environment(config)]),
+        run_stages(ensemble, harness._black_box(harness.build_environment(config)),
                    lambda state, rec: rounds.append(int(rec.length.max())))
         assert ensemble.rounds == len(rounds) < ensemble.calls.max() / 2 == 425
         assert max(rounds) > 1 and ensemble.k - 1 == 16 * 850
@@ -596,11 +596,11 @@ class TestEnsemble:
 class TestTraces:
     @pytest.fixture()
     def recorded_run(self, tmp_path):
-        env = env_random(2, 1.0, seed=555)
+        env = env_random(2, 1.0, [555])
         agent = EnsembleState(2, default_params(), StoppingRule(kind="fixed-budget", budgets=(50,)),
                               [555])
         records = []
-        run_stages(agent, harness._black_box([env]), recorder(records))
+        run_stages(agent, harness._black_box(env), recorder(records))
         assert any(r.classification == protocol.PUNISH for r in records)
         path = str(tmp_path / "run.trace")
         protocol.write_trace(path, {"dim": 2, "seed": 555}, records, agent.bases[0])
