@@ -107,9 +107,11 @@ def env_random(dim: int, tau: float, seeds: Sequence[int] | np.ndarray) -> Envir
     rescaled to spectral range 2.
 
     The generators are seeded in one array pass, ``seeding.generators``, each
-    with the stream NumPy's default generator gives for its seed.  Every draw is
-    diagonalized in one stacked call, twice: for its spread, then rescaled.
-    Each member has the bits that a build of its seed alone gives.
+    with the stream NumPy's default generator gives for its seed.  The draws'
+    spreads come from one stacked eigenvalue-only pass,
+    ``linalg.spectral_spread``; the rescaled draws are then diagonalized in
+    one stacked call.  Each member has the bits that a build of its seed
+    alone gives.
     """
     linalg.require_dim(dim)
     rngs = seeding.generators(seeds)
@@ -117,8 +119,7 @@ def env_random(dim: int, tau: float, seeds: Sequence[int] | np.ndarray) -> Envir
     spread = np.empty(len(rngs))
     pending = np.arange(len(rngs))
     while len(pending):
-        values = linalg.eig_hermitian(draws[pending]).eigenvalues
-        spread[pending] = values[:, -1] - values[:, 0]
+        spread[pending] = linalg.spectral_spread(draws[pending])
         # degenerate draws are measure zero; redraw defensively
         pending = pending[spread[pending] <= 1e-9]
         for i in pending:

@@ -560,8 +560,9 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
     run then logs its iterations, which are the black-box calls, the probes
     the simulator evolved, the engine's rounds and their wall time, the
     fold's and the trace capture's included.  Before the first round it
-    logs the set-up: the environments built and the members seeded, and
-    its wall time.
+    logs the set-up: the environments built and their wall time, then the
+    members seeded and the wall time of seeding them and of the rest of
+    the set-up.
 
     Repetition ``i``'s agent is seeded with the first uint64 that NumPy's
     seed sequence of the entropy ``[seed, 17, i]`` generates;
@@ -570,6 +571,7 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
     start = time.perf_counter()
     n = config.repetitions
     env = build_environment(config)
+    built = time.perf_counter()
     seeds = seeding.derive_seeds(config.seed, _REP_SALT, n)
     ensemble = protocol.EnsembleState(config.dim, config.params, config.stopping, seeds)
     fold = _Fold(config, env, ensemble)
@@ -582,8 +584,8 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
             fold.observe(state, rec)
             captured.observe(state, rec)
 
-    log.info("set-up: %d environments built and %d members seeded in %.3f s",
-             len(env.operators), n, time.perf_counter() - start)
+    log.info("set-up: %d environments built in %.3f s, %d members seeded in %.3f s",
+             len(env.operators), built - start, n, time.perf_counter() - built)
     start = time.perf_counter()
     run_stages(ensemble, _black_box(env), observer)
     seconds = time.perf_counter() - start

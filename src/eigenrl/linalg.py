@@ -18,13 +18,20 @@ quadratically and in practice needs well under the 100-sweep budget.
 a stack of one.  The stack is swept pair by pair in the same cyclic order
 for every member, and each pair rotates only the members whose entry lies
 above their own threshold, so every member gets the bits that rotating it
-alone, one scalar step at a time, gives.  Resampled random environments are
+alone, one scalar step at a time, gives.  A pair at which every member
+rotates reads and writes basic slices; only a pair at which some members
+rotate gathers and scatters them.  Resampled random environments are
 diagonalized this way, all in one call.  Keeping those bits fixes two
 choices: magnitudes are ``np.hypot(re, im)``, because ``np.abs`` of a
 complex array can round differently from the scalar ``abs``, and the
 rotation angle is ``math.atan2`` for each rotating member, because
 ``np.arctan2`` can differ from it in the last bit (both seen with NumPy 2.4
 on AVX-512).
+
+``spectral_spread`` runs the same sweeps on A alone, with no eigenvector
+rows, no phase fixing and no sort, and returns ``lambda_max - lambda_min``
+of each member with the bits that ``eig_hermitian`` gives it: the rotations,
+and so the diagonal, do not depend on whether V rides along.
 """
 from __future__ import annotations
 
@@ -129,32 +136,88 @@ def normalize_phase(vecs: np.ndarray) -> np.ndarray:
     return np.where(significant.any(axis=-1)[..., None], vecs * factor, vecs)
 
 
-def _jacobi_rotate(av: np.ndarray, m: np.ndarray, p: int, q: int, mag: np.ndarray) -> None:
+def _jacobi_rotate(av: np.ndarray, m, p: int, q: int, mag: np.ndarray) -> None:
     """One Jacobi step zeroing a[i, p, q] for each member i in ``m``, in place.
 
-    ``av`` stacks each member's A over its V, shape (B, 2n, n); the step is
-    A <- J^dag A J and V <- V J, and ``mag`` is |a[m, p, q]|.  Every
-    operation is elementwise, one member per row, so each member gets the
-    bits of a one-matrix rotation.
+    ``av`` stacks each member's A, alone or over its V, shape (B, n, n) or
+    (B, 2n, n); the step is A <- J^dag A J and V <- V J, and ``mag`` is
+    |a[m, p, q]|.  ``m`` is the slice of every member or an index array of
+    some of them.  Every operation is elementwise, one member per row, so
+    each member gets the bits of a one-matrix rotation.
     """
     phase = av[m, p, q] / mag
     diff = av[m, p, p].real - av[m, q, q].real
-    theta = 0.5 * np.array(
-        [math.atan2(y, x) for y, x in zip((2.0 * mag).tolist(), diff.tolist())]
-    )
-    c = np.cos(theta)[:, None]
+    theta = 0.5 * np.fromiter(map(math.atan2, (2.0 * mag).tolist(), diff.tolist()),
+                              np.float64, len(diff))
+    # complex, as NumPy casts it for each real x complex product below
+    c = np.cos(theta).astype(np.complex128)[:, None]
     s = np.sin(theta)
     sp = (s * phase)[:, None]
     spc = (s * phase.conj())[:, None]
 
-    col_p = av[m, :, p]
-    col_q = av[m, :, q]
+    # copies: under a slice these would be views of what the step overwrites
+    col_p = av[m, :, p].copy()
+    col_q = av[m, :, q].copy()
     av[m, :, p] = c * col_p + spc * col_q
     av[m, :, q] = -sp * col_p + c * col_q
-    row_p = av[m, p, :]
-    row_q = av[m, q, :]
+    row_p = av[m, p, :].copy()
+    row_q = av[m, q, :].copy()
     av[m, p, :] = c * row_p + sp * row_q
     av[m, q, :] = -spc * row_p + c * row_q
+
+
+def _jacobi(h: np.ndarray, vectors: bool) -> tuple[np.ndarray, bool]:
+    """Cyclic Jacobi sweeps over a Hermitian matrix or a stack of them.
+
+    Returns the rotated stack, each member's A over its V when ``vectors``
+    and its A alone otherwise, shape (B, 2n, n) or (B, n, n), and whether
+    ``h`` was a stack.  The rotations, and so the bits of A, are the same
+    either way.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    stacked = h.ndim == 3
+    if not stacked:
+        require_square(h)
+    elif h.shape[1] != h.shape[2]:
+        raise DimMismatch(f"expected a stack of square matrices, got shape {h.shape}")
+    require_hermitian(h)
+    h = h.reshape(-1, *h.shape[-2:])  # a lone matrix is a stack of one
+    b, n = h.shape[:2]
+    av = np.zeros((b, 2 * n if vectors else n, n), dtype=np.complex128)
+    av[:, :n] = h
+    if vectors:
+        av[:, n + np.arange(n), np.arange(n)] = 1.0
+    a = av[:, :n]
+    # absolute threshold, per member, below which an off-diagonal entry
+    # counts as zero
+    stop = np.array([1e-13 * max(1.0, float(np.max(np.abs(mat), initial=0.0)))
+                     for mat in h])
+
+    for _ in range(JACOBI_SWEEP_BUDGET):
+        rotated = np.zeros(b, dtype=bool)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[:, p, q]
+                mag = np.hypot(apq.real, apq.imag)
+                live = mag > stop
+                count = np.count_nonzero(live)
+                if count == b:  # basic slices: no gather, no scatter
+                    _jacobi_rotate(av, slice(None), p, q, mag)
+                    rotated[:] = True
+                elif count:
+                    m = live.nonzero()[0]
+                    _jacobi_rotate(av, m, p, q, mag[m])
+                    rotated |= live
+        if not rotated.any():
+            break
+    else:
+        for i in np.flatnonzero(rotated):
+            off = float(np.max(np.abs(a[i] - np.diag(a[i].diagonal()))))
+            if off > stop[i]:
+                member = f"member {i}: " if stacked else ""  # a stack's error names the member
+                raise NoConvergence(
+                    f"{member}off-diagonal {off:.3e} after {JACOBI_SWEEP_BUDGET} sweeps")
+    return av, stacked
 
 
 def eig_hermitian(h: np.ndarray) -> Eigensystem:
@@ -179,46 +242,9 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
     NoConvergence if a member exhausts the sweep budget; for a stack the
     message names the member.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    stacked = h.ndim == 3
-    if not stacked:
-        require_square(h)
-    elif h.shape[1] != h.shape[2]:
-        raise DimMismatch(f"expected a stack of square matrices, got shape {h.shape}")
-    require_hermitian(h)
-    h = h.reshape(-1, *h.shape[-2:])  # a lone matrix is a stack of one
-    b, n = h.shape[:2]
-    av = np.zeros((b, 2 * n, n), dtype=np.complex128)
-    av[:, :n] = h
-    av[:, n + np.arange(n), np.arange(n)] = 1.0
-    a = av[:, :n]
-    # absolute threshold, per member, below which an off-diagonal entry
-    # counts as zero
-    stop = np.array([1e-13 * max(1.0, float(np.max(np.abs(mat), initial=0.0)))
-                     for mat in h])
-
-    for _ in range(JACOBI_SWEEP_BUDGET):
-        rotated = np.zeros(b, dtype=bool)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                mag = np.hypot(apq.real, apq.imag)
-                live = mag > stop
-                if live.any():
-                    m = live.nonzero()[0]
-                    _jacobi_rotate(av, m, p, q, mag[m])
-                    rotated |= live
-        if not rotated.any():
-            break
-    else:
-        for i in np.flatnonzero(rotated):
-            off = float(np.max(np.abs(a[i] - np.diag(a[i].diagonal()))))
-            if off > stop[i]:
-                member = f"member {i}: " if stacked else ""  # a stack's error names the member
-                raise NoConvergence(
-                    f"{member}off-diagonal {off:.3e} after {JACOBI_SWEEP_BUDGET} sweeps")
-
-    values = np.diagonal(a, axis1=1, axis2=2).real
+    av, stacked = _jacobi(h, vectors=True)
+    n = av.shape[2]
+    values = np.diagonal(av[:, :n], axis1=1, axis2=2).real
     rows = normalize_phase(av[:, n:].transpose(0, 2, 1).copy())  # row l is eigenvector l
     # sort by eigenvalue, then by the components (re, im) in turn; lexsort
     # is stable and takes its primary key last
@@ -232,6 +258,26 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
     if not stacked:
         return Eigensystem(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])
     return Eigensystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
+def spectral_spread(h: np.ndarray) -> np.ndarray | float:
+    """``lambda_max - lambda_min`` of a Hermitian matrix, or of each matrix
+    of a stack, shape (B,), with the bits of
+    ``eig_hermitian(h).eigenvalues[..., -1] - eigenvalues[..., 0]``.
+
+    The same sweeps rotate A alone: no eigenvectors, no phase fixing and no
+    sort.  Eigenvalues that compare equal differ at most in the sign of a
+    zero, so only a spread of zero depends on the tie-break order; those
+    members take it from ``eig_hermitian``.  Raises as ``eig_hermitian``
+    does.
+    """
+    a, stacked = _jacobi(h, vectors=False)
+    values = np.diagonal(a, axis1=1, axis2=2).real
+    spread = values.max(axis=-1) - values.min(axis=-1)
+    for i in np.flatnonzero(spread == 0.0):
+        tied = eig_hermitian(np.reshape(h, a.shape)[i]).eigenvalues
+        spread[i] = tied[-1] - tied[0]
+    return spread if stacked else spread[0]
 
 
 def unitary_from_eigensystem(es: Eigensystem, tau: float) -> np.ndarray:

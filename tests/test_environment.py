@@ -23,17 +23,20 @@ def test_env_from_matrix_caches_propagator():
 
 
 def test_oracle_returns_the_decomposition_behind_the_propagator(monkeypatch):
-    decompositions = []  # matrices diagonalized, one entry per call
-    real = linalg.eig_hermitian
+    decompositions = []  # (entry, matrices diagonalized), one item per call
+    real, real_spread = linalg.eig_hermitian, linalg.spectral_spread
 
-    def counting(h):
-        decompositions.append(len(h) if np.ndim(h) == 3 else 1)
-        return real(h)
+    def counting(solver, entry):
+        def call(h):
+            decompositions.append((entry, len(h) if np.ndim(h) == 3 else 1))
+            return solver(h)
+        return call
 
-    monkeypatch.setattr(linalg, "eig_hermitian", counting)
+    monkeypatch.setattr(linalg, "eig_hermitian", counting(real, "eig"))
+    monkeypatch.setattr(linalg, "spectral_spread", counting(real_spread, "spread"))
     h = np.array([[1.0, 0.2 - 0.1j], [0.2 + 0.1j, -1.0]])
     env = envm.env_from_matrix(h, tau=0.8)
-    assert decompositions == [1]
+    assert decompositions == [("eig", 1)]
     system = env.eigensystem
     fresh = real(env.operators[0])
     assert system.eigenvalues[0].tobytes() == fresh.eigenvalues.tobytes()
@@ -42,10 +45,12 @@ def test_oracle_returns_the_decomposition_behind_the_propagator(monkeypatch):
         assert not array.flags.writeable
     decompositions.clear()
     envm.env_random(3, 1.0, [4])
-    assert decompositions == [1, 1]  # one draw's spread, one for the rescaled operator
+    # one eigenvalue-only pass for the draw's spread, one eigensystem of the
+    # rescaled operator
+    assert decompositions == [("spread", 1), ("eig", 1)]
     decompositions.clear()
     envm.env_random(3, 1.0, [4, 5, 6])
-    assert decompositions == [3, 3]  # the same two per environment, in two stacked calls
+    assert decompositions == [("spread", 3), ("eig", 3)]  # the same two, each stacked
     direct = linalg.unitary_from_eigensystem(linalg.eig_hermitian(h), 0.8)
     assert env.unitaries[0].tobytes() == direct.tobytes()
 

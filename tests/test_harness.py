@@ -263,16 +263,23 @@ class TestBuildEnvironment:
                            stopping=StoppingRule(kind="fixed-budget", budgets=(20,) * 4))
         shapes, built = [], []
         real_eig, real_black_box = linalg.eig_hermitian, harness._black_box
+        real_spread = linalg.spectral_spread
         monkeypatch.setattr(
-            linalg, "eig_hermitian", lambda h: shapes.append(np.shape(h)) or real_eig(h)
+            linalg, "eig_hermitian", lambda h: shapes.append(("eig", np.shape(h))) or real_eig(h)
+        )
+        monkeypatch.setattr(
+            linalg, "spectral_spread",
+            lambda h: shapes.append(("spread", np.shape(h))) or real_spread(h)
         )
         monkeypatch.setattr(
             harness, "_black_box", lambda env: built.append(env) or real_black_box(env)
         )
         harness.run_experiment(cfg)
-        # one stacked call for the spreads, one for the rescaled operators
-        assert shapes == [(6, 5, 5), (6, 5, 5)]
+        # one stacked eigenvalue-only pass for the spreads, one stacked
+        # eigensystem call for the rescaled operators
+        assert shapes == [("spread", (6, 5, 5)), ("eig", (6, 5, 5))]
         monkeypatch.setattr(linalg, "eig_hermitian", real_eig)
+        monkeypatch.setattr(linalg, "spectral_spread", real_spread)
         (env,) = built
         ours = env.eigensystem
         assert env.operators.shape == env.unitaries.shape == (cfg.repetitions, 5, 5)
@@ -1044,8 +1051,8 @@ def test_info_log_counts_iterations_probes_and_rounds(caplog):
 
 @pytest.mark.parametrize("resample", [False, True])
 def test_info_log_counts_the_set_up_before_the_first_round(caplog, resample):
-    """Before its first round a run logs, at INFO, the environments it built,
-    the members it seeded and the wall time of both."""
+    """Before its first round a run logs, at INFO, the environments it built
+    and the members it seeded, each with its own wall time."""
     logged = []
 
     def keep(*args, **kwargs):
@@ -1058,10 +1065,10 @@ def test_info_log_counts_the_set_up_before_the_first_round(caplog, resample):
             caplog.at_level(logging.INFO, logger="eigenrl.harness"):
         harness.run_experiment(cfg)
     (line,) = [message for message in logged if message.startswith("set-up")]
-    shape = re.fullmatch(r"set-up: (\d+) environments built and (\d+) members seeded "
-                         r"in (\d+\.\d{3}) s", line)
+    shape = re.fullmatch(r"set-up: (\d+) environments built in (\d+\.\d{3}) s, "
+                         r"(\d+) members seeded in (\d+\.\d{3}) s", line)
     assert shape, line
-    assert shape.groups()[:2] == (str(cfg.repetitions if resample else 1), str(cfg.repetitions))
+    assert shape.group(1, 3) == (str(cfg.repetitions if resample else 1), str(cfg.repetitions))
 
 
 def test_residual_tracks_fidelity_loss():

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from eigenrl import linalg
-from eigenrl.errors import DimMismatch, NoConvergence, NotHermitian
+from eigenrl.errors import ConfigError, DimMismatch, NoConvergence, NotHermitian
 from eigenrl.linalg import RotationAngles
 
 
@@ -189,6 +189,81 @@ def test_stacked_jacobi_names_the_member_that_does_not_converge(monkeypatch):
         linalg.eig_hermitian(hard)
     assert str(exc.value) == str(ref.value)
     linalg.eig_hermitian(np.stack([diagonal, diagonal]))
+
+
+def gue_stack(rng, d, size=40):
+    return np.stack([oracles.random_hermitian(rng, d) for _ in range(size)])
+
+
+def test_stacked_jacobi_on_gue_stacks_takes_both_rotation_branches(monkeypatch):
+    """A step at which every member rotates reads and writes basic slices;
+    one at which only some do gathers and scatters them.  Either way each
+    member keeps the one-matrix bits."""
+    branches = []
+    real = linalg._jacobi_rotate
+
+    def spy(av, m, p, q, mag):
+        branches.append("slice" if isinstance(m, slice) else "some")
+        return real(av, m, p, q, mag)
+
+    monkeypatch.setattr(linalg, "_jacobi_rotate", spy)
+    rng = np.random.default_rng(71)
+    assert_members_match_reference(gue_stack(rng, 16))
+    # members converge after different numbers of sweeps
+    assert branches[0] == "slice" and set(branches) == {"slice", "some"}
+    branches.clear()
+    assert_members_match_reference(gue_stack(rng, 2))
+    assert branches == ["slice"]  # at d = 2 one rotation diagonalizes every member
+
+
+def assert_spreads_match_reference(stack):
+    spread = linalg.spectral_spread(stack)
+    assert spread.shape == stack.shape[:1]
+    for i, h in enumerate(stack):
+        values, _ = oracles.eig_hermitian_scalar(h)
+        assert spread[i].tobytes() == (values[-1] - values[0]).tobytes(), i
+        lone = linalg.spectral_spread(h)
+        assert np.ndim(lone) == 0 and lone.tobytes() == spread[i].tobytes(), i
+
+
+def test_spectral_spread_has_the_bits_of_the_sorted_eigenvalues():
+    rng = np.random.default_rng(73)
+    assert_spreads_match_reference(mixed_stack(rng))
+    assert_spreads_match_reference(gue_stack(rng, 16))
+    assert_spreads_match_reference(gue_stack(rng, 2))
+    # a zero spread takes its sign from the tie-break order of the full
+    # solver: here the eigenvalues are sorted as [0.0, -0.0]
+    ties = np.array([np.diag([-0.0, 0.0]), np.diag([0.0, -0.0]), np.zeros((2, 2)), SX],
+                    dtype=np.complex128)
+    assert_spreads_match_reference(ties)
+    assert math.copysign(1.0, linalg.spectral_spread(ties[0])) == -1.0
+
+
+def test_spectral_spread_refuses_what_the_eigensystem_refuses(monkeypatch):
+    """The same error, with the same message, naming the same member."""
+    rng = np.random.default_rng(67)
+    diagonal = np.diag([3.0, 1.0, -2.0, 0.5]).astype(np.complex128)
+    stack = np.stack([diagonal, diagonal, oracles.random_hermitian(rng, 4), diagonal])
+    not_hermitian, huge = stack.copy(), stack.copy()
+    not_hermitian[2, 0, 1] += 1e-3
+    huge[2, 1, 1] = 2.0 * linalg.MAX_ENTRY
+
+    def assert_same_refusal(error, h, prefix):
+        with pytest.raises(error) as ref:
+            linalg.eig_hermitian(h)
+        with pytest.raises(error) as exc:
+            linalg.spectral_spread(h)
+        assert type(exc.value) is type(ref.value)
+        assert str(exc.value) == str(ref.value)
+        assert str(exc.value).startswith(prefix), str(exc.value)
+
+    for h, member in ((not_hermitian, "matrix member 2 "), (not_hermitian[2], "matrix ")):
+        assert_same_refusal(NotHermitian, h, member + "is not Hermitian")
+    for h, member in ((huge, "matrix member 2 "), (huge[2], "matrix ")):
+        assert_same_refusal(ConfigError, h, member + "has an entry part")
+    monkeypatch.setattr(linalg, "JACOBI_SWEEP_BUDGET", 2)
+    assert_same_refusal(NoConvergence, stack, "member 2: off-diagonal ")
+    assert_same_refusal(NoConvergence, stack[2], "off-diagonal ")
 
 
 def unitary_from_hermitian(h, tau):
