@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, harness, linalg, protocol
+from . import __version__, harness, linalg, protocol, seeding
 from .environment import (
     env_bell,
     env_random,
@@ -126,10 +126,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     basis = harness.load_basis(args.d_matrix)
     if basis.shape != operator.shape:
         raise ConfigError(f"basis is {len(basis)}-dimensional, operator {len(operator)}")
-    residual = float(harness.diag_residual(basis[None], operator[None])[0])
-    eig = linalg.eig_hermitian(operator)
-    amps = np.abs(eig.eigenvectors.conj().T @ basis)
-    fidelities = amps.max(axis=0)
+    residual = float(linalg.diag_residual(basis[None], operator[None])[0])
+    vconj = linalg.eig_hermitian(operator).eigenvectors.conj()
+    fidelities = linalg.overlaps(vconj[None], np.arange(1), basis[None])[0].max(axis=0)
     print(f"diag residual = {residual:.9f}")
     for j, value in enumerate(fidelities):
         print(f"F_{j} = {value:.9f}")
@@ -158,6 +157,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_operator(args: argparse.Namespace) -> int:
+    seeding.require_seed(args.seed, "--seed")
     _distinct([], [("--out", args.out)])
     if args.kind == "random":
         if args.dim is None:

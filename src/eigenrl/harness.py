@@ -6,7 +6,10 @@ iteration count k: the mean fidelity F_j(k) between basis column j and
 the environment's eigenvectors, and the mean search range W(k).  A run
 builds one :class:`~eigenrl.environment.Environment`, a stack of one shared
 operator or of one operator per repetition; the black box, the fold and the
-final residual all read its stacked arrays.
+final residual all read its stacked arrays.  Their products are named
+:mod:`~eigenrl.linalg` functions, ``apply_unitaries``, ``overlaps`` and
+``diag_residual``, as is ``load_basis``'s ``unitarity_defect``: this module
+computes no matrix product of its own.
 
 All repetitions run together in one ensemble, round by round, and every curve
 point is a sum over repetitions taken in index order, so each repetition
@@ -40,7 +43,7 @@ from .environment import (
     load_operator,
     parse_matrix,
 )
-from .errors import ConfigError, DimMismatch, EigenrlError, ModeMismatch
+from .errors import ConfigError, EigenrlError, ModeMismatch
 from .errors import finite_number, integer, read_json
 from .protocol import RewardParams, StoppingRule, run_stages
 
@@ -279,50 +282,19 @@ def build_environment(config: ExperimentConfig) -> Environment:
 # the ensemble run and the streaming reduction
 
 
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each C-contiguous complex matrix of a stack, with
-    its bits: it sums the strided real and imaginary views with BLAS ddot,
-    as one (1, m) @ (m, 1) product each.  Contiguous copies of the parts
-    would be summed by another ddot kernel, with other last bits."""
-    flat = stack.reshape(len(stack), 1, -1)
-    re, im = flat.real, flat.imag
-    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
-
-
-def diag_residual(bases: np.ndarray, operators: np.ndarray) -> np.ndarray:
-    """Relative Frobenius weight ``|offdiag(D^H O D)| / |O|`` of what each D
-    fails to diagonalize away, for each basis of a complex (N, d, d) stack
-    against one shared operator, a (1, d, d) stack, or one operator each."""
-    d = bases.shape[-1]
-    if not bases.shape[1:] == operators.shape[1:] == (d, d) or len(operators) not in (1, len(bases)):
-        raise DimMismatch(f"bases {bases.shape} do not match operators {operators.shape}")
-    transformed = bases.conj().transpose(0, 2, 1) @ operators @ bases
-    diagonal = np.arange(d)
-    transformed[:, diagonal, diagonal] = 0.0
-    denom = _frobenius(operators)
-    residuals = np.zeros(len(bases))
-    np.divide(_frobenius(transformed), denom, out=residuals, where=denom != 0.0)
-    return residuals
-
-
-def _pick(stacked: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The items of ``members`` from a stack over the environments: the
-    whole stack when one environment is shared, else one item each."""
-    return stacked if len(stacked) == 1 else stacked[members]
-
-
 def _black_box(env: Environment):
     """Batched ``interact(members, probes)`` over a shared operator or one
     operator per member.
 
     Row ``j`` of ``probes`` is sent through member ``members[j]``'s
-    operator: one application of its unitary, ``exp(-i tau O)``.  This is
-    the only black box the learner is handed.
+    operator: one application of its unitary, ``exp(-i tau O)``, by
+    ``linalg.apply_unitaries``.  This is the only black box the learner is
+    handed.
     """
     unitaries = env.unitaries
 
     def interact(members: np.ndarray, probes: np.ndarray) -> np.ndarray:
-        return (_pick(unitaries, members) @ probes[:, :, None])[:, :, 0]
+        return linalg.apply_unitaries(unitaries, members, probes)
 
     return interact
 
@@ -358,8 +330,8 @@ class _Fold:
         n, d = config.repetitions, config.dim
         self.config = config
         self.paper = config.fidelity_mode == "paper"
-        # conj here and transpose as a view later, so each item is laid out
-        # as eigenvectors.conj().T is
+        # conjugated once here; linalg.overlaps takes each item's transpose
+        # as a view, laid out as eigenvectors.conj().T is
         self._vconj = env.eigensystem.eigenvectors.conj()
         self.rows = np.empty((n, 1 + (d * d if self.paper else d)))
         self.rows[:, 0] = config.w1
@@ -381,11 +353,8 @@ class _Fold:
         self.stage_min: list[int] = []
         self._reduce(0)
 
-    def _amplitudes(self, members: np.ndarray, bases: np.ndarray) -> np.ndarray:
-        return np.abs(_pick(self._vconj, members).transpose(0, 2, 1) @ bases)
-
     def _features(self, members: np.ndarray, bases: np.ndarray) -> np.ndarray:
-        amp = self._amplitudes(members, bases)
+        amp = linalg.overlaps(self._vconj, members, bases)
         return amp.reshape(len(amp), -1) if self.paper else amp.max(axis=1)
 
     def _reduce(self, stage_min: int) -> None:
@@ -486,7 +455,7 @@ class _Fold:
             raise EigenrlError("fidelity left [0, 1]: unitarity was lost")
         fidelity = np.minimum(fidelity, 1.0)
         residual_sum = 0.0
-        for residual in diag_residual(state.bases, env.operators).tolist():
+        for residual in linalg.diag_residual(state.bases, env.operators).tolist():
             residual_sum += residual  # one by one in repetition order; np.sum pairs them
         metadata = {
             "format": RESULTS_FORMAT,
@@ -499,7 +468,7 @@ class _Fold:
             stages=np.asarray(self.stage_min, dtype=np.int64),
             fidelity_curves=fidelity,
             search_curve=search,
-            per_repetition_final=self._amplitudes(np.arange(n), state.bases),
+            per_repetition_final=linalg.overlaps(self._vconj, np.arange(n), state.bases),
             diag_residual=residual_sum / n,
             metadata=metadata,
         )
@@ -629,16 +598,11 @@ def write_results(result: ExperimentResult, path: str, fmt: str = "csv") -> None
     elif fmt == "json":
         doc = {
             "metadata": result.metadata,
-            "ks": [int(v) for v in result.ks],
-            "stages": [int(v) for v in result.stages],
-            "search_curve": [float(v) for v in result.search_curve],
-            "fidelity_curves": [
-                [float(v) for v in row] for row in result.fidelity_curves
-            ],
-            "per_repetition_final": [
-                [[float(v) for v in row] for row in mat]
-                for mat in result.per_repetition_final
-            ],
+            "ks": result.ks.tolist(),
+            "stages": result.stages.tolist(),
+            "search_curve": result.search_curve.tolist(),
+            "fidelity_curves": result.fidelity_curves.tolist(),
+            "per_repetition_final": result.per_repetition_final.tolist(),
             "diag_residual": result.diag_residual,
         }
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -670,7 +634,7 @@ def load_basis(path: str) -> np.ndarray:
     """The unitary matrix of a basis file; raises ConfigError on any defect."""
     matrix = parse_matrix(read_json(path, "basis"), f"basis {path}")
     with np.errstate(all="ignore"):  # huge entries overflow to inf or NaN, which fail it
-        defect = float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(len(matrix))))
+        defect = linalg.unitarity_defect(matrix)
     if not defect <= BASIS_UNITARITY_TOL:
         raise ConfigError(
             f"basis {path} is not unitary: |D^H D - I| = {defect:.3e} "

@@ -32,6 +32,14 @@ on AVX-512).
 rows, no phase fixing and no sort, and returns ``lambda_max - lambda_min``
 of each member with the bits that ``eig_hermitian`` gives it: the rotations,
 and so the diagonal, do not depend on whether V rides along.
+
+Every matrix product of the package is computed here, by name: the black
+box ``apply_unitaries``, the ``born_weights`` of an evolved probe, the
+punish update ``rotate_columns``, the fold's and ``verify``'s ``overlaps``,
+``diag_residual`` and ``unitarity_defect``.  BLAS picks its kernel, and so
+the last bits of a product, by the operands' layout, so each keeps its own:
+the transposed views, where the ``conj`` sits, and the (1, d, d) stack that
+broadcasts one shared environment.
 """
 from __future__ import annotations
 
@@ -347,6 +355,17 @@ def rotation_blocks(phi: np.ndarray) -> np.ndarray:
     return blocks
 
 
+def rotate_columns(bases: np.ndarray, who: np.ndarray, t: np.ndarray, m: np.ndarray,
+                   angles: np.ndarray) -> None:
+    """Rotate columns ``t[j]`` and ``m[j]`` of ``bases[who[j]]`` in place by
+    the two-level rotation of ``angles[:, j]`` (rows phi_x, phi_y, phi_z):
+    the punish update, live and replayed."""
+    blocks = rotation_blocks(angles)
+    cols = np.array((t, m)).T[:, None, :]
+    at = (who[:, None, None], np.arange(bases.shape[1])[:, None], cols)  # (h, dim, 2)
+    bases[at] = bases[at] @ blocks
+
+
 def gram_schmidt(mat: np.ndarray) -> None:
     """Re-orthonormalize the columns of ``mat`` in place (modified variant).
 
@@ -360,3 +379,62 @@ def gram_schmidt(mat: np.ndarray) -> None:
             col -= np.vdot(mat[:, i], col) * mat[:, i]
         col /= math.sqrt(np.vdot(col, col).real)
 
+
+def _of_members(stack: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The items of ``members`` from a stack over the environments: the
+    whole stack, one (1, d, d) item that broadcasts, when one environment
+    is shared, else one item each."""
+    return stack if len(stack) == 1 else stack[members]
+
+
+def apply_unitaries(unitaries: np.ndarray, members: np.ndarray,
+                    probes: np.ndarray) -> np.ndarray:
+    """Row ``j`` of ``probes`` times member ``members[j]``'s unitary, from a
+    stack of one shared unitary or of one per member: the black box."""
+    return (_of_members(unitaries, members) @ probes[:, :, None])[:, :, 0]
+
+
+def born_weights(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """(n, d): ``|<b_l|psi_j>|**2``, the Born weights of each state row
+    ``psi_j`` on the columns ``b_l`` of its basis ``bases[j]``."""
+    amps = (states[:, None, :] @ bases.conj())[:, 0]
+    return amps.real**2 + amps.imag**2
+
+
+def overlaps(vconj: np.ndarray, members: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """(n, d, d): ``|<l_E|D|j>|`` at ``[i, l, j]`` for each basis ``D`` of
+    ``bases`` and the eigenvectors ``l_E`` of member ``members[i]``'s
+    environment.  ``vconj`` stacks the conjugated eigenvector matrices, one
+    shared or one per member, C-contiguous: they enter as transposed views."""
+    return np.abs(_of_members(vconj, members).transpose(0, 2, 1) @ bases)
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each C-contiguous complex matrix of a stack, with
+    its bits: it sums the strided real and imaginary views with BLAS ddot,
+    as one (1, m) @ (m, 1) product each.  Contiguous copies of the parts
+    would be summed by another ddot kernel, with other last bits."""
+    flat = stack.reshape(len(stack), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+
+
+def diag_residual(bases: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """Relative Frobenius weight ``|offdiag(D^H O D)| / |O|`` of what each D
+    fails to diagonalize away, for each basis of a complex (N, d, d) stack
+    against one shared operator, a (1, d, d) stack, or one operator each."""
+    d = bases.shape[-1]
+    if not bases.shape[1:] == operators.shape[1:] == (d, d) or len(operators) not in (1, len(bases)):
+        raise DimMismatch(f"bases {bases.shape} do not match operators {operators.shape}")
+    transformed = bases.conj().transpose(0, 2, 1) @ operators @ bases
+    diagonal = np.arange(d)
+    transformed[:, diagonal, diagonal] = 0.0
+    denom = _frobenius(operators)
+    residuals = np.zeros(len(bases))
+    np.divide(_frobenius(transformed), denom, out=residuals, where=denom != 0.0)
+    return residuals
+
+
+def unitarity_defect(matrix: np.ndarray) -> float:
+    """``|D^H D - I|``, the Frobenius norm, of a square complex matrix D."""
+    return float(_frobenius((matrix.conj().T @ matrix - np.eye(len(matrix)))[None])[0])

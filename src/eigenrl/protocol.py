@@ -29,7 +29,9 @@ drives; a lone agent is a one-member ensemble.  :func:`iteration_records`
 turns a member's row of an :class:`EnsembleRecord` into trace lines,
 :class:`IterationRecord`, and :func:`replay_basis` replays a trace.  Every
 punishment, whether one member is punished or many, live or replayed, goes
-through the one stacked column update, :func:`_rotate`.
+through the one stacked column update, ``linalg.rotate_columns``, and every
+Born weight through ``linalg.born_weights``: the engine computes no matrix
+product of its own.
 
 In the protocol each iteration sends a fresh probe through the black box,
 but a member's probe, and so the distribution of its outcome, changes only
@@ -58,8 +60,9 @@ iteration at a time, because they keep these rules:
 - a finished member carries its last ``w_after`` and its final basis into
   every later record point, and record points exist only up to the
   longest run;
-- the black box, the Born check, the cumulative sums and :func:`_rotate`
-  give each member the same bits whatever batch it is computed in.
+- the black box, the Born weights and their check, the cumulative sums and
+  ``linalg.rotate_columns`` give each member the same bits whatever batch it
+  is computed in.
 
 Punish angles are drawn in the fixed order x, z, y from the per-agent
 generator, so runs are reproducible and a recorded trace can be replayed
@@ -223,16 +226,6 @@ class IterationRecord:
     classification: str
     angles: RotationAngles | None
     w_after: float
-
-
-def _rotate(bases: np.ndarray, who: np.ndarray, t: np.ndarray, m: np.ndarray,
-            angles: np.ndarray) -> None:
-    """Rotate columns ``t[j]`` and ``m[j]`` of ``bases[who[j]]`` in place by
-    the two-level rotation of ``angles[:, j]`` (rows phi_x, phi_y, phi_z)."""
-    blocks = linalg.rotation_blocks(angles)
-    cols = np.array((t, m)).T[:, None, :]
-    at = (who[:, None, None], np.arange(bases.shape[1])[:, None], cols)  # (h, dim, 2)
-    bases[at] = bases[at] @ blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,8 +426,7 @@ class EnsembleState:
                 raise DimMismatch(
                     f"states shape {evolved.shape}, expected ({len(stale)}, {self.dim})"
                 )
-            amps = (evolved[:, None, :] @ bases.conj())[:, 0]
-            q = amps.real**2 + amps.imag**2
+            q = linalg.born_weights(evolved, bases)
             total = q.sum(axis=1)
             drift = np.abs(total - 1.0)
             if not drift.max() < BORN_TOL:
@@ -535,7 +527,7 @@ class EnsembleState:
         draws = self._draws[who, cursor + _DRAWN_XYZ]
         self._cursor[who] = cursor + 3
         angles = low + (bound - low) * draws
-        _rotate(self.bases, who, t, m, angles)
+        linalg.rotate_columns(self.bases, who, t, m, angles)
         return angles
 
     def _weights(self, sel: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
@@ -766,8 +758,8 @@ def replay_basis(dim: int, records: Iterable[IterationRecord]) -> np.ndarray:
     for rec in records:
         if rec.classification == PUNISH:
             a = rec.angles
-            _rotate(stack, first, np.array([rec.stage]), np.array([rec.outcome]),
-                    np.array([[a.phi_x], [a.phi_y], [a.phi_z]]))
+            linalg.rotate_columns(stack, first, np.array([rec.stage]), np.array([rec.outcome]),
+                                  np.array([[a.phi_x], [a.phi_y], [a.phi_z]]))
         if rec.k % REORTHONORMALIZE_EVERY == 0:
             linalg.gram_schmidt(basis)
     return basis

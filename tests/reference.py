@@ -3,14 +3,18 @@
 ``AgentState`` is the scalar agent loop, one agent and one iteration at a
 time, with its own generator, Born sampling, feedback update and stage
 bookkeeping, and ``run_agent`` its own stage loop; ``reference_experiment``
-runs and reduces one repetition at a time with them, and ``diag_residual`` is the one-matrix form of the stacked
-``harness.diag_residual``.  Unlike :mod:`oracles`, these are written with
-the package's own primitives (``linalg.rotation_block``,
-``linalg.gram_schmidt``, and the engine's black box on a stack of one,
-``lone_black_box``), because matching the engine bit for bit needs the
-same floating-point operations in the same order.  The punish update is
-the reference's own: ``apply_block`` multiplies one 2x2 block onto two
-columns of one basis, where the engine rotates a stack of bases at once.
+runs and reduces one repetition at a time with them, and ``diag_residual``
+is the one-matrix form of the stacked ``linalg.diag_residual``.  Unlike
+:mod:`oracles`, these are written with the package's own primitives
+(``linalg.rotation_block``, ``linalg.gram_schmidt``, and the engine's black
+box, ``linalg.apply_unitaries``, on a stack of one, ``lone_black_box``),
+because matching the engine bit for bit needs the same floating-point
+operations in the same order.  The other products are the reference's own
+one-matrix forms of the named ``linalg`` products the engine and the fold
+call: the Born amplitudes of ``AgentState`` for ``linalg.born_weights``,
+``apply_block``, which multiplies one 2x2 block onto two columns of one
+basis, for ``linalg.rotate_columns``, which rotates a stack of bases at
+once, and ``|V^H D|`` in ``reference_experiment`` for ``linalg.overlaps``.
 
 ``derive_seed`` is NumPy's own seed derivation, one ``SeedSequence`` per
 repetition, against which the engine's one-pass ``seeding.derive_seeds``
@@ -218,7 +222,8 @@ def diag_residual(basis: np.ndarray, operator: np.ndarray) -> float:
 
 def lone_black_box(env):
     """A one-operator ``env`` as a one-state black box: the engine's
-    ``harness._black_box`` on a stack of one."""
+    ``harness._black_box``, and so ``linalg.apply_unitaries``, on a stack of
+    one."""
     box = harness._black_box(env)
     return lambda psi: box(np.array([0]), psi[None])[0]
 

@@ -244,6 +244,32 @@ class TestPipeline:
         assert "diag residual = " in captured.out
         assert "F_0 = " in captured.out and "F_1 = " in captured.out
 
+    @pytest.mark.parametrize("name", ["fig7_bell", "fig6_random2q", "fig3_r09_nu2"])
+    def test_replay_verify_and_the_results_file_agree(self, tmp_path, capsys, name):
+        """``verify`` of the replayed basis prints, for each column, the best
+        overlap that the results file holds for repetition 0, and computes
+        it with the fold's own overlaps, bit for bit."""
+        cfg = CONFIG_DIR / f"{name}.json"
+        out, trace, dmat = tmp_path / "o.json", tmp_path / "rep0.trace", tmp_path / "d.json"
+        argv = ["run", "--config", str(cfg), "--format", "json", "--out", str(out),
+                "--trace", str(trace)]
+        assert main(argv) == 0
+        assert main(["replay", "--trace", str(trace), "--d-matrix", str(dmat)]) == 0
+        config = harness.load_config(str(cfg))
+        operator = tmp_path / "op.json"
+        save_operator(str(operator), harness.build_environment(config).operators[0], config.tau)
+        capsys.readouterr()
+        # a relative residual never exceeds 1, so --tol 1 passes every basis
+        argv = ["verify", "--operator", str(operator), "--d-matrix", str(dmat), "--tol", "1"]
+        assert main(argv) == 0
+        printed = re.findall(r"^F_(\d+) = (\S+)$", capsys.readouterr().out, re.MULTILINE)
+        final = np.array(json.loads(out.read_text())["per_repetition_final"][0])
+        assert printed == [(str(j), f"{v:.9f}") for j, v in enumerate(final.max(axis=0))]
+        vconj = linalg.eig_hermitian(load_operator(str(operator))[0]).eigenvectors.conj()
+        basis = harness.load_basis(str(dmat))
+        got = linalg.overlaps(vconj[None], np.arange(1), basis[None])[0]
+        assert got.tobytes() == final.tobytes()
+
     def test_verify_rejects_unconverged_basis(self, tmp_path, capsys):
         op = tmp_path / "sx.json"
         assert main(["gen-operator", "--kind", "spin-x", "--out", str(op)]) == 0
@@ -499,6 +525,11 @@ MALFORMED = {
     ),
     "gen-operator-negative-seed": lambda tmp_path: gen_operator_args(
         tmp_path, "--dim", "2", "--seed", "-1"),
+    # the seed is checked for every kind, though only random draws with it
+    "gen-operator-bell-negative-seed": lambda tmp_path: [
+        "gen-operator", "--kind", "bell", "--seed", "-1", "--out", str(tmp_path / "o.json")],
+    "gen-operator-spin-x-negative-seed": lambda tmp_path: [
+        "gen-operator", "--kind", "spin-x", "--seed", "-1", "--out", str(tmp_path / "o.json")],
     "gen-operator-dim-out-of-range": lambda tmp_path: gen_operator_args(
         tmp_path, "--dim", "100"),
     "gen-operator-nan-tau": lambda tmp_path: gen_operator_args(

@@ -426,14 +426,14 @@ class TestDiagResidual:
     def test_exact_eigenbasis_nulls_the_residual(self):
         env = env_random(3, 1.0, [44])
         exact = env.eigensystem.eigenvectors[0]
-        assert harness.diag_residual(exact[None], env.operators)[0] < 1e-9
+        assert linalg.diag_residual(exact[None], env.operators)[0] < 1e-9
 
     def test_identity_on_diagonal_operator_is_zero(self):
-        assert harness.diag_residual(np.eye(2)[None], DIAG[None]).tolist() == [0.0]
+        assert linalg.diag_residual(np.eye(2)[None], DIAG[None]).tolist() == [0.0]
 
     def test_hadamard_fully_scrambles_a_diagonal_operator(self):
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        value = harness.diag_residual(hadamard[None], DIAG[None])[0]
+        value = linalg.diag_residual(hadamard[None], DIAG[None])[0]
         assert value == pytest.approx(1.0)
 
     def test_dim_mismatch_and_agent_wrapper(self):
@@ -445,7 +445,7 @@ class TestDiagResidual:
         ]
         for bases, operators in mismatched:
             with pytest.raises(DimMismatch):
-                harness.diag_residual(bases, operators)
+                linalg.diag_residual(bases, operators)
         # a one-repetition result reports the residual of its lone agent
         cfg = small_config(repetitions=1)
         env = harness.build_environment(cfg)
@@ -467,12 +467,12 @@ class TestDiagResidual:
         bases = np.linalg.qr(normal())[0]
         a = normal()[:1] if shared else normal()
         operators = a + a.conj().transpose(0, 2, 1)
-        got = harness.diag_residual(bases, operators)
+        got = linalg.diag_residual(bases, operators)
         for i in range(n):
             want = reference.diag_residual(bases[i], operators[0 if shared else i])
             assert got[i].tobytes() == np.float64(want).tobytes()
         zero = np.zeros((1, dim, dim), dtype=complex)
-        assert harness.diag_residual(bases, zero).tolist() == [0.0] * n
+        assert linalg.diag_residual(bases, zero).tolist() == [0.0] * n
         assert reference.diag_residual(bases[0], zero[0]) == 0.0
 
 
@@ -952,6 +952,18 @@ def test_record_trace_replays_clean(tmp_path):
     assert records[-1].k == 80
 
 
+def test_replay_crosses_the_drift_control(tmp_path, monkeypatch):
+    """With the drift control every 7 iterations, a trace replays to the
+    footer's hash only if replay re-orthonormalizes where the run did."""
+    monkeypatch.setattr(protocol, "REORTHONORMALIZE_EVERY", 7)
+    config = replace(harness.load_config(str(CONFIG_DIR / "fig7_bell.json")), repetitions=3)
+    path = tmp_path / "rep0.trace"
+    harness.run_experiment(config, trace=True).trace.write(str(path))
+    header, records, recorded = protocol.read_trace(str(path))
+    assert len(records) == 1000  # 142 drift controls
+    assert protocol.basis_hash(protocol.replay_basis(header["dim"], records)) == recorded
+
+
 @pytest.mark.parametrize("name", ["fig3_r09_nu2", "fig7_bell"])
 def test_record_trace_writes_the_bytes_of_the_reference_agent(tmp_path, name):
     """A one-member engine run writes the scalar reference's trace: the same
@@ -1081,7 +1093,7 @@ def test_residual_tracks_fidelity_loss():
         basis = exact @ two_level_rotation(0, 1, 3, angles)
         bases.append(basis)
         fidelities.append(np.abs(exact.conj().T @ basis).max(axis=0).min())
-    residuals = harness.diag_residual(np.stack(bases), env.operators)
+    residuals = linalg.diag_residual(np.stack(bases), env.operators)
     assert np.all(np.diff(residuals) > 0)
     assert np.all(np.diff(fidelities) < 0)
 

@@ -1,5 +1,8 @@
-"""Dense linear-algebra layer: diagonalizer, rotations, propagator."""
+"""Dense linear-algebra layer: diagonalizer, rotations, propagator, and
+the named matrix products the rest of the package calls."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,3 +390,63 @@ def test_gram_schmidt_restores_unitarity():
     # the repaired matrix stays close to the original
     assert np.max(np.abs(drifted - u)) < 1e-8
 
+
+
+#: functions that compute a matrix product, by name or as an attribute
+_PRODUCTS = frozenset({"matmul", "dot", "vdot", "inner", "tensordot", "einsum"})
+
+
+def _products(path: Path) -> list[str]:
+    """``file:line`` of each matrix product written in a source file: an
+    ``@``, a product function or anything of ``numpy.linalg``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            hit = isinstance(node.op, ast.MatMult)
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in _PRODUCTS or (
+                node.attr == "linalg" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Name):
+            hit = node.id in _PRODUCTS
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            names = [f"{module}.{alias.name}" if module else alias.name for alias in node.names]
+            hit = any(name.startswith("numpy.linalg") or name.rsplit(".", 1)[-1] in _PRODUCTS
+                      for name in names)
+        else:
+            continue
+        if hit:
+            found.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_no_module_but_linalg_computes_a_matrix_product():
+    """Every matrix product sits behind a named ``linalg`` function, the one
+    place that fixes the operand layout, and so the bits, of each; a
+    decorator's ``@`` is no product.  ``np.outer`` is elementwise."""
+    package = Path(linalg.__file__).parent
+    outside = [hit for path in sorted(package.glob("*.py")) if path.name != "linalg.py"
+               for hit in _products(path)]
+    assert outside == []
+    assert len(_products(package / "linalg.py")) >= 7  # the check sees the named products
+
+
+def test_unitarity_defect_has_the_bits_of_the_numpy_norm():
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 4, 8, 16, 64):
+        q = linalg.eig_hermitian(oracles.random_hermitian(rng, d)).eigenvectors
+        for matrix in (q, q + 1e-7 * rng.standard_normal((d, d)), np.zeros((d, d), complex)):
+            want = np.linalg.norm(matrix.conj().T @ matrix - np.eye(d))
+            assert np.float64(linalg.unitarity_defect(matrix)).tobytes() == want.tobytes()
+
+
+def test_overlaps_on_a_stack_of_one_have_the_bits_of_the_matrix_form():
+    """A lone basis against one environment, as ``verify`` asks for it,
+    gets the bits of ``|V^H D|`` written for one matrix."""
+    rng = np.random.default_rng(9)
+    for d in (2, 3, 4, 8):
+        vconj = linalg.eig_hermitian(oracles.random_hermitian(rng, d)).eigenvectors.conj()
+        basis = linalg.eig_hermitian(oracles.random_hermitian(rng, d)).eigenvectors
+        got = linalg.overlaps(vconj[None], np.arange(1), basis[None])[0]
+        assert got.tobytes() == np.abs(vconj.T @ basis).tobytes()
