@@ -30,8 +30,15 @@ on AVX-512).
 
 ``spectral_spread`` runs the same sweeps on A alone, with no eigenvector
 rows, no phase fixing and no sort, and returns ``lambda_max - lambda_min``
-of each member with the bits that ``eig_hermitian`` gives it: the rotations,
-and so the diagonal, do not depend on whether V rides along.
+of each member with the bits that ``eig_hermitian`` gives it whenever the
+spread is non-zero: the rotations, and so the diagonal, do not depend on
+whether V rides along.  A zero spread may differ from it in the sign of the
+zero.
+
+A punish block has one definition, ``rotation_blocks``, which the engine,
+``replay_basis`` and the tests' reference agent all call.  A block whose
+half-angle products are all non-zero has the bits of the complex closed
+form; one with a zero product may differ from it in the sign of a zero.
 
 Every matrix product of the package is computed here, by name: the black
 box ``apply_unitaries``, the ``born_weights`` of an evolved probe, the
@@ -271,20 +278,18 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
 def spectral_spread(h: np.ndarray) -> np.ndarray | float:
     """``lambda_max - lambda_min`` of a Hermitian matrix, or of each matrix
     of a stack, shape (B,), with the bits of
-    ``eig_hermitian(h).eigenvalues[..., -1] - eigenvalues[..., 0]``.
+    ``eig_hermitian(h).eigenvalues[..., -1] - eigenvalues[..., 0]`` whenever
+    that is non-zero.
 
     The same sweeps rotate A alone: no eigenvectors, no phase fixing and no
     sort.  Eigenvalues that compare equal differ at most in the sign of a
-    zero, so only a spread of zero depends on the tie-break order; those
-    members take it from ``eig_hermitian``.  Raises as ``eig_hermitian``
-    does.
+    zero, so only a spread of zero depends on the tie-break order, and it
+    may differ from ``eig_hermitian``'s in its sign.  Raises as
+    ``eig_hermitian`` does.
     """
     a, stacked = _jacobi(h, vectors=False)
     values = np.diagonal(a, axis1=1, axis2=2).real
     spread = values.max(axis=-1) - values.min(axis=-1)
-    for i in np.flatnonzero(spread == 0.0):
-        tied = eig_hermitian(np.reshape(h, a.shape)[i]).eigenvalues
-        spread[i] = tied[-1] - tied[0]
     return spread if stacked else spread[0]
 
 
@@ -296,28 +301,6 @@ def unitary_from_eigensystem(es: Eigensystem, tau: float) -> np.ndarray:
     return (es.eigenvectors * phases[..., None, :]) @ es.eigenvectors.conj().swapaxes(-1, -2)
 
 
-def rotation_block(angles: RotationAngles) -> np.ndarray:
-    """2x2 unitary of a two-level rotation on its ordered subspace basis.
-
-    Closed form of ``exp(-i phi_y Sy) exp(-i phi_z Sz) exp(-i phi_x Sx)``
-    where, on the subspace basis {|a>, |b>},
-    ``Sx = (|a><b| + |b><a|)/2``, ``Sy = -i(|a><b| - |b><a|)/2`` and
-    ``Sz = (|a><a| - |b><b|)/2``.
-    """
-    cx = math.cos(0.5 * angles.phi_x)
-    sx = math.sin(0.5 * angles.phi_x)
-    cy = math.cos(0.5 * angles.phi_y)
-    sy = math.sin(0.5 * angles.phi_y)
-    ez = complex(math.cos(0.5 * angles.phi_z), -math.sin(0.5 * angles.phi_z))
-    ezc = ez.conjugate()
-    return np.array(
-        [
-            [cy * cx * ez + 1j * sy * sx * ezc, -1j * cy * sx * ez - sy * cx * ezc],
-            [sy * cx * ez - 1j * cy * sx * ezc, -1j * sy * sx * ez + cy * cx * ezc],
-        ]
-    )
-
-
 #: rotation_blocks: signs that turn the four pairs of products into sums or
 #: differences, and the order and signs that spread the four results over
 #: the real and imaginary parts of [[b00, b01], [b10, b11]], row-major
@@ -327,15 +310,22 @@ _PART_SIGN = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
 def rotation_blocks(phi: np.ndarray) -> np.ndarray:
-    """Stack of :func:`rotation_block` results, shape (n, 2, 2), bit for bit.
+    """2x2 unitaries of two-level rotations, shape (n, 2, 2), the one
+    builder of a punish block.
 
-    ``phi`` has shape (3, n): rows ``phi_x``, ``phi_y``, ``phi_z``.
-    Written out in real arithmetic, the complex products of
-    :func:`rotation_block` reduce to eight real products, combined in the
-    same order; the terms they drop are exact zeros, which leave a nonzero
-    sum unchanged.  A block with a zero among those products (an angle of
-    exactly 0, or an underflow) could differ in the sign of a zero, so it
-    is computed by :func:`rotation_block` itself.
+    ``phi`` has shape (3, n): rows ``phi_x``, ``phi_y``, ``phi_z``.  Block
+    ``j`` is ``exp(-i phi_y Sy) exp(-i phi_z Sz) exp(-i phi_x Sx)`` of the
+    angles ``phi[:, j]`` on the ordered subspace basis {|a>, |b>}, with
+    ``Sx = (|a><b| + |b><a|)/2``, ``Sy = -i(|a><b| - |b><a|)/2`` and
+    ``Sz = (|a><a| - |b><b|)/2``.  The complex closed form of that product,
+    kept in ``tests/oracles.py`` as this builder's oracle, reduces in real
+    arithmetic to eight real products of half-angle cosines and sines,
+    combined here in the same order; the terms it drops are exact zeros,
+    which leave a non-zero sum unchanged.  So a block whose products are
+    all non-zero has the closed form's bits, and one with a zero product
+    (an angle of exactly 0, or an underflow) may differ from it in the sign
+    of a zero.  Every operation is elementwise, so a block has the same
+    bits in a stack of any size.
     """
     half = 0.5 * phi
     trig = np.array((np.cos(half), np.sin(half)))  # of the half angles x, y, z
@@ -347,12 +337,7 @@ def rotation_blocks(phi: np.ndarray) -> np.ndarray:
     # [[re0 + i im0, -re1 - i im1], [re1 - i im1, re0 - i im0]]
     combined = (t[:, :, 0] + t[::-1, ::-1, 1] * _TERM_SIGN).reshape(4, -1)
     parts = np.multiply(combined[_PART_ORDER].T, _PART_SIGN, order="C")
-    blocks = parts.view(np.complex128).reshape(-1, 2, 2)
-    if not t.all():
-        for i in np.nonzero(~t.all(axis=(0, 1, 2)))[0]:
-            x, y, z = (float(v) for v in phi[:, i])
-            blocks[i] = rotation_block(RotationAngles(phi_x=x, phi_y=y, phi_z=z))
-    return blocks
+    return parts.view(np.complex128).reshape(-1, 2, 2)
 
 
 def rotate_columns(bases: np.ndarray, who: np.ndarray, t: np.ndarray, m: np.ndarray,

@@ -1,9 +1,12 @@
 """Independent reference implementations used to cross-check the package.
 
-Nothing in here may call into :mod:`eigenrl.linalg`'s diagonalizer or the
-closed-form rotation block: these are the second route of every dual-route
+Nothing in here may call into :mod:`eigenrl.linalg`'s diagonalizer or its
+rotation-block builder: these are the second route of every dual-route
 test, so they are built only from elementary numpy operations, series
-expansions and, for one qubit, closed-form trigonometry.
+expansions and closed-form trigonometry.  ``rotation_block`` is the complex
+closed form of one two-level rotation, which the package's one builder,
+``linalg.rotation_blocks``, must reproduce bit for bit wherever none of its
+half-angle products is zero.
 
 The single-qubit route restates in trigonometric form what the matrix
 route computes numerically.  A pair ``(theta, phi)`` stands for the state
@@ -75,6 +78,24 @@ def rotation_via_series(
         expm_series(-1j * phi_y * sy)
         @ expm_series(-1j * phi_z * sz)
         @ expm_series(-1j * phi_x * sx)
+    )
+
+
+def rotation_block(angles) -> np.ndarray:
+    """2x2 unitary ``exp(-i phi_y Sy) exp(-i phi_z Sz) exp(-i phi_x Sx)`` of
+    ``angles`` (``phi_x``, ``phi_y``, ``phi_z``) on the ordered basis of its
+    subspace, in closed form, one complex scalar product at a time."""
+    cx = math.cos(0.5 * angles.phi_x)
+    sx = math.sin(0.5 * angles.phi_x)
+    cy = math.cos(0.5 * angles.phi_y)
+    sy = math.sin(0.5 * angles.phi_y)
+    ez = complex(math.cos(0.5 * angles.phi_z), -math.sin(0.5 * angles.phi_z))
+    ezc = ez.conjugate()
+    return np.array(
+        [
+            [cy * cx * ez + 1j * sy * sx * ezc, -1j * cy * sx * ez - sy * cx * ezc],
+            [sy * cx * ez - 1j * cy * sx * ezc, -1j * sy * sx * ez + cy * cx * ezc],
+        ]
     )
 
 

@@ -6,15 +6,19 @@ bookkeeping, and ``run_agent`` its own stage loop; ``reference_experiment``
 runs and reduces one repetition at a time with them, and ``diag_residual``
 is the one-matrix form of the stacked ``linalg.diag_residual``.  Unlike
 :mod:`oracles`, these are written with the package's own primitives
-(``linalg.rotation_block``, ``linalg.gram_schmidt``, and the engine's black
-box, ``linalg.apply_unitaries``, on a stack of one, ``lone_black_box``),
-because matching the engine bit for bit needs the same floating-point
-operations in the same order.  The other products are the reference's own
-one-matrix forms of the named ``linalg`` products the engine and the fold
-call: the Born amplitudes of ``AgentState`` for ``linalg.born_weights``,
-``apply_block``, which multiplies one 2x2 block onto two columns of one
-basis, for ``linalg.rotate_columns``, which rotates a stack of bases at
-once, and ``|V^H D|`` in ``reference_experiment`` for ``linalg.overlaps``.
+(``linalg.rotation_blocks`` on a stack of one, ``linalg.gram_schmidt``, and
+the engine's black box, ``linalg.apply_unitaries``, on a stack of one,
+``lone_black_box``), because matching the engine bit for bit needs the same
+floating-point operations in the same order: live runs, ``replay_basis``
+and this reference build every punish block with the one builder.  The
+reference imports it by name, so a test that patches
+``linalg.rotation_blocks`` checks the engine against the shipped builder.
+The other products are the reference's own one-matrix forms of the named
+``linalg`` products the engine and the fold call: the Born amplitudes of
+``AgentState`` for ``linalg.born_weights``, ``apply_block``, which
+multiplies one 2x2 block onto two columns of one basis, for
+``linalg.rotate_columns``, which rotates a stack of bases at once, and
+``|V^H D|`` in ``reference_experiment`` for ``linalg.overlaps``.
 
 ``derive_seed`` is NumPy's own seed derivation, one ``SeedSequence`` per
 repetition, against which the engine's one-pass ``seeding.derive_seeds``
@@ -36,7 +40,7 @@ import numpy as np
 from eigenrl import harness, linalg, protocol
 from eigenrl.environment import env_random
 from eigenrl.errors import BadDim, DimMismatch, NotNormalized, StageOverflow
-from eigenrl.linalg import RotationAngles
+from eigenrl.linalg import RotationAngles, rotation_blocks
 from eigenrl.protocol import (
     BORN_TOL,
     MAX_DRAW_BOUND,
@@ -132,7 +136,8 @@ class AgentState:
             angles = RotationAngles(
                 phi_x=float(draw[0]), phi_y=float(draw[2]), phi_z=float(draw[1])
             )
-            apply_block(self.basis, t, m, linalg.rotation_block(angles))
+            phi = np.array([[angles.phi_x], [angles.phi_y], [angles.phi_z]])
+            apply_block(self.basis, t, m, rotation_blocks(phi)[0])
             self.w = min(self.w * self.params.p, self.params.w_cap)
             self.n_p += 1
             classification = PUNISH

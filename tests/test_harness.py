@@ -312,7 +312,8 @@ class TestBuildEnvironment:
 def two_level_rotation(a, b, dim, angles):
     """The two-level rotation on basis states a < b, as a dim x dim unitary."""
     u = np.eye(dim, dtype=complex)
-    u[np.ix_((a, b), (a, b))] = linalg.rotation_block(angles)
+    phi = np.array([[angles.phi_x], [angles.phi_y], [angles.phi_z]])
+    u[np.ix_((a, b), (a, b))] = linalg.rotation_blocks(phi)[0]
     return u
 
 
@@ -350,8 +351,8 @@ class TestMeanFidelity:
 
     def test_single_rotation_takes_best_match(self):
         theta = 0.8
-        rot = linalg.rotation_block(
-            linalg.RotationAngles(phi_x=theta, phi_y=0.0, phi_z=0.0)
+        rot = two_level_rotation(
+            0, 1, 2, linalg.RotationAngles(phi_x=theta, phi_y=0.0, phi_z=0.0)
         )
         expected = max(abs(math.cos(theta / 2)), abs(math.sin(theta / 2)))
         for mode in ("paper", "per-rep"):
@@ -962,6 +963,39 @@ def test_replay_crosses_the_drift_control(tmp_path, monkeypatch):
     header, records, recorded = protocol.read_trace(str(path))
     assert len(records) == 1000  # 142 drift controls
     assert protocol.basis_hash(protocol.replay_basis(header["dim"], records)) == recorded
+
+
+def test_blocks_with_a_zero_product_replay_to_the_live_and_reference_basis(
+    tmp_path, monkeypatch
+):
+    """``fig5_sx`` from ``w1 = 1e-320``: every punish block, live and
+    replayed, has a half-angle product that underflows to zero, where the
+    one block builder may differ from the closed form in the sign of a zero.
+    Replay, the live run and the scalar reference agent still end
+    repetition 0 on the same basis bytes."""
+    raw = json.loads((CONFIG_DIR / "fig5_sx.json").read_text())
+    config = config_from_dict({**raw, "repetitions": 3, "w1": 1e-320})
+    angles, real = [], linalg.rotation_blocks
+    monkeypatch.setattr(linalg, "rotation_blocks", lambda phi: angles.append(phi) or real(phi))
+    path = tmp_path / "rep0.trace"
+    trace = harness.run_experiment(config, trace=True).trace
+    trace.write(str(path))
+    header, records, recorded = protocol.read_trace(str(path))
+    replayed = protocol.replay_basis(header["dim"], records)
+
+    phi = np.concatenate(angles, axis=1)
+    trig = np.array((np.cos(0.5 * phi), np.sin(0.5 * phi)))
+    # the products rotation_blocks multiplies, in its order
+    products = (trig[:, 1, None] * trig[None, :, 0])[:, :, None] * trig[None, None, :, 2]
+    assert phi.shape[1] == 748  # 554 live blocks, 194 replayed
+    assert not products.all(axis=(0, 1, 2)).any()
+
+    seed = reference.derive_seed(config.seed, 0)
+    agent = AgentState(config.dim, config.params, seed)
+    reference.run_agent(agent, lone_black_box(harness.build_environment(config)),
+                        config.stopping)
+    assert replayed.tobytes() == trace.final_basis.tobytes() == agent.basis.tobytes()
+    assert protocol.basis_hash(replayed) == recorded
 
 
 @pytest.mark.parametrize("name", ["fig3_r09_nu2", "fig7_bell"])

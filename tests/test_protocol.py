@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import reference
 from eigenrl import harness, linalg, protocol
 from eigenrl.cli import main
@@ -167,7 +168,7 @@ def test_measure_matches_born_weights():
 def test_measure_uses_adapted_basis():
     # after rotating the basis, outcome weights follow the new columns
     basis = np.eye(3, dtype=complex)
-    basis[:2, :2] = linalg.rotation_block(
+    basis[:2, :2] = oracles.rotation_block(
         linalg.RotationAngles(phi_x=0.9, phi_y=-0.4, phi_z=1.7)
     )
     hits = sum(measure_lone(77, basis, basis[:, 1], 2000))
@@ -238,7 +239,7 @@ class TestFeedback:
         assert rec.angles == linalg.RotationAngles(
             phi_x=draw[0], phi_y=draw[2], phi_z=draw[1]
         )
-        expected = linalg.rotation_block(rec.angles)
+        expected = oracles.rotation_block(rec.angles)
         np.testing.assert_allclose(agent.bases[0], expected, atol=1e-15)
         assert rec.w_after == pytest.approx(2.0 / 0.9)  # the stage then closes
         assert agent.finished and agent.calls[0] == 1
@@ -251,7 +252,7 @@ class TestFeedback:
         np.testing.assert_array_equal(agent.bases[0][:, 1], before[:, 1])
         np.testing.assert_array_equal(agent.bases[0][:, 3], before[:, 3])
         full = np.eye(4, dtype=complex)
-        full[np.ix_((0, 2), (0, 2))] = linalg.rotation_block(rec.angles)
+        full[np.ix_((0, 2), (0, 2))] = oracles.rotation_block(rec.angles)
         np.testing.assert_allclose(agent.bases[0], before @ full, atol=1e-15)
 
 
@@ -485,15 +486,15 @@ class TestEnsemble:
     def test_punish_form_changes_no_bits(self, monkeypatch, form, rule):
         """Each step's punished members go through one update.  Its rotation
         blocks may come from the stacked arithmetic on a stack of at least
-        two, each from the scalar builder alone, or as shipped (the stacked
-        arithmetic, a lone block too); every form gives the bits of the
-        scalar reference, for one punished member and for several."""
+        two, each from the closed-form oracle alone, or as shipped (the
+        stacked arithmetic, a lone block too); every form gives the bits of
+        the scalar reference, for one punished member and for several."""
         shipped = linalg.rotation_blocks
         build = {
             "stacked": lambda phi: shipped(np.repeat(phi, 2, axis=1))[::2].copy(),
             "default": shipped,
             "each": lambda phi: np.array(
-                [linalg.rotation_block(linalg.RotationAngles(*phi[:, j].tolist()))
+                [oracles.rotation_block(linalg.RotationAngles(*phi[:, j].tolist()))
                  for j in range(phi.shape[1])]),
         }[form]
         sizes = []
