@@ -18,15 +18,18 @@ quadratically and in practice needs well under the 100-sweep budget.
 a stack of one.  The stack is swept pair by pair in the same cyclic order
 for every member, and each pair rotates only the members whose entry lies
 above their own threshold, so every member gets the bits that rotating it
-alone, one scalar step at a time, gives.  A pair at which every member
-rotates reads and writes basic slices; only a pair at which some members
-rotate gathers and scatters them.  Resampled random environments are
-diagonalized this way, all in one call.  Keeping those bits fixes two
-choices: magnitudes are ``np.hypot(re, im)``, because ``np.abs`` of a
-complex array can round differently from the scalar ``abs``, and the
-rotation angle is ``math.atan2`` for each rotating member, because
-``np.arctan2`` can differ from it in the last bit (both seen with NumPy 2.4
-on AVX-512).
+alone, one scalar step at a time, gives.  The sweeps hold the stack with
+the members on the last, contiguous axis, so a pair's two columns and two
+rows are views across all members.  A pair at which every member rotates
+works on those views; only a pair at which some members rotate gathers
+and scatters them.  The layout cannot move a bit: every operation of a
+step is elementwise, one member per column, in the scalar step's operand
+order.  Resampled random environments are diagonalized this way, all in
+one call.  Keeping those bits fixes two choices: magnitudes are
+``np.hypot(re, im)``, because ``np.abs`` of a complex array can round
+differently from the scalar ``abs``, and the rotation angle is
+``math.atan2`` for each rotating member, because ``np.arctan2`` can differ
+from it in the last bit (both seen with NumPy 2.4 on AVX-512).
 
 ``spectral_spread`` runs the same sweeps on A alone, with no eigenvector
 rows, no phase fixing and no sort, and returns ``lambda_max - lambda_min``
@@ -152,42 +155,58 @@ def normalize_phase(vecs: np.ndarray) -> np.ndarray:
 
 
 def _jacobi_rotate(av: np.ndarray, m, p: int, q: int, mag: np.ndarray) -> None:
-    """One Jacobi step zeroing a[i, p, q] for each member i in ``m``, in place.
+    """One Jacobi step zeroing a[p, q, i] for each member i in ``m``, in place.
 
-    ``av`` stacks each member's A, alone or over its V, shape (B, n, n) or
-    (B, 2n, n); the step is A <- J^dag A J and V <- V J, and ``mag`` is
-    |a[m, p, q]|.  ``m`` is the slice of every member or an index array of
-    some of them.  Every operation is elementwise, one member per row, so
-    each member gets the bits of a one-matrix rotation.
+    ``av`` holds each member's A, alone or over its V, with the members on
+    the last, contiguous axis, shape (n, n, B) or (2n, n, B); the step is
+    A <- J^dag A J and V <- V J, and ``mag`` is |a[p, q, m]|.  ``m`` is the
+    slice of every member, under which the pair's columns ``av[:, p]`` and
+    rows ``av[p]`` are views, or an index array of some members, which
+    gathers and scatters them.  Each new column and row is built in a fresh
+    array from the old pair, which is read in full before either is written,
+    by the scalar step's expressions in their operand order.  NumPy rounds
+    each element of an elementwise product or sum alone, so neither the
+    layout nor the fresh arrays can move a bit: each member gets the bits of
+    a one-matrix rotation.
     """
-    phase = av[m, p, q] / mag
-    diff = av[m, p, p].real - av[m, q, q].real
+    phase = av[p, q, m] / mag
+    diff = av[p, p, m].real - av[q, q, m].real
     theta = 0.5 * np.fromiter(map(math.atan2, (2.0 * mag).tolist(), diff.tolist()),
                               np.float64, len(diff))
     # complex, as NumPy casts it for each real x complex product below
-    c = np.cos(theta).astype(np.complex128)[:, None]
+    c = np.cos(theta).astype(np.complex128)
     s = np.sin(theta)
-    sp = (s * phase)[:, None]
-    spc = (s * phase.conj())[:, None]
+    sp = s * phase
+    spc = s * phase.conj()
 
-    # copies: under a slice these would be views of what the step overwrites
-    col_p = av[m, :, p].copy()
-    col_q = av[m, :, q].copy()
-    av[m, :, p] = c * col_p + spc * col_q
-    av[m, :, q] = -sp * col_p + c * col_q
-    row_p = av[m, p, :].copy()
-    row_q = av[m, q, :].copy()
-    av[m, p, :] = c * row_p + sp * row_q
-    av[m, q, :] = -spc * row_p + c * row_q
+    col_p, col_q = av[:, p, m], av[:, q, m]
+    new_p = c * col_p
+    new_p += spc * col_q
+    new_q = -sp * col_p
+    new_q += c * col_q
+    av[:, p, m] = new_p
+    av[:, q, m] = new_q
+    # a row's index and the members' are not adjacent: av[p, :, m] would put
+    # the gathered members first, so the members are taken from the row's view
+    row_p, row_q = av[p][:, m], av[q][:, m]
+    new_p = c * row_p
+    new_p += sp * row_q
+    new_q = -spc * row_p
+    new_q += c * row_q
+    av[p][:, m] = new_p
+    av[q][:, m] = new_q
 
 
 def _jacobi(h: np.ndarray, vectors: bool) -> tuple[np.ndarray, bool]:
     """Cyclic Jacobi sweeps over a Hermitian matrix or a stack of them.
 
-    Returns the rotated stack, each member's A over its V when ``vectors``
-    and its A alone otherwise, shape (B, 2n, n) or (B, n, n), and whether
-    ``h`` was a stack.  The rotations, and so the bits of A, are the same
-    either way.
+    The sweeps copy ``h``, in whatever memory layout it comes, into one
+    array with the members on the last axis, (2n, n, B) with each member's
+    V under its A when ``vectors`` and (n, n, B) otherwise; a pair's rows
+    and columns are then (n, B) and (2n, B) views whose members lie side by
+    side (see ``_jacobi_rotate``).  Returns that array as a members-first
+    view, shape (B, 2n, n) or (B, n, n), and whether ``h`` was a stack.  The
+    rotations, and so the bits of A, are the same with V or without it.
     """
     h = np.asarray(h, dtype=np.complex128)
     stacked = h.ndim == 3
@@ -198,25 +217,25 @@ def _jacobi(h: np.ndarray, vectors: bool) -> tuple[np.ndarray, bool]:
     require_hermitian(h)
     h = h.reshape(-1, *h.shape[-2:])  # a lone matrix is a stack of one
     b, n = h.shape[:2]
-    av = np.zeros((b, 2 * n if vectors else n, n), dtype=np.complex128)
-    av[:, :n] = h
+    av = np.zeros((2 * n if vectors else n, n, b), dtype=np.complex128)
+    av[:n] = h.transpose(1, 2, 0)
     if vectors:
-        av[:, n + np.arange(n), np.arange(n)] = 1.0
-    a = av[:, :n]
+        av[n + np.arange(n), np.arange(n)] = 1.0
+    a = av[:n]
     # absolute threshold, per member, below which an off-diagonal entry
-    # counts as zero
-    stop = np.array([1e-13 * max(1.0, float(np.max(np.abs(mat), initial=0.0)))
-                     for mat in h])
+    # counts as zero; a max is exact, so one pass over the stack gives each
+    # member the threshold it gets alone
+    stop = 1e-13 * np.maximum(1.0, np.abs(h).max(axis=(1, 2), initial=0.0))
 
     for _ in range(JACOBI_SWEEP_BUDGET):
         rotated = np.zeros(b, dtype=bool)
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[:, p, q]
+                apq = a[p, q]
                 mag = np.hypot(apq.real, apq.imag)
                 live = mag > stop
                 count = np.count_nonzero(live)
-                if count == b:  # basic slices: no gather, no scatter
+                if count == b:  # views: no gather, no scatter
                     _jacobi_rotate(av, slice(None), p, q, mag)
                     rotated[:] = True
                 elif count:
@@ -227,12 +246,12 @@ def _jacobi(h: np.ndarray, vectors: bool) -> tuple[np.ndarray, bool]:
             break
     else:
         for i in np.flatnonzero(rotated):
-            off = float(np.max(np.abs(a[i] - np.diag(a[i].diagonal()))))
+            off = float(np.max(np.abs(a[..., i] - np.diag(a[..., i].diagonal()))))
             if off > stop[i]:
                 member = f"member {i}: " if stacked else ""  # a stack's error names the member
                 raise NoConvergence(
                     f"{member}off-diagonal {off:.3e} after {JACOBI_SWEEP_BUDGET} sweeps")
-    return av, stacked
+    return av.transpose(2, 0, 1), stacked
 
 
 def eig_hermitian(h: np.ndarray) -> Eigensystem:

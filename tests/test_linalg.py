@@ -204,9 +204,9 @@ def gue_stack(rng, d, size=40):
 
 
 def test_stacked_jacobi_on_gue_stacks_takes_both_rotation_branches(monkeypatch):
-    """A step at which every member rotates reads and writes basic slices;
-    one at which only some do gathers and scatters them.  Either way each
-    member keeps the one-matrix bits."""
+    """A step at which every member rotates works on views of the pair's
+    rows and columns; one at which only some do gathers and scatters them.
+    Either way each member keeps the one-matrix bits, with V or without."""
     branches = []
     real = linalg._jacobi_rotate
 
@@ -216,12 +216,41 @@ def test_stacked_jacobi_on_gue_stacks_takes_both_rotation_branches(monkeypatch):
 
     monkeypatch.setattr(linalg, "_jacobi_rotate", spy)
     rng = np.random.default_rng(71)
-    assert_members_match_reference(gue_stack(rng, 16))
+    stack = gue_stack(rng, 16)
+    assert_members_match_reference(stack)
     # members converge after different numbers of sweeps
     assert branches[0] == "slice" and set(branches) == {"slice", "some"}
+    # A alone, with no V under it, takes the same branches
+    full = list(branches)
+    branches.clear()
+    assert_spreads_match_reference(stack)
+    assert branches[:len(full)] == full
     branches.clear()
     assert_members_match_reference(gue_stack(rng, 2))
     assert branches == ["slice"]  # at d = 2 one rotation diagonalizes every member
+
+
+@pytest.mark.parametrize("d", [3, 5, 33, linalg.MAX_DIM])
+def test_lone_matrices_at_odd_and_largest_dims_have_the_one_matrix_bits(d):
+    h = oracles.random_hermitian(np.random.default_rng(79 + d), d)
+    values, vectors = oracles.eig_hermitian_scalar(h)
+    es = linalg.eig_hermitian(h)
+    assert es.eigenvalues.tobytes() == values.tobytes()
+    assert es.eigenvectors.tobytes() == vectors.tobytes()
+    assert linalg.spectral_spread(h).tobytes() == (values[-1] - values[0]).tobytes()
+
+
+def test_stacks_in_any_memory_layout_have_the_bits_of_their_contiguous_copy():
+    """The sweeps read the input once, into their own members-last array, so
+    a strided or transposed stack gives what its C-contiguous copy gives."""
+    stack = gue_stack(np.random.default_rng(83), 8, size=12)
+    for view in (np.asfortranarray(stack), stack[::2], stack.conj().transpose(0, 2, 1)):
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        es, ref = linalg.eig_hermitian(view), linalg.eig_hermitian(copy)
+        assert es.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert es.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+        assert linalg.spectral_spread(view).tobytes() == linalg.spectral_spread(copy).tobytes()
 
 
 def assert_spreads_match_reference(stack):
