@@ -140,14 +140,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     _distinct([("--trace", args.trace)], [("--d-matrix", args.d_matrix)])
-    header, records, recorded = protocol.read_trace(args.trace)
-    basis = protocol.replay_basis(header["dim"], records)
+    header, decisions, recorded = protocol.read_trace(args.trace)
+    basis = protocol.replay_basis(header["dim"], decisions)
     if args.d_matrix:
         harness.save_basis(args.d_matrix, basis)
         log.info("replayed basis written to %s", args.d_matrix)
     replayed = protocol.basis_hash(basis)
     if replayed == recorded:
-        print(f"replay OK: {len(records)} iterations, basis {replayed[:12]}")
+        print(f"replay OK: {len(decisions.stage)} iterations, basis {replayed[:12]}")
         return 0
     print(
         f"replay DIVERGED: recorded {recorded[:12]}, got {replayed[:12]}",

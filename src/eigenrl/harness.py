@@ -479,18 +479,18 @@ class Trace:
     """Repetition 0's decisions, captured from the ensemble run as it goes."""
 
     header: dict
-    records: list[protocol.IterationRecord] = field(default_factory=list)
+    decisions: protocol.Decisions = field(default_factory=protocol.Decisions)
     final_basis: np.ndarray | None = None
 
     def observe(
         self, state: protocol.EnsembleState, rec: protocol.EnsembleRecord
     ) -> None:
         if rec.members[0] == 0:  # members are listed in index order
-            self.records.extend(protocol.iteration_records(rec))
+            self.decisions.add_segment(rec)
 
     def write(self, path: str) -> str:
         """Write the trace file; returns the final basis hash its footer holds."""
-        protocol.write_trace(path, self.header, self.records, self.final_basis)
+        protocol.write_trace(path, self.header, self.decisions, self.final_basis)
         return protocol.basis_hash(self.final_basis)
 
 

@@ -88,19 +88,6 @@ class Eigensystem:
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class RotationAngles:
-    """Angles of a two-level rotation, in radians.
-
-    The rotation factors as ``exp(-i phi_y Sy) exp(-i phi_z Sz)
-    exp(-i phi_x Sx)`` with the x factor applied first.
-    """
-
-    phi_x: float
-    phi_y: float
-    phi_z: float
-
-
 def require_dim(dim, what: str = "dim") -> int:
     """``dim`` if it is an integer in [MIN_DIM, MAX_DIM]; BadDim, naming
     ``what``, if it is out of range, and ConfigError if it is no integer."""
@@ -214,6 +201,8 @@ def _jacobi(h: np.ndarray, vectors: bool) -> tuple[np.ndarray, bool]:
         require_square(h)
     elif h.shape[1] != h.shape[2]:
         raise DimMismatch(f"expected a stack of square matrices, got shape {h.shape}")
+    if not h.shape[-1]:
+        raise DimMismatch(f"expected matrices of at least one row, got shape {h.shape}")
     require_hermitian(h)
     h = h.reshape(-1, *h.shape[-2:])  # a lone matrix is a stack of one
     b, n = h.shape[:2]

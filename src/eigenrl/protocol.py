@@ -25,9 +25,10 @@ There is one engine: :class:`EnsembleState` advances many independently
 seeded agents together with stacked array operations, and every check,
 draw and update lives there.  It is reached only through
 :meth:`EnsembleState.advance`, one round at a time, which :func:`run_stages`
-drives; a lone agent is a one-member ensemble.  :func:`iteration_records`
-turns a member's row of an :class:`EnsembleRecord` into trace lines,
-:class:`IterationRecord`, and :func:`replay_basis` replays a trace.  Every
+drives; a lone agent is a one-member ensemble.  A member's decisions are
+the columns of a :class:`Decisions`, filled from its rows of each round's
+:class:`EnsembleRecord`; a trace file holds them one line per iteration,
+and :func:`replay_basis` replays them.  Every
 punishment, whether one member is punished or many, live or replayed, goes
 through the one stacked column update, ``linalg.rotate_columns``, and every
 Born weight through ``linalg.born_weights``: the engine computes no matrix
@@ -73,8 +74,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,7 +89,6 @@ from .errors import (
     integer,
     read_json,
 )
-from .linalg import RotationAngles
 
 #: cadence (in iterations) of the drift-control re-orthonormalization
 REORTHONORMALIZE_EVERY = 10_000
@@ -141,7 +141,7 @@ _NO_ANGLES = np.empty((3, 0))
 
 TRACE_FORMAT = "eigenrl-trace-1"
 _RECORD_KEYS = frozenset({"k", "stage", "m", "class", "angles", "w_after"})
-_ANGLE_KEYS = frozenset({"phi_x", "phi_y", "phi_z"})
+_ANGLE_KEYS = ("phi_x", "phi_y", "phi_z")
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 REWARD = "reward"
@@ -216,18 +216,6 @@ class StoppingRule:
                 f"max_iterations must lie in [1, {MAX_COUNT}], got {self.max_iterations}")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """What one iteration did; the punish angles make replay possible."""
-
-    k: int
-    stage: int
-    outcome: int
-    classification: str
-    angles: RotationAngles | None
-    w_after: float
-
-
 @dataclass(frozen=True, eq=False)
 class EnsembleRecord:
     """What one round did: one segment of consecutive iterations per member
@@ -273,22 +261,28 @@ def _classify(t: int, m: int) -> str:
     return REWARD if m == t else PUNISH if m > t else NEUTRAL
 
 
-def iteration_records(rec: EnsembleRecord, row: int = 0) -> list[IterationRecord]:
-    """The iterations of ``rec``'s segment ``row``, one trace record each, in
-    plain Python numbers."""
-    t, k, n = int(rec.stage[row]), int(rec.k[row]), int(rec.length[row])
-    records = [
-        IterationRecord(k + j, t, m, _classify(t, m), None, w)
-        for j, (m, w) in enumerate(zip(
-            _count(rec.cumulative[row, 1:], rec.u[row, :n, None]).tolist(),
-            rec.w_after[row, :n].tolist()))
-    ]
-    if rec.punished[row]:
-        column = int(np.count_nonzero(rec.punished[:row]))
-        last = records[-1]
-        angles = RotationAngles(*rec.angles[:, column].tolist())
-        records[-1] = IterationRecord(last.k, t, last.outcome, PUNISH, angles, last.w_after)
-    return records
+@dataclass(eq=False)
+class Decisions:
+    """One member's decisions as columns of plain Python numbers, what a
+    trace holds.  Entry ``k - 1`` of ``stage``, ``outcome`` and ``w_after``
+    is iteration ``k``'s stage, outcome ``m`` and search range after it; the
+    iteration is a reward, a punishment or neutral as ``m`` is equal to,
+    above or below its stage.  ``angles`` holds phi_x, phi_y, phi_z of each
+    punishment, in order: the transpose of an ``EnsembleRecord``'s."""
+
+    stage: list[int] = field(default_factory=list)
+    outcome: list[int] = field(default_factory=list)
+    w_after: list[float] = field(default_factory=list)
+    angles: list[list[float]] = field(default_factory=list)
+
+    def add_segment(self, rec: EnsembleRecord, row: int = 0) -> None:
+        """Append the iterations of ``rec``'s segment ``row``."""
+        n = int(rec.length[row])
+        self.stage += [int(rec.stage[row])] * n
+        self.outcome += _count(rec.cumulative[row, 1:], rec.u[row, :n, None]).tolist()
+        self.w_after += rec.w_after[row, :n].tolist()
+        if rec.punished[row]:
+            self.angles.append(rec.angles[:, np.count_nonzero(rec.punished[:row])].tolist())
 
 
 class EnsembleState:
@@ -432,7 +426,7 @@ class EnsembleState:
             if not drift.max() < BORN_TOL:
                 j = int(np.argmax(~(drift < BORN_TOL)))
                 raise NotNormalized(
-                    f"Born weights of member {stale[j]} sum to {total[j]!r}, not 1"
+                    f"Born weights of member {stale[j]} sum to {float(total[j])!r}, not 1"
                 )
             self._cumulative[stale, 1:] = np.cumsum(q[:, :-1], axis=1)
             self._total[stale] = total
@@ -671,31 +665,25 @@ def basis_hash(basis: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(basis).tobytes()).hexdigest()
 
 
-def write_trace(
-    path: str,
-    header: dict,
-    records: Iterable[IterationRecord],
-    final_basis: np.ndarray,
-) -> None:
+def write_trace(path: str, header: dict, decisions: Decisions, final_basis: np.ndarray) -> None:
+    punishments = iter(decisions.angles)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": TRACE_FORMAT, **header}) + "\n")
-        for rec in records:
-            row = {
-                "k": rec.k,
-                "stage": rec.stage,
-                "m": rec.outcome,
-                "class": rec.classification,
-                "angles": None if rec.angles is None else asdict(rec.angles),
-                "w_after": rec.w_after,
-            }
+        for k, (t, m, w_after) in enumerate(
+                zip(decisions.stage, decisions.outcome, decisions.w_after), start=1):
+            kind = _classify(t, m)
+            angles = dict(zip(_ANGLE_KEYS, next(punishments))) if kind == PUNISH else None
+            row = {"k": k, "stage": t, "m": m, "class": kind, "angles": angles,
+                   "w_after": w_after}
             fh.write(json.dumps(row) + "\n")
         fh.write(json.dumps({"final_sha256": basis_hash(final_basis)}) + "\n")
 
 
-def _record(row: dict, dim: int) -> IterationRecord:
-    """A trace line as a record; ConfigError unless a run at ``dim`` could
-    have written it.  ``w_after`` is at least 0, and may be infinite: uncapped
-    runs overflow."""
+def _record(row: dict, dim: int) -> tuple[int, int, int, list[float] | None, float]:
+    """A trace line's ``k``, stage, outcome, punish angles (phi_x, phi_y,
+    phi_z, or None) and ``w_after``; ConfigError unless a run at ``dim``
+    could have written it.  ``w_after`` is at least 0, and may be infinite:
+    uncapped runs overflow."""
     if set(row) != _RECORD_KEYS:
         raise ConfigError(f"trace record {row!r} needs the keys {sorted(_RECORD_KEYS)}")
     k, t, m = (integer(row[key], f"trace record {row!r} {key}") for key in ("k", "stage", "m"))
@@ -705,25 +693,26 @@ def _record(row: dict, dim: int) -> IterationRecord:
     if row["class"] != kind:
         raise ConfigError(f"trace record {row!r}: its stage and m make it a {kind} row")
     if kind == PUNISH:
-        if not (isinstance(angles, dict) and set(angles) == _ANGLE_KEYS):
-            raise ConfigError(f"punish record {row!r} needs the angles {sorted(_ANGLE_KEYS)}")
-        angles = RotationAngles(**{key: finite_number(v, f"punish record {row!r} {key}")
-                                   for key, v in angles.items()})
+        if not (isinstance(angles, dict) and set(angles) == set(_ANGLE_KEYS)):
+            raise ConfigError(f"punish record {row!r} needs the angles {list(_ANGLE_KEYS)}")
+        angles = [finite_number(angles[key], f"punish record {row!r} {key}")
+                  for key in _ANGLE_KEYS]
     elif angles is not None:
         raise ConfigError(f"{kind} record {row!r} may hold no angles")
     if w_after != math.inf:  # uncapped runs overflow to inf
         w_after = finite_number(w_after, f"trace record {row!r} w_after")
     if w_after < 0:
         raise ConfigError(f"trace record {row!r} needs w_after >= 0")
-    return IterationRecord(k, t, m, kind, angles, w_after)
+    return k, t, m, angles, w_after
 
 
-def read_trace(path: str) -> tuple[dict, list[IterationRecord], str]:
-    """Parse a trace file; raises ConfigError if it is unreadable, truncated,
-    or holds a record that a run at the header's ``dim`` cannot write, or
-    records out of a run's order: ``k`` counts 1, 2, 3, ..., ``stage``
-    starts at 0 and rises by at most 1 per record, and the last record is
-    at the last stage, ``dim - 2``."""
+def read_trace(path: str) -> tuple[dict, Decisions, str]:
+    """Parse a trace file into its header, its decisions and its final
+    hash; raises ConfigError if it is unreadable, truncated, or holds a
+    record that a run at the header's ``dim`` cannot write, or records out
+    of a run's order: ``k`` counts 1, 2, 3, ..., ``stage`` starts at 0 and
+    rises by at most 1 per record, and the last record is at the last
+    stage, ``dim - 2``."""
     rows = read_json(path, "trace", lines=True)
     if len(rows) < 2:
         raise ConfigError("trace too short: need a header and a final hash")
@@ -738,28 +727,34 @@ def read_trace(path: str) -> tuple[dict, list[IterationRecord], str]:
     recorded = footer["final_sha256"]
     if not (isinstance(recorded, str) and len(recorded) == 64 and set(recorded) <= _HEX_DIGITS):
         raise ConfigError(f"trace final_sha256 must be 64 lowercase hex digits, got {recorded!r}")
-    records = [_record(row, dim) for row in body]
+    decisions = Decisions()
     stages = (0,)
-    for k, rec in enumerate(records, start=1):
-        if rec.k != k or rec.stage not in stages:
-            raise ConfigError(f"trace record {k} has k {rec.k} and stage {rec.stage}; "
+    for k, row in enumerate(body, start=1):
+        written, t, m, angles, w_after = _record(row, dim)
+        if written != k or t not in stages:
+            raise ConfigError(f"trace record {k} has k {written} and stage {t}; "
                               f"a run writes k {k} and a stage in {list(stages)}")
-        stages = (rec.stage, rec.stage + 1)
-    if not records or records[-1].stage != dim - 2:
+        stages = (t, t + 1)
+        decisions.stage.append(t)
+        decisions.outcome.append(m)
+        decisions.w_after.append(w_after)
+        if angles is not None:
+            decisions.angles.append(angles)
+    if not decisions.stage or decisions.stage[-1] != dim - 2:
         raise ConfigError(f"trace has no record of the last stage, {dim - 2}, "
                           f"where every run at dim {dim} ends")
-    return dict(header), records, recorded
+    return dict(header), decisions, recorded
 
 
-def replay_basis(dim: int, records: Iterable[IterationRecord]) -> np.ndarray:
+def replay_basis(dim: int, decisions: Decisions) -> np.ndarray:
     """Re-apply recorded punishments; reproduces the live basis bit for bit."""
     basis = np.eye(dim, dtype=np.complex128)
     stack, first = basis[None], np.zeros(1, dtype=np.intp)  # the engine's update on a stack of one
-    for rec in records:
-        if rec.classification == PUNISH:
-            a = rec.angles
-            linalg.rotate_columns(stack, first, np.array([rec.stage]), np.array([rec.outcome]),
-                                  np.array([[a.phi_x], [a.phi_y], [a.phi_z]]))
-        if rec.k % REORTHONORMALIZE_EVERY == 0:
+    punishments = iter(decisions.angles)
+    for k, (t, m) in enumerate(zip(decisions.stage, decisions.outcome), start=1):
+        if m > t:
+            linalg.rotate_columns(stack, first, np.array([t]), np.array([m]),
+                                  np.array(next(punishments))[:, None])
+        if k % REORTHONORMALIZE_EVERY == 0:
             linalg.gram_schmidt(basis)
     return basis

@@ -81,15 +81,15 @@ def rotation_via_series(
     )
 
 
-def rotation_block(angles) -> np.ndarray:
-    """2x2 unitary ``exp(-i phi_y Sy) exp(-i phi_z Sz) exp(-i phi_x Sx)`` of
-    ``angles`` (``phi_x``, ``phi_y``, ``phi_z``) on the ordered basis of its
-    subspace, in closed form, one complex scalar product at a time."""
-    cx = math.cos(0.5 * angles.phi_x)
-    sx = math.sin(0.5 * angles.phi_x)
-    cy = math.cos(0.5 * angles.phi_y)
-    sy = math.sin(0.5 * angles.phi_y)
-    ez = complex(math.cos(0.5 * angles.phi_z), -math.sin(0.5 * angles.phi_z))
+def rotation_block(phi_x: float, phi_y: float, phi_z: float) -> np.ndarray:
+    """2x2 unitary ``exp(-i phi_y Sy) exp(-i phi_z Sz) exp(-i phi_x Sx)`` on
+    the ordered basis of its subspace, in closed form, one complex scalar
+    product at a time."""
+    cx = math.cos(0.5 * phi_x)
+    sx = math.sin(0.5 * phi_x)
+    cy = math.cos(0.5 * phi_y)
+    sy = math.sin(0.5 * phi_y)
+    ez = complex(math.cos(0.5 * phi_z), -math.sin(0.5 * phi_z))
     ezc = ez.conjugate()
     return np.array(
         [

@@ -29,6 +29,11 @@ iteration of a one-member ``protocol.EnsembleState``, the lone agent of the
 tests, through the engine's own update.  The injected iteration consumes
 one measurement double, as a measured one does, so a punishment's angles
 are the three doubles after it.
+
+Both record what they do as ``protocol.Decisions`` columns, the engine's
+one form of a member's decisions.  ``classes`` reads each iteration's class
+off its stage and outcome, and ``column_bytes`` gives every bit of the
+columns, for tests that compare them: ``==`` on floats takes -0.0 for 0.0.
 """
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ import numpy as np
 from eigenrl import harness, linalg, protocol
 from eigenrl.environment import env_random
 from eigenrl.errors import BadDim, DimMismatch, NotNormalized, StageOverflow
-from eigenrl.linalg import RotationAngles, rotation_blocks
+from eigenrl.linalg import rotation_blocks
 from eigenrl.protocol import (
     BORN_TOL,
     MAX_DRAW_BOUND,
@@ -48,7 +53,7 @@ from eigenrl.protocol import (
     PUNISH,
     REORTHONORMALIZE_EVERY,
     REWARD,
-    IterationRecord,
+    Decisions,
     RewardParams,
     StoppingRule,
 )
@@ -72,10 +77,11 @@ class AgentState:
     reset together with ``w`` when the stage advances, which keeps the
     ledger identity ``w = w1 * r**n_r * p**n_p`` valid per stage whenever
     the search range is uncapped (``w_cap`` infinite, the default).
+    ``decisions`` holds every iteration the agent has run.
     """
 
     __slots__ = ("dim", "params", "rng", "basis", "w", "stage", "k",
-                 "n_r", "n_p", "n_neutral")
+                 "n_r", "n_p", "n_neutral", "decisions")
 
     def __init__(self, dim: int, params: RewardParams, seed: int) -> None:
         if dim < 2:
@@ -90,6 +96,7 @@ class AgentState:
         self.n_r = 0
         self.n_p = 0
         self.n_neutral = 0
+        self.decisions = Decisions()
 
     @property
     def stage_iterations(self) -> int:
@@ -119,24 +126,22 @@ class AgentState:
                 return j
         return self.dim - 1
 
-    def decide_and_update(self, m: int) -> IterationRecord:
-        """Apply the feedback for outcome ``m`` and advance the counter."""
+    def decide_and_update(self, m: int) -> str:
+        """Apply the feedback for outcome ``m``, record it in ``decisions``
+        and advance the counter; returns the outcome's class."""
         if not 0 <= m < self.dim:
             raise ValueError(f"outcome {m} outside [0, {self.dim})")
         t = self.stage
         k = self.k
-        angles = None
         if m == t:
             self.w *= self.params.r
             self.n_r += 1
             classification = REWARD
         elif m > t:
             bound = min(self.w * math.pi, MAX_DRAW_BOUND)
-            draw = self.rng.uniform(-bound, bound, 3)  # order: x, z, y
-            angles = RotationAngles(
-                phi_x=float(draw[0]), phi_y=float(draw[2]), phi_z=float(draw[1])
-            )
-            phi = np.array([[angles.phi_x], [angles.phi_y], [angles.phi_z]])
+            phi_x, phi_z, phi_y = self.rng.uniform(-bound, bound, 3).tolist()  # order: x, z, y
+            self.decisions.angles.append([phi_x, phi_y, phi_z])
+            phi = np.array([[phi_x], [phi_y], [phi_z]])
             apply_block(self.basis, t, m, rotation_blocks(phi)[0])
             self.w = min(self.w * self.params.p, self.params.w_cap)
             self.n_p += 1
@@ -147,16 +152,12 @@ class AgentState:
         self.k = k + 1
         if k % REORTHONORMALIZE_EVERY == 0:
             linalg.gram_schmidt(self.basis)
-        return IterationRecord(
-            k=k,
-            stage=t,
-            outcome=m,
-            classification=classification,
-            angles=angles,
-            w_after=self.w,
-        )
+        self.decisions.stage.append(t)
+        self.decisions.outcome.append(m)
+        self.decisions.w_after.append(self.w)
+        return classification
 
-    def step(self, interact: Callable[[np.ndarray], np.ndarray]) -> IterationRecord:
+    def step(self, interact: Callable[[np.ndarray], np.ndarray]) -> str:
         """Run one full iteration against the black box."""
         evolved = interact(self.prepare_probe())
         return self.decide_and_update(self.measure(evolved))
@@ -190,19 +191,36 @@ class AgentState:
 
 def run_agent(agent: AgentState, interact, rule: StoppingRule, observer=None) -> AgentState:
     """The reference's own stage loop: one iteration at a time, the rule
-    checked after each; ``observer(agent, record)`` sees every iteration."""
+    checked after each; ``observer(agent)`` sees the agent after every
+    iteration, which is the last entry of its ``decisions``."""
     while not agent.finished:
-        rec = agent.step(interact)
+        agent.step(interact)
         if observer is not None:
-            observer(agent, rec)
+            observer(agent)
         agent.advance_converged(rule)
     return agent
 
 
-def feed(agent: protocol.EnsembleState, m: int) -> IterationRecord:
+def classes(decisions: Decisions) -> list[str]:
+    """Each iteration's class: a reward at its own stage's outcome, a
+    punishment above it, neutral below."""
+    return [REWARD if m == t else PUNISH if m > t else NEUTRAL
+            for t, m in zip(decisions.stage, decisions.outcome)]
+
+
+def column_bytes(decisions: Decisions) -> tuple[bytes, bytes, bytes, bytes]:
+    """The bytes of every column, as int64 and float64 arrays."""
+    return (np.array(decisions.stage, dtype=np.int64).tobytes(),
+            np.array(decisions.outcome, dtype=np.int64).tobytes(),
+            np.array(decisions.w_after, dtype=np.float64).tobytes(),
+            np.array(decisions.angles, dtype=np.float64).tobytes())
+
+
+def feed(agent: protocol.EnsembleState, m: int, decisions: Decisions | None = None) -> Decisions:
     """Apply outcome ``m`` to the next iteration of a one-member ensemble:
     the draw ``m`` on the cumulative weights 1, 2, ..., dim - 1 reaches
-    ``m`` of them.  An uncapped runaway ``w`` overflows to ``inf``
+    ``m`` of them.  Returns ``decisions``, or new columns, with that
+    iteration appended.  An uncapped runaway ``w`` overflows to ``inf``
     silently, as in ``run_stages``."""
     members = agent.active
     t = float(agent.stage[0])
@@ -212,7 +230,9 @@ def feed(agent: protocol.EnsembleState, m: int) -> IterationRecord:
     with np.errstate(over="ignore"):
         rec = agent._update(members, members, np.array([[float(m)]]), cumulative,
                             np.array([[t, t + 1]]))
-    return protocol.iteration_records(rec)[0]
+    decisions = Decisions() if decisions is None else decisions
+    decisions.add_segment(rec)
+    return decisions
 
 
 def diag_residual(basis: np.ndarray, operator: np.ndarray) -> float:
@@ -255,24 +275,20 @@ def reference_experiment(config):
     finals = np.empty((n, d, d))
     residual_sum = 0.0
     agents = []
-    first_records = []
     for i in range(n):
         env = lone_environment(config, i)
         vecs = env.eigensystem.eigenvectors[0]
         seed = derive_seed(config.seed, i)
         agent = AgentState(d, config.params, seed)
         rows = [(config.w1, 0, np.abs(vecs.conj().T @ agent.basis))]
-        last_w = [config.w1]
 
-        def observer(agent_now, rec):
-            if i == 0:
-                first_records.append(rec)
-            last_w[0] = rec.w_after
-            if rec.k % stride == 0:
+        def observer(agent_now):
+            if (agent_now.k - 1) % stride == 0:
                 amp = np.abs(vecs.conj().T @ agent_now.basis)
-                rows.append((rec.w_after, rec.stage, amp))
+                rows.append((agent_now.w, agent_now.stage, amp))
 
         run_agent(agent, lone_black_box(env), config.stopping, observer)
+        last_w = agent.decisions.w_after[-1]
         final_amp = np.abs(vecs.conj().T @ agent.basis)
         last_max = final_amp.max(axis=0)
         while len(w_sum) < len(rows):  # grid grows: seed with finished reps
@@ -285,12 +301,12 @@ def reference_experiment(config):
                 w, stage, amp = rows[j]
                 mx = amp.max(axis=0)
             else:  # carry this rep forward
-                w, stage, amp, mx = last_w[0], d - 1, final_amp, last_max
+                w, stage, amp, mx = last_w, d - 1, final_amp, last_max
             w_sum[j] += w
             amp_sum[j] += amp
             max_sum[j] += mx
             stage_min[j] = min(stage_min[j], stage)
-        done_w += last_w[0]
+        done_w += last_w
         done_amp += final_amp
         done_max += last_max
         finals[i] = final_amp
@@ -321,7 +337,7 @@ def reference_experiment(config):
                 "root_seed": config.seed,
                 "agent_seed": derive_seed(config.seed, 0),
             },
-            records=first_records,
+            decisions=agents[0].decisions,
             final_basis=agents[0].basis,
         ),
     )

@@ -22,7 +22,7 @@ from eigenrl.environment import (
 )
 from eigenrl.cli import main
 from eigenrl.protocol import EnsembleState, RewardParams, StoppingRule
-from reference import feed, lone_black_box
+from reference import classes, feed, lone_black_box
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -155,8 +155,10 @@ def test_7_exact_property_suite():
         for column in range(0, 20_000, 100):  # real-update anchor
             agent = EnsembleState(3, params, StoppingRule(), [column])
             agent.advance_stage(np.array([0]))
-            kinds = [feed(agent, int(m)).classification
-                     for m in outcomes[: lengths[column], column]]
+            seen = protocol.Decisions()
+            for m in outcomes[: lengths[column], column]:
+                feed(agent, int(m), seen)
+            kinds = classes(seen)
             assert agent.w[0] == walked[column]
             assert (kinds.count(protocol.REWARD), kinds.count(protocol.PUNISH)) == (
                 n_r[column], n_p[column])
@@ -231,8 +233,9 @@ def test_7_exact_property_suite():
         for w in walked.tolist():
             expected *= params.r
             assert w == expected  # after iteration k, r^k: the next one uses it
-        assert all(it.classification == protocol.REWARD
-                   for it in protocol.iteration_records(rec))
+        seen = protocol.Decisions()
+        seen.add_segment(rec)
+        assert classes(seen) == [protocol.REWARD] * len(walked)
     assert agent.calls[0] == 200
     np.testing.assert_array_equal(agent.bases[0], np.eye(3, dtype=complex))
     amps = np.abs(env.eigensystem.eigenvectors[0].conj().T @ agent.bases[0])

@@ -155,14 +155,14 @@ class TestRun:
         config = replace(harness.load_config(str(cfg)), repetitions=1)
         harness.run_experiment(config, trace=True).trace.write(str(alone))
         assert trace.read_bytes() == alone.read_bytes()
-        _, records, _ = protocol.read_trace(str(trace))
+        iterations = len(protocol.read_trace(str(trace))[1].stage)
         if not bundled:
             metadata = read_results(out)[0]
-            assert 0 < len(records) < metadata["longest_run"]
+            assert 0 < iterations < metadata["longest_run"]
         capsys.readouterr()
         for path in (trace, alone):
             assert main(["replay", "--trace", str(path)]) == 0
-            assert capsys.readouterr().out.startswith(f"replay OK: {len(records)} ")
+            assert capsys.readouterr().out.startswith(f"replay OK: {iterations} ")
 
     def test_log_env_var_smoke(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRL_LOG", "DEBUG")
@@ -409,10 +409,10 @@ def basis_doc_args(tmp_path, **changes):
 def replay_args(tmp_path, line=None, **changes):
     """replay argv for a one-record trace at dim 2 that replays OK, with
     ``changes`` to its line ``line`` (1 the record, 2 the footer)."""
-    angles = linalg.RotationAngles(phi_x=0.1, phi_y=-0.2, phi_z=0.3)
-    record = protocol.IterationRecord(1, 0, 1, protocol.PUNISH, angles, 1.0)
+    punish = protocol.Decisions(stage=[0], outcome=[1], w_after=[1.0],
+                                angles=[[0.1, -0.2, 0.3]])
     path = tmp_path / "one.trace"
-    protocol.write_trace(str(path), {"dim": 2}, [record], protocol.replay_basis(2, [record]))
+    protocol.write_trace(str(path), {"dim": 2}, punish, protocol.replay_basis(2, punish))
     lines = path.read_text().splitlines()
     if line is not None:
         lines[line] = json.dumps({**json.loads(lines[line]), **changes})
@@ -428,7 +428,8 @@ def test_the_malformed_trace_starts_out_valid(tmp_path, capsys):
 def no_records_args(tmp_path):
     """replay argv for a trace of a header and the identity's hash alone."""
     path = tmp_path / "empty.trace"
-    protocol.write_trace(str(path), {"dim": 2}, [], np.eye(2, dtype=np.complex128))
+    protocol.write_trace(str(path), {"dim": 2}, protocol.Decisions(),
+                         np.eye(2, dtype=np.complex128))
     return ["replay", "--trace", str(path)]
 
 

@@ -19,7 +19,14 @@ from eigenrl.environment import env_from_matrix, env_random, env_spin_x, save_op
 from eigenrl.errors import ConfigError, DimMismatch, ModeMismatch
 from eigenrl.harness import ExperimentConfig, config_from_dict
 from eigenrl.protocol import StoppingRule
-from reference import AgentState, lone_black_box, lone_environment, reference_experiment
+from reference import (
+    AgentState,
+    classes,
+    column_bytes,
+    lone_black_box,
+    lone_environment,
+    reference_experiment,
+)
 from results import read_results
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -309,11 +316,11 @@ class TestBuildEnvironment:
         )
 
 
-def two_level_rotation(a, b, dim, angles):
-    """The two-level rotation on basis states a < b, as a dim x dim unitary."""
+def two_level_rotation(a, b, dim, phi):
+    """The two-level rotation of the angles ``phi`` (phi_x, phi_y, phi_z) on
+    basis states a < b, as a dim x dim unitary."""
     u = np.eye(dim, dtype=complex)
-    phi = np.array([[angles.phi_x], [angles.phi_y], [angles.phi_z]])
-    u[np.ix_((a, b), (a, b))] = linalg.rotation_blocks(phi)[0]
+    u[np.ix_((a, b), (a, b))] = linalg.rotation_blocks(np.array(phi, dtype=float)[:, None])[0]
     return u
 
 
@@ -351,9 +358,7 @@ class TestMeanFidelity:
 
     def test_single_rotation_takes_best_match(self):
         theta = 0.8
-        rot = two_level_rotation(
-            0, 1, 2, linalg.RotationAngles(phi_x=theta, phi_y=0.0, phi_z=0.0)
-        )
+        rot = two_level_rotation(0, 1, 2, (theta, 0.0, 0.0))
         expected = max(abs(math.cos(theta / 2)), abs(math.sin(theta / 2)))
         for mode in ("paper", "per-rep"):
             value = start_fidelity([rot], self.diag_env, mode)[0]
@@ -387,8 +392,8 @@ class TestMeanFidelity:
         for mat in mats:
             for _ in range(6):
                 a, b = sorted(rng.choice(4, size=2, replace=False))
-                angles = linalg.RotationAngles(*rng.uniform(-math.pi, math.pi, 3))
-                mat[:] = mat @ two_level_rotation(int(a), int(b), 4, angles)
+                phi = rng.uniform(-math.pi, math.pi, 3)
+                mat[:] = mat @ two_level_rotation(int(a), int(b), 4, phi)
         env = env_random(4, 1.0, [2])
         for mode in ("per-rep", "paper"):
             fold, ensemble = fold_at_start(mats, env, mode)
@@ -615,6 +620,9 @@ class TestRunExperiment:
                 record_every=4,
                 stopping=StoppingRule(kind="threshold", w_min=0.05, max_iterations=300),
             ),
+            # the largest dim, 63 stages of 5 iterations each
+            dict(repetitions=1, dim=64, env_seed=3,
+                 stopping=StoppingRule(kind="fixed-budget", budgets=(5,) * 63)),
         ],
         ids=[
             "fixed-shared-paper-1",
@@ -627,6 +635,7 @@ class TestRunExperiment:
             "threshold-closes-mid-window-paper",
             "one-member-fixed",
             "one-member-threshold-4",
+            "one-member-dim-64",
         ],
     )
     def test_ensemble_matches_agent_runs(self, overrides):
@@ -636,7 +645,7 @@ class TestRunExperiment:
         want, agents = reference_experiment(cfg)
         got = harness.run_experiment(cfg, trace=True)
         assert_same_result(got, want)
-        assert got.trace.records == want.trace.records
+        assert column_bytes(got.trace.decisions) == column_bytes(want.trace.decisions)
         assert got.trace.final_basis.tobytes() == want.trace.final_basis.tobytes()
 
         unitaries = np.stack([lone_environment(cfg, i).unitaries[0]
@@ -723,7 +732,7 @@ class TestRunExperiment:
             result = harness.run_experiment(cfg, trace=True)
             path = tmp_path / f"{elements}-{lead}.csv"
             harness.write_results(result, str(path))
-            runs.append((path.read_bytes(), result.trace.records,
+            runs.append((path.read_bytes(), column_bytes(result.trace.decisions),
                          result.trace.final_basis.tobytes()))
         assert all(run == runs[0] for run in runs[1:])
 
@@ -854,7 +863,7 @@ def test_run_matches_the_reference_on_small_configs(cfg, constants):
         assert ensemble.w[i].tobytes() == np.float64(agent.w).tobytes()
         assert ensemble.calls[i] == agent.k - 1
     assert got.trace.header == want.trace.header
-    assert repr(got.trace.records) == repr(want.trace.records)  # repr keeps every bit
+    assert column_bytes(got.trace.decisions) == column_bytes(want.trace.decisions)
     assert got.trace.final_basis.tobytes() == want.trace.final_basis.tobytes()
 
 
@@ -946,11 +955,11 @@ def test_record_trace_replays_clean(tmp_path):
     cfg = small_config(repetitions=4)
     path = tmp_path / "rep0.trace"
     final_hash = harness.run_experiment(cfg, trace=True).trace.write(str(path))
-    header, records, recorded = protocol.read_trace(str(path))
-    assert protocol.basis_hash(protocol.replay_basis(header["dim"], records)) == recorded
+    header, decisions, recorded = protocol.read_trace(str(path))
+    assert protocol.basis_hash(protocol.replay_basis(header["dim"], decisions)) == recorded
     assert recorded == final_hash
     assert header["root_seed"] == cfg.seed
-    assert records[-1].k == 80
+    assert len(decisions.stage) == 80  # the last k
 
 
 def test_replay_crosses_the_drift_control(tmp_path, monkeypatch):
@@ -960,9 +969,9 @@ def test_replay_crosses_the_drift_control(tmp_path, monkeypatch):
     config = replace(harness.load_config(str(CONFIG_DIR / "fig7_bell.json")), repetitions=3)
     path = tmp_path / "rep0.trace"
     harness.run_experiment(config, trace=True).trace.write(str(path))
-    header, records, recorded = protocol.read_trace(str(path))
-    assert len(records) == 1000  # 142 drift controls
-    assert protocol.basis_hash(protocol.replay_basis(header["dim"], records)) == recorded
+    header, decisions, recorded = protocol.read_trace(str(path))
+    assert len(decisions.stage) == 1000  # 142 drift controls
+    assert protocol.basis_hash(protocol.replay_basis(header["dim"], decisions)) == recorded
 
 
 def test_blocks_with_a_zero_product_replay_to_the_live_and_reference_basis(
@@ -980,8 +989,8 @@ def test_blocks_with_a_zero_product_replay_to_the_live_and_reference_basis(
     path = tmp_path / "rep0.trace"
     trace = harness.run_experiment(config, trace=True).trace
     trace.write(str(path))
-    header, records, recorded = protocol.read_trace(str(path))
-    replayed = protocol.replay_basis(header["dim"], records)
+    header, decisions, recorded = protocol.read_trace(str(path))
+    replayed = protocol.replay_basis(header["dim"], decisions)
 
     phi = np.concatenate(angles, axis=1)
     trig = np.array((np.cos(0.5 * phi), np.sin(0.5 * phi)))
@@ -1009,15 +1018,30 @@ def test_record_trace_writes_the_bytes_of_the_reference_agent(tmp_path, name):
 
     seed = reference.derive_seed(config.seed, 0)
     agent = AgentState(config.dim, config.params, seed)
-    records = []
     reference.run_agent(agent, lone_black_box(harness.build_environment(config)),
-                        config.stopping, lambda a, rec: records.append(rec))
+                        config.stopping)
     header = {"dim": config.dim, "rep_index": 0, "root_seed": config.seed,
               "agent_seed": seed}
     scalar = tmp_path / "reference.trace"
-    protocol.write_trace(str(scalar), header, records, agent.basis)
-    assert any(rec.classification == protocol.PUNISH for rec in records)
+    protocol.write_trace(str(scalar), header, agent.decisions, agent.basis)
+    assert protocol.PUNISH in classes(agent.decisions)
     assert engine.read_bytes() == scalar.read_bytes()
+
+
+def test_read_trace_columns_write_back_the_file_bytes(tmp_path, monkeypatch):
+    """The columns ``read_trace`` returns, written by ``write_trace`` with
+    the basis ``replay_basis`` gives them, are the trace file's bytes,
+    across drift controls every 7 iterations."""
+    monkeypatch.setattr(protocol, "REORTHONORMALIZE_EVERY", 7)
+    cfg = small_config(dim=3, repetitions=3,
+                       stopping=StoppingRule(kind="fixed-budget", budgets=(40, 30)))
+    path, again = tmp_path / "run.trace", tmp_path / "again.trace"
+    harness.run_experiment(cfg, trace=True).trace.write(str(path))
+    header, decisions, _ = protocol.read_trace(str(path))
+    assert set(classes(decisions)) == {protocol.REWARD, protocol.PUNISH, protocol.NEUTRAL}
+    protocol.write_trace(str(again), header, decisions,
+                         protocol.replay_basis(header["dim"], decisions))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_threshold_convergence_couples_probe_to_outcome():
@@ -1051,9 +1075,8 @@ def test_threshold_stops_that_hit_the_cap_are_counted(caplog):
     want = np.zeros((2, 2), dtype=int)  # [stage, (reached w_min, hit the cap)]
     for i in range(cfg.repetitions):
         agent = AgentState(cfg.dim, cfg.params, reference.derive_seed(cfg.seed, i))
-        last_w = {}
-        reference.run_agent(agent, lone_black_box(lone_environment(cfg, i)), rule,
-                            lambda a, rec: last_w.__setitem__(rec.stage, rec.w_after))
+        reference.run_agent(agent, lone_black_box(lone_environment(cfg, i)), rule)
+        last_w = dict(zip(agent.decisions.stage, agent.decisions.w_after))
         for t, w in last_w.items():
             want[t, 0 if w < rule.w_min else 1] += 1
     assert want.min() > 0  # the cap binds, and w_min is met too, in each stage
@@ -1123,8 +1146,7 @@ def test_residual_tracks_fidelity_loss():
     exact = env.eigensystem.eigenvectors[0]
     bases, fidelities = [], []
     for theta in (0.0, 0.25, 0.5, 0.75, 1.0, 1.25):
-        angles = linalg.RotationAngles(phi_x=theta, phi_y=0.0, phi_z=0.0)
-        basis = exact @ two_level_rotation(0, 1, 3, angles)
+        basis = exact @ two_level_rotation(0, 1, 3, (theta, 0.0, 0.0))
         bases.append(basis)
         fidelities.append(np.abs(exact.conj().T @ basis).max(axis=0).min())
     residuals = linalg.diag_residual(np.stack(bases), env.operators)

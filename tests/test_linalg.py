@@ -10,22 +10,29 @@ import pytest
 import oracles
 from eigenrl import linalg
 from eigenrl.errors import ConfigError, DimMismatch, NoConvergence, NotHermitian
-from eigenrl.linalg import RotationAngles
 
 
 SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128)
 
 
-def lone_block(angles):
-    """The package's rotation block of ``angles``, from a stack of one."""
-    return linalg.rotation_blocks(np.array([[angles.phi_x], [angles.phi_y], [angles.phi_z]]))[0]
+def lone_block(phi_x, phi_y, phi_z):
+    """The package's rotation block of the angles, from a stack of one."""
+    return linalg.rotation_blocks(np.array([[phi_x], [phi_y], [phi_z]], dtype=float))[0]
 
 
-def two_level_rotation(a, b, dim, angles):
-    """The rotation block embedded on basis states a < b of a dim-level space."""
+def two_level_rotation(a, b, dim, phi):
+    """The rotation block of the angles ``phi`` (phi_x, phi_y, phi_z)
+    embedded on basis states a < b of a dim-level space."""
     u = np.eye(dim, dtype=np.complex128)
-    u[np.ix_((a, b), (a, b))] = lone_block(angles)
+    u[np.ix_((a, b), (a, b))] = lone_block(*phi)
     return u
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)], ids=["lone", "stacked"])
+def test_empty_matrices_raise_dim_mismatch(shape):
+    for solve in (linalg.eig_hermitian, linalg.spectral_spread):
+        with pytest.raises(DimMismatch, match="at least one row"):
+            solve(np.zeros(shape))
 
 
 def test_require_square_rejects_rectangles():
@@ -340,13 +347,13 @@ class TestPropagator:
 
 class TestTwoLevelRotation:
     def test_pure_x_block(self):
-        block = lone_block(RotationAngles(math.pi, 0.0, 0.0))
+        block = lone_block(math.pi, 0.0, 0.0)
         np.testing.assert_allclose(
             block, [[0.0, -1.0j], [-1.0j, 0.0]], atol=1e-12
         )
 
     def test_pure_z_block(self):
-        block = lone_block(RotationAngles(0.0, 0.0, math.pi / 2))
+        block = lone_block(0.0, 0.0, math.pi / 2)
         s = 1.0 / math.sqrt(2.0)
         np.testing.assert_allclose(
             block, [[s - s * 1j, 0.0], [0.0, s + s * 1j]], atol=1e-12
@@ -354,7 +361,7 @@ class TestTwoLevelRotation:
 
     def test_mixed_frozen_value(self):
         """Frozen output of the series oracle at (0.7, -1.3, 2.1)."""
-        block = lone_block(RotationAngles(0.7, -1.3, 2.1))
+        block = lone_block(0.7, -1.3, 2.1)
         expected = np.array(
             [
                 [0.5520984262 - 0.7519304107j, 0.0460817568 + 0.357301633j],
@@ -367,7 +374,7 @@ class TestTwoLevelRotation:
         rng = np.random.default_rng(31)
         for _ in range(200):
             phi = rng.uniform(-2 * math.pi, 2 * math.pi, 3)
-            block = lone_block(RotationAngles(*phi))
+            block = lone_block(*phi)
             ref = oracles.rotation_via_series(0, 1, 2, *phi)
             np.testing.assert_allclose(block, ref, atol=1e-12)
 
@@ -378,8 +385,7 @@ class TestTwoLevelRotation:
             a = int(rng.integers(0, dim - 1))
             b = int(rng.integers(a + 1, dim))
             phi = rng.uniform(-math.pi, math.pi, 3)
-            angles = RotationAngles(phi_x=phi[0], phi_y=phi[1], phi_z=phi[2])
-            u = two_level_rotation(a, b, dim, angles)
+            u = two_level_rotation(a, b, dim, phi)
             ref = oracles.rotation_via_series(a, b, dim, *phi)
             np.testing.assert_allclose(u, ref, atol=1e-12)
             # identity outside the subspace
@@ -391,13 +397,13 @@ class TestTwoLevelRotation:
         rng = np.random.default_rng(41)
         for _ in range(50):
             phi = rng.uniform(-6 * math.pi, 6 * math.pi, 3)
-            block = lone_block(RotationAngles(*phi))
+            block = lone_block(*phi)
             np.testing.assert_allclose(
                 block.conj().T @ block, np.eye(2), atol=1e-13
             )
 
     def test_zero_angles_identity(self):
-        block = lone_block(RotationAngles(0.0, 0.0, 0.0))
+        block = lone_block(0.0, 0.0, 0.0)
         np.testing.assert_array_equal(block, np.eye(2))
 
 
@@ -418,7 +424,7 @@ def test_stacked_rotation_blocks_match_the_scalar_block_bit_for_bit():
             blocks = linalg.rotation_blocks(stack)
             assert blocks.shape == (stack.shape[1], 2, 2) and blocks.flags.c_contiguous
             for i in range(stack.shape[1]):
-                oracle = oracles.rotation_block(RotationAngles(*stack[:, i].tolist()))
+                oracle = oracles.rotation_block(*stack[:, i].tolist())
                 if stack[:, i].all():
                     assert blocks[i].tobytes() == oracle.tobytes()
                 else:

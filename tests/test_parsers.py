@@ -268,14 +268,15 @@ trace_texts = st.builds(
 def test_read_trace_raises_only_config_error(scratch, payload):
     """A trace that parses can be replayed."""
     try:
-        header, records, _ = protocol.read_trace(write(scratch, payload))
+        header, decisions, _ = protocol.read_trace(write(scratch, payload))
     except ConfigError:
         return
     assert MIN_DIM <= header["dim"] <= MAX_DIM
-    for rec in records:
-        if rec.classification == protocol.PUNISH:
-            assert 0 <= rec.stage < rec.outcome < header["dim"]
-    basis = protocol.replay_basis(header["dim"], records)
+    punished = [(t, m) for t, m in zip(decisions.stage, decisions.outcome) if m > t]
+    assert all(0 <= t < m < header["dim"] for t, m in punished)
+    assert [len(phi) for phi in decisions.angles] == [3] * len(punished)
+    assert len(decisions.outcome) == len(decisions.w_after) == len(decisions.stage)
+    basis = protocol.replay_basis(header["dim"], decisions)
     assert basis.shape == (header["dim"], header["dim"])
 
 
@@ -313,8 +314,9 @@ NOT_A_TRACE = {
 
 def test_the_valid_trace_reads(scratch):
     """VALID_TRACE reads, so each NOT_A_TRACE case fails on the rule it breaks."""
-    _, records, _ = protocol.read_trace(write(scratch, trace_text(VALID_TRACE)))
-    assert [rec.k for rec in records] == [1, 2, 3]
+    _, decisions, _ = protocol.read_trace(write(scratch, trace_text(VALID_TRACE)))
+    assert (decisions.stage, decisions.outcome) == ([0, 0, 1], [2, 0, 1])  # k 1, 2, 3
+    assert decisions.angles == [[0.1, -0.2, 0.3]]
 
 
 @pytest.mark.parametrize("case", sorted(NOT_A_TRACE))

@@ -1,7 +1,9 @@
 """Agent feedback loop: reward/punish bookkeeping, traces, determinism."""
 import inspect
+import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +28,7 @@ from eigenrl.protocol import (
     StoppingRule,
     run_stages,
 )
-from reference import feed
+from reference import classes, column_bytes, feed
 
 DIAG2 = env_from_matrix(np.diag([-1.0, 1.0]).astype(complex), tau=1.0)
 
@@ -41,9 +43,10 @@ def default_params(**kw):
 THRESHOLD = StoppingRule()
 
 
-def tally(records):
-    """How many of ``records`` are rewards, and how many punishments."""
-    kinds = [rec.classification for rec in records]
+def tally(decisions, stage=None):
+    """How many of the iterations in ``decisions``, or of those at ``stage``
+    if given, are rewards, and how many punishments."""
+    kinds = [kind for kind, t in zip(classes(decisions), decisions.stage) if stage in (None, t)]
     return kinds.count(protocol.REWARD), kinds.count(protocol.PUNISH)
 
 
@@ -153,10 +156,10 @@ def measure_lone(seed, basis, evolved, times):
     agent = EnsembleState(3, default_params(), rule, [seed])
     agent.bases[0] = basis
     agent.advance_stage(np.array([0]))
-    seen = []
+    seen = protocol.Decisions()
     run_stages(agent, returning(evolved[None]), recorder(seen))
-    assert {rec.classification for rec in seen} <= {protocol.NEUTRAL, protocol.REWARD}
-    return [rec.outcome for rec in seen]
+    assert set(classes(seen)) <= {protocol.NEUTRAL, protocol.REWARD}
+    return seen.outcome
 
 
 def test_measure_matches_born_weights():
@@ -168,15 +171,14 @@ def test_measure_matches_born_weights():
 def test_measure_uses_adapted_basis():
     # after rotating the basis, outcome weights follow the new columns
     basis = np.eye(3, dtype=complex)
-    basis[:2, :2] = oracles.rotation_block(
-        linalg.RotationAngles(phi_x=0.9, phi_y=-0.4, phi_z=1.7)
-    )
+    basis[:2, :2] = oracles.rotation_block(phi_x=0.9, phi_y=-0.4, phi_z=1.7)
     hits = sum(measure_lone(77, basis, basis[:, 1], 2000))
     assert hits == 2000  # evolved state sits exactly on column 1
 
 
 def test_born_weight_check_raises_under_optimize():
-    """The normalization check is an explicit raise, not an assert."""
+    """The normalization check is an explicit raise, not an assert, that a
+    drift of 2e-6 and a NaN sum fail, run plain and under ``-O``."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys, numpy as np\n"
@@ -186,42 +188,44 @@ def test_born_weight_check_raises_under_optimize():
         "params = RewardParams(r=0.9, nu=2.0)\n"
         "rule = StoppingRule(kind='fixed-budget', budgets=(1,))\n"
         "box = lambda states: lambda members, probes: np.array(states, dtype=complex)\n"
-        "caught = 0\n"
-        "try:\n"
-        "    EnsembleState(2, params, rule, [1]).advance(box([[1.0, 1.0]]))\n"
-        "except NotNormalized:\n"
-        "    caught += 1\n"
-        "ensemble = EnsembleState(2, params, rule, [1, 2])\n"
-        "try:\n"
-        "    ensemble.advance(box([[1.0, 0.0], [0.6, 0.6]]))\n"
-        "except NotNormalized:\n"
-        "    caught += 1\n"
-        "print(sys.flags.optimize, caught)\n"
+        "print(sys.flags.optimize)\n"
+        "for states in ([[1.0, 1.0]], [[1.0, 0.0], [0.6, 0.6]], [[1 + 1e-6, 0.0]],\n"
+        "               [[np.nan, 0.0]]):\n"
+        "    try:\n"
+        "        EnsembleState(2, params, rule, range(len(states))).advance(box(states))\n"
+        "    except NotNormalized as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        print('passed')\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["1", "2"]
+    for flags, optimize in (([], "0"), (["-O"], "1")):
+        out = subprocess.run([sys.executable, *flags, "-c", script],
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        flag, *caught = out.stdout.splitlines()
+        assert flag == optimize and len(caught) == 4
+        for line, member in zip(caught, (0, 1, 0)):
+            assert re.fullmatch(f"Born weights of member {member} sum to [0-9.]+, not 1", line)
+        assert caught[-1] == "Born weights of member 0 sum to nan, not 1"
 
 
 class TestFeedback:
     def test_reward_shrinks_range_only(self):
         agent = EnsembleState(2, default_params(), THRESHOLD, [5])
         rec = feed(agent, 0)
-        assert rec.classification == protocol.REWARD
-        assert rec.angles is None
+        assert classes(rec) == [protocol.REWARD]
+        assert rec.angles == []
         assert agent.w[0] == pytest.approx(0.9)
-        assert tally([rec]) == (1, 0)
+        assert tally(rec) == (1, 0)
         np.testing.assert_array_equal(agent.bases[0], np.eye(2))
 
     def test_neutral_changes_nothing_but_the_counter(self):
         agent = EnsembleState(3, default_params(), THRESHOLD, [5])
         agent.advance_stage(np.array([0]))
         rec = feed(agent, 0)
-        assert rec.classification == protocol.NEUTRAL
+        assert classes(rec) == [protocol.NEUTRAL]
         assert agent.w[0] == 1.0
-        assert agent.calls[0] - sum(tally([rec])) == 1
+        assert agent.calls[0] - sum(tally(rec)) == 1
         np.testing.assert_array_equal(agent.bases[0], np.eye(3))
 
     def test_punish_draw_order_and_block(self):
@@ -229,30 +233,29 @@ class TestFeedback:
         seed = 421
         agent = EnsembleState(2, default_params(), ONE_ITERATION, [seed])
         # every draw reaches outcome 1, a punishment at stage 0
-        [rec] = protocol.iteration_records(
-            agent.advance(returning(np.array([[0.0, 1.0]], dtype=complex))))
-        assert (rec.k, rec.outcome, rec.classification) == (1, 1, protocol.PUNISH)
+        rec = protocol.Decisions()
+        rec.add_segment(agent.advance(returning(np.array([[0.0, 1.0]], dtype=complex))))
+        assert (rec.outcome, classes(rec)) == ([1], [protocol.PUNISH])  # k = 1 alone
 
         mirror = np.random.default_rng(seed)
         mirror.random()  # the measurement draw
-        draw = mirror.uniform(-math.pi, math.pi, 3)
-        assert rec.angles == linalg.RotationAngles(
-            phi_x=draw[0], phi_y=draw[2], phi_z=draw[1]
-        )
-        expected = oracles.rotation_block(rec.angles)
+        phi_x, phi_z, phi_y = mirror.uniform(-math.pi, math.pi, 3)
+        assert np.array(rec.angles).tobytes() == np.array([phi_x, phi_y, phi_z]).tobytes()
+        expected = oracles.rotation_block(phi_x, phi_y, phi_z)
         np.testing.assert_allclose(agent.bases[0], expected, atol=1e-15)
-        assert rec.w_after == pytest.approx(2.0 / 0.9)  # the stage then closes
+        assert rec.w_after == [pytest.approx(2.0 / 0.9)]  # the stage then closes
         assert agent.finished and agent.calls[0] == 1
 
     def test_punish_touches_only_the_two_columns(self):
         agent = EnsembleState(4, default_params(), THRESHOLD, [9])
         before = agent.bases[0].copy()
         rec = feed(agent, 2)
-        assert rec.classification == protocol.PUNISH
+        assert classes(rec) == [protocol.PUNISH]
         np.testing.assert_array_equal(agent.bases[0][:, 1], before[:, 1])
         np.testing.assert_array_equal(agent.bases[0][:, 3], before[:, 3])
         full = np.eye(4, dtype=complex)
-        full[np.ix_((0, 2), (0, 2))] = oracles.rotation_block(rec.angles)
+        (phi,) = rec.angles
+        full[np.ix_((0, 2), (0, 2))] = oracles.rotation_block(*phi)
         np.testing.assert_allclose(agent.bases[0], before @ full, atol=1e-15)
 
 
@@ -261,8 +264,8 @@ def test_runaway_search_range_never_overflows_the_sampler():
     agent = EnsembleState(2, default_params(), THRESHOLD, [2])
     agent.w[0] = 1e300  # deep in the runaway regime
     rec = feed(agent, 1)
-    assert rec.classification == protocol.PUNISH
-    for phi in (rec.angles.phi_x, rec.angles.phi_y, rec.angles.phi_z):
+    assert classes(rec) == [protocol.PUNISH]
+    for phi in rec.angles[0]:
         assert abs(phi) <= protocol.MAX_DRAW_BOUND
     assert agent.w[0] == 1e300 * default_params().p  # bookkeeping unclamped
     assert np.isfinite(agent.bases[0]).all()
@@ -274,7 +277,7 @@ def test_search_range_saturates_at_cap():
     prev = agent.w[0]
     for step in range(40):
         rec = feed(agent, 1 if step % 3 else 0)
-        if rec.classification == protocol.PUNISH:
+        if classes(rec) == [protocol.PUNISH]:
             expected = min(prev * params.p, 1.0)
         else:
             expected = prev * params.r
@@ -287,52 +290,58 @@ def test_uncapped_ledger_identity_over_random_run():
     env = env_random(2, 1.0, [301])
     params = default_params()
     agent = EnsembleState(2, params, StoppingRule(kind="fixed-budget", budgets=(600,)), [301])
-    seen = []
+    seen = protocol.Decisions()
 
     def check(state, rec):
-        # the one stage's records so far, and w after the last of them
-        seen.extend(protocol.iteration_records(rec))
+        # the one stage's iterations so far, and w after the last of them
+        seen.add_segment(rec)
         rewards, punishments = tally(seen)
         expected = params.w1 * params.r ** rewards * params.p ** punishments
-        np.testing.assert_allclose(seen[-1].w_after, expected, rtol=1e-10)
+        np.testing.assert_allclose(seen.w_after[-1], expected, rtol=1e-10)
 
     run_stages(agent, harness._black_box(env), check)
-    assert len(seen) == 600
+    assert len(seen.stage) == 600
 
 
 def test_advance_stage_resets_bookkeeping():
     agent = EnsembleState(3, default_params(), THRESHOLD, [8])
-    seen = [feed(agent, 0), feed(agent, 2)]
+    seen = feed(agent, 2, feed(agent, 0))
     assert (*tally(seen), agent.calls[0]) == (1, 1, 2)
     k_before = agent.k
     agent.advance_stage(np.array([0]))
     assert agent.stage[0] == 1
     assert agent.w[0] == 1.0
-    # the records of the stage now open
-    assert tally(rec for rec in seen if rec.stage == agent.stage[0]) == (0, 0)
+    # the iterations of the stage now open
+    assert tally(seen, agent.stage[0]) == (0, 0)
     assert agent.k == k_before  # the global clock keeps running
-    seen.append(feed(agent, 0))
-    assert seen[-1].classification == protocol.NEUTRAL
-    assert (*tally(rec for rec in seen if rec.stage == agent.stage[0]), agent.k) == (
-        0, 0, k_before + 1)
+    feed(agent, 0, seen)
+    assert classes(seen)[-1] == protocol.NEUTRAL
+    assert (*tally(seen, agent.stage[0]), agent.k) == (0, 0, k_before + 1)
     agent.advance_stage(np.array([0]))
     with pytest.raises(StageOverflow):
         agent.advance_stage(np.array([0]))
 
 
 def recorder(seen):
-    """An observer that appends the lone member's record of each iteration."""
-    return lambda state, rec: seen.extend(protocol.iteration_records(rec))
+    """An observer that appends the lone member's iterations to the columns
+    ``seen``."""
+    return lambda state, rec: seen.add_segment(rec)
 
 
 def test_run_stages_budget_schedule():
     env = env_random(3, 1.0, [17])
     agent = EnsembleState(3, default_params(), StoppingRule(kind="fixed-budget", budgets=(5, 7)),
                           [17])
-    seen = []
-    run_stages(agent, harness._black_box(env), recorder(seen))
-    assert [rec.stage for rec in seen] == [0] * 5 + [1] * 7
-    assert [rec.k for rec in seen] == list(range(1, 13))
+    seen, ks = protocol.Decisions(), []
+
+    def observe(state, rec):
+        seen.add_segment(rec)
+        ks.extend(range(rec.k[0], rec.k[0] + rec.length[0]))  # the iterations it ran
+
+    run_stages(agent, harness._black_box(env), observe)
+    assert seen.stage == [0] * 5 + [1] * 7
+    assert ks == list(range(1, 13))
+    assert len(seen.outcome) == len(seen.w_after) == 12
     assert agent.stage[0] == 2
     assert agent.k == 13
 
@@ -341,13 +350,13 @@ def test_threshold_run_on_diagonal_environment():
     """Probe starts on an eigenvector: pure reward, w = r^k, basis frozen."""
     params = default_params()
     agent = EnsembleState(2, params, StoppingRule(w_min=1e-3), [99])
-    seen = []
+    seen = protocol.Decisions()
     run_stages(agent, harness._black_box(DIAG2), recorder(seen))
     expected_len = math.ceil(math.log(1e-3) / math.log(params.r))
-    assert len(seen) == expected_len
-    assert all(rec.classification == protocol.REWARD for rec in seen)
+    assert len(seen.stage) == expected_len
+    assert classes(seen) == [protocol.REWARD] * expected_len
     np.testing.assert_array_equal(agent.bases[0], np.eye(2))
-    ws = np.array([rec.w_after for rec in seen])
+    ws = np.array(seen.w_after)
     np.testing.assert_allclose(ws, params.r ** np.arange(1, expected_len + 1),
                                rtol=1e-13)
 
@@ -356,9 +365,9 @@ def test_basis_stays_unitary_over_long_runs():
     env = env_random(3, 1.0, [5])
     agent = EnsembleState(3, default_params(),
                           StoppingRule(kind="fixed-budget", budgets=(700, 700)), [5])
-    seen = []
+    seen = protocol.Decisions()
     run_stages(agent, harness._black_box(env), recorder(seen))
-    assert any(rec.classification == protocol.PUNISH for rec in seen)  # it rotated
+    assert protocol.PUNISH in classes(seen)  # it rotated
     gram = agent.bases[0].conj().T @ agent.bases[0]
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
 
@@ -370,9 +379,9 @@ def test_identically_seeded_runs_are_bit_identical():
     hashes = []
     for _ in range(2):
         agent = EnsembleState(2, default_params(), rule, [88])
-        recs = []
+        recs = protocol.Decisions()
         run_stages(agent, harness._black_box(env), recorder(recs))
-        traces.append(recs)
+        traces.append(column_bytes(recs))
         hashes.append(protocol.basis_hash(agent.bases[0]))
     assert traces[0] == traces[1]
     assert hashes[0] == hashes[1]
@@ -412,26 +421,24 @@ class TestEnsemble:
     RULE = StoppingRule(kind="threshold", w_min=5e-2, max_iterations=400)
 
     def run_both(self, dim, seeds, rule, see=None):
-        """Per-member iteration records of an ensemble run and of lone agents;
-        ``see(record)``, if given, also sees every round's record."""
+        """Per-member decisions of an ensemble run and of lone agents, the
+        same bits; ``see(record)``, if given, also sees every round's record."""
         env = env_random(dim, 1.0, [31])
         ensemble = EnsembleState(dim, default_params(w_cap=1.0), rule, seeds)
-        steps = {i: [] for i in range(len(seeds))}
+        steps = [protocol.Decisions() for _ in seeds]
 
         def observer(state, rec):
             if see is not None:
                 see(rec)
             for j, i in enumerate(rec.members.tolist()):
-                steps[i].extend(protocol.iteration_records(rec, j))
+                steps[i].add_segment(rec, j)
 
         returned = run_stages(ensemble, harness._black_box(env), observer)
         agents = []
         for i, seed in enumerate(seeds):
             agent = reference.AgentState(dim, default_params(w_cap=1.0), seed)
-            recs = []
-            reference.run_agent(agent, reference.lone_black_box(env), rule,
-                                lambda a, rec: recs.append(rec))
-            assert steps[i] == recs
+            reference.run_agent(agent, reference.lone_black_box(env), rule)
+            assert column_bytes(steps[i]) == column_bytes(agent.decisions)
             agents.append(agent)
         return returned, ensemble, agents
 
@@ -465,8 +472,9 @@ class TestEnsemble:
         ensemble._refill(ensemble.active, ensemble.active)
         ensemble._draws[0, ensemble._cursor[0]] = 0.5
         assert agent.measure(evolved) == 2
-        rec = ensemble.advance(returning(evolved[None]))
-        assert [r.outcome for r in protocol.iteration_records(rec)] == [2]
+        got = protocol.Decisions()
+        got.add_segment(ensemble.advance(returning(evolved[None])))
+        assert got.outcome == [2]
 
     @pytest.mark.parametrize("width", [32, 33, 256])
     def test_draw_width_changes_no_bits(self, monkeypatch, width):
@@ -494,7 +502,7 @@ class TestEnsemble:
             "stacked": lambda phi: shipped(np.repeat(phi, 2, axis=1))[::2].copy(),
             "default": shipped,
             "each": lambda phi: np.array(
-                [oracles.rotation_block(linalg.RotationAngles(*phi[:, j].tolist()))
+                [oracles.rotation_block(*phi[:, j].tolist())
                  for j in range(phi.shape[1])]),
         }[form]
         sizes = []
@@ -538,14 +546,17 @@ class TestEnsemble:
 
         def observer(state, rec):
             for j, i in enumerate(rec.members.tolist()):
-                for it in protocol.iteration_records(rec, j):
+                segment = protocol.Decisions()
+                segment.add_segment(rec, j)
+                for k, t, kind in zip(itertools.count(int(rec.k[j])), segment.stage,
+                                      classes(segment)):
                     stage, punished = previous.get(i, (None, False))
-                    why = {"opens": stage != it.stage, "punished": punished,
-                           "drift": it.k > 1 and (it.k - 1) % 7 == 0}
+                    why = {"opens": stage != t, "punished": punished,
+                           "drift": k > 1 and (k - 1) % 7 == 0}
                     if any(why.values()):
                         due.append((state.rounds - 1, i))
                         reasons.update(key for key, hit in why.items() if hit)
-                    previous[i] = (it.stage, it.classification == protocol.PUNISH)
+                    previous[i] = (t, kind == protocol.PUNISH)
 
         run_stages(ensemble, spy, observer)
         assert sent == due
@@ -600,19 +611,19 @@ class TestTraces:
         env = env_random(2, 1.0, [555])
         agent = EnsembleState(2, default_params(), StoppingRule(kind="fixed-budget", budgets=(50,)),
                               [555])
-        records = []
-        run_stages(agent, harness._black_box(env), recorder(records))
-        assert any(r.classification == protocol.PUNISH for r in records)
+        decisions = protocol.Decisions()
+        run_stages(agent, harness._black_box(env), recorder(decisions))
+        assert protocol.PUNISH in classes(decisions)
         path = str(tmp_path / "run.trace")
-        protocol.write_trace(path, {"dim": 2, "seed": 555}, records, agent.bases[0])
-        return path, records, agent.bases[0]
+        protocol.write_trace(path, {"dim": 2, "seed": 555}, decisions, agent.bases[0])
+        return path, decisions, agent.bases[0]
 
     def test_roundtrip_and_replay(self, recorded_run):
-        path, records, basis = recorded_run
+        path, decisions, basis = recorded_run
         header, parsed, final = protocol.read_trace(path)
         assert header["format"] == protocol.TRACE_FORMAT
         assert header["dim"] == 2
-        assert parsed == records
+        assert column_bytes(parsed) == column_bytes(decisions)
         assert final == protocol.basis_hash(basis)
         replayed = protocol.replay_basis(2, parsed)
         assert replayed.tobytes() == basis.tobytes()
