@@ -14,8 +14,12 @@ computes no matrix product of its own.
 All repetitions run together in one ensemble, round by round, and every curve
 point is a sum over repetitions taken in index order, so each repetition
 matches a lone agent bit for bit and the results do not depend on how
-the work is scheduled.  A trace of repetition 0 is captured from the same
-run, so it audits the decisions behind the results.
+the work is scheduled.  The fold that takes those sums keeps each round's
+record and folds the kept rounds in flushes; between flushes it holds
+round arrays of fewer than ``FOLD_BYTES`` and, per repetition, at most the
+rows of the points that the engine's reach spans, plus one.  A trace of
+repetition 0 is captured from the same run, so it audits the decisions
+behind the results.
 
 Every repetition's seeds, and the generators they seed, come from one
 array pass over all repetitions (:mod:`eigenrl.seeding`) that gives, bit
@@ -23,6 +27,7 @@ for bit, what NumPy's seed sequences give one repetition at a time.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import math
@@ -299,30 +304,37 @@ def _black_box(env: Environment):
     return interact
 
 
-#: the pending point of a repetition whose last move has been summed
-_SUMMED = np.iinfo(np.int64).max
+#: bytes of round-record arrays the fold keeps before it folds them into
+#: curve points
+FOLD_BYTES = 1 << 18
 
 
 class _Fold:
     """Sums over repetitions at each recorded k, taken in repetition order.
 
-    ``rows`` holds one row per repetition: its search range, then either
-    its |<l_E|D|j>| matrix ("paper" mode) or that matrix's column maxima
-    ("per-rep" mode).  A record point k sums ``rows`` as of iteration k:
-    each repetition's search range after iteration k and the features of
-    its basis after that iteration's punishment or drift control.  Each
-    round moves the repetitions through segments of iterations, some ahead
-    of others, so the fold keeps what the pending points need in rings: the
-    search range of each repetition at each point it has passed, and, when
-    a repetition moves again past the point of a move not summed yet, the
-    features of the basis it held there.  Once every running repetition has
-    passed a point, ``rows`` takes that point's values and is summed down
-    axis 0, in record order.  The rule is the same in both modes and for
-    running and stopped repetitions: one that has stopped adds its last
-    search range and final basis to every later point, so threshold-mode
-    curves stay flat after convergence instead of dropping out of the
-    average.  The engine keeps every running repetition within its reach of
-    the slowest, which bounds the rings.
+    Point ``q``, at k = ``q * record_every``, sums one row per repetition:
+    its search range after iteration k, then either the |<l_E|D|j>| matrix
+    of its basis after that iteration's punishment or drift control ("paper"
+    mode) or that matrix's column maxima ("per-rep" mode).  A repetition
+    that has stopped before k adds its last search range and final basis,
+    in both modes and for every later point, so threshold-mode curves stay
+    flat after convergence instead of dropping out of the average.
+
+    ``observe`` keeps the arrays of each round's record that the fold reads,
+    which no later round writes (see ``EnsembleRecord``).  Once they reach
+    ``FOLD_BYTES``, and in ``finalize``, a flush folds the kept rounds in
+    one pass.  It reads the search range at each point a segment passed,
+    and takes the features of the basis its repetition held there: the
+    basis before the repetition's next move, from that move's ``before``,
+    or its current basis if it has not moved since.  One
+    ``linalg.overlaps`` call computes every such basis not computed before.
+    The points every running repetition has passed are then summed in one
+    block, down the repetition axis, in repetition order.  The rows of
+    later points, which only repetitions ahead of the slowest have passed,
+    wait for a later flush.  The engine keeps every running repetition
+    within its reach of the slowest, so between flushes the fold holds kept
+    arrays of fewer than ``FOLD_BYTES`` and at most
+    ``reach // record_every + 1`` waiting rows per repetition.
     """
 
     def __init__(self, config: ExperimentConfig, env: Environment,
@@ -333,119 +345,189 @@ class _Fold:
         # conjugated once here; linalg.overlaps takes each item's transpose
         # as a view, laid out as eigenvectors.conj().T is
         self._vconj = env.eigensystem.eigenvectors.conj()
+        # each repetition's latest row, which a stopped one adds to every
+        # later point; its features are of its current basis where _current
         self.rows = np.empty((n, 1 + (d * d if self.paper else d)))
         self.rows[:, 0] = config.w1
         self.rows[:, 1:] = self._features(ensemble.active, ensemble.bases)
-        self.last_w = self.rows[:, 0].copy()  # after each repetition's latest iteration
-        # rings over the points q not summed yet, at k = q * record_every, in
-        # slot q % size: the search ranges of the repetitions that ran past a
-        # point, and the features of the bases they held there; at most the
-        # points the engine's reach spans, the search ranges one window more
-        self._w, self._f = np.empty((2, n)), np.empty((2, n, self.rows.shape[1] - 1))
-        self._held = np.zeros((2, n), dtype=bool)
-        self._span = ensemble.reach // config.record_every + 2
-        # the point of each one's last move not summed yet, else _SUMMED
-        self._pending = np.full(n, _SUMMED)
-        self._steps = np.arange(-(-ensemble.widest // config.record_every))  # a window's points
+        self._current = np.ones(n, dtype=bool)
+        self._reps = np.arange(n)
+        self._running = n  # at the last flush
+        # members, k, length, moved, w_end, w_after and before of each kept round
+        self._kept: list[tuple[np.ndarray, ...]] = []
+        self._bytes = 0
+        # [points as a list, points, repetitions, rows, how many are summed]
+        # of the points passed but not summed, one chunk a flush, by point
+        self._waiting: list[list] = []
         self._next = 1  # the next point to sum
-        self._stage = 0  # stages every repetition closed before the next point
-        self._sums: list[np.ndarray] = []
-        self.stage_min: list[int] = []
-        self._reduce(0)
+        self._sums = [np.add.reduce(self.rows, axis=0)[None]]  # point 0
+        self.flushes = 0
+        self.seconds = 0.0  # spent in flushes
 
     def _features(self, members: np.ndarray, bases: np.ndarray) -> np.ndarray:
         amp = linalg.overlaps(self._vconj, members, bases)
-        return amp.reshape(len(amp), -1) if self.paper else amp.max(axis=1)
-
-    def _reduce(self, stage_min: int) -> None:
-        self._sums.append(np.add.reduce(self.rows, axis=0))  # a sequential fold down axis 0
-        self.stage_min.append(stage_min)
-
-    def _grow(self, rings: tuple[np.ndarray, ...], top: int, span: int) -> tuple[np.ndarray, ...]:
-        """``rings`` doubled, at most to ``span`` slots, to hold the points up to ``top``."""
-        need = top - self._next + 1
-        grown = max(need, min(2 * need, span))
-        points = np.arange(self._next, self._next + len(rings[0]))
-        bigger = tuple(np.zeros((grown, *ring.shape[1:]), dtype=ring.dtype) for ring in rings)
-        for ring, big in zip(rings, bigger):
-            big[points % grown] = ring[points % len(ring)]
-        return bigger
+        return amp.reshape(len(amp), self.rows.shape[1] - 1) if self.paper else amp.max(axis=1)
 
     def observe(
         self, state: protocol.EnsembleState, rec: protocol.EnsembleRecord
     ) -> None:
-        every, members = self.config.record_every, rec.members
-        self.last_w[members] = rec.w_end
-        if rec.before is None:  # every running repetition ran to the same iteration
-            top = slowest = int(rec.k[0])
-        else:
-            top, running = int(state.calls.max()), state.active
-            slowest = int(state.calls[running].min()) if len(running) else top
-        ready = slowest // every
-        last = -(-top // every)  # the last point any repetition has reached
-        # the first point at or after each basis move; a repetition that moves
-        # again past the point of a move not summed yet leaves that point, in
-        # the ring, the basis it had before the round
-        moved = members[rec.moved]
-        if moved.size:
-            points = state.calls[moved]
-            if every > 1:
-                points += every - 1
-                points //= every
-            if rec.before is not None:
-                earlier = self._pending[moved]
-                crossed = (earlier < points).nonzero()[0]
-                if crossed.size:
-                    if last - self._next >= len(self._f):
-                        self._f, self._held = self._grow((self._f, self._held), last, self._span)
-                    earlier, held = earlier[crossed] % len(self._f), moved[crossed]
-                    self._f[earlier, held] = self._features(held, rec.before[crossed])
-                    self._held[earlier, held] = True
-            self._pending[moved] = points
-        # the search range at each point a segment passed, when that point is
-        # not summed now or was not its last iteration; positions past a
-        # segment's end write points its repetition overwrites on reaching them
-        width = rec.u.shape[1]
-        if width > 1 or top // every > ready:
-            reached = -(-width // every)
-            if last + reached - 1 - self._next >= len(self._w):
-                (self._w,) = self._grow((self._w,), last + reached - 1, self._span + reached)
-            points = ((rec.k + every - 1) // every)[:, None] + self._steps[:reached]
-            # flat positions in w_after: row j * width plus iteration minus k[j]
-            at = (np.arange(0, len(members) * width, width) - rec.k)[:, None] + points * every
-            self._w[points % len(self._w), members[:, None]] = rec.w_after.take(at, mode="clip")
-        while self._next <= ready:
-            self._sum_point(state, top)
+        kept = rec.members, rec.k, rec.length, rec.moved, rec.w_end, rec.w_after, rec.before
+        self._kept.append(kept)
+        self._bytes += sum(array.nbytes for array in kept)
+        if self._bytes >= FOLD_BYTES:
+            self._flush(state)
 
-    def _sum_point(self, state: protocol.EnsembleState, top: int) -> None:
-        """Sum the next point, which every running repetition has passed;
-        ``top`` is the most iterations any repetition has run."""
-        k = self._next * self.config.record_every
-        self.rows[:, 0] = self.last_w
-        if top > k:
-            np.copyto(self.rows[:, 0], self._w[self._next % len(self._w)], where=state.calls > k)
-        slot = self._next % len(self._f)
-        held = self._held[slot].nonzero()[0]
-        if held.size:
-            self.rows[held, 1:] = self._f[slot, held]
-            self._held[slot] = False
-        # the others whose last move falls in this point have that basis now
-        moved = (self._pending == self._next).nonzero()[0]
-        if moved.size:
-            self.rows[moved, 1:] = self._features(moved, state.bases[moved])
-            self._pending[moved] = _SUMMED
-        stage, closed, closed_at = self._stage, state.closed, state.closed_at
-        while stage < len(closed) and closed[stage] == len(self.rows) and closed_at[stage] < k:
-            stage += 1
-        self._stage = stage
-        self._reduce(stage)
-        self._next += 1
+    def _passed(self, state: protocol.EnsembleState) -> tuple[np.ndarray, ...]:
+        """The points the kept segments passed: their repetitions, points,
+        whether each entry is a point, rows in ``table`` and search ranges,
+        first at the segments' last iterations, then inside segments; and
+        ``table``.  Its rows hold the features of bases from before the kept
+        moves, then ``rows``, brought up to date here, then a spare row."""
+        every, rows = self.config.record_every, self.rows
+        n, width = rows.shape
+        rounds = len(self._kept)
+        members, first, length, moved, w_end, w_after, before = zip(*self._kept)
+        self._kept, self._bytes = [], 0
+        sizes = [len(who) for who in members]
+        members = np.concatenate(members)
+        # each segment's cell in the grid below: row b for the b-th last round
+        cell = np.repeat(np.arange(rounds * n, 0, -n), sizes)
+        cell += members
+        first = np.concatenate(first)
+        end = np.concatenate(length)  # each segment's last iteration
+        long = (end > 1).nonzero()[0]  # segments that may hold a point inside
+        end += first
+        end -= 1
+        first = first[long]
+        w_end = np.concatenate(w_end)
+        moved = np.concatenate(moved).nonzero()[0]
+        # snapshot ids: the bases before the kept moves, in round order, then
+        # the rows; grid row 0 names each repetition's row, and row b the
+        # basis before its first move at or after the b-th last kept round
+        moves, spare = len(moved), len(moved) + n
+        ids = np.full((rounds + 1, n), spare)
+        ids[0] = self._reps + moves
+        grid = ids.ravel()
+        grid[cell[moved]] = np.arange(moves)
+        np.minimum.accumulate(ids, axis=0, out=ids)
+        # the basis before a repetition's first kept move is the one whose
+        # features rows holds if they were current
+        top = ids[-1]
+        reuse = ((top < moves) & self._current).nonzero()[0]
+        self._current[members[moved]] = False
+        # a segment's last iteration has the basis after the segment, and a
+        # point inside it the basis before its own move or the next
+        q = end // every
+        on = q * every == end
+        who, pid, w = members, grid.take(cell - n), w_end
+        pid[~on] = spare
+        if long.size:
+            low = (first - 1) // every
+            inside = q[long] - on[long] - low  # points in [first, end - 1]
+            at, step = (np.arange(int(inside.max(initial=0))) < inside[:, None]).nonzero()
+            widths = np.repeat([w.shape[1] for w in w_after], sizes)
+            start = (np.cumsum(widths) - widths)[long] - first  # of iteration 0 in w
+            low, start, at = low[at] + step + 1, start[at], long[at]
+            who, q = np.concatenate([who, members[at]]), np.concatenate([q, low])
+            on = np.concatenate([on, np.ones(len(at), dtype=bool)])
+            pid = np.concatenate([pid, grid.take(cell[at])])
+            w = np.concatenate([w, np.concatenate(w_after, axis=None).take(start + low * every)])
+        need = np.zeros(spare + 1, dtype=bool)
+        need[pid] = True
+        if len(state.active) < self._running:  # rows of the repetitions that stopped
+            self._running = len(state.active)
+            last = (end == state.calls[members]).nonzero()[0]
+            last = last[state.stage[members[last]] == state.dim - 1]
+            rows[members[last], 0] = w_end[last]
+            need[members[last] + moves] = True
+        # one overlaps call for every snapshot not computed before
+        need[top[reuse]] = False
+        need[moves:spare] &= ~self._current
+        need[spare] = False
+        need = need.nonzero()[0]
+        split = need.searchsorted(moves)
+        taken, fresh = need[:split], need[split:] - moves
+        # the bases taken from each kept round's before, then the current ones
+        stops = np.cumsum([len(held) for held in before])
+        bases, cut = [], 0
+        for held, stop, upto in zip(before, stops.tolist(), taken.searchsorted(stops).tolist()):
+            if upto > cut:
+                bases.append(held.take(taken[cut:upto] - (stop - len(held)), axis=0))
+            cut = upto
+        bases.append(state.bases.take(fresh, axis=0))
+        features = self._features(np.concatenate([members[moved[taken]], fresh]),
+                                  np.concatenate(bases))
+        table = np.empty((spare + 1, width))
+        table[top[reuse], 1:] = rows[reuse, 1:]
+        table[taken, 1:] = features[:split]
+        rows[fresh, 1:] = features[split:]
+        self._current[fresh] = True
+        table[moves:spare] = rows
+        return who, q, on, pid, w, table
+
+    def _flush(self, state: protocol.EnsembleState) -> None:
+        """Fold the kept rounds, and sum every point that every running
+        repetition has passed."""
+        begin = time.perf_counter()
+        every, n = self.config.record_every, len(self.rows)
+        running = state.active
+        ready = int(state.calls[running].min() if len(running) else state.calls.max()) // every
+        points = ready - self._next + 1
+        kept = bool(self._kept)
+        if kept:
+            who, q, on, pid, w, table = self._passed(state)
+        else:
+            table = np.concatenate([self.rows, self.rows[:1]])
+        if points > 0:
+            # each cell's row in table: its repetition's by default, which is
+            # what a stopped one adds, as every other cell was passed; a
+            # spare cell takes the passes of later points
+            cells = np.empty(n * points + 1, dtype=np.intp)
+            cells[:-1].reshape(n, points)[:] = (self._reps + len(table) - 1 - n)[:, None]
+            cells[-1] = 0
+            if kept:
+                now = who * points
+                now += q
+                now -= self._next
+                now[~(on & (q <= ready))] = n * points
+                cells[now] = pid
+            block = table.take(cells, axis=0)
+            if kept:
+                block[now, 0] = w
+            parts = []
+            for chunk in self._waiting:
+                cut = bisect.bisect_right(chunk[0], ready, chunk[4])
+                if cut > chunk[4]:
+                    parts.append((chunk[1][chunk[4]:cut], chunk[2][chunk[4]:cut],
+                                  chunk[3][chunk[4]:cut]))
+                    chunk[4] = cut
+            if parts:
+                held, reps, values = (np.concatenate(part) for part in zip(*parts))
+                block[reps * points + held - self._next] = values
+                self._waiting = [chunk for chunk in self._waiting if chunk[4] < len(chunk[0])]
+            # sequential down axis 0
+            self._sums.append(np.add.reduce(block[:-1].reshape(n, points, -1), axis=0))
+            self._next = ready + 1
+        if kept and int(state.calls.max()) // every > ready:  # passed points not summed
+            later = (on & (q > ready)).nonzero()[0]
+            later = later[q[later].argsort(kind="stable")]
+            values = table.take(pid[later], axis=0)
+            values[:, 0] = w[later]
+            self._waiting.append([q[later].tolist(), q[later], who[later], values, 0])
+        self.flushes += 1
+        self.seconds += time.perf_counter() - begin
 
     def finalize(self, state: protocol.EnsembleState, env: Environment) -> "ExperimentResult":
+        self._flush(state)
         config = self.config
         n = config.repetitions
-        sums = np.stack(self._sums)
+        sums = np.concatenate(self._sums)
         ks = np.arange(len(sums)) * config.record_every
+        # at each point, how many stages every repetition had closed before
+        # it: a stage's last close falls before a point, or after every
+        # repetition has run past it, so the final counts give the curve
+        closed = np.append(state.closed == n, False).argmin()
+        stages = state.closed_at[:closed].searchsorted(ks)
         search = sums[:, 0] / n
         fidelity = sums[:, 1:]
         if self.paper:
@@ -465,7 +547,7 @@ class _Fold:
         }
         return ExperimentResult(
             ks=ks,
-            stages=np.asarray(self.stage_min, dtype=np.int64),
+            stages=stages,
             fidelity_curves=fidelity,
             search_curve=search,
             per_repetition_final=linalg.overlaps(self._vconj, np.arange(n), state.bases),
@@ -528,7 +610,9 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
     each stage by meeting ``w_min`` and how many by hitting the cap; every
     run then logs its iterations, which are the black-box calls, the probes
     the simulator evolved, the engine's rounds and their wall time, the
-    fold's and the trace capture's included.  Before the first round it
+    fold's flushes during the rounds and the trace capture's included, and
+    the fold's flushes with their own wall time, the last one, after the
+    rounds, included.  Before the first round it
     logs the set-up: the environments built and their wall time, then the
     members seeded and the wall time of seeding them and of the rest of
     the set-up.
@@ -558,15 +642,16 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
     start = time.perf_counter()
     run_stages(ensemble, _black_box(env), observer)
     seconds = time.perf_counter() - start
+    result = fold.finalize(ensemble, env)
     if config.stopping.kind == "threshold":
         for t, (met, capped) in enumerate(zip(ensemble.reached_w_min.tolist(),
                                               ensemble.hit_max_iterations.tolist())):
             log.info("stage %d: %d repetitions reached w_min, %d hit max_iterations",
                      t, met, capped)
     log.info("%d iterations (black-box calls), %d probes evolved (a simulator cost), "
-             "%d engine rounds in %.3f s, %.1f us per round", ensemble.k - 1, ensemble.evolved,
-             ensemble.rounds, seconds, 1e6 * seconds / ensemble.rounds)
-    result = fold.finalize(ensemble, env)
+             "%d engine rounds in %.3f s, %.1f us per round, %d fold flushes in %.3f s",
+             ensemble.k - 1, ensemble.evolved, ensemble.rounds, seconds,
+             1e6 * seconds / ensemble.rounds, fold.flushes, fold.seconds)
     if trace:
         captured.final_basis = ensemble.bases[0].copy()
         result.trace = captured

@@ -222,7 +222,16 @@ class EnsembleRecord:
     that ran in it.  Row ``j`` is member ``members[j]``'s segment, iterations
     ``k[j]`` to ``k[j] + length[j] - 1`` of that member, all in stage
     ``stage[j]``; only a segment's last iteration can punish or be followed
-    by the drift control."""
+    by the drift control.
+
+    No array of a record aliases engine state that a later round writes, so
+    an observer may keep records and read them rounds later.  ``members``
+    is the engine's ``active`` itself while every running member moves,
+    which is safe because ``advance_stage`` binds ``active`` to a new array
+    and never writes into it; ``length`` of a one-iteration round is a view
+    of a row of ones that nothing writes, and ``angles`` of a round without a
+    punishment one shared empty array.  Every other array is made in the
+    round."""
 
     members: np.ndarray  # (s,) the members that ran a segment, in index order
     k: np.ndarray        # (s,) each segment's first iteration, counted per member
@@ -244,10 +253,8 @@ class EnsembleRecord:
     #: punishment or the drift control
     moved: np.ndarray
     #: (moved.sum(), dim, dim) the bases of the moved members before the
-    #: round; None when the round moved every running member one iteration
-    #: from one place, as every round of a one-iteration window does, so
-    #: that no member, running or stopped, has run past the others
-    before: np.ndarray | None
+    #: round, in row order
+    before: np.ndarray
 
 
 def _count(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -383,7 +390,6 @@ class EnsembleState:
         self._limit = np.append(np.asarray(limit[:dim - 1], dtype=np.int64), 0)
         self._stage_end = np.full(n, self._limit[0])
         self._soonest_end = int(self._limit[0])  # the least _stage_end of a running member
-        self._stopped_at = 0  # the most iterations a finished member ran
 
     @property
     def k(self) -> int:
@@ -439,17 +445,15 @@ class EnsembleState:
 
     def _update(self, members: np.ndarray, sel: np.ndarray | slice, u: np.ndarray,
                 cumulative: np.ndarray, bounds: np.ndarray, caps: np.ndarray | None = None,
-                w_min: float | None = None, drift: bool = True,
-                keep: bool = True) -> EnsembleRecord:
+                w_min: float | None = None, drift: bool = True) -> EnsembleRecord:
         """Apply the feedback of each selected member's segment: its
         iterations up to its first punishment, its first ``w`` below
         ``w_min`` (if given) or its ``caps`` entry, whichever comes first;
         one iteration each without ``caps``.  ``u`` holds the draws on
         ``cumulative``, and ``bounds`` each member's running sums before and
         through its stage's outcome.  The cursor first moves past the
-        segments' measurement draws; ``drift`` says whether a segment may end
-        at a drift-control ``k``, and ``keep`` whether the record keeps the
-        moved members' bases from before the round."""
+        segments' measurement draws, and ``drift`` says whether a segment may
+        end at a drift-control ``k``."""
         t = self.stage[sel]
         w = self.w[sel]
         # outcome > t reaches the sum through t; outcome == t only the one before
@@ -485,7 +489,7 @@ class EnsembleState:
         if drift:
             controlled = calls % REORTHONORMALIZE_EVERY == 0
             moved = ended | controlled
-        before = self.bases[members[moved]] if keep else None
+        before = self.bases[members[moved]]
         angles = _NO_ANGLES
         hit = ended.nonzero()[0]
         if hit.size:
@@ -528,7 +532,9 @@ class EnsembleState:
         """A copy of the selected members' ``_cumulative`` rows, and (members,
         2) each one's running sums of Born weights before and through its
         stage's own outcome, -inf before outcome 0."""
-        cumulative = self._cumulative[sel].copy()
+        cumulative = self._cumulative[sel]
+        if isinstance(sel, slice):  # a view while all run; a gather copies already
+            cumulative = cumulative.copy()
         low, high = self._stages
         if low == high:
             return cumulative, cumulative[:, low:low + 2]
@@ -576,8 +582,7 @@ class EnsembleState:
         threshold = rule.kind == "threshold"
         rec = self._update(members, sel, u, *self._weights(sel), caps,
                            rule.w_min if threshold else None,
-                           drift=end == drift,
-                           keep=width > 1 or fastest > slowest or self._stopped_at > slowest)
+                           drift=end == drift)
         # no budget can run out before the soonest stage end
         if threshold or fastest + width >= self._soonest_end:
             closing = self.stage_converged(sel)
@@ -612,8 +617,6 @@ class EnsembleState:
         self._stage_end[members] = self.calls[members] + self._limit[stages + 1]
         if (stages == self.dim - 2).any():
             self.active = self.active[self.stage[self.active] < self.dim - 1]
-            last = members[stages == self.dim - 2]
-            self._stopped_at = max(self._stopped_at, int(self.calls[last].max()))
         if len(self.active):
             running = self.stage[self.active]
             self._stages = (int(running.min()), int(running.max()))

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import re
+import time
 from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
@@ -736,11 +737,12 @@ class TestRunExperiment:
                          result.trace.final_basis.tobytes()))
         assert all(run == runs[0] for run in runs[1:])
 
-    def test_the_fold_rings_hold_at_most_the_points_the_reach_spans(self, monkeypatch):
-        """A ragged threshold run, whose members run ahead of the slowest by
-        up to the engine's reach, grows the features ring to the points that
-        reach spans, where doubling would have overshot them, and the
-        search-range ring to at most one window more."""
+    def test_the_fold_holds_at_most_its_bound_between_flushes(self, monkeypatch):
+        """Between flushes a ragged threshold run's fold keeps round arrays
+        of fewer than ``FOLD_BYTES``, and at most ``reach // record_every +
+        1`` rows a repetition passed that wait for the slowest to pass them
+        too; members far ahead of the slowest make more than half that many
+        wait."""
         monkeypatch.setattr(protocol, "LEAD_BYTES", 1 << 17)
         cfg = replace(harness.load_config(str(CONFIG_DIR / "fig6_random2q.json")),
                       repetitions=12, record_every=1,
@@ -751,22 +753,66 @@ class TestRunExperiment:
             [reference.derive_seed(cfg.seed, i) for i in range(cfg.repetitions)],
         )
         fold = harness._Fold(cfg, env, ensemble)
-        protocol.run_stages(ensemble, harness._black_box(env), fold.observe)
-        span = ensemble.reach // cfg.record_every + 2
-        assert 2 < len(fold._f) <= span < 2 * len(fold._f)
-        assert len(fold._w) <= span + ensemble.reach
+        span, most = ensemble.reach // cfg.record_every + 1, []
+
+        def observe(state, rec):
+            fold.observe(state, rec)
+            kept = sum(array.nbytes for arrays in fold._kept for array in arrays)
+            assert kept == fold._bytes < harness.FOLD_BYTES
+            waiting = [chunk[2][chunk[4]:] for chunk in fold._waiting]
+            most.append(np.bincount(np.concatenate([np.empty(0, int), *waiting])).max(initial=0))
+
+        protocol.run_stages(ensemble, harness._black_box(env), observe)
+        assert fold.flushes > 2 and span // 2 < max(most) <= span
 
     def test_fold_is_sequential_in_repetition_order(self):
-        """np.add.reduce down axis 0 of a 2-d array, at least two columns
-        wide, adds the rows one after another, as the streaming fold needs."""
+        """np.add.reduce down axis 0 of a C-contiguous block, its other axes
+        together at least two wide, adds the rows one after another: a
+        flush sums its points' blocks so, in repetition order."""
         rng = np.random.default_rng(4)
-        for width in (2, 3, 5, 17, 257):
+        for shape in ((2,), (3,), (5,), (17,), (257,), (1, 3), (2, 3), (7, 3), (7, 17), (40, 5)):
             for count in (1, 2, 9, 100, 1000):
-                rows = rng.random((count, width)) ** 3
-                folded = np.zeros(width)
+                rows = rng.random((count, *shape)) ** 3
+                folded = np.zeros(shape)
                 for row in rows:
                     folded = folded + row
                 assert np.add.reduce(rows, axis=0).tobytes() == folded.tobytes()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(fidelity_mode="paper", record_every=1,
+             stopping=StoppingRule(kind="fixed-budget", budgets=(50, 30, 20))),
+        dict(fidelity_mode="paper", record_every=7,
+             stopping=StoppingRule(kind="threshold", w_min=0.1, max_iterations=200)),
+        dict(record_every=1, stopping=StoppingRule(kind="threshold", w_min=0.1, max_iterations=200)),
+        dict(record_every=7, stopping=StoppingRule(kind="fixed-budget", budgets=(50, 30, 20))),
+        dict(resample_env_per_repetition=True, record_every=1,
+             stopping=StoppingRule(kind="threshold", w_min=0.1, max_iterations=200)),
+        dict(resample_env_per_repetition=True, record_every=7,
+             stopping=StoppingRule(kind="fixed-budget", budgets=(50, 30, 20))),
+    ],
+    ids=["paper-fixed-every-1", "paper-threshold-every-7", "per-rep-threshold-every-1",
+         "per-rep-fixed-every-7", "resampled-threshold-every-1", "resampled-fixed-every-7"],
+)
+@pytest.mark.parametrize("elements", [1 << 10, 1], ids=["ragged", "lockstep"])
+def test_flush_boundaries_move_no_bit(monkeypatch, tmp_path, overrides, elements):
+    """A flush after every round, the shipped bound and one flush deferred to
+    ``finalize`` give the same CSV bytes and ``per_repetition_final``
+    bytes, in both fidelity modes, under both stopping rules, at strides 1
+    and 7, on shared and resampled operators, in rounds of many iterations
+    and in lockstep."""
+    monkeypatch.setattr(protocol, "ROUND_ELEMENTS", elements)
+    cfg = small_config(dim=4, repetitions=12, seed=3, **overrides)
+    runs = []
+    for bound in (0, harness.FOLD_BYTES, 1 << 62):
+        monkeypatch.setattr(harness, "FOLD_BYTES", bound)
+        result = harness.run_experiment(cfg)
+        path = tmp_path / f"{bound}.csv"
+        harness.write_results(result, str(path))
+        runs.append((path.read_bytes(), result.per_repetition_final.tobytes()))
+    assert runs[0] == runs[1] == runs[2]
 
 
 @st.composite
@@ -1108,14 +1154,42 @@ def test_info_log_counts_iterations_probes_and_rounds(caplog):
     (line,) = [r.getMessage() for r in caplog.records if "engine rounds" in r.getMessage()]
     shape = re.fullmatch(r"(\d+) iterations \(black-box calls\), (\d+) probes evolved "
                          r"\(a simulator cost\), (\d+) engine rounds in (\d+\.\d{3}) s, "
-                         r"(\d+\.\d) us per round", line)
+                         r"(\d+\.\d) us per round, (\d+) fold flushes in (\d+\.\d{3}) s", line)
     assert shape, line
     calls, probes, rounds = (int(word) for word in shape.groups()[:3])
     assert calls == ensemble.calls.sum() == cfg.repetitions * 70
     assert (probes, rounds) == (ensemble.evolved, ensemble.rounds)
     assert rounds < 70 < probes < calls
-    seconds, per_round = (float(word) for word in shape.groups()[3:])
+    seconds, per_round = (float(word) for word in shape.groups()[3:5])
     assert per_round == pytest.approx(1e6 * seconds / rounds, abs=0.05 + 1e3 / rounds)
+
+
+@pytest.mark.parametrize("bound", [0, 1 << 62], ids=["every-round", "deferred"])
+def test_info_log_counts_the_fold_flushes(caplog, monkeypatch, bound):
+    """The closing INFO line counts the fold's flushes and their own wall
+    time, within that of the whole run: one after every round and one
+    after the last with a bound of 0, and only the last with a bound no
+    run reaches.  Neither enters the results."""
+    monkeypatch.setattr(harness, "FOLD_BYTES", bound)
+    runs = []
+
+    def keep(*args, **kwargs):
+        runs.append(protocol.run_stages(*args, **kwargs))
+        return runs[-1]
+
+    cfg = small_config(dim=3, repetitions=6, stopping=StoppingRule(kind="fixed-budget",
+                                                                    budgets=(40, 30)))
+    with mock.patch.object(harness, "run_stages", keep), \
+            caplog.at_level(logging.INFO, logger="eigenrl.harness"):
+        start = time.perf_counter()
+        result = harness.run_experiment(cfg)
+        seconds = time.perf_counter() - start
+    (ensemble,) = runs
+    (line,) = [r.getMessage() for r in caplog.records if "fold flushes" in r.getMessage()]
+    flushes, spent = re.search(r", (\d+) fold flushes in (\d+\.\d{3}) s$", line).groups()
+    assert int(flushes) == (ensemble.rounds + 1 if bound == 0 else 1)
+    assert float(spent) <= seconds
+    assert "flush" not in json.dumps(result.metadata)
 
 
 @pytest.mark.parametrize("resample", [False, True])

@@ -1,4 +1,5 @@
 """Agent feedback loop: reward/punish bookkeeping, traces, determinism."""
+import dataclasses
 import inspect
 import itertools
 import json
@@ -578,6 +579,41 @@ class TestEnsemble:
                    lambda state, rec: rounds.append(int(rec.length.max())))
         assert ensemble.rounds == len(rounds) < ensemble.calls.max() / 2 == 425
         assert max(rounds) > 1 and ensemble.k - 1 == 16 * 850
+
+    @pytest.mark.parametrize(
+        "constants, rule",
+        [
+            ({"ROUND_ELEMENTS": 1}, StoppingRule(kind="fixed-budget", budgets=(60, 40, 30))),
+            ({"LEAD_BYTES": 2000}, StoppingRule(kind="fixed-budget", budgets=(400, 250, 200))),
+            ({}, StoppingRule(kind="threshold", w_min=0.05, max_iterations=300)),
+            ({"REORTHONORMALIZE_EVERY": 5},
+             StoppingRule(kind="fixed-budget", budgets=(40, 30, 20))),
+        ],
+        ids=["lockstep", "ragged-waiting", "threshold-stops", "drift-control"],
+    )
+    def test_records_own_their_arrays(self, monkeypatch, constants, rule):
+        """Every array of every round's record keeps, to the end of the run,
+        the bytes it had when the observer saw it: no record aliases engine
+        state that a later round writes, so an observer may keep records and
+        read them rounds later."""
+        for name, value in constants.items():
+            monkeypatch.setattr(protocol, name, value)
+        config = harness.load_config(str(Path(__file__).resolve().parents[1]
+                                         / "configs" / "fig6_random2q.json"))
+        ensemble = EnsembleState(config.dim, config.params, rule,
+                                 [reference.derive_seed(config.seed, i) for i in range(16)])
+        seen = []
+
+        def observe(state, rec):
+            seen.append((rec, {field.name: getattr(rec, field.name).tobytes()
+                               for field in dataclasses.fields(rec)}))
+
+        run_stages(ensemble, harness._black_box(harness.build_environment(config)), observe)
+        for rec, fields in seen:
+            assert {name: getattr(rec, name).tobytes() for name in fields} == fields
+        moved = sum(int(rec.moved.sum()) for rec, _ in seen)
+        waited = sum(len(rec.members) < len(ensemble.bases) for rec, _ in seen)
+        assert moved > len(seen) / 2 and (waited > 0) == (constants != {"ROUND_ELEMENTS": 1})
 
     @pytest.mark.parametrize("n", [1, 512, 1000, 4096, 5000])
     def test_draw_buffers_keep_to_the_byte_budget(self, n):
