@@ -14,12 +14,12 @@ computes no matrix product of its own.
 All repetitions run together in one ensemble, round by round, and every curve
 point is a sum over repetitions taken in index order, so each repetition
 matches a lone agent bit for bit and the results do not depend on how
-the work is scheduled.  The fold that takes those sums keeps each round's
-record and folds the kept rounds in flushes; between flushes it holds
-round arrays of fewer than ``FOLD_BYTES`` and, per repetition, at most the
-rows of the points that the engine's reach spans, plus one.  A trace of
-repetition 0 is captured from the same run, so it audits the decisions
-behind the results.
+the work is scheduled.  The fold that takes those sums sums each point of
+a lockstep round as the round ends, keeps later rounds' records and folds
+them in flushes; between flushes it holds kept rounds of fewer than
+``FOLD_BYTES`` and, per repetition, at most the rows of the points that the
+engine's reach spans, plus two.  A trace of repetition 0 is captured from
+the same run, so it audits the decisions behind the results.
 
 Every repetition's seeds, and the generators they seed, come from one
 array pass over all repetitions (:mod:`eigenrl.seeding`) that gives, bit
@@ -27,7 +27,6 @@ for bit, what NumPy's seed sequences give one repetition at a time.
 """
 from __future__ import annotations
 
-import bisect
 import json
 import logging
 import math
@@ -305,7 +304,9 @@ def _black_box(env: Environment):
 
 
 #: bytes of round-record arrays the fold keeps before it folds them into
-#: curve points
+#: curve points: the search ranges and snapshots of each kept round, its
+#: moves and 24 a segment for its members, first iterations and lengths,
+#: whether or not the engine shares those
 FOLD_BYTES = 1 << 18
 
 
@@ -320,21 +321,23 @@ class _Fold:
     in both modes and for every later point, so threshold-mode curves stay
     flat after convergence instead of dropping out of the average.
 
-    ``observe`` keeps the arrays of each round's record that the fold reads,
-    which no later round writes (see ``EnsembleRecord``).  Once they reach
-    ``FOLD_BYTES``, and in ``finalize``, a flush folds the kept rounds in
-    one pass.  It reads the search range at each point a segment passed,
-    and takes the features of the basis its repetition held there: the
-    basis before the repetition's next move, from that move's ``before``,
-    or its current basis if it has not moved since.  One
-    ``linalg.overlaps`` call computes every such basis not computed before.
-    The points every running repetition has passed are then summed in one
-    block, down the repetition axis, in repetition order.  The rows of
-    later points, which only repetitions ahead of the slowest have passed,
-    wait for a later flush.  The engine keeps every running repetition
-    within its reach of the slowest, so between flushes the fold holds kept
-    arrays of fewer than ``FOLD_BYTES`` and at most
-    ``reach // record_every + 1`` waiting rows per repetition.
+    While the engine runs every repetition one iteration a round, level
+    (records without ``before``), each round's point is summed as it is
+    reached.  Later rounds are kept, with the bases from before their moves
+    as snapshots; a round whose snapshots outweigh its search ranges keeps
+    instead the features of those a point may read.  Once the kept rounds
+    reach ``FOLD_BYTES``, and in ``finalize``, a flush folds them in one
+    pass.  It reads the search range at each point a segment passed, and
+    the features of the basis its repetition held there: the snapshot of
+    its next move, or its current basis if it has not moved since, with one
+    ``linalg.overlaps`` call for every one not computed before.  The points
+    that every running repetition has passed are summed in one block, down
+    the repetition axis, in repetition order; the rows of later points wait
+    in a ring.  The engine keeps every running repetition within its reach
+    of the slowest, so between flushes the fold holds kept rounds of fewer
+    than ``FOLD_BYTES`` and a ring as wide as the most points yet passed
+    and not summed, at most ``reach // record_every + 2`` rows per
+    repetition.
     """
 
     def __init__(self, config: ExperimentConfig, env: Environment,
@@ -351,18 +354,20 @@ class _Fold:
         self.rows[:, 0] = config.w1
         self.rows[:, 1:] = self._features(ensemble.active, ensemble.bases)
         self._current = np.ones(n, dtype=bool)
-        self._reps = np.arange(n)
+        # the last move of each repetition that _read_now saw; an earlier one
+        # only makes it read more
+        self._moved_at = np.zeros(n, dtype=np.int64)
         self._running = n  # at the last flush
-        # members, k, length, moved, w_end, w_after and before of each kept round
+        # members, k, length, moved segments, w_after and snapshots of each kept round
         self._kept: list[tuple[np.ndarray, ...]] = []
         self._bytes = 0
-        # [points as a list, points, repetitions, rows, how many are summed]
-        # of the points passed but not summed, one chunk a flush, by point
-        self._waiting: list[list] = []
+        # the row of point q of repetition i, passed but not summed, at [i, q % width]
+        self._ahead = np.empty((n, 1, self.rows.shape[1]))
+        self._span = ensemble.reach // config.record_every + 2
         self._next = 1  # the next point to sum
         self._sums = [np.add.reduce(self.rows, axis=0)[None]]  # point 0
         self.flushes = 0
-        self.seconds = 0.0  # spent in flushes
+        self.seconds = 0.0  # spent in observe and finalize
 
     def _features(self, members: np.ndarray, bases: np.ndarray) -> np.ndarray:
         amp = linalg.overlaps(self._vconj, members, bases)
@@ -371,154 +376,151 @@ class _Fold:
     def observe(
         self, state: protocol.EnsembleState, rec: protocol.EnsembleRecord
     ) -> None:
-        kept = rec.members, rec.k, rec.length, rec.moved, rec.w_end, rec.w_after, rec.before
-        self._kept.append(kept)
-        self._bytes += sum(array.nbytes for array in kept)
-        if self._bytes >= FOLD_BYTES:
-            self._flush(state)
+        begin = time.perf_counter()
+        if rec.before is None:
+            self._level(state, rec)
+        else:
+            moved, snapshots = rec.moved.nonzero()[0], rec.before
+            if snapshots.nbytes > rec.w_after.nbytes:
+                moved, snapshots = self._read_now(state, rec, moved)
+            self._kept.append((rec.members, rec.k, rec.length, moved, rec.w_after, snapshots))
+            self._bytes += (rec.w_after.nbytes + snapshots.nbytes + moved.nbytes
+                            + 24 * len(rec.members))
+            if self._bytes >= FOLD_BYTES:
+                self._flush(state)
+        self.seconds += time.perf_counter() - begin
+
+    def _level(self, state: protocol.EnsembleState, rec: protocol.EnsembleRecord) -> None:
+        """Bring the rows up to date after a level round, and sum its point."""
+        rows, current = self.rows, self._current
+        rows[rec.members, 0] = rec.w_end
+        current[rec.members[rec.moved]] = False
+        if rec.k[0] % self.config.record_every == 0:
+            stale = (~current).nonzero()[0]
+            rows[stale, 1:] = self._features(stale, state.bases[stale])
+            current[stale] = True
+            self._sums.append(np.add.reduce(rows, axis=0)[None])  # sequential down axis 0
+            self._next += 1
+
+    def _read_now(self, state: protocol.EnsembleState, rec: protocol.EnsembleRecord,
+                  moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The moved segments whose snapshot a point may read, one between
+        the move and its repetition's move before, and those features."""
+        members = rec.members[moved]
+        at, since = state.calls[members], self._moved_at[members]
+        self._moved_at[members] = at
+        self._current[members] = False
+        read = (since + -since % self.config.record_every < at).nonzero()[0]
+        return moved[read], self._features(members[read], rec.before[read])
 
     def _passed(self, state: protocol.EnsembleState) -> tuple[np.ndarray, ...]:
-        """The points the kept segments passed: their repetitions, points,
-        whether each entry is a point, rows in ``table`` and search ranges,
-        first at the segments' last iterations, then inside segments; and
-        ``table``.  Its rows hold the features of bases from before the kept
-        moves, then ``rows``, brought up to date here, then a spare row."""
+        """The points the kept segments passed: their repetitions, points and
+        rows, each a search range and the features of the basis held there."""
         every, rows = self.config.record_every, self.rows
         n, width = rows.shape
         rounds = len(self._kept)
-        members, first, length, moved, w_end, w_after, before = zip(*self._kept)
+        members, first, length, moved, w_after, snapshots = zip(*self._kept)
         self._kept, self._bytes = [], 0
         sizes = [len(who) for who in members]
+        counts = [len(segments) for segments in moved]
         members = np.concatenate(members)
         # each segment's cell in the grid below: row b for the b-th last round
         cell = np.repeat(np.arange(rounds * n, 0, -n), sizes)
         cell += members
         first = np.concatenate(first)
-        end = np.concatenate(length)  # each segment's last iteration
-        long = (end > 1).nonzero()[0]  # segments that may hold a point inside
-        end += first
-        end -= 1
-        first = first[long]
-        w_end = np.concatenate(w_end)
-        moved = np.concatenate(moved).nonzero()[0]
-        # snapshot ids: the bases before the kept moves, in round order, then
-        # the rows; grid row 0 names each repetition's row, and row b the
-        # basis before its first move at or after the b-th last kept round
-        moves, spare = len(moved), len(moved) + n
-        ids = np.full((rounds + 1, n), spare)
-        ids[0] = self._reps + moves
+        end = np.concatenate(length) + first - 1  # each segment's last iteration
+        widths = np.repeat([w.shape[1] for w in w_after], sizes)
+        origin = np.cumsum(widths) - widths - first  # of iteration 0 in w_after, flat
+        w_after = np.concatenate(w_after, axis=None)
+        moved = np.concatenate(moved) + np.repeat(np.cumsum(sizes) - sizes, counts)
+        self._current[members[moved]] = False
+        # snapshot ids: the kept snapshots in round order, then the rows; grid
+        # row 0 names each repetition's row, and row b the snapshot of its
+        # first kept move at or after the b-th last round
+        moves = len(moved)
+        ids = np.empty((rounds + 1, n), dtype=np.intp)
+        ids[0] = np.arange(moves, moves + n)
+        ids[1:] = moves + n
         grid = ids.ravel()
         grid[cell[moved]] = np.arange(moves)
         np.minimum.accumulate(ids, axis=0, out=ids)
-        # the basis before a repetition's first kept move is the one whose
-        # features rows holds if they were current
-        top = ids[-1]
-        reuse = ((top < moves) & self._current).nonzero()[0]
-        self._current[members[moved]] = False
-        # a segment's last iteration has the basis after the segment, and a
-        # point inside it the basis before its own move or the next
-        q = end // every
-        on = q * every == end
-        who, pid, w = members, grid.take(cell - n), w_end
-        pid[~on] = spare
-        if long.size:
-            low = (first - 1) // every
-            inside = q[long] - on[long] - low  # points in [first, end - 1]
-            at, step = (np.arange(int(inside.max(initial=0))) < inside[:, None]).nonzero()
-            widths = np.repeat([w.shape[1] for w in w_after], sizes)
-            start = (np.cumsum(widths) - widths)[long] - first  # of iteration 0 in w
-            low, start, at = low[at] + step + 1, start[at], long[at]
-            who, q = np.concatenate([who, members[at]]), np.concatenate([q, low])
-            on = np.concatenate([on, np.ones(len(at), dtype=bool)])
-            pid = np.concatenate([pid, grid.take(cell[at])])
-            w = np.concatenate([w, np.concatenate(w_after, axis=None).take(start + low * every)])
-        need = np.zeros(spare + 1, dtype=bool)
+        # the points in each segment: its last iteration has the basis after
+        # the segment, one before it the basis before its own move or the next
+        low = (first - 1) // every
+        passes = end // every - low
+        seg, step = (np.arange(int(passes.max(initial=0))) < passes[:, None]).nonzero()
+        q = low[seg] + step + 1
+        at = q * every
+        pid = grid.take(cell[seg] - n * (at == end[seg]))
+        need = np.zeros(moves + n, dtype=bool)
         need[pid] = True
-        if len(state.active) < self._running:  # rows of the repetitions that stopped
+        if len(state.active) < self._running:  # the rows of the repetitions that stopped
             self._running = len(state.active)
             last = (end == state.calls[members]).nonzero()[0]
             last = last[state.stage[members[last]] == state.dim - 1]
-            rows[members[last], 0] = w_end[last]
-            need[members[last] + moves] = True
-        # one overlaps call for every snapshot not computed before
-        need[top[reuse]] = False
-        need[moves:spare] &= ~self._current
-        need[spare] = False
+            rows[members[last], 0] = w_after.take(origin[last] + end[last])
+            need[moves:] |= state.stage == state.dim - 1
+        # the features kept as such, and one overlaps call for the kept bases
+        # a point reads and the stale rows it or a stopped repetition reads
+        table = np.empty((moves + n, width))
+        made = np.repeat([snapshot.ndim == 2 for snapshot in snapshots], counts)
+        if made.any():
+            table[:moves][made, 1:] = np.concatenate([f for f in snapshots if f.ndim == 2])
+            need[:moves] &= ~made
+        need[moves:] &= ~self._current
         need = need.nonzero()[0]
         split = need.searchsorted(moves)
         taken, fresh = need[:split], need[split:] - moves
-        # the bases taken from each kept round's before, then the current ones
-        stops = np.cumsum([len(held) for held in before])
-        bases, cut = [], 0
-        for held, stop, upto in zip(before, stops.tolist(), taken.searchsorted(stops).tolist()):
-            if upto > cut:
-                bases.append(held.take(taken[cut:upto] - (stop - len(held)), axis=0))
-            cut = upto
-        bases.append(state.bases.take(fresh, axis=0))
+        bases = [state.bases.take(fresh, axis=0)]
+        if split:  # the kept bases, numbered past the kept features
+            kept = np.concatenate([b for b in snapshots if b.ndim == 3])
+            bases.insert(0, kept.take((np.cumsum(~made) - 1)[taken], axis=0))
         features = self._features(np.concatenate([members[moved[taken]], fresh]),
                                   np.concatenate(bases))
-        table = np.empty((spare + 1, width))
-        table[top[reuse], 1:] = rows[reuse, 1:]
         table[taken, 1:] = features[:split]
         rows[fresh, 1:] = features[split:]
         self._current[fresh] = True
-        table[moves:spare] = rows
-        return who, q, on, pid, w, table
+        table[moves:] = rows
+        values = table.take(pid, axis=0)
+        values[:, 0] = w_after.take(origin[seg] + at)
+        return members[seg], q, values
 
     def _flush(self, state: protocol.EnsembleState) -> None:
         """Fold the kept rounds, and sum every point that every running
         repetition has passed."""
-        begin = time.perf_counter()
-        every, n = self.config.record_every, len(self.rows)
+        every, rows = self.config.record_every, self.rows
         running = state.active
         ready = int(state.calls[running].min() if len(running) else state.calls.max()) // every
-        points = ready - self._next + 1
-        kept = bool(self._kept)
-        if kept:
-            who, q, on, pid, w, table = self._passed(state)
-        else:
-            table = np.concatenate([self.rows, self.rows[:1]])
-        if points > 0:
-            # each cell's row in table: its repetition's by default, which is
-            # what a stopped one adds, as every other cell was passed; a
-            # spare cell takes the passes of later points
-            cells = np.empty(n * points + 1, dtype=np.intp)
-            cells[:-1].reshape(n, points)[:] = (self._reps + len(table) - 1 - n)[:, None]
-            cells[-1] = 0
-            if kept:
-                now = who * points
-                now += q
-                now -= self._next
-                now[~(on & (q <= ready))] = n * points
-                cells[now] = pid
-            block = table.take(cells, axis=0)
-            if kept:
-                block[now, 0] = w
-            parts = []
-            for chunk in self._waiting:
-                cut = bisect.bisect_right(chunk[0], ready, chunk[4])
-                if cut > chunk[4]:
-                    parts.append((chunk[1][chunk[4]:cut], chunk[2][chunk[4]:cut],
-                                  chunk[3][chunk[4]:cut]))
-                    chunk[4] = cut
-            if parts:
-                held, reps, values = (np.concatenate(part) for part in zip(*parts))
-                block[reps * points + held - self._next] = values
-                self._waiting = [chunk for chunk in self._waiting if chunk[4] < len(chunk[0])]
-            # sequential down axis 0
-            self._sums.append(np.add.reduce(block[:-1].reshape(n, points, -1), axis=0))
+        who, q, values = self._passed(state)
+        ahead = self._ahead
+        if ready >= self._next:
+            # what earlier flushes passed, a stopped repetition's latest row
+            # after its last point, and what the kept rounds passed
+            points = np.arange(self._next, ready + 1)
+            block = ahead.take(points % ahead.shape[1], axis=1)
+            past = points > (state.calls // every)[:, None]
+            if past.any():
+                np.copyto(block, rows[:, None], where=past[..., None])
+            now = q <= ready
+            block[who[now], q[now] - self._next] = values[now]
+            self._sums.append(np.add.reduce(block, axis=0))  # sequential down axis 0
             self._next = ready + 1
-        if kept and int(state.calls.max()) // every > ready:  # passed points not summed
-            later = (on & (q > ready)).nonzero()[0]
-            later = later[q[later].argsort(kind="stable")]
-            values = table.take(pid[later], axis=0)
-            values[:, 0] = w[later]
-            self._waiting.append([q[later].tolist(), q[later], who[later], values, 0])
+        spread = int(state.calls.max()) // every - ready
+        if spread > ahead.shape[1]:  # wider, with the rows it holds
+            held = np.arange(ready + 1, ready + 1 + ahead.shape[1])
+            self._ahead = np.empty((len(rows), min(max(spread, 2 * len(held)), self._span),
+                                    rows.shape[1]))
+            self._ahead[:, held % self._ahead.shape[1]] = ahead[:, held % len(held)]
+            ahead = self._ahead
+        later = q > ready
+        ahead[who[later], q[later] % ahead.shape[1]] = values[later]
         self.flushes += 1
-        self.seconds += time.perf_counter() - begin
 
     def finalize(self, state: protocol.EnsembleState, env: Environment) -> "ExperimentResult":
-        self._flush(state)
+        begin = time.perf_counter()
+        if self._kept:
+            self._flush(state)
+        self.seconds += time.perf_counter() - begin
         config = self.config
         n = config.repetitions
         sums = np.concatenate(self._sums)
@@ -610,12 +612,11 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
     each stage by meeting ``w_min`` and how many by hitting the cap; every
     run then logs its iterations, which are the black-box calls, the probes
     the simulator evolved, the engine's rounds and their wall time, the
-    fold's flushes during the rounds and the trace capture's included, and
-    the fold's flushes with their own wall time, the last one, after the
-    rounds, included.  Before the first round it
-    logs the set-up: the environments built and their wall time, then the
-    members seeded and the wall time of seeding them and of the rest of
-    the set-up.
+    fold's and the trace capture's included, and the fold's own wall time,
+    its last flush after the rounds included, and its flushes.  Before the
+    first round it logs the set-up: the environments built and their wall
+    time, then the members seeded and the wall time of seeding them and of
+    the rest of the set-up.
 
     Repetition ``i``'s agent is seeded with the first uint64 that NumPy's
     seed sequence of the entropy ``[seed, 17, i]`` generates;
@@ -649,9 +650,9 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
             log.info("stage %d: %d repetitions reached w_min, %d hit max_iterations",
                      t, met, capped)
     log.info("%d iterations (black-box calls), %d probes evolved (a simulator cost), "
-             "%d engine rounds in %.3f s, %.1f us per round, %d fold flushes in %.3f s",
+             "%d engine rounds in %.3f s, %.1f us per round; the fold %.3f s, %d flushes",
              ensemble.k - 1, ensemble.evolved, ensemble.rounds, seconds,
-             1e6 * seconds / ensemble.rounds, fold.flushes, fold.seconds)
+             1e6 * seconds / ensemble.rounds, fold.seconds, fold.flushes)
     if trace:
         captured.final_basis = ensemble.bases[0].copy()
         result.trace = captured

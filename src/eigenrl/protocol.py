@@ -253,8 +253,11 @@ class EnsembleRecord:
     #: punishment or the drift control
     moved: np.ndarray
     #: (moved.sum(), dim, dim) the bases of the moved members before the
-    #: round, in row order
-    before: np.ndarray
+    #: round, in row order; None in a round of a one-iteration window,
+    #: which moves every running member one iteration from one place, as
+    #: every round before it did, so that no member, running or stopped, has
+    #: run past the others
+    before: np.ndarray | None
 
 
 def _count(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -445,15 +448,17 @@ class EnsembleState:
 
     def _update(self, members: np.ndarray, sel: np.ndarray | slice, u: np.ndarray,
                 cumulative: np.ndarray, bounds: np.ndarray, caps: np.ndarray | None = None,
-                w_min: float | None = None, drift: bool = True) -> EnsembleRecord:
+                w_min: float | None = None, drift: bool = True,
+                keep: bool = True) -> EnsembleRecord:
         """Apply the feedback of each selected member's segment: its
         iterations up to its first punishment, its first ``w`` below
         ``w_min`` (if given) or its ``caps`` entry, whichever comes first;
         one iteration each without ``caps``.  ``u`` holds the draws on
         ``cumulative``, and ``bounds`` each member's running sums before and
         through its stage's outcome.  The cursor first moves past the
-        segments' measurement draws, and ``drift`` says whether a segment may
-        end at a drift-control ``k``."""
+        segments' measurement draws; ``drift`` says whether a segment may end
+        at a drift-control ``k``, and ``keep`` whether the record keeps the
+        moved members' bases from before the round."""
         t = self.stage[sel]
         w = self.w[sel]
         # outcome > t reaches the sum through t; outcome == t only the one before
@@ -489,7 +494,7 @@ class EnsembleState:
         if drift:
             controlled = calls % REORTHONORMALIZE_EVERY == 0
             moved = ended | controlled
-        before = self.bases[members[moved]]
+        before = self.bases[members[moved]] if keep else None
         angles = _NO_ANGLES
         hit = ended.nonzero()[0]
         if hit.size:
@@ -556,7 +561,8 @@ class EnsembleState:
         sel = slice(None) if len(members) == len(self.w) else members  # a view while all run
         at = self.calls[sel]
         width = min(max(ROUND_ELEMENTS // len(members), 1), self.widest)
-        if width == 1:
+        level = width == 1
+        if level:
             # the window only widens as members finish, so every round so far
             # moved each running member one iteration: they run level
             slowest = fastest = int(at[0])
@@ -582,7 +588,7 @@ class EnsembleState:
         threshold = rule.kind == "threshold"
         rec = self._update(members, sel, u, *self._weights(sel), caps,
                            rule.w_min if threshold else None,
-                           drift=end == drift)
+                           drift=end == drift, keep=not level)
         # no budget can run out before the soonest stage end
         if threshold or fastest + width >= self._soonest_end:
             closing = self.stage_converged(sel)

@@ -739,10 +739,12 @@ class TestRunExperiment:
 
     def test_the_fold_holds_at_most_its_bound_between_flushes(self, monkeypatch):
         """Between flushes a ragged threshold run's fold keeps round arrays
-        of fewer than ``FOLD_BYTES``, and at most ``reach // record_every +
-        1`` rows a repetition passed that wait for the slowest to pass them
-        too; members far ahead of the slowest make more than half that many
-        wait."""
+        of at most the bytes it counts, fewer than ``FOLD_BYTES``, and a
+        ring of rows for the points passed but not summed, as wide as the
+        widest spread of those points yet and never wider than ``reach //
+        record_every + 2``: together under ``FOLD_BYTES`` plus that many
+        rows a repetition.  Members far ahead of the slowest widen the ring
+        past half its bound."""
         monkeypatch.setattr(protocol, "LEAD_BYTES", 1 << 17)
         cfg = replace(harness.load_config(str(CONFIG_DIR / "fig6_random2q.json")),
                       repetitions=12, record_every=1,
@@ -753,17 +755,24 @@ class TestRunExperiment:
             [reference.derive_seed(cfg.seed, i) for i in range(cfg.repetitions)],
         )
         fold = harness._Fold(cfg, env, ensemble)
-        span, most = ensemble.reach // cfg.record_every + 1, []
+        span, widths = ensemble.reach // cfg.record_every + 2, []
 
         def observe(state, rec):
+            flushes = fold.flushes
             fold.observe(state, rec)
-            kept = sum(array.nbytes for arrays in fold._kept for array in arrays)
-            assert kept == fold._bytes < harness.FOLD_BYTES
-            waiting = [chunk[2][chunk[4]:] for chunk in fold._waiting]
-            most.append(np.bincount(np.concatenate([np.empty(0, int), *waiting])).max(initial=0))
+            kept = {id(array): array.nbytes for arrays in fold._kept for array in arrays}
+            assert sum(kept.values()) <= fold._bytes < harness.FOLD_BYTES
+            rows, width, _ = fold._ahead.shape
+            assert rows == cfg.repetitions and width <= span
+            assert (sum(kept.values()) + fold._ahead.nbytes
+                    < harness.FOLD_BYTES + cfg.repetitions * span * fold.rows[0].nbytes)
+            if fold.flushes > flushes and len(state.active):
+                spread = state.calls.max() - state.calls[state.active].min()
+                assert spread // cfg.record_every <= width
+            widths.append(width)
 
         protocol.run_stages(ensemble, harness._black_box(env), observe)
-        assert fold.flushes > 2 and span // 2 < max(most) <= span
+        assert fold.flushes > 2 and span // 2 < max(widths) <= span
 
     def test_fold_is_sequential_in_repetition_order(self):
         """np.add.reduce down axis 0 of a C-contiguous block, its other axes
@@ -796,15 +805,24 @@ class TestRunExperiment:
     ids=["paper-fixed-every-1", "paper-threshold-every-7", "per-rep-threshold-every-1",
          "per-rep-fixed-every-7", "resampled-threshold-every-1", "resampled-fixed-every-7"],
 )
-@pytest.mark.parametrize("elements", [1 << 10, 1], ids=["ragged", "lockstep"])
+@pytest.mark.parametrize("elements", [1 << 10, 24, 1], ids=["ragged", "narrow", "lockstep"])
 def test_flush_boundaries_move_no_bit(monkeypatch, tmp_path, overrides, elements):
     """A flush after every round, the shipped bound and one flush deferred to
     ``finalize`` give the same CSV bytes and ``per_repetition_final``
     bytes, in both fidelity modes, under both stopping rules, at strides 1
-    and 7, on shared and resampled operators, in rounds of many iterations
-    and in lockstep."""
+    and 7, on shared and resampled operators, in rounds of many iterations,
+    in rounds of two, whose bases before their moves outweigh their search
+    ranges and are read at once, and in lockstep."""
     monkeypatch.setattr(protocol, "ROUND_ELEMENTS", elements)
     cfg = small_config(dim=4, repetitions=12, seed=3, **overrides)
+    read_now = harness._Fold._read_now
+    read = []
+
+    def counted(fold, *args):
+        read.append(1)
+        return read_now(fold, *args)
+
+    monkeypatch.setattr(harness._Fold, "_read_now", counted)
     runs = []
     for bound in (0, harness.FOLD_BYTES, 1 << 62):
         monkeypatch.setattr(harness, "FOLD_BYTES", bound)
@@ -813,6 +831,7 @@ def test_flush_boundaries_move_no_bit(monkeypatch, tmp_path, overrides, elements
         harness.write_results(result, str(path))
         runs.append((path.read_bytes(), result.per_repetition_final.tobytes()))
     assert runs[0] == runs[1] == runs[2]
+    assert (read or elements != 24) and not (read and elements == 1)
 
 
 @st.composite
@@ -1154,7 +1173,7 @@ def test_info_log_counts_iterations_probes_and_rounds(caplog):
     (line,) = [r.getMessage() for r in caplog.records if "engine rounds" in r.getMessage()]
     shape = re.fullmatch(r"(\d+) iterations \(black-box calls\), (\d+) probes evolved "
                          r"\(a simulator cost\), (\d+) engine rounds in (\d+\.\d{3}) s, "
-                         r"(\d+\.\d) us per round, (\d+) fold flushes in (\d+\.\d{3}) s", line)
+                         r"(\d+\.\d) us per round; the fold (\d+\.\d{3}) s, (\d+) flushes", line)
     assert shape, line
     calls, probes, rounds = (int(word) for word in shape.groups()[:3])
     assert calls == ensemble.calls.sum() == cfg.repetitions * 70
@@ -1164,13 +1183,16 @@ def test_info_log_counts_iterations_probes_and_rounds(caplog):
     assert per_round == pytest.approx(1e6 * seconds / rounds, abs=0.05 + 1e3 / rounds)
 
 
-@pytest.mark.parametrize("bound", [0, 1 << 62], ids=["every-round", "deferred"])
-def test_info_log_counts_the_fold_flushes(caplog, monkeypatch, bound):
-    """The closing INFO line counts the fold's flushes and their own wall
-    time, within that of the whole run: one after every round and one
-    after the last with a bound of 0, and only the last with a bound no
-    run reaches.  Neither enters the results."""
+@pytest.mark.parametrize("bound, elements", [(0, 1 << 10), (1 << 62, 1 << 10), (0, 1)],
+                         ids=["every-round", "deferred", "lockstep"])
+def test_info_log_counts_the_fold_flushes(caplog, monkeypatch, bound, elements):
+    """The closing INFO line gives the fold's own wall time, within that of
+    the whole run, and counts its flushes: one after every round of many
+    iterations with a bound of 0, only the one after the last with a bound
+    no run reaches, and none when every round is one iteration in
+    lockstep.  Neither enters the results."""
     monkeypatch.setattr(harness, "FOLD_BYTES", bound)
+    monkeypatch.setattr(protocol, "ROUND_ELEMENTS", elements)
     runs = []
 
     def keep(*args, **kwargs):
@@ -1185,9 +1207,9 @@ def test_info_log_counts_the_fold_flushes(caplog, monkeypatch, bound):
         result = harness.run_experiment(cfg)
         seconds = time.perf_counter() - start
     (ensemble,) = runs
-    (line,) = [r.getMessage() for r in caplog.records if "fold flushes" in r.getMessage()]
-    flushes, spent = re.search(r", (\d+) fold flushes in (\d+\.\d{3}) s$", line).groups()
-    assert int(flushes) == (ensemble.rounds + 1 if bound == 0 else 1)
+    (line,) = [r.getMessage() for r in caplog.records if "the fold" in r.getMessage()]
+    spent, flushes = re.search(r"; the fold (\d+\.\d{3}) s, (\d+) flushes$", line).groups()
+    assert int(flushes) == (0 if elements == 1 else ensemble.rounds if bound == 0 else 1)
     assert float(spent) <= seconds
     assert "flush" not in json.dumps(result.metadata)
 

@@ -595,7 +595,8 @@ class TestEnsemble:
         """Every array of every round's record keeps, to the end of the run,
         the bytes it had when the observer saw it: no record aliases engine
         state that a later round writes, so an observer may keep records and
-        read them rounds later."""
+        read them rounds later.  ``before`` is None in exactly the rounds of
+        a one-iteration window."""
         for name, value in constants.items():
             monkeypatch.setattr(protocol, name, value)
         config = harness.load_config(str(Path(__file__).resolve().parents[1]
@@ -604,16 +605,18 @@ class TestEnsemble:
                                  [reference.derive_seed(config.seed, i) for i in range(16)])
         seen = []
 
-        def observe(state, rec):
-            seen.append((rec, {field.name: getattr(rec, field.name).tobytes()
-                               for field in dataclasses.fields(rec)}))
+        def fields(rec):
+            return {field.name: None if getattr(rec, field.name) is None
+                    else getattr(rec, field.name).tobytes() for field in dataclasses.fields(rec)}
 
-        run_stages(ensemble, harness._black_box(harness.build_environment(config)), observe)
-        for rec, fields in seen:
-            assert {name: getattr(rec, name).tobytes() for name in fields} == fields
+        run_stages(ensemble, harness._black_box(harness.build_environment(config)),
+                   lambda state, rec: seen.append((rec, fields(rec))))
+        lockstep = constants == {"ROUND_ELEMENTS": 1}
+        for rec, held in seen:
+            assert fields(rec) == held and (rec.before is None) == lockstep
         moved = sum(int(rec.moved.sum()) for rec, _ in seen)
         waited = sum(len(rec.members) < len(ensemble.bases) for rec, _ in seen)
-        assert moved > len(seen) / 2 and (waited > 0) == (constants != {"ROUND_ELEMENTS": 1})
+        assert moved > len(seen) / 2 and (waited > 0) == (not lockstep)
 
     @pytest.mark.parametrize("n", [1, 512, 1000, 4096, 5000])
     def test_draw_buffers_keep_to_the_byte_budget(self, n):
