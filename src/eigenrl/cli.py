@@ -182,10 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EigenrlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (EigenrlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -71,7 +71,6 @@ class Environment:
     operators: np.ndarray
     unitaries: np.ndarray
     eigensystem: linalg.Eigensystem = field(repr=False, compare=False)
-    tau: float
 
     @property
     def dim(self) -> int:
@@ -93,7 +92,7 @@ def env_from_matrix(operator: np.ndarray, tau: float) -> Environment:
     unitaries = linalg.unitary_from_eigensystem(system, tau)
     for array in (operators, unitaries, system.eigenvalues, system.eigenvectors):
         array.setflags(write=False)
-    return Environment(operators=operators, unitaries=unitaries, eigensystem=system, tau=tau)
+    return Environment(operators=operators, unitaries=unitaries, eigensystem=system)
 
 
 def _draw_gue(rng: np.random.Generator, dim: int) -> np.ndarray:

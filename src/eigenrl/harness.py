@@ -322,22 +322,24 @@ class _Fold:
     flat after convergence instead of dropping out of the average.
 
     While the engine runs every repetition one iteration a round, level
-    (records without ``before``), each round's point is summed as it is
-    reached.  Later rounds are kept, with the bases from before their moves
-    as snapshots; a round whose snapshots outweigh its search ranges keeps
-    instead the features of those a point may read.  Once the kept rounds
-    reach ``FOLD_BYTES``, and in ``finalize``, a flush folds them in one
-    pass.  It reads the search range at each point a segment passed, and
-    the features of the basis its repetition held there: the snapshot of
-    its next move, or its current basis if it has not moved since, with one
-    ``linalg.overlaps`` call for every one not computed before.  The points
-    that every running repetition has passed are summed in one block, down
-    the repetition axis, in repetition order; the rows of later points wait
-    in a ring.  The engine keeps every running repetition within its reach
-    of the slowest, so between flushes the fold holds kept rounds of fewer
-    than ``FOLD_BYTES`` and a ring as wide as the most points yet passed
-    and not summed, at most ``reach // record_every + 2`` rows per
-    repetition.
+    (records without ``before``), each repetition's row takes the round's
+    search range, ``w_after[:, 0]``, and each round's point is summed as it
+    is reached.  Later rounds are kept, with the bases from before their
+    moves as snapshots; a round whose snapshots outweigh its search ranges
+    keeps instead the features of those a point may read.  Once the kept
+    rounds reach ``FOLD_BYTES``, and in ``finalize``, a flush folds them in
+    one pass.  It reads the search range at each point a segment passed, and
+    the features of the basis its repetition held there: the snapshot of its
+    next move, or its current basis if it has not moved since, with one
+    ``linalg.overlaps`` call for every one not computed before; the same
+    call brings up to date the rows of the repetitions that have stopped,
+    whose last search range the kept rounds hold.  The points that every
+    running repetition has passed are summed in one block, down the
+    repetition axis, in repetition order; the rows of later points wait in a
+    ring.  The engine keeps every running repetition within its reach of the
+    slowest, so between flushes the fold holds kept rounds of fewer than
+    ``FOLD_BYTES`` and a ring as wide as the most points yet passed and not
+    summed, at most ``reach // record_every + 2`` rows per repetition.
     """
 
     def __init__(self, config: ExperimentConfig, env: Environment,
@@ -357,7 +359,6 @@ class _Fold:
         # the last move of each repetition that _read_now saw; an earlier one
         # only makes it read more
         self._moved_at = np.zeros(n, dtype=np.int64)
-        self._running = n  # at the last flush
         # members, k, length, moved segments, w_after and snapshots of each kept round
         self._kept: list[tuple[np.ndarray, ...]] = []
         self._bytes = 0
@@ -393,7 +394,7 @@ class _Fold:
     def _level(self, state: protocol.EnsembleState, rec: protocol.EnsembleRecord) -> None:
         """Bring the rows up to date after a level round, and sum its point."""
         rows, current = self.rows, self._current
-        rows[rec.members, 0] = rec.w_end
+        rows[rec.members, 0] = rec.w_after[:, 0]
         current[rec.members[rec.moved]] = False
         if rec.k[0] % self.config.record_every == 0:
             stale = (~current).nonzero()[0]
@@ -454,12 +455,11 @@ class _Fold:
         pid = grid.take(cell[seg] - n * (at == end[seg]))
         need = np.zeros(moves + n, dtype=bool)
         need[pid] = True
-        if len(state.active) < self._running:  # the rows of the repetitions that stopped
-            self._running = len(state.active)
-            last = (end == state.calls[members]).nonzero()[0]
-            last = last[state.stage[members[last]] == state.dim - 1]
-            rows[members[last], 0] = w_after.take(origin[last] + end[last])
-            need[moves:] |= state.stage == state.dim - 1
+        # the rows of the repetitions that stopped
+        last = (end == state.calls[members]).nonzero()[0]
+        last = last[state.stage[members[last]] == state.dim - 1]
+        rows[members[last], 0] = w_after.take(origin[last] + end[last])
+        need[moves:] |= state.stage == state.dim - 1
         # the features kept as such, and one overlaps call for the kept bases
         # a point reads and the stale rows it or a stopped repetition reads
         table = np.empty((moves + n, width))
@@ -517,6 +517,9 @@ class _Fold:
         self.flushes += 1
 
     def finalize(self, state: protocol.EnsembleState, env: Environment) -> "ExperimentResult":
+        """The curves and finals of ``state``, a finished ensemble: every
+        repetition has closed every stage, so ``closed_at`` gives the stage
+        column."""
         begin = time.perf_counter()
         if self._kept:
             self._flush(state)
@@ -527,9 +530,8 @@ class _Fold:
         ks = np.arange(len(sums)) * config.record_every
         # at each point, how many stages every repetition had closed before
         # it: a stage's last close falls before a point, or after every
-        # repetition has run past it, so the final counts give the curve
-        closed = np.append(state.closed == n, False).argmin()
-        stages = state.closed_at[:closed].searchsorted(ks)
+        # repetition has run past it, so the last closes give the curve
+        stages = state.closed_at.searchsorted(ks)
         search = sums[:, 0] / n
         fidelity = sums[:, 1:]
         if self.paper:
@@ -538,9 +540,9 @@ class _Fold:
         if fidelity.max(initial=0.0) > 1.0 + 1e-9:
             raise EigenrlError("fidelity left [0, 1]: unitarity was lost")
         fidelity = np.minimum(fidelity, 1.0)
-        residual_sum = 0.0
-        for residual in linalg.diag_residual(state.bases, env.operators).tolist():
-            residual_sum += residual  # one by one in repetition order; np.sum pairs them
+        # one by one in repetition order, where np.sum pairs them
+        residuals = linalg.diag_residual(state.bases, env.operators)
+        residual_sum = float(np.add.accumulate(residuals)[-1])
         metadata = {
             "format": RESULTS_FORMAT,
             "config": config_to_dict(config),
@@ -574,8 +576,7 @@ class Trace:
 
     def write(self, path: str) -> str:
         """Write the trace file; returns the final basis hash its footer holds."""
-        protocol.write_trace(path, self.header, self.decisions, self.final_basis)
-        return protocol.basis_hash(self.final_basis)
+        return protocol.write_trace(path, self.header, self.decisions, self.final_basis)
 
 
 @dataclass
@@ -645,10 +646,9 @@ def run_experiment(config: ExperimentConfig, trace: bool = False) -> ExperimentR
     seconds = time.perf_counter() - start
     result = fold.finalize(ensemble, env)
     if config.stopping.kind == "threshold":
-        for t, (met, capped) in enumerate(zip(ensemble.reached_w_min.tolist(),
-                                              ensemble.hit_max_iterations.tolist())):
+        for t, met in enumerate(ensemble.reached_w_min.tolist()):
             log.info("stage %d: %d repetitions reached w_min, %d hit max_iterations",
-                     t, met, capped)
+                     t, met, n - met)
     log.info("%d iterations (black-box calls), %d probes evolved (a simulator cost), "
              "%d engine rounds in %.3f s, %.1f us per round; the fold %.3f s, %d flushes",
              ensemble.k - 1, ensemble.evolved, ensemble.rounds, seconds,

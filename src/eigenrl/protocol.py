@@ -238,11 +238,11 @@ class EnsembleRecord:
     length: np.ndarray   # (s,) iterations in the segment, at least 1
     stage: np.ndarray    # (s,)
     #: (s, L) each iteration's measurement draw times the sum of the Born
-    #: weights, and the search range after it; entries at and beyond
-    #: ``length[j]`` in row ``j`` mean nothing
+    #: weights, and the search range after it, the punished growth included;
+    #: entries at and beyond ``length[j]`` in row ``j`` mean nothing, so a
+    #: segment ends at ``w_after[j, length[j] - 1]``
     u: np.ndarray
     w_after: np.ndarray
-    w_end: np.ndarray    # (s,) the search range after each segment's last iteration
     #: (s, dim) -inf, then the cumulative Born weights the segment's draws
     #: were read on
     cumulative: np.ndarray
@@ -334,8 +334,8 @@ class EnsembleState:
     its uses of the black box; ``k`` is one more than their sum.  The
     drift control runs after a member's own iteration ``k`` whenever
     ``k % REORTHONORMALIZE_EVERY == 0``, as for a lone agent.
-    ``closed[t]`` counts the members that have closed stage ``t``, and
-    ``closed_at[t]`` is the last iteration at which one did.
+    ``closed_at[t]`` is the last iteration at which a member closed stage
+    ``t``.
 
     Each member's cumulative Born weights are cached from the last time its
     probe changed.  A member is stale, and its probe goes through the black
@@ -346,9 +346,9 @@ class EnsembleState:
     probes sent through the black box, a cost of this simulator, and
     ``rounds`` the rounds run.
 
-    ``reached_w_min[t]`` and ``hit_max_iterations[t]`` count the members
-    whose threshold stage ``t`` closed by meeting ``w_min`` and by reaching
-    the ``max_iterations`` cap.
+    ``reached_w_min[t]`` counts the members whose threshold stage ``t``
+    closed by meeting ``w_min``; once every member has closed it, the rest
+    closed it at the ``max_iterations`` cap.
     """
 
     def __init__(self, dim: int, params: RewardParams, rule: StoppingRule,
@@ -367,10 +367,8 @@ class EnsembleState:
         self.active = np.arange(n)
         self.rounds = 0
         self.evolved = 0
-        self.closed = np.zeros(dim - 1, dtype=np.int64)
         self.closed_at = np.zeros(dim - 1, dtype=np.int64)
         self.reached_w_min = np.zeros(dim - 1, dtype=np.int64)
-        self.hit_max_iterations = np.zeros(dim - 1, dtype=np.int64)
         width = min(max(DRAW_BUFFER_BYTES // (8 * n), DRAW_BUFFER_MIN), DRAW_BUFFER_MAX)
         self._draws = np.empty((n, width))
         self._cursor = np.full(n, width)
@@ -515,8 +513,8 @@ class EnsembleState:
         self.rounds += 1
         return EnsembleRecord(
             members=members, k=calls - last, length=length, u=u, w_after=w_after,
-            stage=t.copy(), w_end=w_end,
-            cumulative=cumulative, punished=ended, angles=angles, moved=moved, before=before,
+            stage=t.copy(), cumulative=cumulative, punished=ended, angles=angles,
+            moved=moved, before=before,
         )
 
     def _punish(self, who: np.ndarray, t: np.ndarray, m: np.ndarray,
@@ -595,10 +593,8 @@ class EnsembleState:
             if closing.any():
                 closed = members[closing]
                 if threshold:
-                    stages = self.stage[closed]
-                    met = self.w[closed] < rule.w_min
-                    self.reached_w_min += np.bincount(stages[met], minlength=self.dim - 1)
-                    self.hit_max_iterations += np.bincount(stages[~met], minlength=self.dim - 1)
+                    met = closed[self.w[closed] < rule.w_min]
+                    self.reached_w_min += np.bincount(self.stage[met], minlength=self.dim - 1)
                 self.advance_stage(closed)
         return rec
 
@@ -615,7 +611,6 @@ class EnsembleState:
         stages = self.stage[members]
         if (stages >= self.dim - 1).any():
             raise StageOverflow(f"no stage after {self.dim - 2} at dim {self.dim}")
-        self.closed += np.bincount(stages, minlength=self.dim - 1)
         np.maximum.at(self.closed_at, stages, self.calls[members])
         self.stage[members] = stages + 1
         self._stale[members] = True
@@ -674,7 +669,9 @@ def basis_hash(basis: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(basis).tobytes()).hexdigest()
 
 
-def write_trace(path: str, header: dict, decisions: Decisions, final_basis: np.ndarray) -> None:
+def write_trace(path: str, header: dict, decisions: Decisions, final_basis: np.ndarray) -> str:
+    """Write a trace file; returns the final basis hash its footer holds."""
+    final_sha256 = basis_hash(final_basis)
     punishments = iter(decisions.angles)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": TRACE_FORMAT, **header}) + "\n")
@@ -685,7 +682,8 @@ def write_trace(path: str, header: dict, decisions: Decisions, final_basis: np.n
             row = {"k": k, "stage": t, "m": m, "class": kind, "angles": angles,
                    "w_after": w_after}
             fh.write(json.dumps(row) + "\n")
-        fh.write(json.dumps({"final_sha256": basis_hash(final_basis)}) + "\n")
+        fh.write(json.dumps({"final_sha256": final_sha256}) + "\n")
+    return final_sha256
 
 
 def _record(row: dict, dim: int) -> tuple[int, int, int, list[float] | None, float]:

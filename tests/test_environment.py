@@ -17,7 +17,6 @@ def test_env_from_matrix_caches_propagator():
     env = envm.env_from_matrix(h, tau=0.8)
     np.testing.assert_allclose(env.unitaries[0], oracles.propagator(h, 0.8), atol=1e-11)
     assert env.dim == 2
-    assert env.tau == 0.8
     h[0, 0] = 5.0  # the environment holds its own copy
     assert env.operators.shape == (1, 2, 2) and env.operators[0, 0, 0] == 1.0
 
@@ -100,6 +99,32 @@ class TestRandomEnv:
         np.testing.assert_array_equal(a.operators[0], b.operators[0])
         c = envm.env_random(dim=4, tau=1.0, seeds=[100])
         assert np.max(np.abs(a.operators[0] - c.operators[0])) > 1e-3
+
+    def test_a_degenerate_draw_is_redrawn_from_its_generator(self, monkeypatch):
+        """A draw whose spread is reported as zero gives way to its
+        generator's next draw, and the other members keep their bits."""
+        real, sizes = linalg.spectral_spread, []
+
+        def degenerate_once(h):
+            spread = real(h)
+            if not sizes:
+                spread[1] = 0.0
+            sizes.append(len(h))
+            return spread
+
+        monkeypatch.setattr(linalg, "spectral_spread", degenerate_once)
+        seeds = [4, 5, 6]
+        env = envm.env_random(3, 1.0, seeds)
+        assert sizes == [3, 1]  # the stack, then the one redraw
+        monkeypatch.undo()
+        rng = np.random.default_rng(seeds[1])
+        envm._draw_gue(rng, 3)  # the draw reported degenerate
+        redrawn = envm._draw_gue(rng, 3)[None]
+        expected = redrawn * (2.0 / linalg.spectral_spread(redrawn))[:, None, None]
+        assert env.operators[1].tobytes() == expected[0].tobytes()
+        for i in (0, 2):
+            lone = envm.env_random(3, 1.0, [seeds[i]])
+            assert env.operators[i].tobytes() == lone.operators[0].tobytes()
 
     def test_hermitian(self):
         env = envm.env_random(dim=6, tau=1.0, seeds=[1])
@@ -209,7 +234,7 @@ class TestOperatorFiles:
     def test_roundtrip(self, tmp_path):
         env = envm.env_random(dim=3, tau=0.7, seeds=[5])
         path = tmp_path / "op.json"
-        envm.save_operator(str(path), env.operators[0], env.tau)
+        envm.save_operator(str(path), env.operators[0], 0.7)
         loaded, tau = envm.load_operator(str(path))
         np.testing.assert_allclose(loaded, env.operators[0], atol=1e-15)
         assert tau == 0.7

@@ -118,6 +118,8 @@ class TestConfigSchema:
             config_from_dict(raw_dict(r="0.9"))
         with pytest.raises(ConfigError):
             config_from_dict(raw_dict(resample_env_per_repetition=1))
+        with pytest.raises(ConfigError, match="operator_file must be a path string, got 7"):
+            config_from_dict(raw_dict(env_kind="file", operator_file=7))
 
     def test_stopping_block_is_strict(self):
         with pytest.raises(ConfigError):
@@ -162,8 +164,14 @@ class TestConfigSchema:
             )
 
     def test_kind_specific_blocks(self):
+        with pytest.raises(ConfigError, match=r"env_kind must be one of \(.*\), got 'moon'"):
+            config_from_dict(raw_dict(env_kind="moon"))
         with pytest.raises(ConfigError):
             config_from_dict(raw_dict(env_kind="single-qubit-spec"))
+        block = {"alpha": 1.0, "beta": 0.5, "lambda0": -1.0, "lambda1": 1.0}
+        with pytest.raises(ConfigError,
+                           match="single_qubit only applies to env_kind 'single-qubit-spec'"):
+            config_from_dict(raw_dict(single_qubit=block))
         with pytest.raises(ConfigError):
             config_from_dict(raw_dict(env_kind="file"))
         with pytest.raises(ConfigError):
@@ -311,7 +319,6 @@ class TestBuildEnvironment:
             harness.build_environment(cfg)
         save_operator(str(path), np.diag([-1.0, 1.0]).astype(complex), tau=0.5)
         env = harness.build_environment(cfg)
-        assert env.tau == 0.5
         np.testing.assert_allclose(
             env.unitaries[0], np.diag(np.exp([0.5j, -0.5j])), atol=1e-12
         )
@@ -416,7 +423,7 @@ def test_mean_search_range():
     members = np.arange(2)
     rec = protocol.EnsembleRecord(members=members, k=np.ones(2, int), length=np.ones(2, int),
                                   stage=np.zeros(2, int), u=np.zeros((2, 1)),
-                                  w_after=np.array([[0.9], [1.1]]), w_end=np.array([0.9, 1.1]),
+                                  w_after=np.array([[0.9], [1.1]]),
                                   cumulative=np.ones((2, 1)),
                                   punished=np.zeros(2, bool), angles=np.empty((3, 0)),
                                   moved=np.zeros(2, bool), before=np.empty((0, 2, 2)))

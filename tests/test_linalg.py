@@ -39,6 +39,9 @@ def test_require_square_rejects_rectangles():
     with pytest.raises(DimMismatch):
         linalg.require_square(np.zeros((2, 3)))
     assert linalg.require_square(np.zeros((4, 4))) == 4
+    for solve in (linalg.eig_hermitian, linalg.spectral_spread):
+        with pytest.raises(DimMismatch, match=r"stack of square matrices, got shape \(3, 2, 4\)"):
+            solve(np.zeros((3, 2, 4)))
 
 
 def test_require_hermitian():
