@@ -185,6 +185,9 @@ def main(argv: list[str] | None = None) -> int:
     except (EigenrlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # NumPy's names the allocation; a bare one says nothing
+        print("error: ran out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ the work is scheduled.  The fold that takes those sums sums each point of
 a lockstep round as the round ends, keeps later rounds' records and folds
 them in flushes; between flushes it holds kept rounds of fewer than
 ``FOLD_BYTES`` and, per repetition, at most the rows of the points that the
-engine's reach spans, plus two.  A trace of repetition 0 is captured from
+engine's lead spans, plus one.  A trace of repetition 0 is captured from
 the same run, so it audits the decisions behind the results.
 
 Every repetition's seeds, and the generators they seed, come from one
@@ -336,10 +336,12 @@ class _Fold:
     whose last search range the kept rounds hold.  The points that every
     running repetition has passed are summed in one block, down the
     repetition axis, in repetition order; the rows of later points wait in a
-    ring.  The engine keeps every running repetition within its reach of the
-    slowest, so between flushes the fold holds kept rounds of fewer than
-    ``FOLD_BYTES`` and a ring as wide as the most points yet passed and not
-    summed, at most ``reach // record_every + 2`` rows per repetition.
+    ring, widened at a flush to the points passed and not summed when those
+    are more than it holds.  The engine keeps every repetition within its
+    lead of the slowest running one, at most ``max(LEAD_BYTES // (8 n (1 +
+    d**2)), widest)`` iterations, so between flushes the fold holds kept
+    rounds of fewer than ``FOLD_BYTES`` and a ring of at most that lead over
+    ``record_every``, plus one, rows per repetition.
     """
 
     def __init__(self, config: ExperimentConfig, env: Environment,
@@ -364,7 +366,6 @@ class _Fold:
         self._bytes = 0
         # the row of point q of repetition i, passed but not summed, at [i, q % width]
         self._ahead = np.empty((n, 1, self.rows.shape[1]))
-        self._span = ensemble.reach // config.record_every + 2
         self._next = 1  # the next point to sum
         self._sums = [np.add.reduce(self.rows, axis=0)[None]]  # point 0
         self.flushes = 0
@@ -499,18 +500,16 @@ class _Fold:
             points = np.arange(self._next, ready + 1)
             block = ahead.take(points % ahead.shape[1], axis=1)
             past = points > (state.calls // every)[:, None]
-            if past.any():
-                np.copyto(block, rows[:, None], where=past[..., None])
+            np.copyto(block, rows[:, None], where=past[..., None])
             now = q <= ready
             block[who[now], q[now] - self._next] = values[now]
             self._sums.append(np.add.reduce(block, axis=0))  # sequential down axis 0
             self._next = ready + 1
         spread = int(state.calls.max()) // every - ready
-        if spread > ahead.shape[1]:  # wider, with the rows it holds
+        if spread > ahead.shape[1]:  # as wide as the spread, with the rows it holds
             held = np.arange(ready + 1, ready + 1 + ahead.shape[1])
-            self._ahead = np.empty((len(rows), min(max(spread, 2 * len(held)), self._span),
-                                    rows.shape[1]))
-            self._ahead[:, held % self._ahead.shape[1]] = ahead[:, held % len(held)]
+            self._ahead = np.empty((len(rows), spread, rows.shape[1]))
+            self._ahead[:, held % spread] = ahead[:, held % len(held)]
             ahead = self._ahead
         later = q > ready
         ahead[who[later], q[later] % ahead.shape[1]] = values[later]
@@ -537,7 +536,7 @@ class _Fold:
         if self.paper:
             fidelity = fidelity.reshape(len(sums), config.dim, config.dim).max(axis=1)
         fidelity = fidelity.T / n  # (d, K)
-        if fidelity.max(initial=0.0) > 1.0 + 1e-9:
+        if not fidelity.max(initial=0.0) <= 1.0 + 1e-9:  # NaN fails it too
             raise EigenrlError("fidelity left [0, 1]: unitarity was lost")
         fidelity = np.minimum(fidelity, 1.0)
         # one by one in repetition order, where np.sum pairs them

@@ -228,7 +228,7 @@ class EnsembleRecord:
     an observer may keep records and read them rounds later.  ``members``
     is the engine's ``active`` itself while every running member moves,
     which is safe because ``advance_stage`` binds ``active`` to a new array
-    and never writes into it; ``length`` of a one-iteration round is a view
+    and never writes into it; ``length`` of a level round (below) is a view
     of a row of ones that nothing writes, and ``angles`` of a round without a
     punishment one shared empty array.  Every other array is made in the
     round."""
@@ -253,10 +253,10 @@ class EnsembleRecord:
     #: punishment or the drift control
     moved: np.ndarray
     #: (moved.sum(), dim, dim) the bases of the moved members before the
-    #: round, in row order; None in a round of a one-iteration window,
-    #: which moves every running member one iteration from one place, as
-    #: every round before it did, so that no member, running or stopped, has
-    #: run past the others
+    #: round, in row order; None in a level round, one of a one-iteration
+    #: window, which moves every running member one iteration from one
+    #: place, as every round before it did, so that no member, running or
+    #: stopped, has run past the others
     before: np.ndarray | None
 
 
@@ -320,8 +320,8 @@ class EnsembleState:
     as the ensemble grows; a one-iteration window moves the members in lockstep.
     No member runs ahead of the slowest by more than the iterations whose
     rows of ``1 + dim**2`` doubles per member fit in ``LEAD_BYTES``, or one
-    window if that is more (``reach`` is the most that can be), which bounds
-    what an observer must hold for the iterations not every member has run.
+    window if that is more, which bounds what an observer must hold for the
+    iterations not every member has run.
     A round sends the stale probes (below) through one batched black-box
     call, draws every segment's outcomes at once, and applies all its
     punishments in one stacked update.
@@ -375,7 +375,6 @@ class EnsembleState:
         # the widest window, and the lead LEAD_BYTES allows
         self.widest = min(ROUND_ELEMENTS, width - _DRAWS_PER_ITERATION + 1)
         self._lead = LEAD_BYTES // (8 * n * (1 + dim**2))
-        self.reach = max(self._lead, self.widest)
         self._index = np.arange(max(n, width) + 1)  # up to every member, plus one
         self._zeros, self._ones = np.zeros(n, dtype=np.intp), np.ones(n, dtype=np.intp)
         self._row_start = self._index[:n] * width  # of each row in the flat _draws
@@ -390,7 +389,6 @@ class EnsembleState:
         limit = rule.budgets if rule.kind == "fixed-budget" else [rule.max_iterations] * dim
         self._limit = np.append(np.asarray(limit[:dim - 1], dtype=np.int64), 0)
         self._stage_end = np.full(n, self._limit[0])
-        self._soonest_end = int(self._limit[0])  # the least _stage_end of a running member
 
     @property
     def k(self) -> int:
@@ -446,17 +444,16 @@ class EnsembleState:
 
     def _update(self, members: np.ndarray, sel: np.ndarray | slice, u: np.ndarray,
                 cumulative: np.ndarray, bounds: np.ndarray, caps: np.ndarray | None = None,
-                w_min: float | None = None, drift: bool = True,
-                keep: bool = True) -> EnsembleRecord:
+                w_min: float | None = None, drift: bool = True) -> EnsembleRecord:
         """Apply the feedback of each selected member's segment: its
         iterations up to its first punishment, its first ``w`` below
-        ``w_min`` (if given) or its ``caps`` entry, whichever comes first;
-        one iteration each without ``caps``.  ``u`` holds the draws on
-        ``cumulative``, and ``bounds`` each member's running sums before and
-        through its stage's outcome.  The cursor first moves past the
-        segments' measurement draws; ``drift`` says whether a segment may end
-        at a drift-control ``k``, and ``keep`` whether the record keeps the
-        moved members' bases from before the round."""
+        ``w_min`` (if given) or its ``caps`` entry, whichever comes first.
+        A level round has no ``caps``: one iteration each, and a record
+        without the moved members' bases from before the round.  ``u``
+        holds the draws on ``cumulative``, and ``bounds`` each member's
+        running sums before and through its stage's outcome.  The cursor
+        first moves past the segments' measurement draws; ``drift`` says
+        whether a segment may end at a drift-control ``k``."""
         t = self.stage[sel]
         w = self.w[sel]
         # outcome > t reaches the sum through t; outcome == t only the one before
@@ -492,7 +489,7 @@ class EnsembleState:
         if drift:
             controlled = calls % REORTHONORMALIZE_EVERY == 0
             moved = ended | controlled
-        before = self.bases[members[moved]] if keep else None
+        before = None if caps is None else self.bases[members[moved]]
         angles = _NO_ANGLES
         hit = ended.nonzero()[0]
         if hit.size:
@@ -535,9 +532,7 @@ class EnsembleState:
         """A copy of the selected members' ``_cumulative`` rows, and (members,
         2) each one's running sums of Born weights before and through its
         stage's own outcome, -inf before outcome 0."""
-        cumulative = self._cumulative[sel]
-        if isinstance(sel, slice):  # a view while all run; a gather copies already
-            cumulative = cumulative.copy()
+        cumulative = self._cumulative[sel].copy()
         low, high = self._stages
         if low == high:
             return cumulative, cumulative[:, low:low + 2]
@@ -570,32 +565,27 @@ class EnsembleState:
         drift = slowest - slowest % REORTHONORMALIZE_EVERY + REORTHONORMALIZE_EVERY
         end = min(slowest + lead, drift)
         caps = None
-        if width > 1 or fastest >= end:
+        if not level:
             caps = np.minimum(self._stage_end[sel], end)
             caps -= at
-            if lead > width:
-                np.minimum(caps, width, out=caps)
+            np.minimum(caps, width, out=caps)
             if fastest >= end:  # members at the end of the window wait
                 members = members[caps > 0]
                 sel, caps = members, caps[caps > 0]
             width = int(caps.max())
-            if width == 1:
-                caps = None
         self._refill(members, sel, width + 3)
         u = self._sample(interact, members, sel, width)
         threshold = rule.kind == "threshold"
         rec = self._update(members, sel, u, *self._weights(sel), caps,
                            rule.w_min if threshold else None,
-                           drift=end == drift, keep=not level)
-        # no budget can run out before the soonest stage end
-        if threshold or fastest + width >= self._soonest_end:
-            closing = self.stage_converged(sel)
-            if closing.any():
-                closed = members[closing]
-                if threshold:
-                    met = closed[self.w[closed] < rule.w_min]
-                    self.reached_w_min += np.bincount(self.stage[met], minlength=self.dim - 1)
-                self.advance_stage(closed)
+                           drift=end == drift)
+        closing = self.stage_converged(sel)
+        if closing.any():
+            closed = members[closing]
+            if threshold:
+                met = closed[self.w[closed] < rule.w_min]
+                self.reached_w_min += np.bincount(self.stage[met], minlength=self.dim - 1)
+            self.advance_stage(closed)
         return rec
 
     def stage_converged(self, sel: np.ndarray | slice) -> np.ndarray:
@@ -621,7 +611,6 @@ class EnsembleState:
         if len(self.active):
             running = self.stage[self.active]
             self._stages = (int(running.min()), int(running.max()))
-            self._soonest_end = int(self._stage_end[self.active].min())
 
 
 def validate_rule(dim: int, params: RewardParams, rule: StoppingRule) -> None:

@@ -640,6 +640,20 @@ def test_bad_input_is_a_config_error_and_a_runtime_failure_is_not():
         assert issubclass(cls, EigenrlError) and not issubclass(cls, ConfigError), cls
 
 
+#: patches that break unitarity: rotation blocks scaled by 2, and fold
+#: features that are NaN, which fail the guard's comparison as well
+BROKEN_UNITARITY = (
+    "blocks = linalg.rotation_blocks\n"
+    "linalg.rotation_blocks = lambda phi: 2.0 * blocks(phi)\n",
+    "overlaps = linalg.overlaps\n"
+    "def poisoned(*args):\n"
+    "    amp = overlaps(*args)\n"
+    "    amp[..., 0, 0] = float('nan')\n"
+    "    return amp\n"
+    "linalg.overlaps = poisoned\n",
+)
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 def test_lost_unitarity_exits_3_with_one_stderr_line(tmp_path, flags):
     """The fidelity guard is an explicit raise that the command line reports
@@ -648,19 +662,40 @@ def test_lost_unitarity_exits_3_with_one_stderr_line(tmp_path, flags):
     cfg = write_config(tmp_path, env_kind="spin-x", tau=math.pi, repetitions=1,
                        stopping={"kind": "fixed-budget", "budgets": [1]}, record_every=1)
     src = Path(__file__).resolve().parents[1] / "src"
-    script = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "from eigenrl import linalg\n"
-        "from eigenrl.cli import main\n"
-        "blocks = linalg.rotation_blocks\n"
-        "linalg.rotation_blocks = lambda phi: 2.0 * blocks(phi)\n"
-        f"sys.exit(main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o.csv')!r}]))\n"
-    )
-    proc = subprocess.run([sys.executable, *flags, "-c", script],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr == "error: fidelity left [0, 1]: unitarity was lost\n"
+    for patch in BROKEN_UNITARITY:
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from eigenrl import linalg\n"
+            "from eigenrl.cli import main\n"
+            + patch +
+            f"sys.exit(main(['run', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'o.csv')!r}]))\n"
+        )
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == "error: fidelity left [0, 1]: unitarity was lost\n"
+        assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 64.0 GiB for an array with "
+                                     "shape (1000000, 64, 64) and data type complex128"])
+def test_running_out_of_memory_exits_3_with_one_stderr_line(tmp_path, capsys, monkeypatch,
+                                                           message):
+    """A config within the documented ranges may still not fit in memory:
+    that is a runtime failure, reported on one line with NumPy's message
+    when there is one.  The allocation failure is simulated, never made."""
+    def exhausted(config, trace=False):
+        raise MemoryError(message) if message else MemoryError()
+
+    monkeypatch.setattr(harness, "run_experiment", exhausted)
+    cfg = write_config(tmp_path)
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: ran out of memory" + (f": {message}" if message else "") + "\n"
+    assert captured.out == ""
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -747,11 +747,12 @@ class TestRunExperiment:
     def test_the_fold_holds_at_most_its_bound_between_flushes(self, monkeypatch):
         """Between flushes a ragged threshold run's fold keeps round arrays
         of at most the bytes it counts, fewer than ``FOLD_BYTES``, and a
-        ring of rows for the points passed but not summed, as wide as the
-        widest spread of those points yet and never wider than ``reach //
-        record_every + 2``: together under ``FOLD_BYTES`` plus that many
-        rows a repetition.  Members far ahead of the slowest widen the ring
-        past half its bound."""
+        ring of rows for the points passed but not summed, exactly as wide
+        as the widest spread of those points at a flush yet and never wider
+        than the engine's lead allows, ``max(LEAD_BYTES // (8 n (1 +
+        d**2)), widest) // record_every + 2``: together under ``FOLD_BYTES``
+        plus that many rows a repetition.  Members far ahead of the slowest
+        widen the ring past half its bound."""
         monkeypatch.setattr(protocol, "LEAD_BYTES", 1 << 17)
         cfg = replace(harness.load_config(str(CONFIG_DIR / "fig6_random2q.json")),
                       repetitions=12, record_every=1,
@@ -762,7 +763,9 @@ class TestRunExperiment:
             [reference.derive_seed(cfg.seed, i) for i in range(cfg.repetitions)],
         )
         fold = harness._Fold(cfg, env, ensemble)
-        span, widths = ensemble.reach // cfg.record_every + 2, []
+        lead = max(protocol.LEAD_BYTES // (8 * cfg.repetitions * (1 + cfg.dim**2)),
+                   ensemble.widest)
+        span, widths, spreads = lead // cfg.record_every + 2, [], [1]
 
         def observe(state, rec):
             flushes = fold.flushes
@@ -774,8 +777,9 @@ class TestRunExperiment:
             assert (sum(kept.values()) + fold._ahead.nbytes
                     < harness.FOLD_BYTES + cfg.repetitions * span * fold.rows[0].nbytes)
             if fold.flushes > flushes and len(state.active):
-                spread = state.calls.max() - state.calls[state.active].min()
-                assert spread // cfg.record_every <= width
+                spreads.append(state.calls.max() // cfg.record_every
+                               - state.calls[state.active].min() // cfg.record_every)
+            assert width == max(spreads)
             widths.append(width)
 
         protocol.run_stages(ensemble, harness._black_box(env), observe)
