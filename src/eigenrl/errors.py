@@ -1,11 +1,11 @@
 """Exception types shared across the package, and the checks of JSON input.
 
-Bad input is a :class:`ConfigError` or one of its subclasses, ``BadDim``,
-``NotHermitian`` and ``ModeMismatch``; the command line reports it with
-exit code 2.  Every other :class:`EigenrlError` (``NoConvergence``,
-``DimMismatch``, ``StageOverflow``, ``NotNormalized``) is a runtime failure,
-exit code 3.  A caller checks an input by calling the function that owns
-its rule, which raises the right class, rather than testing it again.
+There are two classes, one per exit code.  Bad input is a
+:class:`ConfigError`, which the command line reports with exit code 2;
+every other failure is an :class:`EigenrlError`, exit code 3.  The message
+says which rule failed.  A caller checks an input by calling the function
+that owns its rule, which raises the right class, rather than testing it
+again.
 """
 import json
 import math
@@ -17,34 +17,6 @@ class EigenrlError(Exception):
 
 class ConfigError(EigenrlError):
     """Configuration file or value is malformed."""
-
-
-class BadDim(ConfigError):
-    """Hilbert-space dimension is unsupported."""
-
-
-class NotHermitian(ConfigError):
-    """Matrix is not Hermitian within tolerance."""
-
-
-class ModeMismatch(ConfigError):
-    """Fidelity aggregation mode is incompatible with the configured environments."""
-
-
-class NoConvergence(EigenrlError):
-    """Iterative diagonalizer exhausted its sweep budget."""
-
-
-class DimMismatch(EigenrlError):
-    """Operands have incompatible dimensions."""
-
-
-class StageOverflow(EigenrlError):
-    """Attempt to advance past the final learning stage."""
-
-
-class NotNormalized(EigenrlError):
-    """Born weights of a measured state do not sum to 1."""
 
 
 def read_json(path: str, what: str, lines: bool = False):

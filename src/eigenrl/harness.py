@@ -47,7 +47,7 @@ from .environment import (
     load_operator,
     parse_matrix,
 )
-from .errors import ConfigError, EigenrlError, ModeMismatch
+from .errors import ConfigError, EigenrlError
 from .errors import finite_number, integer, read_json
 from .protocol import RewardParams, StoppingRule, run_stages
 
@@ -119,7 +119,7 @@ class ExperimentConfig:
                 f"got {self.fidelity_mode!r}"
             )
         if self.fidelity_mode == "paper" and self.resample_env_per_repetition:
-            raise ModeMismatch(
+            raise ConfigError(
                 "fidelity_mode 'paper' shares one environment across "
                 "repetitions; use 'per-rep' when resampling"
             )

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDim, ConfigError, DimMismatch, NoConvergence, NotHermitian, integer
+from .errors import ConfigError, EigenrlError, integer
 
 #: the Hilbert-space dimensions the package accepts from its inputs
 MIN_DIM = 2
@@ -89,17 +89,17 @@ class Eigensystem:
 
 
 def require_dim(dim, what: str = "dim") -> int:
-    """``dim`` if it is an integer in [MIN_DIM, MAX_DIM]; BadDim, naming
-    ``what``, if it is out of range, and ConfigError if it is no integer."""
+    """``dim`` if it is an integer in [MIN_DIM, MAX_DIM]; ConfigError,
+    naming ``what``, otherwise."""
     if not MIN_DIM <= integer(dim, what) <= MAX_DIM:
-        raise BadDim(f"{what} must be an integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}")
+        raise ConfigError(f"{what} must be an integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}")
     return dim
 
 
 def require_square(mat: np.ndarray) -> int:
-    """Return the side length of a square 2-d array or raise DimMismatch."""
+    """Return the side length of a square 2-d array or raise EigenrlError."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {mat.shape}")
+        raise EigenrlError(f"expected a square matrix, got shape {mat.shape}")
     return int(mat.shape[0])
 
 
@@ -111,11 +111,10 @@ def hermiticity_defect(h: np.ndarray) -> np.ndarray:
 
 def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
     """ConfigError, naming ``what``, unless every real and imaginary part of
-    an entry of the matrix ``h`` lies within MAX_ENTRY, then NotHermitian
-    unless ``h`` is Hermitian within HERMITICITY_TOL * max(1, max |h_ij|); for
-    a stack, each member within its own bound, and the first member at fault
-    is named.  The entries come first: beyond the bound the defect
-    itself can overflow."""
+    an entry of the matrix ``h`` lies within MAX_ENTRY and ``h`` is Hermitian
+    within HERMITICITY_TOL * max(1, max |h_ij|); for a stack, each member
+    within its own bound, and the first member at fault is named.  The
+    entries come first: beyond the bound the defect itself can overflow."""
     name = (lambda i: f"{what} member {i}") if h.ndim == 3 else (lambda i: what)
     size = np.maximum(np.abs(h.real), np.abs(h.imag)).max(axis=(-2, -1), initial=0.0)
     bad = np.flatnonzero(~(size <= MAX_ENTRY))
@@ -126,8 +125,8 @@ def require_hermitian(h: np.ndarray, what: str = "matrix") -> None:
     bound = HERMITICITY_TOL * np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
     bad = np.flatnonzero(defect > bound)
     if bad.size:
-        raise NotHermitian(f"{name(bad[0])} is not Hermitian: max |H - H^dag| = "
-                           f"{defect.flat[bad[0]]:.3e} exceeds {bound.flat[bad[0]]:.1e}")
+        raise ConfigError(f"{name(bad[0])} is not Hermitian: max |H - H^dag| = "
+                          f"{defect.flat[bad[0]]:.3e} exceeds {bound.flat[bad[0]]:.1e}")
 
 
 def normalize_phase(vecs: np.ndarray) -> np.ndarray:
@@ -200,9 +199,9 @@ def _jacobi(h: np.ndarray, vectors: bool) -> tuple[np.ndarray, bool]:
     if not stacked:
         require_square(h)
     elif h.shape[1] != h.shape[2]:
-        raise DimMismatch(f"expected a stack of square matrices, got shape {h.shape}")
+        raise EigenrlError(f"expected a stack of square matrices, got shape {h.shape}")
     if not h.shape[-1]:
-        raise DimMismatch(f"expected matrices of at least one row, got shape {h.shape}")
+        raise EigenrlError(f"expected matrices of at least one row, got shape {h.shape}")
     require_hermitian(h)
     h = h.reshape(-1, *h.shape[-2:])  # a lone matrix is a stack of one
     b, n = h.shape[:2]
@@ -238,7 +237,7 @@ def _jacobi(h: np.ndarray, vectors: bool) -> tuple[np.ndarray, bool]:
             off = float(np.max(np.abs(a[..., i] - np.diag(a[..., i].diagonal()))))
             if off > stop[i]:
                 member = f"member {i}: " if stacked else ""  # a stack's error names the member
-                raise NoConvergence(
+                raise EigenrlError(
                     f"{member}off-diagonal {off:.3e} after {JACOBI_SWEEP_BUDGET} sweeps")
     return av.transpose(2, 0, 1), stacked
 
@@ -260,10 +259,9 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
 
     Raises
     ------
-    ConfigError if a member has an entry beyond MAX_ENTRY, NotHermitian if
-    a member is not Hermitian within its HERMITICITY_TOL bound,
-    NoConvergence if a member exhausts the sweep budget; for a stack the
-    message names the member.
+    ConfigError if a member has an entry beyond MAX_ENTRY or is not
+    Hermitian within its HERMITICITY_TOL bound, EigenrlError if a member
+    exhausts the sweep budget; for a stack the message names the member.
     """
     av, stacked = _jacobi(h, vectors=True)
     n = av.shape[2]
@@ -418,7 +416,7 @@ def diag_residual(bases: np.ndarray, operators: np.ndarray) -> np.ndarray:
     against one shared operator, a (1, d, d) stack, or one operator each."""
     d = bases.shape[-1]
     if not bases.shape[1:] == operators.shape[1:] == (d, d) or len(operators) not in (1, len(bases)):
-        raise DimMismatch(f"bases {bases.shape} do not match operators {operators.shape}")
+        raise EigenrlError(f"bases {bases.shape} do not match operators {operators.shape}")
     transformed = bases.conj().transpose(0, 2, 1) @ operators @ bases
     diagonal = np.arange(d)
     transformed[:, diagonal, diagonal] = 0.0

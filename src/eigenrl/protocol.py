@@ -80,15 +80,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg, seeding
-from .errors import (
-    ConfigError,
-    DimMismatch,
-    NotNormalized,
-    StageOverflow,
-    finite_number,
-    integer,
-    read_json,
-)
+from .errors import ConfigError, EigenrlError, finite_number, integer, read_json
 
 #: cadence (in iterations) of the drift-control re-orthonormalization
 REORTHONORMALIZE_EVERY = 10_000
@@ -422,7 +414,7 @@ class EnsembleState:
             bases = self.bases[stale]
             evolved = interact(stale, bases[self._index[:len(stale)], :, self.stage[stale]])
             if evolved.shape != (len(stale), self.dim):
-                raise DimMismatch(
+                raise EigenrlError(
                     f"states shape {evolved.shape}, expected ({len(stale)}, {self.dim})"
                 )
             q = linalg.born_weights(evolved, bases)
@@ -430,7 +422,7 @@ class EnsembleState:
             drift = np.abs(total - 1.0)
             if not drift.max() < BORN_TOL:
                 j = int(np.argmax(~(drift < BORN_TOL)))
-                raise NotNormalized(
+                raise EigenrlError(
                     f"Born weights of member {stale[j]} sum to {float(total[j])!r}, not 1"
                 )
             self._cumulative[stale, 1:] = np.cumsum(q[:, :-1], axis=1)
@@ -545,12 +537,14 @@ class EnsembleState:
 
         ``interact(members, probes)`` evolves row ``j`` of ``probes`` as the
         black box of member ``members[j]`` would; it sees the probes of the
-        stale members only, and is not called when none is stale.
+        stale members only, and is not called when none is stale.  A round
+        with no iteration to run, which only a stage left open at its end
+        can give, raises EigenrlError naming the slowest member.
         """
         rule = self.rule
         members = self.active
         if not len(members):
-            raise StageOverflow("no member is active: every stage is done")
+            raise EigenrlError("no member is active: every stage is done")
         sel = slice(None) if len(members) == len(self.w) else members  # a view while all run
         at = self.calls[sel]
         width = min(max(ROUND_ELEMENTS // len(members), 1), self.widest)
@@ -572,7 +566,11 @@ class EnsembleState:
             if fastest >= end:  # members at the end of the window wait
                 members = members[caps > 0]
                 sel, caps = members, caps[caps > 0]
-            width = int(caps.max())
+            width = int(caps.max(initial=0))
+            if width < 1:  # no iteration left: the slowest member's stage ended unclosed
+                i = self.active[at.argmin()]
+                raise EigenrlError(f"member {i} reached the end of its stage {self.stage[i]}, "
+                                   f"call {self._stage_end[i]}, and the stage did not close")
         self._refill(members, sel, width + 3)
         u = self._sample(interact, members, sel, width)
         threshold = rule.kind == "threshold"
@@ -590,8 +588,9 @@ class EnsembleState:
 
     def stage_converged(self, sel: np.ndarray | slice) -> np.ndarray:
         """Mask over the selected running members: whose current stage the
-        rule has closed, by its ``w_min`` or by the iterations it allows."""
-        done = self.calls[sel] == self._stage_end[sel]
+        rule has closed, by its ``w_min`` or by the iterations it allows: a
+        member at or past its stage's end."""
+        done = self.calls[sel] >= self._stage_end[sel]
         if self.rule.kind == "threshold":
             done |= self.w[sel] < self.rule.w_min
         return done
@@ -600,7 +599,7 @@ class EnsembleState:
         """Fix the current column of each listed member and start its next one."""
         stages = self.stage[members]
         if (stages >= self.dim - 1).any():
-            raise StageOverflow(f"no stage after {self.dim - 2} at dim {self.dim}")
+            raise EigenrlError(f"no stage after {self.dim - 2} at dim {self.dim}")
         np.maximum.at(self.closed_at, stages, self.calls[members])
         self.stage[members] = stages + 1
         self._stale[members] = True

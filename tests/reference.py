@@ -44,7 +44,7 @@ import numpy as np
 
 from eigenrl import harness, linalg, protocol
 from eigenrl.environment import env_random
-from eigenrl.errors import BadDim, DimMismatch, NotNormalized, StageOverflow
+from eigenrl.errors import ConfigError, EigenrlError
 from eigenrl.linalg import rotation_blocks
 from eigenrl.protocol import (
     BORN_TOL,
@@ -85,7 +85,7 @@ class AgentState:
 
     def __init__(self, dim: int, params: RewardParams, seed: int) -> None:
         if dim < 2:
-            raise BadDim(f"need dim >= 2, got {dim}")
+            raise ConfigError(f"need dim >= 2, got {dim}")
         self.dim = dim
         self.params = params
         self.rng = np.random.default_rng(seed)
@@ -110,14 +110,14 @@ class AgentState:
     def measure(self, evolved: np.ndarray) -> int:
         """Sample one outcome from the Born weights of ``evolved`` in the basis."""
         if evolved.shape != (self.dim,):
-            raise DimMismatch(
+            raise EigenrlError(
                 f"state shape {evolved.shape}, expected ({self.dim},)"
             )
         amps = evolved @ self.basis.conj()
         q = amps.real**2 + amps.imag**2
         total = float(q.sum())
         if not abs(total - 1.0) < BORN_TOL:
-            raise NotNormalized(f"Born weights sum to {total!r}, not 1")
+            raise EigenrlError(f"Born weights sum to {total!r}, not 1")
         u = self.rng.random() * total
         acc = 0.0
         for j in range(self.dim - 1):
@@ -181,7 +181,7 @@ class AgentState:
     def advance_stage(self) -> None:
         """Fix the current column and start learning the next one."""
         if self.stage >= self.dim - 1:
-            raise StageOverflow(f"no stage after {self.stage} at dim {self.dim}")
+            raise EigenrlError(f"no stage after {self.stage} at dim {self.dim}")
         self.stage += 1
         self.w = self.params.w1
         self.n_r = 0

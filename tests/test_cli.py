@@ -1,4 +1,5 @@
 """End-to-end tests for the ``eigenrl`` command line."""
+import ast
 import json
 import math
 import os
@@ -11,20 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigenrl import harness, linalg, protocol
+from eigenrl import errors, harness, linalg, protocol
 from eigenrl.cli import main
 from eigenrl.environment import load_operator, save_operator
-from eigenrl.errors import (
-    BadDim,
-    ConfigError,
-    DimMismatch,
-    EigenrlError,
-    ModeMismatch,
-    NoConvergence,
-    NotHermitian,
-    NotNormalized,
-    StageOverflow,
-)
+from eigenrl.errors import ConfigError, EigenrlError
 from results import read_results
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -632,12 +623,23 @@ def test_entries_at_the_bound_stay_finite_at_the_largest_dim(tmp_path, capsys, c
     assert out and "nan" not in out and "inf" not in out, out
 
 
-def test_bad_input_is_a_config_error_and_a_runtime_failure_is_not():
-    """Exit 2 for every bad-input class, exit 3 for the runtime failures."""
-    for cls in (BadDim, NotHermitian, ModeMismatch):
-        assert issubclass(cls, ConfigError), cls
-    for cls in (NoConvergence, StageOverflow, NotNormalized, DimMismatch):
-        assert issubclass(cls, EigenrlError) and not issubclass(cls, ConfigError), cls
+def test_every_raise_is_a_config_error_or_an_eigenrl_error():
+    """One class per exit code: the package raises ``ConfigError`` (exit 2)
+    or ``EigenrlError`` (exit 3) and no other class, a bare re-raise
+    aside, and ``errors`` defines those two and no other exception."""
+    package = Path(errors.__file__).parent
+    raised = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+                raised.setdefault(name, []).append(f"{path.name}:{node.lineno}")
+    assert set(raised) == {"ConfigError", "EigenrlError"}, raised
+    defined = [name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, BaseException)]
+    assert defined == ["EigenrlError", "ConfigError"]
+    assert issubclass(ConfigError, EigenrlError)
 
 
 #: patches that break unitarity: rotation blocks scaled by 2, and fold
@@ -695,6 +697,39 @@ def test_running_out_of_memory_exits_3_with_one_stderr_line(tmp_path, capsys, mo
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
     captured = capsys.readouterr()
     assert captured.err == "error: ran out of memory" + (f": {message}" if message else "") + "\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o.csv").exists()
+
+
+def never_close_member_0s_stage_0(monkeypatch):
+    """Patch the engine so that member 0 never closes stage 0."""
+    converged = protocol.EnsembleState.stage_converged
+
+    def skipped(self, sel):
+        done = converged(self, sel)
+        if self.stage[0] == 0:
+            done &= np.arange(len(self.w))[sel] != 0
+        return done
+
+    monkeypatch.setattr(protocol.EnsembleState, "stage_converged", skipped)
+
+
+def test_a_skipped_stage_close_exits_3_with_one_stderr_line(tmp_path, capsys, monkeypatch):
+    """A member left running at its stage's end is an engine fault: the
+    round that finds no iteration left to run names it, in process and from
+    the command line, where it once died in NumPy's argmax with exit 1."""
+    raw = json.loads((CONFIG_DIR / "fig6_random2q.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**raw, "repetitions": 16}))
+    never_close_member_0s_stage_0(monkeypatch)
+    message = "member 0 reached the end of its stage 0, call 4000, and the stage did not close"
+    with pytest.raises(EigenrlError, match=f"^{message}$") as exc:
+        harness.run_experiment(harness.load_config(str(cfg)))
+    assert exc.type is EigenrlError  # a runtime failure, not bad input
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "o.csv").exists()
 

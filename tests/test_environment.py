@@ -8,7 +8,7 @@ import pytest
 import oracles
 from eigenrl import environment as envm
 from eigenrl import linalg
-from eigenrl.errors import BadDim, ConfigError, NotHermitian
+from eigenrl.errors import ConfigError
 from reference import lone_black_box
 
 
@@ -66,16 +66,16 @@ def test_environments_built_together_equal_lone_ones():
         theirs = lone.eigensystem
         assert ours.eigenvalues[i].tobytes() == theirs.eigenvalues[0].tobytes()
         assert ours.eigenvectors[i].tobytes() == theirs.eigenvectors[0].tobytes()
-    with pytest.raises(BadDim):
+    with pytest.raises(ConfigError, match=r"^dim must be an integer in \[2, 64\], got 1$"):
         envm.env_random(1, 1.0, seeds)
 
 
 def test_env_from_matrix_rejections():
-    with pytest.raises(NotHermitian):
+    with pytest.raises(ConfigError, match="^matrix member 0 is not Hermitian: "):
         envm.env_from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), tau=1.0)
-    with pytest.raises(BadDim):
+    with pytest.raises(ConfigError, match=r"^dim must be an integer in \[2, 64\], got 1$"):
         envm.env_from_matrix(np.eye(1), tau=1.0)
-    with pytest.raises(BadDim):
+    with pytest.raises(ConfigError, match=r"^dim must be an integer in \[2, 64\], got 65$"):
         envm.env_from_matrix(np.eye(65), tau=1.0)
 
 

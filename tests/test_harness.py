@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import reference
 from eigenrl import harness, linalg, protocol
 from eigenrl.environment import env_from_matrix, env_random, env_spin_x, save_operator
-from eigenrl.errors import ConfigError, DimMismatch, ModeMismatch
+from eigenrl.errors import ConfigError, EigenrlError
 from eigenrl.harness import ExperimentConfig, config_from_dict
 from eigenrl.protocol import StoppingRule
 from reference import (
@@ -33,6 +33,9 @@ from results import read_results
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 DIAG = np.diag([-1.0, 1.0])
+
+#: the message of the rule that a resampled run may not use the paper's mode
+PAPER_MODE_SHARES = "^fidelity_mode 'paper' shares one environment across repetitions; "
 
 
 def small_config(**overrides):
@@ -146,7 +149,7 @@ class TestConfigSchema:
             )
 
     def test_paper_mode_rejects_resampling(self):
-        with pytest.raises(ModeMismatch):
+        with pytest.raises(ConfigError, match=PAPER_MODE_SHARES):
             config_from_dict(raw_dict(resample_env_per_repetition=True))
         cfg = config_from_dict(
             raw_dict(resample_env_per_repetition=True, fidelity_mode="per-rep")
@@ -381,7 +384,7 @@ class TestMeanFidelity:
         assert start_fidelity(mats, self.diag_env, "paper")[0] == pytest.approx(0.5)
 
     def test_paper_mode_requires_shared_eigensystem(self):
-        with pytest.raises(ModeMismatch):
+        with pytest.raises(ConfigError, match=PAPER_MODE_SHARES):
             small_config(fidelity_mode="paper", resample_env_per_repetition=True)
         env = env_from_matrix(np.stack([self.diag_env.operators[0],
                                         env_spin_x(1.0).operators[0]]), 1.0)
@@ -391,7 +394,7 @@ class TestMeanFidelity:
     def test_validation(self):
         with pytest.raises(ConfigError):
             config_from_dict(raw_dict(fidelity_mode="both"))
-        with pytest.raises(ConfigError):  # a ModeMismatch is bad input too
+        with pytest.raises(ConfigError, match=PAPER_MODE_SHARES):
             config_from_dict(raw_dict(resample_env_per_repetition=True))
 
     def test_random_products_stay_in_bounds(self):
@@ -458,8 +461,9 @@ class TestDiagResidual:
             (np.stack([np.eye(2)] * 3), np.stack([DIAG] * 2)),  # 3 bases, 2 operators
         ]
         for bases, operators in mismatched:
-            with pytest.raises(DimMismatch):
+            with pytest.raises(EigenrlError, match=r"^bases \(.*\) do not match operators ") as exc:
                 linalg.diag_residual(bases, operators)
+            assert exc.type is EigenrlError  # a runtime failure, not bad input
         # a one-repetition result reports the residual of its lone agent
         cfg = small_config(repetitions=1)
         env = harness.build_environment(cfg)

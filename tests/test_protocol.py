@@ -17,12 +17,7 @@ import reference
 from eigenrl import harness, linalg, protocol
 from eigenrl.cli import main
 from eigenrl.environment import env_from_matrix, env_random
-from eigenrl.errors import (
-    BadDim,
-    ConfigError,
-    DimMismatch,
-    StageOverflow,
-)
+from eigenrl.errors import ConfigError, EigenrlError
 from eigenrl.protocol import (
     EnsembleState,
     RewardParams,
@@ -115,7 +110,7 @@ def test_agent_initial_state():
     assert agent.k == 1
     assert agent.calls[0] == 0
     assert agent.rule is THRESHOLD
-    with pytest.raises(BadDim):
+    with pytest.raises(ConfigError, match=r"^dim must be an integer in \[2, 64\], got 1$"):
         EnsembleState(1, default_params(), THRESHOLD, [1])
 
 
@@ -144,8 +139,9 @@ ONE_ITERATION = StoppingRule(kind="fixed-budget", budgets=(1,))
 
 def test_measure_validates_shape():
     agent = EnsembleState(2, default_params(), ONE_ITERATION, [3])
-    with pytest.raises(DimMismatch):
+    with pytest.raises(EigenrlError, match=r"^states shape \(1, 3\), expected \(1, 2\)$") as exc:
         agent.advance(returning(np.zeros((1, 3), dtype=complex)))
+    assert exc.type is EigenrlError  # a runtime failure, not bad input
 
 
 def measure_lone(seed, basis, evolved, times):
@@ -185,7 +181,7 @@ def test_born_weight_check_raises_under_optimize():
         "import sys, numpy as np\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "from eigenrl.protocol import EnsembleState, RewardParams, StoppingRule\n"
-        "from eigenrl.errors import NotNormalized\n"
+        "from eigenrl.errors import EigenrlError\n"
         "params = RewardParams(r=0.9, nu=2.0)\n"
         "rule = StoppingRule(kind='fixed-budget', budgets=(1,))\n"
         "box = lambda states: lambda members, probes: np.array(states, dtype=complex)\n"
@@ -194,8 +190,8 @@ def test_born_weight_check_raises_under_optimize():
         "               [[np.nan, 0.0]]):\n"
         "    try:\n"
         "        EnsembleState(2, params, rule, range(len(states))).advance(box(states))\n"
-        "    except NotNormalized as exc:\n"
-        "        print(exc)\n"
+        "    except EigenrlError as exc:\n"
+        "        print(f'{type(exc).__name__}: {exc}')\n"
         "    else:\n"
         "        print('passed')\n"
     )
@@ -206,8 +202,9 @@ def test_born_weight_check_raises_under_optimize():
         flag, *caught = out.stdout.splitlines()
         assert flag == optimize and len(caught) == 4
         for line, member in zip(caught, (0, 1, 0)):
-            assert re.fullmatch(f"Born weights of member {member} sum to [0-9.]+, not 1", line)
-        assert caught[-1] == "Born weights of member 0 sum to nan, not 1"
+            assert re.fullmatch(f"EigenrlError: Born weights of member {member} sum to [0-9.]+, "
+                                "not 1", line)
+        assert caught[-1] == "EigenrlError: Born weights of member 0 sum to nan, not 1"
 
 
 class TestFeedback:
@@ -319,8 +316,9 @@ def test_advance_stage_resets_bookkeeping():
     assert classes(seen)[-1] == protocol.NEUTRAL
     assert (*tally(seen, agent.stage[0]), agent.k) == (0, 0, k_before + 1)
     agent.advance_stage(np.array([0]))
-    with pytest.raises(StageOverflow):
+    with pytest.raises(EigenrlError, match="^no stage after 1 at dim 3$") as exc:
         agent.advance_stage(np.array([0]))
+    assert exc.type is EigenrlError
 
 
 def recorder(seen):
@@ -625,23 +623,37 @@ class TestEnsemble:
         assert draws.shape[1] == {1: 256, 512: 256, 1000: 256, 4096: 64, 5000: 52}[n]
 
     def test_validation(self):
-        with pytest.raises(BadDim):
+        with pytest.raises(ConfigError, match=r"^dim must be an integer in \[2, 64\], got 1$"):
             EnsembleState(1, default_params(), THRESHOLD, [1])
         ensemble = EnsembleState(2, default_params(), ONE_ITERATION, [1, 2])
-        with pytest.raises(DimMismatch):
+        with pytest.raises(EigenrlError,
+                           match=r"^states shape \(2, 3\), expected \(2, 2\)$") as exc:
             ensemble.advance(returning(np.zeros((2, 3), dtype=complex)))
+        assert exc.type is EigenrlError
         ensemble.advance_stage(np.array([0]))
-        with pytest.raises(StageOverflow):
+        with pytest.raises(EigenrlError, match="^no stage after 0 at dim 2$") as exc:
             ensemble.advance_stage(np.array([0]))
+        assert exc.type is EigenrlError
         assert list(ensemble.active) == [1] and ensemble.calls[0] == 0
+
+    def test_a_member_past_its_stage_end_is_closed(self):
+        """A member whose calls overran its stage's end is closed, so a
+        skipped close cannot leave it running without end in lockstep."""
+        for rule in (StoppingRule(kind="fixed-budget", budgets=(5, 6)), THRESHOLD):
+            ensemble = EnsembleState(3, default_params(), rule, [1, 2, 3])
+            end = ensemble._stage_end[0]
+            ensemble.calls[:] = [end - 1, end, end + 1]
+            assert ensemble.stage_converged(slice(None)).tolist() == [False, True, True]
 
     def test_a_finished_ensemble_says_no_member_is_active(self):
         for rule in (ONE_ITERATION, self.RULE):
             ensemble = EnsembleState(2, default_params(), rule, [1, 2])
             ensemble.advance_stage(np.array([0, 1]))
             assert ensemble.finished
-            with pytest.raises(StageOverflow, match="no member is active"):
+            with pytest.raises(EigenrlError,
+                               match="^no member is active: every stage is done$") as exc:
                 ensemble.advance(lambda members, probes: probes)
+            assert exc.type is EigenrlError
 
 
 class TestTraces:
