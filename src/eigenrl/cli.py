@@ -127,8 +127,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if basis.shape != operator.shape:
         raise ConfigError(f"basis is {len(basis)}-dimensional, operator {len(operator)}")
     residual = float(linalg.diag_residual(basis[None], operator[None])[0])
-    vconj = linalg.eig_hermitian(operator).eigenvectors.conj()
-    fidelities = linalg.overlaps(vconj[None], np.arange(1), basis[None])[0].max(axis=0)
+    vconj = linalg.eig_hermitian(operator[None]).eigenvectors.conj()
+    fidelities = linalg.overlaps(vconj, np.arange(1), basis[None])[0].max(axis=0)
     print(f"diag residual = {residual:.9f}")
     for j, value in enumerate(fidelities):
         print(f"F_{j} = {value:.9f}")

@@ -5,7 +5,7 @@ stack, with their unitary propagators ``exp(-i tau O)`` and their exact
 spectra: a stack of one when every repetition shares the operator, one
 operator per repetition when each draws its own.  The learning layer is only
 ever handed the batched black box that ``harness._black_box`` builds from the
-stacked ``unitaries``; the spectra, ``eigensystem``, exist for scoring and
+``unitaries`` stack; the spectra, ``eigensystem``, exist for scoring and
 verification and are never imported by the protocol module (a structural
 test keeps it that way).
 
@@ -61,7 +61,7 @@ class SingleQubitSpec:
 
 @dataclass(frozen=True)
 class Environment:
-    """Hidden Hermitian operators, stacked, with their propagators and spectra.
+    """A stack of hidden Hermitian operators, with propagators and spectra.
 
     ``operators`` and ``unitaries`` have shape (B, d, d), and ``eigensystem``
     holds (B, d) eigenvalues and (B, d, d) eigenvectors: B is 1 when the
@@ -79,7 +79,7 @@ class Environment:
 
 def env_from_matrix(operator: np.ndarray, tau: float) -> Environment:
     """The environment of one Hermitian matrix, or of each matrix of a
-    (B, d, d) stack, all diagonalized in one stacked call; ConfigError unless
+    (B, d, d) stack, all diagonalized in one call; ConfigError unless
     ``tau`` is a finite number whose product with every eigenvalue, the
     propagator's phase, is finite."""
     operators = np.array(operator, dtype=np.complex128, order="C", ndmin=3)
@@ -107,10 +107,10 @@ def env_random(dim: int, tau: float, seeds: Sequence[int] | np.ndarray) -> Envir
 
     The generators are seeded in one array pass, ``seeding.generators``, each
     with the stream NumPy's default generator gives for its seed.  The draws'
-    spreads come from one stacked eigenvalue-only pass,
+    spreads come from one eigenvalue-only pass over the stack,
     ``linalg.spectral_spread``; the rescaled draws are then diagonalized in
-    one stacked call.  Each member has the bits that a build of its seed
-    alone gives.
+    one call.  Each member has the bits that a build of its seed alone
+    gives.
     """
     linalg.require_dim(dim)
     rngs = seeding.generators(seeds)

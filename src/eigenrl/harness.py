@@ -6,7 +6,7 @@ iteration count k: the mean fidelity F_j(k) between basis column j and
 the environment's eigenvectors, and the mean search range W(k).  A run
 builds one :class:`~eigenrl.environment.Environment`, a stack of one shared
 operator or of one operator per repetition; the black box, the fold and the
-final residual all read its stacked arrays.  Their products are named
+final residual all read its stacks.  Their products are named
 :mod:`~eigenrl.linalg` functions, ``apply_unitaries``, ``overlaps`` and
 ``diag_residual``, as is ``load_basis``'s ``unitarity_defect``: this module
 computes no matrix product of its own.
@@ -494,17 +494,16 @@ class _Fold:
         ready = int(state.calls[running].min() if len(running) else state.calls.max()) // every
         who, q, values = self._passed(state)
         ahead = self._ahead
-        if ready >= self._next:
-            # what earlier flushes passed, a stopped repetition's latest row
-            # after its last point, and what the kept rounds passed
-            points = np.arange(self._next, ready + 1)
-            block = ahead.take(points % ahead.shape[1], axis=1)
-            past = points > (state.calls // every)[:, None]
-            np.copyto(block, rows[:, None], where=past[..., None])
-            now = q <= ready
-            block[who[now], q[now] - self._next] = values[now]
-            self._sums.append(np.add.reduce(block, axis=0))  # sequential down axis 0
-            self._next = ready + 1
+        # what earlier flushes passed, a stopped repetition's latest row
+        # after its last point, and what the kept rounds passed
+        points = np.arange(self._next, ready + 1)
+        block = ahead.take(points % ahead.shape[1], axis=1)
+        past = points > (state.calls // every)[:, None]
+        np.copyto(block, rows[:, None], where=past[..., None])
+        now = q <= ready
+        block[who[now], q[now] - self._next] = values[now]
+        self._sums.append(np.add.reduce(block, axis=0))  # sequential down axis 0
+        self._next = ready + 1
         spread = int(state.calls.max()) // every - ready
         if spread > ahead.shape[1]:  # as wide as the spread, with the rows it holds
             held = np.arange(ready + 1, ready + 1 + ahead.shape[1])

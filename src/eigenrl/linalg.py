@@ -14,20 +14,19 @@ Conventions used throughout the package:
 Diagonalization uses cyclic Jacobi rotations.  The method is simple and
 accurate at the dimensions this package targets (<= 64); it converges
 quadratically and in practice needs well under the 100-sweep budget.
-``eig_hermitian`` takes one matrix or a stack of them, and a lone matrix is
-a stack of one.  The stack is swept pair by pair in the same cyclic order
-for every member, and each pair rotates only the members whose entry lies
-above their own threshold, so every member gets the bits that rotating it
-alone, one scalar step at a time, gives.  The sweeps hold the stack with
-the members on the last, contiguous axis, so a pair's two columns and two
-rows are views across all members.  A pair at which every member rotates
-works on those views; only a pair at which some members rotate gathers
-and scatters them.  The layout cannot move a bit: every operation of a
-step is elementwise, one member per column, in the scalar step's operand
-order.  Resampled random environments are diagonalized this way, all in
-one call.  Keeping those bits fixes two choices: magnitudes are
-``np.hypot(re, im)``, because ``np.abs`` of a complex array can round
-differently from the scalar ``abs``, and the rotation angle is
+``eig_hermitian`` takes a stack of matrices, swept pair by pair in the
+same cyclic order for every member, and each pair rotates only the members
+whose entry lies above their own threshold, so every member gets the bits
+that rotating it alone, one scalar step at a time, gives.  The sweeps hold
+the stack with the members on the last, contiguous axis, so a pair's two
+columns and two rows are views across all members.  A pair at which every
+member rotates works on those views; only a pair at which some members
+rotate gathers and scatters them.  The layout cannot move a bit: every
+operation of a step is elementwise, one member per column, in the scalar
+step's operand order.  Resampled random environments are diagonalized
+this way, all in one call.  Keeping those bits fixes two choices:
+magnitudes are ``np.hypot(re, im)``, because ``np.abs`` of a complex array
+can round differently from the scalar ``abs``, and the rotation angle is
 ``math.atan2`` for each rotating member, because ``np.arctan2`` can differ
 from it in the last bit (both seen with NumPy 2.4 on AVX-512).
 
@@ -77,11 +76,11 @@ PHASE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Eigensystem:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a stack of Hermitian matrices.
 
-    ``eigenvalues`` is a real vector in ascending order and column ``l`` of
-    ``eigenvectors`` is the unit eigenvector belonging to ``eigenvalues[l]``.
-    The decomposition of a stack carries a leading member axis on both.
+    ``eigenvalues`` has shape (B, n), each row in ascending order, and
+    column ``l`` of ``eigenvectors[i]``, shape (B, n, n), is the unit
+    eigenvector belonging to ``eigenvalues[i, l]``.
     """
 
     eigenvalues: np.ndarray
@@ -183,27 +182,22 @@ def _jacobi_rotate(av: np.ndarray, m, p: int, q: int, mag: np.ndarray) -> None:
     av[q][:, m] = new_q
 
 
-def _jacobi(h: np.ndarray, vectors: bool) -> tuple[np.ndarray, bool]:
-    """Cyclic Jacobi sweeps over a Hermitian matrix or a stack of them.
+def _jacobi(h: np.ndarray, vectors: bool) -> np.ndarray:
+    """Cyclic Jacobi sweeps over a stack of Hermitian matrices.
 
     The sweeps copy ``h``, in whatever memory layout it comes, into one
     array with the members on the last axis, (2n, n, B) with each member's
     V under its A when ``vectors`` and (n, n, B) otherwise; a pair's rows
     and columns are then (n, B) and (2n, B) views whose members lie side by
     side (see ``_jacobi_rotate``).  Returns that array as a members-first
-    view, shape (B, 2n, n) or (B, n, n), and whether ``h`` was a stack.  The
-    rotations, and so the bits of A, are the same with V or without it.
+    view, shape (B, 2n, n) or (B, n, n).  The rotations, and so the bits of
+    A, are the same with V or without it.
     """
     h = np.asarray(h, dtype=np.complex128)
-    stacked = h.ndim == 3
-    if not stacked:
-        require_square(h)
-    elif h.shape[1] != h.shape[2]:
-        raise EigenrlError(f"expected a stack of square matrices, got shape {h.shape}")
-    if not h.shape[-1]:
-        raise EigenrlError(f"expected matrices of at least one row, got shape {h.shape}")
+    if h.ndim != 3 or h.shape[1] != h.shape[2] or not h.shape[2]:
+        raise EigenrlError(f"expected a stack of square matrices of at least one row, "
+                           f"got shape {h.shape}")
     require_hermitian(h)
-    h = h.reshape(-1, *h.shape[-2:])  # a lone matrix is a stack of one
     b, n = h.shape[:2]
     av = np.zeros((2 * n if vectors else n, n, b), dtype=np.complex128)
     av[:n] = h.transpose(1, 2, 0)
@@ -236,34 +230,33 @@ def _jacobi(h: np.ndarray, vectors: bool) -> tuple[np.ndarray, bool]:
         for i in np.flatnonzero(rotated):
             off = float(np.max(np.abs(a[..., i] - np.diag(a[..., i].diagonal()))))
             if off > stop[i]:
-                member = f"member {i}: " if stacked else ""  # a stack's error names the member
                 raise EigenrlError(
-                    f"{member}off-diagonal {off:.3e} after {JACOBI_SWEEP_BUDGET} sweeps")
-    return av.transpose(2, 0, 1), stacked
+                    f"member {i}: off-diagonal {off:.3e} after {JACOBI_SWEEP_BUDGET} sweeps")
+    return av.transpose(2, 0, 1)
 
 
 def eig_hermitian(h: np.ndarray) -> Eigensystem:
-    """Diagonalize a Hermitian matrix, or a stack of them, by cyclic Jacobi.
+    """Diagonalize a stack of Hermitian matrices by cyclic Jacobi.
 
     Parameters
     ----------
-    h : complex Hermitian matrix, shape (n, n), or a stack of B of them,
-        shape (B, n, n).
+    h : complex Hermitian matrices, shape (B, n, n).
 
     Returns
     -------
     Eigensystem with ascending eigenvalues and phase-fixed column
-    eigenvectors (see module docstring for the tie-break rule); for a stack
-    its arrays have shapes (B, n) and (B, n, n).  Each member of a stack
-    gets the bits it would get alone.
+    eigenvectors (see module docstring for the tie-break rule), shapes
+    (B, n) and (B, n, n).  Each member gets the bits it gets in a stack of
+    one.
 
     Raises
     ------
-    ConfigError if a member has an entry beyond MAX_ENTRY or is not
+    EigenrlError unless ``h`` is a stack of square matrices of at least one
+    row; ConfigError if a member has an entry beyond MAX_ENTRY or is not
     Hermitian within its HERMITICITY_TOL bound, EigenrlError if a member
-    exhausts the sweep budget; for a stack the message names the member.
+    exhausts the sweep budget, each message naming the member.
     """
-    av, stacked = _jacobi(h, vectors=True)
+    av = _jacobi(h, vectors=True)
     n = av.shape[2]
     values = np.diagonal(av[:, :n], axis1=1, axis2=2).real
     rows = normalize_phase(av[:, n:].transpose(0, 2, 1).copy())  # row l is eigenvector l
@@ -276,15 +269,13 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
     eigenvalues = np.take_along_axis(values, order, axis=-1)
     picked = np.take_along_axis(rows, order[:, :, None], axis=1)
     eigenvectors = picked.transpose(0, 2, 1).copy()
-    if not stacked:
-        return Eigensystem(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])
     return Eigensystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def spectral_spread(h: np.ndarray) -> np.ndarray | float:
-    """``lambda_max - lambda_min`` of a Hermitian matrix, or of each matrix
-    of a stack, shape (B,), with the bits of
-    ``eig_hermitian(h).eigenvalues[..., -1] - eigenvalues[..., 0]`` whenever
+def spectral_spread(h: np.ndarray) -> np.ndarray:
+    """``lambda_max - lambda_min`` of each Hermitian matrix of a stack, shape
+    (B,), with the bits of
+    ``eig_hermitian(h).eigenvalues[:, -1] - eigenvalues[:, 0]`` whenever
     that is non-zero.
 
     The same sweeps rotate A alone: no eigenvectors, no phase fixing and no
@@ -293,16 +284,13 @@ def spectral_spread(h: np.ndarray) -> np.ndarray | float:
     may differ from ``eig_hermitian``'s in its sign.  Raises as
     ``eig_hermitian`` does.
     """
-    a, stacked = _jacobi(h, vectors=False)
-    values = np.diagonal(a, axis1=1, axis2=2).real
-    spread = values.max(axis=-1) - values.min(axis=-1)
-    return spread if stacked else spread[0]
+    values = np.diagonal(_jacobi(h, vectors=False), axis1=1, axis2=2).real
+    return values.max(axis=-1) - values.min(axis=-1)
 
 
 def unitary_from_eigensystem(es: Eigensystem, tau: float) -> np.ndarray:
-    """Return ``exp(-i tau H)`` for the H that ``es`` decomposes, or for each
-    member of a stacked decomposition; each member gets the bits it gets
-    alone."""
+    """Return ``exp(-i tau H)`` for each H of the stack that ``es``
+    decomposes; each member gets the bits it gets in a stack of one."""
     phases = np.exp(-1j * tau * es.eigenvalues)
     return (es.eigenvectors * phases[..., None, :]) @ es.eigenvectors.conj().swapaxes(-1, -2)
 

@@ -22,17 +22,17 @@ when it is built.  The last column needs no stage of its own, being pinned
 by unitarity.
 
 There is one engine: :class:`EnsembleState` advances many independently
-seeded agents together with stacked array operations, and every check,
+seeded agents together with array operations on stacks, and every check,
 draw and update lives there.  It is reached only through
 :meth:`EnsembleState.advance`, one round at a time, which :func:`run_stages`
 drives; a lone agent is a one-member ensemble.  A member's decisions are
 the columns of a :class:`Decisions`, filled from its rows of each round's
 :class:`EnsembleRecord`; a trace file holds them one line per iteration,
-and :func:`replay_basis` replays them.  Every
-punishment, whether one member is punished or many, live or replayed, goes
-through the one stacked column update, ``linalg.rotate_columns``, and every
-Born weight through ``linalg.born_weights``: the engine computes no matrix
-product of its own.
+and :func:`replay_basis` replays them.  Every punishment, whether one
+member is punished or many or none, live or replayed, goes through the one
+column update of a stack, ``linalg.rotate_columns``, and every Born weight
+through ``linalg.born_weights``: the engine computes no matrix product of
+its own.
 
 In the protocol each iteration sends a fresh probe through the black box,
 but a member's probe, and so the distribution of its outcome, changes only
@@ -128,9 +128,6 @@ _DRAWN_XYZ = np.array([[0], [2], [1]])
 #: start with -inf for the sum before outcome 0
 _OWN_AND_NEXT = np.array([0, 1])
 
-#: the punish angles of an iteration that punished no member
-_NO_ANGLES = np.empty((3, 0))
-
 TRACE_FORMAT = "eigenrl-trace-1"
 _RECORD_KEYS = frozenset({"k", "stage", "m", "class", "angles", "w_after"})
 _ANGLE_KEYS = ("phi_x", "phi_y", "phi_z")
@@ -220,10 +217,9 @@ class EnsembleRecord:
     an observer may keep records and read them rounds later.  ``members``
     is the engine's ``active`` itself while every running member moves,
     which is safe because ``advance_stage`` binds ``active`` to a new array
-    and never writes into it; ``length`` of a level round (below) is a view
-    of a row of ones that nothing writes, and ``angles`` of a round without a
-    punishment one shared empty array.  Every other array is made in the
-    round."""
+    and never writes into it, and ``length`` of a level round (below) is a
+    view of a row of ones that nothing writes.  Every other array is made in
+    the round."""
 
     members: np.ndarray  # (s,) the members that ran a segment, in index order
     k: np.ndarray        # (s,) each segment's first iteration, counted per member
@@ -316,7 +312,7 @@ class EnsembleState:
     iterations not every member has run.
     A round sends the stale probes (below) through one batched black-box
     call, draws every segment's outcomes at once, and applies all its
-    punishments in one stacked update.
+    punishments in one update of the stack.
 
     Every member runs under ``rule``, the stopping rule given at
     construction, which refuses one that ``validate_rule`` rejects before
@@ -482,20 +478,18 @@ class EnsembleState:
             controlled = calls % REORTHONORMALIZE_EVERY == 0
             moved = ended | controlled
         before = None if caps is None else self.bases[members[moved]]
-        angles = _NO_ANGLES
         hit = ended.nonzero()[0]
-        if hit.size:
-            who, at = members[hit], ends[hit]
-            w_before = w[hit] if caps is None else trail.take(at + hit)
-            angles = self._punish(who, t[hit], _count(cumulative[hit, 1:], u.take(at)[:, None]),
-                                  w_before)
-            self._stale[who] = True
-            w_end[hit] = grown = np.minimum(w_before * self.params.p, self.params.w_cap)
-            if caps is not None:
-                trail.put(at + hit + 1, grown)
+        who, at = members[hit], ends[hit]
+        w_before = w[hit] if caps is None else trail.take(at + hit)
+        angles = self._punish(who, t[hit], _count(cumulative[hit, 1:], u.take(at)[:, None]),
+                              w_before)
+        self._stale[who] = True
+        w_end[hit] = grown = np.minimum(w_before * self.params.p, self.params.w_cap)
+        if caps is not None:
+            trail.put(at + hit + 1, grown)
         self.w[sel] = w_end
         self.calls[sel] = calls
-        if controlled is not None and controlled.any():
+        if controlled is not None:
             for i in members[controlled]:
                 linalg.gram_schmidt(self.bases[i])
             self._stale[members[controlled]] = True
@@ -605,8 +599,7 @@ class EnsembleState:
         self._stale[members] = True
         self.w[members] = self.params.w1
         self._stage_end[members] = self.calls[members] + self._limit[stages + 1]
-        if (stages == self.dim - 2).any():
-            self.active = self.active[self.stage[self.active] < self.dim - 1]
+        self.active = self.active[self.stage[self.active] < self.dim - 1]
         if len(self.active):
             running = self.stage[self.active]
             self._stages = (int(running.min()), int(running.max()))

@@ -213,8 +213,8 @@ def test_7_exact_property_suite():
         for _ in range(40):
             a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             h = (a + a.conj().T) / 2.0
-            system = linalg.eig_hermitian(h)
-            v, lam = system.eigenvectors, system.eigenvalues
+            system = linalg.eig_hermitian(h[None])
+            v, lam = system.eigenvectors[0], system.eigenvalues[0]
             gap = np.abs(v @ np.diag(lam) @ v.conj().T - h).max()
             worst_recon = max(worst_recon, gap / np.abs(h).max())
     print(f"[7d] eig reconstruction worst rel gap = {worst_recon:.2e} (<= 1e-10)")

@@ -256,9 +256,9 @@ class TestPipeline:
         printed = re.findall(r"^F_(\d+) = (\S+)$", capsys.readouterr().out, re.MULTILINE)
         final = np.array(json.loads(out.read_text())["per_repetition_final"][0])
         assert printed == [(str(j), f"{v:.9f}") for j, v in enumerate(final.max(axis=0))]
-        vconj = linalg.eig_hermitian(load_operator(str(operator))[0]).eigenvectors.conj()
+        vconj = linalg.eig_hermitian(load_operator(str(operator))[0][None]).eigenvectors.conj()
         basis = harness.load_basis(str(dmat))
-        got = linalg.overlaps(vconj[None], np.arange(1), basis[None])[0]
+        got = linalg.overlaps(vconj, np.arange(1), basis[None])[0]
         assert got.tobytes() == final.tobytes()
 
     def test_verify_rejects_unconverged_basis(self, tmp_path, capsys):

@@ -37,7 +37,7 @@ def test_oracle_returns_the_decomposition_behind_the_propagator(monkeypatch):
     env = envm.env_from_matrix(h, tau=0.8)
     assert decompositions == [("eig", 1)]
     system = env.eigensystem
-    fresh = real(env.operators[0])
+    fresh = real(env.operators[:1])
     assert system.eigenvalues[0].tobytes() == fresh.eigenvalues.tobytes()
     assert system.eigenvectors[0].tobytes() == fresh.eigenvectors.tobytes()
     for array in (env.operators, env.unitaries, system.eigenvalues, system.eigenvectors):
@@ -50,7 +50,7 @@ def test_oracle_returns_the_decomposition_behind_the_propagator(monkeypatch):
     decompositions.clear()
     envm.env_random(3, 1.0, [4, 5, 6])
     assert decompositions == [("spread", 3), ("eig", 3)]  # the same two, each stacked
-    direct = linalg.unitary_from_eigensystem(linalg.eig_hermitian(h), 0.8)
+    direct = linalg.unitary_from_eigensystem(linalg.eig_hermitian(h[None]), 0.8)
     assert env.unitaries[0].tobytes() == direct.tobytes()
 
 

@@ -21,6 +21,13 @@ def lone_block(phi_x, phi_y, phi_z):
     return linalg.rotation_blocks(np.array([[phi_x], [phi_y], [phi_z]], dtype=float))[0]
 
 
+def eig_of_one(h):
+    """The eigensystem of the matrix ``h``, diagonalized as a stack of one,
+    as its one member's arrays."""
+    es = linalg.eig_hermitian(np.asarray(h)[None])
+    return linalg.Eigensystem(eigenvalues=es.eigenvalues[0], eigenvectors=es.eigenvectors[0])
+
+
 def two_level_rotation(a, b, dim, phi):
     """The rotation block of the angles ``phi`` (phi_x, phi_y, phi_z)
     embedded on basis states a < b of a dim-level space."""
@@ -32,7 +39,8 @@ def two_level_rotation(a, b, dim, phi):
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)], ids=["lone", "stacked"])
 def test_empty_matrices_raise_dim_mismatch(shape):
     for solve in (linalg.eig_hermitian, linalg.spectral_spread):
-        with pytest.raises(EigenrlError, match="^expected matrices of at least one row, ") as exc:
+        with pytest.raises(EigenrlError, match=r"^expected a stack of square matrices of at "
+                                               r"least one row, got shape ") as exc:
             solve(np.zeros(shape))
         assert exc.type is EigenrlError  # a runtime failure, not bad input
 
@@ -44,10 +52,13 @@ def test_require_square_rejects_rectangles():
     assert exc.type is EigenrlError
     assert linalg.require_square(np.zeros((4, 4))) == 4
     for solve in (linalg.eig_hermitian, linalg.spectral_spread):
-        with pytest.raises(EigenrlError, match=r"^expected a stack of square matrices, got shape "
-                                               r"\(3, 2, 4\)$") as exc:
-            solve(np.zeros((3, 2, 4)))
-        assert exc.type is EigenrlError
+        # the Jacobi functions take stacks only: a lone matrix is refused too
+        for h in (np.zeros((3, 2, 4)), SX):
+            message = ("^expected a stack of square matrices of at least one row, "
+                       f"got shape {re.escape(str(h.shape))}$")
+            with pytest.raises(EigenrlError, match=message) as exc:
+                solve(h)
+            assert exc.type is EigenrlError
 
 
 def test_require_hermitian():
@@ -70,7 +81,7 @@ def test_normalize_phase_leading_component_real_positive():
 
 class TestEigHermitian:
     def test_spin_x_exact(self):
-        es = linalg.eig_hermitian(SX)
+        es = eig_of_one(SX)
         np.testing.assert_allclose(es.eigenvalues, [-0.5, 0.5], atol=1e-14)
         s = 1.0 / math.sqrt(2.0)
         np.testing.assert_allclose(es.eigenvectors[:, 0], [s, -s], atol=1e-12)
@@ -82,7 +93,7 @@ class TestEigHermitian:
         for dim in (2, 3, 4, 6, 8, 16):
             for _ in range(8):
                 h = oracles.random_hermitian(rng, dim)
-                es = linalg.eig_hermitian(h)
+                es = eig_of_one(h)
                 ref_vals, ref_vecs = np.linalg.eigh(h)
                 np.testing.assert_allclose(es.eigenvalues, ref_vals, atol=1e-10)
                 for l in range(dim):
@@ -95,18 +106,18 @@ class TestEigHermitian:
         rng = np.random.default_rng(13)
         for dim in (2, 4, 8, 32):
             h = oracles.random_hermitian(rng, dim)
-            es = linalg.eig_hermitian(h)
+            es = eig_of_one(h)
             v = es.eigenvectors
             assert np.max(np.abs((v * es.eigenvalues) @ v.conj().T - h)) < 1e-10
 
     def test_columns_orthonormal(self):
         rng = np.random.default_rng(5)
         h = oracles.random_hermitian(rng, 12)
-        v = linalg.eig_hermitian(h).eigenvectors
+        v = eig_of_one(h).eigenvectors
         np.testing.assert_allclose(v.conj().T @ v, np.eye(12), atol=1e-11)
 
     def test_diagonal_input_is_fixed_point(self):
-        es = linalg.eig_hermitian(np.diag([3.0, -1.0, 2.0]))
+        es = eig_of_one(np.diag([3.0, -1.0, 2.0]))
         np.testing.assert_allclose(es.eigenvalues, [-1.0, 2.0, 3.0])
         perm = np.zeros((3, 3))
         perm[1, 0] = perm[2, 1] = perm[0, 2] = 1.0
@@ -115,14 +126,14 @@ class TestEigHermitian:
     def test_degenerate_spectrum_deterministic(self):
         """Equal eigenvalues get a reproducible tie-broken basis."""
         h = np.eye(3, dtype=np.complex128)
-        a = linalg.eig_hermitian(h)
-        b = linalg.eig_hermitian(h)
+        a = eig_of_one(h)
+        b = eig_of_one(h)
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
         np.testing.assert_allclose(a.eigenvalues, [1.0, 1.0, 1.0])
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ConfigError, match="^matrix is not Hermitian: "):
-            linalg.eig_hermitian(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(ConfigError, match="^matrix member 0 is not Hermitian: "):
+            linalg.eig_hermitian(np.array([[[0.0, 1.0], [2.0, 0.0]]]))
         stack = np.stack([SX] * 4)
         stack[2, 0, 1] += 1e-9
         stack[3, 1, 0] += 1e-9  # the message names the first member that is not
@@ -188,9 +199,9 @@ def test_stacked_jacobi_matches_the_one_matrix_solver_bit_for_bit():
     assert np.all(es.eigenvalues[41] == 1.0)
     assert np.sum(np.diff(es.eigenvalues[42]) == 0.0) > 0
     assert np.all(es.eigenvalues[44][::2] == es.eigenvalues[44][1::2])
-    # a lone matrix is a stack of one
+    # a stack of one gets the bits of its member in the stack
     for i in (0, 42, 43):
-        lone = linalg.eig_hermitian(stack[i])
+        lone = linalg.eig_hermitian(stack[i:i + 1])
         assert lone.eigenvalues.tobytes() == es.eigenvalues[i].tobytes()
         assert lone.eigenvectors.tobytes() == es.eigenvectors[i].tobytes()
         assert lone.eigenvectors.flags.c_contiguous
@@ -209,9 +220,6 @@ def test_stacked_jacobi_names_the_member_that_does_not_converge(monkeypatch):
     with pytest.raises(EigenrlError, match="^member 2: off-diagonal .* after 2 sweeps$") as exc:
         linalg.eig_hermitian(np.stack([diagonal, diagonal, hard, hard]))
     assert exc.type is EigenrlError and str(exc.value) == f"member 2: {ref.value}"
-    with pytest.raises(EigenrlError, match="^off-diagonal .* after 2 sweeps$") as exc:
-        linalg.eig_hermitian(hard)
-    assert exc.type is EigenrlError and str(exc.value) == str(ref.value)
     linalg.eig_hermitian(np.stack([diagonal, diagonal]))
 
 
@@ -250,10 +258,10 @@ def test_stacked_jacobi_on_gue_stacks_takes_both_rotation_branches(monkeypatch):
 def test_lone_matrices_at_odd_and_largest_dims_have_the_one_matrix_bits(d):
     h = oracles.random_hermitian(np.random.default_rng(79 + d), d)
     values, vectors = oracles.eig_hermitian_scalar(h)
-    es = linalg.eig_hermitian(h)
+    es = linalg.eig_hermitian(h[None])
     assert es.eigenvalues.tobytes() == values.tobytes()
     assert es.eigenvectors.tobytes() == vectors.tobytes()
-    assert linalg.spectral_spread(h).tobytes() == (values[-1] - values[0]).tobytes()
+    assert linalg.spectral_spread(h[None]).tobytes() == (values[-1] - values[0]).tobytes()
 
 
 def test_stacks_in_any_memory_layout_have_the_bits_of_their_contiguous_copy():
@@ -271,8 +279,8 @@ def test_stacks_in_any_memory_layout_have_the_bits_of_their_contiguous_copy():
 
 def assert_spreads_match_reference(stack):
     """Each spread has the bits of the sorted eigenvalues' when it is
-    non-zero, and is a zero, of either sign, when they tie; a lone matrix
-    gets the bits it gets in the stack."""
+    non-zero, and is a zero, of either sign, when they tie; a stack of one
+    gets the bits its member gets in the stack."""
     spread = linalg.spectral_spread(stack)
     assert spread.shape == stack.shape[:1]
     for i, h in enumerate(stack):
@@ -282,8 +290,8 @@ def assert_spreads_match_reference(stack):
             assert spread[i] == 0.0, i
         else:
             assert spread[i].tobytes() == expected.tobytes(), i
-        lone = linalg.spectral_spread(h)
-        assert np.ndim(lone) == 0 and lone.tobytes() == spread[i].tobytes(), i
+        lone = linalg.spectral_spread(stack[i:i + 1])
+        assert lone.shape == (1,) and lone.tobytes() == spread[i].tobytes(), i
 
 
 def test_spectral_spread_has_the_bits_of_the_sorted_eigenvalues():
@@ -315,18 +323,19 @@ def test_spectral_spread_refuses_what_the_eigensystem_refuses(monkeypatch):
         assert exc.type is ref.type is error  # the exit code, 2 or 3, is the same
         assert str(exc.value) == str(ref.value)
 
-    for h, member in ((not_hermitian, "matrix member 2 "), (not_hermitian[2], "matrix ")):
+    for h, member in ((not_hermitian, "matrix member 2 "),
+                      (not_hermitian[2:3], "matrix member 0 ")):
         assert_same_refusal(ConfigError, h, member + "is not Hermitian")
-    for h, member in ((huge, "matrix member 2 "), (huge[2], "matrix ")):
+    for h, member in ((huge, "matrix member 2 "), (huge[2:3], "matrix member 0 ")):
         assert_same_refusal(ConfigError, h, member + "has an entry part")
     monkeypatch.setattr(linalg, "JACOBI_SWEEP_BUDGET", 2)
     assert_same_refusal(EigenrlError, stack, "member 2: off-diagonal ")
-    assert_same_refusal(EigenrlError, stack[2], "off-diagonal ")
+    assert_same_refusal(EigenrlError, stack[2:3], "member 0: off-diagonal ")
 
 
 def unitary_from_hermitian(h, tau):
     """``exp(-i tau H)`` through the package's spectral decomposition of H."""
-    return linalg.unitary_from_eigensystem(linalg.eig_hermitian(h), tau)
+    return linalg.unitary_from_eigensystem(eig_of_one(h), tau)
 
 
 class TestPropagator:
@@ -498,7 +507,7 @@ def test_no_module_but_linalg_computes_a_matrix_product():
 def test_unitarity_defect_has_the_bits_of_the_numpy_norm():
     rng = np.random.default_rng(5)
     for d in (2, 3, 4, 8, 16, 64):
-        q = linalg.eig_hermitian(oracles.random_hermitian(rng, d)).eigenvectors
+        q = eig_of_one(oracles.random_hermitian(rng, d)).eigenvectors
         for matrix in (q, q + 1e-7 * rng.standard_normal((d, d)), np.zeros((d, d), complex)):
             want = np.linalg.norm(matrix.conj().T @ matrix - np.eye(d))
             assert np.float64(linalg.unitarity_defect(matrix)).tobytes() == want.tobytes()
@@ -509,7 +518,7 @@ def test_overlaps_on_a_stack_of_one_have_the_bits_of_the_matrix_form():
     gets the bits of ``|V^H D|`` written for one matrix."""
     rng = np.random.default_rng(9)
     for d in (2, 3, 4, 8):
-        vconj = linalg.eig_hermitian(oracles.random_hermitian(rng, d)).eigenvectors.conj()
-        basis = linalg.eig_hermitian(oracles.random_hermitian(rng, d)).eigenvectors
-        got = linalg.overlaps(vconj[None], np.arange(1), basis[None])[0]
-        assert got.tobytes() == np.abs(vconj.T @ basis).tobytes()
+        vconj = linalg.eig_hermitian(oracles.random_hermitian(rng, d)[None]).eigenvectors.conj()
+        basis = linalg.eig_hermitian(oracles.random_hermitian(rng, d)[None]).eigenvectors
+        got = linalg.overlaps(vconj, np.arange(1), basis)[0]
+        assert got.tobytes() == np.abs(vconj[0].T @ basis[0]).tobytes()

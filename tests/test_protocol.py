@@ -393,7 +393,7 @@ def test_agent_sees_only_the_interaction_callable():
         assert leak not in source, f"protocol module references {leak!r}"
     # a bare callable is a fully sufficient black box
     sx = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-    unitary = linalg.unitary_from_eigensystem(linalg.eig_hermitian(sx), 1.0)
+    unitary = linalg.unitary_from_eigensystem(linalg.eig_hermitian(sx[None]), 1.0)[0]
     agent = EnsembleState(2, default_params(), ONE_ITERATION, [1])
     rec = agent.advance(lambda members, probes: probes @ unitary.T)
     assert rec.k.tolist() == [1] and rec.stage.tolist() == [0]
@@ -491,18 +491,19 @@ class TestEnsemble:
     )
     @pytest.mark.parametrize("form", ["stacked", "default", "each"])
     def test_punish_form_changes_no_bits(self, monkeypatch, form, rule):
-        """Each step's punished members go through one update.  Its rotation
-        blocks may come from the stacked arithmetic on a stack of at least
-        two, each from the closed-form oracle alone, or as shipped (the
-        stacked arithmetic, a lone block too); every form gives the bits of
-        the scalar reference, for one punished member and for several."""
+        """Each round's punished members go through one update, an empty one
+        when it punishes none.  Its rotation blocks may come from the
+        stacked arithmetic on a stack of at least two, each from the
+        closed-form oracle alone, or as shipped (the stacked arithmetic, a
+        lone block too); every form gives the bits of the scalar reference,
+        for no punished member, for one and for several."""
         shipped = linalg.rotation_blocks
         build = {
             "stacked": lambda phi: shipped(np.repeat(phi, 2, axis=1))[::2].copy(),
             "default": shipped,
             "each": lambda phi: np.array(
                 [oracles.rotation_block(*phi[:, j].tolist())
-                 for j in range(phi.shape[1])]),
+                 for j in range(phi.shape[1])], dtype=np.complex128).reshape(-1, 2, 2),
         }[form]
         sizes = []
 
@@ -519,8 +520,8 @@ class TestEnsemble:
         for i, agent in enumerate(agents):
             assert ensemble.bases[i].tobytes() == agent.basis.tobytes()
             assert ensemble.w[i] == agent.w
-        assert sizes == [n for n in punished if n]  # one update per round
-        assert 1 in punished and max(punished) >= 2  # one and several members
+        assert sizes == punished  # one update per round
+        assert 0 in punished and 1 in punished and max(punished) >= 2  # none, one, several
 
     @pytest.mark.parametrize(
         "rule", [RULE, StoppingRule(kind="fixed-budget", budgets=(30, 25))],
