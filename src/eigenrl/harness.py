@@ -315,17 +315,17 @@ class _Fold:
 
     Point ``q``, at k = ``q * record_every``, sums one row per repetition:
     its search range after iteration k, then either the |<l_E|D|j>| matrix
-    of its basis after that iteration's punishment or drift control ("paper"
-    mode) or that matrix's column maxima ("per-rep" mode).  A repetition
-    that has stopped before k adds its last search range and final basis,
-    in both modes and for every later point, so threshold-mode curves stay
-    flat after convergence instead of dropping out of the average.
+    of its basis after that iteration's punishment ("paper" mode) or that
+    matrix's column maxima ("per-rep" mode).  A repetition that has stopped
+    before k adds its last search range and final basis, in both modes and
+    for every later point, so threshold-mode curves stay flat after
+    convergence instead of dropping out of the average.
 
     While the engine runs every repetition one iteration a round, level
     (records without ``before``), each repetition's row takes the round's
     search range, ``w_after[:, 0]``, and each round's point is summed as it
     is reached.  Later rounds are kept, with the bases from before their
-    moves as snapshots; a round whose snapshots outweigh its search ranges
+    moves (punishments) as snapshots; a round whose snapshots outweigh its search ranges
     keeps instead the features of those a point may read.  Once the kept
     rounds reach ``FOLD_BYTES``, and in ``finalize``, a flush folds them in
     one pass.  It reads the search range at each point a segment passed, and
@@ -382,7 +382,7 @@ class _Fold:
         if rec.before is None:
             self._level(state, rec)
         else:
-            moved, snapshots = rec.moved.nonzero()[0], rec.before
+            moved, snapshots = rec.punished.nonzero()[0], rec.before
             if snapshots.nbytes > rec.w_after.nbytes:
                 moved, snapshots = self._read_now(state, rec, moved)
             self._kept.append((rec.members, rec.k, rec.length, moved, rec.w_after, snapshots))
@@ -396,7 +396,7 @@ class _Fold:
         """Bring the rows up to date after a level round, and sum its point."""
         rows, current = self.rows, self._current
         rows[rec.members, 0] = rec.w_after[:, 0]
-        current[rec.members[rec.moved]] = False
+        current[rec.members[rec.punished]] = False
         if rec.k[0] % self.config.record_every == 0:
             stale = (~current).nonzero()[0]
             rows[stale, 1:] = self._features(stale, state.bases[stale])

@@ -41,6 +41,7 @@ A punish block has one definition, ``rotation_blocks``, which the engine,
 ``replay_basis`` and the tests' reference agent all call.  A block whose
 half-angle products are all non-zero has the bits of the complex closed
 form; one with a zero product may differ from it in the sign of a zero.
+A punishment is unitary, so no run calls ``gram_schmidt``.
 
 Every matrix product of the package is computed here, by name: the black
 box ``apply_unitaries``, the ``born_weights`` of an evolved probe, the
@@ -346,10 +347,9 @@ def rotate_columns(bases: np.ndarray, who: np.ndarray, t: np.ndarray, m: np.ndar
 
 
 def gram_schmidt(mat: np.ndarray) -> None:
-    """Re-orthonormalize the columns of ``mat`` in place (modified variant).
-
-    Intended for drift control on matrices that are already unitary to within
-    round-off, where it perturbs each column by O(machine epsilon) only.
+    """Re-orthonormalize the columns of ``mat`` in place (modified variant),
+    moving each column of a matrix unitary to within round-off by O(machine
+    epsilon) only.  No run calls it: a punishment is unitary.
     """
     n = require_square(mat)
     for j in range(n):

@@ -36,15 +36,15 @@ its own.
 
 In the protocol each iteration sends a fresh probe through the black box,
 but a member's probe, and so the distribution of its outcome, changes only
-when it is punished, when the drift control re-orthonormalizes its basis or
-when it starts a stage, and in between an iteration only multiplies ``w``
-by ``r`` or leaves it.  The engine therefore keeps each member's Born
-weights from the last such change, evolves only the changed probes, and
-advances each member from event to event: a round moves every member it
-runs through one segment of iterations that ends at the first of those
-events or at the end of its window (see :class:`EnsembleState`).  The
-iteration counts ``k`` and ``calls`` still count every iteration, one use
-of the black box each.
+when it is punished or starts a stage, and in between an iteration only
+multiplies ``w`` by ``r`` or leaves it; only a punishment, a unitary, moves
+a basis.  The engine therefore keeps each member's Born weights from the
+last such change, evolves only the changed probes, and advances each member
+from event to event: a round moves every member it runs through one
+segment of iterations that ends at its punishment, its stage's close or
+the end of its window (see :class:`EnsembleState`).  The iteration counts
+``k`` and ``calls`` still count every iteration, one use of the black box
+each.
 
 The rounds give each member the bits of the lone agent that runs one
 iteration at a time, because they keep these rules:
@@ -57,7 +57,7 @@ iteration at a time, because they keep these rules:
 - the punish bound uses the ``w`` from before the punishing iteration, and
   ``w`` along a segment is one sequential product of ``r`` and ``1.0``;
 - a recorded point's features come from the basis after that iteration's
-  punishment or drift control;
+  punishment;
 - a finished member carries its last ``w_after`` and its final basis into
   every later record point, and record points exist only up to the
   longest run;
@@ -81,9 +81,6 @@ import numpy as np
 
 from . import linalg, seeding
 from .errors import ConfigError, EigenrlError, finite_number, integer, read_json
-
-#: cadence (in iterations) of the drift-control re-orthonormalization
-REORTHONORMALIZE_EVERY = 10_000
 
 #: the most iterations a stage budget or cap, or a record stride, may count.
 #: The engine and the fold sum a member's stage counts, up to MAX_DIM - 1 of
@@ -160,9 +157,9 @@ class RewardParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.r < 1.0:
             raise ConfigError(f"r must lie in (0, 1), got {self.r}")
-        if self.nu < 1.0:
+        if not self.nu >= 1.0:
             raise ConfigError(f"nu must be >= 1, got {self.nu}")
-        if self.w1 <= 0.0:
+        if not self.w1 > 0.0:
             raise ConfigError(f"w1 must be positive, got {self.w1}")
         if not self.w_cap > 0.0:
             raise ConfigError(f"w_cap must be positive, got {self.w_cap}")
@@ -198,7 +195,7 @@ class StoppingRule:
                 raise ConfigError(f"budgets must lie in [1, {MAX_COUNT}], got {self.budgets}")
         elif self.budgets is not None:
             raise ConfigError("threshold stopping takes no budgets")
-        if self.w_min <= 0.0:
+        if not self.w_min > 0.0:
             raise ConfigError(f"w_min must be positive, got {self.w_min}")
         if not 1 <= self.max_iterations <= MAX_COUNT:
             raise ConfigError(
@@ -210,8 +207,9 @@ class EnsembleRecord:
     """What one round did: one segment of consecutive iterations per member
     that ran in it.  Row ``j`` is member ``members[j]``'s segment, iterations
     ``k[j]`` to ``k[j] + length[j] - 1`` of that member, all in stage
-    ``stage[j]``; only a segment's last iteration can punish or be followed
-    by the drift control.
+    ``stage[j]``.  A segment ends at its punishment, its stage's close or its
+    window's end, so only its last iteration can punish, and a punishment is
+    the only change a round makes to a basis.
 
     No array of a record aliases engine state that a later round writes, so
     an observer may keep records and read them rounds later.  ``members``
@@ -237,14 +235,11 @@ class EnsembleRecord:
     punished: np.ndarray  # (s,) whether the segment ends in a punishment
     #: (3, h) rows phi_x, phi_y, phi_z of the h punished segments, in row order
     angles: np.ndarray
-    #: (s,) whether the basis changed at the segment's last iteration: a
-    #: punishment or the drift control
-    moved: np.ndarray
-    #: (moved.sum(), dim, dim) the bases of the moved members before the
-    #: round, in row order; None in a level round, one of a one-iteration
-    #: window, which moves every running member one iteration from one
-    #: place, as every round before it did, so that no member, running or
-    #: stopped, has run past the others
+    #: (h, dim, dim) the bases of the punished members before the round, in
+    #: row order; None in a level round, one of a one-iteration window, which
+    #: moves every running member one iteration from one place, as every
+    #: round before it did, so that no member, running or stopped, has run
+    #: past the others
     before: np.ndarray | None
 
 
@@ -297,11 +292,10 @@ class EnsembleState:
 
     Between its events a member's iterations differ only in their draws:
     its probe, and so the distribution of its outcome, changes only when it
-    is punished, when the drift control re-orthonormalizes its basis or when
-    it starts a stage, and a reward or neutral outcome only multiplies ``w``
-    by ``r`` or 1.  :meth:`advance` therefore runs one round in which every
-    member it moves runs a *segment*: consecutive iterations up to its first
-    punishment, the close of its stage, the next drift-control ``k`` or the
+    is punished or starts a stage, and a reward or neutral outcome only
+    multiplies ``w`` by ``r`` or 1.  :meth:`advance` therefore runs one
+    round in which every member it moves runs a *segment*: consecutive
+    iterations up to its first punishment, the close of its stage or the
     end of its window, whichever comes first.  A window is
     ``ROUND_ELEMENTS`` iterations shared among the running members, at
     least one and at most what a draw row holds (``widest``), so it shrinks
@@ -319,20 +313,17 @@ class EnsembleState:
     any round.  A member runs until the rule has closed its last stage, so
     threshold runs end at different iterations; ``active`` lists the
     members still running.  ``calls[i]`` counts member ``i``'s iterations,
-    its uses of the black box; ``k`` is one more than their sum.  The
-    drift control runs after a member's own iteration ``k`` whenever
-    ``k % REORTHONORMALIZE_EVERY == 0``, as for a lone agent.
+    its uses of the black box; ``k`` is one more than their sum.
     ``closed_at[t]`` is the last iteration at which a member closed stage
     ``t``.
 
     Each member's cumulative Born weights are cached from the last time its
     probe changed.  A member is stale, and its probe goes through the black
-    box again at its next round, once it is punished, re-orthonormalized by
-    the drift control or starts a stage (every member starts stale); the
-    others draw their outcomes from the cached weights, which are the bits
-    that evolving the same probe again would give.  ``evolved`` counts the
-    probes sent through the black box, a cost of this simulator, and
-    ``rounds`` the rounds run.
+    box again at its next round, once it is punished or starts a stage
+    (every member starts stale); the others draw their outcomes from the
+    cached weights, which are the bits that evolving the same probe again
+    would give.  ``evolved`` counts the probes sent through the black box, a
+    cost of this simulator, and ``rounds`` the rounds run.
 
     ``reached_w_min[t]`` counts the members whose threshold stage ``t``
     closed by meeting ``w_min``; once every member has closed it, the rest
@@ -344,6 +335,8 @@ class EnsembleState:
         linalg.require_dim(dim)
         validate_rule(dim, params, rule)
         n = len(seeds)
+        if not n:
+            raise ConfigError("an ensemble needs at least one seed")
         self.dim = dim
         self.params = params
         self.rule = rule
@@ -432,16 +425,15 @@ class EnsembleState:
 
     def _update(self, members: np.ndarray, sel: np.ndarray | slice, u: np.ndarray,
                 cumulative: np.ndarray, bounds: np.ndarray, caps: np.ndarray | None = None,
-                w_min: float | None = None, drift: bool = True) -> EnsembleRecord:
+                w_min: float | None = None) -> EnsembleRecord:
         """Apply the feedback of each selected member's segment: its
         iterations up to its first punishment, its first ``w`` below
         ``w_min`` (if given) or its ``caps`` entry, whichever comes first.
         A level round has no ``caps``: one iteration each, and a record
-        without the moved members' bases from before the round.  ``u``
+        without the punished members' bases from before the round.  ``u``
         holds the draws on ``cumulative``, and ``bounds`` each member's
         running sums before and through its stage's outcome.  The cursor
-        first moves past the segments' measurement draws; ``drift`` says
-        whether a segment may end at a drift-control ``k``."""
+        first moves past the segments' measurement draws."""
         t = self.stage[sel]
         w = self.w[sel]
         # outcome > t reaches the sum through t; outcome == t only the one before
@@ -473,13 +465,9 @@ class EnsembleState:
             length = last + 1
         self._cursor[sel] += length  # the measurement draws come first
         calls = self.calls[sel] + length
-        moved, controlled = ended, None
-        if drift:
-            controlled = calls % REORTHONORMALIZE_EVERY == 0
-            moved = ended | controlled
-        before = None if caps is None else self.bases[members[moved]]
         hit = ended.nonzero()[0]
         who, at = members[hit], ends[hit]
+        before = None if caps is None else self.bases[who]
         w_before = w[hit] if caps is None else trail.take(at + hit)
         angles = self._punish(who, t[hit], _count(cumulative[hit, 1:], u.take(at)[:, None]),
                               w_before)
@@ -489,15 +477,11 @@ class EnsembleState:
             trail.put(at + hit + 1, grown)
         self.w[sel] = w_end
         self.calls[sel] = calls
-        if controlled is not None:
-            for i in members[controlled]:
-                linalg.gram_schmidt(self.bases[i])
-            self._stale[members[controlled]] = True
         self.rounds += 1
         return EnsembleRecord(
             members=members, k=calls - last, length=length, u=u, w_after=w_after,
             stage=t.copy(), cumulative=cumulative, punished=ended, angles=angles,
-            moved=moved, before=before,
+            before=before,
         )
 
     def _punish(self, who: np.ndarray, t: np.ndarray, m: np.ndarray,
@@ -540,20 +524,14 @@ class EnsembleState:
         if not len(members):
             raise EigenrlError("no member is active: every stage is done")
         sel = slice(None) if len(members) == len(self.w) else members  # a view while all run
-        at = self.calls[sel]
         width = min(max(ROUND_ELEMENTS // len(members), 1), self.widest)
-        level = width == 1
-        if level:
-            # the window only widens as members finish, so every round so far
-            # moved each running member one iteration: they run level
-            slowest = fastest = int(at[0])
-        else:
-            slowest, fastest = int(at.min()), int(at.max())
-        lead = max(self._lead, width)
-        drift = slowest - slowest % REORTHONORMALIZE_EVERY + REORTHONORMALIZE_EVERY
-        end = min(slowest + lead, drift)
         caps = None
-        if not level:
+        # the window only widens as members finish, so a one-iteration window
+        # finds them level: only a wider one needs the lead bound
+        if width > 1:
+            at = self.calls[sel]
+            slowest, fastest = int(at.min()), int(at.max())
+            end = slowest + max(self._lead, width)
             caps = np.minimum(self._stage_end[sel], end)
             caps -= at
             np.minimum(caps, width, out=caps)
@@ -569,8 +547,7 @@ class EnsembleState:
         u = self._sample(interact, members, sel, width)
         threshold = rule.kind == "threshold"
         rec = self._update(members, sel, u, *self._weights(sel), caps,
-                           rule.w_min if threshold else None,
-                           drift=end == drift)
+                           rule.w_min if threshold else None)
         closing = self.stage_converged(sel)
         if closing.any():
             closed = members[closing]
@@ -739,10 +716,8 @@ def replay_basis(dim: int, decisions: Decisions) -> np.ndarray:
     basis = np.eye(dim, dtype=np.complex128)
     stack, first = basis[None], np.zeros(1, dtype=np.intp)  # the engine's update on a stack of one
     punishments = iter(decisions.angles)
-    for k, (t, m) in enumerate(zip(decisions.stage, decisions.outcome), start=1):
+    for t, m in zip(decisions.stage, decisions.outcome):
         if m > t:
             linalg.rotate_columns(stack, first, np.array([t]), np.array([m]),
                                   np.array(next(punishments))[:, None])
-        if k % REORTHONORMALIZE_EVERY == 0:
-            linalg.gram_schmidt(basis)
     return basis

@@ -6,11 +6,11 @@ bookkeeping, and ``run_agent`` its own stage loop; ``reference_experiment``
 runs and reduces one repetition at a time with them, and ``diag_residual``
 is the one-matrix form of the stacked ``linalg.diag_residual``.  Unlike
 :mod:`oracles`, these are written with the package's own primitives
-(``linalg.rotation_blocks`` on a stack of one, ``linalg.gram_schmidt``, and
-the engine's black box, ``linalg.apply_unitaries``, on a stack of one,
-``lone_black_box``), because matching the engine bit for bit needs the same
-floating-point operations in the same order: live runs, ``replay_basis``
-and this reference build every punish block with the one builder.  The
+(``linalg.rotation_blocks`` on a stack of one, and the engine's black box,
+``linalg.apply_unitaries``, on a stack of one, ``lone_black_box``),
+because matching the engine bit for bit needs the same floating-point
+operations in the same order: live runs, ``replay_basis`` and this
+reference build every punish block with the one builder.  The
 reference imports it by name, so a test that patches
 ``linalg.rotation_blocks`` checks the engine against the shipped builder.
 The other products are the reference's own one-matrix forms of the named
@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from eigenrl import harness, linalg, protocol
+from eigenrl import harness, protocol
 from eigenrl.environment import env_random
 from eigenrl.errors import ConfigError, EigenrlError
 from eigenrl.linalg import rotation_blocks
@@ -51,7 +51,6 @@ from eigenrl.protocol import (
     MAX_DRAW_BOUND,
     NEUTRAL,
     PUNISH,
-    REORTHONORMALIZE_EVERY,
     REWARD,
     Decisions,
     RewardParams,
@@ -132,7 +131,6 @@ class AgentState:
         if not 0 <= m < self.dim:
             raise ValueError(f"outcome {m} outside [0, {self.dim})")
         t = self.stage
-        k = self.k
         if m == t:
             self.w *= self.params.r
             self.n_r += 1
@@ -149,9 +147,7 @@ class AgentState:
         else:
             self.n_neutral += 1
             classification = NEUTRAL
-        self.k = k + 1
-        if k % REORTHONORMALIZE_EVERY == 0:
-            linalg.gram_schmidt(self.basis)
+        self.k += 1
         self.decisions.stage.append(t)
         self.decisions.outcome.append(m)
         self.decisions.w_after.append(self.w)

@@ -429,7 +429,7 @@ def test_mean_search_range():
                                   w_after=np.array([[0.9], [1.1]]),
                                   cumulative=np.ones((2, 1)),
                                   punished=np.zeros(2, bool), angles=np.empty((3, 0)),
-                                  moved=np.zeros(2, bool), before=np.empty((0, 2, 2)))
+                                  before=np.empty((0, 2, 2)))
     ensemble.calls[:] = 1  # both members ran iteration 1
     fold.observe(ensemble, rec)
     search = fold.finalize(ensemble, env_spin_x(1.0)).search_curve
@@ -642,7 +642,7 @@ class TestRunExperiment:
             "threshold-resampled-perrep-1",
             "fixed-resampled-perrep-7",
             "threshold-shared-paper-7",
-            "fixed-crosses-gram-schmidt",
+            "fixed-past-10000-iterations",
             "fixed-shorter-than-window",
             "threshold-closes-mid-window-paper",
             "one-member-fixed",
@@ -703,13 +703,11 @@ class TestRunExperiment:
         ids=["fixed", "fixed-uneven", "fixed-narrow", "threshold", "threshold-uncapped",
              "threshold-fast", "fixed-every-1", "fixed-uneven-every-3", "threshold-every-10"],
     )
-    def test_drift_control_refreshes_the_fold(self, monkeypatch, overrides, fidelity_mode):
-        """With the drift control every 5 iterations, at each recorded k the
-        fold recomputes every row whose basis it moved, punished or not,
-        whether the points fall on drift-control iterations or between
-        them, and however far the rounds run members past a point."""
-        monkeypatch.setattr(protocol, "REORTHONORMALIZE_EVERY", 5)
-        monkeypatch.setattr(reference, "REORTHONORMALIZE_EVERY", 5)
+    def test_drift_control_refreshes_the_fold(self, overrides, fidelity_mode):
+        """At each recorded k the fold equals the reference: it recomputes
+        every row whose basis a punishment moved, whether the points fall on
+        punishing iterations or between them, and however far the rounds run
+        members past a point."""
         cfg = small_config(**{"dim": 3, "repetitions": 8, "record_every": 5,
                               "fidelity_mode": fidelity_mode, **overrides})
         want, _ = reference_experiment(cfg)
@@ -885,8 +883,8 @@ def small_configs(draw):
 def engine_constants(draw):
     """The engine's module constants that set how rounds group iterations,
     at values a handful of repetitions feels: draw rows as narrow as one
-    iteration's 4 doubles, windows of one iteration or of several, leads
-    down to none, and the drift control every few iterations."""
+    iteration's 4 doubles, windows of one iteration or of several, and
+    leads down to none."""
     low = draw(st.sampled_from([4, 5, 6, 9]))
     return {
         "ROUND_ELEMENTS": draw(st.sampled_from([1 << 10, 1, 5, 12, 64])),
@@ -894,14 +892,12 @@ def engine_constants(draw):
         "DRAW_BUFFER_BYTES": draw(st.sampled_from([1 << 21, 1, 1 << 8])),
         "DRAW_BUFFER_MIN": low,
         "DRAW_BUFFER_MAX": draw(st.sampled_from([256, low, low + 1, 40])),
-        "REORTHONORMALIZE_EVERY": draw(st.sampled_from([10_000, 3, 7, 25])),
     }
 
 
 #: the module's own values of the constants ``engine_constants`` draws
 SHIPPED_CONSTANTS = {name: getattr(protocol, name) for name in (
-    "ROUND_ELEMENTS", "LEAD_BYTES", "DRAW_BUFFER_BYTES", "DRAW_BUFFER_MIN", "DRAW_BUFFER_MAX",
-    "REORTHONORMALIZE_EVERY")}
+    "ROUND_ELEMENTS", "LEAD_BYTES", "DRAW_BUFFER_BYTES", "DRAW_BUFFER_MIN", "DRAW_BUFFER_MAX")}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -918,9 +914,8 @@ def test_run_matches_the_reference_on_small_configs(cfg, constants):
     runs one repetition at a time, bit for bit, however the engine's
     constants group the iterations into rounds.  The drawn constants reach
     more members than a draw row is wide, a one-iteration window below 1024
-    members, a lead shorter than the window, ``LEAD_BYTES`` of 1 and the
-    drift control inside a wide window; the reference reads only
-    ``REORTHONORMALIZE_EVERY``, patched on both sides."""
+    members, a lead shorter than the window and ``LEAD_BYTES`` of 1; the
+    reference reads none of them."""
     runs = []
 
     def keep(*args, **kwargs):
@@ -930,8 +925,6 @@ def test_run_matches_the_reference_on_small_configs(cfg, constants):
     with ExitStack() as patched:
         for name, value in constants.items():
             patched.enter_context(mock.patch.object(protocol, name, value))
-        patched.enter_context(mock.patch.object(
-            reference, "REORTHONORMALIZE_EVERY", constants["REORTHONORMALIZE_EVERY"]))
         patched.enter_context(mock.patch.object(harness, "run_stages", keep))
         got = harness.run_experiment(cfg, trace=True)
         want, agents = reference_experiment(cfg)
@@ -1042,16 +1035,28 @@ def test_record_trace_replays_clean(tmp_path):
     assert len(decisions.stage) == 80  # the last k
 
 
-def test_replay_crosses_the_drift_control(tmp_path, monkeypatch):
-    """With the drift control every 7 iterations, a trace replays to the
-    footer's hash only if replay re-orthonormalizes where the run did."""
-    monkeypatch.setattr(protocol, "REORTHONORMALIZE_EVERY", 7)
-    config = replace(harness.load_config(str(CONFIG_DIR / "fig7_bell.json")), repetitions=3)
+def test_a_member_past_10000_iterations_matches_the_reference_and_replays(tmp_path):
+    """A member that runs 12,000 iterations at the shipped constants, with
+    nothing but its punishments moving its basis, writes the scalar
+    reference's decisions, replays to the footer's hash and ends on a basis
+    unitary to within 1e-12."""
+    config = replace(harness.load_config(str(CONFIG_DIR / "fig7_bell.json")), repetitions=1,
+                     stopping=StoppingRule(kind="fixed-budget", budgets=(6000, 4000, 2000)))
     path = tmp_path / "rep0.trace"
-    harness.run_experiment(config, trace=True).trace.write(str(path))
+    trace = harness.run_experiment(config, trace=True).trace
+    trace.write(str(path))
     header, decisions, recorded = protocol.read_trace(str(path))
-    assert len(decisions.stage) == 1000  # 142 drift controls
-    assert protocol.basis_hash(protocol.replay_basis(header["dim"], decisions)) == recorded
+    assert len(decisions.stage) == 12_000
+    replayed = protocol.replay_basis(header["dim"], decisions)
+    assert protocol.basis_hash(replayed) == recorded
+
+    seed = reference.derive_seed(config.seed, 0)
+    agent = AgentState(config.dim, config.params, seed)
+    reference.run_agent(agent, lone_black_box(harness.build_environment(config)),
+                        config.stopping)
+    assert column_bytes(decisions) == column_bytes(agent.decisions)
+    assert replayed.tobytes() == trace.final_basis.tobytes() == agent.basis.tobytes()
+    assert linalg.unitarity_defect(replayed) < 1e-12
 
 
 def test_blocks_with_a_zero_product_replay_to_the_live_and_reference_basis(
@@ -1108,11 +1113,9 @@ def test_record_trace_writes_the_bytes_of_the_reference_agent(tmp_path, name):
     assert engine.read_bytes() == scalar.read_bytes()
 
 
-def test_read_trace_columns_write_back_the_file_bytes(tmp_path, monkeypatch):
+def test_read_trace_columns_write_back_the_file_bytes(tmp_path):
     """The columns ``read_trace`` returns, written by ``write_trace`` with
-    the basis ``replay_basis`` gives them, are the trace file's bytes,
-    across drift controls every 7 iterations."""
-    monkeypatch.setattr(protocol, "REORTHONORMALIZE_EVERY", 7)
+    the basis ``replay_basis`` gives them, are the trace file's bytes."""
     cfg = small_config(dim=3, repetitions=3,
                        stopping=StoppingRule(kind="fixed-budget", budgets=(40, 30)))
     path, again = tmp_path / "run.trace", tmp_path / "again.trace"

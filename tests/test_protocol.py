@@ -1,7 +1,6 @@
 """Agent feedback loop: reward/punish bookkeeping, traces, determinism."""
 import dataclasses
 import inspect
-import itertools
 import json
 import math
 import re
@@ -63,6 +62,8 @@ class TestRewardParams:
             {"w1": -1.0},
             {"w_cap": 0.0},
             {"w_cap": -2.0},
+            {"nu": math.nan},
+            {"w1": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -82,6 +83,8 @@ class TestStoppingRule:
             StoppingRule(kind="threshold", budgets=(3,))
         with pytest.raises(ConfigError):
             StoppingRule(w_min=0.0)
+        with pytest.raises(ConfigError, match="^w_min must be positive, got nan$"):
+            StoppingRule(w_min=math.nan)
         with pytest.raises(ConfigError):
             StoppingRule(max_iterations=0)
         with pytest.raises(ConfigError):
@@ -126,6 +129,11 @@ def test_a_rule_the_ensemble_cannot_run_is_refused_at_construction(dim, rule):
         protocol.validate_rule(dim, default_params(), rule)
     with pytest.raises(ConfigError):
         EnsembleState(dim, default_params(), rule, [1])
+
+
+def test_an_ensemble_without_seeds_is_refused_at_construction():
+    with pytest.raises(ConfigError, match="^an ensemble needs at least one seed$"):
+        EnsembleState(2, default_params(), THRESHOLD, [])
 
 
 def returning(evolved):
@@ -527,12 +535,11 @@ class TestEnsemble:
         "rule", [RULE, StoppingRule(kind="fixed-budget", budgets=(30, 25))],
         ids=["threshold", "fixed-budget"],
     )
-    def test_the_black_box_sees_only_changed_probes(self, monkeypatch, rule):
+    def test_the_black_box_sees_only_changed_probes(self, rule):
         """A member's probe goes through the black box only at an iteration
-        that opens its stage or follows its punishment or a drift control,
-        which is always the first of a round's segment; otherwise its cached
-        Born weights serve."""
-        monkeypatch.setattr(protocol, "REORTHONORMALIZE_EVERY", 7)
+        that opens its stage or follows its punishment, which is always the
+        first of a round's segment; otherwise its cached Born weights
+        serve."""
         ensemble = EnsembleState(3, default_params(w_cap=1.0), rule, [5, 6, 7, 8, 9])
         box = harness._black_box(env_random(3, 1.0, [31]))
         sent, sizes = [], []
@@ -548,11 +555,9 @@ class TestEnsemble:
             for j, i in enumerate(rec.members.tolist()):
                 segment = protocol.Decisions()
                 segment.add_segment(rec, j)
-                for k, t, kind in zip(itertools.count(int(rec.k[j])), segment.stage,
-                                      classes(segment)):
+                for t, kind in zip(segment.stage, classes(segment)):
                     stage, punished = previous.get(i, (None, False))
-                    why = {"opens": stage != t, "punished": punished,
-                           "drift": k > 1 and (k - 1) % 7 == 0}
+                    why = {"opens": stage != t, "punished": punished}
                     if any(why.values()):
                         due.append((state.rounds - 1, i))
                         reasons.update(key for key, hit in why.items() if hit)
@@ -560,7 +565,7 @@ class TestEnsemble:
 
         run_stages(ensemble, spy, observer)
         assert sent == due
-        assert min(sizes) > 0 and reasons == {"opens", "punished", "drift"}
+        assert min(sizes) > 0 and reasons == {"opens", "punished"}
         assert len(due) < (ensemble.k - 1) / 2  # most iterations reuse weights
 
     def test_a_round_runs_each_member_to_its_next_event(self):
@@ -585,10 +590,8 @@ class TestEnsemble:
             ({"ROUND_ELEMENTS": 1}, StoppingRule(kind="fixed-budget", budgets=(60, 40, 30))),
             ({"LEAD_BYTES": 2000}, StoppingRule(kind="fixed-budget", budgets=(400, 250, 200))),
             ({}, StoppingRule(kind="threshold", w_min=0.05, max_iterations=300)),
-            ({"REORTHONORMALIZE_EVERY": 5},
-             StoppingRule(kind="fixed-budget", budgets=(40, 30, 20))),
         ],
-        ids=["lockstep", "ragged-waiting", "threshold-stops", "drift-control"],
+        ids=["lockstep", "ragged-waiting", "threshold-stops"],
     )
     def test_records_own_their_arrays(self, monkeypatch, constants, rule):
         """Every array of every round's record keeps, to the end of the run,
@@ -613,9 +616,9 @@ class TestEnsemble:
         lockstep = constants == {"ROUND_ELEMENTS": 1}
         for rec, held in seen:
             assert fields(rec) == held and (rec.before is None) == lockstep
-        moved = sum(int(rec.moved.sum()) for rec, _ in seen)
+        punished = sum(int(rec.punished.sum()) for rec, _ in seen)
         waited = sum(len(rec.members) < len(ensemble.bases) for rec, _ in seen)
-        assert moved > len(seen) / 2 and (waited > 0) == (not lockstep)
+        assert punished > len(seen) / 2 and (waited > 0) == (not lockstep)
 
     @pytest.mark.parametrize("n", [1, 512, 1000, 4096, 5000])
     def test_draw_buffers_keep_to_the_byte_budget(self, n):
