@@ -10,11 +10,11 @@ verification and are never imported by the protocol module (a structural
 test keeps it that way).
 
 Random operators are drawn from the Gaussian unitary ensemble,
-``(G + G^dag)/2`` with standard complex Gaussian ``G``, then rescaled so the
-spectral range ``lambda_max - lambda_min`` equals 2.  With the default
-``tau = 1`` the relevant phases ``lambda * tau`` then stay well inside one
-period regardless of dimension.  The draws of many seeds share one seeding
-pass, :func:`eigenrl.seeding.generators`.
+``(G + G^dag)/2`` with standard complex Gaussian ``G``, then rescaled so
+the spectral range ``lambda_max - lambda_min`` of their eigensystem equals
+2.  With the default ``tau = 1`` the relevant phases ``lambda * tau`` then
+stay well inside one period regardless of dimension.  The draws of many
+seeds share one seeding pass, :func:`eigenrl.seeding.generators`.
 """
 from __future__ import annotations
 
@@ -106,11 +106,11 @@ def env_random(dim: int, tau: float, seeds: Sequence[int] | np.ndarray) -> Envir
     rescaled to spectral range 2.
 
     The generators are seeded in one array pass, ``seeding.generators``, each
-    with the stream NumPy's default generator gives for its seed.  The draws'
-    spreads come from one eigenvalue-only pass over the stack,
-    ``linalg.spectral_spread``; the rescaled draws are then diagonalized in
-    one call.  Each member has the bits that a build of its seed alone
-    gives.
+    with the stream NumPy's default generator gives for its seed.  One
+    ``linalg.eig_hermitian`` call over the stack gives the draws' spreads,
+    and a draw whose spread is at most 1e-9, a zero of either sign too, is
+    drawn again; a second call diagonalizes the rescaled draws.  Each member
+    has the bits that a build of its seed alone gives.
     """
     linalg.require_dim(dim)
     rngs = seeding.generators(seeds)
@@ -118,7 +118,8 @@ def env_random(dim: int, tau: float, seeds: Sequence[int] | np.ndarray) -> Envir
     spread = np.empty(len(rngs))
     pending = np.arange(len(rngs))
     while len(pending):
-        spread[pending] = linalg.spectral_spread(draws[pending])
+        values = linalg.eig_hermitian(draws[pending]).eigenvalues
+        spread[pending] = values[:, -1] - values[:, 0]
         # degenerate draws are measure zero; redraw defensively
         pending = pending[spread[pending] <= 1e-9]
         for i in pending:

@@ -23,19 +23,13 @@ columns and two rows are views across all members.  A pair at which every
 member rotates works on those views; only a pair at which some members
 rotate gathers and scatters them.  The layout cannot move a bit: every
 operation of a step is elementwise, one member per column, in the scalar
-step's operand order.  Resampled random environments are diagonalized
-this way, all in one call.  Keeping those bits fixes two choices:
-magnitudes are ``np.hypot(re, im)``, because ``np.abs`` of a complex array
-can round differently from the scalar ``abs``, and the rotation angle is
-``math.atan2`` for each rotating member, because ``np.arctan2`` can differ
-from it in the last bit (both seen with NumPy 2.4 on AVX-512).
-
-``spectral_spread`` runs the same sweeps on A alone, with no eigenvector
-rows, no phase fixing and no sort, and returns ``lambda_max - lambda_min``
-of each member with the bits that ``eig_hermitian`` gives it whenever the
-spread is non-zero: the rotations, and so the diagonal, do not depend on
-whether V rides along.  A zero spread may differ from it in the sign of the
-zero.
+step's operand order.  A resampled run's random draws are diagonalized
+this way, all in one call, for their spreads and again once rescaled.
+Keeping those bits fixes two choices: magnitudes are ``np.hypot(re, im)``,
+because ``np.abs`` of a complex array can round differently from the
+scalar ``abs``, and the rotation angle is ``math.atan2`` for each rotating
+member, because ``np.arctan2`` can differ from it in the last bit (both
+seen with NumPy 2.4 on AVX-512).
 
 A punish block has one definition, ``rotation_blocks``, which the engine,
 ``replay_basis`` and the tests' reference agent all call.  A block whose
@@ -143,8 +137,8 @@ def normalize_phase(vecs: np.ndarray) -> np.ndarray:
 def _jacobi_rotate(av: np.ndarray, m, p: int, q: int, mag: np.ndarray) -> None:
     """One Jacobi step zeroing a[p, q, i] for each member i in ``m``, in place.
 
-    ``av`` holds each member's A, alone or over its V, with the members on
-    the last, contiguous axis, shape (n, n, B) or (2n, n, B); the step is
+    ``av`` holds each member's A over its V, with the members on the last,
+    contiguous axis, shape (2n, n, B); the step is
     A <- J^dag A J and V <- V J, and ``mag`` is |a[p, q, m]|.  ``m`` is the
     slice of every member, under which the pair's columns ``av[:, p]`` and
     rows ``av[p]`` are views, or an index array of some members, which
@@ -183,16 +177,31 @@ def _jacobi_rotate(av: np.ndarray, m, p: int, q: int, mag: np.ndarray) -> None:
     av[q][:, m] = new_q
 
 
-def _jacobi(h: np.ndarray, vectors: bool) -> np.ndarray:
-    """Cyclic Jacobi sweeps over a stack of Hermitian matrices.
+def eig_hermitian(h: np.ndarray) -> Eigensystem:
+    """Diagonalize a stack of Hermitian matrices by cyclic Jacobi.
 
     The sweeps copy ``h``, in whatever memory layout it comes, into one
-    array with the members on the last axis, (2n, n, B) with each member's
-    V under its A when ``vectors`` and (n, n, B) otherwise; a pair's rows
-    and columns are then (n, B) and (2n, B) views whose members lie side by
-    side (see ``_jacobi_rotate``).  Returns that array as a members-first
-    view, shape (B, 2n, n) or (B, n, n).  The rotations, and so the bits of
-    A, are the same with V or without it.
+    (2n, n, B) array, each member's V under its A with the members on the
+    last axis; a pair's rows and columns are then (n, B) and (2n, B) views
+    whose members lie side by side (see ``_jacobi_rotate``).
+
+    Parameters
+    ----------
+    h : complex Hermitian matrices, shape (B, n, n).
+
+    Returns
+    -------
+    Eigensystem with ascending eigenvalues and phase-fixed column
+    eigenvectors (see module docstring for the tie-break rule), shapes
+    (B, n) and (B, n, n).  Each member gets the bits it gets in a stack of
+    one.
+
+    Raises
+    ------
+    EigenrlError unless ``h`` is a stack of square matrices of at least one
+    row; ConfigError if a member has an entry beyond MAX_ENTRY or is not
+    Hermitian within its HERMITICITY_TOL bound, EigenrlError if a member
+    exhausts the sweep budget, each message naming the member.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 3 or h.shape[1] != h.shape[2] or not h.shape[2]:
@@ -200,10 +209,9 @@ def _jacobi(h: np.ndarray, vectors: bool) -> np.ndarray:
                            f"got shape {h.shape}")
     require_hermitian(h)
     b, n = h.shape[:2]
-    av = np.zeros((2 * n if vectors else n, n, b), dtype=np.complex128)
+    av = np.zeros((2 * n, n, b), dtype=np.complex128)
     av[:n] = h.transpose(1, 2, 0)
-    if vectors:
-        av[n + np.arange(n), np.arange(n)] = 1.0
+    av[n + np.arange(n), np.arange(n)] = 1.0
     a = av[:n]
     # absolute threshold, per member, below which an off-diagonal entry
     # counts as zero; a max is exact, so one pass over the stack gives each
@@ -233,32 +241,8 @@ def _jacobi(h: np.ndarray, vectors: bool) -> np.ndarray:
             if off > stop[i]:
                 raise EigenrlError(
                     f"member {i}: off-diagonal {off:.3e} after {JACOBI_SWEEP_BUDGET} sweeps")
-    return av.transpose(2, 0, 1)
 
-
-def eig_hermitian(h: np.ndarray) -> Eigensystem:
-    """Diagonalize a stack of Hermitian matrices by cyclic Jacobi.
-
-    Parameters
-    ----------
-    h : complex Hermitian matrices, shape (B, n, n).
-
-    Returns
-    -------
-    Eigensystem with ascending eigenvalues and phase-fixed column
-    eigenvectors (see module docstring for the tie-break rule), shapes
-    (B, n) and (B, n, n).  Each member gets the bits it gets in a stack of
-    one.
-
-    Raises
-    ------
-    EigenrlError unless ``h`` is a stack of square matrices of at least one
-    row; ConfigError if a member has an entry beyond MAX_ENTRY or is not
-    Hermitian within its HERMITICITY_TOL bound, EigenrlError if a member
-    exhausts the sweep budget, each message naming the member.
-    """
-    av = _jacobi(h, vectors=True)
-    n = av.shape[2]
+    av = av.transpose(2, 0, 1)  # members first: (B, 2n, n)
     values = np.diagonal(av[:, :n], axis1=1, axis2=2).real
     rows = normalize_phase(av[:, n:].transpose(0, 2, 1).copy())  # row l is eigenvector l
     # sort by eigenvalue, then by the components (re, im) in turn; lexsort
@@ -271,22 +255,6 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
     picked = np.take_along_axis(rows, order[:, :, None], axis=1)
     eigenvectors = picked.transpose(0, 2, 1).copy()
     return Eigensystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def spectral_spread(h: np.ndarray) -> np.ndarray:
-    """``lambda_max - lambda_min`` of each Hermitian matrix of a stack, shape
-    (B,), with the bits of
-    ``eig_hermitian(h).eigenvalues[:, -1] - eigenvalues[:, 0]`` whenever
-    that is non-zero.
-
-    The same sweeps rotate A alone: no eigenvectors, no phase fixing and no
-    sort.  Eigenvalues that compare equal differ at most in the sign of a
-    zero, so only a spread of zero depends on the tie-break order, and it
-    may differ from ``eig_hermitian``'s in its sign.  Raises as
-    ``eig_hermitian`` does.
-    """
-    values = np.diagonal(_jacobi(h, vectors=False), axis1=1, axis2=2).real
-    return values.max(axis=-1) - values.min(axis=-1)
 
 
 def unitary_from_eigensystem(es: Eigensystem, tau: float) -> np.ndarray:

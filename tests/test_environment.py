@@ -22,20 +22,17 @@ def test_env_from_matrix_caches_propagator():
 
 
 def test_oracle_returns_the_decomposition_behind_the_propagator(monkeypatch):
-    decompositions = []  # (entry, matrices diagonalized), one item per call
-    real, real_spread = linalg.eig_hermitian, linalg.spectral_spread
+    decompositions = []  # matrices diagonalized, one item per call
+    real = linalg.eig_hermitian
 
-    def counting(solver, entry):
-        def call(h):
-            decompositions.append((entry, len(h) if np.ndim(h) == 3 else 1))
-            return solver(h)
-        return call
+    def counting(h):
+        decompositions.append(len(h) if np.ndim(h) == 3 else 1)
+        return real(h)
 
-    monkeypatch.setattr(linalg, "eig_hermitian", counting(real, "eig"))
-    monkeypatch.setattr(linalg, "spectral_spread", counting(real_spread, "spread"))
+    monkeypatch.setattr(linalg, "eig_hermitian", counting)
     h = np.array([[1.0, 0.2 - 0.1j], [0.2 + 0.1j, -1.0]])
     env = envm.env_from_matrix(h, tau=0.8)
-    assert decompositions == [("eig", 1)]
+    assert decompositions == [1]
     system = env.eigensystem
     fresh = real(env.operators[:1])
     assert system.eigenvalues[0].tobytes() == fresh.eigenvalues.tobytes()
@@ -44,12 +41,11 @@ def test_oracle_returns_the_decomposition_behind_the_propagator(monkeypatch):
         assert not array.flags.writeable
     decompositions.clear()
     envm.env_random(3, 1.0, [4])
-    # one eigenvalue-only pass for the draw's spread, one eigensystem of the
-    # rescaled operator
-    assert decompositions == [("spread", 1), ("eig", 1)]
+    # one eigensystem of the draw for its spread, one of the rescaled operator
+    assert decompositions == [1, 1]
     decompositions.clear()
     envm.env_random(3, 1.0, [4, 5, 6])
-    assert decompositions == [("spread", 3), ("eig", 3)]  # the same two, each stacked
+    assert decompositions == [3, 3]  # the same two, each stacked
     direct = linalg.unitary_from_eigensystem(linalg.eig_hermitian(h[None]), 0.8)
     assert env.unitaries[0].tobytes() == direct.tobytes()
 
@@ -86,6 +82,20 @@ def test_interact_applies_propagator_once():
     np.testing.assert_allclose(out, [0.0, -1.0j], atol=1e-12)
 
 
+def assert_redrawn_once(env, seeds, member):
+    """Member ``member`` of ``env`` is its generator's second draw,
+    rescaled by that draw's spread, and the others keep their lone bits."""
+    rng = np.random.default_rng(seeds[member])
+    envm._draw_gue(rng, 3)  # the draw taken as degenerate
+    redrawn = envm._draw_gue(rng, 3)[None]
+    values = linalg.eig_hermitian(redrawn).eigenvalues
+    expected = redrawn * (2.0 / (values[:, -1] - values[:, 0]))[:, None, None]
+    assert env.operators[member].tobytes() == expected[0].tobytes()
+    for i in set(range(len(seeds))) - {member}:
+        lone = envm.env_random(3, 1.0, [seeds[i]])
+        assert env.operators[i].tobytes() == lone.operators[0].tobytes()
+
+
 class TestRandomEnv:
     def test_spectral_range_rescaled_to_two(self):
         for dim in (2, 3, 4, 8, 16):
@@ -103,28 +113,46 @@ class TestRandomEnv:
     def test_a_degenerate_draw_is_redrawn_from_its_generator(self, monkeypatch):
         """A draw whose spread is reported as zero gives way to its
         generator's next draw, and the other members keep their bits."""
-        real, sizes = linalg.spectral_spread, []
+        real, sizes = linalg.eig_hermitian, []
 
         def degenerate_once(h):
-            spread = real(h)
+            es = real(h)
             if not sizes:
-                spread[1] = 0.0
+                es.eigenvalues[1] = 0.0
             sizes.append(len(h))
-            return spread
+            return es
 
-        monkeypatch.setattr(linalg, "spectral_spread", degenerate_once)
+        monkeypatch.setattr(linalg, "eig_hermitian", degenerate_once)
         seeds = [4, 5, 6]
         env = envm.env_random(3, 1.0, seeds)
-        assert sizes == [3, 1]  # the stack, then the one redraw
+        assert sizes == [3, 1, 3]  # the stack, the one redraw, the rescaled stack
         monkeypatch.undo()
-        rng = np.random.default_rng(seeds[1])
-        envm._draw_gue(rng, 3)  # the draw reported degenerate
-        redrawn = envm._draw_gue(rng, 3)[None]
-        expected = redrawn * (2.0 / linalg.spectral_spread(redrawn))[:, None, None]
-        assert env.operators[1].tobytes() == expected[0].tobytes()
-        for i in (0, 2):
-            lone = envm.env_random(3, 1.0, [seeds[i]])
-            assert env.operators[i].tobytes() == lone.operators[0].tobytes()
+        assert_redrawn_once(env, seeds, 1)
+
+    @pytest.mark.parametrize(
+        "tied, sign",
+        [(np.zeros((3, 3)), 1.0), (1.5 * np.eye(3), 1.0), (np.diag([-0.0, 0.0, 0.0]), -1.0)],
+        ids=["zero", "identity", "negative-zero"],
+    )
+    def test_a_draw_with_tied_eigenvalues_is_redrawn(self, monkeypatch, tied, sign):
+        """A member whose first draw is c times the identity, or a diagonal
+        of signed zeros, has a real spread of zero, of either sign, and is
+        redrawn from its generator; the other members keep their bits."""
+        values = linalg.eig_hermitian(tied[None]).eigenvalues
+        spread = values[0, -1] - values[0, 0]
+        assert spread == 0.0 and math.copysign(1.0, spread) == sign
+        real, draws = envm._draw_gue, []
+
+        def tied_second(rng, dim):
+            draws.append(real(rng, dim))  # the generator's stream advances as before
+            return tied.astype(np.complex128) if len(draws) == 2 else draws[-1]
+
+        monkeypatch.setattr(envm, "_draw_gue", tied_second)
+        seeds = [4, 5, 6]
+        env = envm.env_random(3, 1.0, seeds)
+        assert len(draws) == 4  # each member's first draw, then member 1's second
+        monkeypatch.undo()
+        assert_redrawn_once(env, seeds, 1)
 
     def test_hermitian(self):
         env = envm.env_random(dim=6, tau=1.0, seeds=[1])

@@ -282,23 +282,17 @@ class TestBuildEnvironment:
                            stopping=StoppingRule(kind="fixed-budget", budgets=(20,) * 4))
         shapes, built = [], []
         real_eig, real_black_box = linalg.eig_hermitian, harness._black_box
-        real_spread = linalg.spectral_spread
         monkeypatch.setattr(
-            linalg, "eig_hermitian", lambda h: shapes.append(("eig", np.shape(h))) or real_eig(h)
-        )
-        monkeypatch.setattr(
-            linalg, "spectral_spread",
-            lambda h: shapes.append(("spread", np.shape(h))) or real_spread(h)
+            linalg, "eig_hermitian", lambda h: shapes.append(np.shape(h)) or real_eig(h)
         )
         monkeypatch.setattr(
             harness, "_black_box", lambda env: built.append(env) or real_black_box(env)
         )
         harness.run_experiment(cfg)
-        # one stacked eigenvalue-only pass for the spreads, one stacked
-        # eigensystem call for the rescaled operators
-        assert shapes == [("spread", (6, 5, 5)), ("eig", (6, 5, 5))]
+        # one stacked eigensystem call for the draws' spreads, one for the
+        # rescaled operators
+        assert shapes == [(6, 5, 5), (6, 5, 5)]
         monkeypatch.setattr(linalg, "eig_hermitian", real_eig)
-        monkeypatch.setattr(linalg, "spectral_spread", real_spread)
         (env,) = built
         ours = env.eigensystem
         assert env.operators.shape == env.unitaries.shape == (cfg.repetitions, 5, 5)
@@ -703,7 +697,7 @@ class TestRunExperiment:
         ids=["fixed", "fixed-uneven", "fixed-narrow", "threshold", "threshold-uncapped",
              "threshold-fast", "fixed-every-1", "fixed-uneven-every-3", "threshold-every-10"],
     )
-    def test_drift_control_refreshes_the_fold(self, overrides, fidelity_mode):
+    def test_fold_matches_the_reference(self, overrides, fidelity_mode):
         """At each recorded k the fold equals the reference: it recomputes
         every row whose basis a punishment moved, whether the points fall on
         punishing iterations or between them, and however far the rounds run

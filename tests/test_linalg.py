@@ -38,11 +38,10 @@ def two_level_rotation(a, b, dim, phi):
 
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)], ids=["lone", "stacked"])
 def test_empty_matrices_raise_dim_mismatch(shape):
-    for solve in (linalg.eig_hermitian, linalg.spectral_spread):
-        with pytest.raises(EigenrlError, match=r"^expected a stack of square matrices of at "
-                                               r"least one row, got shape ") as exc:
-            solve(np.zeros(shape))
-        assert exc.type is EigenrlError  # a runtime failure, not bad input
+    with pytest.raises(EigenrlError, match=r"^expected a stack of square matrices of at "
+                                           r"least one row, got shape ") as exc:
+        linalg.eig_hermitian(np.zeros(shape))
+    assert exc.type is EigenrlError  # a runtime failure, not bad input
 
 
 def test_require_square_rejects_rectangles():
@@ -51,14 +50,13 @@ def test_require_square_rejects_rectangles():
         linalg.require_square(np.zeros((2, 3)))
     assert exc.type is EigenrlError
     assert linalg.require_square(np.zeros((4, 4))) == 4
-    for solve in (linalg.eig_hermitian, linalg.spectral_spread):
-        # the Jacobi functions take stacks only: a lone matrix is refused too
-        for h in (np.zeros((3, 2, 4)), SX):
-            message = ("^expected a stack of square matrices of at least one row, "
-                       f"got shape {re.escape(str(h.shape))}$")
-            with pytest.raises(EigenrlError, match=message) as exc:
-                solve(h)
-            assert exc.type is EigenrlError
+    # the eigensolver takes stacks only: a lone matrix is refused too
+    for h in (np.zeros((3, 2, 4)), SX):
+        message = ("^expected a stack of square matrices of at least one row, "
+                   f"got shape {re.escape(str(h.shape))}$")
+        with pytest.raises(EigenrlError, match=message) as exc:
+            linalg.eig_hermitian(h)
+        assert exc.type is EigenrlError
 
 
 def test_require_hermitian():
@@ -230,7 +228,7 @@ def gue_stack(rng, d, size=40):
 def test_stacked_jacobi_on_gue_stacks_takes_both_rotation_branches(monkeypatch):
     """A step at which every member rotates works on views of the pair's
     rows and columns; one at which only some do gathers and scatters them.
-    Either way each member keeps the one-matrix bits, with V or without."""
+    Either way each member keeps the one-matrix bits."""
     branches = []
     real = linalg._jacobi_rotate
 
@@ -244,11 +242,6 @@ def test_stacked_jacobi_on_gue_stacks_takes_both_rotation_branches(monkeypatch):
     assert_members_match_reference(stack)
     # members converge after different numbers of sweeps
     assert branches[0] == "slice" and set(branches) == {"slice", "some"}
-    # A alone, with no V under it, takes the same branches
-    full = list(branches)
-    branches.clear()
-    assert_spreads_match_reference(stack)
-    assert branches[:len(full)] == full
     branches.clear()
     assert_members_match_reference(gue_stack(rng, 2))
     assert branches == ["slice"]  # at d = 2 one rotation diagonalizes every member
@@ -261,7 +254,6 @@ def test_lone_matrices_at_odd_and_largest_dims_have_the_one_matrix_bits(d):
     es = linalg.eig_hermitian(h[None])
     assert es.eigenvalues.tobytes() == values.tobytes()
     assert es.eigenvectors.tobytes() == vectors.tobytes()
-    assert linalg.spectral_spread(h[None]).tobytes() == (values[-1] - values[0]).tobytes()
 
 
 def test_stacks_in_any_memory_layout_have_the_bits_of_their_contiguous_copy():
@@ -274,63 +266,6 @@ def test_stacks_in_any_memory_layout_have_the_bits_of_their_contiguous_copy():
         es, ref = linalg.eig_hermitian(view), linalg.eig_hermitian(copy)
         assert es.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
         assert es.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
-        assert linalg.spectral_spread(view).tobytes() == linalg.spectral_spread(copy).tobytes()
-
-
-def assert_spreads_match_reference(stack):
-    """Each spread has the bits of the sorted eigenvalues' when it is
-    non-zero, and is a zero, of either sign, when they tie; a stack of one
-    gets the bits its member gets in the stack."""
-    spread = linalg.spectral_spread(stack)
-    assert spread.shape == stack.shape[:1]
-    for i, h in enumerate(stack):
-        values, _ = oracles.eig_hermitian_scalar(h)
-        expected = values[-1] - values[0]
-        if expected == 0.0:
-            assert spread[i] == 0.0, i
-        else:
-            assert spread[i].tobytes() == expected.tobytes(), i
-        lone = linalg.spectral_spread(stack[i:i + 1])
-        assert lone.shape == (1,) and lone.tobytes() == spread[i].tobytes(), i
-
-
-def test_spectral_spread_has_the_bits_of_the_sorted_eigenvalues():
-    rng = np.random.default_rng(73)
-    assert_spreads_match_reference(mixed_stack(rng))
-    assert_spreads_match_reference(gue_stack(rng, 16))
-    assert_spreads_match_reference(gue_stack(rng, 2))
-    # tied eigenvalues: the full solver sorts the first as [0.0, -0.0], so
-    # its spread is -0.0, and the spread pass gives +0.0
-    ties = np.array([np.diag([-0.0, 0.0]), np.diag([0.0, -0.0]), np.zeros((2, 2)),
-                     np.diag([1.5, 1.5]), SX], dtype=np.complex128)
-    assert_spreads_match_reference(ties)
-
-
-def test_spectral_spread_refuses_what_the_eigensystem_refuses(monkeypatch):
-    """The same error, with the same message, naming the same member."""
-    rng = np.random.default_rng(67)
-    diagonal = np.diag([3.0, 1.0, -2.0, 0.5]).astype(np.complex128)
-    stack = np.stack([diagonal, diagonal, oracles.random_hermitian(rng, 4), diagonal])
-    not_hermitian, huge = stack.copy(), stack.copy()
-    not_hermitian[2, 0, 1] += 1e-3
-    huge[2, 1, 1] = 2.0 * linalg.MAX_ENTRY
-
-    def assert_same_refusal(error, h, prefix):
-        with pytest.raises(error, match="^" + re.escape(prefix)) as ref:
-            linalg.eig_hermitian(h)
-        with pytest.raises(error, match="^" + re.escape(prefix)) as exc:
-            linalg.spectral_spread(h)
-        assert exc.type is ref.type is error  # the exit code, 2 or 3, is the same
-        assert str(exc.value) == str(ref.value)
-
-    for h, member in ((not_hermitian, "matrix member 2 "),
-                      (not_hermitian[2:3], "matrix member 0 ")):
-        assert_same_refusal(ConfigError, h, member + "is not Hermitian")
-    for h, member in ((huge, "matrix member 2 "), (huge[2:3], "matrix member 0 ")):
-        assert_same_refusal(ConfigError, h, member + "has an entry part")
-    monkeypatch.setattr(linalg, "JACOBI_SWEEP_BUDGET", 2)
-    assert_same_refusal(EigenrlError, stack, "member 2: off-diagonal ")
-    assert_same_refusal(EigenrlError, stack[2:3], "member 0: off-diagonal ")
 
 
 def unitary_from_hermitian(h, tau):
