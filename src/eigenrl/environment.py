@@ -197,7 +197,7 @@ def save_operator(path: str, operator: np.ndarray, tau: float) -> None:
         "entries_re": operator.real.tolist(),
         "entries_im": operator.imag.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(payload, indent=2))
         fh.write("\n")
 

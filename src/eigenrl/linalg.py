@@ -5,9 +5,8 @@ Conventions used throughout the package:
 * states are complex128 numpy vectors, operators complex128 square matrices;
 * eigensystems are returned with eigenvalues ascending and eigenvectors as
   matrix columns, each column phase-fixed so that its first component above
-  the phase tolerance is real and positive.  Ties between equal eigenvalues
-  are broken by lexicographic comparison of the phase-fixed components, so
-  identical input bits always produce identical output bits;
+  the phase tolerance is real and positive.  Equal eigenvalues keep the
+  order in which the sweeps leave them;
 * two states are considered equal when the modulus of their inner product
   is 1, i.e. all comparisons ignore global phase.
 
@@ -192,9 +191,8 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
     Returns
     -------
     Eigensystem with ascending eigenvalues and phase-fixed column
-    eigenvectors (see module docstring for the tie-break rule), shapes
-    (B, n) and (B, n, n).  Each member gets the bits it gets in a stack of
-    one.
+    eigenvectors, shapes (B, n) and (B, n, n).  Each member gets the bits
+    it gets in a stack of one.
 
     Raises
     ------
@@ -245,12 +243,7 @@ def eig_hermitian(h: np.ndarray) -> Eigensystem:
     av = av.transpose(2, 0, 1)  # members first: (B, 2n, n)
     values = np.diagonal(av[:, :n], axis1=1, axis2=2).real
     rows = normalize_phase(av[:, n:].transpose(0, 2, 1).copy())  # row l is eigenvector l
-    # sort by eigenvalue, then by the components (re, im) in turn; lexsort
-    # is stable and takes its primary key last
-    keys = [values]
-    for k in range(n):
-        keys += [rows[:, :, k].real, rows[:, :, k].imag]
-    order = np.lexsort(keys[::-1], axis=-1)
+    order = np.argsort(values, axis=-1, kind="stable")
     eigenvalues = np.take_along_axis(values, order, axis=-1)
     picked = np.take_along_axis(rows, order[:, :, None], axis=1)
     eigenvectors = picked.transpose(0, 2, 1).copy()

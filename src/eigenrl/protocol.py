@@ -631,7 +631,7 @@ def write_trace(path: str, header: dict, decisions: Decisions, final_basis: np.n
     """Write a trace file; returns the final basis hash its footer holds."""
     final_sha256 = basis_hash(final_basis)
     punishments = iter(decisions.angles)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps({"format": TRACE_FORMAT, **header}) + "\n")
         for k, (t, m, w_after) in enumerate(
                 zip(decisions.stage, decisions.outcome, decisions.w_after), start=1):

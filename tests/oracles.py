@@ -148,8 +148,8 @@ def eig_hermitian_scalar(h: np.ndarray, budget: int = 100) -> tuple[np.ndarray, 
 
     Returns ``(eigenvalues, eigenvectors)`` with the package's conventions:
     ascending eigenvalues, column eigenvectors whose first component above
-    1e-12 is real and positive, ties broken by comparing the phase-fixed
-    components.  Raises ``RuntimeError`` if ``budget`` sweeps do not
+    1e-12 is real and positive, equal eigenvalues in the order the sweeps
+    leave them.  Raises ``RuntimeError`` if ``budget`` sweeps do not
     converge.  This is the reference the stacked diagonalizer must match
     bit for bit.
     """
@@ -175,8 +175,7 @@ def eig_hermitian_scalar(h: np.ndarray, budget: int = 100) -> tuple[np.ndarray, 
 
     values = a.diagonal().real.copy()
     columns = [_phase_fixed(v[:, l].copy()) for l in range(n)]
-    key = [tuple((float(c.real), float(c.imag)) for c in col) for col in columns]
-    order = sorted(range(n), key=lambda l: (float(values[l]), key[l]))
+    order = sorted(range(n), key=lambda l: float(values[l]))  # stable
     eigenvalues = np.array([values[l] for l in order])
     eigenvectors = np.column_stack([columns[l] for l in order]) if n else v
     return eigenvalues, eigenvectors

@@ -642,6 +642,28 @@ def test_every_raise_is_a_config_error_or_an_eigenrl_error():
     assert issubclass(ConfigError, EigenrlError)
 
 
+def test_every_file_written_is_opened_with_newline_empty():
+    """Each ``open`` for writing in the package passes ``newline=""``, so a
+    results, basis, operator or trace file has the same bytes on every
+    platform: without it Python writes each ``\\n`` as ``os.linesep``."""
+    package = Path(errors.__file__).parent
+    writes, untranslated = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+            if mode is None or not set(ast.literal_eval(mode)) & set("wax+"):
+                continue
+            writes.append(f"{path.name}:{node.lineno}")
+            newline = keywords.get("newline")
+            if newline is None or ast.literal_eval(newline) != "":
+                untranslated.append(writes[-1])
+    assert len(writes) >= 5 and not untranslated, untranslated
+
+
 #: patches that break unitarity: rotation blocks scaled by 2, and fold
 #: features that are NaN, which fail the guard's comparison as well
 BROKEN_UNITARITY = (

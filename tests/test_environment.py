@@ -131,7 +131,7 @@ class TestRandomEnv:
 
     @pytest.mark.parametrize(
         "tied, sign",
-        [(np.zeros((3, 3)), 1.0), (1.5 * np.eye(3), 1.0), (np.diag([-0.0, 0.0, 0.0]), -1.0)],
+        [(np.zeros((3, 3)), 1.0), (1.5 * np.eye(3), 1.0), (np.diag([0.0, 0.0, -0.0]), -1.0)],
         ids=["zero", "identity", "negative-zero"],
     )
     def test_a_draw_with_tied_eigenvalues_is_redrawn(self, monkeypatch, tied, sign):

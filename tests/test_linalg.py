@@ -122,7 +122,7 @@ class TestEigHermitian:
         np.testing.assert_allclose(es.eigenvectors, perm, atol=1e-14)
 
     def test_degenerate_spectrum_deterministic(self):
-        """Equal eigenvalues get a reproducible tie-broken basis."""
+        """Equal eigenvalues get a reproducible basis, in the sweeps' order."""
         h = np.eye(3, dtype=np.complex128)
         a = eig_of_one(h)
         b = eig_of_one(h)
@@ -191,7 +191,8 @@ def test_stacked_jacobi_matches_the_one_matrix_solver_bit_for_bit():
     stack = mixed_stack(rng)
     es = assert_members_match_reference(stack)
     # members stop after different numbers of sweeps; the diagonal one is
-    # never rotated, and the degenerate ones exercise the tie-break sort
+    # never rotated, and the degenerate ones keep their tied pairs in the
+    # sweeps' order
     assert len({sweeps_needed(stack[i]) for i in (0, 40, 43)}) == 3
     assert set(np.abs(es.eigenvectors[40]).ravel()) == {0.0, 1.0}
     assert np.all(es.eigenvalues[41] == 1.0)

@@ -1,34 +1,21 @@
-"""The offline workflow runner, ``scripts/run_workflow.py``, and the CI file
-it reads."""
-import importlib.util
+"""The CI workflow and ``scripts/ci.sh``, which holds its checks."""
 import re
 from pathlib import Path
 
-import pytest
-
-pytest.importorskip("yaml")
-
 ROOT = Path(__file__).resolve().parents[1]
-spec = importlib.util.spec_from_file_location("run_workflow", ROOT / "scripts" / "run_workflow.py")
-run_workflow = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(run_workflow)
+#: the two installs: the pinned test tools, then this package's console script
+INSTALL = re.compile(r'python -m pip install( "[\w-]+==[\w.]+")+|python -m pip install --no-deps -e \.')
 
 
-def test_the_runner_finds_every_run_step_of_the_workflow():
-    """Each ``run:`` key of the file is a step the runner runs or skips by
-    name, in file order, and each name it skips belongs to an install step."""
-    text = run_workflow.WORKFLOW.read_text(encoding="utf-8")
-    keys = re.findall(r"^\s+(?:- )?run:\s*(\S.*)$", text, flags=re.MULTILINE)
-    steps = run_workflow.run_steps()
-    assert len(steps) == len(keys) >= 9
-    for (name, script), key in zip(steps, keys):
-        first = script.splitlines()[0]
-        assert key in ("|", first), (name, key)
-    skipped = [script for name, script in steps if name in run_workflow.SKIPPED]
-    assert len(skipped) == len(run_workflow.SKIPPED)
-    assert all(script.startswith("python -m pip install ") for script in skipped)
-    # the only other network line is the editable install, for which the
-    # runner puts its eigenrl shim on PATH
-    dropped = [line for name, script in steps if name not in run_workflow.SKIPPED
-               for line in run_workflow.offline(script)[1]]
-    assert [line.strip() for line in dropped] == ["python -m pip install --no-deps -e ."]
+def test_every_workflow_step_is_a_pinned_install_or_a_step_of_ci_sh():
+    """The workflow runs two pinned ``pip install`` commands and, for each
+    name of the script's ``STEPS`` in order, ``bash scripts/ci.sh NAME``,
+    so the script run offline runs what CI runs; and the script defines one
+    function of each name."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    script = (ROOT / "scripts" / "ci.sh").read_text(encoding="utf-8")
+    runs = [run.strip() for run in re.findall(r"^\s+(?:- )?run:(.*)$", workflow, flags=re.MULTILINE)]
+    steps = re.search(r"^STEPS=\(([\w ]+)\)$", script, flags=re.MULTILINE)[1].split()
+    assert len(runs) == len(steps) + 2, runs
+    assert [run for run in runs if not INSTALL.fullmatch(run)] == [f"bash scripts/ci.sh {step}" for step in steps]
+    assert all(script.count(f"\n{step}() {{\n") == 1 for step in steps)
